@@ -7,9 +7,10 @@ use crate::layout::{
     HEADER_BYTES, HEAP_BASE, MIN_BLOCK, POOL_MAGIC, SIZE_CLASSES,
 };
 use crate::recovery::MarkState;
+use crate::table::BlockTable;
 use crate::worker::{AllocDelta, SplitState, StagedAllocEffects, WorkerMode};
 use mod_pmem::{PmPtr, Pmem};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Allocation statistics, the data source of Table 3.
@@ -29,17 +30,12 @@ pub struct AllocStats {
     pub frees: u64,
 }
 
-/// One allocation shard: an arena carved from the pool with its own bump
-/// pointer, free lists and statistics, so each worker thread allocates
-/// without contending on a shared bump pointer or mixing free lists.
-#[derive(Debug)]
-struct ShardAlloc {
-    free_by_class: Vec<Vec<u64>>,
-    /// Arena bounds: `[start, end)` within the pool.
-    start: u64,
-    end: u64,
-    bump: u64,
-    stats: AllocStats,
+/// Index into the volatile free lists for a payload class, if the class
+/// is one a volatile node-cache block can have (header + payload a whole
+/// number of cachelines; see [`crate::layout::volatile_class_size`]).
+fn volatile_index(class: u64) -> Option<usize> {
+    let footprint = HEADER_BYTES + class;
+    (footprint % 64 == 0).then_some((footprint / 64) as usize)
 }
 
 /// A persistent heap over a simulated PM pool: an `nvm_malloc` equivalent
@@ -51,23 +47,22 @@ struct ShardAlloc {
 /// everything else (free lists, refcounts, the bump pointer) is volatile
 /// and reconstructed by recovery.
 ///
-/// Two sharding modes exist: [`NvHeap::configure_shards`] keeps one
-/// heap object with per-shard arenas (single-threaded attribution), and
 /// [`NvHeap::split_workers`] checks arenas out as independent worker
-/// heaps for genuinely lock-free multi-threaded staging (see
-/// `mod-core`'s `SharedModHeap` and [`crate::worker`]).
+/// heaps for lock-free multi-threaded staging (see `mod-core`'s
+/// `SharedModHeap` and [`crate::worker`]).
 #[derive(Debug)]
 pub struct NvHeap {
     pm: Pmem,
     free_by_class: Vec<Vec<u64>>,
     /// Coalesced free space discovered by recovery: start → length.
     regions: BTreeMap<u64, u64>,
+    /// Next never-allocated byte: of the pool, or — on a worker heap —
+    /// of the worker's arena.
     bump: u64,
-    rc: HashMap<u64, u32>,
+    /// Authoritative refcounts (owner and commit-side heaps; a worker
+    /// heap keeps its fresh blocks' counts in its [`WorkerMode`]).
+    pub(crate) rc: BlockTable,
     stats: AllocStats,
-    /// Allocation shards (empty unless [`NvHeap::configure_shards`] ran).
-    shards: Vec<ShardAlloc>,
-    active_shard: usize,
     /// Worker-mode state (this heap is a checked-out shard; see
     /// [`NvHeap::split_workers`]).
     worker: Option<WorkerMode>,
@@ -78,9 +73,9 @@ pub struct NvHeap {
     /// allocations land in the volatile node cache.
     volatile_depth: u32,
     /// Free lists for volatile-shaped blocks (64-aligned, whole-line
-    /// footprint; see [`crate::layout::is_volatile_shape`]), keyed by
-    /// exact class size.
-    volatile_free: HashMap<u64, Vec<u64>>,
+    /// footprint; see [`crate::layout::is_volatile_shape`]), indexed by
+    /// [`volatile_index`] of the exact class size.
+    volatile_free: Vec<Vec<u64>>,
     /// Volatile heads of hybrid roots, shared by every heap handle over
     /// this pool (see [`RootAnnex`]).
     annex: Arc<RootAnnex>,
@@ -105,14 +100,12 @@ impl NvHeap {
             free_by_class: vec![Vec::new(); SIZE_CLASSES.len()],
             regions: BTreeMap::new(),
             bump: HEAP_BASE,
-            rc: HashMap::new(),
+            rc: BlockTable::default(),
             stats: AllocStats::default(),
-            shards: Vec::new(),
-            active_shard: 0,
             worker: None,
             split: None,
             volatile_depth: 0,
-            volatile_free: HashMap::new(),
+            volatile_free: Vec::new(),
             annex: Arc::new(RootAnnex::new()),
             mark: recovering.then(MarkState::default),
         }
@@ -172,132 +165,10 @@ impl NvHeap {
     }
 
     // ------------------------------------------------------------------
-    // Allocation shards
-    // ------------------------------------------------------------------
-
-    /// Splits the largest contiguous free span of the pool into `n`
-    /// equal arenas, one per shard: each gets its own bump pointer, free
-    /// lists and [`AllocStats`]. Also configures `n` shard lanes on the
-    /// underlying [`Pmem`]. Shard 0 becomes active; blocks outside the
-    /// carved span stay valid (their frees land in the shared free
-    /// lists, a fallback for every shard).
-    ///
-    /// The span is the unallocated tail *or* a coalesced free region
-    /// left by recovery, whichever is larger — after a crash/reopen the
-    /// bump pointer sits above the highest live block and most free
-    /// space lives in the region list, so carving only the tail would
-    /// shrink the arenas on every reopen cycle until sharding failed.
-    ///
-    /// Per-shard statistics attribute traffic to the shard that was
-    /// active when it happened; the global [`NvHeap::stats`] roll-up
-    /// (Table 3) stays exact regardless of which shard frees a block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, in recovery mode, if shards are already
-    /// configured, or if the largest free span is too small to give
-    /// every shard a useful arena.
-    pub fn configure_shards(&mut self, n: usize) {
-        self.assert_ready();
-        assert!(n > 0, "need at least one shard");
-        assert!(self.shards.is_empty(), "shards already configured");
-        let tail = (self.bump, self.pm.capacity() - self.bump);
-        let (base, len) = self
-            .regions
-            .iter()
-            .map(|(&s, &l)| (s, l))
-            .chain(std::iter::once(tail))
-            .max_by_key(|&(_, l)| l)
-            .unwrap();
-        let per = (len / n as u64) & !15;
-        assert!(
-            per >= 64 * MIN_BLOCK,
-            "pool too fragmented to shard: largest free span gives {per} bytes per shard"
-        );
-        if base == self.bump {
-            // The span is the tail; the shards own it now.
-            self.bump = self.pm.capacity();
-        } else {
-            self.regions.remove(&base);
-        }
-        self.shards = (0..n as u64)
-            .map(|i| {
-                let start = base + i * per;
-                ShardAlloc {
-                    free_by_class: vec![Vec::new(); SIZE_CLASSES.len()],
-                    start,
-                    // The last shard absorbs the span's alignment
-                    // remainder.
-                    end: if i == n as u64 - 1 {
-                        base + len
-                    } else {
-                        start + per
-                    },
-                    bump: start,
-                    stats: AllocStats::default(),
-                }
-            })
-            .collect();
-        self.active_shard = 0;
-        self.pm.configure_shards(n);
-    }
-
-    /// Number of configured allocation shards (0 when unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Routes subsequent allocations (and stats/time attribution, via the
-    /// pool's shard lanes) to shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn set_active_shard(&mut self, s: usize) {
-        assert!(
-            s < self.shards.len().max(1),
-            "shard {s} out of range ({} configured)",
-            self.shards.len()
-        );
-        self.active_shard = s;
-        if self.pm.shard_count() > 0 {
-            self.pm.set_active_shard(s);
-        }
-    }
-
-    /// The shard currently receiving allocations (0 when unsharded).
-    pub fn active_shard(&self) -> usize {
-        self.active_shard
-    }
-
-    /// Allocation statistics attributed to shard `s`. Alloc/free counts
-    /// and cumulative bytes sum exactly to the global [`NvHeap::stats`]
-    /// for traffic since sharding; `live_*` is approximate per shard when
-    /// blocks are freed by a different shard than allocated them (the
-    /// global roll-up stays exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn shard_stats(&self, s: usize) -> &AllocStats {
-        &self.shards[s].stats
-    }
-
-    /// The shard whose arena contains `addr`, if any.
-    fn shard_of_addr(&self, addr: u64) -> Option<usize> {
-        if self.shards.is_empty() || addr < self.shards[0].start {
-            return None;
-        }
-        self.shards
-            .iter()
-            .position(|s| addr >= s.start && addr < s.end)
-    }
-
-    // ------------------------------------------------------------------
     // Worker split (lock-free staging)
     // ------------------------------------------------------------------
 
-    /// Checks one allocation shard out to each of `n` worker threads and
+    /// Checks one allocation arena out to each of `n` worker threads and
     /// returns the worker heaps. Each worker heap owns
     ///
     /// * a 64-byte-aligned arena carved from the pool's largest free
@@ -306,23 +177,27 @@ impl NvHeap {
     /// * a [`Pmem`] shard handle sharing this pool's storage with a
     ///   private simulated timeline (clock, caches, line table, WPQ).
     ///
+    /// The span is the unallocated tail *or* a coalesced free region
+    /// left by recovery, whichever is larger — after a crash/reopen the
+    /// bump pointer sits above the highest live block and most free
+    /// space lives in the region list.
+    ///
     /// This heap keeps the last slice of the span for commit-side
     /// allocation (root directories) and becomes the *commit-side* heap:
     /// its [`NvHeap::free`] routes blocks inside a worker arena to that
-    /// shard's return bin, where the owner drains them on its next
+    /// worker's return bin, where the owner drains them on its next
     /// arena miss. Worker heaps defer all cross-shard effects to
     /// [`NvHeap::take_staged_effects`] /
     /// [`NvHeap::apply_staged_effects`] (see [`crate::worker`]).
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, in recovery mode, if legacy shards or a
-    /// previous split are configured, or if the largest free span is too
-    /// small to give every worker a useful arena.
+    /// Panics if `n == 0`, in recovery mode, if a previous split is
+    /// still checked out, or if the largest free span is too small to
+    /// give every worker a useful arena.
     pub fn split_workers(&mut self, n: usize) -> Vec<NvHeap> {
         self.assert_ready();
         assert!(n > 0, "need at least one worker");
-        assert!(self.shards.is_empty(), "legacy shards already configured");
         assert!(self.split.is_none(), "workers already split");
         assert!(self.worker.is_none(), "cannot split a worker heap");
         let tail = (self.bump, self.pm.capacity() - self.bump);
@@ -355,37 +230,22 @@ impl NvHeap {
         }
         let bins: Arc<Vec<Mutex<Vec<u64>>>> =
             Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
-        let mut arenas = Vec::with_capacity(n);
-        let workers = (0..n as u64)
-            .map(|i| {
-                let start = abase + i * per;
-                let end = start + per;
-                arenas.push(Some((start, end)));
+        let workers = (0..n)
+            .map(|home| {
+                let start = abase + home as u64 * per;
                 let mut w = NvHeap::from_pool(self.pm.fork_handle(), false);
-                // The global-bump fallback must never fire on a worker:
-                // point it at the capacity so exhaustion panics loudly
-                // instead of clobbering the pool.
-                w.bump = self.pm.capacity();
+                w.bump = start;
                 w.annex = Arc::clone(&self.annex);
-                w.shards = vec![ShardAlloc {
-                    free_by_class: vec![Vec::new(); SIZE_CLASSES.len()],
-                    start,
-                    end,
-                    bump: start,
-                    stats: AllocStats::default(),
-                }];
-                w.worker = Some(WorkerMode {
-                    home: i as usize,
-                    bins: Arc::clone(&bins),
-                    rc_deltas: HashMap::new(),
-                    fase_allocs: Vec::new(),
-                    foreign_frees: Vec::new(),
-                    stats_mark: AllocStats::default(),
-                });
+                w.worker = Some(WorkerMode::new(home, Arc::clone(&bins), start..start + per));
                 w
             })
             .collect();
-        self.split = Some(SplitState { arenas, bins });
+        self.split = Some(SplitState {
+            base: abase,
+            per,
+            checked_out: vec![true; n],
+            bins,
+        });
         workers
     }
 
@@ -407,7 +267,7 @@ impl NvHeap {
     pub fn split_workers_outstanding(&self) -> usize {
         self.split
             .as_ref()
-            .map_or(0, |s| s.arenas.iter().flatten().count())
+            .map_or(0, |s| s.checked_out.iter().filter(|&&c| c).count())
     }
 
     /// Drains a worker's accumulated cross-shard side effects — fresh
@@ -420,17 +280,17 @@ impl NvHeap {
     ///
     /// Panics unless this is a worker heap.
     pub fn take_staged_effects(&mut self) -> StagedAllocEffects {
-        assert!(self.worker.is_some(), "take_staged_effects on non-worker");
-        let rc_transfer: Vec<(u64, u32)> = self.rc.drain().collect();
         let stats_now = self.stats.clone();
-        let w = self.worker.as_mut().unwrap();
+        let w = self
+            .worker
+            .as_mut()
+            .expect("take_staged_effects on non-worker");
         let fx = StagedAllocEffects {
-            rc_transfer,
+            rc_transfer: w.take_fresh(),
             rc_deltas: w.rc_deltas.drain().collect(),
             foreign_frees: std::mem::take(&mut w.foreign_frees),
             stats: AllocDelta::between(&w.stats_mark, &stats_now),
         };
-        w.fase_allocs.clear();
         w.stats_mark = stats_now;
         fx
     }
@@ -443,15 +303,12 @@ impl NvHeap {
     ///
     /// Panics unless this is a worker heap.
     pub fn abort_fase(&mut self) {
-        assert!(self.worker.is_some(), "abort_fase on non-worker");
-        let allocs = std::mem::take(&mut self.worker.as_mut().unwrap().fase_allocs);
-        for addr in allocs {
-            self.rc.remove(&addr);
-            self.free_untracked(PmPtr::from_addr(addr));
-        }
-        let w = self.worker.as_mut().unwrap();
+        let w = self.worker.as_mut().expect("abort_fase on non-worker");
         w.rc_deltas.clear();
         w.foreign_frees.clear();
+        for (addr, _) in w.take_fresh() {
+            self.free_untracked(PmPtr::from_addr(addr));
+        }
     }
 
     /// Applies a worker's [`StagedAllocEffects`] to this (commit-side)
@@ -464,20 +321,19 @@ impl NvHeap {
     /// that never transferred).
     pub fn apply_staged_effects(&mut self, fx: StagedAllocEffects) {
         for (addr, count) in fx.rc_transfer {
-            let prev = self.rc.insert(addr, count);
-            debug_assert!(
-                prev.is_none(),
+            debug_assert_eq!(
+                self.rc.get(addr),
+                0,
                 "rc authority for {addr:#x} transferred twice"
             );
+            self.rc.set(addr, count);
         }
         for (addr, delta) in fx.rc_deltas {
-            let e = self.rc.entry(addr).or_insert(0);
-            let next = *e as i64 + delta;
-            assert!(
-                next >= 0,
-                "refcount underflow at {addr:#x} applying staged delta"
-            );
-            *e = next as u32;
+            self.rc.update(addr, |c| {
+                u32::try_from(c as i64 + delta).unwrap_or_else(|_| {
+                    panic!("refcount underflow at {addr:#x} applying staged delta")
+                })
+            });
         }
         for addr in fx.foreign_frees {
             self.free(PmPtr::from_addr(addr));
@@ -499,26 +355,25 @@ impl NvHeap {
         self.apply_staged_effects(fx);
         self.pm.absorb_lines(w.pm.take_lines());
         self.pm.append_trace(w.pm.take_trace());
-        let shard = w.shards.pop().expect("worker heap has one shard");
+        let arena_end = w.worker.as_ref().expect("worker heap").arena.end;
         let split = self.split.as_mut().expect("absorb_worker without a split");
         assert!(
-            split.arenas.get(home).is_some_and(|a| a.is_some()),
+            split.checked_out.get(home).is_some_and(|&c| c),
             "worker {home} already absorbed"
         );
-        split.arenas[home] = None;
+        split.checked_out[home] = false;
         let bin = std::mem::take(&mut *split.bins[home].lock().unwrap());
-        for (idx, list) in shard.free_by_class.into_iter().enumerate() {
+        for (idx, list) in w.free_by_class.into_iter().enumerate() {
             self.free_by_class[idx].extend(list);
         }
-        for (class, list) in w.volatile_free.drain() {
-            self.volatile_free.entry(class).or_default().extend(list);
+        for (idx, list) in w.volatile_free.into_iter().enumerate() {
+            self.volatile_list(idx).extend(list);
         }
         for hdr in bin {
-            let class = self.pm.peek_u64(hdr);
-            self.stash_free_block(hdr, class, false);
+            self.recycle_by_shape(hdr);
         }
-        if shard.end - shard.bump >= MIN_BLOCK {
-            self.regions.insert(shard.bump, shard.end - shard.bump);
+        if arena_end - w.bump >= MIN_BLOCK {
+            self.regions.insert(w.bump, arena_end - w.bump);
         }
         if self.split_workers_outstanding() == 0 {
             self.split = None;
@@ -537,22 +392,11 @@ impl NvHeap {
         } else {
             self.pm.trace_free(hdr, HEADER_BYTES + class);
         }
-        let s = &mut self.shards[0];
-        s.stats.allocs -= 1;
-        s.stats.live_blocks -= 1;
-        s.stats.live_bytes -= class;
-        s.stats.cumulative_alloc_bytes -= class;
         self.stats.allocs -= 1;
         self.stats.live_blocks -= 1;
         self.stats.live_bytes -= class;
         self.stats.cumulative_alloc_bytes -= class;
-        if volatile {
-            self.volatile_free.entry(class).or_default().push(hdr);
-        } else if let Some(idx) = class_index(class) {
-            self.shards[0].free_by_class[idx].push(hdr);
-        } else {
-            self.regions.insert(hdr, HEADER_BYTES + class);
-        }
+        self.recycle(hdr, class, volatile);
     }
 
     // ------------------------------------------------------------------
@@ -634,67 +478,50 @@ impl NvHeap {
         // recovery.
         self.pm.write_u64(hdr, class);
         self.pm.write_u64(hdr + 8, BLOCK_MAGIC ^ class);
-        self.rc.insert(payload, 1);
+        match self.worker.as_mut() {
+            Some(w) => w.note_fresh(payload),
+            None => self.rc.set(payload, 1),
+        }
         self.stats.allocs += 1;
         self.stats.live_blocks += 1;
         self.stats.live_bytes += class;
         self.stats.cumulative_alloc_bytes += class;
         self.stats.hwm_live_bytes = self.stats.hwm_live_bytes.max(self.stats.live_bytes);
-        if let Some(shard) = self.shards.get_mut(self.active_shard) {
-            let s = &mut shard.stats;
-            s.allocs += 1;
-            s.live_blocks += 1;
-            s.live_bytes += class;
-            s.cumulative_alloc_bytes += class;
-            s.hwm_live_bytes = s.hwm_live_bytes.max(s.live_bytes);
-        }
-        if let Some(w) = self.worker.as_mut() {
-            w.fase_allocs.push(payload);
-        }
         PmPtr::from_addr(payload)
+    }
+
+    /// End of the space the bump pointer may grow into: the worker's
+    /// arena, or the whole pool.
+    fn bump_limit(&self) -> u64 {
+        self.worker
+            .as_ref()
+            .map_or(self.pm.capacity(), |w| w.arena.end)
     }
 
     fn take_block(&mut self, class: u64) -> u64 {
         let need = HEADER_BYTES + class;
-        if let Some(shard) = self.shards.get_mut(self.active_shard) {
-            if let Some(idx) = class_index(class) {
-                if let Some(hdr) = shard.free_by_class[idx].pop() {
-                    return hdr;
-                }
-            }
-            if shard.bump + need <= shard.end {
-                let hdr = shard.bump;
-                shard.bump += need;
+        let idx = class_index(class);
+        if let Some(hdr) = idx.and_then(|i| self.free_by_class[i].pop()) {
+            return hdr;
+        }
+        if self.worker.is_some() {
+            // A worker bumps through its arena before recycling anything
+            // else, then drains its return bin — blocks of its own the
+            // commit stage freed — and retries.
+            if self.bump + need <= self.bump_limit() {
+                let hdr = self.bump;
+                self.bump += need;
                 return hdr;
             }
-            // Arena exhausted: fall through to the shared free lists and
-            // pre-sharding regions before giving up.
-        }
-        if let Some((bins, home)) = self.worker.as_ref().map(|w| (Arc::clone(&w.bins), w.home)) {
-            // Drain the return bin — blocks of ours the commit stage
-            // freed — into the local free lists, then retry.
-            let returned = std::mem::take(&mut *bins[home].lock().unwrap());
-            if !returned.is_empty() {
-                for hdr in returned {
-                    let c = self.pm.peek_u64(hdr);
-                    self.stash_free_block(hdr, c, true);
-                }
-                if let Some(idx) = class_index(class) {
-                    if let Some(hdr) = self.shards[0].free_by_class[idx].pop() {
-                        return hdr;
-                    }
-                }
-            }
-        }
-        if let Some(idx) = class_index(class) {
-            if let Some(hdr) = self.free_by_class[idx].pop() {
+            self.drain_return_bin();
+            if let Some(hdr) = idx.and_then(|i| self.free_by_class[i].pop()) {
                 return hdr;
             }
         }
         // A volatile-shaped block serves a persistent request of the same
         // class fine (its alignment is harmless; its marks were cleared
         // at free time).
-        if let Some(hdr) = self.volatile_free.get_mut(&class).and_then(|l| l.pop()) {
+        if let Some(hdr) = self.pop_volatile(class) {
             return hdr;
         }
         // First-fit from recovered regions.
@@ -705,18 +532,6 @@ impl NvHeap {
                 self.regions.insert(start + need, rest);
             }
             return start;
-        }
-        // Steal bump space from the sibling shard with the most arena
-        // left: a skewed workload must not die of "pool exhausted" while
-        // other arenas sit empty. (Ownership follows the address, so the
-        // stolen block's frees return to the donor shard's lists.)
-        if let Some(i) = (0..self.shards.len())
-            .filter(|&i| self.shards[i].end - self.shards[i].bump >= need)
-            .max_by_key(|&i| self.shards[i].end - self.shards[i].bump)
-        {
-            let hdr = self.shards[i].bump;
-            self.shards[i].bump += need;
-            return hdr;
         }
         // Bump allocation.
         assert!(
@@ -738,78 +553,75 @@ impl NvHeap {
     /// Takes a volatile-shaped block: 64-byte aligned header, whole-line
     /// footprint. Recycles from the volatile free lists first, then bump
     /// allocates with the alignment gap (if any) returned to the region
-    /// list.
+    /// list; a worker whose arena is spent drains its return bin (recycled
+    /// node blocks come back that way) and retries.
     fn take_block_volatile(&mut self, class: u64) -> u64 {
         let need = HEADER_BYTES + class;
         debug_assert_eq!(need % 64, 0);
-        if let Some(hdr) = self.volatile_free.get_mut(&class).and_then(|l| l.pop()) {
+        if let Some(hdr) = self.pop_volatile(class) {
             return hdr;
         }
-        if self.shards.get(self.active_shard).is_some() {
-            let shard = &self.shards[self.active_shard];
-            let aligned = (shard.bump + 63) & !63;
-            if aligned + need <= shard.end {
-                let (old_bump, gap) = (shard.bump, aligned - shard.bump);
-                let shard = &mut self.shards[self.active_shard];
-                shard.bump = aligned + need;
-                if gap >= MIN_BLOCK {
-                    self.regions.insert(old_bump, gap);
-                }
-                return aligned;
-            }
-        }
-        if let Some((bins, home)) = self.worker.as_ref().map(|w| (Arc::clone(&w.bins), w.home)) {
-            // Drain the return bin (blocks of ours the commit stage
-            // freed) and retry: recycled node blocks come back this way.
-            let returned = std::mem::take(&mut *bins[home].lock().unwrap());
-            if !returned.is_empty() {
-                for hdr in returned {
-                    let c = self.pm.peek_u64(hdr);
-                    self.stash_free_block(hdr, c, true);
-                }
-                if let Some(hdr) = self.volatile_free.get_mut(&class).and_then(|l| l.pop()) {
-                    return hdr;
-                }
-            }
-        }
-        assert!(
-            self.worker.is_none(),
-            "worker shard arena exhausted ({need} bytes requested, volatile): \
-             grow the pool or reduce per-worker churn"
-        );
         let aligned = (self.bump + 63) & !63;
+        if aligned + need <= self.bump_limit() {
+            let gap = aligned - self.bump;
+            if gap >= MIN_BLOCK {
+                self.regions.insert(self.bump, gap);
+            }
+            self.bump = aligned + need;
+            return aligned;
+        }
         assert!(
-            aligned + need <= self.pm.capacity(),
+            self.worker.is_some(),
             "persistent pool exhausted: bump {aligned:#x} + {need} > capacity {:#x}",
             self.pm.capacity()
         );
-        let gap = aligned - self.bump;
-        if gap >= MIN_BLOCK {
-            self.regions.insert(self.bump, gap);
-        }
-        self.bump = aligned + need;
-        aligned
+        self.drain_return_bin();
+        self.pop_volatile(class).unwrap_or_else(|| {
+            panic!(
+                "worker shard arena exhausted ({need} bytes requested, volatile): \
+                 grow the pool or reduce per-worker churn"
+            )
+        })
     }
 
-    /// Routes a freed (or recycled-from-bin) block into the right free
-    /// pool: volatile-shaped blocks into the volatile lists, exact
-    /// classes into the shard/global segregated lists, everything else
-    /// into the region map. `to_shard` prefers the worker's own shard
-    /// lists for class blocks.
-    fn stash_free_block(&mut self, hdr: u64, class: u64, to_shard: bool) {
-        if is_volatile_shape(hdr, class) {
-            self.volatile_free.entry(class).or_default().push(hdr);
-            return;
+    /// Moves every block the commit stage freed on this worker's behalf
+    /// from its return bin into the local free pools, routed by *shape*
+    /// (the volatile marks were cleared at free time).
+    fn drain_return_bin(&mut self) {
+        let w = self.worker.as_ref().expect("only workers have return bins");
+        let returned = std::mem::take(&mut *w.bins[w.home].lock().unwrap());
+        for hdr in returned {
+            self.recycle_by_shape(hdr);
         }
-        match class_index(class) {
-            Some(idx) if to_shard && !self.shards.is_empty() => {
-                self.shards[0].free_by_class[idx].push(hdr)
-            }
-            Some(idx) => self.free_by_class[idx].push(hdr),
-            None => {
-                self.regions.insert(hdr, HEADER_BYTES + class);
-            }
+    }
+
+    fn recycle_by_shape(&mut self, hdr: u64) {
+        let class = self.pm.peek_u64(hdr);
+        self.recycle(hdr, class, is_volatile_shape(hdr, class));
+    }
+
+    /// Returns a free block to the pool its kind selects: the volatile
+    /// lists, the exact-class segregated lists, or the region map.
+    fn recycle(&mut self, hdr: u64, class: u64, volatile: bool) {
+        if volatile {
+            let idx = volatile_index(class).expect("volatile block with a non-volatile class");
+            self.volatile_list(idx).push(hdr);
+        } else if let Some(idx) = class_index(class) {
+            self.free_by_class[idx].push(hdr);
+        } else {
+            self.regions.insert(hdr, HEADER_BYTES + class);
         }
+    }
+
+    fn volatile_list(&mut self, idx: usize) -> &mut Vec<u64> {
+        if idx >= self.volatile_free.len() {
+            self.volatile_free.resize_with(idx + 1, Vec::new);
+        }
+        &mut self.volatile_free[idx]
+    }
+
+    fn pop_volatile(&mut self, class: u64) -> Option<u64> {
+        self.volatile_free.get_mut(volatile_index(class)?)?.pop()
     }
 
     /// Frees the block at `ptr` (payload pointer), returning its payload
@@ -821,85 +633,42 @@ impl NvHeap {
     pub fn free(&mut self, ptr: PmPtr) {
         self.assert_ready();
         assert!(!ptr.is_null(), "freeing null PmPtr");
-        if self.worker.is_some() {
-            let hdr = ptr.addr() - HEADER_BYTES;
-            let own_arena = self.shard_of_addr(hdr).is_some();
-            if let Some(w) = self.worker.as_mut() {
-                if !own_arena {
-                    // Foreign block: the authoritative free (rc removal,
-                    // list routing, stats) runs commit-side, in batch
-                    // order.
-                    w.foreign_frees.push(ptr.addr());
-                    return;
-                }
-                // Own arena: unwind the FASE rollback log.
-                if let Some(i) = w.fase_allocs.iter().position(|&a| a == ptr.addr()) {
-                    w.fase_allocs.swap_remove(i);
-                }
+        let hdr = ptr.addr() - HEADER_BYTES;
+        if let Some(w) = self.worker.as_mut() {
+            if !w.owns(hdr) {
+                // Foreign block: the authoritative free (rc removal,
+                // list routing, stats) runs commit-side, in batch order.
+                w.foreign_frees.push(ptr.addr());
+                return;
             }
+            // Own arena: the block leaves the FASE rollback log.
+            w.forget_fresh(ptr.addr());
         }
         let class = self.block_len(ptr);
-        let hdr = ptr.addr() - HEADER_BYTES;
         // A volatile node-cache block frees silently: clear its marks
         // (the space must not inherit volatility when recycled) and skip
         // the charge/trace a persistent free pays.
         let volatile = self.pm.is_volatile(hdr);
-        if let Some(s) = self.split.as_ref().and_then(|sp| sp.arena_of(hdr)) {
-            // Commit-side free of a block inside a checked-out worker
-            // arena: bookkeeping here, the space returns via the owner's
-            // bin (the owner re-routes it by shape when draining).
-            if volatile {
-                self.pm.clear_volatile(hdr, HEADER_BYTES + class);
-            } else {
-                self.pm.trace_free(hdr, HEADER_BYTES + class);
-                self.pm.charge_ns(10.0);
-            }
-            self.rc.remove(&ptr.addr());
-            self.stats.frees += 1;
-            self.stats.live_blocks -= 1;
-            self.stats.live_bytes -= class;
-            let split = self.split.as_ref().unwrap();
-            split.bins[s].lock().unwrap().push(hdr);
-            return;
-        }
         if volatile {
             self.pm.clear_volatile(hdr, HEADER_BYTES + class);
         } else {
             self.pm.trace_free(hdr, HEADER_BYTES + class);
             self.pm.charge_ns(10.0);
         }
-        self.rc.remove(&ptr.addr());
-        if volatile {
-            self.volatile_free.entry(class).or_default().push(hdr);
-        } else {
-            // Blocks return to the free lists of the shard whose arena
-            // owns them (locality: that shard's allocations reuse them);
-            // blocks predating shard configuration go back to the shared
-            // lists.
-            let owner = self.shard_of_addr(hdr);
-            let list = match (owner, class_index(class)) {
-                (Some(s), Some(idx)) => Some(&mut self.shards[s].free_by_class[idx]),
-                (None, Some(idx)) => Some(&mut self.free_by_class[idx]),
-                (_, None) => None,
-            };
-            match list {
-                Some(l) => l.push(hdr),
-                None => {
-                    self.regions.insert(hdr, HEADER_BYTES + class);
-                }
-            }
-        }
+        self.rc.set(ptr.addr(), 0);
         self.stats.frees += 1;
         self.stats.live_blocks -= 1;
         self.stats.live_bytes -= class;
-        if let Some(shard) = self.shards.get_mut(self.active_shard) {
-            let s = &mut shard.stats;
-            s.frees += 1;
-            // Cross-shard frees can undercut a shard's own live figures;
-            // saturate instead of underflowing (global stats stay exact).
-            s.live_blocks = s.live_blocks.saturating_sub(1);
-            s.live_bytes = s.live_bytes.saturating_sub(class);
+        if let Some(sp) = &self.split {
+            if let Some(home) = sp.arena_of(hdr) {
+                // Commit-side free of a block inside a checked-out
+                // worker arena: the space returns via the owner's bin
+                // (the owner re-routes it by shape when draining).
+                sp.bins[home].lock().unwrap().push(hdr);
+                return;
+            }
         }
+        self.recycle(hdr, class, volatile);
     }
 
     /// Payload class size of the block at `ptr`, read from its header.
@@ -935,42 +704,57 @@ impl NvHeap {
     /// worker heap, increments on foreign (already-published) blocks
     /// accumulate as deltas and apply commit-side in batch order.
     pub fn rc_inc(&mut self, ptr: PmPtr) {
-        if !self.rc.contains_key(&ptr.addr()) {
-            if let Some(w) = self.worker.as_mut() {
-                *w.rc_deltas.entry(ptr.addr()).or_insert(0) += 1;
-                return;
-            }
+        self.rc_inc_all([ptr]);
+    }
+
+    /// [`NvHeap::rc_inc`] for every non-null pointer of `ptrs`, in one
+    /// pass: a freshly stored node takes ownership of all its children
+    /// and values at once.
+    pub fn rc_inc_all(&mut self, ptrs: impl IntoIterator<Item = PmPtr>) {
+        let ptrs = ptrs.into_iter().filter(|p| !p.is_null());
+        match self.worker.as_mut() {
+            Some(w) => ptrs.for_each(|p| w.rc_inc(p.addr())),
+            None => ptrs.for_each(|p| {
+                self.rc.update(p.addr(), |c| c + 1);
+            }),
         }
-        *self.rc.entry(ptr.addr()).or_insert(0) += 1;
     }
 
     /// Decrements the volatile refcount; returns the new count.
     ///
     /// # Panics
     ///
-    /// Panics if the count is already zero/absent (double release), or —
-    /// on a worker heap — if the block is foreign: a worker cannot know
-    /// a published block's true count, so version releases are deferred
-    /// to the commit stage instead of decrementing during staging.
+    /// Panics if the count is already zero (double release, or a block
+    /// that was never tracked), or — on a worker heap — if the block is
+    /// foreign: a worker cannot know a published block's true count, so
+    /// version releases are deferred to the commit stage instead of
+    /// decrementing during staging.
     pub fn rc_dec(&mut self, ptr: PmPtr) -> u32 {
-        if self.worker.is_some() && !self.rc.contains_key(&ptr.addr()) {
-            panic!(
-                "rc_dec on foreign block {ptr} during lock-free staging; \
-                 defer the release to the commit stage"
-            );
+        let dec = |c: u32| {
+            assert!(c > 0, "refcount underflow at {ptr}");
+            c - 1
+        };
+        match self.worker.as_mut() {
+            Some(w) => {
+                let c = w.fresh_count(ptr.addr()).unwrap_or_else(|| {
+                    panic!(
+                        "rc_dec on foreign block {ptr} during lock-free staging; \
+                         defer the release to the commit stage"
+                    )
+                });
+                *c = dec(*c);
+                *c
+            }
+            None => self.rc.update(ptr.addr(), dec),
         }
-        let c = self
-            .rc
-            .get_mut(&ptr.addr())
-            .unwrap_or_else(|| panic!("rc_dec on untracked block {ptr}"));
-        assert!(*c > 0, "refcount underflow at {ptr}");
-        *c -= 1;
-        *c
     }
 
     /// Current refcount of a block (0 if untracked).
     pub fn rc_get(&self, ptr: PmPtr) -> u32 {
-        self.rc.get(&ptr.addr()).copied().unwrap_or(0)
+        match self.worker.as_ref() {
+            Some(w) => w.peek_fresh_count(ptr.addr()),
+            None => self.rc.get(ptr.addr()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1048,6 +832,18 @@ impl NvHeap {
         self.pm.read_vec(addr, len)
     }
 
+    /// Reads words through the cache model (see
+    /// [`mod_pmem::Pmem::read_words`]).
+    pub fn read_words(&mut self, addr: u64, out: &mut [u64]) {
+        self.pm.read_words(addr, out)
+    }
+
+    /// Writes words through the cache model (see
+    /// [`mod_pmem::Pmem::write_words`]).
+    pub fn write_words(&mut self, addr: u64, words: &[u64]) {
+        self.pm.write_words(addr, words)
+    }
+
     /// Reads a `u64` *without* charging the cache/time model.
     ///
     /// Peek reads back the read-only access path of the typed API
@@ -1067,6 +863,11 @@ impl NvHeap {
     /// Reads bytes without charging the cache/time model.
     pub fn peek_bytes(&self, addr: u64, buf: &mut [u8]) {
         self.pm.peek_bytes(addr, buf)
+    }
+
+    /// Reads words without charging the cache/time model.
+    pub fn peek_words(&self, addr: u64, out: &mut [u64]) {
+        self.pm.peek_words(addr, out)
     }
 
     /// Reads `len` bytes into a fresh vector without charging the
@@ -1101,17 +902,11 @@ impl NvHeap {
         &mut self.stats
     }
 
-    pub(crate) fn rebuild_volatile(
-        &mut self,
-        free_by_class: Vec<Vec<u64>>,
-        regions: BTreeMap<u64, u64>,
-        bump: u64,
-        rc: HashMap<u64, u32>,
-    ) {
-        self.free_by_class = free_by_class;
+    /// Installs the free space recovery found (the refcount table was
+    /// filled in by the marker as it went).
+    pub(crate) fn rebuild_free_space(&mut self, regions: BTreeMap<u64, u64>, bump: u64) {
         self.regions = regions;
         self.bump = bump;
-        self.rc = rc;
     }
 }
 
@@ -1365,32 +1160,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_allocate_from_disjoint_arenas() {
-        let mut h = heap();
-        let before = h.alloc(32); // pre-shard block
-        h.configure_shards(4);
-        assert_eq!(h.shard_count(), 4);
-        assert_eq!(h.pm().shard_count(), 4, "pool lanes configured too");
-        let mut ptrs = Vec::new();
-        for s in 0..4 {
-            h.set_active_shard(s);
-            let a = h.alloc(64);
-            let b = h.alloc(64);
-            assert!(a.addr() > before.addr());
-            ptrs.push((s, a, b));
-        }
-        // Arena disjointness: shard i's blocks all sit below shard i+1's.
-        for w in ptrs.windows(2) {
-            let (_, _, hi_of_lower) = w[0];
-            let (_, lo_of_upper, _) = w[1];
-            assert!(hi_of_lower.addr() < lo_of_upper.addr());
-        }
-    }
-
-    #[test]
-    fn shards_survive_crash_reopen_cycles() {
+    fn worker_split_survives_crash_reopen_cycles() {
         // After a crash, most free space is in the recovered region
-        // list, not above the bump pointer; configure_shards must carve
+        // list, not above the bump pointer; split_workers must carve
         // from the largest free span or reopening a nearly empty pool
         // would fail after a handful of cycles.
         let pm = Pmem::new(mod_pmem::PmemConfig {
@@ -1399,14 +1171,16 @@ mod tests {
         });
         let mut h = NvHeap::format(pm);
         for cycle in 0..10 {
-            h.configure_shards(4);
-            // One small live block, written by the *last* shard (the
+            let mut workers = h.split_workers(4);
+            // One small live block, written by the *last* worker (the
             // worst case: its arena sits at the top of the span, so the
             // recovered bump lands near the pool's end).
-            h.set_active_shard(3);
-            let live = h.alloc(1024);
-            h.write_u64(live.addr(), cycle);
-            h.flush_block(live);
+            let live = workers[3].alloc(1024);
+            workers[3].write_u64(live.addr(), cycle);
+            workers[3].flush_block(live);
+            for w in workers {
+                h.absorb_worker(w);
+            }
             let slot = h.root_slot_addr(0);
             h.write_u64(slot, live.addr());
             h.clwb(slot);
@@ -1418,100 +1192,6 @@ mod tests {
             assert_eq!(h.finish_recovery().live_blocks, 1);
             assert_eq!(h.read_u64(root.addr()), cycle);
         }
-    }
-
-    #[test]
-    fn skewed_worker_steals_from_sibling_arenas() {
-        // One worker allocating far beyond its own arena must borrow
-        // bump space from sibling shards instead of dying of "pool
-        // exhausted" while three arenas sit empty.
-        let pm = Pmem::new(mod_pmem::PmemConfig {
-            capacity: 1 << 20,
-            ..mod_pmem::PmemConfig::testing()
-        });
-        let mut h = NvHeap::format(pm);
-        h.configure_shards(4);
-        h.set_active_shard(0);
-        // ~256 KiB per arena; allocate ~700 KiB from shard 0 alone.
-        let ptrs: Vec<PmPtr> = (0..170).map(|_| h.alloc(4096)).collect();
-        let mut uniq: Vec<u64> = ptrs.iter().map(|p| p.addr()).collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), ptrs.len(), "stolen blocks must not alias");
-        // Stolen blocks free back to their owning (donor) shards and are
-        // reusable.
-        for p in &ptrs {
-            h.free(*p);
-        }
-        let again = h.alloc(4096);
-        assert!(
-            uniq.binary_search(&again.addr()).is_ok(),
-            "freed space reused"
-        );
-    }
-
-    #[test]
-    fn shard_frees_reuse_within_owning_shard() {
-        let mut h = heap();
-        h.configure_shards(2);
-        h.set_active_shard(1);
-        let a = h.alloc(100);
-        // Freed from the *other* shard: still returns to shard 1's list
-        // (ownership is by arena address).
-        h.set_active_shard(0);
-        h.free(a);
-        h.set_active_shard(1);
-        let b = h.alloc(100);
-        assert_eq!(a, b, "shard 1 reuses its own freed block");
-    }
-
-    #[test]
-    fn shard_stats_roll_up_into_global() {
-        let mut h = heap();
-        h.configure_shards(2);
-        h.set_active_shard(0);
-        let a = h.alloc(16);
-        let _b = h.alloc(32);
-        h.set_active_shard(1);
-        let _c = h.alloc(64);
-        h.free(a);
-        let (s0, s1) = (h.shard_stats(0).clone(), h.shard_stats(1).clone());
-        assert_eq!(s0.allocs + s1.allocs, h.stats().allocs);
-        assert_eq!(s0.frees + s1.frees, h.stats().frees);
-        assert_eq!(
-            s0.cumulative_alloc_bytes + s1.cumulative_alloc_bytes,
-            h.stats().cumulative_alloc_bytes
-        );
-        assert_eq!(s0.allocs, 2);
-        assert_eq!(s1.allocs, 1);
-        assert_eq!(s1.frees, 1, "free attributed to the freeing shard");
-    }
-
-    #[test]
-    fn pre_shard_blocks_free_into_shared_lists() {
-        let mut h = heap();
-        let a = h.alloc(100);
-        h.configure_shards(2);
-        h.free(a);
-        // A same-class allocation finds it via the shared fallback once
-        // the shard arena would otherwise be used — force fallback by
-        // checking the block is reused by *some* shard.
-        h.set_active_shard(1);
-        let b = h.alloc(100);
-        // Shard 1 prefers its own arena, so the pre-shard block stays in
-        // the shared list until arenas run dry; both behaviors keep the
-        // block valid. Just assert allocation still works and addresses
-        // never collide.
-        assert_ne!(a, b);
-        let _ = b;
-    }
-
-    #[test]
-    #[should_panic(expected = "already configured")]
-    fn double_shard_configuration_rejected() {
-        let mut h = heap();
-        h.configure_shards(2);
-        h.configure_shards(2);
     }
 
     #[test]
@@ -1633,6 +1313,68 @@ mod tests {
         let fx = w.take_staged_effects();
         h.apply_staged_effects(fx);
         assert_eq!(h.rc_get(a), 1);
+    }
+
+    #[test]
+    fn worker_fase_with_interleaved_alloc_free_abort() {
+        // Frees inside the allocating FASE leave the rollback log at
+        // once; abort_fase then frees exactly the surviving fresh
+        // blocks, in log order (a removal moves the log's last entry
+        // into the hole), and unwinds their alloc-side stats.
+        let mut h = heap();
+        let mut w = h.split_workers(1).remove(0);
+        let base = w.stats().clone();
+        let a = w.alloc(64);
+        let b = w.alloc(64);
+        let c = w.alloc(64);
+        w.rc_inc(c);
+        w.free(a); // log [a, b, c] → [c, b]
+        let d = w.alloc(64); // recycles a; log [c, b, a]
+        assert_eq!(d, a);
+        w.free(b); // log [c, a]
+        assert_eq!((w.rc_get(a), w.rc_get(b), w.rc_get(c)), (1, 0, 2));
+        w.abort_fase(); // frees c, then a
+        for p in [a, b, c] {
+            assert_eq!(w.rc_get(p), 0);
+        }
+        let s = w.stats();
+        assert_eq!(s.allocs - base.allocs, 2, "only the freed blocks count");
+        assert_eq!(s.frees - base.frees, 2);
+        assert_eq!(s.live_blocks, base.live_blocks);
+        assert_eq!(s.live_bytes, base.live_bytes);
+        assert_eq!(s.cumulative_alloc_bytes - base.cumulative_alloc_bytes, 128);
+        // Free list, bottom to top: b (freed), then c, a (aborted).
+        let again: Vec<PmPtr> = (0..3).map(|_| w.alloc(64)).collect();
+        assert_eq!(again, [a, c, b]);
+        // The aborted FASE hands nothing over; the retry's blocks do.
+        h.apply_staged_effects(w.take_staged_effects());
+        assert_eq!((h.rc_get(a), h.rc_get(b), h.rc_get(c)), (1, 1, 1));
+        h.absorb_worker(w);
+    }
+
+    #[test]
+    fn refcount_table_is_paged_not_capacity_sized() {
+        // A 4 GiB pool with ~1 000 live blocks: the table holds a page
+        // directory reaching the touched heap plus the few pages those
+        // blocks fall in — nothing proportional to the capacity.
+        let mut h = NvHeap::format(Pmem::new(PmemConfig::benchmarking(4 << 30)));
+        let ptrs: Vec<PmPtr> = (0..1000).map(|i| h.alloc(16 + (i % 7) * 40)).collect();
+        for &p in &ptrs {
+            h.rc_inc(p);
+        }
+        assert!(
+            h.rc.resident_bytes() <= 1 << 20,
+            "refcount table holds {} bytes",
+            h.rc.resident_bytes()
+        );
+        // Worker arenas sit gigabytes into the pool; their tables page
+        // the same way.
+        let mut workers = h.split_workers(2);
+        let far = workers[1].alloc(64);
+        assert!(far.addr() > 1 << 30);
+        h.apply_staged_effects(workers[1].take_staged_effects());
+        assert_eq!(h.rc_get(far), 1);
+        assert!(h.rc.resident_bytes() <= 1 << 20);
     }
 
     #[test]

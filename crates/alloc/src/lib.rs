@@ -35,6 +35,7 @@ pub mod heap;
 pub mod layout;
 pub mod read;
 pub mod recovery;
+mod table;
 pub mod worker;
 
 pub use annex::RootAnnex;

@@ -38,6 +38,14 @@ impl HeapRead<'_> {
         }
     }
 
+    /// Reads `out.len()` words at the 8-byte aligned `addr`.
+    pub fn words(&mut self, addr: u64, out: &mut [u64]) {
+        match self {
+            HeapRead::Charged(h) => h.read_words(addr, out),
+            HeapRead::Peek(h) => h.peek_words(addr, out),
+        }
+    }
+
     /// Reads `len` bytes at `addr` into a fresh vector.
     pub fn vec(&mut self, addr: u64, len: u64) -> Vec<u8> {
         match self {
@@ -74,6 +82,9 @@ mod tests {
         assert_eq!(HeapRead::from(&h).u64(p.addr()), 0xFEED);
         assert_eq!(HeapRead::from(&h).u32(p.addr() + 8), 77);
         assert_eq!(HeapRead::from(&h).vec(p.addr(), 8), 0xFEEDu64.to_le_bytes());
+        let mut w = [0u64; 1];
+        HeapRead::from(&h).words(p.addr(), &mut w);
+        assert_eq!(w, [0xFEED]);
         assert_eq!(h.pm().stats().reads, reads_before, "peek is free");
         assert_eq!(HeapRead::from(&mut h).u64(p.addr()), 0xFEED);
         assert!(h.pm().stats().reads > reads_before, "charged counts");

@@ -11,17 +11,17 @@
 //! the mark/sweep machinery.
 
 use crate::heap::NvHeap;
-use crate::layout::{BLOCK_MAGIC, HEADER_BYTES, HEAP_BASE, MIN_BLOCK, SIZE_CLASSES};
+use crate::layout::{BLOCK_MAGIC, HEADER_BYTES, HEAP_BASE, MIN_BLOCK};
 use mod_pmem::PmPtr;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-/// Bookkeeping for an in-progress recovery.
+/// Bookkeeping for an in-progress recovery: the reachable blocks seen so
+/// far. Their reference counts go straight into the heap's refcount
+/// table as the marker finds them.
 #[derive(Debug, Default)]
 pub struct MarkState {
-    /// payload addr → payload class size.
-    marked: HashMap<u64, u64>,
-    /// payload addr → number of references found.
-    refs: HashMap<u64, u32>,
+    /// `(header addr, header + payload class bytes)` per reachable block.
+    blocks: Vec<(u64, u64)>,
 }
 
 /// Outcome of a completed recovery.
@@ -57,9 +57,12 @@ impl NvHeap {
             BLOCK_MAGIC ^ class,
             "corrupt block header at {hdr:#x} during recovery"
         );
-        let mark = self.mark.as_mut().unwrap();
-        *mark.refs.entry(ptr.addr()).or_insert(0) += 1;
-        mark.marked.insert(ptr.addr(), class).is_none()
+        let first = self.rc.update(ptr.addr(), |refs| refs + 1) == 1;
+        if first {
+            let mark = self.mark.as_mut().unwrap();
+            mark.blocks.push((hdr, HEADER_BYTES + class));
+        }
+        first
     }
 
     /// Completes recovery: rebuilds the bump pointer, free regions and
@@ -69,15 +72,11 @@ impl NvHeap {
     ///
     /// Panics outside recovery mode.
     pub fn finish_recovery(&mut self) -> RecoveryReport {
-        let mark = self
+        let mut blocks = self
             .mark
             .take()
-            .expect("finish_recovery outside recovery mode");
-        let mut blocks: Vec<(u64, u64)> = mark
-            .marked
-            .iter()
-            .map(|(&payload, &class)| (payload - HEADER_BYTES, HEADER_BYTES + class))
-            .collect();
+            .expect("finish_recovery outside recovery mode")
+            .blocks;
         blocks.sort_unstable();
         let mut regions: BTreeMap<u64, u64> = BTreeMap::new();
         let mut cursor = HEAP_BASE;
@@ -92,13 +91,8 @@ impl NvHeap {
         }
         let bump = cursor;
         let live_blocks = blocks.len() as u64;
-        let live_bytes: u64 = mark.marked.values().sum();
-        self.rebuild_volatile(
-            vec![Vec::new(); SIZE_CLASSES.len()],
-            regions,
-            bump,
-            mark.refs,
-        );
+        let live_bytes: u64 = blocks.iter().map(|&(_, len)| len - HEADER_BYTES).sum();
+        self.rebuild_free_space(regions, bump);
         let stats = self.stats_mut();
         stats.live_bytes = live_bytes;
         stats.live_blocks = live_blocks;

@@ -8,7 +8,7 @@
 //! touch shared allocator state is either
 //!
 //! * **local** — fresh blocks' reference counts live in the worker's own
-//!   table until the FASE is handed to the commit stage;
+//!   fresh log until the FASE is handed to the commit stage;
 //! * **deferred** — increments on *foreign* (already-published) blocks
 //!   accumulate as deltas, and foreign frees queue up, both carried to
 //!   the commit stage in a [`StagedAllocEffects`] and applied there in
@@ -24,7 +24,9 @@
 //! FASE layer defers whole-version releases to the commit stage instead.
 
 use crate::heap::AllocStats;
+use crate::table::BlockTable;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Per-shard return bins: block headers freed by the commit stage on
@@ -98,31 +100,116 @@ pub(crate) struct WorkerMode {
     /// This worker's shard index (its bin in [`ShardBins`]).
     pub(crate) home: usize,
     pub(crate) bins: ShardBins,
+    /// The worker's arena `[start, end)` within the pool.
+    pub(crate) arena: Range<u64>,
     /// Foreign-block rc increments accumulated this FASE.
     pub(crate) rc_deltas: HashMap<u64, i64>,
-    /// Payload addresses allocated this FASE and still live (rollback
-    /// log for conflict aborts).
-    pub(crate) fase_allocs: Vec<u64>,
+    /// `(payload, refcount)` of every block allocated this FASE and
+    /// still live: the worker's local count authority, and the rollback
+    /// log for conflict aborts.
+    fresh: Vec<(u64, u32)>,
+    /// "Fresh this FASE" mark per block: its index in `fresh` plus one,
+    /// 0 for everything else (foreign blocks, blocks already handed to
+    /// the commit stage). Makes the fresh/foreign split and the removal
+    /// from `fresh` O(1).
+    fresh_slot: BlockTable,
     /// Foreign blocks freed this FASE (deferred to the commit stage).
     pub(crate) foreign_frees: Vec<u64>,
     /// Global-stats snapshot at the last handoff (delta base).
     pub(crate) stats_mark: AllocStats,
 }
 
+impl WorkerMode {
+    pub(crate) fn new(home: usize, bins: ShardBins, arena: Range<u64>) -> WorkerMode {
+        WorkerMode {
+            home,
+            bins,
+            arena,
+            rc_deltas: HashMap::new(),
+            fresh: Vec::new(),
+            fresh_slot: BlockTable::default(),
+            foreign_frees: Vec::new(),
+            stats_mark: AllocStats::default(),
+        }
+    }
+
+    /// Whether the block whose header sits at `hdr` lies in this
+    /// worker's arena.
+    pub(crate) fn owns(&self, hdr: u64) -> bool {
+        self.arena.contains(&hdr)
+    }
+
+    /// Records a freshly allocated block with a refcount of 1.
+    pub(crate) fn note_fresh(&mut self, payload: u64) {
+        self.fresh.push((payload, 1));
+        self.fresh_slot.set(payload, self.fresh.len() as u32);
+    }
+
+    /// Index in `fresh` of `payload`, if this FASE allocated it.
+    fn fresh_index(&self, payload: u64) -> Option<usize> {
+        (self.fresh_slot.get(payload) as usize).checked_sub(1)
+    }
+
+    /// The local refcount of `payload` if this FASE allocated it.
+    pub(crate) fn fresh_count(&mut self, payload: u64) -> Option<&mut u32> {
+        self.fresh_index(payload).map(|i| &mut self.fresh[i].1)
+    }
+
+    /// Read-only [`WorkerMode::fresh_count`]; 0 for foreign blocks.
+    pub(crate) fn peek_fresh_count(&self, payload: u64) -> u32 {
+        self.fresh_index(payload).map_or(0, |i| self.fresh[i].1)
+    }
+
+    /// Increments a fresh block's count, or notes a foreign delta.
+    pub(crate) fn rc_inc(&mut self, payload: u64) {
+        match self.fresh_count(payload) {
+            Some(c) => *c += 1,
+            None => *self.rc_deltas.entry(payload).or_insert(0) += 1,
+        }
+    }
+
+    /// Drops `payload` from the fresh log (it was freed inside the FASE
+    /// that allocated it). No-op for blocks that are not fresh.
+    pub(crate) fn forget_fresh(&mut self, payload: u64) {
+        let Some(i) = self.fresh_index(payload) else {
+            return;
+        };
+        self.fresh.swap_remove(i);
+        self.fresh_slot.set(payload, 0);
+        if let Some(&(moved, _)) = self.fresh.get(i) {
+            self.fresh_slot.set(moved, i as u32 + 1);
+        }
+    }
+
+    /// Empties the fresh log, returning its `(payload, count)` entries
+    /// in log order; every block becomes foreign to this worker.
+    pub(crate) fn take_fresh(&mut self) -> Vec<(u64, u32)> {
+        let fresh = std::mem::take(&mut self.fresh);
+        for &(payload, _) in &fresh {
+            self.fresh_slot.set(payload, 0);
+        }
+        fresh
+    }
+}
+
 /// Commit-side view of a worker split: which address ranges are checked
 /// out, and the bins frees to those ranges are routed through.
 #[derive(Debug)]
 pub(crate) struct SplitState {
-    /// Worker arena bounds `[start, end)`, indexed by shard.
-    pub(crate) arenas: Vec<Option<(u64, u64)>>,
+    /// Start of worker 0's arena; worker `i` owns
+    /// `[base + i·per, base + (i+1)·per)`.
+    pub(crate) base: u64,
+    /// Bytes per worker arena.
+    pub(crate) per: u64,
+    /// Which arenas are still checked out, indexed by shard.
+    pub(crate) checked_out: Vec<bool>,
     pub(crate) bins: ShardBins,
 }
 
 impl SplitState {
     /// The worker arena containing `addr`, if still checked out.
     pub(crate) fn arena_of(&self, addr: u64) -> Option<usize> {
-        self.arenas
-            .iter()
-            .position(|a| a.is_some_and(|(s, e)| addr >= s && addr < e))
+        let home = (addr.checked_sub(self.base)? / self.per) as usize;
+        self.checked_out.get(home)?.then_some(home)
     }
 }

@@ -27,7 +27,7 @@
 
 use crate::erased::{ErasedDs, RootKind};
 use mod_alloc::NvHeap;
-use mod_funcds::node::NodeBuf;
+use mod_funcds::node::store_bytes;
 use mod_funcds::{PmMap, PmQueue, PmStack, PmVector};
 use mod_pmem::PmPtr;
 
@@ -377,12 +377,16 @@ pub(crate) fn store_record(
 ) -> PmPtr {
     debug_assert!(count <= META_COUNT_MASK);
     let bytes = op.encode();
-    let mut b = NodeBuf::with_words(3 + bytes.len() / 8 + 1);
-    b.push_ptr(prev)
-        .push_u64((kind.to_u64() << META_KIND_SHIFT) | count)
-        .push_u64(bytes.len() as u64)
-        .push_bytes(&bytes);
-    let rec = b.store(nv);
+    let mut image = Vec::with_capacity(24 + bytes.len());
+    for word in [
+        prev.addr(),
+        (kind.to_u64() << META_KIND_SHIFT) | count,
+        bytes.len() as u64,
+    ] {
+        image.extend_from_slice(&word.to_le_bytes());
+    }
+    image.extend_from_slice(&bytes);
+    let rec = store_bytes(nv, &image);
     if !prev.is_null() {
         nv.rc_inc(prev);
     }

@@ -14,7 +14,7 @@
 //! (§4.1, Table 3).
 
 use crate::blob::{blob_create, blob_mark, blob_read_r, blob_release};
-use crate::node::{NodeBuf, KIND_BITMAP, KIND_COLLISION};
+use crate::node::{store_words, KIND_BITMAP, KIND_COLLISION, NODE_WORDS};
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
@@ -22,8 +22,6 @@ use mod_pmem::PmPtr;
 const BITS: u32 = 5;
 /// Levels before full-hash collisions overflow into collision nodes.
 const MAX_DEPTH: u32 = 13;
-/// Root object size: `[count][root node][hash kind]`.
-const ROOT_WORDS: usize = 3;
 
 /// Key-hashing discipline of a map instance (stored persistently in the
 /// root object so recovery rebuilds identical tries).
@@ -84,19 +82,198 @@ pub struct PmMap {
 // Volatile node images
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Default)]
+/// A bitmap node as stored — `[kind][datamap | nodemap << 32]
+/// [(key, value) × d][child × n]`, at most [`NODE_WORDS`] words — decoded
+/// into, edited in and stored from a stack buffer: visiting or copying a
+/// node allocates nothing on the host.
+#[derive(Debug, Clone)]
 struct BitmapImg {
-    datamap: u32,
-    nodemap: u32,
-    data: Vec<(u64, PmPtr)>,
-    children: Vec<PmPtr>,
+    words: [u64; NODE_WORDS],
 }
 
-#[derive(Debug, Clone, Default)]
+impl BitmapImg {
+    fn empty() -> BitmapImg {
+        let mut words = [0; NODE_WORDS];
+        words[0] = KIND_BITMAP;
+        BitmapImg { words }
+    }
+
+    /// A node holding exactly one entry, in hash chunk `chunk`.
+    fn single(chunk: u32, key: u64, val: PmPtr) -> BitmapImg {
+        let mut img = BitmapImg::empty();
+        img.insert_entry(1 << chunk, key, val);
+        img
+    }
+
+    fn datamap(&self) -> u32 {
+        self.words[1] as u32
+    }
+
+    fn nodemap(&self) -> u32 {
+        (self.words[1] >> 32) as u32
+    }
+
+    fn n_data(&self) -> usize {
+        self.datamap().count_ones() as usize
+    }
+
+    fn n_children(&self) -> usize {
+        self.nodemap().count_ones() as usize
+    }
+
+    /// Word index of the first child pointer.
+    fn children_at(&self) -> usize {
+        2 + 2 * self.n_data()
+    }
+
+    fn len(&self) -> usize {
+        self.children_at() + self.n_children()
+    }
+
+    fn entry(&self, pos: usize) -> (u64, PmPtr) {
+        (
+            self.words[2 + 2 * pos],
+            PmPtr::from_addr(self.words[3 + 2 * pos]),
+        )
+    }
+
+    fn values(&self) -> impl Iterator<Item = PmPtr> + '_ {
+        self.words[2..self.children_at()]
+            .chunks_exact(2)
+            .map(|e| PmPtr::from_addr(e[1]))
+    }
+
+    fn children(&self) -> impl Iterator<Item = PmPtr> + '_ {
+        self.words[self.children_at()..self.len()]
+            .iter()
+            .map(|&c| PmPtr::from_addr(c))
+    }
+
+    /// Slot of `bit` among the set bits of `map` below it.
+    fn pos(map: u32, bit: u32) -> usize {
+        (map & (bit - 1)).count_ones() as usize
+    }
+
+    fn set_value(&mut self, pos: usize, val: PmPtr) {
+        self.words[3 + 2 * pos] = val.addr();
+    }
+
+    fn child(&self, pos: usize) -> PmPtr {
+        PmPtr::from_addr(self.words[self.children_at() + pos])
+    }
+
+    fn set_child(&mut self, pos: usize, child: PmPtr) {
+        self.words[self.children_at() + pos] = child.addr();
+    }
+
+    /// Opens a gap of `n` words at word index `at`.
+    fn open_gap(&mut self, at: usize, n: usize) {
+        let len = self.len();
+        self.words.copy_within(at..len, at + n);
+    }
+
+    /// Closes the `n`-word gap at word index `at`.
+    fn close_gap(&mut self, at: usize, n: usize) {
+        let len = self.len();
+        self.words.copy_within(at + n..len, at);
+    }
+
+    fn insert_entry(&mut self, bit: u32, key: u64, val: PmPtr) {
+        let at = 2 + 2 * Self::pos(self.datamap(), bit);
+        self.open_gap(at, 2);
+        self.words[at] = key;
+        self.words[at + 1] = val.addr();
+        self.words[1] |= bit as u64;
+    }
+
+    fn remove_entry(&mut self, bit: u32) {
+        let at = 2 + 2 * Self::pos(self.datamap(), bit);
+        self.close_gap(at, 2);
+        self.words[1] &= !(bit as u64);
+    }
+
+    fn insert_child(&mut self, bit: u32, child: PmPtr) {
+        let at = self.children_at() + Self::pos(self.nodemap(), bit);
+        self.open_gap(at, 1);
+        self.words[at] = child.addr();
+        self.words[1] |= (bit as u64) << 32;
+    }
+
+    fn remove_child(&mut self, bit: u32) {
+        let at = self.children_at() + Self::pos(self.nodemap(), bit);
+        self.close_gap(at, 1);
+        self.words[1] &= !((bit as u64) << 32);
+    }
+
+    /// Stores the node. Ownership rule: the stored node *owns* every
+    /// pointer written into it, so this increments the refcount of each
+    /// non-null value and each child, in one pass; callers drop their
+    /// own temporary ownership of freshly created pointers afterwards.
+    fn store(&self, heap: &mut NvHeap) -> PmPtr {
+        let ptr = store_words(heap, &self.words[..self.len()]);
+        heap.rc_inc_all(self.values().chain(self.children()));
+        ptr
+    }
+}
+
+/// A collision node as stored: `[kind][count][(key, value) × count]`.
+/// Full 64-bit hash collisions are unbounded, so this one image lives on
+/// the heap; only pathological hashes ever build one.
+#[derive(Debug, Clone)]
 struct CollisionImg {
-    entries: Vec<(u64, PmPtr)>,
+    words: Vec<u64>,
 }
 
+impl CollisionImg {
+    fn new(entries: &[(u64, PmPtr)]) -> CollisionImg {
+        let mut img = CollisionImg {
+            words: vec![KIND_COLLISION, 0],
+        };
+        for &(k, v) in entries {
+            img.push(k, v);
+        }
+        img
+    }
+
+    fn count(&self) -> usize {
+        self.words[1] as usize
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (u64, PmPtr)> + '_ {
+        self.words[2..]
+            .chunks_exact(2)
+            .map(|e| (e[0], PmPtr::from_addr(e[1])))
+    }
+
+    fn position(&self, key: u64) -> Option<usize> {
+        self.entries().position(|(k, _)| k == key)
+    }
+
+    fn set_value(&mut self, pos: usize, val: PmPtr) {
+        self.words[3 + 2 * pos] = val.addr();
+    }
+
+    fn push(&mut self, key: u64, val: PmPtr) {
+        self.words.extend([key, val.addr()]);
+        self.words[1] += 1;
+    }
+
+    fn remove(&mut self, pos: usize) {
+        self.words.drain(2 + 2 * pos..4 + 2 * pos);
+        self.words[1] -= 1;
+    }
+
+    /// Stores the node; same ownership rule as [`BitmapImg::store`].
+    fn store(&self, heap: &mut NvHeap) -> PmPtr {
+        let ptr = store_words(heap, &self.words);
+        heap.rc_inc_all(self.entries().map(|(_, v)| v));
+        ptr
+    }
+}
+
+// The large variant is the common one and the whole point: boxing it
+// would put the allocation back on every node visit.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum NodeImg {
     Bitmap(BitmapImg),
@@ -112,90 +289,22 @@ fn read_node_r(heap: &mut HeapRead<'_>, node: PmPtr) -> NodeImg {
     let kind = heap.u64(a);
     match kind {
         KIND_BITMAP => {
-            let maps = heap.u64(a + 8);
-            let datamap = (maps & 0xFFFF_FFFF) as u32;
-            let nodemap = (maps >> 32) as u32;
-            let d = datamap.count_ones() as usize;
-            let n = nodemap.count_ones() as usize;
-            let body = heap.vec(a + 16, (16 * d + 8 * n) as u64);
-            let mut data = Vec::with_capacity(d);
-            for i in 0..d {
-                let k = u64::from_le_bytes(body[16 * i..16 * i + 8].try_into().unwrap());
-                let v = u64::from_le_bytes(body[16 * i + 8..16 * i + 16].try_into().unwrap());
-                data.push((k, PmPtr::from_addr(v)));
-            }
-            let base = 16 * d;
-            let mut children = Vec::with_capacity(n);
-            for i in 0..n {
-                let p =
-                    u64::from_le_bytes(body[base + 8 * i..base + 8 * i + 8].try_into().unwrap());
-                children.push(PmPtr::from_addr(p));
-            }
-            NodeImg::Bitmap(BitmapImg {
-                datamap,
-                nodemap,
-                data,
-                children,
-            })
+            let mut img = BitmapImg::empty();
+            img.words[1] = heap.u64(a + 8);
+            let len = img.len();
+            heap.words(a + 16, &mut img.words[2..len]);
+            NodeImg::Bitmap(img)
         }
         KIND_COLLISION => {
-            let count = heap.u64(a + 8) as usize;
-            let body = heap.vec(a + 16, (16 * count) as u64);
-            let mut entries = Vec::with_capacity(count);
-            for i in 0..count {
-                let k = u64::from_le_bytes(body[16 * i..16 * i + 8].try_into().unwrap());
-                let v = u64::from_le_bytes(body[16 * i + 8..16 * i + 16].try_into().unwrap());
-                entries.push((k, PmPtr::from_addr(v)));
-            }
-            NodeImg::Collision(CollisionImg { entries })
+            let count = heap.u64(a + 8);
+            let mut words = vec![0; 2 + 2 * count as usize];
+            words[0] = KIND_COLLISION;
+            words[1] = count;
+            heap.words(a + 16, &mut words[2..]);
+            NodeImg::Collision(CollisionImg { words })
         }
         k => panic!("corrupt CHAMP node kind {k} at {node}"),
     }
-}
-
-/// Stores a bitmap node. Ownership rule: the stored node *owns* every
-/// pointer written into it, so this increments the refcount of each
-/// non-null child and value; callers drop their own temporary ownership
-/// of freshly created pointers afterwards.
-fn store_bitmap(heap: &mut NvHeap, img: &BitmapImg) -> PmPtr {
-    debug_assert_eq!(img.datamap.count_ones() as usize, img.data.len());
-    debug_assert_eq!(img.nodemap.count_ones() as usize, img.children.len());
-    let mut b = NodeBuf::with_words(2 + 2 * img.data.len() + img.children.len());
-    b.push_u64(KIND_BITMAP)
-        .push_u64(img.datamap as u64 | ((img.nodemap as u64) << 32));
-    for &(k, v) in &img.data {
-        b.push_u64(k).push_ptr(v);
-    }
-    for &c in &img.children {
-        b.push_ptr(c);
-    }
-    let ptr = b.store(heap);
-    for &(_, v) in &img.data {
-        if !v.is_null() {
-            heap.rc_inc(v);
-        }
-    }
-    for &c in &img.children {
-        heap.rc_inc(c);
-    }
-    ptr
-}
-
-/// Stores a collision node; same ownership rule as [`store_bitmap`].
-fn store_collision(heap: &mut NvHeap, img: &CollisionImg) -> PmPtr {
-    let mut b = NodeBuf::with_words(2 + 2 * img.entries.len());
-    b.push_u64(KIND_COLLISION)
-        .push_u64(img.entries.len() as u64);
-    for &(k, v) in &img.entries {
-        b.push_u64(k).push_ptr(v);
-    }
-    let ptr = b.store(heap);
-    for &(_, v) in &img.entries {
-        if !v.is_null() {
-            heap.rc_inc(v);
-        }
-    }
-    ptr
 }
 
 /// Drops one temporary ownership reference on a freshly stored node.
@@ -224,11 +333,7 @@ impl PmMap {
 
     /// Creates an empty map with an explicit [`HashKind`].
     pub fn empty_with_hash(heap: &mut NvHeap, hk: HashKind) -> PmMap {
-        let mut b = NodeBuf::with_words(ROOT_WORDS);
-        b.push_u64(0).push_ptr(PmPtr::NULL).push_u64(hk.to_u64());
-        PmMap {
-            root: b.store(heap),
-        }
+        Self::store_root_obj(heap, 0, PmPtr::NULL, hk)
     }
 
     /// Rebuilds a handle from a raw root pointer (root slot contents).
@@ -253,13 +358,11 @@ impl PmMap {
         (count, node, hk)
     }
 
+    /// Stores a root object `[count][root node][hash kind]`; it owns the
+    /// root node.
     fn store_root_obj(heap: &mut NvHeap, count: u64, node: PmPtr, hk: HashKind) -> PmMap {
-        let mut b = NodeBuf::with_words(ROOT_WORDS);
-        b.push_u64(count).push_ptr(node).push_u64(hk.to_u64());
-        let root = b.store(heap);
-        if !node.is_null() {
-            heap.rc_inc(node);
-        }
+        let root = store_words(heap, &[count, node.addr(), hk.to_u64()]);
+        heap.rc_inc_all([node]);
         PmMap { root }
     }
 
@@ -322,25 +425,19 @@ impl PmMap {
             match read_node_r(heap, node) {
                 NodeImg::Bitmap(img) => {
                     let bit = 1u32 << chunk(hash, depth);
-                    if img.datamap & bit != 0 {
-                        let pos = (img.datamap & (bit - 1)).count_ones() as usize;
-                        let (k, v) = img.data[pos];
+                    if img.datamap() & bit != 0 {
+                        let (k, v) = img.entry(BitmapImg::pos(img.datamap(), bit));
                         return (k == key).then_some(v);
                     }
-                    if img.nodemap & bit != 0 {
-                        let pos = (img.nodemap & (bit - 1)).count_ones() as usize;
-                        node = img.children[pos];
+                    if img.nodemap() & bit != 0 {
+                        node = img.child(BitmapImg::pos(img.nodemap(), bit));
                         depth += 1;
                         continue;
                     }
                     return None;
                 }
                 NodeImg::Collision(img) => {
-                    return img
-                        .entries
-                        .iter()
-                        .find(|&&(k, _)| k == key)
-                        .map(|&(_, v)| v);
+                    return img.entries().find(|&(k, _)| k == key).map(|(_, v)| v);
                 }
             }
         }
@@ -395,13 +492,7 @@ impl PmMap {
             RemoveResult::Inlined(k, v) => {
                 // The whole trie shrank to one entry: root becomes a
                 // single-entry bitmap node.
-                let img = BitmapImg {
-                    datamap: 1 << chunk(hk.hash(k), 0),
-                    nodemap: 0,
-                    data: vec![(k, v)],
-                    children: Vec::new(),
-                };
-                let n = store_bitmap(heap, &img);
+                let n = BitmapImg::single(chunk(hk.hash(k), 0), k, v).store(heap);
                 let map = Self::store_root_obj(heap, count - 1, n, hk);
                 drop_temp(heap, n);
                 (map, true)
@@ -434,16 +525,15 @@ impl PmMap {
         while let Some(n) = stack.pop() {
             match read_node_r(heap, n) {
                 NodeImg::Bitmap(img) => {
-                    for (k, v) in img.data {
-                        let bytes = blob_read_r(heap, v);
-                        out.push((k, bytes));
+                    for pos in 0..img.n_data() {
+                        let (k, v) = img.entry(pos);
+                        out.push((k, blob_read_r(heap, v)));
                     }
-                    stack.extend(img.children);
+                    stack.extend(img.children());
                 }
                 NodeImg::Collision(img) => {
-                    for (k, v) in img.entries {
-                        let bytes = blob_read_r(heap, v);
-                        out.push((k, bytes));
+                    for (k, v) in img.entries() {
+                        out.push((k, blob_read_r(heap, v)));
                     }
                 }
             }
@@ -494,61 +584,51 @@ fn insert_node(
     val: PmPtr,
 ) -> (PmPtr, bool) {
     if node.is_null() {
-        let img = BitmapImg {
-            datamap: 1 << chunk(hash, depth),
-            nodemap: 0,
-            data: vec![(key, val)],
-            children: Vec::new(),
-        };
-        return (store_bitmap(heap, &img), true);
+        let img = BitmapImg::single(chunk(hash, depth), key, val);
+        return (img.store(heap), true);
     }
     match read_node(heap, node) {
         NodeImg::Bitmap(mut img) => {
-            let idx = chunk(hash, depth);
-            let bit = 1u32 << idx;
-            if img.datamap & bit != 0 {
-                let pos = (img.datamap & (bit - 1)).count_ones() as usize;
-                let (ekey, eval) = img.data[pos];
+            let bit = 1u32 << chunk(hash, depth);
+            if img.datamap() & bit != 0 {
+                let pos = BitmapImg::pos(img.datamap(), bit);
+                let (ekey, eval) = img.entry(pos);
                 if ekey == key {
                     // Replace value in place (path copy).
-                    img.data[pos] = (key, val);
-                    return (store_bitmap(heap, &img), false);
+                    img.set_value(pos, val);
+                    return (img.store(heap), false);
                 }
                 // Split: push both entries one level down.
                 let ehash = hk.hash(ekey);
                 let sub = make_subnode(heap, depth + 1, ehash, ekey, eval, hash, key, val);
-                img.datamap &= !bit;
-                img.data.remove(pos);
-                let npos = (img.nodemap & (bit - 1)).count_ones() as usize;
-                img.nodemap |= bit;
-                img.children.insert(npos, sub);
-                let fresh = store_bitmap(heap, &img);
+                img.remove_entry(bit);
+                img.insert_child(bit, sub);
+                let fresh = img.store(heap);
                 drop_temp(heap, sub);
                 (fresh, true)
-            } else if img.nodemap & bit != 0 {
-                let pos = (img.nodemap & (bit - 1)).count_ones() as usize;
-                let child = img.children[pos];
+            } else if img.nodemap() & bit != 0 {
+                let pos = BitmapImg::pos(img.nodemap(), bit);
+                let child = img.child(pos);
                 let (new_child, added) = insert_node(heap, child, depth + 1, hash, hk, key, val);
-                img.children[pos] = new_child;
-                let fresh = store_bitmap(heap, &img);
+                img.set_child(pos, new_child);
+                let fresh = img.store(heap);
                 drop_temp(heap, new_child);
                 (fresh, added)
             } else {
-                let pos = (img.datamap & (bit - 1)).count_ones() as usize;
-                img.datamap |= bit;
-                img.data.insert(pos, (key, val));
-                (store_bitmap(heap, &img), true)
+                img.insert_entry(bit, key, val);
+                (img.store(heap), true)
             }
         }
-        NodeImg::Collision(mut img) => {
-            if let Some(e) = img.entries.iter_mut().find(|e| e.0 == key) {
-                e.1 = val;
-                (store_collision(heap, &img), false)
-            } else {
-                img.entries.push((key, val));
-                (store_collision(heap, &img), true)
+        NodeImg::Collision(mut img) => match img.position(key) {
+            Some(pos) => {
+                img.set_value(pos, val);
+                (img.store(heap), false)
             }
-        }
+            None => {
+                img.push(key, val);
+                (img.store(heap), true)
+            }
+        },
     }
 }
 
@@ -564,35 +644,19 @@ fn make_subnode(
     v2: PmPtr,
 ) -> PmPtr {
     if depth >= MAX_DEPTH {
-        let img = CollisionImg {
-            entries: vec![(k1, v1), (k2, v2)],
-        };
-        return store_collision(heap, &img);
+        return CollisionImg::new(&[(k1, v1), (k2, v2)]).store(heap);
     }
     let c1 = chunk(h1, depth);
     let c2 = chunk(h2, depth);
     if c1 != c2 {
-        let (data, datamap) = if c1 < c2 {
-            (vec![(k1, v1), (k2, v2)], (1 << c1) | (1 << c2))
-        } else {
-            (vec![(k2, v2), (k1, v1)], (1 << c1) | (1 << c2))
-        };
-        let img = BitmapImg {
-            datamap,
-            nodemap: 0,
-            data,
-            children: Vec::new(),
-        };
-        store_bitmap(heap, &img)
+        let mut img = BitmapImg::single(c1, k1, v1);
+        img.insert_entry(1 << c2, k2, v2);
+        img.store(heap)
     } else {
         let sub = make_subnode(heap, depth + 1, h1, k1, v1, h2, k2, v2);
-        let img = BitmapImg {
-            datamap: 0,
-            nodemap: 1 << c1,
-            data: Vec::new(),
-            children: vec![sub],
-        };
-        let fresh = store_bitmap(heap, &img);
+        let mut img = BitmapImg::empty();
+        img.insert_child(1 << c1, sub);
+        let fresh = img.store(heap);
         drop_temp(heap, sub);
         fresh
     }
@@ -601,40 +665,32 @@ fn make_subnode(
 fn remove_node(heap: &mut NvHeap, node: PmPtr, depth: u32, hash: u64, key: u64) -> RemoveResult {
     match read_node(heap, node) {
         NodeImg::Bitmap(mut img) => {
-            let idx = chunk(hash, depth);
-            let bit = 1u32 << idx;
-            if img.datamap & bit != 0 {
-                let pos = (img.datamap & (bit - 1)).count_ones() as usize;
-                if img.data[pos].0 != key {
+            let bit = 1u32 << chunk(hash, depth);
+            if img.datamap() & bit != 0 {
+                if img.entry(BitmapImg::pos(img.datamap(), bit)).0 != key {
                     return RemoveResult::NotFound;
                 }
-                img.datamap &= !bit;
-                img.data.remove(pos);
+                img.remove_entry(bit);
                 finalize_removed(heap, img, depth)
-            } else if img.nodemap & bit != 0 {
-                let pos = (img.nodemap & (bit - 1)).count_ones() as usize;
-                let child = img.children[pos];
-                match remove_node(heap, child, depth + 1, hash, key) {
+            } else if img.nodemap() & bit != 0 {
+                let pos = BitmapImg::pos(img.nodemap(), bit);
+                match remove_node(heap, img.child(pos), depth + 1, hash, key) {
                     RemoveResult::NotFound => RemoveResult::NotFound,
                     RemoveResult::Removed(new_child) => {
                         if new_child.is_null() {
-                            img.nodemap &= !bit;
-                            img.children.remove(pos);
+                            img.remove_child(bit);
                             finalize_removed(heap, img, depth)
                         } else {
-                            img.children[pos] = new_child;
-                            let fresh = store_bitmap(heap, &img);
+                            img.set_child(pos, new_child);
+                            let fresh = img.store(heap);
                             drop_temp(heap, new_child);
                             RemoveResult::Removed(fresh)
                         }
                     }
                     RemoveResult::Inlined(k, v) => {
                         // Pull the surviving entry up into this node.
-                        img.nodemap &= !bit;
-                        img.children.remove(pos);
-                        let dpos = (img.datamap & (bit - 1)).count_ones() as usize;
-                        img.datamap |= bit;
-                        img.data.insert(dpos, (k, v));
+                        img.remove_child(bit);
+                        img.insert_entry(bit, k, v);
                         finalize_removed(heap, img, depth)
                     }
                 }
@@ -643,17 +699,17 @@ fn remove_node(heap: &mut NvHeap, node: PmPtr, depth: u32, hash: u64, key: u64) 
             }
         }
         NodeImg::Collision(mut img) => {
-            let Some(pos) = img.entries.iter().position(|&(k, _)| k == key) else {
+            let Some(pos) = img.position(key) else {
                 return RemoveResult::NotFound;
             };
-            img.entries.remove(pos);
-            match img.entries.len() {
+            img.remove(pos);
+            match img.count() {
                 0 => RemoveResult::Removed(PmPtr::NULL),
                 1 => {
-                    let (k, v) = img.entries[0];
+                    let (k, v) = img.entries().next().unwrap();
                     RemoveResult::Inlined(k, v)
                 }
-                _ => RemoveResult::Removed(store_collision(heap, &img)),
+                _ => RemoveResult::Removed(img.store(heap)),
             }
         }
     }
@@ -662,14 +718,14 @@ fn remove_node(heap: &mut NvHeap, node: PmPtr, depth: u32, hash: u64, key: u64) 
 /// Canonicalizes a mutated bitmap image: empty → vanish; a single data
 /// entry below the root → inline into the parent; otherwise store.
 fn finalize_removed(heap: &mut NvHeap, img: BitmapImg, depth: u32) -> RemoveResult {
-    if img.data.is_empty() && img.children.is_empty() {
-        return RemoveResult::Removed(PmPtr::NULL);
+    match (img.n_data(), img.n_children()) {
+        (0, 0) => RemoveResult::Removed(PmPtr::NULL),
+        (1, 0) if depth > 0 => {
+            let (k, v) = img.entry(0);
+            RemoveResult::Inlined(k, v)
+        }
+        _ => RemoveResult::Removed(img.store(heap)),
     }
-    if depth > 0 && img.children.is_empty() && img.data.len() == 1 {
-        let (k, v) = img.data[0];
-        return RemoveResult::Inlined(k, v);
-    }
-    RemoveResult::Removed(store_bitmap(heap, &img))
 }
 
 fn release_node(heap: &mut NvHeap, node: PmPtr) {
@@ -679,16 +735,16 @@ fn release_node(heap: &mut NvHeap, node: PmPtr) {
     match read_node(heap, node) {
         NodeImg::Bitmap(img) => {
             heap.free(node);
-            for (_, v) in img.data {
+            for v in img.values() {
                 blob_release(heap, v);
             }
-            for c in img.children {
+            for c in img.children() {
                 release_node(heap, c);
             }
         }
         NodeImg::Collision(img) => {
             heap.free(node);
-            for (_, v) in img.entries {
+            for (_, v) in img.entries() {
                 blob_release(heap, v);
             }
         }
@@ -701,15 +757,15 @@ fn mark_node(heap: &mut NvHeap, node: PmPtr) {
     }
     match read_node(heap, node) {
         NodeImg::Bitmap(img) => {
-            for (_, v) in img.data {
+            for v in img.values() {
                 blob_mark(heap, v);
             }
-            for c in img.children {
+            for c in img.children() {
                 mark_node(heap, c);
             }
         }
         NodeImg::Collision(img) => {
-            for (_, v) in img.entries {
+            for (_, v) in img.entries() {
                 blob_mark(heap, v);
             }
         }

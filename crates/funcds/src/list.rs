@@ -6,12 +6,9 @@
 //! a new root object; cells are shared between versions and reference
 //! counted (volatile counts, §5.3).
 
-use crate::node::{check_kind, NodeBuf, KIND_CONS};
+use crate::node::{check_kind, store_words, KIND_CONS};
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
-
-const ROOT_WORDS: usize = 2; // [len][head]
-const CELL_WORDS: usize = 3; // [kind][elem][next]
 
 /// Handle to one immutable version of a persistent stack.
 ///
@@ -27,9 +24,7 @@ pub struct PmStack {
 pub(crate) fn cons(heap: &mut NvHeap, elem: u64, next: PmPtr) -> PmPtr {
     // Ownership: `next`'s refcount must already account for this new
     // reference (callers retain before consing).
-    let mut b = NodeBuf::with_words(CELL_WORDS);
-    b.push_u64(KIND_CONS).push_u64(elem).push_ptr(next);
-    b.store(heap)
+    store_words(heap, &[KIND_CONS, elem, next.addr()])
 }
 
 pub(crate) fn cell_elem(heap: &mut NvHeap, cell: PmPtr) -> u64 {
@@ -79,10 +74,13 @@ pub(crate) fn mark_chain(heap: &mut NvHeap, head: PmPtr) {
 impl PmStack {
     /// Creates an empty stack (allocates and flushes its root object).
     pub fn empty(heap: &mut NvHeap) -> PmStack {
-        let mut b = NodeBuf::with_words(ROOT_WORDS);
-        b.push_u64(0).push_ptr(PmPtr::NULL);
+        Self::store_root(heap, 0, PmPtr::NULL)
+    }
+
+    /// Stores a root object `[len][head]`.
+    fn store_root(heap: &mut NvHeap, len: u64, head: PmPtr) -> PmStack {
         PmStack {
-            root: b.store(heap),
+            root: store_words(heap, &[len, head.addr()]),
         }
     }
 
@@ -130,11 +128,7 @@ impl PmStack {
             heap.rc_inc(head); // new cell shares the old chain
         }
         let cell = cons(heap, elem, head);
-        let mut b = NodeBuf::with_words(ROOT_WORDS);
-        b.push_u64(len + 1).push_ptr(cell);
-        PmStack {
-            root: b.store(heap),
-        }
+        Self::store_root(heap, len + 1, cell)
     }
 
     /// Top element, if any.
@@ -171,14 +165,7 @@ impl PmStack {
         if !next.is_null() {
             heap.rc_inc(next); // new root shares the tail
         }
-        let mut b = NodeBuf::with_words(ROOT_WORDS);
-        b.push_u64(len - 1).push_ptr(next);
-        Some((
-            PmStack {
-                root: b.store(heap),
-            },
-            elem,
-        ))
+        Some((Self::store_root(heap, len - 1, next), elem))
     }
 
     /// Collects the stack top-to-bottom (diagnostics and tests).

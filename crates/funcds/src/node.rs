@@ -20,24 +20,43 @@ pub const KIND_INNER: u64 = 4;
 /// Kind tag: cons-list cell.
 pub const KIND_CONS: u64 = 5;
 
-/// A little-endian `u64` writer used to assemble node images before the
-/// single `write_bytes` that stores them.
-#[derive(Debug, Default)]
+/// Words in the largest fixed-fanout node image: a CHAMP bitmap node
+/// full of entries (2 header words + 32 × `(key, value)`), or an RRB
+/// inner node with its size table (2 + 32 children + 32 sizes).
+pub const NODE_WORDS: usize = 66;
+
+/// A node image assembled word by word in a fixed stack buffer, then
+/// stored with a single charged write — building, editing and storing a
+/// node allocates nothing on the host.
+#[derive(Debug)]
 pub struct NodeBuf {
-    bytes: Vec<u8>,
+    words: [u64; NODE_WORDS],
+    len: usize,
+}
+
+impl Default for NodeBuf {
+    fn default() -> NodeBuf {
+        NodeBuf::new()
+    }
 }
 
 impl NodeBuf {
-    /// Creates a buffer with capacity for `words` u64s.
-    pub fn with_words(words: usize) -> NodeBuf {
+    /// An empty buffer.
+    pub fn new() -> NodeBuf {
         NodeBuf {
-            bytes: Vec::with_capacity(words * 8),
+            words: [0; NODE_WORDS],
+            len: 0,
         }
     }
 
     /// Appends a `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`NODE_WORDS`] words.
     pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.words[self.len] = v;
+        self.len += 1;
         self
     }
 
@@ -46,37 +65,45 @@ impl NodeBuf {
         self.push_u64(p.addr())
     }
 
-    /// Appends raw bytes.
-    pub fn push_bytes(&mut self, b: &[u8]) -> &mut Self {
-        self.bytes.extend_from_slice(b);
-        self
+    /// The words pushed so far.
+    pub fn words(&self) -> &[u64] {
+        &self.words[..self.len]
     }
 
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
+    /// Stores the image as a fresh block (see [`store_words`]).
+    pub fn store(&self, heap: &mut NvHeap) -> PmPtr {
+        store_words(heap, self.words())
     }
+}
 
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
+/// Allocates a `len`-byte block, lets `write` fill it, and flushes
+/// exactly the written extent (block header + payload bytes) with
+/// unordered `clwb`s — not the rounded-up size class, so flush counts
+/// reflect data actually produced. The block's refcount starts at 1
+/// (owned by the caller).
+fn store_block(heap: &mut NvHeap, len: u64, write: impl FnOnce(&mut NvHeap, u64)) -> PmPtr {
+    let ptr = heap.alloc(len);
+    write(heap, ptr.addr());
+    heap.flush_range(
+        ptr.addr() - mod_alloc::HEADER_BYTES,
+        mod_alloc::HEADER_BYTES + len,
+    );
+    ptr
+}
 
-    /// Allocates a block, stores the buffer into it, and flushes exactly
-    /// the written extent (block header + payload bytes) with unordered
-    /// `clwb`s — not the rounded-up size class, so flush counts reflect
-    /// data actually produced. The block's refcount starts at 1 (owned by
-    /// the caller).
-    pub fn store(self, heap: &mut NvHeap) -> PmPtr {
-        let len = self.bytes.len() as u64;
-        let ptr = heap.alloc(len);
-        heap.write_bytes(ptr.addr(), &self.bytes);
-        heap.flush_range(
-            ptr.addr() - mod_alloc::HEADER_BYTES,
-            mod_alloc::HEADER_BYTES + len,
-        );
-        ptr
-    }
+/// Stores `words` as a fresh, flushed (not fenced) block with a single
+/// charged write; the caller owns its one reference.
+pub fn store_words(heap: &mut NvHeap, words: &[u64]) -> PmPtr {
+    store_block(heap, words.len() as u64 * 8, |heap, addr| {
+        heap.write_words(addr, words)
+    })
+}
+
+/// [`store_words`] for an image that is not a whole number of words.
+pub fn store_bytes(heap: &mut NvHeap, bytes: &[u8]) -> PmPtr {
+    store_block(heap, bytes.len() as u64, |heap, addr| {
+        heap.write_bytes(addr, bytes)
+    })
 }
 
 /// Reads the kind word of a node and asserts it matches `expect`.
@@ -106,9 +133,9 @@ mod tests {
     #[test]
     fn nodebuf_roundtrip() {
         let mut h = heap();
-        let mut b = NodeBuf::with_words(3);
+        let mut b = NodeBuf::new();
         b.push_u64(KIND_CONS).push_u64(42).push_ptr(PmPtr::NULL);
-        assert_eq!(b.len(), 24);
+        assert_eq!(b.words().len(), 3);
         let p = b.store(&mut h);
         assert_eq!(h.read_u64(p.addr()), KIND_CONS);
         assert_eq!(h.read_u64(p.addr() + 8), 42);
@@ -119,7 +146,7 @@ mod tests {
     #[test]
     fn stored_node_is_fully_flushed() {
         let mut h = heap();
-        let mut b = NodeBuf::with_words(40);
+        let mut b = NodeBuf::new();
         for i in 0..40u64 {
             b.push_u64(i);
         }
@@ -131,9 +158,21 @@ mod tests {
     }
 
     #[test]
+    fn store_bytes_keeps_odd_lengths_exact() {
+        let mut h = heap();
+        let p = store_bytes(&mut h, b"thirteen byte");
+        let mut back = [0u8; 13];
+        h.read_bytes(p.addr(), &mut back);
+        assert_eq!(&back, b"thirteen byte");
+        assert_eq!(h.block_len(p), 16);
+        h.sfence();
+        assert_eq!(h.pm().dirty_lines(), 0);
+    }
+
+    #[test]
     fn check_kind_accepts_match() {
         let mut h = heap();
-        let mut b = NodeBuf::with_words(1);
+        let mut b = NodeBuf::new();
         b.push_u64(KIND_LEAF);
         let p = b.store(&mut h);
         assert_eq!(check_kind(&mut h, p, KIND_LEAF), KIND_LEAF);
@@ -143,7 +182,7 @@ mod tests {
     #[should_panic(expected = "corrupt traversal")]
     fn check_kind_rejects_mismatch() {
         let mut h = heap();
-        let mut b = NodeBuf::with_words(1);
+        let mut b = NodeBuf::new();
         b.push_u64(KIND_LEAF);
         let p = b.store(&mut h);
         check_kind(&mut h, p, KIND_BITMAP);

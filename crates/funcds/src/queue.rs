@@ -11,11 +11,9 @@
 use crate::list::{
     cell_elem, cell_elem_r, cell_next, cell_next_r, cons, mark_chain, release_chain,
 };
-use crate::node::NodeBuf;
+use crate::node::store_words;
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
-
-const ROOT_WORDS: usize = 5; // [len][front][front_len][rear][rear_len]
 
 /// Handle to one immutable version of a persistent FIFO queue.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
@@ -34,14 +32,8 @@ struct RootImage {
 impl PmQueue {
     /// Creates an empty queue.
     pub fn empty(heap: &mut NvHeap) -> PmQueue {
-        let mut b = NodeBuf::with_words(ROOT_WORDS);
-        b.push_u64(0)
-            .push_ptr(PmPtr::NULL)
-            .push_u64(0)
-            .push_ptr(PmPtr::NULL)
-            .push_u64(0);
         PmQueue {
-            root: b.store(heap),
+            root: store_words(heap, &[0; 5]),
         }
     }
 
@@ -70,15 +62,17 @@ impl PmQueue {
         }
     }
 
+    /// Stores a root object `[len][front][front_len][rear][rear_len]`.
     fn store_root(heap: &mut NvHeap, img: &RootImage) -> PmQueue {
-        let mut b = NodeBuf::with_words(ROOT_WORDS);
-        b.push_u64(img.len)
-            .push_ptr(img.front)
-            .push_u64(img.front_len)
-            .push_ptr(img.rear)
-            .push_u64(img.rear_len);
+        let words = [
+            img.len,
+            img.front.addr(),
+            img.front_len,
+            img.rear.addr(),
+            img.rear_len,
+        ];
         PmQueue {
-            root: b.store(heap),
+            root: store_words(heap, &words),
         }
     }
 

@@ -12,7 +12,7 @@
 //! paper's Fig 10 shows vector writes flushing many more cachelines than
 //! PMDK's flat array, and why Fig 9 shows vector as MOD's losing case.
 
-use crate::node::{NodeBuf, KIND_INNER, KIND_LEAF};
+use crate::node::{store_words, NodeBuf, KIND_INNER, KIND_LEAF, NODE_WORDS};
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
@@ -20,8 +20,6 @@ use mod_pmem::PmPtr;
 const B: usize = 32;
 /// Bits consumed per level.
 const BITS: u64 = 5;
-/// Root object: `[len][shift][root][tail][tail_len]`.
-const ROOT_WORDS: usize = 5;
 
 /// Handle to one immutable version of a persistent vector of `u64`s.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
@@ -58,11 +56,8 @@ fn read_leaf_r(heap: &mut HeapRead<'_>, node: PmPtr) -> LeafImg {
     let kind = heap.u64(node.addr());
     assert_eq!(kind, KIND_LEAF, "expected leaf at {node}, kind {kind}");
     let count = heap.u64(node.addr() + 8) as usize;
-    let body = heap.vec(node.addr() + 16, (8 * count) as u64);
-    let elems = body
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let mut elems = vec![0; count];
+    heap.words(node.addr() + 16, &mut elems);
     LeafImg { elems }
 }
 
@@ -77,23 +72,17 @@ fn read_inner_r(heap: &mut HeapRead<'_>, node: PmPtr) -> InnerImg {
     let count = (meta & 0xFFFF_FFFF) as usize;
     let has_sizes = (meta >> 32) != 0;
     let words = count + if has_sizes { count } else { 0 };
-    let body = heap.vec(node.addr() + 16, (8 * words) as u64);
-    let children = body[..8 * count]
-        .chunks_exact(8)
-        .map(|c| PmPtr::from_addr(u64::from_le_bytes(c.try_into().unwrap())))
-        .collect();
-    let sizes = has_sizes.then(|| {
-        body[8 * count..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    });
+    let mut body = [0; NODE_WORDS];
+    let body = &mut body[..words];
+    heap.words(node.addr() + 16, body);
+    let children = body[..count].iter().map(|&c| PmPtr::from_addr(c)).collect();
+    let sizes = has_sizes.then(|| body[count..].to_vec());
     InnerImg { children, sizes }
 }
 
 fn store_leaf(heap: &mut NvHeap, img: &LeafImg) -> PmPtr {
     debug_assert!(!img.elems.is_empty() && img.elems.len() <= B);
-    let mut b = NodeBuf::with_words(2 + img.elems.len());
+    let mut b = NodeBuf::new();
     b.push_u64(KIND_LEAF).push_u64(img.elems.len() as u64);
     for &e in &img.elems {
         b.push_u64(e);
@@ -108,8 +97,7 @@ fn store_inner(heap: &mut NvHeap, img: &InnerImg) -> PmPtr {
     if let Some(s) = &img.sizes {
         debug_assert_eq!(s.len(), count);
     }
-    let words = 2 + count + img.sizes.as_ref().map_or(0, |s| s.len());
-    let mut b = NodeBuf::with_words(words);
+    let mut b = NodeBuf::new();
     b.push_u64(KIND_INNER)
         .push_u64(count as u64 | ((img.sizes.is_some() as u64) << 32));
     for &c in &img.children {
@@ -121,9 +109,7 @@ fn store_inner(heap: &mut NvHeap, img: &InnerImg) -> PmPtr {
         }
     }
     let ptr = b.store(heap);
-    for &c in &img.children {
-        heap.rc_inc(c);
-    }
+    heap.rc_inc_all(img.children.iter().copied());
     ptr
 }
 
@@ -473,21 +459,18 @@ impl PmVector {
         }
     }
 
-    /// Stores a root object; owns root and tail pointers.
+    /// Stores a root object `[len][shift][root][tail][tail_len]`; owns
+    /// root and tail pointers.
     fn store_root_obj(heap: &mut NvHeap, img: &RootImg) -> PmVector {
-        let mut b = NodeBuf::with_words(ROOT_WORDS);
-        b.push_u64(img.len)
-            .push_u64(img.shift)
-            .push_ptr(img.root)
-            .push_ptr(img.tail)
-            .push_u64(img.tail_len);
-        let root = b.store(heap);
-        if !img.root.is_null() {
-            heap.rc_inc(img.root);
-        }
-        if !img.tail.is_null() {
-            heap.rc_inc(img.tail);
-        }
+        let words = [
+            img.len,
+            img.shift,
+            img.root.addr(),
+            img.tail.addr(),
+            img.tail_len,
+        ];
+        let root = store_words(heap, &words);
+        heap.rc_inc_all([img.root, img.tail]);
         PmVector { root }
     }
 

@@ -33,6 +33,11 @@ const SEG_WORDS: usize = (SEGMENT_BYTES / 8) as usize;
 
 type Seg = Box<[AtomicU64]>;
 
+/// A fresh all-zero segment. Kept out of line so that, wherever a
+/// caller materializes a segment, this stays the one allocate-and-zero
+/// loop the optimizer folds into a zeroed allocation — which the OS
+/// then backs lazily, page by page, as the segment is touched.
+#[inline(never)]
 fn zeroed_seg() -> Seg {
     (0..SEG_WORDS).map(|_| AtomicU64::new(0)).collect()
 }
@@ -141,9 +146,69 @@ impl SharedArena {
         }
     }
 
+    /// The words of `[addr, addr + len)` if the range is word-aligned and
+    /// lies inside one segment: `Some(None)` when that segment was never
+    /// materialized (all zero), `None` when the caller must take the
+    /// byte path.
+    fn aligned_words(&self, addr: u64, len: u64) -> Option<Option<&[AtomicU64]>> {
+        let in_seg = addr & (SEGMENT_BYTES - 1);
+        if addr % 8 != 0 || len % 8 != 0 || in_seg + len > SEGMENT_BYTES {
+            return None;
+        }
+        self.check(addr, len);
+        let words = (in_seg / 8) as usize..((in_seg + len) / 8) as usize;
+        Some(
+            self.inner.segs[(addr >> SEG_SHIFT) as usize]
+                .get()
+                .map(|seg| &seg[words]),
+        )
+    }
+
+    /// Whether `[addr, addr + len)` holds the same bytes in `self` and
+    /// `other`. Word-aligned ranges within one segment (every cacheline)
+    /// compare in place, word by word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds either arena's capacity.
+    pub fn range_eq(&self, other: &SharedArena, addr: u64, len: u64) -> bool {
+        let load = |w: &AtomicU64| w.load(Ordering::Relaxed);
+        match (
+            self.aligned_words(addr, len),
+            other.aligned_words(addr, len),
+        ) {
+            (Some(Some(a)), Some(Some(b))) => a.iter().map(load).eq(b.iter().map(load)),
+            (Some(Some(a)), Some(None)) | (Some(None), Some(Some(a))) => {
+                a.iter().all(|w| load(w) == 0)
+            }
+            (Some(None), Some(None)) => true,
+            _ => {
+                let (mut a, mut b) = (vec![0u8; len as usize], vec![0u8; len as usize]);
+                self.read(addr, &mut a);
+                other.read(addr, &mut b);
+                a == b
+            }
+        }
+    }
+
     /// Copies `len` bytes at `addr` from `src` into `self` (used to build
-    /// durable images line by line).
+    /// durable images line by line). Word-aligned ranges within one
+    /// segment (every cacheline) move word by word.
     pub fn copy_from(&self, src: &SharedArena, addr: u64, len: u64) {
+        if let Some(from) = src.aligned_words(addr, len) {
+            let seg = self.inner.segs[(addr >> SEG_SHIFT) as usize].get_or_init(zeroed_seg);
+            let first = ((addr & (SEGMENT_BYTES - 1)) / 8) as usize;
+            let to = &seg[first..first + (len / 8) as usize];
+            match from {
+                Some(from) => {
+                    for (d, s) in to.iter().zip(from) {
+                        d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
+                    }
+                }
+                None => to.iter().for_each(|d| d.store(0, Ordering::Relaxed)),
+            }
+            return;
+        }
         let mut buf = [0u8; 64];
         let mut remaining = len;
         let mut a = addr;
@@ -169,6 +234,57 @@ impl SharedArena {
             }
         }
         out
+    }
+
+    /// Reads `out.len()` little-endian words starting at the 8-byte
+    /// aligned `addr`: one atomic load per word, no byte shuffling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 8-byte aligned or the range exceeds the
+    /// arena capacity.
+    pub fn read_words(&self, addr: u64, out: &mut [u64]) {
+        assert_eq!(addr % 8, 0, "word access at unaligned address {addr:#x}");
+        self.check(addr, out.len() as u64 * 8);
+        let mut done = 0;
+        while done < out.len() {
+            let a = addr + done as u64 * 8;
+            let first = ((a & (SEGMENT_BYTES - 1)) / 8) as usize;
+            let n = usize::min(out.len() - done, SEG_WORDS - first);
+            let chunk = &mut out[done..done + n];
+            match self.inner.segs[(a >> SEG_SHIFT) as usize].get() {
+                Some(seg) => {
+                    for (o, w) in chunk.iter_mut().zip(&seg[first..]) {
+                        *o = w.load(Ordering::Relaxed);
+                    }
+                }
+                None => chunk.fill(0),
+            }
+            done += n;
+        }
+    }
+
+    /// Writes `words` as little-endian `u64`s starting at the 8-byte
+    /// aligned `addr`: one atomic store per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 8-byte aligned or the range exceeds the
+    /// arena capacity.
+    pub fn write_words(&self, addr: u64, words: &[u64]) {
+        assert_eq!(addr % 8, 0, "word access at unaligned address {addr:#x}");
+        self.check(addr, words.len() as u64 * 8);
+        let mut done = 0;
+        while done < words.len() {
+            let a = addr + done as u64 * 8;
+            let first = ((a & (SEGMENT_BYTES - 1)) / 8) as usize;
+            let n = usize::min(words.len() - done, SEG_WORDS - first);
+            let seg = self.inner.segs[(a >> SEG_SHIFT) as usize].get_or_init(zeroed_seg);
+            for (w, v) in seg[first..].iter().zip(&words[done..done + n]) {
+                w.store(*v, Ordering::Relaxed);
+            }
+            done += n;
+        }
     }
 
     /// Reads a little-endian `u64` at `addr`. An aligned read is a single
@@ -294,6 +410,47 @@ mod tests {
     }
 
     #[test]
+    fn word_access_matches_byte_access_across_segments() {
+        let a = SharedArena::new(3 * SEGMENT_BYTES);
+        let addr = SEGMENT_BYTES - 24; // 3 words before a segment edge
+        let words: Vec<u64> = (1..=8).map(|i| i * 0x0101_0101_0101_0101).collect();
+        a.write_words(addr, &words);
+        let mut bytes = [0u8; 64];
+        a.read(addr, &mut bytes);
+        let expect: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(bytes.to_vec(), expect);
+        let mut back = [0u64; 8];
+        a.read_words(addr, &mut back);
+        assert_eq!(back.to_vec(), words);
+        // Untouched segments read as zero without materializing.
+        let mut far = [7u64; 4];
+        a.read_words(2 * SEGMENT_BYTES + 64, &mut far);
+        assert_eq!(far, [0; 4]);
+        assert_eq!(a.resident_bytes(), 2 * SEGMENT_BYTES);
+    }
+
+    #[test]
+    fn range_eq_compares_lines_in_place_and_odd_ranges_by_bytes() {
+        let a = SharedArena::new(2 * SEGMENT_BYTES);
+        let b = SharedArena::new(2 * SEGMENT_BYTES);
+        assert!(a.range_eq(&b, 128, 64), "both untouched");
+        a.write_u64(128, 0);
+        assert!(a.range_eq(&b, 128, 64), "explicit zeros equal absent");
+        assert!(b.range_eq(&a, 128, 64));
+        a.write_u64(160, 9);
+        assert!(!a.range_eq(&b, 128, 64));
+        assert!(!b.range_eq(&a, 128, 64));
+        b.write_u64(160, 9);
+        assert!(a.range_eq(&b, 128, 64));
+        // Unaligned and segment-straddling ranges take the byte path.
+        a.write(SEGMENT_BYTES - 3, b"abcdef");
+        assert!(!a.range_eq(&b, SEGMENT_BYTES - 3, 6));
+        b.write(SEGMENT_BYTES - 3, b"abcdef");
+        assert!(a.range_eq(&b, SEGMENT_BYTES - 3, 6));
+        assert!(a.range_eq(&b, SEGMENT_BYTES - 32, 64));
+    }
+
+    #[test]
     fn lazy_segments() {
         let a = SharedArena::new(64 * SEGMENT_BYTES);
         assert_eq!(a.resident_bytes(), 0);
@@ -305,13 +462,26 @@ mod tests {
 
     #[test]
     fn copy_from_moves_lines() {
-        let src = SharedArena::new(1 << 22);
-        let dst = SharedArena::new(1 << 22);
+        let src = SharedArena::new(1 << 23);
+        let dst = SharedArena::new(1 << 23);
         src.write(128, b"durable-data");
         dst.copy_from(&src, 128, 12);
         let mut buf = [0u8; 12];
         dst.read(128, &mut buf);
         assert_eq!(&buf, b"durable-data");
+        // A whole line (the word path), overwriting stale content.
+        dst.write(192, &[0xFF; 64]);
+        src.write(200, b"line");
+        dst.copy_from(&src, 192, 64);
+        let mut line = [0u8; 64];
+        dst.read(192, &mut line);
+        assert_eq!(&line[8..12], b"line");
+        assert!(line[..8].iter().chain(&line[12..]).all(|&b| b == 0));
+        // Copying a line of a never-touched source segment zeroes it.
+        dst.write(SEGMENT_BYTES + 64, &[1; 64]);
+        dst.copy_from(&src, SEGMENT_BYTES + 64, 64);
+        dst.read(SEGMENT_BYTES + 64, &mut line);
+        assert_eq!(line, [0; 64]);
     }
 
     #[test]

@@ -84,8 +84,13 @@ impl CacheStats {
 #[derive(Clone, Debug)]
 pub struct CacheSim {
     cfg: CacheConfig,
-    // Per set: line tags in LRU order, index 0 = most recently used.
-    sets: Vec<Vec<u64>>,
+    /// `sets × ways` entries, one run of `ways` per set in LRU order
+    /// (index 0 = most recently used, occupied ways first). An entry is
+    /// the line address plus one, 0 when empty — so the array starts as
+    /// one zero-filled allocation the OS backs lazily: a cache nobody
+    /// touches (the 4 MiB LLC of a read view, of a crash image) costs
+    /// no resident memory.
+    tags: Vec<u64>,
     stats: CacheStats,
 }
 
@@ -103,7 +108,7 @@ impl CacheSim {
             "line size must be a power of two"
         );
         CacheSim {
-            sets: vec![Vec::with_capacity(cfg.ways); sets],
+            tags: vec![0; sets * cfg.ways],
             cfg,
             stats: CacheStats::default(),
         }
@@ -113,22 +118,22 @@ impl CacheSim {
     /// accesses allocate like reads (write-allocate policy).
     pub fn access(&mut self, addr: u64) -> bool {
         let line = line_of(addr);
-        let set_idx = (line / self.cfg.line_bytes as u64) as usize % self.sets.len();
-        let set = &mut self.sets[set_idx];
+        let ways = self.cfg.ways;
+        let sets = self.tags.len() / ways;
+        let set_idx = (line / self.cfg.line_bytes as u64) as usize % sets;
+        let set = &mut self.tags[set_idx * ways..(set_idx + 1) * ways];
+        let tag = line + 1;
         self.stats.accesses += 1;
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            set.remove(pos);
-            set.insert(0, line);
-            self.stats.hits += 1;
-            true
-        } else {
-            if set.len() == self.cfg.ways {
-                set.pop();
-            }
-            set.insert(0, line);
-            self.stats.misses += 1;
-            false
+        let hit = set.iter().position(|&t| t == tag);
+        // Rotate the hit way — or, on a miss, the last way (empty, or the
+        // LRU victim) — to the front; everything before it ages by one.
+        set[..=hit.unwrap_or(ways - 1)].rotate_right(1);
+        set[0] = tag;
+        match hit {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        hit.is_some()
     }
 
     /// Current counters.
@@ -143,9 +148,7 @@ impl CacheSim {
 
     /// Drops all cached lines and counters.
     pub fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.tags.fill(0);
         self.stats = CacheStats::default();
     }
 

@@ -570,10 +570,13 @@ pub struct Replay {
     pub torn_bytes: usize,
 }
 
-enum Scan {
+enum Scan<'a> {
     Record {
         tag: u32,
-        body: Vec<u8>,
+        /// Borrowed from the scanned file image: a snapshot body is the
+        /// whole pool, and recovery already holds it once in `bytes` and
+        /// once more as decoded extents.
+        body: &'a [u8],
         next: usize,
     },
     Torn,
@@ -581,7 +584,7 @@ enum Scan {
 
 /// Scans one framed record at `at`. Anything short, oversized or
 /// checksum-failing is `Torn` — the crash model's "partial write".
-fn scan_record(bytes: &[u8], at: usize) -> Scan {
+fn scan_record(bytes: &[u8], at: usize) -> Scan<'_> {
     let remaining = bytes.len() - at;
     if remaining < 16 {
         return Scan::Torn;
@@ -597,7 +600,7 @@ fn scan_record(bytes: &[u8], at: usize) -> Scan {
     }
     Scan::Record {
         tag: read_u32(bytes, at),
-        body: bytes[at + 8..at + 8 + body_len].to_vec(),
+        body: &bytes[at + 8..at + 8 + body_len],
         next: at + total,
     }
 }
@@ -672,7 +675,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, ReplayError> {
             body,
             next,
         } => (
-            decode_snapshot_body(&body).ok_or(ReplayError::SnapshotDamaged)?,
+            decode_snapshot_body(body).ok_or(ReplayError::SnapshotDamaged)?,
             next,
         ),
         _ => return Err(ReplayError::SnapshotDamaged),
@@ -689,7 +692,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, ReplayError> {
                 tag: TAG_BATCH,
                 body,
                 next,
-            } => match decode_batch_body(&body) {
+            } => match decode_batch_body(body) {
                 Some(b) => {
                     batches.push(b);
                     at = next;
@@ -700,7 +703,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, ReplayError> {
                 tag: TAG_BATCH_V3,
                 body,
                 next,
-            } => match decode_v3_body(&body, false) {
+            } => match decode_v3_body(body, false) {
                 Some((b, _)) => {
                     batches.push(b);
                     at = next;
@@ -797,7 +800,7 @@ pub fn replay_set_base(bytes: &[u8]) -> Result<SetBase, ReplayError> {
             body,
             next,
         } => (
-            decode_snapshot_body(&body).ok_or(ReplayError::SnapshotDamaged)?,
+            decode_snapshot_body(body).ok_or(ReplayError::SnapshotDamaged)?,
             next,
         ),
         _ => return Err(ReplayError::SnapshotDamaged),
@@ -807,7 +810,7 @@ pub fn replay_set_base(bytes: &[u8]) -> Result<SetBase, ReplayError> {
             tag: TAG_SEQ_MARK,
             body,
             next,
-        } if body.len() == 8 && next == bytes.len() => read_u64(&body, 0),
+        } if body.len() == 8 && next == bytes.len() => read_u64(body, 0),
         _ => return Err(ReplayError::SnapshotDamaged),
     };
     Ok(SetBase {
@@ -858,7 +861,7 @@ pub fn replay_shard_journal(bytes: &[u8]) -> Result<ShardReplay, ReplayError> {
                 tag: TAG_SHARD_BATCH,
                 body,
                 next,
-            } => match decode_shard_batch_body(&body) {
+            } => match decode_shard_batch_body(body) {
                 Some(r) => {
                     records.push(r);
                     ends.push(next);
@@ -870,7 +873,7 @@ pub fn replay_shard_journal(bytes: &[u8]) -> Result<ShardReplay, ReplayError> {
                 tag: TAG_SHARD_BATCH_V3,
                 body,
                 next,
-            } => match decode_v3_body(&body, true) {
+            } => match decode_v3_body(body, true) {
                 Some((batch, shard_mask)) => {
                     records.push(ShardBatchRecord { batch, shard_mask });
                     ends.push(next);

@@ -45,6 +45,7 @@ pub mod clock;
 pub mod drain;
 pub mod journal;
 pub mod line;
+mod linetable;
 pub mod model;
 pub mod pmem;
 pub mod stats;

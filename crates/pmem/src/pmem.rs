@@ -29,11 +29,11 @@ use crate::clock::{SimClock, TimeCategory};
 use crate::drain::WpqDrain;
 use crate::journal::{BatchKind, LineImage};
 use crate::line::{line_of, lines_covering, CACHELINE};
+use crate::linetable::{LineState, LineTable};
 use crate::model::LatencyModel;
 use crate::stats::PmStats;
 use crate::trace::TraceEvent;
 use crate::volatile::VolatileSet;
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -115,19 +115,6 @@ impl PmemConfig {
     }
 }
 
-#[derive(Copy, Clone, Debug, PartialEq)]
-enum LineState {
-    /// Written but not flushed: lost at a crash unless the policy evicts.
-    Dirty,
-    /// `clwb` issued; the background drain completes at `done_ns` on the
-    /// global timeline. Before `done_ns` the line is
-    /// *issued-but-undrained* (crash persistence is policy-dependent);
-    /// after it the line is *drained-but-unfenced* (the writeback reached
-    /// the medium, so it survives any crash — only the *ordering*
-    /// guarantee still waits for the fence).
-    Inflight { done_ns: f64 },
-}
-
 /// Which non-durable lines additionally persist at a crash.
 #[derive(Copy, Clone, Debug)]
 pub enum CrashPolicy {
@@ -156,15 +143,6 @@ impl CrashPolicy {
             }
         }
     }
-}
-
-/// Per-shard execution lane: its own simulated clock and activity
-/// counters, so concurrent workers accumulate time in parallel timelines
-/// while the global clock/stats keep counting total work.
-#[derive(Debug, Default)]
-struct ShardLane {
-    clock: SimClock,
-    stats: PmStats,
 }
 
 /// Volatile line states in transit from a worker's shard handle to the
@@ -224,8 +202,7 @@ pub struct Pmem {
     backend: Arc<dyn PoolBackend>,
     /// Set by [`Pmem::open_file`] on the pool it returns.
     replay: Option<ReplayStats>,
-    lines: HashMap<u64, LineState>,
-    inflight: usize,
+    lines: LineTable,
     cache: CacheSim,
     llc: CacheSim,
     clock: SimClock,
@@ -233,14 +210,6 @@ pub struct Pmem {
     /// WPQ drain calendar of the global timeline (also the authority for
     /// per-line drained-at-crash decisions).
     drain: WpqDrain,
-    /// WPQ drain calendar shared by the shard-lane timelines: the queue
-    /// is one piece of hardware, so drains from different lanes
-    /// serialize against each other even though the lanes' compute
-    /// overlaps.
-    shard_drain: WpqDrain,
-    /// Per-shard lanes (empty unless [`Pmem::configure_shards`] ran).
-    lanes: Vec<ShardLane>,
-    active_shard: usize,
     /// Volatile node-cache marks ("Don't Persist All" hybrid roots):
     /// shared by every forked handle, empty on crash images and fresh
     /// opens — volatility is process state.
@@ -259,7 +228,7 @@ impl Pmem {
         // lazily, so the cost tracks the touched working set, not
         // capacity.
         let durable = Some(SharedArena::new(cfg.capacity));
-        Pmem::from_parts(cfg, data, durable, Arc::new(MemBackend), None)
+        Pmem::from_parts(cfg, data, durable, Arc::new(MemBackend), None, None)
     }
 
     /// Formats a fresh **file-backed** pool at `path` (truncating any
@@ -279,6 +248,7 @@ impl Pmem {
             Some(durable),
             Arc::new(backend),
             None,
+            None,
         ))
     }
 
@@ -296,7 +266,10 @@ impl Pmem {
         let mut cfg = cfg;
         cfg.capacity = replay.capacity;
         let data = SharedArena::new(replay.capacity);
-        for e in &replay.extents {
+        // Each extent is released as soon as it is applied: the base image
+        // is pool-sized, and keeping it alive across the snapshot below
+        // would put three copies of the pool in the heap at once.
+        for e in replay.extents {
             data.write(e.addr, &e.data);
         }
         let mut lines = 0u64;
@@ -320,6 +293,7 @@ impl Pmem {
             Some(durable),
             Arc::new(backend),
             Some(stats),
+            None,
         ))
     }
 
@@ -329,23 +303,21 @@ impl Pmem {
         durable: Option<SharedArena>,
         backend: Arc<dyn PoolBackend>,
         replay: Option<ReplayStats>,
+        // The pool's shared volatile-mark set; `None` starts an empty one.
+        volatile: Option<Arc<VolatileSet>>,
     ) -> Pmem {
         Pmem {
             data,
             durable,
             backend,
             replay,
-            lines: HashMap::new(),
-            inflight: 0,
+            lines: LineTable::default(),
             cache: CacheSim::new(cfg.cache.clone()),
             llc: CacheSim::new(cfg.llc.clone()),
             clock: SimClock::new(),
             stats: PmStats::new(),
             drain: WpqDrain::new(),
-            shard_drain: WpqDrain::new(),
-            lanes: Vec::new(),
-            active_shard: 0,
-            volatile: Arc::new(VolatileSet::new(cfg.capacity)),
+            volatile: volatile.unwrap_or_else(|| Arc::new(VolatileSet::new(cfg.capacity))),
             trace: Vec::new(),
             cfg,
         }
@@ -400,8 +372,8 @@ impl Pmem {
         let mut drained: Vec<u64> = self
             .lines
             .iter()
-            .filter(|&(_, s)| matches!(s, LineState::Inflight { done_ns } if *done_ns <= now))
-            .map(|(&l, _)| l)
+            .filter(|(_, s)| matches!(s, LineState::Inflight { done_ns } if *done_ns <= now))
+            .map(|(l, _)| l)
             .collect();
         drained.sort_unstable();
         if !drained.is_empty() {
@@ -431,125 +403,9 @@ impl Pmem {
         self.cfg.capacity
     }
 
-    // ------------------------------------------------------------------
-    // Shard lanes (concurrent timelines)
-    // ------------------------------------------------------------------
-
-    /// Configures `n` shard lanes: per-shard clocks and counters that let
-    /// a thread-per-shard front end account work in parallel simulated
-    /// timelines while the global clock keeps the serial total. Resets
-    /// any previous lane state; shard 0 becomes active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn configure_shards(&mut self, n: usize) {
-        assert!(n > 0, "need at least one shard");
-        self.lanes = (0..n).map(|_| ShardLane::default()).collect();
-        self.active_shard = 0;
-    }
-
-    /// Number of configured shard lanes (0 when unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Routes subsequent charges and counters to shard `s`'s lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn set_active_shard(&mut self, s: usize) {
-        assert!(
-            s < self.lanes.len().max(1),
-            "shard {s} out of range ({} configured)",
-            self.lanes.len()
-        );
-        self.active_shard = s;
-    }
-
-    /// The shard currently receiving charges (0 when unsharded).
-    pub fn active_shard(&self) -> usize {
-        self.active_shard
-    }
-
-    /// Activity counters attributed to shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn shard_stats(&self, s: usize) -> &PmStats {
-        &self.lanes[s].stats
-    }
-
-    /// Simulated time accumulated on shard `s`'s lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn lane_ns(&self, s: usize) -> f64 {
-        self.lanes[s].clock.now_ns()
-    }
-
-    /// Per-category time breakdown of shard `s`'s lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn lane_breakdown(&self, s: usize) -> crate::clock::TimeBreakdown {
-        self.lanes[s].clock.breakdown()
-    }
-
-    /// Advances shard `s`'s lane to at least `t` simulated nanoseconds,
-    /// charging the stall (waiting on a shared event such as a pipelined
-    /// batch fence) as flush time. The global clock is untouched: waiting
-    /// is not work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn sync_lane_to(&mut self, s: usize, t: f64) {
-        self.lanes[s].clock.sync_to_ns(t, TimeCategory::Flush);
-    }
-
-    /// Simulated wall-clock time of the pool: the slowest shard lane when
-    /// sharded (lanes run in parallel), else the global clock.
-    pub fn wall_ns(&self) -> f64 {
-        if self.lanes.is_empty() {
-            self.clock.now_ns()
-        } else {
-            self.lanes
-                .iter()
-                .map(|l| l.clock.now_ns())
-                .fold(0.0, f64::max)
-        }
-    }
-
-    /// Rolls all shard-lane counters up into one total (equals the global
-    /// counters for activity that happened while lanes were configured).
-    pub fn rolled_up_shard_stats(&self) -> PmStats {
-        let mut total = PmStats::new();
-        for lane in &self.lanes {
-            total.merge(&lane.stats);
-        }
-        total
-    }
-
-    /// Advances the global clock and the active shard's lane together.
-    fn tick(&mut self, cat: TimeCategory, ns: f64) {
-        self.clock.advance_as(cat, ns);
-        if let Some(lane) = self.lanes.get_mut(self.active_shard) {
-            lane.clock.advance_as(cat, ns);
-        }
-    }
-
-    /// [`Pmem::tick`] attributed to the current tag.
+    /// Charges `ns` to the current attribution tag.
     fn tick_tagged(&mut self, ns: f64) {
-        self.tick(self.clock.current_tag(), ns);
-    }
-
-    fn lane_stats_mut(&mut self) -> Option<&mut PmStats> {
-        self.lanes.get_mut(self.active_shard).map(|l| &mut l.stats)
+        self.clock.advance_as(self.clock.current_tag(), ns);
     }
 
     // ------------------------------------------------------------------
@@ -567,54 +423,74 @@ impl Pmem {
         self.cfg.latency.pm_miss_ns
     }
 
-    fn charge_read_lines(&mut self, addr: u64, len: u64) {
+    /// Charges a load of `len` bytes at `addr` to the cache model.
+    /// Volatile node-cache lines bypass the model: a hybrid root's
+    /// interior index is DRAM state, not simulated PM traffic.
+    fn charge_load(&mut self, addr: u64, len: u64) {
+        if self.volatile.contains(addr) {
+            return;
+        }
         for l in lines_covering(addr, len) {
             let ns = self.access_cost(l, self.cfg.latency.l1_hit_ns);
             self.tick_tagged(ns);
         }
         self.stats.reads += 1;
-        if let Some(s) = self.lane_stats_mut() {
-            s.reads += 1;
-        }
     }
 
-    fn charge_write_lines(&mut self, addr: u64, len: u64) {
+    /// Everything a store of `len` bytes at `addr` does besides moving
+    /// the bytes; must run *before* the data array changes.
+    fn charge_store(&mut self, addr: u64, len: u64) {
+        if self.volatile.contains(addr) {
+            // Volatile node-cache store: never dirty, never flushed,
+            // never journaled, never charged. The line can't be in the
+            // dirty/in-flight table (volatile blocks own whole lines and
+            // are marked before their first store), so the raced-
+            // writeback pre-image logic below can't apply either.
+            debug_assert!(
+                lines_covering(addr, len).all(|l| self.volatile.contains(l)),
+                "write straddles a volatile/persistent block boundary"
+            );
+            return;
+        }
+        // Every covered line becomes dirty. A store that races an
+        // in-flight writeback is modelled as the writeback completing
+        // with the pre-store content (a legal outcome — and the one
+        // `sfence` would have guaranteed): persist that content while
+        // `data` still holds it, and have a file backend journal it as a
+        // drained batch. The new store leaves the line dirty again.
+        let mut raced: Vec<u64> = Vec::new();
+        for l in lines_covering(addr, len) {
+            if let Some(LineState::Inflight { .. }) = self.lines.set(l, LineState::Dirty) {
+                if let Some(durable) = self.durable.as_ref() {
+                    durable.copy_from(&self.data, l, CACHELINE);
+                    raced.push(l);
+                }
+            }
+        }
+        if !raced.is_empty() && self.backend.wants_batches() {
+            let images = self.line_images(&raced);
+            self.backend
+                .append_batch(BatchKind::Drained, &images, self.clock.now_ns());
+        }
         for l in lines_covering(addr, len) {
             // Write-allocate: a miss performs a read-for-ownership fill.
             let ns = self.access_cost(l, self.cfg.latency.store_ns);
             self.tick_tagged(ns);
-            if matches!(
-                self.lines.insert(l, LineState::Dirty),
-                Some(LineState::Inflight { .. })
-            ) {
-                // A store raced an in-flight writeback. The writeback is
-                // modelled as completing with the pre-store content (a
-                // legal outcome — and the one `sfence` would have
-                // guaranteed); `write_bytes` copied that content to the
-                // durable image before updating the data array. The new
-                // store leaves the line dirty again.
-                self.inflight -= 1;
-            }
         }
         self.stats.writes += 1;
         self.stats.bytes_written += len;
-        if let Some(s) = self.lane_stats_mut() {
-            s.writes += 1;
-            s.bytes_written += len;
+        if self.cfg.trace {
+            self.trace.push(TraceEvent::Write { addr, len });
         }
     }
 
     /// Reads `buf.len()` bytes at `addr` through the cache model.
-    /// Volatile node-cache lines bypass the model: a hybrid root's
-    /// interior index is DRAM state, not simulated PM traffic.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
-        if !self.volatile.contains(addr) {
-            self.charge_read_lines(addr, buf.len() as u64);
-        }
+        self.charge_load(addr, buf.len() as u64);
         self.data.read(addr, buf);
     }
 
@@ -625,63 +501,50 @@ impl Pmem {
         v
     }
 
+    /// Reads `out.len()` little-endian words at the 8-byte aligned
+    /// `addr`; charged exactly like [`Pmem::read_bytes`] of the same
+    /// range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is unaligned or the range is out of bounds.
+    pub fn read_words(&mut self, addr: u64, out: &mut [u64]) {
+        self.charge_load(addr, out.len() as u64 * 8);
+        self.data.read_words(addr, out);
+    }
+
     /// Writes `buf` at `addr` through the cache model (store, not flush).
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn write_bytes(&mut self, addr: u64, buf: &[u8]) {
-        if self.volatile.contains(addr) {
-            // Volatile node-cache store: never dirty, never flushed,
-            // never journaled, never charged. The line can't be in the
-            // dirty/in-flight table (volatile blocks own whole lines and
-            // are marked before their first store), so the raced-
-            // writeback pre-image logic below can't apply either.
-            debug_assert!(
-                lines_covering(addr, buf.len() as u64).all(|l| self.volatile.contains(l)),
-                "write straddles a volatile/persistent block boundary"
-            );
-            self.data.write(addr, buf);
-            return;
-        }
-        // Persist pre-store content of any in-flight line being rewritten
-        // (see charge_write_lines): do it before mutating `data`. The
-        // racing writeback is modelled as having completed, so a file
-        // backend journals the pre-store content as a drained batch.
-        if let Some(durable) = self.durable.as_ref() {
-            let mut raced: Vec<u64> = Vec::new();
-            for l in lines_covering(addr, buf.len() as u64) {
-                if matches!(self.lines.get(&l), Some(LineState::Inflight { .. })) {
-                    durable.copy_from(&self.data, l, CACHELINE);
-                    raced.push(l);
-                }
-            }
-            if !raced.is_empty() && self.backend.wants_batches() {
-                let images = self.line_images(&raced);
-                self.backend
-                    .append_batch(BatchKind::Drained, &images, self.clock.now_ns());
-            }
-        }
-        self.charge_write_lines(addr, buf.len() as u64);
+        self.charge_store(addr, buf.len() as u64);
         self.data.write(addr, buf);
-        if self.cfg.trace {
-            self.trace.push(TraceEvent::Write {
-                addr,
-                len: buf.len() as u64,
-            });
-        }
+    }
+
+    /// Writes `words` as little-endian `u64`s at the 8-byte aligned
+    /// `addr`; charged exactly like [`Pmem::write_bytes`] of the same
+    /// range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is unaligned or the range is out of bounds.
+    pub fn write_words(&mut self, addr: u64, words: &[u64]) {
+        self.charge_store(addr, words.len() as u64 * 8);
+        self.data.write_words(addr, words);
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&mut self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        self.charge_load(addr, 8);
+        self.data.read_u64(addr)
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.charge_store(addr, 8);
+        self.data.write_u64(addr, v);
     }
 
     /// Reads a little-endian `u32`.
@@ -719,6 +582,11 @@ impl Pmem {
         self.data.read_u64(addr)
     }
 
+    /// [`Pmem::read_words`] without the cache model, clock or stats.
+    pub fn peek_words(&self, addr: u64, out: &mut [u64]) {
+        self.data.read_words(addr, out);
+    }
+
     // ------------------------------------------------------------------
     // Persistence operations
     // ------------------------------------------------------------------
@@ -732,12 +600,8 @@ impl Pmem {
         let Some(durable) = self.durable.as_ref() else {
             return false;
         };
-        let len = CACHELINE.min(self.cfg.capacity - line) as usize;
-        let mut cached = [0u8; CACHELINE as usize];
-        let mut fenced = [0u8; CACHELINE as usize];
-        self.data.read(line, &mut cached[..len]);
-        durable.read(line, &mut fenced[..len]);
-        cached[..len] == fenced[..len]
+        let len = CACHELINE.min(self.cfg.capacity - line);
+        self.data.range_eq(durable, line, len)
     }
 
     /// Issues a `clwb` for the line containing `addr`: a weakly-ordered
@@ -763,62 +627,45 @@ impl Pmem {
     ///   carry bytes the medium already holds).
     pub fn clwb(&mut self, addr: u64) {
         let line = line_of(addr);
+        self.stats.flushes_issued += 1;
         if self.volatile.contains(line) {
             // Flush of a volatile node-cache line: the whole point of
             // the hybrid policy is that this writeback never happens.
             // Count what full persistence would have paid.
-            self.stats.flushes_issued += 1;
             self.stats.flushes_avoided += 1;
-            if let Some(s) = self.lane_stats_mut() {
-                s.flushes_issued += 1;
-                s.flushes_avoided += 1;
-            }
             return;
         }
-        self.stats.flushes_issued += 1;
-        if let Some(s) = self.lane_stats_mut() {
-            s.flushes_issued += 1;
-        }
         let coalesce = self.cfg.coalesce_flushes;
-        let mut effective = matches!(self.lines.get(&line), Some(LineState::Dirty));
+        let mut effective = matches!(self.lines.get(line), Some(LineState::Dirty));
         if effective && coalesce && self.line_matches_fenced_image(line) {
             // The dirty bytes are the bytes the medium already holds
             // (typical of shadow updates into recycled blocks): drop the
             // dirty mark instead of scheduling a no-op writeback. Every
             // later observation is unchanged — a crash that would have
             // kept this line persists the identical durable copy.
-            self.lines.remove(&line);
+            self.lines.remove(line);
             effective = false;
         }
         if effective {
-            let launch = self.cfg.latency.wpq_launch_ns;
-            let occupancy = self.cfg.latency.wpq_drain_ns;
-            let wpq_lanes = self.cfg.latency.wpq_lanes;
-            let done_ns =
-                self.drain
-                    .schedule(line, self.clock.now_ns(), launch, occupancy, wpq_lanes);
-            if let Some(lane) = self.lanes.get(self.active_shard) {
-                let lane_now = lane.clock.now_ns();
-                self.shard_drain
-                    .schedule(line, lane_now, launch, occupancy, wpq_lanes);
-            }
-            self.lines.insert(line, LineState::Inflight { done_ns });
-            self.inflight += 1;
+            let m = &self.cfg.latency;
+            let done_ns = self.drain.schedule(
+                line,
+                self.clock.now_ns(),
+                m.wpq_launch_ns,
+                m.wpq_drain_ns,
+                m.wpq_lanes,
+            );
+            self.lines.set(line, LineState::Inflight { done_ns });
             self.stats.effective_flushes += 1;
-            if let Some(s) = self.lane_stats_mut() {
-                s.effective_flushes += 1;
-            }
         } else {
             self.stats.flushes_deduped += 1;
-            if let Some(s) = self.lane_stats_mut() {
-                s.flushes_deduped += 1;
-            }
         }
         if effective || !coalesce {
             // An elided request never issues, so it pays nothing; with
             // the cache off every request pays the issue charge, exactly
             // the pre-coalescing pipeline.
-            self.tick(TimeCategory::Flush, self.cfg.latency.clwb_issue_ns);
+            self.clock
+                .advance_as(TimeCategory::Flush, self.cfg.latency.clwb_issue_ns);
         }
         if self.cfg.trace {
             self.trace.push(TraceEvent::Clwb { line });
@@ -840,67 +687,40 @@ impl Pmem {
     /// issued back-to-back. The difference between those two is recorded
     /// as [`PmStats::overlap_ns`].
     pub fn sfence(&mut self) {
-        let n = self.inflight;
+        let n = self.lines.inflight();
         let overhead = self.cfg.latency.fence_overhead_ns;
         // The charge-at-the-fence reference: what this fence would have
         // cost before drains ran in the background.
         let serialized = self.cfg.latency.fence_stall_ns(n);
-        let g_stall = if n == 0 {
+        let stall = if n == 0 {
             overhead
         } else {
             self.drain.residual_at(self.clock.now_ns()).max(overhead)
         };
-        self.clock.advance_as(TimeCategory::Flush, g_stall);
+        self.clock.advance_as(TimeCategory::Flush, stall);
         if n > 0 {
-            self.stats.residual_stall_ns += g_stall;
-            self.stats.overlap_ns += (serialized - g_stall).max(0.0);
+            self.stats.residual_stall_ns += stall;
+            self.stats.overlap_ns += (serialized - stall).max(0.0);
         }
         self.drain.reset();
         self.stats.fences += 1;
         self.stats.epoch_hist.record(n as u32);
-        if let Some(lane) = self.lanes.get_mut(self.active_shard) {
-            // The WPQ is shared hardware: the fencing lane waits for the
-            // latest drain *any* lane scheduled (lane clocks are
-            // comparable — batch fences synchronize them).
-            let l_stall = if n == 0 {
-                overhead
-            } else {
-                self.shard_drain
-                    .residual_at(lane.clock.now_ns())
-                    .max(overhead)
-            };
-            lane.clock.advance_as(TimeCategory::Flush, l_stall);
-            if n > 0 {
-                lane.stats.residual_stall_ns += l_stall;
-                lane.stats.overlap_ns += (serialized - l_stall).max(0.0);
-            }
-            lane.stats.fences += 1;
-            lane.stats.epoch_hist.record(n as u32);
-            self.shard_drain.reset();
-        }
-        if n > 0 {
-            let mut flushed: Vec<u64> = self
-                .lines
-                .iter()
-                .filter(|&(_, s)| matches!(s, LineState::Inflight { .. }))
-                .map(|(&l, _)| l)
-                .collect();
+        let mut flushed = self.lines.fence();
+        if !flushed.is_empty() {
             // Copy into the durable image *before* the journal append:
             // compaction (possibly racing from another forked handle)
             // snapshots the durable arena and truncates the journal, so
             // a fence's lines must be in the arena by the time its
             // record can be folded away.
-            for &l in &flushed {
-                self.lines.remove(&l);
-                if let Some(d) = self.durable.as_ref() {
+            if let Some(d) = self.durable.as_ref() {
+                for &l in &flushed {
                     d.copy_from(&self.data, l, CACHELINE);
                 }
             }
-            self.inflight = 0;
             // The backend hook: exactly this fence's lines, as one
             // checksummed batch record — one journal append per ordering
-            // point, however many FASEs the batch carried. Sorted for a
-            // deterministic journal (HashMap order is not).
+            // point, however many FASEs the batch carried. Sorted, so the
+            // journal does not depend on flush order.
             if self.backend.wants_batches() {
                 flushed.sort_unstable();
                 let images = self.line_images(&flushed);
@@ -942,9 +762,6 @@ impl Pmem {
     pub fn mark_volatile(&mut self, addr: u64, len: u64) {
         self.volatile.mark(addr, len);
         self.stats.volatile_node_bytes += len;
-        if let Some(s) = self.lane_stats_mut() {
-            s.volatile_node_bytes += len;
-        }
     }
 
     /// Clears the volatile marks of `[addr, addr + len)` (block freed:
@@ -969,12 +786,12 @@ impl Pmem {
 
     /// Number of flushes issued but not yet ordered by a fence.
     pub fn inflight_flushes(&self) -> usize {
-        self.inflight
+        self.lines.inflight()
     }
 
     /// Number of dirty (written, unflushed) lines.
     pub fn dirty_lines(&self) -> usize {
-        self.lines.len() - self.inflight
+        self.lines.len() - self.lines.inflight()
     }
 
     /// Number of in-flight lines whose background drain has already
@@ -984,8 +801,8 @@ impl Pmem {
     pub fn drained_unfenced_lines(&self) -> usize {
         let now = self.clock.now_ns();
         self.lines
-            .values()
-            .filter(|s| matches!(s, LineState::Inflight { done_ns } if *done_ns <= now))
+            .iter()
+            .filter(|(_, s)| matches!(s, LineState::Inflight { done_ns } if *done_ns <= now))
             .count()
     }
 
@@ -1064,7 +881,7 @@ impl Pmem {
 
     /// Resets counters, clock and cache statistics (not contents) —
     /// used to exclude setup phases from measurements. The WPQ drain
-    /// calendars rebase with the clocks: any still-in-flight line is
+    /// calendar rebases with the clock: any still-in-flight line is
     /// treated as having drained during setup (its pre-reset completion
     /// time would be meaningless against the zeroed clocks).
     pub fn reset_metrics(&mut self) {
@@ -1073,16 +890,7 @@ impl Pmem {
         self.cache.reset_stats();
         self.llc.reset_stats();
         self.drain.reset();
-        self.shard_drain.reset();
-        for state in self.lines.values_mut() {
-            if let LineState::Inflight { done_ns } = state {
-                *done_ns = 0.0;
-            }
-        }
-        for lane in &mut self.lanes {
-            lane.clock.reset();
-            lane.stats = PmStats::new();
-        }
+        self.lines.rebase_inflight();
     }
 
     /// The recorded trace so far.
@@ -1123,11 +931,12 @@ impl Pmem {
             // it, so a fence on any timeline journals through it.
             Arc::clone(&self.backend),
             None,
+            // One pool, one volatile-mark set: a worker's hybrid node
+            // blocks must look volatile to the commit stage and to
+            // every reader.
+            Some(Arc::clone(&self.volatile)),
         );
         handle.clock = clock;
-        // One pool, one volatile-mark set: a worker's hybrid node blocks
-        // must look volatile to the commit stage and to every reader.
-        handle.volatile = Arc::clone(&self.volatile);
         handle
     }
 
@@ -1150,8 +959,8 @@ impl Pmem {
     /// FASE's blocks — and responsibility for fencing them — travel with
     /// it.
     pub fn take_lines(&mut self) -> LineHandoff {
-        let lines: Vec<(u64, LineState)> = self.lines.drain().collect();
-        let inflight = std::mem::take(&mut self.inflight);
+        let inflight = self.lines.inflight();
+        let lines = self.lines.take();
         let drain_last_done = self.drain.last_done();
         self.drain.reset();
         LineHandoff {
@@ -1178,18 +987,11 @@ impl Pmem {
     pub fn absorb_lines(&mut self, handoff: LineHandoff) -> usize {
         let mut combined = 0;
         for (line, state) in handoff.lines {
-            if let Some(prior) = self.lines.insert(line, state) {
+            if self.lines.set(line, state).is_some() {
                 combined += 1;
-                if matches!(prior, LineState::Inflight { .. }) {
-                    self.inflight -= 1;
-                }
-            }
-            if matches!(state, LineState::Inflight { .. }) {
-                self.inflight += 1;
             }
         }
         self.drain.note_done(handoff.drain_last_done);
-        debug_assert!(self.lines.len() >= self.inflight);
         combined
     }
 
@@ -1226,8 +1028,8 @@ impl Pmem {
             .expect("pools always keep a durable image");
         let image = durable.snapshot();
         let now = self.clock.now_ns();
-        for (&line, state) in &self.lines {
-            let drained = matches!(state, LineState::Inflight { done_ns } if *done_ns <= now);
+        for (line, state) in self.lines.iter() {
+            let drained = matches!(state, LineState::Inflight { done_ns } if done_ns <= now);
             if drained || policy.keeps(line) {
                 image.copy_from(&self.data, line, CACHELINE);
             }
@@ -1242,6 +1044,7 @@ impl Pmem {
             image,
             Some(durable_copy),
             Arc::new(MemBackend),
+            None,
             None,
         )
     }
@@ -1606,121 +1409,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_lanes_accumulate_in_parallel() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(0);
-        pm.write_u64(0x100, 1);
-        pm.set_active_shard(1);
-        pm.write_u64(0x4100, 2);
-        // Each lane saw one write; the global counters saw both.
-        assert_eq!(pm.shard_stats(0).writes, 1);
-        assert_eq!(pm.shard_stats(1).writes, 1);
-        assert_eq!(pm.stats().writes, 2);
-        let rolled = pm.rolled_up_shard_stats();
-        assert_eq!(rolled.writes, pm.stats().writes);
-        assert_eq!(rolled.bytes_written, pm.stats().bytes_written);
-        // Wall time is the slowest lane, not the serial sum.
-        assert!(pm.lane_ns(0) > 0.0);
-        assert!(pm.lane_ns(1) > 0.0);
-        assert!(pm.wall_ns() < pm.clock().now_ns());
-        assert!((pm.wall_ns() - pm.lane_ns(0).max(pm.lane_ns(1))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sync_lane_charges_stall_as_flush() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(0);
-        pm.write_u64(0x100, 1);
-        let t0 = pm.lane_ns(0);
-        pm.sync_lane_to(1, t0 + 100.0);
-        assert!((pm.lane_ns(1) - (t0 + 100.0)).abs() < 1e-9);
-        assert!((pm.lane_breakdown(1).flush_ns - (t0 + 100.0)).abs() < 1e-9);
-        // Syncing backwards is a no-op.
-        pm.sync_lane_to(1, 0.0);
-        assert!((pm.lane_ns(1) - (t0 + 100.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unsharded_pool_wall_is_global_clock() {
-        let mut pm = testing_pmem();
-        pm.write_u64(0x100, 1);
-        assert_eq!(pm.wall_ns(), pm.clock().now_ns());
-        assert_eq!(pm.shard_count(), 0);
-        assert_eq!(pm.active_shard(), 0);
-    }
-
-    #[test]
-    fn fence_counts_land_on_active_lane() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(1);
-        pm.write_u64(0x100, 1);
-        pm.clwb(0x100);
-        pm.sfence();
-        assert_eq!(pm.shard_stats(1).fences, 1);
-        assert_eq!(pm.shard_stats(1).flushes_issued, 1);
-        assert_eq!(pm.shard_stats(0).fences, 0);
-        assert_eq!(pm.stats().fences, 1);
-    }
-
-    #[test]
-    fn shard_lanes_share_one_wpq() {
-        // Both lanes flush one line each "at the same lane-time"; the
-        // drains serialize on the shared WPQ, so the fencing lane waits
-        // for both — the serial bottleneck survives sharding.
-        let mut pm = testing_pmem();
-        let m = pm.config().latency.clone();
-        pm.configure_shards(2);
-        pm.set_active_shard(0);
-        pm.write_u64(0x100, 1);
-        pm.clwb(0x100);
-        let lane0_issue = pm.lane_ns(0);
-        pm.set_active_shard(1);
-        pm.write_u64(0x4100, 2);
-        pm.clwb(0x4100);
-        pm.sfence();
-        // Two serialized drain occupancies behind one launch, ending no
-        // earlier than the first issue plus the 2-line critical path.
-        assert!(pm.lane_ns(1) >= lane0_issue + m.drain_path_ns(2) - m.drain_path_ns(1));
-        assert!(pm.shard_stats(1).residual_stall_ns > 0.0);
-    }
-
-    #[test]
-    fn lane_overlap_accrues_to_the_fencing_lane() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(0);
-        pm.write_u64(0x100, 1);
-        pm.clwb(0x100);
-        pm.charge_ns(10_000.0); // lane-0 compute hides the drain
-        pm.sfence();
-        assert!(pm.shard_stats(0).overlap_ns > 0.0);
-        assert!(pm.shard_stats(0).overlap_ratio() > 0.9);
-        assert_eq!(pm.shard_stats(1).overlap_ns, 0.0);
-    }
-
-    #[test]
-    fn reset_metrics_clears_lanes() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.write_u64(0x100, 1);
-        pm.reset_metrics();
-        assert_eq!(pm.shard_stats(0).writes, 0);
-        assert_eq!(pm.lane_ns(0), 0.0);
-        assert_eq!(pm.shard_count(), 2, "configuration survives reset");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_shard_rejected() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(2);
-    }
-
-    #[test]
     fn fork_handle_shares_storage_not_sim_state() {
         let mut pm = testing_pmem();
         pm.write_u64(0x100, 7);
@@ -1864,7 +1552,7 @@ mod tests {
 
     #[test]
     fn journal_bytes_are_deterministic_across_runs() {
-        // HashMap iteration order must not leak into the journal.
+        // Flush order must not leak into the journal.
         let run = |name: &str| {
             let path = pool_path(name);
             let mut pm = Pmem::create_file(&path, PmemConfig::testing()).unwrap();
