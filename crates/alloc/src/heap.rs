@@ -722,29 +722,40 @@ impl NvHeap {
 
     /// Decrements the volatile refcount; returns the new count.
     ///
+    /// On a worker heap a foreign (already-published) block's true count
+    /// is unknowable, so the only legal decrement is one that cancels an
+    /// increment *this FASE* staged on it (a pure update's temporary
+    /// ownership of a published node, taken with [`NvHeap::rc_inc`] and
+    /// dropped again before the update returns). The block's publisher
+    /// still holds its own reference, so the returned count is the lower
+    /// bound `1 + increments still staged` — never 0, never a reason to
+    /// free.
+    ///
     /// # Panics
     ///
     /// Panics if the count is already zero (double release, or a block
     /// that was never tracked), or — on a worker heap — if the block is
-    /// foreign: a worker cannot know a published block's true count, so
-    /// version releases are deferred to the commit stage instead of
-    /// decrementing during staging.
+    /// foreign and this FASE holds no staged increment on it: version
+    /// releases are deferred to the commit stage instead of decrementing
+    /// during staging.
     pub fn rc_dec(&mut self, ptr: PmPtr) -> u32 {
         let dec = |c: u32| {
             assert!(c > 0, "refcount underflow at {ptr}");
             c - 1
         };
         match self.worker.as_mut() {
-            Some(w) => {
-                let c = w.fresh_count(ptr.addr()).unwrap_or_else(|| {
+            Some(w) => match w.fresh_count(ptr.addr()) {
+                Some(c) => {
+                    *c = dec(*c);
+                    *c
+                }
+                None => w.cancel_foreign_inc(ptr.addr()).unwrap_or_else(|| {
                     panic!(
                         "rc_dec on foreign block {ptr} during lock-free staging; \
                          defer the release to the commit stage"
                     )
-                });
-                *c = dec(*c);
-                *c
-            }
+                }),
+            },
             None => self.rc.update(ptr.addr(), dec),
         }
     }
@@ -1257,6 +1268,28 @@ mod tests {
         let published = h.alloc(32);
         let mut workers = h.split_workers(2);
         workers[0].rc_dec(published);
+    }
+
+    #[test]
+    fn worker_rc_dec_cancels_only_its_own_foreign_increments() {
+        let mut h = heap();
+        let published = h.alloc(32);
+        let mut w = h.split_workers(1).remove(0);
+        // Temp ownership of a published node inside one pure update:
+        // two increments, one cancelled again.
+        w.rc_inc(published);
+        w.rc_inc(published);
+        assert_eq!(w.rc_dec(published), 2, "publisher's ref + one staged");
+        h.apply_staged_effects(w.take_staged_effects());
+        assert_eq!(h.rc_get(published), 2, "net one increment reached commit");
+        // A fully cancelled increment leaves no effect behind at all.
+        w.rc_inc(published);
+        assert_eq!(w.rc_dec(published), 1);
+        assert!(w.take_staged_effects().is_empty());
+        // Nothing staged any more: a further decrement would eat the
+        // publisher's reference and still panics.
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.rc_dec(published)));
+        assert!(err.is_err(), "decrement below this FASE's own increments");
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   mutex), and the owning worker drains its bin into its free lists
 //!   the next time its arena misses.
 //!
-//! Decrements on foreign blocks are *never* legal during staging (a
-//! worker cannot know the true count, so it cannot decide to free); the
-//! FASE layer defers whole-version releases to the commit stage instead.
+//! A decrement on a foreign block is legal during staging only when it
+//! cancels an increment the same FASE staged (a pure update's temporary
+//! ownership of a published node); anything more would need the true
+//! count, which a worker cannot know, so it can never decide to free —
+//! the FASE layer defers whole-version releases to the commit stage.
 
 use crate::heap::AllocStats;
 use crate::table::BlockTable;
@@ -166,6 +168,19 @@ impl WorkerMode {
             Some(c) => *c += 1,
             None => *self.rc_deltas.entry(payload).or_insert(0) += 1,
         }
+    }
+
+    /// Cancels one foreign increment this FASE staged on `payload`:
+    /// `Some(1 + increments still staged)` (the publisher's own
+    /// reference plus ours), or `None` if this FASE staged none.
+    pub(crate) fn cancel_foreign_inc(&mut self, payload: u64) -> Option<u32> {
+        let delta = self.rc_deltas.get_mut(&payload)?;
+        *delta -= 1;
+        let left = *delta as u32;
+        if left == 0 {
+            self.rc_deltas.remove(&payload);
+        }
+        Some(1 + left)
     }
 
     /// Drops `payload` from the fresh log (it was freed inside the FASE

@@ -1,6 +1,6 @@
 //! Host-side bench of the FASE commit paths (Fig 8): a single-root FASE
 //! and a multi-root FASE (siblings via the root directory) — the paths
-//! behind MOD's one-fence claim. (The deprecated three-fence
+//! behind MOD's one-fence claim. (The old three-fence
 //! `commit_unrelated` ablation left with the raw-slot shims in 0.3; the
 //! root directory commits any root combination with one fence.)
 //!

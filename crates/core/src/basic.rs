@@ -1,10 +1,16 @@
 //! The Basic interface (paper Fig 6a), typed: mutable-looking durable
 //! collections whose every update is a self-contained FASE.
 //!
-//! Each wrapper is a thin, `Copy` view over a typed [`Root`]: updates run
-//! one [`ModHeap::fase`] (pure shadow update, one ordering point, old
-//! version handed to deferred reclamation) and lookups are **read-only**
-//! — they take `&ModHeap`, need no flushes, fences, or exclusive access.
+//! Each wrapper is a thin, `Copy` view over one generic handle — a typed
+//! [`Root`] plus its [`PersistPolicy`]. An update names its substrate op
+//! once and stages it through that handle: a pure shadow update inside
+//! one [`ModHeap::fase`] (one ordering point, old version handed to
+//! deferred reclamation) under full persistence, the same op applied to
+//! the volatile index plus a spine record under hybrid persistence.
+//! Reads are one accessor per operation, generic over a [`ReadCtx`]:
+//! `&ModHeap`, `&Fase` and `&SnapshotView` read for free with no
+//! exclusive access; only `&mut ModHeap` charges the simulated cache and
+//! clock.
 //!
 //! Keys and values are application types bridged onto the raw `u64`/bytes
 //! substrate by the [`crate::codec`] traits, so callers no longer
@@ -22,7 +28,8 @@
 //!
 //! Every wrapper also composes into multi-structure FASEs through its
 //! `*_in` methods, which stage the update on a [`Fase`] instead of
-//! committing immediately.
+//! committing immediately; inside the closure, `map.get(&*tx, &key)`
+//! reads the FASE's own writes.
 
 use crate::codec::{
     codec_compatible, codec_word_elem, codec_word_fields, codec_word_kv, frames, push_frame,
@@ -32,7 +39,8 @@ use crate::erased::{DurableDs, ErasedDs, RootKind};
 use crate::fase::Fase;
 use crate::heap::ModHeap;
 use crate::root::Root;
-use crate::spine::{self, PersistPolicy, SpineOp, SpineState};
+use crate::snapshot::SnapshotView;
+use crate::spine::{self, PersistPolicy, SpineOp};
 use mod_alloc::HeapRead;
 use mod_funcds::{PmMap, PmQueue, PmStack, PmVector};
 use mod_pmem::PmPtr;
@@ -40,8 +48,7 @@ use std::marker::PhantomData;
 
 /// Why reattaching a typed wrapper to a directory index failed.
 ///
-/// Returned by the `try_open` constructors; the panicking `open`
-/// constructors surface the same conditions as panics.
+/// Returned by [`RootBuilder::open`] and [`RootBuilder::open_or_create`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OpenError {
     /// No root was ever published at this directory index.
@@ -131,89 +138,351 @@ impl std::fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-/// Shared open path: policy check (the directory entry's kind *is* the
-/// durable policy record — hybrid roots are stored as
-/// [`RootKind::Spine`]), then kind check, then codec check against the
-/// persisted tag word.
-fn open_checked<D: DurableDs>(
-    heap: &ModHeap,
-    index: usize,
-    expected_codec: u64,
-    policy: PersistPolicy,
-) -> Result<Root<D>, OpenError> {
-    let entry = crate::root::peek_entry(heap.nv(), index).ok_or(OpenError::NoSuchRoot {
-        index,
-        roots: heap.root_count(),
-    })?;
-    let stored_kind = match (policy, entry.kind) {
-        (PersistPolicy::Full, RootKind::Spine) => {
-            return Err(OpenError::PolicyMismatch {
-                index,
-                stored: PersistPolicy::Hybrid,
-                requested: PersistPolicy::Full,
-            });
-        }
-        (PersistPolicy::Full, k) => k,
-        (PersistPolicy::Hybrid, RootKind::Spine) => spine::logical_kind(heap.nv(), entry.root),
-        (PersistPolicy::Hybrid, k) if k == D::KIND => {
-            return Err(OpenError::PolicyMismatch {
-                index,
-                stored: PersistPolicy::Full,
-                requested: PersistPolicy::Hybrid,
-            });
-        }
-        (PersistPolicy::Hybrid, k) => k,
-    };
-    if stored_kind != D::KIND {
-        return Err(OpenError::KindMismatch {
-            index,
-            stored: stored_kind,
-            expected: D::KIND,
-        });
-    }
-    let stored = heap.root_codec_tag(index);
-    if !codec_compatible(stored, expected_codec) {
-        return Err(OpenError::CodecMismatch {
-            index,
-            stored,
-            expected: expected_codec,
-        });
-    }
-    Ok(Root::new(index))
+// ---------------------------------------------------------------------
+// Read contexts
+// ---------------------------------------------------------------------
+
+/// Where a typed read runs. Every read accessor of the `Durable*`
+/// wrappers (`get`, `contains_key`, `len`, `peek`, `to_vec`, …) takes
+/// one of these, and the context — not the accessor's name — decides
+/// which version is read and whether the read is charged:
+///
+/// | context | version read | simulated cost |
+/// |---|---|---|
+/// | `&mut ModHeap` | latest committed | **charged** (cache model, clock, `PmStats::reads`) |
+/// | `&ModHeap` | latest committed | free (peek) |
+/// | `&Fase` | this FASE's staged writes over the latest staged head (read-your-writes) | free (peek) |
+/// | `&SnapshotView` | the view's pinned epoch | free (peek) |
+///
+/// Only the exclusive heap handle can charge: the charged path mutates
+/// the cache and clock model. A hybrid root's index is DRAM state, so
+/// even a charged read of it costs nothing.
+pub trait ReadCtx {
+    /// The version of full-persistence `root` this context sees.
+    #[doc(hidden)]
+    fn published<D: DurableDs>(&self, root: Root<D>) -> D;
+
+    /// The volatile-index version of hybrid `root` this context sees.
+    #[doc(hidden)]
+    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D;
+
+    /// The heap read path of this context.
+    #[doc(hidden)]
+    fn heap_read(&mut self) -> HeapRead<'_>;
 }
 
-/// Creates and publishes a hybrid root: an empty volatile index, a
-/// durable genesis snapshot record, and a directory entry of kind
-/// [`RootKind::Spine`] (the durable policy record). Returns the index.
-fn create_hybrid(heap: &mut ModHeap, logical: RootKind, codec: u64) -> usize {
-    let nv = heap.nv_mut();
-    nv.begin_volatile();
-    let v0 = match logical {
-        RootKind::Map => PmMap::empty(nv).root().addr(),
-        RootKind::Vector => PmVector::empty(nv).root().addr(),
-        RootKind::Stack => PmStack::empty(nv).root().addr(),
-        RootKind::Queue => PmQueue::empty(nv).root().addr(),
-        k => unreachable!("no hybrid form for {k:?}"),
-    };
-    nv.end_volatile();
-    let genesis = match logical {
-        RootKind::Map => SpineOp::Snapshot(SpineState::Map(Vec::new())),
-        _ => SpineOp::Snapshot(SpineState::Words(Vec::new())),
-    };
-    let rec = spine::store_record(heap.nv_mut(), PmPtr::NULL, logical, 0, &genesis);
-    let index = heap.publish_erased_tagged(
-        ErasedDs {
-            kind: RootKind::Spine,
-            root: rec,
-        },
-        codec,
-    );
-    heap.nv().annex().set(index, spine::pack_annex(logical, v0));
-    index
+impl ReadCtx for &ModHeap {
+    fn published<D: DurableDs>(&self, root: Root<D>) -> D {
+        self.current(root)
+    }
+
+    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D {
+        let (kind, addr) = self
+            .hybrid_head(root.index())
+            .expect("hybrid root has no volatile head (pool not opened hybrid-aware?)");
+        debug_assert_eq!(kind, D::KIND);
+        D::from_root_ptr(PmPtr::from_addr(addr))
+    }
+
+    fn heap_read(&mut self) -> HeapRead<'_> {
+        HeapRead::Peek(self.nv())
+    }
+}
+
+impl ReadCtx for &mut ModHeap {
+    fn published<D: DurableDs>(&self, root: Root<D>) -> D {
+        (&**self).published(root)
+    }
+
+    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D {
+        (&**self).volatile(root)
+    }
+
+    fn heap_read(&mut self) -> HeapRead<'_> {
+        HeapRead::Charged(self.nv_mut())
+    }
+}
+
+impl ReadCtx for &Fase<'_> {
+    fn published<D: DurableDs>(&self, root: Root<D>) -> D {
+        self.current(root)
+    }
+
+    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D {
+        D::from_root_ptr(PmPtr::from_addr(self.hybrid_vhead(root.index())))
+    }
+
+    fn heap_read(&mut self) -> HeapRead<'_> {
+        HeapRead::Peek(self.nv())
+    }
+}
+
+// A published snapshot already holds a hybrid root's committed volatile
+// head under its logical kind, so both policies resolve the same way.
+impl ReadCtx for &SnapshotView<'_> {
+    fn published<D: DurableDs>(&self, root: Root<D>) -> D {
+        self.resolve(root.index())
+    }
+
+    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D {
+        self.resolve(root.index())
+    }
+
+    fn heap_read(&mut self) -> HeapRead<'_> {
+        HeapRead::Peek(self.nv())
+    }
+}
+
+/// Runs one substrate read of `$me`'s current version in `$ctx` through
+/// the context's read path: the charged accessor on `&mut ModHeap`, its
+/// `peek_*` twin everywhere else.
+macro_rules! read {
+    ($me:expr, $ctx:expr, $charged:ident | $peek:ident ( $($arg:expr),* )) => {{
+        let cur = $me.h.cur(&$ctx);
+        match $ctx.heap_read() {
+            HeapRead::Charged(nv) => cur.$charged(nv $(, $arg)*),
+            HeapRead::Peek(nv) => cur.$peek(nv $(, $arg)*),
+        }
+    }};
 }
 
 // ---------------------------------------------------------------------
-// Root builder (the unified constructor API)
+// The one durable handle
+// ---------------------------------------------------------------------
+
+/// What all five typed wrappers are: a typed root plus the policy it was
+/// created under. Everything that depends on the policy lives here, once
+/// — creation, the checked open, which version a read context sees, and
+/// the single staging entry point — so the wrappers below describe each
+/// operation exactly once and never branch on the policy themselves.
+#[derive(Clone, Copy)]
+struct Handle<D: DurableDs> {
+    root: Root<D>,
+    policy: PersistPolicy,
+}
+
+impl<D: DurableDs> Handle<D> {
+    /// Creates an empty structure under `policy` and publishes it as a
+    /// new root with `codec` recorded in its directory entry. A hybrid
+    /// root is an empty volatile index, a durable genesis snapshot
+    /// record, and a directory entry of kind [`RootKind::Spine`] (the
+    /// durable policy record).
+    fn create(heap: &mut ModHeap, policy: PersistPolicy, codec: u64) -> Self {
+        let root = match policy {
+            PersistPolicy::Full => {
+                let v0 = D::empty_version(heap.nv_mut());
+                heap.publish_tagged(v0, codec)
+            }
+            PersistPolicy::Hybrid => {
+                let nv = heap.nv_mut();
+                nv.begin_volatile();
+                let v0 = D::empty_version(nv).root_ptr().addr();
+                nv.end_volatile();
+                let genesis = spine::state_of(nv, D::KIND, v0);
+                let rec = spine::store_record(nv, PmPtr::NULL, D::KIND, 0, &genesis);
+                let spine_head = ErasedDs {
+                    kind: RootKind::Spine,
+                    root: rec,
+                };
+                let index = heap.publish_erased_tagged(spine_head, codec);
+                heap.nv().annex().set(index, spine::pack_annex(D::KIND, v0));
+                Root::new(index)
+            }
+        };
+        Handle { root, policy }
+    }
+
+    /// Reattaches to the root at `index`: policy check (the directory
+    /// entry's kind *is* the durable policy record — hybrid roots are
+    /// stored as [`RootKind::Spine`]), then kind check, then codec check
+    /// against the persisted tag word.
+    fn open(
+        heap: &ModHeap,
+        index: usize,
+        policy: PersistPolicy,
+        codec: u64,
+    ) -> Result<Self, OpenError> {
+        let entry = crate::root::peek_entry(heap.nv(), index).ok_or(OpenError::NoSuchRoot {
+            index,
+            roots: heap.root_count(),
+        })?;
+        let stored_kind = match (policy, entry.kind) {
+            (PersistPolicy::Full, RootKind::Spine) => {
+                return Err(OpenError::PolicyMismatch {
+                    index,
+                    stored: PersistPolicy::Hybrid,
+                    requested: PersistPolicy::Full,
+                });
+            }
+            (PersistPolicy::Full, k) => k,
+            (PersistPolicy::Hybrid, RootKind::Spine) => spine::logical_kind(heap.nv(), entry.root),
+            (PersistPolicy::Hybrid, k) if k == D::KIND => {
+                return Err(OpenError::PolicyMismatch {
+                    index,
+                    stored: PersistPolicy::Full,
+                    requested: PersistPolicy::Hybrid,
+                });
+            }
+            (PersistPolicy::Hybrid, k) => k,
+        };
+        if stored_kind != D::KIND {
+            return Err(OpenError::KindMismatch {
+                index,
+                stored: stored_kind,
+                expected: D::KIND,
+            });
+        }
+        let stored = heap.root_codec_tag(index);
+        if !codec_compatible(stored, codec) {
+            return Err(OpenError::CodecMismatch {
+                index,
+                stored,
+                expected: codec,
+            });
+        }
+        Ok(Handle {
+            root: Root::new(index),
+            policy,
+        })
+    }
+
+    /// The substrate version `ctx` reads: the published structure
+    /// (full) or the volatile index (hybrid).
+    fn cur<C: ReadCtx>(&self, ctx: &C) -> D {
+        match self.policy {
+            PersistPolicy::Full => ctx.published(self.root),
+            PersistPolicy::Hybrid => ctx.volatile(self.root),
+        }
+    }
+
+    /// The single staging entry point. `lower` sees the version the op
+    /// chains from and names the substrate op that carries it out, or
+    /// `None` when the typed op is a no-op (an absent hashed key);
+    /// [`SpineOp::apply`] then defines the effect. Returns `Some(taken)`
+    /// iff the structure changed — `taken` being the element a pop or
+    /// dequeue removed. A no-op stages nothing under either policy: no
+    /// shadow, no spine record, no ordering point.
+    ///
+    /// The policy picks where the op runs and how `lower` reads. Full:
+    /// on the durable heap inside [`Fase::update_with`], reads charged —
+    /// a FASE's pre-reads are PM loads. Hybrid: on the volatile index
+    /// inside [`Fase::apply_hybrid`], reads peek — the index is DRAM —
+    /// and the op itself is what gets persisted, as a spine record.
+    fn stage(
+        &self,
+        tx: &mut Fase<'_>,
+        lower: impl FnOnce(&mut HeapRead<'_>, D) -> Option<SpineOp>,
+    ) -> Option<u64> {
+        match self.policy {
+            PersistPolicy::Full => tx.update_with(self.root, |nv, cur| {
+                let applied = lower(&mut HeapRead::Charged(nv), cur)
+                    .and_then(|op| op.apply(nv, D::KIND, cur.root_ptr().addr()));
+                match applied {
+                    Some((new, taken)) => (D::from_root_ptr(PmPtr::from_addr(new)), Some(taken)),
+                    None => (cur, None),
+                }
+            }),
+            PersistPolicy::Hybrid => tx.apply_hybrid(self.root.index(), D::KIND, |read, v| {
+                lower(read, D::from_root_ptr(v))
+            }),
+        }
+    }
+}
+
+/// Stamps out one typed wrapper over [`Handle`]: the struct, its
+/// `Clone`/`Copy`/`Debug`, the constructors and accessors every wrapper
+/// shares, and its [`DurableRoot`] impl. `codec` is the directory tag
+/// word derived from the wrapper's type parameters.
+macro_rules! durable_wrapper {
+    (
+        $(#[$doc:meta])*
+        $name:ident<$($p:ident: $bound:ident),+> over $ds:ident, codec = $codec:expr
+    ) => {
+        $(#[$doc])*
+        pub struct $name<$($p: $bound),+> {
+            h: Handle<$ds>,
+            _t: PhantomData<fn() -> ($($p,)+)>,
+        }
+
+        impl<$($p: $bound),+> Clone for $name<$($p),+> {
+            fn clone(&self) -> Self {
+                *self
+            }
+        }
+
+        impl<$($p: $bound),+> Copy for $name<$($p),+> {}
+
+        impl<$($p: $bound),+> std::fmt::Debug for $name<$($p),+> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                write!(f, concat!(stringify!($name), "({:?})"), self.h.root)
+            }
+        }
+
+        impl<$($p: $bound),+> $name<$($p),+> {
+            fn on(h: Handle<$ds>) -> Self {
+                $name { h, _t: PhantomData }
+            }
+
+            /// Creates an empty structure (full persistence) and
+            /// publishes it as a new typed root, with the codec
+            /// discipline of the type parameters recorded in the
+            /// directory entry. For hybrid persistence, or to reopen a
+            /// root, go through [`ModHeap::root`].
+            pub fn create(heap: &mut ModHeap) -> Self {
+                Self::create_with(heap, PersistPolicy::Full)
+            }
+
+            /// Wraps an already-opened typed root (full persistence).
+            pub fn from_root(root: Root<$ds>) -> Self {
+                Self::on(Handle {
+                    root,
+                    policy: PersistPolicy::Full,
+                })
+            }
+
+            /// The typed root this structure is published under.
+            pub fn root(&self) -> Root<$ds> {
+                self.h.root
+            }
+
+            /// The persistence policy this handle operates under.
+            pub fn policy(&self) -> PersistPolicy {
+                self.h.policy
+            }
+
+            /// Acquires this root's staging lane without staging an
+            /// update (worker FASEs only; a no-op in single-owner
+            /// FASEs). Read-modify-write sequences need this *before*
+            /// their in-FASE read: plain reads are lock-free, so
+            /// without the lane hold a concurrent same-root FASE could
+            /// stage between the read and the dependent write, losing
+            /// its update — and a read that must stay consistent with
+            /// reads of *other* roots in the same FASE needs it too.
+            /// Stages nothing: a FASE that only touches commits nothing
+            /// and costs no ordering point.
+            pub fn touch_in(&self, tx: &mut Fase<'_>) {
+                tx.hold_lane(self.h.root.index());
+            }
+        }
+
+        impl<$($p: $bound),+> DurableRoot for $name<$($p),+> {
+            fn create_with(heap: &mut ModHeap, policy: PersistPolicy) -> Self {
+                Self::on(Handle::create(heap, policy, $codec))
+            }
+
+            fn open_with(
+                heap: &ModHeap,
+                index: usize,
+                policy: PersistPolicy,
+            ) -> Result<Self, OpenError> {
+                Handle::open(heap, index, policy, $codec).map(Self::on)
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------
+// Root builder (the one constructor API)
 // ---------------------------------------------------------------------
 
 /// A typed wrapper that can be created and reopened through
@@ -310,139 +579,47 @@ impl<D: DurableRoot> RootBuilder<'_, D> {
     }
 }
 
-/// One map lookup through either read path (charged or peek).
-/// `pub(crate)` so [`crate::snapshot::SnapshotView`] reuses the exact
-/// decode logic over its pinned root image.
-pub(crate) fn raw_get(cur: PmMap, heap: &mut HeapRead<'_>, key: u64) -> Option<Vec<u8>> {
-    match heap {
+// ---------------------------------------------------------------------
+// Map
+// ---------------------------------------------------------------------
+
+/// One substrate-key lookup through either read path.
+fn raw_get(cur: PmMap, read: &mut HeapRead<'_>, key: u64) -> Option<Vec<u8>> {
+    match read {
         HeapRead::Charged(nv) => cur.get(nv, key),
         HeapRead::Peek(nv) => cur.peek_get(nv, key),
     }
 }
 
-/// Decodes a typed lookup: exact keys read the value directly; hashed
-/// keys scan the bucket's frames for the matching key bytes.
-pub(crate) fn lookup<V: PmValue>(cur: PmMap, heap: &mut HeapRead<'_>, repr: &KeyRepr) -> Option<V> {
-    match repr {
-        KeyRepr::Exact(w) => raw_get(cur, heap, *w).map(|b| V::from_value_bytes(&b)),
-        KeyRepr::Hashed { hash, bytes } => {
-            let bucket = raw_get(cur, heap, *hash)?;
-            let found = frames(&bucket)
-                .find(|(k, _)| k == bytes)
-                .map(|(_, v)| V::from_value_bytes(v));
-            found
+/// A hashed key's bucket blob rebuilt without `key`'s frame and, when
+/// `value` is given, with a fresh `(key, value)` frame in front. Every
+/// colliding key other than ours is preserved.
+fn rebucket(old: Option<&[u8]>, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
+    let fresh = value.map_or(0, |v| 8 + key.len() + v.len());
+    let mut bucket = Vec::with_capacity(old.map_or(0, <[u8]>::len) + fresh);
+    if let Some(value) = value {
+        push_frame(&mut bucket, key, value);
+    }
+    for (k, v) in frames(old.unwrap_or_default()) {
+        if k != key {
+            push_frame(&mut bucket, k, v);
         }
     }
+    bucket
 }
 
-// ---------------------------------------------------------------------
-// Map
-// ---------------------------------------------------------------------
-
-/// A durable map with logically in-place updates (Basic interface).
-///
-/// `K` selects the key encoding (exact integers or hashed-and-verified
-/// byte keys) and `V` the value encoding; see [`crate::codec`].
-pub struct DurableMap<K: PmKey, V: PmValue> {
-    root: Root<PmMap>,
-    policy: PersistPolicy,
-    _kv: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K: PmKey, V: PmValue> Clone for DurableMap<K, V> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<K: PmKey, V: PmValue> Copy for DurableMap<K, V> {}
-
-impl<K: PmKey, V: PmValue> std::fmt::Debug for DurableMap<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DurableMap({:?})", self.root)
-    }
+durable_wrapper! {
+    /// A durable map with logically in-place updates (Basic interface).
+    ///
+    /// `K` selects the key encoding (exact integers or hashed-and-verified
+    /// byte keys) and `V` the value encoding; see [`crate::codec`].
+    /// Reopening checks both against the persistent directory entry:
+    /// opening a `DurableMap<u64, Vec<u8>>` root as
+    /// `DurableMap<String, u64>` fails instead of decoding garbage.
+    DurableMap<K: PmKey, V: PmValue> over PmMap, codec = codec_word_kv(K::CODEC, V::CODEC)
 }
 
 impl<K: PmKey, V: PmValue> DurableMap<K, V> {
-    /// The directory codec tag word for this map's `K`/`V` parameters.
-    const CODEC_WORD: u64 = codec_word_kv(K::CODEC, V::CODEC);
-
-    /// Creates an empty map and publishes it as a new typed root, with
-    /// the `K`/`V` codec discipline recorded in the directory entry.
-    pub fn create(heap: &mut ModHeap) -> Self {
-        Self::create_with(heap, PersistPolicy::Full)
-    }
-
-    /// Reattaches to the map published at directory `index` (after
-    /// recovery).
-    ///
-    /// Both the structure kind and the `K`/`V` codec discipline are
-    /// checked against the persistent directory entry: opening a
-    /// `DurableMap<u64, Vec<u8>>` root as `DurableMap<String, u64>`
-    /// fails instead of decoding garbage.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(map) => map,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the map published at directory `index`, reporting
-    /// kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
-    }
-
-    /// Wraps an already-opened typed root (full persistence).
-    pub fn from_root(root: Root<PmMap>) -> Self {
-        DurableMap {
-            root,
-            policy: PersistPolicy::Full,
-            _kv: PhantomData,
-        }
-    }
-
-    /// The typed root this map is published under.
-    pub fn root(&self) -> Root<PmMap> {
-        self.root
-    }
-
-    /// The persistence policy this handle operates under.
-    pub fn policy(&self) -> PersistPolicy {
-        self.policy
-    }
-
-    /// The current substrate version under either policy: the published
-    /// trie root (full) or the committed volatile head (hybrid).
-    fn cur(&self, heap: &ModHeap) -> PmMap {
-        match self.policy {
-            PersistPolicy::Full => heap.current(self.root),
-            PersistPolicy::Hybrid => {
-                let (kind, addr) = heap
-                    .hybrid_head(self.root.index())
-                    .expect("hybrid map has no volatile head (pool not opened hybrid-aware?)");
-                debug_assert_eq!(kind, RootKind::Map);
-                PmMap::from_root(PmPtr::from_addr(addr))
-            }
-        }
-    }
-
-    /// The substrate version as an in-progress FASE sees it.
-    fn cur_in(&self, tx: &Fase<'_>) -> PmMap {
-        match self.policy {
-            PersistPolicy::Full => tx.current(self.root),
-            PersistPolicy::Hybrid => {
-                PmMap::from_root(PmPtr::from_addr(tx.hybrid_vhead(self.root.index())))
-            }
-        }
-    }
-
     /// Failure-atomically inserts or updates `key` (one FASE).
     pub fn insert(&self, heap: &mut ModHeap, key: &K, value: &V) {
         heap.fase(|tx| self.insert_in(tx, key, value));
@@ -450,44 +627,19 @@ impl<K: PmKey, V: PmValue> DurableMap<K, V> {
 
     /// Stages an insert on an in-progress FASE.
     pub fn insert_in(&self, tx: &mut Fase<'_>, key: &K, value: &V) {
-        let value = value.value_bytes();
-        if self.policy == PersistPolicy::Hybrid {
-            let index = self.root.index();
-            let vcur = PmMap::from_root(PmPtr::from_addr(tx.hybrid_current(index)));
-            let (key, val) = match key.repr() {
-                KeyRepr::Exact(w) => (w, value),
+        let (repr, value) = (key.repr(), value.value_bytes());
+        self.h.stage(tx, |read, cur| {
+            Some(match repr {
+                KeyRepr::Exact(key) => SpineOp::MapInsert { key, val: value },
                 KeyRepr::Hashed { hash, bytes } => {
-                    let mut bucket = Vec::with_capacity(8 + bytes.len() + value.len());
-                    push_frame(&mut bucket, &bytes, &value);
-                    if let Some(old) = vcur.peek_get(tx.nv(), hash) {
-                        for (k, v) in frames(&old) {
-                            if k != bytes {
-                                push_frame(&mut bucket, k, v);
-                            }
-                        }
-                    }
-                    (hash, bucket)
-                }
-            };
-            tx.apply_hybrid(index, RootKind::Map, SpineOp::MapInsert { key, val });
-            return;
-        }
-        match key.repr() {
-            KeyRepr::Exact(w) => tx.update(self.root, |nv, m| m.insert(nv, w, &value)),
-            KeyRepr::Hashed { hash, bytes } => tx.update(self.root, |nv, m| {
-                let mut bucket = Vec::with_capacity(8 + bytes.len() + value.len());
-                push_frame(&mut bucket, &bytes, &value);
-                if let Some(old) = m.get(nv, hash) {
-                    // Preserve colliding keys other than ours.
-                    for (k, v) in frames(&old) {
-                        if k != bytes {
-                            push_frame(&mut bucket, k, v);
-                        }
+                    let old = raw_get(cur, read, hash);
+                    SpineOp::MapInsert {
+                        key: hash,
+                        val: rebucket(old.as_deref(), &bytes, Some(&value)),
                     }
                 }
-                m.insert(nv, hash, &bucket)
-            }),
-        }
+            })
+        });
     }
 
     /// Failure-atomically removes `key` (one FASE); returns whether it
@@ -498,185 +650,71 @@ impl<K: PmKey, V: PmValue> DurableMap<K, V> {
 
     /// Stages a removal on an in-progress FASE.
     pub fn remove_in(&self, tx: &mut Fase<'_>, key: &K) -> bool {
-        if self.policy == PersistPolicy::Hybrid {
-            let index = self.root.index();
-            let vcur = PmMap::from_root(PmPtr::from_addr(tx.hybrid_current(index)));
-            let op = match key.repr() {
-                KeyRepr::Exact(w) => {
-                    if !vcur.peek_contains_key(tx.nv(), w) {
-                        return false;
-                    }
-                    SpineOp::MapRemove { key: w }
-                }
-                KeyRepr::Hashed { hash, bytes } => {
-                    let Some(old) = vcur.peek_get(tx.nv(), hash) else {
-                        return false;
-                    };
-                    if !frames(&old).any(|(k, _)| k == bytes) {
-                        return false;
-                    }
-                    let mut bucket = Vec::new();
-                    for (k, v) in frames(&old) {
-                        if k != bytes {
-                            push_frame(&mut bucket, k, v);
-                        }
-                    }
-                    if bucket.is_empty() {
-                        SpineOp::MapRemove { key: hash }
-                    } else {
-                        SpineOp::MapInsert {
-                            key: hash,
-                            val: bucket,
-                        }
-                    }
-                }
-            };
-            tx.apply_hybrid(index, RootKind::Map, op);
-            return true;
-        }
-        match key.repr() {
-            KeyRepr::Exact(w) => tx.update_with(self.root, |nv, m| m.remove(nv, w)),
-            KeyRepr::Hashed { hash, bytes } => tx.update_with(self.root, |nv, m| {
-                let Some(old) = m.get(nv, hash) else {
-                    return (m, false);
-                };
+        let repr = key.repr();
+        let staged = self.h.stage(tx, |read, cur| match repr {
+            KeyRepr::Exact(key) => Some(SpineOp::MapRemove { key }),
+            KeyRepr::Hashed { hash, bytes } => {
+                let old = raw_get(cur, read, hash)?;
                 if !frames(&old).any(|(k, _)| k == bytes) {
-                    return (m, false);
+                    return None;
                 }
-                let mut bucket = Vec::new();
-                for (k, v) in frames(&old) {
-                    if k != bytes {
-                        push_frame(&mut bucket, k, v);
-                    }
-                }
-                if bucket.is_empty() {
-                    (m.remove(nv, hash).0, true)
+                let rest = rebucket(Some(&old), &bytes, None);
+                // Draining the bucket removes the substrate entry.
+                Some(if rest.is_empty() {
+                    SpineOp::MapRemove { key: hash }
                 } else {
-                    (m.insert(nv, hash, &bucket), true)
-                }
-            }),
-        }
-    }
-
-    /// Looks up `key`. Read-only: no flushes, no fences, no `&mut`.
-    pub fn get(&self, heap: &ModHeap, key: &K) -> Option<V> {
-        lookup(self.cur(heap), &mut heap.nv().into(), &key.repr())
-    }
-
-    /// Looks up `key` as this FASE sees it (read-your-writes).
-    pub fn get_in(&self, tx: &Fase<'_>, key: &K) -> Option<V> {
-        lookup(self.cur_in(tx), &mut tx.nv().into(), &key.repr())
-    }
-
-    /// Acquires this map's staging lane without staging an update
-    /// (worker FASEs only; a no-op in single-owner FASEs). Read-modify-
-    /// write sequences need this *before* their [`DurableMap::get_in`]:
-    /// plain reads are lock-free, so without the lane hold a concurrent
-    /// same-root FASE could stage between the read and the dependent
-    /// `insert_in`, losing its update. Stages nothing — a FASE that only
-    /// touches commits nothing and costs no ordering point.
-    pub fn touch_in(&self, tx: &mut Fase<'_>) {
-        match self.policy {
-            PersistPolicy::Full => tx.update(self.root, |_, m| m),
-            PersistPolicy::Hybrid => {
-                tx.hybrid_current(self.root.index());
+                    SpineOp::MapInsert {
+                        key: hash,
+                        val: rest,
+                    }
+                })
             }
-        }
+        });
+        staged.is_some()
     }
 
-    /// Whether `key` is present. Read-only.
-    pub fn contains_key(&self, heap: &ModHeap, key: &K) -> bool {
+    /// Looks up `key` in `ctx` (see [`ReadCtx`] for what each context
+    /// reads and costs): exact keys read the value directly; hashed
+    /// keys scan the bucket's frames for the matching key bytes.
+    pub fn get<C: ReadCtx>(&self, mut ctx: C, key: &K) -> Option<V> {
+        let cur = self.h.cur(&ctx);
+        let read = &mut ctx.heap_read();
         match key.repr() {
-            KeyRepr::Exact(w) => self.cur(heap).peek_contains_key(heap.nv(), w),
-            KeyRepr::Hashed { .. } => self.get(heap, key).is_some(),
+            KeyRepr::Exact(w) => raw_get(cur, read, w).map(|b| V::from_value_bytes(&b)),
+            KeyRepr::Hashed { hash, bytes } => {
+                let bucket = raw_get(cur, read, hash)?;
+                let (_, v) = frames(&bucket).find(|(k, _)| *k == bytes)?;
+                Some(V::from_value_bytes(v))
+            }
         }
     }
 
-    /// Number of entries. Read-only. `O(1)` for exact keys; for hashed
-    /// keys this scans the buckets (`O(n)`) because a rare 64-bit hash
-    /// collision packs two entries into one substrate slot.
-    pub fn len(&self, heap: &ModHeap) -> u64 {
-        let cur = self.cur(heap);
-        if !K::EXACT {
-            cur.peek_to_vec(heap.nv())
-                .iter()
-                .map(|(_, bucket)| frames(bucket).count() as u64)
-                .sum()
-        } else {
-            cur.peek_len(heap.nv())
-        }
-    }
-
-    /// Whether the map is empty. Read-only, `O(1)`.
-    pub fn is_empty(&self, heap: &ModHeap) -> bool {
-        self.cur(heap).peek_is_empty(heap.nv())
-    }
-
-    /// Looks up `key` through the charged (instrumented) read path.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DurableMap::get`, which takes `&ModHeap`"
-    )]
-    pub fn get_mut(&self, heap: &mut ModHeap, key: &K) -> Option<V> {
-        let cur = self.cur(heap);
-        lookup(cur, &mut heap.nv_mut().into(), &key.repr())
-    }
-
-    /// Membership test through the charged (instrumented) read path.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DurableMap::contains_key`, which takes `&ModHeap`"
-    )]
-    #[allow(deprecated)]
-    pub fn contains_key_mut(&self, heap: &mut ModHeap, key: &K) -> bool {
+    /// Whether `key` is present.
+    pub fn contains_key<C: ReadCtx>(&self, mut ctx: C, key: &K) -> bool {
         match key.repr() {
-            KeyRepr::Exact(w) => self.cur(heap).contains_key(heap.nv_mut(), w),
-            KeyRepr::Hashed { .. } => self.get_mut(heap, key).is_some(),
-        }
-    }
-
-    /// Entry count through the charged (instrumented) read path.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DurableMap::len`, which takes `&ModHeap`"
-    )]
-    pub fn len_mut(&self, heap: &mut ModHeap) -> u64 {
-        let cur = self.cur(heap);
-        if !K::EXACT {
-            cur.to_vec(heap.nv_mut())
-                .iter()
-                .map(|(_, bucket)| frames(bucket).count() as u64)
-                .sum()
-        } else {
-            cur.len(heap.nv_mut())
-        }
-    }
-}
-
-impl<K: PmKey, V: PmValue> DurableRoot for DurableMap<K, V> {
-    fn create_with(heap: &mut ModHeap, policy: PersistPolicy) -> Self {
-        let root = match policy {
-            PersistPolicy::Full => {
-                let m0 = PmMap::empty(heap.nv_mut());
-                heap.publish_tagged(m0, Self::CODEC_WORD)
+            KeyRepr::Exact(w) => {
+                read!(self, ctx, contains_key | peek_contains_key(w))
             }
-            PersistPolicy::Hybrid => {
-                Root::new(create_hybrid(heap, RootKind::Map, Self::CODEC_WORD))
-            }
-        };
-        DurableMap {
-            root,
-            policy,
-            _kv: PhantomData,
+            KeyRepr::Hashed { .. } => self.get(ctx, key).is_some(),
         }
     }
 
-    fn open_with(heap: &ModHeap, index: usize, policy: PersistPolicy) -> Result<Self, OpenError> {
-        open_checked::<PmMap>(heap, index, Self::CODEC_WORD, policy).map(|root| DurableMap {
-            root,
-            policy,
-            _kv: PhantomData,
-        })
+    /// Number of entries. `O(1)` for exact keys; for hashed keys this
+    /// scans the buckets (`O(n)`) because a rare 64-bit hash collision
+    /// packs two entries into one substrate slot.
+    pub fn len<C: ReadCtx>(&self, mut ctx: C) -> u64 {
+        if K::EXACT {
+            return read!(self, ctx, len | peek_len());
+        }
+        read!(self, ctx, to_vec | peek_to_vec())
+            .iter()
+            .map(|(_, bucket)| frames(bucket).count() as u64)
+            .sum()
+    }
+
+    /// Whether the map is empty. `O(1)`.
+    pub fn is_empty<C: ReadCtx>(&self, mut ctx: C) -> bool {
+        read!(self, ctx, is_empty | peek_is_empty())
     }
 }
 
@@ -684,70 +722,18 @@ impl<K: PmKey, V: PmValue> DurableRoot for DurableMap<K, V> {
 // Set
 // ---------------------------------------------------------------------
 
-/// A durable set with logically in-place updates (Basic interface).
-///
-/// Implemented as a [`DurableMap`] with unit values, which makes hashed
-/// (byte) keys collision-correct; membership costs no value blobs.
-pub struct DurableSet<K: PmKey> {
-    map: DurableMap<K, ()>,
-}
-
-impl<K: PmKey> Clone for DurableSet<K> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<K: PmKey> Copy for DurableSet<K> {}
-
-impl<K: PmKey> std::fmt::Debug for DurableSet<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DurableSet({:?})", self.map.root())
-    }
+durable_wrapper! {
+    /// A durable set with logically in-place updates (Basic interface).
+    ///
+    /// A [`DurableMap`] with unit values under another name, which makes
+    /// hashed (byte) keys collision-correct; membership costs no value
+    /// blobs.
+    DurableSet<K: PmKey> over PmMap, codec = codec_word_kv(K::CODEC, <() as PmValue>::CODEC)
 }
 
 impl<K: PmKey> DurableSet<K> {
-    /// Creates an empty set and publishes it as a new typed root, with
-    /// the `K` codec discipline recorded in the directory entry.
-    pub fn create(heap: &mut ModHeap) -> Self {
-        Self::create_with(heap, PersistPolicy::Full)
-    }
-
-    /// Reattaches to the set published at directory `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(set) => set,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the set published at directory `index`, reporting
-    /// kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
-    }
-
-    /// Wraps an already-opened typed root (full persistence).
-    pub fn from_root(root: Root<PmMap>) -> Self {
-        DurableSet {
-            map: DurableMap::from_root(root),
-        }
-    }
-
-    /// The typed root this set is published under.
-    pub fn root(&self) -> Root<PmMap> {
-        self.map.root()
-    }
-
-    /// The persistence policy this handle operates under.
-    pub fn policy(&self) -> PersistPolicy {
-        self.map.policy()
+    fn map(&self) -> DurableMap<K, ()> {
+        DurableMap::on(self.h)
     }
 
     /// Failure-atomically inserts `key`; returns whether it was new. A
@@ -758,48 +744,36 @@ impl<K: PmKey> DurableSet<K> {
 
     /// Stages an insert on an in-progress FASE; returns whether new.
     pub fn insert_in(&self, tx: &mut Fase<'_>, key: &K) -> bool {
-        if self.map.get_in(tx, key).is_some() {
+        if self.contains(&*tx, key) {
             return false;
         }
-        self.map.insert_in(tx, key, &());
+        self.map().insert_in(tx, key, &());
         true
     }
 
-    /// Membership test. Read-only: no flushes, fences, or `&mut`.
-    pub fn contains(&self, heap: &ModHeap, key: &K) -> bool {
-        self.map.contains_key(heap, key)
+    /// Membership test.
+    pub fn contains<C: ReadCtx>(&self, ctx: C, key: &K) -> bool {
+        self.map().contains_key(ctx, key)
     }
 
     /// Failure-atomically removes `key`; returns whether it was present.
     pub fn remove(&self, heap: &mut ModHeap, key: &K) -> bool {
-        self.map.remove(heap, key)
+        self.map().remove(heap, key)
     }
 
     /// Stages a removal on an in-progress FASE.
     pub fn remove_in(&self, tx: &mut Fase<'_>, key: &K) -> bool {
-        self.map.remove_in(tx, key)
+        self.map().remove_in(tx, key)
     }
 
-    /// Number of elements. Read-only.
-    pub fn len(&self, heap: &ModHeap) -> u64 {
-        self.map.len(heap)
+    /// Number of elements (`O(n)` for hashed keys, like the map).
+    pub fn len<C: ReadCtx>(&self, ctx: C) -> u64 {
+        self.map().len(ctx)
     }
 
-    /// Whether the set is empty. Read-only.
-    pub fn is_empty(&self, heap: &ModHeap) -> bool {
-        self.map.is_empty(heap)
-    }
-}
-
-impl<K: PmKey> DurableRoot for DurableSet<K> {
-    fn create_with(heap: &mut ModHeap, policy: PersistPolicy) -> Self {
-        DurableSet {
-            map: DurableMap::create_with(heap, policy),
-        }
-    }
-
-    fn open_with(heap: &ModHeap, index: usize, policy: PersistPolicy) -> Result<Self, OpenError> {
-        DurableMap::open_with(heap, index, policy).map(|map| DurableSet { map })
+    /// Whether the set is empty.
+    pub fn is_empty<C: ReadCtx>(&self, ctx: C) -> bool {
+        self.map().is_empty(ctx)
     }
 }
 
@@ -807,104 +781,17 @@ impl<K: PmKey> DurableRoot for DurableSet<K> {
 // Vector
 // ---------------------------------------------------------------------
 
-/// A durable vector with logically in-place updates (Basic interface).
-pub struct DurableVector<V: PmWord> {
-    root: Root<PmVector>,
-    policy: PersistPolicy,
-    _v: PhantomData<fn() -> V>,
-}
-
-impl<V: PmWord> Clone for DurableVector<V> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<V: PmWord> Copy for DurableVector<V> {}
-
-impl<V: PmWord> std::fmt::Debug for DurableVector<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DurableVector({:?})", self.root)
-    }
+durable_wrapper! {
+    /// A durable vector with logically in-place updates (Basic interface).
+    DurableVector<V: PmWord> over PmVector, codec = codec_word_elem(V::CODEC)
 }
 
 impl<V: PmWord> DurableVector<V> {
-    /// The directory codec tag word for this vector's `V` parameter.
-    const CODEC_WORD: u64 = codec_word_elem(V::CODEC);
-
-    /// Creates an empty vector and publishes it as a new typed root,
-    /// with the `V` codec discipline recorded in the directory entry.
-    pub fn create(heap: &mut ModHeap) -> Self {
-        Self::create_with(heap, PersistPolicy::Full)
-    }
-
     /// Creates a vector pre-filled from `elems`, published as a new root.
     pub fn create_from(heap: &mut ModHeap, elems: &[V]) -> Self {
         let words: Vec<u64> = elems.iter().map(PmWord::to_word).collect();
         let v0 = PmVector::from_slice(heap.nv_mut(), &words);
-        let root = heap.publish_tagged(v0, Self::CODEC_WORD);
-        Self::from_root(root)
-    }
-
-    /// Reattaches to the vector published at directory `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the vector published at directory `index`,
-    /// reporting kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
-    }
-
-    /// Wraps an already-opened typed root (full persistence).
-    pub fn from_root(root: Root<PmVector>) -> Self {
-        DurableVector {
-            root,
-            policy: PersistPolicy::Full,
-            _v: PhantomData,
-        }
-    }
-
-    /// The typed root this vector is published under.
-    pub fn root(&self) -> Root<PmVector> {
-        self.root
-    }
-
-    /// The persistence policy this handle operates under.
-    pub fn policy(&self) -> PersistPolicy {
-        self.policy
-    }
-
-    fn cur(&self, heap: &ModHeap) -> PmVector {
-        match self.policy {
-            PersistPolicy::Full => heap.current(self.root),
-            PersistPolicy::Hybrid => {
-                let (kind, addr) = heap
-                    .hybrid_head(self.root.index())
-                    .expect("hybrid vector has no volatile head");
-                debug_assert_eq!(kind, RootKind::Vector);
-                PmVector::from_root(PmPtr::from_addr(addr))
-            }
-        }
-    }
-
-    fn cur_in(&self, tx: &Fase<'_>) -> PmVector {
-        match self.policy {
-            PersistPolicy::Full => tx.current(self.root),
-            PersistPolicy::Hybrid => {
-                PmVector::from_root(PmPtr::from_addr(tx.hybrid_vhead(self.root.index())))
-            }
-        }
+        Self::from_root(heap.publish_tagged(v0, codec_word_elem(V::CODEC)))
     }
 
     /// Failure-atomically appends `elem` (one FASE).
@@ -915,12 +802,7 @@ impl<V: PmWord> DurableVector<V> {
     /// Stages an append on an in-progress FASE.
     pub fn push_back_in(&self, tx: &mut Fase<'_>, elem: &V) {
         let w = elem.to_word();
-        match self.policy {
-            PersistPolicy::Full => tx.update(self.root, |nv, v| v.push_back(nv, w)),
-            PersistPolicy::Hybrid => {
-                tx.apply_hybrid(self.root.index(), RootKind::Vector, SpineOp::VecPush(w))
-            }
-        }
+        self.h.stage(tx, |_, _| Some(SpineOp::VecPush(w)));
     }
 
     /// Failure-atomically writes `elem` at `index` (one FASE).
@@ -934,36 +816,22 @@ impl<V: PmWord> DurableVector<V> {
 
     /// Stages a point write on an in-progress FASE.
     pub fn update_in(&self, tx: &mut Fase<'_>, index: u64, elem: &V) {
-        let w = elem.to_word();
-        match self.policy {
-            PersistPolicy::Full => tx.update(self.root, |nv, v| v.update(nv, index, w)),
-            PersistPolicy::Hybrid => tx.apply_hybrid(
-                self.root.index(),
-                RootKind::Vector,
-                SpineOp::VecSet { index, elem: w },
-            ),
-        }
+        let elem = elem.to_word();
+        self.h
+            .stage(tx, |_, _| Some(SpineOp::VecSet { index, elem }));
     }
 
-    /// Failure-atomically removes and returns the last element.
+    /// Failure-atomically removes and returns the last element (no-op
+    /// FASE when empty).
     pub fn pop_back(&self, heap: &mut ModHeap) -> Option<V> {
-        heap.fase(|tx| match self.policy {
-            PersistPolicy::Full => tx.update_with(self.root, |nv, v| match v.pop_back(nv) {
-                Some((nv2, e)) => (nv2, Some(V::from_word(e))),
-                None => (v, None),
-            }),
-            PersistPolicy::Hybrid => {
-                tx.hybrid_current(self.root.index());
-                let cur = self.cur_in(tx);
-                let len = cur.peek_len(tx.nv());
-                if len == 0 {
-                    return None;
-                }
-                let e = cur.peek_get(tx.nv(), len - 1);
-                tx.apply_hybrid(self.root.index(), RootKind::Vector, SpineOp::VecPop);
-                Some(V::from_word(e))
-            }
-        })
+        heap.fase(|tx| self.pop_back_in(tx))
+    }
+
+    /// Stages a pop on an in-progress FASE.
+    pub fn pop_back_in(&self, tx: &mut Fase<'_>) -> Option<V> {
+        self.h
+            .stage(tx, |_, _| Some(SpineOp::VecPop))
+            .map(V::from_word)
     }
 
     /// Failure-atomically swaps elements `i` and `j` — the vec-swap FASE
@@ -973,111 +841,44 @@ impl<V: PmWord> DurableVector<V> {
     ///
     /// Panics if either index is out of bounds.
     pub fn swap(&self, heap: &mut ModHeap, i: u64, j: u64) {
+        heap.fase(|tx| self.swap_in(tx, i, j));
+    }
+
+    /// Stages a swap on an in-progress FASE.
+    pub fn swap_in(&self, tx: &mut Fase<'_>, i: u64, j: u64) {
         if i == j {
             return;
         }
-        heap.fase(|tx| match self.policy {
-            PersistPolicy::Full => {
-                let cur = tx.current(self.root);
-                let vi = cur.peek_get(tx.nv(), i);
-                let vj = cur.peek_get(tx.nv(), j);
-                tx.update(self.root, |nv, v| v.update(nv, i, vj));
-                tx.update(self.root, |nv, v| v.update(nv, j, vi));
-            }
-            PersistPolicy::Hybrid => {
-                tx.hybrid_current(self.root.index());
-                let cur = self.cur_in(tx);
-                let vi = cur.peek_get(tx.nv(), i);
-                let vj = cur.peek_get(tx.nv(), j);
-                let idx = self.root.index();
-                tx.apply_hybrid(
-                    idx,
-                    RootKind::Vector,
-                    SpineOp::VecSet { index: i, elem: vj },
-                );
-                tx.apply_hybrid(
-                    idx,
-                    RootKind::Vector,
-                    SpineOp::VecSet { index: j, elem: vi },
-                );
-            }
-        });
+        // Read-modify-write: own the lane before reading.
+        self.touch_in(tx);
+        let (vi, vj) = (self.get(&*tx, i), self.get(&*tx, j));
+        self.update_in(tx, i, &vj);
+        self.update_in(tx, j, &vi);
     }
 
-    /// Element at `index`. Read-only: no flushes, fences, or `&mut`.
+    /// Element at `index`.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
-    pub fn get(&self, heap: &ModHeap, index: u64) -> V {
-        V::from_word(self.cur(heap).peek_get(heap.nv(), index))
+    pub fn get<C: ReadCtx>(&self, mut ctx: C, index: u64) -> V {
+        V::from_word(read!(self, ctx, get | peek_get(index)))
     }
 
-    /// Element at `index` as this FASE sees it (read-your-writes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn get_in(&self, tx: &Fase<'_>, index: u64) -> V {
-        V::from_word(self.cur_in(tx).peek_get(tx.nv(), index))
+    /// Number of elements.
+    pub fn len<C: ReadCtx>(&self, mut ctx: C) -> u64 {
+        read!(self, ctx, len | peek_len())
     }
 
-    /// Acquires this vector's staging lane without staging an update —
-    /// see [`DurableMap::touch_in`] for when read-modify-write sequences
-    /// need it.
-    pub fn touch_in(&self, tx: &mut Fase<'_>) {
-        match self.policy {
-            PersistPolicy::Full => tx.update(self.root, |_, v| v),
-            PersistPolicy::Hybrid => {
-                tx.hybrid_current(self.root.index());
-            }
-        }
+    /// Whether the vector is empty.
+    pub fn is_empty<C: ReadCtx>(&self, ctx: C) -> bool {
+        self.len(ctx) == 0
     }
 
-    /// Number of elements. Read-only.
-    pub fn len(&self, heap: &ModHeap) -> u64 {
-        self.cur(heap).peek_len(heap.nv())
-    }
-
-    /// Whether the vector is empty. Read-only.
-    pub fn is_empty(&self, heap: &ModHeap) -> bool {
-        self.len(heap) == 0
-    }
-
-    /// Collects all elements in order. Read-only.
-    pub fn to_vec(&self, heap: &ModHeap) -> Vec<V> {
-        self.cur(heap)
-            .peek_to_vec(heap.nv())
-            .into_iter()
-            .map(V::from_word)
-            .collect()
-    }
-}
-
-impl<V: PmWord> DurableRoot for DurableVector<V> {
-    fn create_with(heap: &mut ModHeap, policy: PersistPolicy) -> Self {
-        let root = match policy {
-            PersistPolicy::Full => {
-                let v0 = PmVector::empty(heap.nv_mut());
-                heap.publish_tagged(v0, Self::CODEC_WORD)
-            }
-            PersistPolicy::Hybrid => {
-                Root::new(create_hybrid(heap, RootKind::Vector, Self::CODEC_WORD))
-            }
-        };
-        DurableVector {
-            root,
-            policy,
-            _v: PhantomData,
-        }
-    }
-
-    fn open_with(heap: &ModHeap, index: usize, policy: PersistPolicy) -> Result<Self, OpenError> {
-        open_checked::<PmVector>(heap, index, Self::CODEC_WORD, policy).map(|root| DurableVector {
-            root,
-            policy,
-            _v: PhantomData,
-        })
+    /// Collects all elements in order.
+    pub fn to_vec<C: ReadCtx>(&self, mut ctx: C) -> Vec<V> {
+        let words = read!(self, ctx, to_vec | peek_to_vec());
+        words.into_iter().map(V::from_word).collect()
     }
 }
 
@@ -1085,98 +886,12 @@ impl<V: PmWord> DurableRoot for DurableVector<V> {
 // Stack
 // ---------------------------------------------------------------------
 
-/// A durable stack with logically in-place updates (Basic interface).
-pub struct DurableStack<V: PmWord> {
-    root: Root<PmStack>,
-    policy: PersistPolicy,
-    _v: PhantomData<fn() -> V>,
-}
-
-impl<V: PmWord> Clone for DurableStack<V> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<V: PmWord> Copy for DurableStack<V> {}
-
-impl<V: PmWord> std::fmt::Debug for DurableStack<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DurableStack({:?})", self.root)
-    }
+durable_wrapper! {
+    /// A durable stack with logically in-place updates (Basic interface).
+    DurableStack<V: PmWord> over PmStack, codec = codec_word_elem(V::CODEC)
 }
 
 impl<V: PmWord> DurableStack<V> {
-    /// The directory codec tag word for this stack's `V` parameter.
-    const CODEC_WORD: u64 = codec_word_elem(V::CODEC);
-
-    /// Creates an empty stack and publishes it as a new typed root, with
-    /// the `V` codec discipline recorded in the directory entry.
-    pub fn create(heap: &mut ModHeap) -> Self {
-        Self::create_with(heap, PersistPolicy::Full)
-    }
-
-    /// Reattaches to the stack published at directory `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the stack published at directory `index`, reporting
-    /// kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
-    }
-
-    /// Wraps an already-opened typed root (full persistence).
-    pub fn from_root(root: Root<PmStack>) -> Self {
-        DurableStack {
-            root,
-            policy: PersistPolicy::Full,
-            _v: PhantomData,
-        }
-    }
-
-    /// The typed root this stack is published under.
-    pub fn root(&self) -> Root<PmStack> {
-        self.root
-    }
-
-    /// The persistence policy this handle operates under.
-    pub fn policy(&self) -> PersistPolicy {
-        self.policy
-    }
-
-    fn cur(&self, heap: &ModHeap) -> PmStack {
-        match self.policy {
-            PersistPolicy::Full => heap.current(self.root),
-            PersistPolicy::Hybrid => {
-                let (kind, addr) = heap
-                    .hybrid_head(self.root.index())
-                    .expect("hybrid stack has no volatile head");
-                debug_assert_eq!(kind, RootKind::Stack);
-                PmStack::from_root(PmPtr::from_addr(addr))
-            }
-        }
-    }
-
-    fn cur_in(&self, tx: &Fase<'_>) -> PmStack {
-        match self.policy {
-            PersistPolicy::Full => tx.current(self.root),
-            PersistPolicy::Hybrid => {
-                PmStack::from_root(PmPtr::from_addr(tx.hybrid_vhead(self.root.index())))
-            }
-        }
-    }
-
     /// Failure-atomically pushes `elem` (one FASE).
     pub fn push(&self, heap: &mut ModHeap, elem: &V) {
         heap.fase(|tx| self.push_in(tx, elem));
@@ -1185,12 +900,7 @@ impl<V: PmWord> DurableStack<V> {
     /// Stages a push on an in-progress FASE.
     pub fn push_in(&self, tx: &mut Fase<'_>, elem: &V) {
         let w = elem.to_word();
-        match self.policy {
-            PersistPolicy::Full => tx.update(self.root, |nv, s| s.push(nv, w)),
-            PersistPolicy::Hybrid => {
-                tx.apply_hybrid(self.root.index(), RootKind::Stack, SpineOp::StackPush(w))
-            }
-        }
+        self.h.stage(tx, |_, _| Some(SpineOp::StackPush(w)));
     }
 
     /// Failure-atomically pops the top element (no-op FASE when empty).
@@ -1200,60 +910,24 @@ impl<V: PmWord> DurableStack<V> {
 
     /// Stages a pop on an in-progress FASE.
     pub fn pop_in(&self, tx: &mut Fase<'_>) -> Option<V> {
-        match self.policy {
-            PersistPolicy::Full => tx.update_with(self.root, |nv, s| match s.pop(nv) {
-                Some((ns, e)) => (ns, Some(V::from_word(e))),
-                None => (s, None),
-            }),
-            PersistPolicy::Hybrid => {
-                tx.hybrid_current(self.root.index());
-                let top = self.cur_in(tx).peek_top(tx.nv())?;
-                tx.apply_hybrid(self.root.index(), RootKind::Stack, SpineOp::StackPop);
-                Some(V::from_word(top))
-            }
-        }
+        self.h
+            .stage(tx, |_, _| Some(SpineOp::StackPop))
+            .map(V::from_word)
     }
 
-    /// Top element. Read-only: no flushes, fences, or `&mut`.
-    pub fn peek(&self, heap: &ModHeap) -> Option<V> {
-        self.cur(heap).peek_top(heap.nv()).map(V::from_word)
+    /// Top element.
+    pub fn peek<C: ReadCtx>(&self, mut ctx: C) -> Option<V> {
+        read!(self, ctx, peek | peek_top()).map(V::from_word)
     }
 
-    /// Number of elements. Read-only.
-    pub fn len(&self, heap: &ModHeap) -> u64 {
-        self.cur(heap).peek_len(heap.nv())
+    /// Number of elements.
+    pub fn len<C: ReadCtx>(&self, mut ctx: C) -> u64 {
+        read!(self, ctx, len | peek_len())
     }
 
-    /// Whether the stack is empty. Read-only.
-    pub fn is_empty(&self, heap: &ModHeap) -> bool {
-        self.len(heap) == 0
-    }
-}
-
-impl<V: PmWord> DurableRoot for DurableStack<V> {
-    fn create_with(heap: &mut ModHeap, policy: PersistPolicy) -> Self {
-        let root = match policy {
-            PersistPolicy::Full => {
-                let s0 = PmStack::empty(heap.nv_mut());
-                heap.publish_tagged(s0, Self::CODEC_WORD)
-            }
-            PersistPolicy::Hybrid => {
-                Root::new(create_hybrid(heap, RootKind::Stack, Self::CODEC_WORD))
-            }
-        };
-        DurableStack {
-            root,
-            policy,
-            _v: PhantomData,
-        }
-    }
-
-    fn open_with(heap: &ModHeap, index: usize, policy: PersistPolicy) -> Result<Self, OpenError> {
-        open_checked::<PmStack>(heap, index, Self::CODEC_WORD, policy).map(|root| DurableStack {
-            root,
-            policy,
-            _v: PhantomData,
-        })
+    /// Whether the stack is empty.
+    pub fn is_empty<C: ReadCtx>(&self, ctx: C) -> bool {
+        self.len(ctx) == 0
     }
 }
 
@@ -1261,99 +935,13 @@ impl<V: PmWord> DurableRoot for DurableStack<V> {
 // Queue
 // ---------------------------------------------------------------------
 
-/// A durable FIFO queue with logically in-place updates (Basic
-/// interface).
-pub struct DurableQueue<V: PmWord> {
-    root: Root<PmQueue>,
-    policy: PersistPolicy,
-    _v: PhantomData<fn() -> V>,
-}
-
-impl<V: PmWord> Clone for DurableQueue<V> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<V: PmWord> Copy for DurableQueue<V> {}
-
-impl<V: PmWord> std::fmt::Debug for DurableQueue<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DurableQueue({:?})", self.root)
-    }
+durable_wrapper! {
+    /// A durable FIFO queue with logically in-place updates (Basic
+    /// interface).
+    DurableQueue<V: PmWord> over PmQueue, codec = codec_word_elem(V::CODEC)
 }
 
 impl<V: PmWord> DurableQueue<V> {
-    /// The directory codec tag word for this queue's `V` parameter.
-    const CODEC_WORD: u64 = codec_word_elem(V::CODEC);
-
-    /// Creates an empty queue and publishes it as a new typed root, with
-    /// the `V` codec discipline recorded in the directory entry.
-    pub fn create(heap: &mut ModHeap) -> Self {
-        Self::create_with(heap, PersistPolicy::Full)
-    }
-
-    /// Reattaches to the queue published at directory `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(q) => q,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the queue published at directory `index`, reporting
-    /// kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
-    }
-
-    /// Wraps an already-opened typed root (full persistence).
-    pub fn from_root(root: Root<PmQueue>) -> Self {
-        DurableQueue {
-            root,
-            policy: PersistPolicy::Full,
-            _v: PhantomData,
-        }
-    }
-
-    /// The typed root this queue is published under.
-    pub fn root(&self) -> Root<PmQueue> {
-        self.root
-    }
-
-    /// The persistence policy this handle operates under.
-    pub fn policy(&self) -> PersistPolicy {
-        self.policy
-    }
-
-    fn cur(&self, heap: &ModHeap) -> PmQueue {
-        match self.policy {
-            PersistPolicy::Full => heap.current(self.root),
-            PersistPolicy::Hybrid => {
-                let (kind, addr) = heap
-                    .hybrid_head(self.root.index())
-                    .expect("hybrid queue has no volatile head");
-                debug_assert_eq!(kind, RootKind::Queue);
-                PmQueue::from_root(PmPtr::from_addr(addr))
-            }
-        }
-    }
-
-    fn cur_in(&self, tx: &Fase<'_>) -> PmQueue {
-        match self.policy {
-            PersistPolicy::Full => tx.current(self.root),
-            PersistPolicy::Hybrid => {
-                PmQueue::from_root(PmPtr::from_addr(tx.hybrid_vhead(self.root.index())))
-            }
-        }
-    }
-
     /// Failure-atomically enqueues `elem` (one FASE).
     pub fn enqueue(&self, heap: &mut ModHeap, elem: &V) {
         heap.fase(|tx| self.enqueue_in(tx, elem));
@@ -1362,12 +950,7 @@ impl<V: PmWord> DurableQueue<V> {
     /// Stages an enqueue on an in-progress FASE.
     pub fn enqueue_in(&self, tx: &mut Fase<'_>, elem: &V) {
         let w = elem.to_word();
-        match self.policy {
-            PersistPolicy::Full => tx.update(self.root, |nv, q| q.enqueue(nv, w)),
-            PersistPolicy::Hybrid => {
-                tx.apply_hybrid(self.root.index(), RootKind::Queue, SpineOp::QueueEnq(w))
-            }
-        }
+        self.h.stage(tx, |_, _| Some(SpineOp::QueueEnq(w)));
     }
 
     /// Failure-atomically dequeues the head (no-op FASE when empty).
@@ -1377,77 +960,24 @@ impl<V: PmWord> DurableQueue<V> {
 
     /// Stages a dequeue on an in-progress FASE.
     pub fn dequeue_in(&self, tx: &mut Fase<'_>) -> Option<V> {
-        match self.policy {
-            PersistPolicy::Full => tx.update_with(self.root, |nv, q| match q.dequeue(nv) {
-                Some((nq, e)) => (nq, Some(V::from_word(e))),
-                None => (q, None),
-            }),
-            PersistPolicy::Hybrid => {
-                tx.hybrid_current(self.root.index());
-                let front = self.cur_in(tx).peek_front(tx.nv())?;
-                tx.apply_hybrid(self.root.index(), RootKind::Queue, SpineOp::QueueDeq);
-                Some(V::from_word(front))
-            }
-        }
+        self.h
+            .stage(tx, |_, _| Some(SpineOp::QueueDeq))
+            .map(V::from_word)
     }
 
-    /// Acquires this queue's staging lane without staging an update
-    /// (see [`DurableMap::touch_in`]); a read that must stay consistent
-    /// with reads of *other* roots in the same FASE needs it first.
-    pub fn touch_in(&self, tx: &mut Fase<'_>) {
-        match self.policy {
-            PersistPolicy::Full => tx.update(self.root, |_, q| q),
-            PersistPolicy::Hybrid => {
-                tx.hybrid_current(self.root.index());
-            }
-        }
+    /// Head element.
+    pub fn peek<C: ReadCtx>(&self, mut ctx: C) -> Option<V> {
+        read!(self, ctx, peek | peek_front()).map(V::from_word)
     }
 
-    /// Head element as this FASE sees it (read-your-writes).
-    pub fn front_in(&self, tx: &Fase<'_>) -> Option<V> {
-        self.cur_in(tx).peek_front(tx.nv()).map(V::from_word)
+    /// Number of elements.
+    pub fn len<C: ReadCtx>(&self, mut ctx: C) -> u64 {
+        read!(self, ctx, len | peek_len())
     }
 
-    /// Head element. Read-only: no flushes, fences, or `&mut`.
-    pub fn peek(&self, heap: &ModHeap) -> Option<V> {
-        self.cur(heap).peek_front(heap.nv()).map(V::from_word)
-    }
-
-    /// Number of elements. Read-only.
-    pub fn len(&self, heap: &ModHeap) -> u64 {
-        self.cur(heap).peek_len(heap.nv())
-    }
-
-    /// Whether the queue is empty. Read-only.
-    pub fn is_empty(&self, heap: &ModHeap) -> bool {
-        self.len(heap) == 0
-    }
-}
-
-impl<V: PmWord> DurableRoot for DurableQueue<V> {
-    fn create_with(heap: &mut ModHeap, policy: PersistPolicy) -> Self {
-        let root = match policy {
-            PersistPolicy::Full => {
-                let q0 = PmQueue::empty(heap.nv_mut());
-                heap.publish_tagged(q0, Self::CODEC_WORD)
-            }
-            PersistPolicy::Hybrid => {
-                Root::new(create_hybrid(heap, RootKind::Queue, Self::CODEC_WORD))
-            }
-        };
-        DurableQueue {
-            root,
-            policy,
-            _v: PhantomData,
-        }
-    }
-
-    fn open_with(heap: &ModHeap, index: usize, policy: PersistPolicy) -> Result<Self, OpenError> {
-        open_checked::<PmQueue>(heap, index, Self::CODEC_WORD, policy).map(|root| DurableQueue {
-            root,
-            policy,
-            _v: PhantomData,
-        })
+    /// Whether the queue is empty.
+    pub fn is_empty<C: ReadCtx>(&self, ctx: C) -> bool {
+        self.len(ctx) == 0
     }
 }
 
@@ -1558,15 +1088,6 @@ mod tests {
             h2.root::<DurableMap<u64, Vec<u8>>>(9).open(),
             Err(OpenError::NoSuchRoot { index: 9, roots: 1 })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "was opened expecting")]
-    #[allow(deprecated)]
-    fn deprecated_open_still_delegates_and_panics_on_codec_mismatch() {
-        let mut h = mh();
-        let _map: DurableMap<u64, Vec<u8>> = DurableMap::create(&mut h);
-        let _ = DurableMap::<String, u64>::open(&h, 0);
     }
 
     #[test]

@@ -75,6 +75,9 @@ pub trait DurableDs: Copy {
     /// The runtime kind tag.
     const KIND: RootKind;
 
+    /// Allocates a fresh, empty version.
+    fn empty_version(nv: &mut NvHeap) -> Self;
+
     /// The version's root object pointer.
     fn root_ptr(&self) -> PmPtr;
 
@@ -100,6 +103,10 @@ macro_rules! impl_durable_ds {
     ($ty:ty, $kind:expr) => {
         impl DurableDs for $ty {
             const KIND: RootKind = $kind;
+
+            fn empty_version(nv: &mut NvHeap) -> Self {
+                <$ty>::empty(nv)
+            }
 
             fn root_ptr(&self) -> PmPtr {
                 self.root()

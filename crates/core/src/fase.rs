@@ -42,7 +42,7 @@ use crate::heap::ModHeap;
 use crate::parent;
 use crate::root::{current_of, Root, ROOT_DIR_SLOT};
 use crate::spine::{self, SpineOp, COMPACT_FACTOR, COMPACT_MIN_OPS};
-use mod_alloc::NvHeap;
+use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::{PmPtr, Pmem};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -232,8 +232,9 @@ impl<'h> Fase<'h> {
         )
     }
 
-    /// Ensures this FASE holds `index`'s staging lane (worker mode).
-    fn hold_lane(&mut self, index: usize) {
+    /// Ensures this FASE holds `index`'s staging lane (worker mode; a
+    /// no-op in a single-owner FASE).
+    pub(crate) fn hold_lane(&mut self, index: usize) {
         let Some(st) = self.staging.as_mut() else {
             return;
         };
@@ -382,15 +383,10 @@ impl Fase<'_> {
     }
 
     /// The volatile-index head of hybrid root `index` as this FASE sees
-    /// it, after serializing on the root's staging lane: a version
-    /// staged earlier in this FASE, a head staged by an earlier FASE of
-    /// the same pipeline, or the committed head from the root annex.
-    /// Returns 0 only for a root that was never hybrid (caller bug).
-    pub(crate) fn hybrid_current(&mut self, index: usize) -> u64 {
-        self.hold_lane(index);
-        self.hybrid_vhead(index)
-    }
-
+    /// it: a version staged earlier in this FASE, a head staged by an
+    /// earlier FASE of the same pipeline, or the committed head from the
+    /// root annex. Returns 0 only for a root that was never hybrid
+    /// (caller bug).
     pub(crate) fn hybrid_vhead(&self, index: usize) -> u64 {
         if let Some(p) = self.find(index) {
             if let Some(h) = &p.hybrid {
@@ -411,17 +407,26 @@ impl Fase<'_> {
         }
     }
 
-    /// Stages one effectful op on hybrid root `index`: applies it to the
-    /// volatile index (inside the volatile allocation scope — nothing
-    /// flushed, nothing charged) and stages a spine record carrying the
-    /// op, or a compaction snapshot when the chain has outgrown the live
-    /// structure. The caller has already decided the op is effectful
-    /// (no-ops must not reach the spine: replay would still be correct,
-    /// but the chain would grow for nothing).
-    pub(crate) fn apply_hybrid(&mut self, index: usize, logical: RootKind, op: SpineOp) {
+    /// Stages one op on hybrid root `index`. `lower` sees the volatile
+    /// head (peek reads — the index is DRAM state) and names the
+    /// substrate op, or `None` when the typed op is a no-op. The op is
+    /// applied to the volatile index through [`SpineOp::apply`] inside
+    /// the volatile allocation scope (nothing flushed, nothing charged)
+    /// and a spine record carrying it is staged — or a compaction
+    /// snapshot when the chain has outgrown the live structure. Returns
+    /// what `apply` returned: `Some(taken)` iff the op took effect. A
+    /// no-op stages nothing: replay would still be correct, but the
+    /// chain would grow for nothing.
+    pub(crate) fn apply_hybrid(
+        &mut self,
+        index: usize,
+        logical: RootKind,
+        lower: impl FnOnce(&mut HeapRead<'_>, PmPtr) -> Option<SpineOp>,
+    ) -> Option<u64> {
         self.hold_lane(index);
         let vcur = self.hybrid_vhead(index);
         assert!(vcur != 0, "hybrid op on root {index} with no volatile head");
+        let op = lower(&mut HeapRead::Peek(self.nv), PmPtr::from_addr(vcur))?;
         // The volatile scope must be closed even if the op panics (e.g.
         // an out-of-bounds `VecSet`): a stuck scope would silently mark
         // every later allocation volatile, and shared mode retries FASE
@@ -431,13 +436,10 @@ impl Fase<'_> {
             op.apply(self.nv, logical, vcur)
         }));
         self.nv.end_volatile();
-        let new_v = match applied {
-            Ok(v) => v,
+        let (new_v, taken) = match applied {
+            Ok(applied) => applied?,
             Err(payload) => std::panic::resume_unwind(payload),
         };
-        if new_v == vcur {
-            return; // defensive: the op turned out to be a no-op
-        }
         let head = match self.find(index) {
             Some(p) => p.new,
             None => self.baseline(index),
@@ -476,6 +478,7 @@ impl Fase<'_> {
                 hybrid: Some(HybridUpdate { logical, new_v }),
             }),
         }
+        Some(taken)
     }
 
     /// Read access to the underlying heap (peek reads, stats).

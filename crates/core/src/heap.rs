@@ -30,17 +30,6 @@ use mod_pmem::{PmPtr, Pmem, PmemConfig};
 use std::io;
 use std::path::Path;
 
-/// Byte offset of the unrelated-commit log's state word.
-pub(crate) const ULOG_STATE: u64 = 576;
-/// Byte offset of the log's entry count.
-pub(crate) const ULOG_COUNT: u64 = 584;
-/// Byte offset of the first `(slot, root)` entry.
-pub(crate) const ULOG_ENTRIES: u64 = 592;
-/// Maximum entries in one unrelated commit.
-pub const ULOG_CAP: usize = 24;
-/// Log state: committed, must redo on recovery.
-pub(crate) const ULOG_COMMITTED: u64 = 1;
-
 /// The MOD heap: allocator + commit protocols + deferred reclamation.
 #[derive(Debug)]
 pub struct ModHeap {

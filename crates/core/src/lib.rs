@@ -16,17 +16,19 @@
 //! * **Basic** ([`basic`]) — [`DurableMap<K, V>`], [`DurableSet<K>`],
 //!   [`DurableVector<V>`], [`DurableStack<V>`], [`DurableQueue<V>`]:
 //!   mutable-looking collections where each update is a self-contained
-//!   FASE and lookups are read-only (`&ModHeap`). Keys and values are
-//!   application types, bridged by the [`codec`] traits.
+//!   FASE and each read is one accessor over a [`ReadCtx`] (`&ModHeap`,
+//!   `&Fase`, `&SnapshotView` read for free; `&mut ModHeap` is the
+//!   charged path). Keys and values are application types, bridged by
+//!   the [`codec`] traits.
 //! * **Composition** ([`ModHeap::fase`]) — one closure stages pure
 //!   updates to any number of typed [`Root`]s; all of them publish
 //!   together with exactly one ordering point.
 //!
 //! Recovery ([`ModHeap::open`]) is self-describing: typed roots live in a
 //! persistent root directory that records each structure's [`RootKind`],
-//! so reopening a pool needs no caller-supplied slot specs. It redoes any
-//! interrupted legacy unrelated commit, garbage-collects mid-FASE leaks
-//! by reachability, and rebuilds the volatile reference counts (§5.2–5.3).
+//! so reopening a pool needs no caller-supplied slot specs. It
+//! garbage-collects mid-FASE leaks by reachability and rebuilds the
+//! volatile reference counts (§5.2–5.3).
 //!
 //! ## Example: one FASE over two structures
 //!
@@ -55,10 +57,9 @@
 //! );
 //! ```
 //!
-//! The pre-0.2 raw-slot entry points (`publish_root`, `commit_single`,
-//! `commit_siblings`, `commit_unrelated`, spec-based `recover`,
-//! `root_handle`) were removed in 0.3 after one deprecation release; the
-//! typed API above covers every use (see the README migration table).
+//! There is one way to do each thing: roots are created and reopened
+//! through [`ModHeap::root`]'s builder, updated through FASEs, and read
+//! through a [`ReadCtx`].
 
 #![warn(missing_docs)]
 
@@ -78,12 +79,12 @@ pub mod spine;
 
 pub use basic::{
     DurableMap, DurableQueue, DurableRoot, DurableSet, DurableStack, DurableVector, OpenError,
-    RootBuilder,
+    ReadCtx, RootBuilder,
 };
 pub use codec::{PmKey, PmValue, PmWord};
 pub use erased::{DurableDs, ErasedDs, RootKind};
 pub use fase::Fase;
-pub use heap::{ModHeap, ULOG_CAP};
+pub use heap::ModHeap;
 pub use queue::HandoffQueue;
 pub use root::{Root, ROOT_DIR_SLOT};
 pub use sched::{SeededRoundRobin, Turn};

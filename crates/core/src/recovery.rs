@@ -1,40 +1,28 @@
 //! Crash recovery (paper §5.2, §5.3).
 //!
-//! Opening a pool after a crash performs, in order:
-//!
-//! 1. **Unrelated-commit redo** — if the short redo-logged transaction of
-//!    Fig 8d (written by pre-0.3 binaries; the typed FASE path never
-//!    needs it) had reached its commit point (log state = committed), its
-//!    slot stores are re-applied idempotently and the log retired.
-//! 2. **Reachability GC** — every datastructure named in the typed root
-//!    directory is walked from its entry, marking live blocks and
-//!    counting references (rebuilding the volatile refcounts the paper
-//!    deliberately never flushes). Everything unmarked — including shadow
-//!    nodes leaked by a FASE the crash interrupted — becomes free space.
+//! Opening a pool after a crash performs **reachability GC**: every
+//! datastructure named in the typed root directory is walked from its
+//! entry, marking live blocks and counting references (rebuilding the
+//! volatile refcounts the paper deliberately never flushes). Everything
+//! unmarked — including shadow nodes leaked by a FASE the crash
+//! interrupted — becomes free space. Hybrid roots then replay their
+//! spines into fresh volatile indices.
 //!
 //! GC time is charged to the simulated clock: the paper includes recovery
 //! garbage collection in its measured results.
 //!
-//! The spec-based entry points (`recover` with `RootSpec` lists,
-//! `root_handle`, `parent_children`) were removed in 0.3: the root
-//! directory is self-describing, so [`ModHeap::open`] +
-//! [`ModHeap::open_root`] replace them with kind-checked equivalents.
-//! Consequently only directory-reachable structures survive GC:
-//! raw-slot structures from a pre-0.3 pool must be republished through
-//! the typed API (using a 0.2 binary) *before* upgrading, or recovery
-//! sweeps them as garbage. The Fig 8d log redo is kept so a pool that
-//! crashed mid-`commit_unrelated` at least replays its slot stores
-//! deterministically.
+//! The root directory is self-describing, so [`ModHeap::open`] +
+//! [`ModHeap::open_root`] need no caller-supplied root specs; only
+//! directory-reachable structures survive GC.
 
 use crate::erased::{ErasedDs, RootKind};
-use crate::heap::{ModHeap, ULOG_COMMITTED, ULOG_COUNT, ULOG_ENTRIES, ULOG_STATE};
+use crate::heap::ModHeap;
 use mod_alloc::{NvHeap, RecoveryReport};
 use mod_pmem::Pmem;
 
 impl ModHeap {
-    /// Opens a (possibly crashed) pool and recovers it: redoes any
-    /// committed legacy unrelated-commit log, walks every typed root
-    /// reachable from the root directory (whose entries carry their own
+    /// Opens a (possibly crashed) pool and recovers it: walks every typed
+    /// root reachable from the root directory (whose entries carry their own
     /// [`RootKind`] — no caller-supplied specs needed), rebuilds the
     /// volatile refcounts, and sweeps everything unreachable (including
     /// shadows leaked by an interrupted FASE) back into free space.
@@ -48,7 +36,6 @@ impl ModHeap {
     /// fail integrity checks.
     pub fn open(pm: Pmem) -> (ModHeap, RecoveryReport) {
         let mut nv = NvHeap::open(pm);
-        redo_unrelated_log(&mut nv);
         // The typed root directory is self-describing: marking its parent
         // object cascades to every typed root.
         let dir = nv.read_root(crate::root::ROOT_DIR_SLOT);
@@ -74,37 +61,14 @@ impl ModHeap {
     /// tail — a record the dying process never finished — is discarded,
     /// so the image lands on the last complete fence), and then the
     /// exact same typed recovery as [`ModHeap::open`] runs against that
-    /// disk image: legacy log redo, root-directory walk, refcount
-    /// rebuild, reachability sweep.
+    /// disk image: root-directory walk, refcount rebuild, reachability
+    /// sweep.
     pub fn open_file(
         path: &std::path::Path,
         cfg: mod_pmem::PmemConfig,
     ) -> std::io::Result<(ModHeap, RecoveryReport)> {
         Ok(ModHeap::open(Pmem::open_file(path, cfg)?))
     }
-}
-
-fn redo_unrelated_log(nv: &mut NvHeap) {
-    let pm = nv.pm_mut();
-    if pm.read_u64(ULOG_STATE) != ULOG_COMMITTED {
-        return;
-    }
-    // The commit point was reached: every (slot, root) entry is durable
-    // (they were fenced before the state flag). Re-apply them all.
-    let count = pm.read_u64(ULOG_COUNT);
-    pm.begin_commit();
-    for i in 0..count {
-        let base = ULOG_ENTRIES + 16 * i;
-        let slot = pm.read_u64(base) as usize;
-        let root = pm.read_u64(base + 8);
-        let addr = mod_alloc::layout::root_slot_offset(slot);
-        pm.write_u64(addr, root);
-        pm.clwb(addr);
-    }
-    pm.write_u64(ULOG_STATE, 0);
-    pm.clwb(ULOG_STATE);
-    pm.sfence();
-    pm.end_commit();
 }
 
 #[cfg(test)]
@@ -191,75 +155,6 @@ mod tests {
             }
             assert_eq!(cur.peek_get(h2.nv(), 99), None);
         }
-    }
-
-    #[test]
-    fn unrelated_log_redo_applies_after_commit_point() {
-        // A pool written by a pre-0.3 binary that crashed between the
-        // Fig 8d commit point and its slot stores: the log must be
-        // redone. The log is written here exactly as the removed
-        // commit_unrelated did.
-        let mut h = mh();
-        let a1 = PmMap::empty(h.nv_mut()).insert(h.nv_mut(), 1, b"x");
-        let b1 = PmStack::empty(h.nv_mut()).push(h.nv_mut(), 7);
-        // Raw-slot roots (slots 0 and 1 are outside the typed directory).
-        use crate::erased::DurableDs;
-        {
-            let pm = h.nv_mut().pm_mut();
-            pm.begin_commit();
-            pm.write_u64(ULOG_COUNT, 2);
-            pm.write_u64(ULOG_ENTRIES, 0);
-            pm.write_u64(ULOG_ENTRIES + 8, a1.root_ptr().addr());
-            pm.write_u64(ULOG_ENTRIES + 16, 1);
-            pm.write_u64(ULOG_ENTRIES + 24, b1.root_ptr().addr());
-            pm.flush_range(ULOG_COUNT, 8 + 32);
-            pm.sfence();
-            pm.write_u64(ULOG_STATE, ULOG_COMMITTED);
-            pm.clwb(ULOG_STATE);
-            pm.sfence();
-            pm.end_commit();
-        }
-        let pm = crash(h, CrashPolicy::OnlyFenced);
-        // Redo happens inside open(); the typed directory is empty, so
-        // GC would sweep the raw-slot structures — inspect the redo
-        // before GC by reading the slots straight off the redone pool.
-        let mut nv = NvHeap::open(pm);
-        super::redo_unrelated_log(&mut nv);
-        assert_eq!(
-            nv.read_root(0).addr(),
-            a1.root_ptr().addr(),
-            "redo applied to slot 0"
-        );
-        assert_eq!(
-            nv.read_root(1).addr(),
-            b1.root_ptr().addr(),
-            "redo applied to slot 1"
-        );
-        assert_eq!(nv.pm_mut().read_u64(ULOG_STATE), 0, "log retired");
-    }
-
-    #[test]
-    fn unrelated_log_ignored_before_commit_point() {
-        let mut h = mh();
-        let a1 = PmMap::empty(h.nv_mut()).insert(h.nv_mut(), 5, b"new");
-        use crate::erased::DurableDs;
-        // Log written and fenced, but state flag never set.
-        {
-            let pm = h.nv_mut().pm_mut();
-            pm.begin_commit();
-            pm.write_u64(ULOG_COUNT, 1);
-            pm.write_u64(ULOG_ENTRIES, 0);
-            pm.write_u64(ULOG_ENTRIES + 8, a1.root_ptr().addr());
-            pm.flush_range(ULOG_COUNT, 24);
-            pm.sfence();
-            pm.end_commit();
-        }
-        let pm = crash(h, CrashPolicy::OnlyFenced);
-        let (h2, _) = ModHeap::open(pm);
-        assert!(
-            h2.nv().peek_root(0).is_null(),
-            "uncommitted legacy tx discarded"
-        );
     }
 
     #[test]

@@ -1582,7 +1582,7 @@ mod tests {
         for _round in 0..3 {
             for w in 0..4 {
                 sh.fase(w, |tx| {
-                    let cur = map.get_in(tx, &0).unwrap();
+                    let cur = map.get(&*tx, &0).unwrap();
                     map.insert_in(tx, &0, &(cur + 1));
                 });
             }
@@ -1912,9 +1912,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
                     sh.fase(w, |tx| {
-                        let x = first.get_in(tx, &0).unwrap();
+                        let x = first.get(&*tx, &0).unwrap();
                         first.insert_in(tx, &0, &(x + 1));
-                        let y = second.get_in(tx, &0).unwrap();
+                        let y = second.get(&*tx, &0).unwrap();
                         second.insert_in(tx, &0, &(y + 1));
                     });
                 }

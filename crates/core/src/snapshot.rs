@@ -28,22 +28,20 @@
 //! reads are stable — writers advancing the heap never change what a
 //! held view returns.
 //!
-//! ## When to prefer `snapshot()` over the `peek_*` read paths
+//! ## When to prefer `snapshot()` over reading the heap
 //!
-//! The plain read-only accessors (`DurableMap::get` & co.) take the
-//! global commit lock via [`crate::SharedModHeap::with`] and see the
-//! latest committed state. Use a snapshot instead when reads are hot
+//! Reading through `&ModHeap` takes the global commit lock via
+//! [`crate::SharedModHeap::with`] and sees the latest committed state. Use a snapshot instead when reads are hot
 //! (the view costs two atomic stores to pin + one load, then traversals
 //! are pure memory reads that scale linearly with reader threads), or
 //! when a multi-step read sequence must observe one consistent cut
 //! across several roots. The trade is staleness: a view is a consistent
 //! *past* — it does not see batches published after it was taken.
 
-use crate::basic::{lookup, DurableMap, DurableQueue, DurableSet, DurableStack, DurableVector};
-use crate::codec::{frames, KeyRepr, PmKey, PmValue, PmWord};
+use crate::basic::DurableVector;
+use crate::codec::PmWord;
 use crate::erased::{DurableDs, ErasedDs};
-use mod_alloc::{EpochRegistry, HeapRead, NvHeap};
-use mod_funcds::{PmMap, PmQueue, PmStack, PmVector};
+use mod_alloc::{EpochRegistry, NvHeap};
 
 /// One published batch's immutable root-directory image.
 ///
@@ -78,16 +76,17 @@ impl DirSnapshot {
 /// limbo. The `Drop` impl unpins unconditionally (a reader that panics
 /// mid-traversal releases its pin during unwind).
 ///
-/// Accessors mirror the read-only methods of the typed wrappers
-/// ([`DurableMap::get`] → [`SnapshotView::map_get`], …) and decode
-/// through the same codec paths, so values round-trip identically.
+/// A `&SnapshotView` is a [`crate::ReadCtx`]: pass it to the typed
+/// wrappers' own read accessors (`map.get(&view, &key)`,
+/// `queue.len(&view)`, …), which decode through the same paths as every
+/// other read context, so values round-trip identically.
 ///
 /// # Panics
 ///
-/// Accessors panic if the wrapper's root index is not in the snapshot
-/// (the root was published after the view was taken) or records a
-/// different datastructure kind — both are usage bugs, matching the
-/// panics of [`crate::ModHeap::open_root`].
+/// Reads through a view panic if the wrapper's root index is not in the
+/// snapshot (the root was published after the view was taken) or
+/// records a different datastructure kind — both are usage bugs,
+/// matching the panics of [`crate::ModHeap::open_root`].
 #[derive(Debug)]
 pub struct SnapshotView<'h> {
     snap: &'h DirSnapshot,
@@ -121,8 +120,10 @@ impl<'h> SnapshotView<'h> {
         self.snap.roots.len()
     }
 
-    /// Resolves directory index `index` to a typed version handle.
-    fn resolve<D: DurableDs>(&self, index: usize) -> D {
+    /// Resolves directory index `index` to a typed version handle. The
+    /// snapshot stores a hybrid root's committed volatile head under its
+    /// logical kind, so this serves both persistence policies.
+    pub(crate) fn resolve<D: DurableDs>(&self, index: usize) -> D {
         let entry = self.snap.roots.get(index).unwrap_or_else(|| {
             panic!(
                 "root {index} not in snapshot (epoch {}, {} roots — published later?)",
@@ -140,140 +141,18 @@ impl<'h> SnapshotView<'h> {
         D::from_root_ptr(entry.root)
     }
 
-    /// The peek-only read path over this view's heap image.
-    fn read(&self) -> HeapRead<'_> {
-        HeapRead::Peek(self.nv)
+    /// The heap image this view traverses (peek reads only).
+    pub(crate) fn nv(&self) -> &NvHeap {
+        self.nv
     }
 
-    // -- map ----------------------------------------------------------
-
-    /// [`DurableMap::get`] against this view.
-    pub fn map_get<K: PmKey, V: PmValue>(&self, map: &DurableMap<K, V>, key: &K) -> Option<V> {
-        lookup(
-            self.resolve(map.root().index()),
-            &mut self.read(),
-            &key.repr(),
-        )
-    }
-
-    /// [`DurableMap::contains_key`] against this view.
-    pub fn map_contains_key<K: PmKey, V: PmValue>(&self, map: &DurableMap<K, V>, key: &K) -> bool {
-        let cur: PmMap = self.resolve(map.root().index());
-        match key.repr() {
-            KeyRepr::Exact(w) => cur.peek_contains_key(self.nv, w),
-            KeyRepr::Hashed { .. } => self.map_get(map, key).is_some(),
-        }
-    }
-
-    /// [`DurableMap::len`] against this view (`O(n)` for hashed keys,
-    /// like the wrapper).
-    pub fn map_len<K: PmKey, V: PmValue>(&self, map: &DurableMap<K, V>) -> u64 {
-        self.raw_map_len::<K>(map.root().index())
-    }
-
-    /// [`DurableMap::is_empty`] against this view.
-    pub fn map_is_empty<K: PmKey, V: PmValue>(&self, map: &DurableMap<K, V>) -> bool {
-        let cur: PmMap = self.resolve(map.root().index());
-        cur.peek_is_empty(self.nv)
-    }
-
-    fn raw_map_len<K: PmKey>(&self, index: usize) -> u64 {
-        let cur: PmMap = self.resolve(index);
-        if !K::EXACT {
-            cur.peek_to_vec(self.nv)
-                .iter()
-                .map(|(_, bucket)| frames(bucket).count() as u64)
-                .sum()
-        } else {
-            cur.peek_len(self.nv)
-        }
-    }
-
-    // -- set ----------------------------------------------------------
-
-    /// [`DurableSet::contains`] against this view.
-    pub fn set_contains<K: PmKey>(&self, set: &DurableSet<K>, key: &K) -> bool {
-        let cur: PmMap = self.resolve(set.root().index());
-        match key.repr() {
-            KeyRepr::Exact(w) => cur.peek_contains_key(self.nv, w),
-            KeyRepr::Hashed { .. } => lookup::<()>(cur, &mut self.read(), &key.repr()).is_some(),
-        }
-    }
-
-    /// [`DurableSet::len`] against this view.
-    pub fn set_len<K: PmKey>(&self, set: &DurableSet<K>) -> u64 {
-        self.raw_map_len::<K>(set.root().index())
-    }
-
-    /// [`DurableSet::is_empty`] against this view.
-    pub fn set_is_empty<K: PmKey>(&self, set: &DurableSet<K>) -> bool {
-        let cur: PmMap = self.resolve(set.root().index());
-        cur.peek_is_empty(self.nv)
-    }
-
-    // -- vector -------------------------------------------------------
-
-    /// [`DurableVector::get`] against this view.
+    /// `vec.get(&view, index)` spelled as a method of the view.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds in the snapshotted version.
     pub fn vector_get<V: PmWord>(&self, vec: &DurableVector<V>, index: u64) -> V {
-        let cur: PmVector = self.resolve(vec.root().index());
-        V::from_word(cur.peek_get(self.nv, index))
-    }
-
-    /// [`DurableVector::len`] against this view.
-    pub fn vector_len<V: PmWord>(&self, vec: &DurableVector<V>) -> u64 {
-        let cur: PmVector = self.resolve(vec.root().index());
-        cur.peek_len(self.nv)
-    }
-
-    /// [`DurableVector::is_empty`] against this view.
-    pub fn vector_is_empty<V: PmWord>(&self, vec: &DurableVector<V>) -> bool {
-        self.vector_len(vec) == 0
-    }
-
-    /// [`DurableVector::to_vec`] against this view.
-    pub fn vector_to_vec<V: PmWord>(&self, vec: &DurableVector<V>) -> Vec<V> {
-        let cur: PmVector = self.resolve(vec.root().index());
-        cur.peek_to_vec(self.nv)
-            .into_iter()
-            .map(V::from_word)
-            .collect()
-    }
-
-    // -- stack --------------------------------------------------------
-
-    /// [`DurableStack::peek`] against this view.
-    pub fn stack_top<V: PmWord>(&self, stack: &DurableStack<V>) -> Option<V> {
-        let cur: PmStack = self.resolve(stack.root().index());
-        cur.peek_top(self.nv).map(V::from_word)
-    }
-
-    /// [`DurableStack::len`] against this view.
-    pub fn stack_len<V: PmWord>(&self, stack: &DurableStack<V>) -> u64 {
-        let cur: PmStack = self.resolve(stack.root().index());
-        cur.peek_len(self.nv)
-    }
-
-    // -- queue --------------------------------------------------------
-
-    /// [`DurableQueue::peek`] against this view.
-    pub fn queue_front<V: PmWord>(&self, queue: &DurableQueue<V>) -> Option<V> {
-        let cur: PmQueue = self.resolve(queue.root().index());
-        cur.peek_front(self.nv).map(V::from_word)
-    }
-
-    /// [`DurableQueue::len`] against this view.
-    pub fn queue_len<V: PmWord>(&self, queue: &DurableQueue<V>) -> u64 {
-        let cur: PmQueue = self.resolve(queue.root().index());
-        cur.peek_len(self.nv)
-    }
-
-    /// Whether the snapshotted queue is empty.
-    pub fn queue_is_empty<V: PmWord>(&self, queue: &DurableQueue<V>) -> bool {
-        self.queue_len(queue) == 0
+        vec.get(self, index)
     }
 }
 
@@ -319,21 +198,21 @@ mod tests {
         sh.flush();
         let v = sh.snapshot();
         assert_eq!(v.root_count(), 5);
-        assert_eq!(v.map_get(&map, &"k".to_string()), Some(7));
-        assert!(v.map_contains_key(&map, &"k".to_string()));
-        assert_eq!(v.map_len(&map), 1);
-        assert!(!v.map_is_empty(&map));
-        assert!(v.set_contains(&set, &3));
-        assert!(!v.set_contains(&set, &4));
-        assert_eq!(v.set_len(&set), 1);
+        assert_eq!(map.get(&v, &"k".to_string()), Some(7));
+        assert!(map.contains_key(&v, &"k".to_string()));
+        assert_eq!(map.len(&v), 1);
+        assert!(!map.is_empty(&v));
+        assert!(set.contains(&v, &3));
+        assert!(!set.contains(&v, &4));
+        assert_eq!(set.len(&v), 1);
         assert_eq!(v.vector_get(&vec, 0), 11);
-        assert_eq!(v.vector_len(&vec), 1);
-        assert_eq!(v.vector_to_vec(&vec), vec![11]);
-        assert_eq!(v.stack_top(&stack), Some(13));
-        assert_eq!(v.stack_len(&stack), 1);
-        assert_eq!(v.queue_front(&queue), Some(17));
-        assert_eq!(v.queue_len(&queue), 1);
-        assert!(!v.queue_is_empty(&queue));
+        assert_eq!(vec.len(&v), 1);
+        assert_eq!(vec.to_vec(&v), vec![11]);
+        assert_eq!(stack.peek(&v), Some(13));
+        assert_eq!(stack.len(&v), 1);
+        assert_eq!(queue.peek(&v), Some(17));
+        assert_eq!(queue.len(&v), 1);
+        assert!(!queue.is_empty(&v));
     }
 
     #[test]
@@ -343,19 +222,19 @@ mod tests {
         sh.fase(0, |tx| map.insert_in(tx, &1, &100));
         let v = sh.snapshot();
         let pinned_epoch = v.epoch();
-        assert_eq!(v.map_get(&map, &1), Some(100));
+        assert_eq!(map.get(&v, &1), Some(100));
         // Writers race ahead; the held view must not move.
         for i in 0..10u64 {
             sh.fase(0, |tx| map.insert_in(tx, &1, &(200 + i)));
         }
         sh.flush();
-        assert_eq!(v.map_get(&map, &1), Some(100), "held view moved");
+        assert_eq!(map.get(&v, &1), Some(100), "held view moved");
         assert!(
             sh.snapshot_epoch() > pinned_epoch,
             "published epoch should have advanced past the held view"
         );
         let fresh = sh.snapshot();
-        assert_eq!(fresh.map_get(&map, &1), Some(209));
+        assert_eq!(map.get(&fresh, &1), Some(209));
         assert!(fresh.epoch() > v.epoch(), "old view lags the fresh one");
     }
 
@@ -385,10 +264,10 @@ mod tests {
                     for _ in 0..reads {
                         let v = sh.snapshot();
                         for i in 0..8u64 {
-                            assert_eq!(v.map_get(&map, &i), Some(i * i));
+                            assert_eq!(map.get(&v, &i), Some(i * i));
                         }
-                        assert_eq!(v.queue_front(&queue), Some(0));
-                        assert_eq!(v.queue_len(&queue), 8);
+                        assert_eq!(queue.peek(&v), Some(0));
+                        assert_eq!(queue.len(&v), 8);
                     }
                 });
             }
@@ -449,8 +328,8 @@ mod tests {
                             break;
                         }
                         let v = sh_r.snapshot();
-                        let m = v.map_len(&map);
-                        let q = v.queue_len(&queue);
+                        let m = map.len(&v);
+                        let q = queue.len(&v);
                         assert_eq!(
                             m,
                             q,
@@ -458,8 +337,8 @@ mod tests {
                             v.epoch()
                         );
                         // Every enqueued element must also be in the map.
-                        if let Some(front) = v.queue_front(&queue) {
-                            assert_eq!(v.map_get(&map, &front), Some(front));
+                        if let Some(front) = queue.peek(&v) {
+                            assert_eq!(map.get(&v, &front), Some(front));
                         }
                     }
                     sched_r.finish(3);
@@ -484,7 +363,7 @@ mod tests {
             queue.enqueue_in(tx, &100);
         });
         let v = sh.snapshot();
-        assert_eq!(v.map_get(&map, &1), Some(100));
+        assert_eq!(map.get(&v, &1), Some(100));
         // Churn: overwrite the key and roll the queue over and over, so
         // a buggy reclaimer would free and *reuse* the view's blocks.
         for i in 0..churn {
@@ -495,9 +374,9 @@ mod tests {
             });
         }
         sh.quiesce();
-        assert_eq!(v.map_get(&map, &1), Some(100), "pinned chain was recycled");
-        assert_eq!(v.queue_front(&queue), Some(100));
-        assert_eq!(v.queue_len(&queue), 1);
+        assert_eq!(map.get(&v, &1), Some(100), "pinned chain was recycled");
+        assert_eq!(queue.peek(&v), Some(100));
+        assert_eq!(queue.len(&v), 1);
         let frees_pinned = sh.with(|h| h.nv().stats().frees);
         drop(v);
         assert_eq!(sh.live_reader_pins(), 0);
@@ -525,8 +404,8 @@ mod tests {
             });
         }
         let v = sh.snapshot();
-        assert_eq!(v.stack_top(&stack), Some(3));
-        assert_eq!(v.queue_front(&queue), Some(0));
+        assert_eq!(stack.peek(&v), Some(3));
+        assert_eq!(queue.peek(&v), Some(0));
         for r in 0..rounds {
             // Grow then shrink past the pinned image's top, and roll the
             // queue one full slot — every round rebuilds the spines the
@@ -544,10 +423,10 @@ mod tests {
             });
         }
         sh.quiesce();
-        assert_eq!(v.stack_top(&stack), Some(3), "pinned stack image moved");
-        assert_eq!(v.stack_len(&stack), 4);
-        assert_eq!(v.queue_front(&queue), Some(0), "pinned queue image moved");
-        assert_eq!(v.queue_len(&queue), 4);
+        assert_eq!(stack.peek(&v), Some(3), "pinned stack image moved");
+        assert_eq!(stack.len(&v), 4);
+        assert_eq!(queue.peek(&v), Some(0), "pinned queue image moved");
+        assert_eq!(queue.len(&v), 4);
         drop(v);
         sh.quiesce();
     }
@@ -568,11 +447,10 @@ mod tests {
             let observed = Arc::clone(&observed);
             sh.set_mid_commit_hook(move || {
                 let v = hook_sh.snapshot();
-                observed.lock().unwrap().push((
-                    v.epoch(),
-                    v.map_get(&map, &1),
-                    v.map_get(&map, &2),
-                ));
+                observed
+                    .lock()
+                    .unwrap()
+                    .push((v.epoch(), map.get(&v, &1), map.get(&v, &2)));
             });
         }
         sh.fase(0, |tx| map.insert_in(tx, &2, &20));
@@ -586,7 +464,7 @@ mod tests {
             Some((epoch_before, Some(10), None)),
             "mid-swing view must be the previous epoch's image"
         );
-        assert_eq!(sh.snapshot().map_get(&map, &2), Some(20));
+        assert_eq!(map.get(&sh.snapshot(), &2), Some(20));
     }
 
     /// Regression: a reader that panics while holding a view must unpin
@@ -598,7 +476,7 @@ mod tests {
         sh.fase(0, |tx| map.insert_in(tx, &1, &1));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let v = sh.snapshot();
-            assert_eq!(v.map_get(&map, &1), Some(1));
+            assert_eq!(map.get(&v, &1), Some(1));
             panic!("reader died mid-traversal");
         }));
         assert!(err.is_err());
@@ -608,7 +486,7 @@ mod tests {
             sh.fase(0, |tx| map.insert_in(tx, &1, &i));
         }
         sh.quiesce();
-        assert_eq!(sh.snapshot().map_get(&map, &1), Some(3));
+        assert_eq!(map.get(&sh.snapshot(), &1), Some(3));
     }
 
     /// `setup()` republishes: views taken after it see freshly published
@@ -621,6 +499,6 @@ mod tests {
         assert!(sh.snapshot_epoch() > e0, "setup must bump the epoch");
         let v = sh.snapshot();
         assert_eq!(v.root_count(), 1);
-        assert!(v.map_is_empty(&map));
+        assert!(map.is_empty(&v));
     }
 }

@@ -14,9 +14,9 @@
 //! Commit cost per update: one record block (flushed, journaled), one
 //! directory-entry swing — the interior path copies that dominate full
 //! persistence are gone. Recovery replays the chain oldest-to-newest
-//! through `SpineOp::apply` — the *same* function staging uses — to
-//! rebuild the volatile index, so replay and live execution cannot
-//! drift.
+//! through `SpineOp::apply` — the *same* function staging uses, under
+//! either policy — to rebuild the volatile index, so replay and live
+//! execution cannot drift.
 //!
 //! The chain is bounded by compaction: once a root has accumulated
 //! `COMPACT_MIN_OPS` records and the chain is `COMPACT_FACTOR`×
@@ -229,56 +229,61 @@ impl SpineOp {
         }
     }
 
-    /// Applies the op to the volatile version rooted at `cur`, returning
-    /// the new version's root address. The caller must have entered the
-    /// volatile allocation scope; `cur` is ignored (and may be 0) for
-    /// `SpineOp::Snapshot`, which rebuilds from its own payload.
-    pub(crate) fn apply(&self, nv: &mut NvHeap, kind: RootKind, cur: u64) -> u64 {
-        debug_assert!(nv.in_volatile(), "spine replay outside volatile scope");
+    /// Applies the op to the version rooted at `cur`:
+    /// `Some((new_root, taken))` if it took effect — `taken` is the
+    /// element a pop or dequeue removed, 0 for every other op — or `None`
+    /// for a no-op (absent key, empty structure), which allocates
+    /// nothing and leaves `cur` the current version.
+    ///
+    /// This is the one definition of what an op does to a structure.
+    /// Full staging runs it on the durable heap inside
+    /// [`crate::Fase::update_with`]; hybrid staging and recovery replay
+    /// run it on the volatile index, inside the volatile allocation
+    /// scope — so the three cannot drift. `cur` is ignored (and may be
+    /// 0) for `SpineOp::Snapshot`, which rebuilds from its own payload.
+    pub(crate) fn apply(&self, nv: &mut NvHeap, kind: RootKind, cur: u64) -> Option<(u64, u64)> {
         if let SpineOp::Snapshot(state) = self {
-            return build_snapshot(nv, kind, state);
+            return Some((build_snapshot(nv, kind, state), 0));
         }
         let cur = PmPtr::from_addr(cur);
-        match (kind, self) {
+        let (new, taken) = match (kind, self) {
             (RootKind::Map, SpineOp::MapInsert { key, val }) => {
-                PmMap::from_root(cur).insert(nv, *key, val).root().addr()
+                (PmMap::from_root(cur).insert(nv, *key, val).root(), 0)
             }
             (RootKind::Map, SpineOp::MapRemove { key }) => {
-                PmMap::from_root(cur).remove(nv, *key).0.root().addr()
+                let (m, removed) = PmMap::from_root(cur).remove(nv, *key);
+                if !removed {
+                    return None;
+                }
+                (m.root(), 0)
             }
             (RootKind::Vector, SpineOp::VecPush(e)) => {
-                PmVector::from_root(cur).push_back(nv, *e).root().addr()
+                (PmVector::from_root(cur).push_back(nv, *e).root(), 0)
             }
-            (RootKind::Vector, SpineOp::VecSet { index, elem }) => PmVector::from_root(cur)
-                .update(nv, *index, *elem)
-                .root()
-                .addr(),
-            (RootKind::Vector, SpineOp::VecPop) => PmVector::from_root(cur)
-                .pop_back(nv)
-                .expect("VecPop record on empty vector")
-                .0
-                .root()
-                .addr(),
+            (RootKind::Vector, SpineOp::VecSet { index, elem }) => {
+                (PmVector::from_root(cur).update(nv, *index, *elem).root(), 0)
+            }
+            (RootKind::Vector, SpineOp::VecPop) => {
+                let (v, e) = PmVector::from_root(cur).pop_back(nv)?;
+                (v.root(), e)
+            }
             (RootKind::Stack, SpineOp::StackPush(e)) => {
-                PmStack::from_root(cur).push(nv, *e).root().addr()
+                (PmStack::from_root(cur).push(nv, *e).root(), 0)
             }
-            (RootKind::Stack, SpineOp::StackPop) => PmStack::from_root(cur)
-                .pop(nv)
-                .expect("StackPop record on empty stack")
-                .0
-                .root()
-                .addr(),
+            (RootKind::Stack, SpineOp::StackPop) => {
+                let (s, e) = PmStack::from_root(cur).pop(nv)?;
+                (s.root(), e)
+            }
             (RootKind::Queue, SpineOp::QueueEnq(e)) => {
-                PmQueue::from_root(cur).enqueue(nv, *e).root().addr()
+                (PmQueue::from_root(cur).enqueue(nv, *e).root(), 0)
             }
-            (RootKind::Queue, SpineOp::QueueDeq) => PmQueue::from_root(cur)
-                .dequeue(nv)
-                .expect("QueueDeq record on empty queue")
-                .0
-                .root()
-                .addr(),
+            (RootKind::Queue, SpineOp::QueueDeq) => {
+                let (q, e) = PmQueue::from_root(cur).dequeue(nv)?;
+                (q.root(), e)
+            }
             (kind, op) => panic!("spine op {op:?} on a {kind:?} root"),
-        }
+        };
+        Some((new.addr(), taken))
     }
 }
 
@@ -462,8 +467,13 @@ pub(crate) fn replay(nv: &mut NvHeap, head: PmPtr) -> (RootKind, u64) {
     let mut v = 0u64;
     for bytes in ops.iter().rev() {
         let op = SpineOp::decode(kind, bytes);
-        let next = op.apply(nv, kind, v);
-        if v != 0 && next != v {
+        // Staging never records a no-op, so a record that changes
+        // nothing (a pop on an empty structure, a removal of an absent
+        // key) means the chain is corrupt.
+        let (next, _) = op
+            .apply(nv, kind, v)
+            .unwrap_or_else(|| panic!("spine record {op:?} is a no-op on its predecessor"));
+        if v != 0 {
             ErasedDs {
                 kind,
                 root: PmPtr::from_addr(v),
@@ -611,7 +621,7 @@ mod tests {
         ] {
             let snap = state_of(&nv, kind, v);
             nv.begin_volatile();
-            let rebuilt = snap.apply(&mut nv, kind, 0);
+            let (rebuilt, _) = snap.apply(&mut nv, kind, 0).unwrap();
             nv.end_volatile();
             match kind {
                 RootKind::Map => {

@@ -309,8 +309,8 @@ fn read_node_r(heap: &mut HeapRead<'_>, node: PmPtr) -> NodeImg {
 
 /// Drops one temporary ownership reference on a freshly stored node.
 fn drop_temp(heap: &mut NvHeap, ptr: PmPtr) {
-    debug_assert!(heap.rc_get(ptr) >= 2, "temp node should be co-owned");
-    heap.rc_dec(ptr);
+    let left = heap.rc_dec(ptr);
+    debug_assert!(left >= 1, "temp node should be co-owned");
 }
 
 enum RemoveResult {

@@ -114,8 +114,8 @@ fn store_inner(heap: &mut NvHeap, img: &InnerImg) -> PmPtr {
 }
 
 fn drop_temp(heap: &mut NvHeap, ptr: PmPtr) {
-    debug_assert!(heap.rc_get(ptr) >= 2, "temp node should be co-owned");
-    heap.rc_dec(ptr);
+    let left = heap.rc_dec(ptr);
+    debug_assert!(left >= 1, "temp node should be co-owned");
 }
 
 /// Total elements in the subtree rooted at `node` (shift 0 = leaf).

@@ -125,7 +125,7 @@ impl ServerRoots {
                 // Lane-held read: serializes against in-flight same-batch
                 // writers, so a GET pipelined behind a SET sees it.
                 self.kv.touch_in(tx);
-                Reply::Value(self.kv.get_in(tx, key))
+                Reply::Value(self.kv.get(&*tx, key))
             }
             Command::Set { key, value } => {
                 self.kv.insert_in(tx, key, value);
@@ -134,7 +134,7 @@ impl ServerRoots {
             Command::Del { key } => Reply::Int(i64::from(self.kv.remove_in(tx, key))),
             Command::Incr { key } => {
                 self.kv.touch_in(tx); // hold the lane across read → write
-                let cur = match self.kv.get_in(tx, key) {
+                let cur = match self.kv.get(&*tx, key) {
                     None => 0,
                     Some(bytes) => match std::str::from_utf8(&bytes)
                         .ok()
@@ -152,7 +152,7 @@ impl ServerRoots {
             }
             Command::LPush { value } => {
                 self.next_id.touch_in(tx); // id allocation is read-modify-write
-                let id = self.next_id.get_in(tx, 0);
+                let id = self.next_id.get(&*tx, 0);
                 self.next_id.update_in(tx, 0, &(id + 1));
                 self.list_ids.enqueue_in(tx, &id);
                 self.list_blobs.insert_in(tx, &id, value);
@@ -163,11 +163,11 @@ impl ServerRoots {
                 // come from one list state, so both lanes are taken in
                 // root order before either read.
                 self.list_ids.touch_in(tx);
-                match self.list_ids.front_in(tx) {
+                match self.list_ids.peek(&*tx) {
                     None => Reply::Value(None),
                     Some(id) => {
                         self.list_blobs.touch_in(tx);
-                        match self.list_blobs.get_in(tx, &id) {
+                        match self.list_blobs.get(&*tx, &id) {
                             Some(b) => Reply::Value(Some(b)),
                             None => Reply::Err("ERR list id without payload".into()),
                         }
@@ -178,7 +178,7 @@ impl ServerRoots {
                 None => Reply::Value(None),
                 Some(id) => {
                     self.list_blobs.touch_in(tx); // lane before lock-free read
-                    let blob = self.list_blobs.get_in(tx, &id);
+                    let blob = self.list_blobs.get(&*tx, &id);
                     self.list_blobs.remove_in(tx, &id);
                     match blob {
                         Some(b) => Reply::Value(Some(b)),
@@ -194,7 +194,7 @@ impl ServerRoots {
     /// staging lanes, no handoff push, no fence. The view is one
     /// batch-atomic image, so the reply can never mix commits.
     pub fn get_from_snapshot(&self, view: &SnapshotView<'_>, key: &Vec<u8>) -> Reply {
-        Reply::Value(view.map_get(&self.kv, key))
+        Reply::Value(self.kv.get(view, key))
     }
 
     /// Answers an `RPEEK` from a pinned snapshot view. The front id and
@@ -202,9 +202,9 @@ impl ServerRoots {
     /// cross-root consistency the pipelined path needs two lane holds
     /// for is free here.
     pub fn rpeek_from_snapshot(&self, view: &SnapshotView<'_>) -> Reply {
-        match view.queue_front(&self.list_ids) {
+        match self.list_ids.peek(view) {
             None => Reply::Value(None),
-            Some(id) => match view.map_get(&self.list_blobs, &id) {
+            Some(id) => match self.list_blobs.get(view, &id) {
                 Some(b) => Reply::Value(Some(b)),
                 None => Reply::Err("ERR list id without payload".into()),
             },
@@ -222,7 +222,7 @@ impl ServerRoots {
         // racing on the same client must serialize here, or both could
         // observe `last` and double-apply seq = last + 1.
         self.sessions.touch_in(tx);
-        let record = self.sessions.get_in(tx, &client);
+        let record = self.sessions.get(&*tx, &client);
         let last = match &record {
             None => 0,
             Some(r) if r.len() >= 8 => u64::from_le_bytes(r[..8].try_into().unwrap()),

@@ -138,8 +138,7 @@ fn memcached_mod(scale: &ScaleConfig) -> RunReport {
             // Charged read path so MOD gets pay the same simulated
             // cache/time costs the STM baselines pay (Fig 9 fidelity);
             // the codec layer already verified the framed key bytes.
-            #[allow(deprecated)]
-            let got = map.get_mut(&mut heap, &key);
+            let got = map.get(&mut heap, &key);
             if got.is_some() {
                 hits += 1;
             }

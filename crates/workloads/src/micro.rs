@@ -197,8 +197,7 @@ pub fn run_map_hybrid(scale: &ScaleConfig) -> RunReport {
         let (f, s) = OpCounters::read(heap.nv().pm()).since(&before);
         profile.record(f, s);
         let probe = rng.below(key_space);
-        #[allow(deprecated)]
-        let _ = map.get_mut(&mut heap, &probe); // charged probe, as in the Full run
+        let _ = map.get(&mut heap, &probe); // charged probe, as in the Full run
     }
     snap.finish(
         heap.nv().pm(),

@@ -157,7 +157,7 @@ pub fn run_sim(cfg: &ReadHeavyConfig) -> ReadHeavyReport {
                     }
                     for _ in 0..cfg.reads_per_turn {
                         let k = rng.next_u64() % cfg.keys;
-                        std::hint::black_box(view.map_get(&map, &k));
+                        std::hint::black_box(map.get(&view, &k));
                         reads.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -256,7 +256,7 @@ pub fn run_host_readers(cfg: &ReadHeavyConfig, readers: usize) -> ReadHostReport
                     let view = shared.snapshot();
                     for _ in 0..cfg.reads_per_turn.min(cfg.reader_reads - done) {
                         let k = rng.next_u64() % cfg.keys;
-                        std::hint::black_box(view.map_get(&map, &k));
+                        std::hint::black_box(map.get(&view, &k));
                         done += 1;
                     }
                 }

@@ -227,6 +227,7 @@ fn check_session(heap: &mut ModHeap, seed: u64) -> Result<(SessionRoots, u64), S
             .open()
             .map_err(|e| format!("count root: {e:?}"))?,
     };
+    let heap = &*heap; // checks only peek: nothing below may charge the pool
     if roots.count.len(heap) != 1 {
         return Err("count vector must hold exactly one element".into());
     }

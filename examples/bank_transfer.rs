@@ -46,8 +46,8 @@ fn main() {
     // One failure-atomic transfer: checking[2] -> savings[2], 250 units.
     let fences_before = heap.nv().pm().stats().fences;
     heap.fase(|tx| {
-        let from = checking.get_in(tx, &2).unwrap_or(0);
-        let to = savings.get_in(tx, &2).unwrap_or(0);
+        let from = checking.get(&*tx, &2).unwrap_or(0);
+        let to = savings.get(&*tx, &2).unwrap_or(0);
         checking.insert_in(tx, &2, &(from - 250));
         savings.insert_in(tx, &2, &(to + 250));
     });

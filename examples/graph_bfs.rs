@@ -41,12 +41,12 @@ fn main() {
         frontier: &DurableQueue<u32>,
         levels: &DurableMap<u64, u32>,
     ) -> Option<u32> {
-        let u = frontier.peek(heap)?;
-        let lvl = levels.get(heap, &(u as u64)).unwrap();
+        let u = frontier.peek(&*heap)?;
+        let lvl = levels.get(&*heap, &(u as u64)).unwrap();
         heap.fase(|tx| {
             frontier.dequeue_in(tx);
             for &v in &graph.adj[u as usize] {
-                if levels.get_in(tx, &(v as u64)).is_none() {
+                if levels.get(&*tx, &(v as u64)).is_none() {
                     levels.insert_in(tx, &(v as u64), &(lvl + 1));
                     frontier.enqueue_in(tx, &v);
                 }

@@ -7,11 +7,13 @@
 //! equivalence contract (a hybrid root is observationally identical to a
 //! full one), and the rebuild contract (crash → reopen → same contents).
 
+use mod_core::codec::KeyRepr;
 use mod_core::{
-    CommitMode, DurableMap, DurableQueue, DurableSet, DurableStack, DurableVector, ModHeap,
-    OpenError, PersistPolicy, SharedModHeap,
+    CommitMode, DurableMap, DurableQueue, DurableSet, DurableStack, DurableVector, Fase, ModHeap,
+    OpenError, PersistPolicy, PmKey, SharedModHeap,
 };
 use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn mh() -> ModHeap {
     ModHeap::create(Pmem::new(PmemConfig::testing()))
@@ -109,57 +111,369 @@ fn policy_mismatch_is_a_typed_error_both_ways() {
     assert!(msg.contains("Hybrid") && msg.contains("Full"), "{msg}");
 }
 
-/// Satellite 3: one random op sequence driven against a Full root and a
-/// Hybrid root must produce the identical reply stream at every step and
-/// identical logical contents at the end.
-#[test]
-fn full_and_hybrid_replies_and_contents_match_under_random_ops() {
-    let mut hf = mh();
-    let mut hh = mh();
-    let full: DurableMap<u64, Vec<u8>> = hf.root(0).create();
-    let hybrid: DurableMap<u64, Vec<u8>> = hh.root(0).policy(PersistPolicy::Hybrid).create();
-    let fvec: DurableVector<i64> = hf.root(1).create();
-    let hvec: DurableVector<i64> = hh.root(1).policy(PersistPolicy::Hybrid).create();
+// ---------------------------------------------------------------------
+// Conformance matrix
+// ---------------------------------------------------------------------
 
-    let mut rng = 0x5EED_1234u64;
-    for step in 0..600 {
-        let k = lcg(&mut rng) % 48;
-        match lcg(&mut rng) % 5 {
-            0 => {
-                let v = vec![(step % 251) as u8; (lcg(&mut rng) % 96) as usize];
-                full.insert(&mut hf, &k, &v);
-                hybrid.insert(&mut hh, &k, &v);
-            }
-            1 => {
-                let rf = full.remove(&mut hf, &k);
-                let rh = hybrid.remove(&mut hh, &k);
-                assert_eq!(rf, rh, "remove reply diverged at step {step}");
-            }
-            2 => {
-                let e = lcg(&mut rng) as i64 - (1 << 40);
-                fvec.push_back(&mut hf, &e);
-                hvec.push_back(&mut hh, &e);
-            }
-            3 => {
-                let rf = fvec.pop_back(&mut hf);
-                let rh = hvec.pop_back(&mut hh);
-                assert_eq!(rf, rh, "pop reply diverged at step {step}");
-            }
-            _ => {
-                let gf = full.get(&hf, &k);
-                let gh = hybrid.get(&hh, &k);
-                assert_eq!(gf, gh, "get reply diverged at step {step}");
-                assert_eq!(full.len(&hf), hybrid.len(&hh));
+/// A `String` key whose 64-bit hash is forced into five values, so most
+/// keys share a bucket blob with others (the hashed-key collision path).
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Name(String);
+
+impl PmKey for Name {
+    const EXACT: bool = false;
+
+    fn repr(&self) -> KeyRepr {
+        KeyRepr::Hashed {
+            hash: self.0.bytes().map(u64::from).sum::<u64>() % 5,
+            bytes: self.0.clone().into_bytes(),
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Roots {
+    map: DurableMap<Name, Vec<u8>>,
+    set: DurableSet<Name>,
+    ids: DurableSet<u64>,
+    vec: DurableVector<i64>,
+    stack: DurableStack<u64>,
+}
+
+impl Roots {
+    fn create(h: &mut ModHeap, policy: PersistPolicy) -> Roots {
+        Roots {
+            map: h.root(0).policy(policy).create(),
+            set: h.root(1).policy(policy).create(),
+            ids: h.root(2).policy(policy).create(),
+            vec: h.root(3).policy(policy).create(),
+            stack: h.root(4).policy(policy).create(),
+        }
+    }
+
+    fn open(h: &mut ModHeap, policy: PersistPolicy) -> Roots {
+        Roots {
+            map: h.root(0).policy(policy).open().unwrap(),
+            set: h.root(1).policy(policy).open().unwrap(),
+            ids: h.root(2).policy(policy).open().unwrap(),
+            vec: h.root(3).policy(policy).open().unwrap(),
+            stack: h.root(4).policy(policy).open().unwrap(),
+        }
+    }
+}
+
+/// The std reference the durable roots must be indistinguishable from.
+#[derive(Default)]
+struct Model {
+    map: BTreeMap<Name, Vec<u8>>,
+    set: BTreeSet<Name>,
+    ids: BTreeSet<u64>,
+    vec: Vec<i64>,
+    stack: Vec<u64>,
+}
+
+/// Everything one read context can report about the four roots.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    map_get: Option<Vec<u8>>,
+    map_has: bool,
+    map_len: u64,
+    map_empty: bool,
+    set_has: bool,
+    set_len: u64,
+    ids: Vec<bool>,
+    ids_len: u64,
+    vec: Vec<i64>,
+    vec_last: Option<i64>,
+    stack_top: Option<u64>,
+    stack_len: u64,
+    stack_empty: bool,
+}
+
+impl Model {
+    fn observed(&self, probe: &Name) -> Observed {
+        Observed {
+            map_get: self.map.get(probe).cloned(),
+            map_has: self.map.contains_key(probe),
+            map_len: self.map.len() as u64,
+            map_empty: self.map.is_empty(),
+            set_has: self.set.contains(probe),
+            set_len: self.set.len() as u64,
+            ids: (0..16).map(|i| self.ids.contains(&i)).collect(),
+            ids_len: self.ids.len() as u64,
+            vec: self.vec.clone(),
+            vec_last: self.vec.last().copied(),
+            stack_top: self.stack.last().copied(),
+            stack_len: self.stack.len() as u64,
+            stack_empty: self.stack.is_empty(),
+        }
+    }
+}
+
+/// Reads every accessor through one read context. A macro, not a
+/// generic function: `$ctx` is re-evaluated per accessor, so `&mut h`
+/// reborrows each time.
+macro_rules! observe {
+    ($ctx:expr, $r:expr, $probe:expr) => {{
+        let len = $r.vec.len($ctx);
+        Observed {
+            map_get: $r.map.get($ctx, $probe),
+            map_has: $r.map.contains_key($ctx, $probe),
+            map_len: $r.map.len($ctx),
+            map_empty: $r.map.is_empty($ctx),
+            set_has: $r.set.contains($ctx, $probe),
+            set_len: $r.set.len($ctx),
+            ids: (0..16).map(|i| $r.ids.contains($ctx, &i)).collect(),
+            ids_len: $r.ids.len($ctx),
+            vec: $r.vec.to_vec($ctx),
+            vec_last: (len > 0).then(|| $r.vec.get($ctx, len - 1)),
+            stack_top: $r.stack.peek($ctx),
+            stack_len: $r.stack.len($ctx),
+            stack_empty: $r.stack.is_empty($ctx),
+        }
+    }};
+}
+
+/// Who runs the FASEs: the single-owner heap, or two worker shards of a
+/// shared heap taking turns (so each worker keeps chaining from blocks
+/// the other one published).
+enum Engine {
+    Owner(Box<ModHeap>),
+    Shared(SharedModHeap),
+}
+
+impl Engine {
+    fn fase<R>(&mut self, step: usize, f: impl FnMut(&mut Fase<'_>) -> R) -> R {
+        match self {
+            Engine::Owner(h) => h.fase(f),
+            Engine::Shared(sh) => {
+                let out = sh.fase(step % 2, f);
+                sh.flush();
+                out
             }
         }
     }
-    assert_eq!(fvec.to_vec(&hf), hvec.to_vec(&hh));
-    for k in 0..48 {
+
+    /// (fences, effective flushes, bytes written) over every timeline.
+    fn cost(&self) -> (u64, u64, u64) {
+        let s = match self {
+            Engine::Owner(h) => h.nv().pm().stats().clone(),
+            Engine::Shared(sh) => sh.lane_stats(),
+        };
+        (s.fences, s.effective_flushes, s.bytes_written)
+    }
+
+    /// Checks every read context this engine has against the model.
+    fn check_reads(&mut self, r: &Roots, model: &Model, probe: &Name, at: &str) {
+        let want = model.observed(probe);
+        match self {
+            Engine::Owner(h) => {
+                assert_eq!(observe!(&**h, r, probe), want, "heap read, {at}");
+                assert_eq!(observe!(&mut **h, r, probe), want, "charged read, {at}");
+            }
+            Engine::Shared(sh) => {
+                assert_eq!(sh.with(|h| observe!(h, r, probe)), want, "heap read, {at}");
+                let view = sh.snapshot();
+                assert_eq!(observe!(&view, r, probe), want, "snapshot read, {at}");
+                drop(view);
+                let charged = sh.setup(|h| observe!(&mut *h, r, probe));
+                assert_eq!(charged, want, "charged read, {at}");
+            }
+        }
+    }
+
+    fn into_heap(self) -> ModHeap {
+        match self {
+            Engine::Owner(h) => *h,
+            Engine::Shared(sh) => sh.into_heap(),
+        }
+    }
+}
+
+/// One cell of the matrix: a seeded op script against std models. Every
+/// reply, every read context (heap, in-FASE read-your-writes, snapshot,
+/// charged) and the contents after a crash must match the model; every
+/// op the model says is a no-op must cost nothing at all.
+fn run_conformance_cell(policy: PersistPolicy, shared: bool) {
+    let at = |step: usize| {
+        format!(
+            "{policy:?}/{} step {step}",
+            ["owner", "shared"][shared as usize]
+        )
+    };
+    let mut h = mh();
+    let r = Roots::create(&mut h, policy);
+    let mut eng = if shared {
+        Engine::Shared(SharedModHeap::from_heap(h, 2))
+    } else {
+        Engine::Owner(Box::new(h))
+    };
+    let mut m = Model::default();
+    let name = |x: u64| Name(format!("name-{}", x % 40));
+
+    // Appends from alternating workers, several per FASE, past two full
+    // 32-element tails: each migration re-owns a leaf the *other* worker
+    // published.
+    for batch in 0..15usize {
+        let elems: Vec<i64> = (0..5).map(|i| (batch * 5 + i) as i64 - 30).collect();
+        eng.fase(batch, |tx| {
+            elems.iter().for_each(|e| r.vec.push_back_in(tx, e))
+        });
+        m.vec.extend(&elems);
+    }
+    eng.check_reads(&r, &m, &name(0), "after the append batches");
+
+    let mut rng = 0x5EED_1234u64;
+    for step in 0..500usize {
+        let key = name(lcg(&mut rng));
+        let x = lcg(&mut rng);
+        let op = x % 14;
+        // What the model says this op is before it runs: a no-op must
+        // add no fence, no flush and no store (a hybrid spine record
+        // would be a store).
+        let noop = match op {
+            1 => !m.map.contains_key(&key),
+            2 => m.set.contains(&key),
+            3 => !m.set.contains(&key),
+            5 => m.vec.is_empty(),
+            6 => m.vec.len() < 2 || x / 14 % m.vec.len() as u64 == x / 196 % m.vec.len() as u64,
+            8 => m.stack.is_empty(),
+            9 => m.vec.is_empty(),
+            12 => m.ids.contains(&(x / 14 % 16)),
+            13 => !m.ids.contains(&(x / 14 % 16)),
+            _ => false,
+        };
+        let before = eng.cost();
+        match op {
+            0 => {
+                let v = vec![step as u8; (x / 14 % 80) as usize];
+                eng.fase(step, |tx| r.map.insert_in(tx, &key, &v));
+                m.map.insert(key.clone(), v);
+            }
+            1 => {
+                let removed = eng.fase(step, |tx| r.map.remove_in(tx, &key));
+                assert_eq!(removed, m.map.remove(&key).is_some(), "{}", at(step));
+            }
+            2 => {
+                let fresh = eng.fase(step, |tx| r.set.insert_in(tx, &key));
+                assert_eq!(fresh, m.set.insert(key.clone()), "{}", at(step));
+            }
+            3 => {
+                let removed = eng.fase(step, |tx| r.set.remove_in(tx, &key));
+                assert_eq!(removed, m.set.remove(&key), "{}", at(step));
+            }
+            4 => {
+                let e = x as i64 - (1 << 40);
+                eng.fase(step, |tx| r.vec.push_back_in(tx, &e));
+                m.vec.push(e);
+            }
+            5 => {
+                let popped = eng.fase(step, |tx| r.vec.pop_back_in(tx));
+                assert_eq!(popped, m.vec.pop(), "{}", at(step));
+            }
+            6 if m.vec.len() >= 2 => {
+                let len = m.vec.len() as u64;
+                let (i, j) = (x / 14 % len, x / 196 % len);
+                eng.fase(step, |tx| r.vec.swap_in(tx, i, j));
+                m.vec.swap(i as usize, j as usize);
+            }
+            7 => {
+                eng.fase(step, |tx| r.stack.push_in(tx, &x));
+                m.stack.push(x);
+            }
+            8 => {
+                let popped = eng.fase(step, |tx| r.stack.pop_in(tx));
+                assert_eq!(popped, m.stack.pop(), "{}", at(step));
+            }
+            9 if !m.vec.is_empty() => {
+                let i = x / 14 % m.vec.len() as u64;
+                eng.fase(step, |tx| r.vec.update_in(tx, i, &(step as i64)));
+                m.vec[i as usize] = step as i64;
+            }
+            12 => {
+                let id = x / 14 % 16;
+                let fresh = eng.fase(step, |tx| r.ids.insert_in(tx, &id));
+                assert_eq!(fresh, m.ids.insert(id), "{}", at(step));
+            }
+            13 => {
+                let id = x / 14 % 16;
+                let removed = eng.fase(step, |tx| r.ids.remove_in(tx, &id));
+                assert_eq!(removed, m.ids.remove(&id), "{}", at(step));
+            }
+            10 => {
+                // One FASE over four roots, reading its own writes
+                // back before anything is published.
+                let v = vec![0xAB; 9];
+                let seen = eng.fase(step, |tx| {
+                    r.map.insert_in(tx, &key, &v);
+                    r.set.insert_in(tx, &key);
+                    r.vec.push_back_in(tx, &-1);
+                    r.stack.push_in(tx, &x);
+                    r.stack.push_in(tx, &(x + 1));
+                    let popped = r.stack.pop_in(tx);
+                    (popped, observe!(&*tx, r, &key))
+                });
+                m.map.insert(key.clone(), v);
+                m.set.insert(key.clone());
+                m.vec.push(-1);
+                m.stack.push(x);
+                assert_eq!(seen.0, Some(x + 1), "{}", at(step));
+                assert_eq!(seen.1, m.observed(&key), "in-FASE read, {}", at(step));
+            }
+            _ => {
+                // Read-only FASE, then every other read context.
+                let seen = eng.fase(step, |tx| observe!(&*tx, r, &key));
+                assert_eq!(seen, m.observed(&key), "in-FASE read, {}", at(step));
+                assert_eq!(eng.cost(), before, "read-only FASE, {}", at(step));
+                eng.check_reads(&r, &m, &key, &at(step));
+            }
+        }
+        if noop {
+            assert_eq!(
+                eng.cost(),
+                before,
+                "no-op op {op} was not free, {}",
+                at(step)
+            );
+        }
+    }
+
+    // Drain the vector back through both tail boundaries, and the stack;
+    // popping either past empty is free.
+    for step in 0..m.vec.len() + m.stack.len() {
+        let (v, s) = eng.fase(step, |tx| (r.vec.pop_back_in(tx), r.stack.pop_in(tx)));
+        assert_eq!((v, s), (m.vec.pop(), m.stack.pop()), "drain, {}", at(step));
+    }
+    let before = eng.cost();
+    let past_empty = eng.fase(0, |tx| (r.vec.pop_back_in(tx), r.stack.pop_in(tx)));
+    assert_eq!(past_empty, (None, None));
+    assert_eq!(eng.cost(), before, "pops past empty were not free");
+    eng.check_reads(&r, &m, &name(1), "after the drain");
+
+    // Crash: whatever the engine and policy, recovery lands on the model.
+    let mut h = eng.into_heap();
+    h.quiesce();
+    let (mut h2, _) = ModHeap::open(h.into_pm().crash_image(CrashPolicy::OnlyFenced));
+    let r2 = Roots::open(&mut h2, policy);
+    for k in 0..40 {
         assert_eq!(
-            full.get(&hf, &k),
-            hybrid.get(&hh, &k),
-            "final contents at key {k}"
+            observe!(&h2, r2, &name(k)),
+            m.observed(&name(k)),
+            "after recovery"
         );
+    }
+}
+
+/// The conformance matrix: (Full, Hybrid) × (owner FASEs, two-worker
+/// shared-heap FASEs) × every read context, one script, std models as
+/// the oracle — so Full and Hybrid replies and contents match each other
+/// because both match the model.
+#[test]
+fn full_and_hybrid_replies_and_contents_match_under_random_ops() {
+    for policy in [PersistPolicy::Full, PersistPolicy::Hybrid] {
+        for shared in [false, true] {
+            run_conformance_cell(policy, shared);
+        }
     }
 }
 
@@ -320,9 +634,9 @@ fn shared_mode_hybrid_ops_snapshot_reads_and_rebuild() {
     });
     shared.flush();
     let view = shared.snapshot();
-    assert_eq!(view.map_len(&map), 100);
-    assert_eq!(view.map_get(&map, &0), Some(0));
-    assert_eq!(view.map_get(&map, &99), Some(49));
+    assert_eq!(map.len(&view), 100);
+    assert_eq!(map.get(&view, &0), Some(0));
+    assert_eq!(map.get(&view, &99), Some(49));
     drop(view);
     let (mut h2, _) = ModHeap::open(
         shared

@@ -14,9 +14,10 @@
 //! that perturbs any of them fails here, with the new fingerprint
 //! printed next to the recorded one.
 
+use mod_core::codec::KeyRepr;
 use mod_core::{
-    DurableMap, DurableQueue, DurableVector, ModHeap, PersistPolicy, SeededRoundRobin,
-    SharedModHeap, Turn,
+    DurableMap, DurableQueue, DurableSet, DurableStack, DurableVector, ModHeap, PersistPolicy,
+    PmKey, SeededRoundRobin, SharedModHeap, Turn,
 };
 use mod_pmem::{PmStats, Pmem, PmemConfig, TraceEvent};
 use std::sync::Arc;
@@ -232,6 +233,112 @@ fn turnstile_script(policy: PersistPolicy) -> String {
     )
 }
 
+/// A hashed key folded into 61 substrate buckets, so 64-bit hash
+/// collisions (several framed keys sharing one bucket blob) are the
+/// common case instead of a once-in-2^64 event.
+struct Folded(u64);
+
+impl PmKey for Folded {
+    const EXACT: bool = false;
+
+    fn repr(&self) -> KeyRepr {
+        KeyRepr::Hashed {
+            hash: self.0 % 61,
+            bytes: format!("key-{}", self.0).into_bytes(),
+        }
+    }
+}
+
+/// The second owner-heap script: everything the first one skips —
+/// hashed keys with collisions (upsert, remove, charged and peek reads),
+/// sets, the stack, vector `pop_back`/`swap`, and the no-op ops (absent
+/// remove, empty pop, duplicate set insert), alone and inside
+/// multi-root FASEs. Its constants were recorded at the commit *before*
+/// the wrappers moved onto one generic handle, through the per-policy
+/// bodies and the `get_mut`/`contains_key_mut`/`len_mut` charged
+/// accessors that commit still had.
+fn wide_script(policy: PersistPolicy) -> String {
+    let mut h = ModHeap::create(Pmem::new(PmemConfig::testing()));
+    let names: DurableMap<Folded, Vec<u8>> = h.root(0).policy(policy).create();
+    let tags: DurableSet<Folded> = h.root(1).policy(policy).create();
+    let ids: DurableSet<u64> = h.root(2).policy(policy).create();
+    let vec: DurableVector<u64> = h.root(3).policy(policy).create();
+    let stack: DurableStack<u64> = h.root(4).policy(policy).create();
+    let plain: DurableMap<u64, Vec<u8>> = h.root(5).policy(policy).create();
+    let mut rng = 0x5EED_0002u64;
+    let mut replies = 0u64;
+    for i in 0..3000u64 {
+        let r = xorshift(&mut rng);
+        let key = Folded(r % 400);
+        match r >> 60 {
+            0..=2 => names.insert(&mut h, &key, &value(r)),
+            3 => replies += names.remove(&mut h, &key) as u64,
+            4 => {
+                let got = names.get(&mut h, &key);
+                assert_eq!(got, names.get(&h, &key));
+                replies += got.is_some() as u64;
+            }
+            5 => replies += tags.insert(&mut h, &Folded(r % 96)) as u64,
+            6 => {
+                replies += tags.remove(&mut h, &Folded(r % 96)) as u64;
+                replies += ids.insert(&mut h, &(r % 48)) as u64;
+                replies += ids.remove(&mut h, &((r >> 8) % 48)) as u64;
+            }
+            7 => vec.push_back(&mut h, &r),
+            8 if r & 0x100 == 0 => vec.push_back(&mut h, &i),
+            8 => replies += vec.pop_back(&mut h).is_some() as u64,
+            9 => {
+                let len = vec.len(&h);
+                if len >= 2 {
+                    vec.swap(&mut h, r % len, (r >> 8) % len);
+                }
+            }
+            10..=11 => stack.push(&mut h, &r),
+            12..=13 => replies += stack.pop(&mut h).is_some() as u64,
+            14 => {
+                plain.insert(&mut h, &(r % 64), &value(i));
+                replies += plain.remove(&mut h, &((r >> 8) % 128)) as u64;
+                replies += plain.contains_key(&mut h, &(r % 128)) as u64;
+                replies += names.contains_key(&mut h, &key) as u64;
+                if i % 64 == 0 {
+                    replies += plain.len(&mut h) + names.len(&mut h);
+                }
+            }
+            _ => h.fase(|tx| {
+                names.insert_in(tx, &key, &value(i));
+                replies += names.remove_in(tx, &Folded((r >> 8) % 400)) as u64;
+                replies += tags.insert_in(tx, &Folded(r % 96)) as u64;
+                replies += tags.remove_in(tx, &Folded((r >> 16) % 96)) as u64;
+                stack.push_in(tx, &i);
+                if i % 2 == 0 {
+                    replies += stack.pop_in(tx).is_some() as u64;
+                    replies += stack.pop_in(tx).is_some() as u64;
+                }
+                replies += names.get(&*tx, &key).is_some() as u64;
+            }),
+        }
+    }
+    // Drain the vector across its leaf boundaries and two pops past
+    // empty, then the stack likewise.
+    for _ in 0..vec.len(&h) + 2 {
+        replies += vec.pop_back(&mut h).is_some() as u64;
+    }
+    while stack.pop(&mut h).is_some() {
+        replies += 1;
+    }
+    h.quiesce();
+    let contents = format!(
+        "replies={replies} names={} tags={} ids={} vec={} stack={} plain={}",
+        names.len(&h),
+        tags.len(&h),
+        ids.len(&h),
+        vec.len(&h),
+        stack.len(&h),
+        plain.len(&h)
+    );
+    format!("{contents}\n{}", pm_fingerprint(h.nv().pm()))
+}
+
 const OWNER_FULL: &str = "\
 map_len=1056 vec_len=536 queue_len=299\n\
 trace=0x4ae77caa656f5621/111083\n\
@@ -260,6 +367,18 @@ trace=0x458323a16eb2d5b2/8516\n\
 issued=1614 effective=711 deduped=110 avoided=793 fences=304 reads=2962 writes=2770 bytes=27285 overlap=0x40f2ccd33333334e residual=0x40fb4d49eb851ea6 volatile_bytes=50752 hist=1x3,2x201,4x3,5x1,11x48,13x36,14x11,15x1\n\
 l1=5732/5504/228 llc=228/0/228\n\
 other=0x40f384e000000000 flush=0x410f1c34f5c28f52 log=0x0000000000000000";
+const WIDE_FULL: &str = "\
+replies=2391 names=261 tags=44 ids=27 vec=0 stack=0 plain=43\n\
+trace=0x89558d9ebdbea74d/99604\n\
+issued=31054 effective=25208 deduped=5846 avoided=0 fences=3013 reads=103350 writes=39567 bytes=1281539 overlap=0x411c01191eb827fa residual=0x413e9e69851ec2c6 volatile_bytes=0 hist=1x143,2x322,3x283,4x286,5x188,6x159,7x267,8x201,9x178,10x172,11x168,12x121,13x117,14x101,15x46,16x34,17x28,18x28,19x8,20x5,21x7,22x3,23x6,24x8,25x8,26x7,27x12,28x12,29x7,30x9,31x11,32x6,33x5,34x12,35x7,36x6,37x9,38x7,39x2,40x3,41x1,42x4,43x2,44x2,45x1,50x1\n\
+l1=191607/190211/1396 llc=1396/700/696\n\
+other=0x4124b2d000000000 flush=0x41401424c28f6163 log=0x0000000000000000";
+const WIDE_HYBRID: &str = "\
+replies=2391 names=261 tags=44 ids=27 vec=0 stack=0 plain=43\n\
+trace=0x45ac2024e2b53d9a/46317\n\
+issued=34579 effective=10947 deduped=547 avoided=23085 fences=3013 reads=17350 writes=18611 bytes=419317 overlap=0x411176effffff5a4 residual=0x413385f68a3d7334 volatile_bytes=1477440 hist=1x4,2x1578,3x600,4x180,5x237,6x142,7x73,8x17,9x15,10x16,11x24,12x28,13x20,14x13,15x25,16x21,17x10,18x6,19x1,20x2,165x1\n\
+l1=39498/31576/7922 llc=7922/3687/4235\n\
+other=0x4137a62f00000000 flush=0x413431028a3d7334 log=0x0000000000000000";
 
 #[test]
 fn owner_heap_full_matches_recorded_fingerprint() {
@@ -279,4 +398,14 @@ fn two_worker_turnstile_full_matches_recorded_fingerprint() {
 #[test]
 fn two_worker_turnstile_hybrid_matches_recorded_fingerprint() {
     assert_eq!(turnstile_script(PersistPolicy::Hybrid), TURNSTILE_HYBRID);
+}
+
+#[test]
+fn owner_heap_wide_script_full_matches_recorded_fingerprint() {
+    assert_eq!(wide_script(PersistPolicy::Full), WIDE_FULL);
+}
+
+#[test]
+fn owner_heap_wide_script_hybrid_matches_recorded_fingerprint() {
+    assert_eq!(wide_script(PersistPolicy::Hybrid), WIDE_HYBRID);
 }
