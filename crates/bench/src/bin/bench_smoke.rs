@@ -89,6 +89,13 @@ const HOST_SPEEDUP_CAP: f64 = 2.5;
 /// or fence sneaking back onto the read path).
 const READ95_NS_FLOOR: f64 = 2_000.0;
 
+/// Deletes a scratch pool: the base file and its shard journals.
+fn remove_pool(path: &std::path::Path, journal_shards: u16) {
+    for member in mod_pmem::FileBackend::member_paths(path, journal_shards) {
+        let _ = std::fs::remove_file(member);
+    }
+}
+
 fn collect_metrics() -> Metrics {
     let mut m = Metrics::new();
     let scale = ScaleConfig::testing();
@@ -207,7 +214,7 @@ fn collect_metrics() -> Metrics {
         let (h2, _report) = ModHeap::open_file(&path, cfg).expect("hybrid reopen");
         m.insert("info.hybrid.rebuild_ns".to_string(), h2.rebuild_ns() as f64);
         drop(h2);
-        let _ = std::fs::remove_file(&path);
+        remove_pool(&path, 1);
     }
 
     eprintln!("  bench_smoke: flush-coalescing ablation (map micro, on vs off) ...");
@@ -266,11 +273,11 @@ fn collect_metrics() -> Metrics {
         mod_workloads::session::run_ops(&mut session, SESSION_OPS);
         let backend = session.heap.nv().pm().backend_stats();
         // Drop without a checkpoint (as a kill would): the reopen below
-        // then measures a real journal replay, not just a snapshot load.
+        // then measures a real journal replay, not just an image load.
         drop(session);
         // Journal traffic is bit-deterministic (sim time and line
         // contents both are), so the codec's compactness gates: a
-        // regression in the v3 varint/delta encoding fails CI here. The
+        // regression in the varint/delta encoding fails CI here. The
         // `info.` twin stays for artifact continuity.
         m.insert(
             "coalesce.journal_bytes_per_fase".to_string(),
@@ -295,7 +302,7 @@ fn collect_metrics() -> Metrics {
             "info.file_backend.replayed_batches".to_string(),
             replay.batches as f64,
         );
-        let _ = std::fs::remove_file(&path);
+        remove_pool(&path, 1);
     }
 
     eprintln!("  bench_smoke: pool set, 4 shards, fsync-per-fence group commit ...");
@@ -306,10 +313,6 @@ fn collect_metrics() -> Metrics {
         const FASES: u64 = 400;
         let mut path = std::env::temp_dir();
         path.push(format!("mod_bench_poolset_{}.pool", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        for s in 0..WORKERS {
-            let _ = std::fs::remove_file(format!("{}.s{s}", path.display()));
-        }
         let cfg = PmemConfig {
             journal_shards: WORKERS as u16,
             durability: Durability::Fsync,
@@ -360,10 +363,7 @@ fn collect_metrics() -> Metrics {
             "info.file_backend.replay_parallelism".to_string(),
             replay.replay_parallelism as f64,
         );
-        let _ = std::fs::remove_file(&path);
-        for s in 0..WORKERS {
-            let _ = std::fs::remove_file(format!("{}.s{s}", path.display()));
-        }
+        remove_pool(&path, WORKERS as u16);
     }
 
     eprintln!("  bench_smoke: mod-server loadgen, 1/4/8 connections ...");
@@ -421,7 +421,7 @@ fn collect_metrics() -> Metrics {
             }
         }
         handle.stop();
-        let _ = std::fs::remove_file(&path);
+        remove_pool(&path, 1);
     }
 
     let cores = std::thread::available_parallelism()

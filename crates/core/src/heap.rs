@@ -133,9 +133,13 @@ impl ModHeap {
     }
 
     /// Orderly shutdown of a file-backed heap: drains deferred
-    /// reclamation (one fence), checkpoints the pool file (journals
-    /// drained-but-unfenced lines, compacts, fsyncs) and returns the
-    /// pool. On a memory-backed heap the checkpoint is a no-op.
+    /// reclamation (one fence), checkpoints the pool (journals
+    /// drained-but-unfenced lines, writes everything journaled since the
+    /// last checkpoint home into the base image, truncates the journals —
+    /// all on stable storage when this returns) and returns the pool. A
+    /// checkpoint I/O error surfaces here; the pool it leaves is still
+    /// valid (image + journal). On a memory-backed heap the checkpoint
+    /// is a no-op.
     pub fn close(mut self) -> io::Result<Pmem> {
         self.quiesce();
         let mut pm = self.nv.into_pm();
@@ -403,6 +407,8 @@ mod tests {
         let map: crate::Root<PmMap> = h2.open_root(0);
         assert_eq!(h2.current(map).peek_get(h2.nv(), 5), Some(b"disk".to_vec()));
         assert!(h2.nv().pm().replay_stats().is_some());
-        std::fs::remove_file(&path).unwrap();
+        for member in mod_pmem::FileBackend::member_paths(&path, 1) {
+            std::fs::remove_file(member).unwrap();
+        }
     }
 }

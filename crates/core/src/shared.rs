@@ -2020,7 +2020,9 @@ mod tests {
                 assert_eq!(map2.get(&h2, &(round * 4 + w)), Some(round));
             }
         }
-        std::fs::remove_file(&path).unwrap();
+        for member in mod_pmem::FileBackend::member_paths(&path, 1) {
+            std::fs::remove_file(member).unwrap();
+        }
     }
 
     #[test]
@@ -2369,9 +2371,8 @@ mod tests {
             assert_eq!(map2.get(&h2, &i), Some(i));
         }
         drop(h2);
-        std::fs::remove_file(&path).unwrap();
-        for s in 0..4 {
-            let _ = std::fs::remove_file(format!("{}.s{s}", path.display()));
+        for member in mod_pmem::FileBackend::member_paths(&path, 4) {
+            std::fs::remove_file(member).unwrap();
         }
     }
 

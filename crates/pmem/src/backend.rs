@@ -4,87 +4,70 @@
 //! [`crate::Pmem`]: dirty → in-flight → fenced); a [`PoolBackend`]
 //! decides *where* that durable state lives:
 //!
-//! * [`MemBackend`] — volatile host memory (the original behavior): the
-//!   durable image is the crash-sim arena, and the pool dies with the
-//!   process. Every hook is a no-op, so pools built through
-//!   [`crate::Pmem::new`] behave byte-for-byte as before.
-//! * [`FileBackend`] — a real file: at each `sfence`, exactly the lines
-//!   the latency/crash model says became durable are appended as one
-//!   checksummed batch record (see [`crate::journal`]); the journal
-//!   periodically compacts into a full arena snapshot (written to a temp
-//!   file and atomically renamed). A pool written this way is
-//!   re-openable by a *different process* after a kill: replay is the
-//!   snapshot plus every complete batch, with any torn tail discarded at
-//!   the last complete fence.
+//! * [`MemBackend`] — volatile host memory: the durable image is the
+//!   crash-sim arena and dies with the process. Every hook is a no-op.
+//! * [`FileBackend`] — real files: a **home-location image** of the
+//!   durable arena in the base member plus a **redo journal** sliced
+//!   across one file per address shard (`pool.s0 …`; formats in
+//!   [`crate::journal`]). Each `sfence` appends exactly the lines the
+//!   model says became durable as one checksummed batch record per
+//!   touched journal — a single `write(2)`, which a process kill either
+//!   completes or tears (torn records are discarded at replay). Lines
+//!   that drained without a fence are journaled as
+//!   [`BatchKind::Drained`] records when the model observes them. A
+//!   *different process* reopens the pool as the image plus every
+//!   complete batch at or above the checkpoint mark; the journals are
+//!   scanned in parallel threads and merged by global sequence,
+//!   bit-identical to a one-journal replay (`journal_shards == 1` is
+//!   simply the one-shard set).
 //!
-//! ## Pool sets
+//! ## The checkpoint protocol
 //!
-//! A pool created with more than one journal shard
-//! ([`FileBackend::create_set`]) is a **pool set**: the base file holds
-//! the snapshot, and each shard journal `pool.s<i>` receives the slice
-//! of every fence that falls in its contiguous address range. Records
-//! carry the global batch sequence plus the mask of shards the fence
-//! touched, so recovery scans the journals **in parallel threads** and
-//! merges them back into the single global order — bit-identical to what
-//! a one-journal pool would have recorded (fences slice their
-//! already-address-sorted lines across ascending shard ranges, so
-//! concatenating slices in shard order restores the original record).
-//! A fence is recovered only if *every* shard it touched holds its
-//! slice; recovery truncates each journal back to that durable frontier.
+//! Every 1 MiB of journal, a checkpoint moves the journal into the
+//! image. It costs what changed since the last one, never the pool:
 //!
-//! ## What a process kill preserves
+//! 0. fdatasync every dirty shard journal — the image must never run
+//!    ahead of the durable journal;
+//! 1. write the lines journaled since the last checkpoint to
+//!    `IMAGE_OFFSET + addr`, coalesced into address runs. The bytes are
+//!    the images *the journal itself recorded* (kept last-write-wins as
+//!    `append_batch` appends them), never the live durable arena, which
+//!    a racing handle can have moved ahead of its journal record;
+//! 2. fdatasync the base;
+//! 3. write `mark = next sequence` into the older mark slot, fdatasync;
+//! 4. truncate the journals.
 //!
-//! Each fence's batch is appended with a single `write(2)` per touched
-//! journal: once the call returns, the record survives the death of the
-//! process (the page cache outlives it). A kill *during* the write
-//! leaves a torn record that replay discards — recovery lands on the
-//! previous fence, which is a legal crash outcome (the fence that died
-//! was never acknowledged). *Drained-but-unfenced* lines
-//! (`Inflight { done_ns }` whose background drain completed) are
-//! journaled when the model observes them — a store racing an in-flight
-//! writeback, or an orderly [`crate::Pmem::checkpoint`] — as
-//! [`BatchKind::Drained`] records; at an uncooperative kill they are
-//! lost, which realizes the [`crate::CrashPolicy::OnlyFenced`] choice on
-//! a medium whose WPQ dies with the machine.
-//!
-//! ## Durability grades
-//!
-//! [`Durability::Buffered`] (the default) stops there: appends are
-//! process-kill-grade — the page cache survives the process but not the
-//! machine — and the backend fsyncs only at compaction and checkpoint.
-//! [`Durability::Fsync`] upgrades every fence to power-loss-grade: each
-//! touched shard journal is fdatasync'd before the append returns, so an
-//! acknowledged fence is on the medium. Group commit amortizes the cost:
-//! batching N FASEs into one fence costs one fsync round (one fsync per
-//! touched shard journal) for all N.
-//!
-//! ## Journal format versions
-//!
-//! New pools are created with v3 headers and append **compact** batch
-//! records (sorted, deduplicated line sets with varint delta-encoded
-//! addresses — see [`crate::journal`]). Opening negotiates the version
-//! from the pool header: v1 single-file pools and v2 pool sets replay
-//! bit-identically and then accumulate v3 records in place, since the
-//! record tag (not the header) names each record's codec.
+//! A kill or power loss at any step is repaired by what recovery always
+//! does — load the image, replay every complete fence with `seq ≥ mark`
+//! in order. Before (3) lands the old mark stands and the untouched
+//! journal redoes everything, overwriting whatever a torn or partial
+//! image write left (batch records hold whole lines, so redo is
+//! idempotent); after it, the journal's records sit below the mark and
+//! are skipped as stale whether or not (4) got to them. A checkpoint
+//! that *fails* (ENOSPC, EIO) before its mark is written therefore
+//! leaves a valid pool too: the fence path counts it
+//! ([`BackendStats::checkpoint_failures`]), keeps appending, and retries
+//! at the next threshold crossing.
 
 use crate::arena::SharedArena;
 use crate::journal::{
-    self, BatchKind, LineImage, Replay, ReplayError, ShardReplay, SnapshotExtent, HEADER_BYTES,
-    MAX_SHARDS, SHARD_BASE,
+    self, BatchKind, BatchRecord, LineBytes, LineImage, ReplayError, ShardReplay, HEADER_BYTES,
+    IMAGE_OFFSET, MARK_SLOT_AT, MARK_SLOT_BYTES, MAX_SHARDS, SHARD_BASE,
 };
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Which backend family a pool uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BackendKind {
     /// Volatile host memory ([`MemBackend`]).
     Mem,
-    /// File-backed journal + snapshot ([`FileBackend`]).
+    /// File-backed image + journal ([`FileBackend`]).
     File,
 }
 
@@ -92,8 +75,7 @@ pub enum BackendKind {
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Durability {
     /// Append with `write(2)` only: the record survives a process kill
-    /// (page cache), not a power loss. Fsync happens at compaction and
-    /// checkpoint. The default, and the only mode prior formats had.
+    /// (page cache), not a power loss. Fsync happens at checkpoints.
     #[default]
     Buffered,
     /// fdatasync every dirty shard journal before a **fence** append
@@ -117,30 +99,41 @@ pub struct BackendStats {
     /// [`BatchKind::Drained`] records: in-flight writebacks the model
     /// observed completing without a fence (store races, checkpoints).
     pub drained_batches: u64,
-    /// Total journal bytes appended (excluding snapshots).
+    /// Total journal bytes appended.
     pub journal_bytes: u64,
-    /// Snapshot compactions performed.
+    /// Checkpoints completed (the counter keeps the name it had when a
+    /// checkpoint rewrote the pool as a snapshot).
     pub compactions: u64,
-    /// Journal shards (1 = classic single-file pool; 0 = no journal).
-    /// Also the scan parallelism a recovery of this pool uses.
+    /// Journal shards (0 = no journal). Also the scan parallelism a
+    /// recovery of this pool uses.
     pub journal_shards: u64,
     /// Journal bytes appended per shard (len = `journal_shards`).
     pub journal_bytes_by_shard: Vec<u64>,
     /// Individual fsync calls issued on the per-fence append path
-    /// ([`Durability::Fsync`] only; compaction/checkpoint syncs are not
-    /// counted here).
+    /// ([`Durability::Fsync`] only; checkpoint syncs are not counted).
     pub fsyncs: u64,
     /// Fsync *rounds*: append events that fsync'd (each round syncs
-    /// every touched shard journal once). Under group commit this is one
+    /// every dirty shard journal once). Under group commit this is one
     /// per batch, so rounds/FASE ≤ 1/N for batch size N.
     pub fsync_rounds: u64,
+    /// Bytes checkpoints wrote to the base member (image runs + mark
+    /// slots): proportional to the lines journaled between checkpoints,
+    /// never to the pool.
+    pub checkpoint_bytes: u64,
+    /// Host nanoseconds spent inside checkpoints (failed ones included).
+    pub checkpoint_ns: u64,
+    /// The longest single checkpoint, host nanoseconds.
+    pub longest_checkpoint_ns: u64,
+    /// Checkpoints that returned an I/O error. The pool stays valid
+    /// (image + journal) and the next threshold crossing retries.
+    pub checkpoint_failures: u64,
 }
 
 /// The storage layer behind a [`crate::Pmem`] pool.
 ///
 /// Implementations receive *durability events* from the simulator: one
 /// [`PoolBackend::append_batch`] per fence (or per drained-line
-/// observation), plus compaction/sync hooks at orderly points. All
+/// observation), plus the checkpoint hook at orderly points. All
 /// methods take `&self` — a backend is shared by every forked shard
 /// handle of its pool and must synchronize internally.
 pub trait PoolBackend: fmt::Debug + Send + Sync {
@@ -160,22 +153,17 @@ pub trait PoolBackend: fmt::Debug + Send + Sync {
     /// ascending address order.
     fn append_batch(&self, _kind: BatchKind, _lines: &[LineImage], _fence_ns: f64) {}
 
-    /// Whether enough journal has accumulated that the caller should
-    /// offer a compaction ([`PoolBackend::compact`]) at the next orderly
-    /// point.
-    fn should_compact(&self) -> bool {
+    /// Whether enough journal has accumulated that the caller should run
+    /// a [`PoolBackend::checkpoint`] at the next orderly point.
+    fn should_checkpoint(&self) -> bool {
         false
     }
 
-    /// Compacts the journal into a full snapshot of `durable` (the
-    /// pool's durable image). Crash-safe: the snapshot is written to a
-    /// sibling temp file, synced, and atomically renamed over the pool.
-    fn compact(&self, _durable: &SharedArena) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Forces written data to stable storage (fsync).
-    fn sync(&self) -> io::Result<()> {
+    /// Folds everything journaled so far into the pool's base image and
+    /// truncates the journal, leaving the result on stable storage.
+    /// Crash-safe at every step, and a returned error leaves the pool
+    /// valid (see the module docs).
+    fn checkpoint(&self) -> io::Result<()> {
         Ok(())
     }
 
@@ -203,52 +191,80 @@ impl PoolBackend for MemBackend {
     }
 }
 
-/// Journal bytes since the last snapshot that trigger a compaction offer.
-const DEFAULT_COMPACT_BYTES: u64 = 1 << 20;
+/// Journal bytes since the last checkpoint that make the fence path run
+/// the next one.
+const CHECKPOINT_BYTES: u64 = 1 << 20;
+/// Largest single image write of a checkpoint (its one reused buffer).
+const RUN_BYTES: usize = 256 << 10;
+/// Chunk in which [`FileBackend::load_image`] streams the image.
+const LOAD_CHUNK: usize = 256 << 10;
+
+/// What [`FileBackend::open_with`] found: the caller rebuilds the arena
+/// from the image ([`FileBackend::load_image`]) plus `batches`, in order.
+#[derive(Clone, Debug)]
+pub struct Replay {
+    /// Pool capacity from the header.
+    pub capacity: u64,
+    /// The checkpoint mark: every sequence below it is in the image.
+    pub mark: u64,
+    /// Every complete batch at or above the mark, in sequence order.
+    pub batches: Vec<BatchRecord>,
+    /// Journal bytes discarded (and truncated away) as torn tails or as
+    /// records past the durable frontier.
+    pub torn_bytes: u64,
+}
 
 #[derive(Debug)]
 struct SetState {
-    /// The base pool file. For a single-file (v1) pool this is also the
-    /// journal; for a pool set it holds only the snapshot + seq mark.
+    /// The base member: header, mark slots, home-location image.
     base: File,
-    /// Per-shard journal files (empty for a single-file pool).
+    /// Per-shard journal files.
     journals: Vec<File>,
-    /// Journal bytes appended since the last snapshot (set-wide).
-    since_snapshot: u64,
+    /// Journal bytes appended since the last checkpoint attempt.
+    since_checkpoint: u64,
     /// Next global batch sequence number.
     seq: u64,
-    /// Bitmask of journal members with appended-but-unsynced bytes
-    /// (bit 0 = the base file for a single-file pool). A fence's fsync
-    /// round must cover every dirty member, not just the shards the
-    /// fence touched: a buffered drained-line record holds an earlier
+    /// Which mark slot holds the current mark; a checkpoint writes the
+    /// other one.
+    mark_slot: usize,
+    /// Bitmask of journals with appended-but-unsynced bytes. A fence's
+    /// fsync round must cover every dirty journal, not just the shards
+    /// the fence touched: a buffered drained-line record holds an earlier
     /// sequence number, and losing it to power-off would recede the
     /// recovery frontier below an already-acknowledged fence.
     dirty: u64,
+    /// The lines journaled since the mark, last write wins: what the
+    /// next checkpoint writes home. Non-empty exactly when the journal
+    /// holds a record at or above the mark.
+    pending: BTreeMap<u64, LineBytes>,
+    stats: BackendStats,
 }
 
-/// The file-backed backend: a pool file (or pool set) holding a snapshot
-/// plus an append-only, checksummed fence journal — one journal file per
-/// address shard when created with [`FileBackend::create_set`] (see the
-/// module docs and [`crate::journal`] for formats and crash semantics).
+/// The file-backed backend: a base member holding the home-location
+/// image plus one append-only, checksummed fence journal per address
+/// shard (see the module docs and [`crate::journal`] for formats and
+/// crash semantics).
 #[derive(Debug)]
 pub struct FileBackend {
     path: PathBuf,
     durability: Durability,
-    /// Journal shard count (1 = classic single-file pool).
     shards: u16,
     /// Bytes of pool address space per shard (64-aligned; the last shard
     /// absorbs the remainder).
     span: u64,
     state: Mutex<SetState>,
-    compact_bytes: u64,
-    batches: AtomicU64,
-    fence_batches: AtomicU64,
-    drained_batches: AtomicU64,
-    journal_bytes: AtomicU64,
-    compactions: AtomicU64,
-    fsyncs: AtomicU64,
-    fsync_rounds: AtomicU64,
-    per_shard_bytes: Vec<AtomicU64>,
+    /// Test-only kill switch: see [`FileBackend::step`].
+    #[cfg(test)]
+    hook: StepHook,
+}
+
+/// Counts the checkpoint steps taken and stops the one numbered
+/// `stop_at` — the test stand-in for a kill at that point.
+#[cfg(test)]
+#[derive(Debug)]
+struct StepHook {
+    taken: std::sync::atomic::AtomicU64,
+    stop_at: std::sync::atomic::AtomicU64,
 }
 
 /// The fixed address partition of a pool set: contiguous equal 64-byte-
@@ -265,19 +281,49 @@ fn shard_path(path: &Path, shard: u16) -> PathBuf {
     PathBuf::from(os)
 }
 
-impl FileBackend {
-    /// Creates a fresh single-file pool (truncating any existing file):
-    /// header plus an empty snapshot, synced to disk.
-    pub fn create(path: &Path, capacity: u64) -> io::Result<FileBackend> {
-        FileBackend::create_set(path, capacity, 1, Durability::Buffered)
-    }
+fn replay_io_err(e: ReplayError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
 
-    /// Creates a fresh pool with `shards` journal files (1 = a classic
-    /// single-file pool, bit-identical to [`FileBackend::create`]) and
-    /// the given per-fence durability grade. `shards` is clamped to
-    /// `1..=64` (the touched-shard mask is a `u64`). New pools carry v3
-    /// headers and compact (varint/delta) batch records; pools with v1
-    /// or v2 headers still open and replay bit-identically.
+fn member_err(path: &Path, e: &io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("pool member {}: {e}", path.display()))
+}
+
+fn open_rw(path: &Path, create: bool) -> io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(create)
+        .truncate(create)
+        .open(path)
+        .map_err(|e| member_err(path, &e))
+}
+
+/// Reads until `buf` is full or the file ends; returns the bytes read.
+fn read_full(f: &mut File, buf: &mut [u8]) -> io::Result<usize> {
+    let mut n = 0;
+    while n < buf.len() {
+        match f.read(&mut buf[n..]) {
+            Ok(0) => break,
+            Ok(k) => n += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(n)
+}
+
+fn write_at(f: &mut File, offset: u64, bytes: &[u8]) -> io::Result<()> {
+    f.seek(SeekFrom::Start(offset))?;
+    f.write_all(bytes)
+}
+
+impl FileBackend {
+    /// Creates a fresh pool (truncating existing members) with `shards`
+    /// journal files `path.s0 …` (clamped to `1..=64`: the touched-shard
+    /// mask is a `u64`) and the given per-fence durability grade. The
+    /// base member starts as header + two zero marks — the image is all
+    /// holes until the first checkpoint.
     pub fn create_set(
         path: &Path,
         capacity: u64,
@@ -285,141 +331,104 @@ impl FileBackend {
         durability: Durability,
     ) -> io::Result<FileBackend> {
         let shards = shards.clamp(1, MAX_SHARDS);
-        let mut base = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let mut journals = Vec::new();
-        if shards == 1 {
-            base.write_all(&journal::encode_header_v3(capacity))?;
-            base.write_all(&journal::encode_snapshot(&[]))?;
-        } else {
-            base.write_all(&journal::encode_set_header_v3(capacity, shards, SHARD_BASE))?;
-            base.write_all(&journal::encode_snapshot(&[]))?;
-            base.write_all(&journal::encode_seq_mark(0))?;
-            for i in 0..shards {
-                let mut j = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(shard_path(path, i))?;
-                j.write_all(&journal::encode_set_header_v3(capacity, shards, i))?;
-                j.sync_all()?;
-                journals.push(j);
-            }
+        let mut base = open_rw(path, true)?;
+        base.write_all(&journal::encode_header(capacity, shards, SHARD_BASE))?;
+        base.write_all(&journal::encode_mark(0))?;
+        base.write_all(&journal::encode_mark(0))?;
+        let mut journals = Vec::with_capacity(shards as usize);
+        for i in 0..shards {
+            let mut j = open_rw(&shard_path(path, i), true)?;
+            j.write_all(&journal::encode_header(capacity, shards, i))?;
+            j.sync_all()?;
+            journals.push(j);
         }
         base.sync_all()?;
+        let state = SetState {
+            base,
+            journals,
+            since_checkpoint: 0,
+            seq: 0,
+            mark_slot: 0,
+            dirty: 0,
+            pending: BTreeMap::new(),
+            stats: BackendStats::default(),
+        };
         Ok(FileBackend::assemble(
-            path, durability, shards, capacity, base, journals, 0, 0,
+            path, durability, shards, capacity, state,
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         path: &Path,
         durability: Durability,
         shards: u16,
         capacity: u64,
-        base: File,
-        journals: Vec<File>,
-        since_snapshot: u64,
-        seq: u64,
+        mut state: SetState,
     ) -> FileBackend {
+        state.stats.journal_shards = shards as u64;
+        state.stats.journal_bytes_by_shard = vec![0; shards as usize];
         FileBackend {
             path: path.to_path_buf(),
             durability,
             shards,
             span: shard_span(capacity, shards),
-            state: Mutex::new(SetState {
-                base,
-                journals,
-                since_snapshot,
-                seq,
-                dirty: 0,
-            }),
-            compact_bytes: DEFAULT_COMPACT_BYTES,
-            batches: AtomicU64::new(0),
-            fence_batches: AtomicU64::new(0),
-            drained_batches: AtomicU64::new(0),
-            journal_bytes: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            fsync_rounds: AtomicU64::new(0),
-            per_shard_bytes: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            state: Mutex::new(state),
+            #[cfg(test)]
+            hook: StepHook {
+                taken: 0.into(),
+                stop_at: u64::MAX.into(),
+            },
         }
     }
 
-    /// Opens an existing pool (single-file or set; the header says
-    /// which) with [`Durability::Buffered`] appends.
+    /// Opens an existing pool with [`Durability::Buffered`] appends.
     pub fn open(path: &Path) -> io::Result<(FileBackend, Replay)> {
         FileBackend::open_with(path, Durability::Buffered)
     }
 
-    /// Opens an existing pool file or pool set, replaying snapshot +
-    /// journal(s): every complete batch is applied; torn tails — and,
-    /// for a set, complete records whose fence lost a slice in a sibling
-    /// journal — are truncated away so appends resume at the durable
-    /// frontier. A set's shard journals are scanned in parallel, one
-    /// thread per journal, then merged by global sequence; the merged
-    /// batch order is bit-identical to a single-journal replay. Returns
-    /// the backend plus the replay for the caller to rebuild the arena.
+    /// Opens an existing pool: reads the base member's header and mark,
+    /// scans the shard journals **in parallel, one thread per journal**,
+    /// and merges them by global sequence (the merged order is
+    /// bit-identical to a one-journal replay). Torn tails — and complete
+    /// records whose fence lost a slice in a sibling journal — are
+    /// truncated away so appends resume at the durable frontier. The
+    /// replayed batches also **seed the pending set**: the image has not
+    /// received them, so the next checkpoint must write them before it
+    /// may truncate their records.
+    ///
+    /// Returns the backend plus the replay; the caller rebuilds the arena
+    /// with [`FileBackend::load_image`] and then `replay.batches`.
     pub fn open_with(path: &Path, durability: Durability) -> io::Result<(FileBackend, Replay)> {
-        // A kill mid-compaction can leave a stale temp file; it was never
-        // renamed, so it is garbage.
-        let _ = std::fs::remove_file(tmp_path(path));
-        let mut base = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        base.read_to_end(&mut bytes)?;
-        if !journal::is_set_member(&bytes).map_err(replay_io_err)? {
-            // Single-file pool (v1, or v3 with a zero geometry word).
-            let replay = journal::replay(&bytes).map_err(replay_io_err)?;
-            if replay.torn_bytes > 0 {
-                base.set_len(replay.valid_len as u64)?;
-            }
-            base.seek(SeekFrom::End(0))?;
-            let since_snapshot = (replay.valid_len - HEADER_BYTES) as u64
-                - journal::encode_snapshot(&replay.extents).len() as u64;
-            let seq = replay.batches.last().map_or(0, |b| b.seq + 1);
-            let capacity = replay.capacity;
-            return Ok((
-                FileBackend::assemble(
-                    path,
-                    durability,
-                    1,
-                    capacity,
-                    base,
-                    Vec::new(),
-                    since_snapshot,
-                    seq,
-                ),
-                replay,
-            ));
+        let mut base = open_rw(path, false)?;
+        let mut head = [0u8; HEADER_BYTES + 2 * MARK_SLOT_BYTES];
+        let n = read_full(&mut base, &mut head)?;
+        let set = journal::decode_header(&head[..n]).map_err(replay_io_err)?;
+        if set.shard_index != SHARD_BASE {
+            return Err(replay_io_err(ReplayError::NotAPool(
+                "shard journal where the base file belongs",
+            )));
         }
-        let set = journal::replay_set_base(&bytes).map_err(replay_io_err)?;
-        // Scan every shard journal in parallel: the scans are
-        // independent (checksums, framing, decode), and the merge below
-        // is a pure function of their results — so the recovered image
-        // cannot depend on thread interleaving.
-        let scans: Vec<(File, ShardReplay, u64)> = std::thread::scope(|scope| {
+        let slot = |i: usize| journal::decode_mark(head[..n].get(MARK_SLOT_AT[i] as usize..)?);
+        let (mark, mark_slot) = journal::newest_mark([slot(0), slot(1)]).map_err(replay_io_err)?;
+        if base.metadata()?.len().saturating_sub(IMAGE_OFFSET) > set.capacity {
+            return Err(replay_io_err(ReplayError::NotAPool(
+                "image longer than the pool capacity",
+            )));
+        }
+        // The scans are independent (checksums, framing, decode), and
+        // the merge below is a pure function of their results — so the
+        // recovered image cannot depend on thread interleaving.
+        let mut scans: Vec<(File, ShardReplay, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..set.shards)
                 .map(|i| {
                     let p = shard_path(path, i);
                     scope.spawn(move || -> io::Result<(File, ShardReplay, u64)> {
-                        let mut f = OpenOptions::new()
-                            .read(true)
-                            .write(true)
-                            .open(&p)
-                            .map_err(|e| member_err(&p, &e))?;
+                        let mut f = open_rw(&p, false)?;
                         let mut jbytes = Vec::new();
                         f.read_to_end(&mut jbytes)?;
                         let scan = journal::replay_shard_journal(&jbytes).map_err(replay_io_err)?;
-                        if scan.header.capacity != set.capacity
-                            || scan.header.shards != set.shards
-                            || scan.header.shard_index != i
-                        {
+                        let h = scan.header;
+                        if (h.capacity, h.shards, h.shard_index) != (set.capacity, set.shards, i) {
                             return Err(io::Error::new(
                                 io::ErrorKind::InvalidData,
                                 format!("pool-set member {} does not match its base", p.display()),
@@ -434,66 +443,94 @@ impl FileBackend {
                 .map(|h| h.join().expect("shard scan thread panicked"))
                 .collect::<io::Result<Vec<_>>>()
         })?;
-        let per_shard: Vec<Vec<journal::ShardBatchRecord>> =
-            scans.iter().map(|(_, s, _)| s.records.clone()).collect();
-        let merged = journal::merge_shard_records(&per_shard, set.snap_seq);
+        let records = scans
+            .iter_mut()
+            .map(|(_, scan, _)| std::mem::take(&mut scan.records))
+            .collect();
+        let merged = journal::merge_shard_records(records, mark);
         // Truncate each journal back to the durable frontier: both torn
         // tails and complete records of fences that lost a slice
         // elsewhere. Journal order is sequence order, so the cut is the
         // end of the last record below the frontier.
         let mut journals = Vec::with_capacity(scans.len());
-        let mut since_snapshot = 0u64;
-        let mut torn = 0u64;
-        let mut valid = bytes.len();
+        let mut since_checkpoint = 0u64;
+        let mut torn_bytes = 0u64;
         for (mut f, scan, len) in scans {
-            let keep = scan
-                .records
+            let cut = scan
+                .ends
                 .iter()
-                .position(|r| r.batch.seq >= merged.frontier)
-                .unwrap_or(scan.records.len());
-            let cut = if keep == 0 {
-                HEADER_BYTES
-            } else {
-                scan.ends[keep - 1]
-            };
-            if (cut as u64) < len {
-                f.set_len(cut as u64)?;
+                .rev()
+                .find(|(seq, _)| *seq < merged.frontier)
+                .map_or(HEADER_BYTES, |&(_, end)| end) as u64;
+            if cut < len {
+                f.set_len(cut)?;
             }
-            f.seek(SeekFrom::End(0))?;
-            since_snapshot += (cut - HEADER_BYTES) as u64;
-            torn += len - cut as u64;
-            valid += cut;
+            f.seek(SeekFrom::Start(cut))?;
+            since_checkpoint += cut - HEADER_BYTES as u64;
+            torn_bytes += len - cut;
             journals.push(f);
         }
+        let mut pending = BTreeMap::new();
+        for l in merged.batches.iter().flat_map(|b| &b.lines) {
+            pending.insert(l.addr, l.data);
+        }
+        let state = SetState {
+            base,
+            journals,
+            since_checkpoint,
+            seq: merged.frontier,
+            mark_slot,
+            dirty: 0,
+            pending,
+            stats: BackendStats::default(),
+        };
         let replay = Replay {
             capacity: set.capacity,
-            extents: set.extents,
+            mark,
             batches: merged.batches,
-            valid_len: valid,
-            torn_bytes: torn as usize,
+            torn_bytes,
         };
         Ok((
-            FileBackend::assemble(
-                path,
-                durability,
-                set.shards,
-                set.capacity,
-                base,
-                journals,
-                since_snapshot,
-                merged.frontier,
-            ),
+            FileBackend::assemble(path, durability, set.shards, set.capacity, state),
             replay,
         ))
     }
 
-    /// Path of the pool's base file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Streams the base member's home-location image into `arena` in
+    /// bounded chunks, never materializing an all-zero chunk (holes of
+    /// the sparse image stay holes of the arena). The image is the state
+    /// as of the mark; the caller applies `Replay::batches` on top.
+    pub fn load_image(&self, arena: &SharedArena) -> io::Result<()> {
+        let mut st = self.lock();
+        st.base.seek(SeekFrom::Start(IMAGE_OFFSET))?;
+        let mut buf = vec![0u8; LOAD_CHUNK];
+        let mut addr = 0u64;
+        loop {
+            // `open_with` bounded the file length by the capacity.
+            let n = read_full(&mut st.base, &mut buf)?;
+            if buf[..n].iter().any(|&b| b != 0) {
+                arena.write(addr, &buf[..n]);
+            }
+            addr += n as u64;
+            if n < buf.len() {
+                return Ok(());
+            }
+        }
     }
 
-    /// Journal shard count (1 = classic single-file pool). Recovery
-    /// scans a set's journals with this many parallel threads.
+    /// The files of a pool created at `path` with `shards` journals
+    /// (clamped like [`FileBackend::create_set`] clamps them): the base
+    /// member first, then `path.s0 …` — for callers that move or delete
+    /// a pool as a whole.
+    pub fn member_paths(path: &Path, shards: u16) -> Vec<PathBuf> {
+        let journals = (0..shards.clamp(1, MAX_SHARDS)).map(|i| shard_path(path, i));
+        std::iter::once(path.to_path_buf())
+            .chain(journals)
+            .collect()
+    }
+
+    /// Journal shard count. Recovery scans the journals with this many
+    /// parallel threads.
     pub fn shard_count(&self) -> u16 {
         self.shards
     }
@@ -507,43 +544,91 @@ impl FileBackend {
     fn shard_of(&self, addr: u64) -> usize {
         ((addr / self.span) as usize).min(self.shards as usize - 1)
     }
-}
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
+    /// Locks the writer state, recovering the guard if a previous holder
+    /// panicked: the state is consistent at every unlock (no invariant
+    /// spans a panic point — a failed append already leaves its fence
+    /// incomplete on disk, which recovery discards), so one worker's
+    /// panic must not turn every later fence into a second one.
+    fn lock(&self) -> MutexGuard<'_, SetState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-fn replay_io_err(e: ReplayError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
-fn member_err(path: &Path, e: &io::Error) -> io::Error {
-    io::Error::new(e.kind(), format!("pool member {}: {e}", path.display()))
-}
-
-/// Collects the durable arena's resident bytes as snapshot extents.
-/// Trailing zero bytes of each segment are trimmed (freshly formatted
-/// pools are almost entirely zero).
-fn extents_of(durable: &SharedArena) -> Vec<SnapshotExtent> {
-    let seg = crate::arena::SEGMENT_BYTES;
-    let mut extents = Vec::new();
-    let mut addr = 0u64;
-    while addr < durable.capacity() {
-        let len = seg.min(durable.capacity() - addr);
-        if durable.is_resident(addr) {
-            let mut data = vec![0u8; len as usize];
-            durable.read(addr, &mut data);
-            let used = data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-            data.truncate(used);
-            if !data.is_empty() {
-                extents.push(SnapshotExtent { addr, data });
+    /// One checkpoint step boundary. A no-op outside this crate's unit
+    /// tests, where the kill battery stops the checkpoint here — as an
+    /// I/O error, which is also how a real failure surfaces.
+    fn step(&self) -> io::Result<()> {
+        #[cfg(test)]
+        {
+            use std::sync::atomic::Ordering::Relaxed;
+            if self.hook.taken.fetch_add(1, Relaxed) == self.hook.stop_at.load(Relaxed) {
+                return Err(io::Error::other("checkpoint stopped by the test hook"));
             }
         }
-        addr += len;
+        Ok(())
     }
-    extents
+
+    /// Arms the kill switch: the checkpoint step numbered `step` (counted
+    /// from pool creation, see [`FileBackend::checkpoint_steps_taken`])
+    /// fails instead of proceeding.
+    #[cfg(test)]
+    pub(crate) fn stop_checkpoint_at_step(&self, step: u64) {
+        self.hook
+            .stop_at
+            .store(step, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn checkpoint_steps_taken(&self) -> u64 {
+        self.hook.taken.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Steps 0–4 of the module docs' protocol; returns the bytes written
+    /// to the base member.
+    fn checkpoint_locked(&self, st: &mut SetState) -> io::Result<u64> {
+        let SetState {
+            base,
+            journals,
+            pending,
+            dirty,
+            mark_slot,
+            seq,
+            ..
+        } = st;
+        for (i, j) in journals.iter().enumerate() {
+            if *dirty & (1 << i) != 0 {
+                j.sync_data()?;
+            }
+        }
+        *dirty = 0;
+        self.step()?;
+        let mut written = 0u64;
+        if !pending.is_empty() {
+            journal::coalesce_runs(pending, RUN_BYTES, |addr, run| {
+                write_at(base, IMAGE_OFFSET + addr, run)?;
+                written += run.len() as u64;
+                self.step()
+            })?;
+            base.sync_data()?;
+            self.step()?;
+            let slot = 1 - *mark_slot;
+            write_at(base, MARK_SLOT_AT[slot], &journal::encode_mark(*seq))?;
+            written += MARK_SLOT_BYTES as u64;
+            self.step()?;
+            base.sync_data()?;
+            // The mark is durable: the journal's records are stale now,
+            // whatever happens to the truncations below.
+            *mark_slot = slot;
+            pending.clear();
+            self.step()?;
+        }
+        for j in journals {
+            j.set_len(HEADER_BYTES as u64)?;
+            j.seek(SeekFrom::Start(HEADER_BYTES as u64))?;
+            self.step()?;
+        }
+        Ok(written)
+    }
 }
 
 impl PoolBackend for FileBackend {
@@ -559,187 +644,113 @@ impl PoolBackend for FileBackend {
         if lines.is_empty() {
             return;
         }
-        let mut st = self.state.lock().unwrap();
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        // Slice the (address-sorted) fence across the contiguous shard
+        // ranges; every slice carries the global sequence and the full
+        // touched mask so recovery can tell a complete fence from one
+        // that lost a slice.
+        let mut runs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        let mut start = 0usize;
+        while start < lines.len() {
+            let shard = self.shard_of(lines[start].addr);
+            let mut end = start + 1;
+            while end < lines.len() && self.shard_of(lines[end].addr) == shard {
+                end += 1;
+            }
+            runs.push((shard, start..end));
+            start = end;
+        }
+        let mask: u64 = runs.iter().map(|(s, _)| 1u64 << s).sum();
         let seq = st.seq;
         st.seq += 1;
         let mut appended = 0u64;
-        if self.shards == 1 {
-            // Appends always use the compact v3 record codec, whatever
-            // the file's header version: replay keys record decoding off
-            // the tag, so a pre-upgrade pool legally mixes generations.
-            let record = journal::encode_batch_v3(seq, kind, fence_ns, lines);
-            // One write(2) per fence: complete once it returns, torn
-            // (and discarded at replay) if the process dies inside it.
-            st.base
+        for (shard, range) in runs {
+            let record = journal::encode_shard_batch(seq, kind, fence_ns, mask, &lines[range]);
+            // One write(2) per touched journal: complete once it
+            // returns, torn (and discarded at replay) if the process
+            // dies inside it.
+            st.journals[shard]
                 .write_all(&record)
                 .expect("pool journal append failed");
-            appended = record.len() as u64;
-            self.per_shard_bytes[0].fetch_add(appended, Ordering::Relaxed);
-            st.dirty |= 1;
-            if self.durability == Durability::Fsync && kind == BatchKind::Fence {
-                st.base.sync_data().expect("pool journal fsync failed");
-                st.dirty = 0;
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                self.fsync_rounds.fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            // Slice the (address-sorted) fence across the contiguous
-            // shard ranges; every slice carries the global sequence and
-            // the full touched mask so recovery can tell a complete
-            // fence from one that lost a slice.
-            let mut runs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-            let mut start = 0usize;
-            while start < lines.len() {
-                let shard = self.shard_of(lines[start].addr);
-                let mut end = start + 1;
-                while end < lines.len() && self.shard_of(lines[end].addr) == shard {
-                    end += 1;
-                }
-                runs.push((shard, start..end));
-                start = end;
-            }
-            let mask: u64 = runs.iter().map(|(s, _)| 1u64 << s).sum();
-            for (shard, range) in &runs {
-                let record = journal::encode_shard_batch_v3(
-                    seq,
-                    kind,
-                    fence_ns,
-                    mask,
-                    &lines[range.clone()],
-                );
-                st.journals[*shard]
-                    .write_all(&record)
-                    .expect("pool journal append failed");
-                appended += record.len() as u64;
-                self.per_shard_bytes[*shard].fetch_add(record.len() as u64, Ordering::Relaxed);
-            }
-            st.dirty |= mask;
-            if self.durability == Durability::Fsync && kind == BatchKind::Fence {
-                // The round covers every dirty member, not just this
-                // fence's shards: buffered drained-line records hold
-                // earlier sequence numbers, and an acked fence must
-                // never outlive them on disk (frontier contiguity).
-                let mut synced = 0u64;
-                for shard in 0..self.shards as usize {
-                    if st.dirty & (1u64 << shard) != 0 {
-                        st.journals[shard]
-                            .sync_data()
-                            .expect("pool journal fsync failed");
-                        synced += 1;
-                    }
-                }
-                st.dirty = 0;
-                self.fsyncs.fetch_add(synced, Ordering::Relaxed);
-                self.fsync_rounds.fetch_add(1, Ordering::Relaxed);
-            }
+            appended += record.len() as u64;
+            st.stats.journal_bytes_by_shard[shard] += record.len() as u64;
         }
-        st.since_snapshot += appended;
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        st.dirty |= mask;
+        for l in lines {
+            st.pending.insert(l.addr, l.data);
+        }
+        if self.durability == Durability::Fsync && kind == BatchKind::Fence {
+            // The round covers every dirty journal, not just this
+            // fence's shards: buffered drained-line records hold earlier
+            // sequence numbers, and an acked fence must never outlive
+            // them on disk (frontier contiguity).
+            for (shard, j) in st.journals.iter().enumerate() {
+                if st.dirty & (1u64 << shard) != 0 {
+                    j.sync_data().expect("pool journal fsync failed");
+                    st.stats.fsyncs += 1;
+                }
+            }
+            st.dirty = 0;
+            st.stats.fsync_rounds += 1;
+        }
+        st.since_checkpoint += appended;
+        st.stats.journal_bytes += appended;
+        st.stats.batches_appended += 1;
         match kind {
-            BatchKind::Fence => &self.fence_batches,
-            BatchKind::Drained => &self.drained_batches,
+            BatchKind::Fence => st.stats.fence_batches += 1,
+            BatchKind::Drained => st.stats.drained_batches += 1,
         }
-        .fetch_add(1, Ordering::Relaxed);
-        self.journal_bytes.fetch_add(appended, Ordering::Relaxed);
     }
 
-    fn should_compact(&self) -> bool {
-        self.state.lock().unwrap().since_snapshot >= self.compact_bytes
+    fn should_checkpoint(&self) -> bool {
+        self.lock().since_checkpoint >= CHECKPOINT_BYTES
     }
 
-    fn compact(&self, durable: &SharedArena) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
-        let tmp = tmp_path(&self.path);
-        {
-            let mut f = File::create(&tmp)?;
-            if self.shards == 1 {
-                f.write_all(&journal::encode_header_v3(durable.capacity()))?;
-                f.write_all(&journal::encode_snapshot(&extents_of(durable)))?;
-            } else {
-                f.write_all(&journal::encode_set_header_v3(
-                    durable.capacity(),
-                    self.shards,
-                    SHARD_BASE,
-                ))?;
-                f.write_all(&journal::encode_snapshot(&extents_of(durable)))?;
-                f.write_all(&journal::encode_seq_mark(st.seq))?;
+    fn checkpoint(&self) -> io::Result<()> {
+        let mut st = self.lock();
+        if st.pending.is_empty() && st.since_checkpoint == 0 {
+            return Ok(()); // nothing journaled since the mark
+        }
+        let t0 = Instant::now();
+        let result = self.checkpoint_locked(&mut st);
+        // Success or not, the next attempt waits for the next threshold
+        // crossing: a failing disk must not be hammered at every fence.
+        st.since_checkpoint = 0;
+        let ns = t0.elapsed().as_nanos() as u64;
+        st.stats.checkpoint_ns += ns;
+        st.stats.longest_checkpoint_ns = st.stats.longest_checkpoint_ns.max(ns);
+        match result {
+            Ok(written) => {
+                st.stats.checkpoint_bytes += written;
+                st.stats.compactions += 1;
+                Ok(())
             }
-            f.sync_all()?;
+            Err(e) => {
+                st.stats.checkpoint_failures += 1;
+                Err(e)
+            }
         }
-        // Atomic cut-over: a kill before the rename leaves the old pool
-        // (plus a stale .tmp that open() removes); after it, the new one.
-        std::fs::rename(&tmp, &self.path)?;
-        let mut base = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        base.seek(SeekFrom::End(0))?;
-        st.base = base;
-        // Only after the base holds the new snapshot + seq mark may the
-        // shard journals shrink: a kill mid-truncation leaves records
-        // below the mark, which recovery ignores as stale. The reverse
-        // order would lose the un-snapshotted records.
-        for j in &mut st.journals {
-            j.set_len(HEADER_BYTES as u64)?;
-            j.seek(SeekFrom::Start(HEADER_BYTES as u64))?;
-            j.sync_all()?;
-        }
-        st.since_snapshot = 0;
-        st.dirty = 0;
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn sync(&self) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
-        st.base.sync_all()?;
-        for j in &st.journals {
-            j.sync_all()?;
-        }
-        st.dirty = 0;
-        Ok(())
     }
 
     fn durable_file_bytes(&self) -> io::Result<u64> {
-        let len = |p: &Path| -> io::Result<u64> {
-            std::fs::metadata(p)
-                .map(|m| m.len())
-                .map_err(|e| member_err(p, &e))
-        };
-        let mut total = len(&self.path)?;
-        if self.shards > 1 {
-            for i in 0..self.shards {
-                total += len(&shard_path(&self.path, i))?;
-            }
+        let mut total = 0;
+        for p in FileBackend::member_paths(&self.path, self.shards) {
+            total += std::fs::metadata(&p).map_err(|e| member_err(&p, &e))?.len();
         }
         Ok(total)
     }
 
     fn stats(&self) -> BackendStats {
-        BackendStats {
-            batches_appended: self.batches.load(Ordering::Relaxed),
-            fence_batches: self.fence_batches.load(Ordering::Relaxed),
-            drained_batches: self.drained_batches.load(Ordering::Relaxed),
-            journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            journal_shards: self.shards as u64,
-            journal_bytes_by_shard: self
-                .per_shard_bytes
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            fsync_rounds: self.fsync_rounds.load(Ordering::Relaxed),
-        }
+        self.lock().stats.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_file(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("mod_backend_{}_{}", std::process::id(), name));
-        p
-    }
+    const CAP: u64 = 1 << 20;
+    const FENCE: BatchKind = BatchKind::Fence;
 
     fn line(addr: u64, fill: u8) -> LineImage {
         LineImage {
@@ -748,179 +759,215 @@ mod tests {
         }
     }
 
-    fn remove_set(path: &Path, shards: u16) {
-        let _ = std::fs::remove_file(path);
-        for i in 0..shards {
-            let _ = std::fs::remove_file(shard_path(path, i));
+    /// A scratch pool (removed on drop) plus the serial-replay oracle of
+    /// everything appended through it: a flat model of the arena, written
+    /// one line at a time in append order.
+    struct Scratch {
+        path: PathBuf,
+        shards: u16,
+        oracle: Vec<u8>,
+    }
+
+    impl Scratch {
+        fn create(name: &str, shards: u16, durability: Durability) -> (Scratch, FileBackend) {
+            let mut path = std::env::temp_dir();
+            path.push(format!("mod_backend_{}_{name}", std::process::id()));
+            let be = FileBackend::create_set(&path, CAP, shards, durability).unwrap();
+            let oracle = vec![0; CAP as usize];
+            (
+                Scratch {
+                    path,
+                    shards,
+                    oracle,
+                },
+                be,
+            )
+        }
+
+        fn append(&mut self, be: &FileBackend, kind: BatchKind, lines: &[LineImage]) {
+            be.append_batch(kind, lines, 1.0);
+            for l in lines {
+                self.oracle[l.addr as usize..][..64].copy_from_slice(&l.data);
+            }
+        }
+
+        /// Four batches (seqs +0..+4) of address-sorted lines spread
+        /// across the 4-shard partition, with fences confined to one
+        /// shard, a drained batch and a line rewritten later.
+        fn workload(&mut self, be: &FileBackend, salt: u8) {
+            let span = shard_span(CAP, 4);
+            let l = |addr, fill: u8| line(addr, salt + fill);
+            self.append(be, FENCE, &[l(0, 1), l(span, 2), l(3 * span, 3)]);
+            self.append(be, FENCE, &[l(64, 4), l(128, 4)]);
+            let drained = [l(span + 64, 5), l(2 * span, 6)];
+            self.append(be, BatchKind::Drained, &drained);
+            let wide = [
+                l(128, 7),
+                l(span + 128, 8),
+                l(2 * span + 64, 9),
+                l(3 * span + 64, 10),
+            ];
+            self.append(be, FENCE, &wide);
+        }
+
+        /// A recovery: the reopened backend, what it replayed, and
+        /// whether image + replayed batches rebuild the oracle exactly.
+        fn reopen(&self) -> (FileBackend, Replay, bool) {
+            let (be, replay) = FileBackend::open(&self.path).unwrap();
+            let arena = SharedArena::new(replay.capacity);
+            be.load_image(&arena).unwrap();
+            for l in replay.batches.iter().flat_map(|b| &b.lines) {
+                arena.write(l.addr, &l.data);
+            }
+            let mut bytes = vec![0u8; replay.capacity as usize];
+            arena.read(0, &mut bytes);
+            (be, replay, bytes == self.oracle)
+        }
+
+        fn members(&self) -> Vec<PathBuf> {
+            FileBackend::member_paths(&self.path, self.shards)
+        }
+
+        fn read(&self) -> Vec<Vec<u8>> {
+            let read = |p: &PathBuf| std::fs::read(p).unwrap();
+            self.members().iter().map(read).collect()
+        }
+
+        fn write(&self, members: &[Vec<u8>]) {
+            for (p, m) in self.members().iter().zip(members) {
+                std::fs::write(p, m).unwrap();
+            }
+        }
+
+        /// Chops `bytes` off the tail of shard journal `shard`.
+        fn tear(&self, shard: usize, bytes: u64) {
+            let f = open_rw(&self.members()[1 + shard], false).unwrap();
+            f.set_len(f.metadata().unwrap().len() - bytes).unwrap();
         }
     }
 
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            for p in self.members() {
+                let _ = std::fs::remove_file(p);
+            }
+        }
+    }
+
+    fn replay_error(path: &Path) -> ReplayError {
+        let err = FileBackend::open(path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        err.get_ref()
+            .and_then(|e| e.downcast_ref::<ReplayError>())
+            .unwrap_or_else(|| panic!("not a typed replay error: {err}"))
+            .clone()
+    }
+
     #[test]
-    fn create_append_reopen_replays_batches() {
-        let path = tmp_file("roundtrip");
-        let be = FileBackend::create(&path, 1 << 20).unwrap();
-        be.append_batch(BatchKind::Fence, &[line(0, 1), line(64, 2)], 100.0);
-        be.append_batch(BatchKind::Drained, &[line(128, 3)], 150.0);
+    fn one_journal_pool_replays_truncates_a_torn_tail_and_resumes() {
+        let (mut pool, be) = Scratch::create("roundtrip", 1, Durability::Buffered);
+        pool.append(&be, FENCE, &[line(0, 1), line(64, 2)]);
+        pool.append(&be, BatchKind::Drained, &[line(128, 3)]);
+        be.append_batch(FENCE, &[line(64, 8)], 2.0); // torn away below
         drop(be);
-        let (be2, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.capacity, 1 << 20);
-        assert_eq!(replay.batches.len(), 2);
-        assert_eq!(replay.batches[0].lines.len(), 2);
+        pool.tear(0, 10);
+        let (be, replay, exact) = pool.reopen();
+        assert_eq!((replay.capacity, replay.mark), (CAP, 0));
+        assert_eq!(replay.batches.len(), 2, "partial batch discarded");
+        assert_eq!(replay.batches[0].lines, vec![line(0, 1), line(64, 2)]);
         assert_eq!(replay.batches[1].kind, BatchKind::Drained);
-        assert_eq!(replay.torn_bytes, 0);
-        // Appends resume with a later sequence number.
-        be2.append_batch(BatchKind::Fence, &[line(192, 4)], 200.0);
-        drop(be2);
-        let (_, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 3);
-        assert_eq!(replay.batches[2].seq, 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_on_open() {
-        let path = tmp_file("torn");
-        let be = FileBackend::create(&path, 1 << 20).unwrap();
-        be.append_batch(BatchKind::Fence, &[line(0, 7)], 1.0);
-        be.append_batch(BatchKind::Fence, &[line(64, 8)], 2.0);
+        assert!(exact && replay.torn_bytes > 0);
+        // The journal was truncated to the valid prefix, so appends
+        // resume right behind it, at the next sequence number.
+        pool.append(&be, FENCE, &[line(192, 4)]);
         drop(be);
-        // Tear the last record.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 10).unwrap();
-        drop(f);
-        let (be2, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 1, "partial batch discarded");
-        // The file was truncated to the valid prefix, so a new append
-        // followed by a reopen yields exactly [batch0, new batch].
-        be2.append_batch(BatchKind::Fence, &[line(128, 9)], 3.0);
-        drop(be2);
-        let (_, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 2);
-        assert_eq!(replay.batches[1].lines[0].data[0], 9);
-        std::fs::remove_file(&path).unwrap();
+        let (_, replay, exact) = pool.reopen();
+        assert_eq!((replay.batches.len(), replay.batches[2].seq), (3, 2));
+        assert!(exact && replay.torn_bytes == 0);
     }
 
     #[test]
-    fn compaction_resets_journal_and_survives_reopen() {
-        let path = tmp_file("compact");
-        let be = FileBackend::create(&path, 1 << 22).unwrap();
-        let durable = SharedArena::new(1 << 22);
-        durable.write(0, b"durable-state");
-        durable.write_u64(4096, 42);
-        be.append_batch(BatchKind::Fence, &[line(0, 1)], 1.0);
-        be.compact(&durable).unwrap();
+    fn checkpoint_moves_the_journal_into_the_image() {
+        let (mut pool, be) = Scratch::create("checkpoint", 1, Durability::Buffered);
+        pool.append(&be, FENCE, &[line(0, 1), line(4096, 2)]);
+        pool.append(&be, FENCE, &[line(0, 3)]);
+        be.checkpoint().unwrap();
+        let s = be.stats();
+        assert_eq!((s.compactions, s.checkpoint_failures), (1, 0));
+        assert_eq!(s.checkpoint_bytes, 2 * 64 + MARK_SLOT_BYTES as u64);
+        assert!(s.checkpoint_ns > 0 && s.longest_checkpoint_ns == s.checkpoint_ns);
+        assert_eq!(
+            be.durable_file_bytes().unwrap(),
+            IMAGE_OFFSET + 4096 + 64 + HEADER_BYTES as u64,
+            "base = header page + touched high-water mark; journal = its header"
+        );
+        // A second checkpoint with nothing journaled does nothing.
+        be.checkpoint().unwrap();
         assert_eq!(be.stats().compactions, 1);
-        // Journal restarts empty after the snapshot.
-        be.append_batch(BatchKind::Fence, &[line(64, 5)], 2.0);
+        // The journal restarts empty after the checkpoint.
+        pool.append(&be, FENCE, &[line(64, 5)]);
         drop(be);
-        let (_, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 1, "pre-compaction batches folded in");
-        let ext = &replay.extents;
-        assert!(!ext.is_empty());
-        assert_eq!(&ext[0].data[..13], b"durable-state");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn stale_tmp_file_is_ignored_on_open() {
-        let path = tmp_file("staletmp");
-        let be = FileBackend::create(&path, 1 << 20).unwrap();
-        be.append_batch(BatchKind::Fence, &[line(0, 1)], 1.0);
-        drop(be);
-        std::fs::write(tmp_path(&path), b"half-written snapshot garbage").unwrap();
-        let (_, replay) = FileBackend::open(&path).unwrap();
+        let (_, replay, exact) = pool.reopen();
+        assert_eq!(replay.mark, 2, "pre-checkpoint batches are in the image");
         assert_eq!(replay.batches.len(), 1);
-        assert!(!tmp_path(&path).exists(), "stale tmp cleaned up");
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(replay.batches[0].seq, 2, "sequence survives the checkpoint");
+        assert!(exact);
     }
 
     #[test]
     fn mem_backend_is_inert() {
         let be = MemBackend;
         assert_eq!(be.kind(), BackendKind::Mem);
-        assert!(!be.wants_batches());
-        assert!(!be.should_compact());
-        be.append_batch(BatchKind::Fence, &[line(0, 1)], 1.0);
+        assert!(!be.wants_batches() && !be.should_checkpoint());
+        be.append_batch(FENCE, &[line(0, 1)], 1.0);
+        be.checkpoint().unwrap();
         assert_eq!(be.stats(), BackendStats::default());
         assert_eq!(be.durable_file_bytes().unwrap(), 0);
     }
 
     #[test]
-    fn open_missing_or_garbage_file_errors() {
-        let path = tmp_file("missing");
-        assert!(FileBackend::open(&path).is_err());
-        std::fs::write(&path, b"not a pool").unwrap();
-        let err = FileBackend::open(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// The fence sequence the pool-set tests replay: address-sorted
-    /// lines spread across the 4-shard partition of a 1 MiB pool, plus
-    /// fences confined to a single shard.
-    fn set_workload(be: &FileBackend) {
-        let span = shard_span(1 << 20, 4);
-        be.append_batch(
-            BatchKind::Fence,
-            &[line(0, 1), line(span, 2), line(3 * span, 3)],
-            1.0,
+    fn open_missing_garbage_or_old_generation_pool_is_a_typed_error() {
+        let (pool, be) = Scratch::create("badopen", 1, Durability::Buffered);
+        drop(be);
+        // A shard journal is not a base member.
+        let journal = &pool.members()[1];
+        assert!(matches!(replay_error(journal), ReplayError::NotAPool(_)));
+        std::fs::write(&pool.path, b"not a pool").unwrap();
+        assert!(matches!(replay_error(&pool.path), ReplayError::NotAPool(_)));
+        // The checked-in generation-3 pool: typed, never a panic.
+        let gen3 = include_bytes!("../../../tests/fixtures/gen3_pool.bin");
+        std::fs::write(&pool.path, gen3).unwrap();
+        let (found, supported) = (3, 4);
+        assert_eq!(
+            replay_error(&pool.path),
+            ReplayError::UnsupportedGeneration { found, supported }
         );
-        be.append_batch(BatchKind::Fence, &[line(64, 4)], 2.0);
-        be.append_batch(
-            BatchKind::Drained,
-            &[line(span + 64, 5), line(2 * span, 6)],
-            3.0,
-        );
-        be.append_batch(
-            BatchKind::Fence,
-            &[
-                line(128, 7),
-                line(span + 128, 8),
-                line(2 * span + 64, 9),
-                line(3 * span + 64, 10),
-            ],
-            4.0,
-        );
+        std::fs::remove_file(&pool.path).unwrap();
+        let err = FileBackend::open(&pool.path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
     #[test]
-    fn pool_set_reopen_is_bit_identical_to_a_single_file_pool() {
-        // The same fence sequence through a single-file pool and a
+    fn four_shard_set_replays_bit_identically_to_the_one_shard_set() {
+        // The same fence sequence through a one-journal pool and a
         // 4-shard set must replay to identical batch streams — same
         // sequences, same kinds, same line order, same bytes.
-        let single = tmp_file("seteq_single");
-        let set = tmp_file("seteq_set");
-        let b1 = FileBackend::create(&single, 1 << 20).unwrap();
-        let b4 = FileBackend::create_set(&set, 1 << 20, 4, Durability::Buffered).unwrap();
-        set_workload(&b1);
-        set_workload(&b4);
-        drop(b1);
-        drop(b4);
-        let (_, r1) = FileBackend::open(&single).unwrap();
-        let (be4, r4) = FileBackend::open(&set).unwrap();
+        let (mut single, b1) = Scratch::create("seteq_single", 1, Durability::Buffered);
+        let (mut set, b4) = Scratch::create("seteq_set", 4, Durability::Buffered);
+        single.workload(&b1, 0);
+        set.workload(&b4, 0);
+        drop((b1, b4));
+        let (_, r1, exact1) = single.reopen();
+        let (be4, r4, exact4) = set.reopen();
         assert_eq!(r1.batches, r4.batches, "merged replay == serial replay");
-        assert_eq!(r1.extents, r4.extents);
-        assert_eq!(be4.shard_count(), 4);
-        assert_eq!(r4.torn_bytes, 0);
-        std::fs::remove_file(&single).unwrap();
-        remove_set(&set, 4);
-    }
-
-    #[test]
-    fn pool_set_append_reopen_resumes_the_global_sequence() {
-        let path = tmp_file("setresume");
-        let be = FileBackend::create_set(&path, 1 << 20, 4, Durability::Buffered).unwrap();
-        set_workload(&be);
-        drop(be);
-        let (be2, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 4);
-        be2.append_batch(BatchKind::Fence, &[line(0, 11)], 5.0);
-        drop(be2);
-        let (_, replay) = FileBackend::open(&path).unwrap();
+        assert!(exact1 && exact4);
+        assert_eq!((be4.shard_count(), r4.torn_bytes), (4, 0));
+        // Appends resume the global sequence.
+        be4.append_batch(FENCE, &[line(0, 11)], 5.0);
+        drop(be4);
+        let (_, replay) = FileBackend::open(&set.path).unwrap();
         assert_eq!(replay.batches.len(), 5);
         assert_eq!(replay.batches[4].seq, 4, "global sequence resumes");
-        remove_set(&path, 4);
     }
 
     #[test]
@@ -929,101 +976,47 @@ mod tests {
         // to the last fence every shard holds completely, and the
         // sibling journals must be truncated back to that frontier so
         // appends resume consistently.
-        let path = tmp_file("settorn");
-        let be = FileBackend::create_set(&path, 1 << 20, 4, Durability::Buffered).unwrap();
-        set_workload(&be);
+        let (mut pool, be) = Scratch::create("settorn", 4, Durability::Buffered);
+        pool.workload(&be, 0);
         drop(be);
         // Shard 0 saw fences 0, 1 and 3: tearing its last record drops
         // fence 3 set-wide even though shards 1..3 hold their slices.
-        let s0 = shard_path(&path, 0);
-        let len = std::fs::metadata(&s0).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&s0).unwrap();
-        f.set_len(len - 7).unwrap();
-        drop(f);
-        let (be2, replay) = FileBackend::open(&path).unwrap();
+        pool.tear(0, 7);
+        let (be2, replay) = FileBackend::open(&pool.path).unwrap();
         assert_eq!(replay.batches.len(), 3, "fence 3 lost its shard-0 slice");
         assert_eq!(replay.batches.last().unwrap().seq, 2);
         assert!(replay.torn_bytes > 0);
         // Appends resume at the frontier; a reopen sees 4 batches again
         // with the new fence in slot 3.
-        be2.append_batch(BatchKind::Fence, &[line(0, 12), line(1 << 19, 13)], 9.0);
+        be2.append_batch(FENCE, &[line(0, 12), line(1 << 19, 13)], 9.0);
         drop(be2);
-        let (_, replay) = FileBackend::open(&path).unwrap();
+        let (_, replay) = FileBackend::open(&pool.path).unwrap();
         assert_eq!(replay.batches.len(), 4);
         assert_eq!(replay.batches[3].seq, 3);
         assert_eq!(replay.batches[3].lines[0].data[0], 12);
         assert_eq!(replay.torn_bytes, 0, "members were truncated consistently");
-        remove_set(&path, 4);
     }
 
     #[test]
-    fn pool_set_compaction_folds_journals_and_keeps_members_consistent() {
-        let path = tmp_file("setcompact");
-        let be = FileBackend::create_set(&path, 1 << 20, 4, Durability::Buffered).unwrap();
-        let durable = SharedArena::new(1 << 20);
-        durable.write(0, b"set-durable-state");
-        set_workload(&be);
-        be.compact(&durable).unwrap();
-        be.append_batch(BatchKind::Fence, &[line(0, 21)], 10.0);
-        drop(be);
-        let (_, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 1, "pre-compaction fences folded in");
-        assert_eq!(replay.batches[0].seq, 4, "sequence survives compaction");
-        assert_eq!(&replay.extents[0].data[..17], b"set-durable-state");
-        remove_set(&path, 4);
-    }
-
-    #[test]
-    fn pool_set_stale_records_after_interrupted_truncation_are_ignored() {
-        // Crash window: compaction renamed the new base (snapshot +
-        // seq mark) but died before truncating the shard journals. The
-        // stale records sit below the mark and must neither resurface
-        // nor cap the frontier.
-        let path = tmp_file("setstale");
-        let be = FileBackend::create_set(&path, 1 << 20, 4, Durability::Buffered).unwrap();
-        let durable = SharedArena::new(1 << 20);
-        durable.write(0, b"post-compaction");
-        set_workload(&be);
-        // Snapshot the journal files, compact, then restore the old
-        // journals over the truncated ones — the on-disk state of a kill
-        // between the rename and the truncations.
-        let saved: Vec<Vec<u8>> = (0..4)
-            .map(|i| std::fs::read(shard_path(&path, i)).unwrap())
-            .collect();
-        be.compact(&durable).unwrap();
-        drop(be);
-        for (i, bytes) in saved.iter().enumerate() {
-            std::fs::write(shard_path(&path, i as u16), bytes).unwrap();
+    fn missing_member_is_a_typed_error_on_open_and_in_file_bytes() {
+        let (pool, be) = Scratch::create("setmissing", 3, Durability::Buffered);
+        be.append_batch(FENCE, &[line(0, 1)], 1.0);
+        assert!(be.durable_file_bytes().unwrap() > 4 * HEADER_BYTES as u64);
+        std::fs::remove_file(&pool.members()[2]).unwrap();
+        for err in [
+            be.durable_file_bytes().unwrap_err(),
+            FileBackend::open(&pool.path).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
+            assert!(err.to_string().contains(".s1"), "names the member: {err}");
         }
-        let (be2, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 0, "stale records not resurrected");
-        assert_eq!(&replay.extents[0].data[..15], b"post-compaction");
-        be2.append_batch(BatchKind::Fence, &[line(64, 30)], 20.0);
-        drop(be2);
-        let (_, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 1);
-        assert_eq!(replay.batches[0].seq, 4, "resumes past the seq mark");
-        remove_set(&path, 4);
-    }
-
-    #[test]
-    fn pool_set_missing_member_is_a_typed_error() {
-        let path = tmp_file("setmissing");
-        let be = FileBackend::create_set(&path, 1 << 20, 3, Durability::Buffered).unwrap();
-        drop(be);
-        std::fs::remove_file(shard_path(&path, 1)).unwrap();
-        let err = FileBackend::open(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
-        assert!(err.to_string().contains(".s1"), "names the member: {err}");
-        remove_set(&path, 3);
     }
 
     #[test]
     fn fsync_mode_counts_one_round_per_fence() {
-        let path = tmp_file("fsynccount");
-        let be = FileBackend::create_set(&path, 1 << 20, 4, Durability::Fsync).unwrap();
+        let (mut pool, be) = Scratch::create("fsynccount", 4, Durability::Fsync);
         assert_eq!(be.durability(), Durability::Fsync);
-        set_workload(&be);
+        pool.workload(&be, 0);
         let s = be.stats();
         assert_eq!(
             s.fsync_rounds, 3,
@@ -1032,141 +1025,136 @@ mod tests {
         // Each round syncs the dirty members: fence 1 dirtied {0,1,3},
         // fence 2 {0}, then the drained append leaves {1,2} buffered so
         // fence 3 (touching all four shards) syncs {0,1,2,3}: 3 + 1 + 4.
-        assert_eq!(s.fsyncs, 8);
-        assert_eq!(s.journal_shards, 4);
-        assert_eq!(s.journal_bytes_by_shard.len(), 4);
+        assert_eq!((s.fsyncs, s.journal_shards), (8, 4));
         assert!(s.journal_bytes_by_shard.iter().all(|&b| b > 0));
-        assert_eq!(
-            s.journal_bytes_by_shard.iter().sum::<u64>(),
-            s.journal_bytes
-        );
-        drop(be);
-        let be = FileBackend::create(&path, 1 << 20).unwrap();
-        be.append_batch(BatchKind::Fence, &[line(0, 1)], 1.0);
+        let by_shard: u64 = s.journal_bytes_by_shard.iter().sum();
+        assert_eq!(by_shard, s.journal_bytes);
+        let (mut buffered, be) = Scratch::create("fsyncnot", 1, Durability::Buffered);
+        buffered.workload(&be, 0);
         assert_eq!(be.stats().fsync_rounds, 0, "buffered mode never fsyncs");
-        drop(be);
-        remove_set(&path, 4);
     }
 
-    #[test]
-    fn new_pools_carry_v3_headers_and_compact_records() {
-        let path = tmp_file("v3fresh");
-        let be = FileBackend::create(&path, 1 << 20).unwrap();
-        be.append_batch(BatchKind::Fence, &[line(0, 1), line(64, 2)], 1.0);
-        let compact_bytes = be.stats().journal_bytes;
-        let v1_bytes = journal::encode_batch(0, BatchKind::Fence, 1.0, &[line(0, 1), line(64, 2)])
-            .len() as u64;
-        assert!(
-            compact_bytes < v1_bytes,
-            "v3 appends must be smaller: {compact_bytes} vs {v1_bytes}"
-        );
+    fn checkpoint_killed_after_every_step(name: &str, shards: u16, durability: Durability) {
+        // Two checkpoint generations, so the second one overwrites live
+        // image lines and flips to the other mark slot. The set is
+        // restored to its pre-checkpoint bytes, the checkpoint is
+        // stopped after step k — for every k — and a reopen must rebuild
+        // the serial-replay oracle byte for byte, then keep working.
+        let (mut pool, be) = Scratch::create(name, shards, durability);
+        pool.workload(&be, 0);
+        be.checkpoint().unwrap();
+        pool.workload(&be, 100);
         drop(be);
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            journal::V3_FORMAT_VERSION
-        );
-        let (_, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 1);
-        assert_eq!(replay.batches[0].lines.len(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn pre_upgrade_v1_pool_replays_and_accumulates_v3_appends() {
-        // Handcraft a pool exactly as a v1-era build laid it down:
-        // v1 header, empty snapshot, v1 batch records. The new build
-        // must replay it bit-identically, then append v3 records into
-        // the same (still v1-headered) journal.
-        let path = tmp_file("v1upgrade");
-        let mut f = journal::encode_header(1 << 20).to_vec();
-        f.extend_from_slice(&journal::encode_snapshot(&[]));
-        let old = [
-            (0u64, vec![line(0, 1), line(64, 2)], 10.0),
-            (1u64, vec![line(128, 3)], 20.0),
-        ];
-        for (seq, lines, ns) in &old {
-            f.extend_from_slice(&journal::encode_batch(*seq, BatchKind::Fence, *ns, lines));
+        let before = pool.read();
+        // Count the steps of one uninterrupted checkpoint.
+        let (be, _) = FileBackend::open_with(&pool.path, durability).unwrap();
+        be.checkpoint().unwrap();
+        let steps = be.checkpoint_steps_taken();
+        assert!(steps >= 5 + shards as u64, "steps: {steps}");
+        for k in 0..steps {
+            pool.write(&before);
+            let (be, _) = FileBackend::open_with(&pool.path, durability).unwrap();
+            be.stop_checkpoint_at_step(k);
+            assert!(be.checkpoint().is_err(), "step {k} stops the checkpoint");
+            assert_eq!(be.stats().checkpoint_failures, 1);
+            drop(be); // the kill
+            let (be, replay, exact) = pool.reopen();
+            assert!(exact, "{name}: killed after step {k}");
+            assert_eq!(be.lock().seq, 8, "the sequence never recedes");
+            let folded = replay.mark == 8 && replay.batches.is_empty();
+            assert!(folded || (replay.mark, replay.batches.len()) == (4, 4));
+            // The survivor finishes the job: a full checkpoint, then one
+            // more fence, and the oracle still holds.
+            be.checkpoint().unwrap();
+            let oracle = pool.oracle.clone();
+            pool.append(&be, FENCE, &[line(64, 0xEE)]);
+            drop(be);
+            let (_, replay, exact) = pool.reopen();
+            assert!(exact, "{name}: step {k}, second life");
+            pool.oracle = oracle;
+            assert_eq!((replay.mark, replay.batches.len()), (8, 1));
         }
-        std::fs::write(&path, &f).unwrap();
-        let (be, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 2);
-        assert_eq!(replay.batches[0].lines, old[0].1);
-        assert_eq!(replay.batches[1].lines, old[1].1);
-        assert_eq!(replay.torn_bytes, 0);
-        be.append_batch(BatchKind::Fence, &[line(192, 4)], 30.0);
-        drop(be);
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            journal::FORMAT_VERSION,
-            "the header stays v1; only the records upgrade"
-        );
-        let (_, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 3, "v1 records + the v3 append");
-        assert_eq!(replay.batches[2].seq, 2);
-        assert_eq!(replay.batches[2].lines, vec![line(192, 4)]);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn pre_upgrade_v2_set_replays_and_accumulates_v3_appends() {
-        // A v2-era pool set: v2 member headers, v2 shard-batch records.
-        // The new build opens it, merges bit-identically, and appends
-        // compact records to the same journals.
-        let path = tmp_file("v2upgrade");
-        let span = shard_span(1 << 20, 2);
-        let mut base = journal::encode_set_header(1 << 20, 2, SHARD_BASE).to_vec();
-        base.extend_from_slice(&journal::encode_snapshot(&[]));
-        base.extend_from_slice(&journal::encode_seq_mark(0));
-        std::fs::write(&path, &base).unwrap();
-        let mut j0 = journal::encode_set_header(1 << 20, 2, 0).to_vec();
-        j0.extend_from_slice(&journal::encode_shard_batch(
-            0,
-            BatchKind::Fence,
-            1.0,
-            0b11,
-            &[line(0, 1)],
-        ));
-        std::fs::write(shard_path(&path, 0), &j0).unwrap();
-        let mut j1 = journal::encode_set_header(1 << 20, 2, 1).to_vec();
-        j1.extend_from_slice(&journal::encode_shard_batch(
-            0,
-            BatchKind::Fence,
-            1.0,
-            0b11,
-            &[line(span, 2)],
-        ));
-        std::fs::write(shard_path(&path, 1), &j1).unwrap();
-        let (be, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 1);
-        assert_eq!(replay.batches[0].lines, vec![line(0, 1), line(span, 2)]);
-        be.append_batch(BatchKind::Fence, &[line(64, 3), line(span + 64, 4)], 2.0);
-        drop(be);
-        let (_, replay) = FileBackend::open(&path).unwrap();
-        assert_eq!(replay.batches.len(), 2, "v2 base + v3 append merged");
-        assert_eq!(replay.batches[1].seq, 1);
-        assert_eq!(
-            replay.batches[1].lines,
-            vec![line(64, 3), line(span + 64, 4)]
-        );
-        assert_eq!(replay.torn_bytes, 0);
-        remove_set(&path, 2);
+    fn checkpoint_killed_after_every_step_one_shard_buffered() {
+        checkpoint_killed_after_every_step("kill1", 1, Durability::Buffered);
     }
 
     #[test]
-    fn durable_file_bytes_is_typed_not_a_panic() {
-        // Satellite: the stats path must report a missing pool member as
-        // a typed io error, never a panic.
-        let path = tmp_file("statbytes");
-        let be = FileBackend::create_set(&path, 1 << 20, 2, Durability::Buffered).unwrap();
-        be.append_batch(BatchKind::Fence, &[line(0, 1)], 1.0);
-        let on_disk = be.durable_file_bytes().unwrap();
-        assert!(on_disk > 3 * HEADER_BYTES as u64);
-        std::fs::remove_file(shard_path(&path, 1)).unwrap();
-        let err = be.durable_file_bytes().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
-        assert!(err.to_string().contains(".s1"), "names the member: {err}");
-        remove_set(&path, 2);
+    fn checkpoint_killed_after_every_step_four_shard_fsync() {
+        checkpoint_killed_after_every_step("kill4", 4, Durability::Fsync);
+    }
+
+    #[test]
+    fn replayed_batches_seed_the_pending_set() {
+        // Reopen an un-checkpointed pool, append past the threshold,
+        // checkpoint, kill: the lines that only the *replayed* records
+        // held must have reached the image, because the checkpoint
+        // truncated those records.
+        let (mut pool, be) = Scratch::create("seeded", 2, Durability::Buffered);
+        pool.workload(&be, 0);
+        drop(be); // killed un-checkpointed
+        let (be, replay) = FileBackend::open(&pool.path).unwrap();
+        assert_eq!(replay.batches.len(), 4);
+        assert_eq!(be.lock().pending.len(), 10, "distinct replayed lines");
+        let mut addr = 4096;
+        while !be.should_checkpoint() {
+            let lines: Vec<LineImage> = (0..64).map(|i| line(addr + i * 64, 0xAB)).collect();
+            pool.append(&be, FENCE, &lines);
+            addr = 4096 + (addr + 4096) % (CAP / 2);
+        }
+        be.checkpoint().unwrap();
+        assert!(be.lock().pending.is_empty());
+        drop(be);
+        let (_, replay, exact) = pool.reopen();
+        assert!(replay.batches.is_empty(), "the journals were truncated");
+        assert!(exact, "seeded lines reached the image");
+    }
+
+    #[test]
+    fn failed_checkpoint_is_counted_and_leaves_a_valid_pool() {
+        // A real I/O failure: the base handle is swapped for a read-only
+        // one, so the first image write fails (EBADF).
+        let (mut pool, be) = Scratch::create("failing", 1, Durability::Buffered);
+        pool.workload(&be, 0);
+        let read_only = File::open(&pool.path).unwrap();
+        let writable = std::mem::replace(&mut be.lock().base, read_only);
+        assert!(be.checkpoint().is_err());
+        let s = be.stats();
+        assert_eq!((s.checkpoint_failures, s.compactions), (1, 0));
+        assert!(!be.should_checkpoint(), "retry waits for the threshold");
+        // The engine keeps appending; a kill now loses nothing.
+        pool.workload(&be, 30);
+        let (_, replay, exact) = pool.reopen();
+        assert!(exact && replay.batches.len() == 8);
+        // The disk comes back: the retry folds everything, old and new.
+        be.lock().base = writable;
+        be.checkpoint().unwrap();
+        assert_eq!(be.stats().compactions, 1);
+        drop(be);
+        let (_, replay, exact) = pool.reopen();
+        assert!(exact && replay.batches.is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_does_not_poison_later_fences() {
+        let (mut pool, be) = Scratch::create("poison", 1, Durability::Buffered);
+        pool.append(&be, FENCE, &[line(0, 1)]);
+        let panicked = std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let _held = be.lock();
+                panic!("worker dies holding the backend lock");
+            });
+            worker.join()
+        });
+        assert!(panicked.is_err() && be.state.is_poisoned());
+        pool.append(&be, FENCE, &[line(64, 2)]);
+        assert!(!be.should_checkpoint());
+        be.checkpoint().unwrap();
+        assert_eq!(be.stats().fence_batches, 2);
+        drop(be);
+        let (_, replay, exact) = pool.reopen();
+        assert!(exact && replay.mark == 2);
     }
 }

@@ -17,8 +17,8 @@
 //! * crash simulation — [`Pmem::crash_image`] builds post-crash pools under
 //!   adversarial choices of which unfenced lines persisted;
 //! * pluggable persistence backends — [`PoolBackend`] with the volatile
-//!   [`MemBackend`] and the file-backed [`FileBackend`] (journaled fence
-//!   log + snapshot compaction; [`Pmem::create_file`] / [`Pmem::open_file`]
+//!   [`MemBackend`] and the file-backed [`FileBackend`] (home-location
+//!   image + redo journal; [`Pmem::create_file`] / [`Pmem::open_file`]
 //!   make pools that survive a real process kill);
 //! * [`WpqModel`] — the black-box memory-controller model behind Fig 4's
 //!   "observed" curve, plus the Karp–Flatt fit used by the paper.

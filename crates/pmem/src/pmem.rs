@@ -59,11 +59,11 @@ pub struct PmemConfig {
     /// fence power-loss durable; the default [`Durability::Buffered`]
     /// is process-kill grade.
     pub durability: Durability,
-    /// Journal shard count for [`Pmem::create_file`]: >1 creates a pool
-    /// *set* (one journal file per contiguous address range, replayed in
-    /// parallel on open). Clamped to `1..=64`; 1 (the default) keeps the
-    /// classic single-file v1 format. On [`Pmem::open_file`] the shard
-    /// count comes from the file set itself, not this field.
+    /// Journal shard count for [`Pmem::create_file`]: the pool is the base
+    /// file plus this many journal files `path.s0 …` (one per contiguous
+    /// address range, replayed in parallel on open). Clamped to `1..=64`;
+    /// the default is 1. On [`Pmem::open_file`] the shard count comes
+    /// from the file set itself, not this field.
     pub journal_shards: u16,
     /// Enable the fence-epoch flush cache: a `clwb` whose writeback could
     /// not change what persists — the line is already in flight and not
@@ -186,8 +186,7 @@ pub struct ReplayStats {
     pub torn_bytes: u64,
     /// Host (wall-clock) nanoseconds the replay took.
     pub host_ns: u64,
-    /// Journal scan threads the open used: the pool set's shard count
-    /// (1 for a classic single-file pool).
+    /// Journal scan threads the open used: the pool's shard count.
     pub replay_parallelism: u64,
 }
 
@@ -221,57 +220,47 @@ impl Pmem {
     /// Creates a zero-filled, memory-backed pool (the pool dies with the
     /// process; see [`Pmem::create_file`] for one that does not).
     pub fn new(cfg: PmemConfig) -> Pmem {
+        Pmem::fresh_on(cfg, Arc::new(MemBackend))
+    }
+
+    /// Formats a fresh **file-backed** pool at `path` (truncating any
+    /// existing members): the base file and its shard journals are
+    /// written and synced, and from then on every `sfence` appends its
+    /// durable lines to the journal.
+    pub fn create_file(path: &Path, cfg: PmemConfig) -> io::Result<Pmem> {
+        let backend =
+            FileBackend::create_set(path, cfg.capacity, cfg.journal_shards, cfg.durability)?;
+        Ok(Pmem::fresh_on(cfg, Arc::new(backend)))
+    }
+
+    /// A zero-filled pool writing through `backend`.
+    fn fresh_on(cfg: PmemConfig, backend: Arc<dyn PoolBackend>) -> Pmem {
         let data = SharedArena::new(cfg.capacity);
         // The durable image is maintained unconditionally: besides crash
         // simulation it is the fence-epoch flush cache's authority for
         // "bytes already persistent" (see `clwb`). Segments materialize
         // lazily, so the cost tracks the touched working set, not
         // capacity.
-        let durable = Some(SharedArena::new(cfg.capacity));
-        Pmem::from_parts(cfg, data, durable, Arc::new(MemBackend), None, None)
-    }
-
-    /// Formats a fresh **file-backed** pool at `path` (truncating any
-    /// existing file): the pool header and an empty snapshot are written
-    /// and synced, and from then on every `sfence` appends its durable
-    /// lines to the file's journal. File-backed pools always maintain a
-    /// durable image (the compaction source), regardless of
-    /// [`PmemConfig::crash_sim`].
-    pub fn create_file(path: &Path, cfg: PmemConfig) -> io::Result<Pmem> {
-        let backend =
-            FileBackend::create_set(path, cfg.capacity, cfg.journal_shards, cfg.durability)?;
-        let data = SharedArena::new(cfg.capacity);
         let durable = SharedArena::new(cfg.capacity);
-        Ok(Pmem::from_parts(
-            cfg,
-            data,
-            Some(durable),
-            Arc::new(backend),
-            None,
-            None,
-        ))
+        Pmem::from_parts(cfg, data, Some(durable), backend, None, None)
     }
 
-    /// Opens an existing file-backed pool, replaying its snapshot plus
-    /// every complete journal batch into a fresh arena; a torn tail
-    /// (a record the dying process never finished writing) is discarded
-    /// and truncated away, so recovery lands on the last complete fence,
-    /// never a partial batch. The pool's capacity comes from the file
-    /// header (overriding `cfg.capacity`); volatile state starts cold,
-    /// exactly like a machine after the crash. Replay metrics are
-    /// reported by [`Pmem::replay_stats`].
+    /// Opens an existing file-backed pool: the base file's image is
+    /// streamed straight into a fresh arena, then every complete journal
+    /// batch at or above the checkpoint mark is replayed over it; a torn
+    /// tail (a record the dying process never finished writing) is
+    /// discarded and truncated away, so recovery lands on the last
+    /// complete fence, never a partial batch. The pool's capacity comes
+    /// from the file header (overriding `cfg.capacity`); volatile state
+    /// starts cold, exactly like a machine after the crash. Replay
+    /// metrics are reported by [`Pmem::replay_stats`].
     pub fn open_file(path: &Path, cfg: PmemConfig) -> io::Result<Pmem> {
         let t0 = std::time::Instant::now();
         let (backend, replay) = FileBackend::open_with(path, cfg.durability)?;
         let mut cfg = cfg;
         cfg.capacity = replay.capacity;
         let data = SharedArena::new(replay.capacity);
-        // Each extent is released as soon as it is applied: the base image
-        // is pool-sized, and keeping it alive across the snapshot below
-        // would put three copies of the pool in the heap at once.
-        for e in replay.extents {
-            data.write(e.addr, &e.data);
-        }
+        backend.load_image(&data)?;
         let mut lines = 0u64;
         for b in &replay.batches {
             for l in &b.lines {
@@ -283,7 +272,7 @@ impl Pmem {
         let stats = ReplayStats {
             batches: replay.batches.len() as u64,
             lines,
-            torn_bytes: replay.torn_bytes as u64,
+            torn_bytes: replay.torn_bytes,
             host_ns: t0.elapsed().as_nanos() as u64,
             replay_parallelism: backend.shard_count() as u64,
         };
@@ -329,7 +318,7 @@ impl Pmem {
     }
 
     /// Backend observability counters (journal bytes, batches appended,
-    /// compactions). All zero for memory-backed pools.
+    /// checkpoints). All zero for memory-backed pools.
     pub fn backend_stats(&self) -> BackendStats {
         self.backend.stats()
     }
@@ -362,8 +351,10 @@ impl Pmem {
     /// Orderly checkpoint of a file-backed pool: appends every
     /// *drained-but-unfenced* line to the journal (their background
     /// writebacks completed — per the crash model they reached the
-    /// medium), folds the journal into a fresh snapshot, and fsyncs.
-    /// No-op (and `Ok`) on memory-backed pools.
+    /// medium), then writes everything journaled since the last
+    /// checkpoint home into the base image and truncates the journal
+    /// (see [`PoolBackend::checkpoint`]); on `Ok` the pool is on stable
+    /// storage. No-op (and `Ok`) on memory-backed pools.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         if !self.backend.wants_batches() {
             return Ok(());
@@ -377,8 +368,6 @@ impl Pmem {
             .collect();
         drained.sort_unstable();
         if !drained.is_empty() {
-            // Durable copy first, journal second (see the same ordering
-            // note in `sfence`).
             if let Some(d) = self.durable.as_ref() {
                 for &l in &drained {
                     d.copy_from(&self.data, l, CACHELINE);
@@ -387,10 +376,7 @@ impl Pmem {
             let images = self.line_images(&drained);
             self.backend.append_batch(BatchKind::Drained, &images, now);
         }
-        if let Some(d) = self.durable.as_ref() {
-            self.backend.compact(d)?;
-        }
-        self.backend.sync()
+        self.backend.checkpoint()
     }
 
     /// The pool configuration.
@@ -707,11 +693,6 @@ impl Pmem {
         self.stats.epoch_hist.record(n as u32);
         let mut flushed = self.lines.fence();
         if !flushed.is_empty() {
-            // Copy into the durable image *before* the journal append:
-            // compaction (possibly racing from another forked handle)
-            // snapshots the durable arena and truncates the journal, so
-            // a fence's lines must be in the arena by the time its
-            // record can be folded away.
             if let Some(d) = self.durable.as_ref() {
                 for &l in &flushed {
                     d.copy_from(&self.data, l, CACHELINE);
@@ -727,16 +708,14 @@ impl Pmem {
                 self.backend
                     .append_batch(BatchKind::Fence, &images, self.clock.now_ns());
             }
-            // Fold a grown journal into a snapshot while the durable
-            // image is quiescent (right after its fence updates).
-            if self.backend.should_compact() {
-                let d = self
-                    .durable
-                    .as_ref()
-                    .expect("file-backed pools always keep a durable image");
-                self.backend
-                    .compact(d)
-                    .expect("pool journal compaction failed");
+            // Fold a grown journal into the base image. A checkpoint
+            // that fails leaves image + journal a valid pool, so it must
+            // not kill the engine: the backend counts it
+            // (`BackendStats::checkpoint_failures`), this fence's record
+            // is already appended, and the next threshold crossing
+            // retries. `Pmem::checkpoint` is where the error surfaces.
+            if self.backend.should_checkpoint() {
+                let _ = self.backend.checkpoint();
             }
         }
         if self.cfg.trace {
@@ -1505,6 +1484,47 @@ mod tests {
         p
     }
 
+    fn remove_pool(path: &Path, shards: u16) {
+        for p in FileBackend::member_paths(path, shards) {
+            std::fs::remove_file(p).unwrap();
+        }
+    }
+
+    /// A small file pool whose concrete backend stays reachable, for the
+    /// tests that drive its checkpoint step hook.
+    fn hooked_pool(name: &str, shards: u16) -> (std::path::PathBuf, Arc<FileBackend>, Pmem) {
+        let path = pool_path(name);
+        let cfg = PmemConfig {
+            capacity: 8 << 20,
+            ..PmemConfig::testing()
+        };
+        let be = FileBackend::create_set(&path, cfg.capacity, shards, cfg.durability).unwrap();
+        let be = Arc::new(be);
+        let pm = Pmem::fresh_on(cfg, be.clone());
+        (path, be, pm)
+    }
+
+    /// Worker-style sweep: one store + clwb per line of `[from, from +
+    /// bytes)`, a fence every 64 lines (and one at the end).
+    fn sweep(pm: &mut Pmem, from: u64, bytes: u64, salt: u64) {
+        for (i, addr) in (from..from + bytes).step_by(64).enumerate() {
+            pm.write_u64(addr, addr ^ salt);
+            pm.clwb(addr);
+            if i % 64 == 63 {
+                pm.sfence();
+            }
+        }
+        pm.sfence();
+    }
+
+    /// Whether a reopened pool's bytes equal `live`'s durable image.
+    fn matches_durable_image(reopened: &Pmem, live: &Pmem) -> bool {
+        let durable = live.durable.as_ref().unwrap();
+        (0..live.capacity())
+            .step_by(crate::arena::SEGMENT_BYTES as usize)
+            .all(|a| durable.range_eq(&reopened.data, a, crate::arena::SEGMENT_BYTES))
+    }
+
     #[test]
     fn mem_pools_use_the_mem_backend() {
         let pm = testing_pmem();
@@ -1530,7 +1550,7 @@ mod tests {
         let rs = pm2.replay_stats().unwrap();
         assert_eq!(rs.batches, 1);
         assert_eq!(rs.torn_bytes, 0);
-        std::fs::remove_file(&path).unwrap();
+        remove_pool(&path, 1);
     }
 
     #[test]
@@ -1547,7 +1567,7 @@ mod tests {
         // An empty fence appends nothing.
         pm.sfence();
         assert_eq!(pm.backend_stats().batches_appended, 1);
-        std::fs::remove_file(&path).unwrap();
+        remove_pool(&path, 1);
     }
 
     #[test]
@@ -1561,8 +1581,8 @@ mod tests {
                 pm.clwb(0x2000 + i * 64);
             }
             pm.sfence();
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::remove_file(&path).unwrap();
+            let bytes = std::fs::read(&FileBackend::member_paths(&path, 1)[1]).unwrap();
+            remove_pool(&path, 1);
             bytes
         };
         assert_eq!(run("det_a"), run("det_b"));
@@ -1580,7 +1600,7 @@ mod tests {
         drop(pm);
         let pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
         assert_eq!(pm2.peek_u64(0x100), 42, "drained line reached the file");
-        std::fs::remove_file(&path).unwrap();
+        remove_pool(&path, 1);
     }
 
     #[test]
@@ -1593,11 +1613,11 @@ mod tests {
         drop(pm); // killed before any fence
         let pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
         assert_eq!(pm2.peek_u64(0x100), 1, "clwb'd content must be durable");
-        std::fs::remove_file(&path).unwrap();
+        remove_pool(&path, 1);
     }
 
     #[test]
-    fn compaction_folds_journal_and_preserves_state() {
+    fn checkpoint_folds_journal_and_preserves_state() {
         let path = pool_path("compact");
         let mut pm = Pmem::create_file(&path, PmemConfig::testing()).unwrap();
         for i in 0..32u64 {
@@ -1605,9 +1625,9 @@ mod tests {
             pm.clwb(0x3000 + i * 64);
             pm.sfence();
         }
-        pm.checkpoint().unwrap(); // forces a compaction
-        assert!(pm.backend_stats().compactions >= 1);
-        // Post-compaction appends still replay on top of the snapshot.
+        pm.checkpoint().unwrap();
+        assert_eq!(pm.backend_stats().compactions, 1);
+        // Post-checkpoint appends still replay on top of the image.
         pm.write_u64(0x100, 5);
         pm.clwb(0x100);
         pm.sfence();
@@ -1617,7 +1637,188 @@ mod tests {
             assert_eq!(pm2.peek_u64(0x3000 + i * 64), i + 100);
         }
         assert_eq!(pm2.peek_u64(0x100), 5);
-        std::fs::remove_file(&path).unwrap();
+        remove_pool(&path, 1);
+    }
+
+    #[test]
+    fn checkpoint_cost_tracks_the_dirty_lines_not_the_touched_arena() {
+        // A worker-style sweep bumps through 32 MiB of arena (≈ 32
+        // threshold-triggered checkpoints on the way). The checkpoints
+        // after that must still write only what was journaled since the
+        // previous one — the pinned count behind "a checkpoint costs
+        // what changed, not the pool".
+        let threshold = 1u64 << 20;
+        let path = pool_path("odirty");
+        let mut pm = Pmem::create_file(&path, PmemConfig::testing()).unwrap();
+        sweep(&mut pm, 0, 32 << 20, 0x5EED);
+        let aged = pm.backend_stats();
+        assert!(aged.compactions >= 30, "{} checkpoints", aged.compactions);
+        assert_eq!(aged.checkpoint_failures, 0);
+        assert!(std::fs::metadata(&path).unwrap().len() >= 31 << 20);
+        // Re-dirty 2 MiB in place: two more threshold crossings.
+        sweep(&mut pm, 4 << 20, 2 << 20, 0xFACE);
+        let after = pm.backend_stats();
+        let fresh = after.compactions - aged.compactions;
+        assert!(fresh >= 2, "{fresh} checkpoints on the aged pool");
+        assert!(
+            after.checkpoint_bytes - aged.checkpoint_bytes <= fresh * 2 * threshold,
+            "aged-pool checkpoints wrote {} B over {fresh} checkpoints",
+            after.checkpoint_bytes - aged.checkpoint_bytes
+        );
+        // ... and so did every one before: the base holds 32 MiB, yet
+        // all checkpoints together wrote about what was journaled.
+        assert!(after.checkpoint_bytes <= after.journal_bytes);
+        assert!(after.longest_checkpoint_ns <= after.checkpoint_ns);
+        // On disk: base ≤ header page + touched high-water mark, journal
+        // ≤ threshold + one record (64 lines) + its header.
+        let files = pm.backend_file_bytes().unwrap();
+        assert!(
+            files <= 4096 + (32 << 20) + threshold + 64 * 80 + 24,
+            "{files} B"
+        );
+        let pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
+        assert!(matches_durable_image(&pm2, &pm), "reopen == durable image");
+        assert!(pm2.replay_stats().unwrap().lines <= 2 * threshold / 64);
+        remove_pool(&path, 1);
+    }
+
+    #[test]
+    fn failed_checkpoint_on_the_fence_path_is_counted_not_fatal() {
+        let (path, be, mut pm) = hooked_pool("ckpt_fail", 2);
+        // The first threshold-triggered checkpoint dies at its first
+        // image write (an ENOSPC stand-in). The fence that offered it
+        // must not panic; the engine keeps appending and the next
+        // threshold crossing retries with everything still pending.
+        be.stop_checkpoint_at_step(1);
+        sweep(&mut pm, 0, 3 << 20, 7);
+        let s = pm.backend_stats();
+        assert_eq!(s.checkpoint_failures, 1);
+        assert!(s.compactions >= 1, "the retry went through");
+        // The explicit checkpoint is where an error surfaces.
+        sweep(&mut pm, 0, 4096, 8);
+        be.stop_checkpoint_at_step(be.checkpoint_steps_taken() + 2);
+        assert!(pm.checkpoint().is_err());
+        assert_eq!(pm.backend_stats().checkpoint_failures, 2);
+        // Killed right there: nothing acknowledged is lost.
+        let pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
+        assert!(matches_durable_image(&pm2, &pm));
+        pm.checkpoint().unwrap();
+        remove_pool(&path, 2);
+    }
+
+    #[test]
+    fn checkpoint_killed_after_every_step_reopens_to_the_durable_image() {
+        // Pool level of the backend's kill battery: the oracle is the
+        // live pool's durable arena, the recovery is `open_file`.
+        for shards in [1u16, 4] {
+            let mut step = 0;
+            loop {
+                let (path, be, mut pm) = hooked_pool("ckpt_kill", shards);
+                sweep(&mut pm, 0, 64 << 10, 1);
+                pm.checkpoint().unwrap();
+                // Overwrite some checkpointed lines, add scattered new
+                // ones across every shard range: several runs.
+                sweep(&mut pm, 8 << 10, 16 << 10, 2);
+                for i in 0..8u64 {
+                    sweep(&mut pm, (i << 20) + (512 << 10) + i * 128, 64, 3);
+                }
+                be.stop_checkpoint_at_step(be.checkpoint_steps_taken() + step);
+                let killed = pm.checkpoint().is_err();
+                let mut pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
+                assert!(
+                    matches_durable_image(&pm2, &pm),
+                    "{shards} shard(s), killed after step {step}"
+                );
+                // The recovered pool is a working pool: its journals
+                // resume wherever the interrupted truncation left them.
+                sweep(&mut pm2, 0, 4096, 4);
+                let pm3 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
+                assert!(matches_durable_image(&pm3, &pm2));
+                remove_pool(&path, shards);
+                if !killed {
+                    assert!(step >= 12, "only {step} steps exercised");
+                    break;
+                }
+                step += 1;
+            }
+        }
+    }
+
+    /// Every member of the pool at `path` (base first), as bytes.
+    fn read_members(path: &Path, shards: u16) -> Vec<Vec<u8>> {
+        let read = |p: &std::path::PathBuf| std::fs::read(p).unwrap();
+        FileBackend::member_paths(path, shards)
+            .iter()
+            .map(read)
+            .collect()
+    }
+
+    fn write_members(path: &Path, members: &[Vec<u8>]) {
+        let paths = FileBackend::member_paths(path, members.len() as u16 - 1);
+        for (p, m) in paths.iter().zip(members) {
+            std::fs::write(p, m).unwrap();
+        }
+    }
+
+    #[test]
+    fn image_run_torn_at_every_byte_offset_is_repaired_by_redo() {
+        // A run write that stops mid-line leaves a line that is neither
+        // old nor new. The journal still holds the whole line (the mark
+        // has not moved), so redo overwrites it — at every tear point.
+        let (path, _be, mut pm) = hooked_pool("torn_run", 1);
+        sweep(&mut pm, 0, 192, 1);
+        pm.checkpoint().unwrap();
+        sweep(&mut pm, 0, 192, 2); // rewrites the three checkpointed lines
+        let before = read_members(&path, 1);
+        pm.checkpoint().unwrap();
+        let after = read_members(&path, 1);
+        let at = crate::journal::IMAGE_OFFSET as usize;
+        assert_ne!(before[0][at..at + 192], after[0][at..at + 192]);
+        for cut in 0..=192 {
+            let mut torn = before.clone();
+            torn[0][at..at + cut].copy_from_slice(&after[0][at..at + cut]);
+            write_members(&path, &torn);
+            let pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
+            assert!(matches_durable_image(&pm2, &pm), "run torn at byte {cut}");
+            assert!(pm2.replay_stats().unwrap().batches >= 1);
+        }
+        remove_pool(&path, 1);
+    }
+
+    #[test]
+    fn torn_newer_mark_slot_falls_back_and_double_damage_is_typed() {
+        use crate::journal::{encode_mark, ReplayError, MARK_SLOT_AT, MARK_SLOT_BYTES};
+        let (path, _be, mut pm) = hooked_pool("mark_slots", 2);
+        sweep(&mut pm, 0, 4096, 1);
+        pm.checkpoint().unwrap(); // first mark → slot 1
+        sweep(&mut pm, 2048, 4096, 2);
+        // Killed after the second checkpoint's mark write, before any
+        // truncation: the journals still hold what it wrote home.
+        let journals = read_members(&path, 2);
+        pm.checkpoint().unwrap(); // second mark → slot 0
+        let mut intact = read_members(&path, 2);
+        intact[1..].clone_from_slice(&journals[1..]);
+        let (newer, older) = (MARK_SLOT_AT[0] as usize, MARK_SLOT_AT[1] as usize);
+        // Tear the newer slot's write at every byte (new prefix, the
+        // slot's previous content after it): recovery falls back to the
+        // older mark, which the un-truncated journal still covers.
+        for cut in 0..=MARK_SLOT_BYTES {
+            let mut torn = intact.clone();
+            torn[0][newer + cut..newer + MARK_SLOT_BYTES].copy_from_slice(&encode_mark(0)[cut..]);
+            write_members(&path, &torn);
+            let pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
+            assert!(matches_durable_image(&pm2, &pm), "mark torn at byte {cut}");
+            let replayed = pm2.replay_stats().unwrap().batches;
+            assert_eq!(replayed == 0, cut == MARK_SLOT_BYTES, "cut {cut}");
+        }
+        let mut both = intact.clone();
+        both[0][newer + 3] ^= 1;
+        both[0][older + 20] ^= 1;
+        write_members(&path, &both);
+        let err = Pmem::open_file(&path, PmemConfig::testing()).unwrap_err();
+        let typed = err.get_ref().and_then(|e| e.downcast_ref::<ReplayError>());
+        assert_eq!(typed, Some(&ReplayError::MarkDamaged), "{err}");
+        remove_pool(&path, 2);
     }
 
     #[test]
@@ -1642,7 +1843,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pm2.capacity(), 1 << 22);
-        std::fs::remove_file(&path).unwrap();
+        remove_pool(&path, 1);
     }
 
     #[test]
@@ -1658,11 +1859,11 @@ mod tests {
         drop(pm);
         let pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
         assert_eq!(pm2.peek_u64(0x4000), 9);
-        std::fs::remove_file(&path).unwrap();
+        remove_pool(&path, 1);
     }
 
     #[test]
-    fn pool_set_recovery_is_bit_identical_to_a_single_file_pool() {
+    fn pool_set_recovery_is_bit_identical_to_a_one_journal_pool() {
         // The same simulated workload through a 1-shard pool and a
         // 4-shard set: the recovered pools must agree word for word, and
         // the set must report its parallel replay.
@@ -1693,12 +1894,7 @@ mod tests {
                 .map(|i| pm2.peek_u64((i % 4) * (1 << 24) + (i / 4) * 64))
                 .collect();
             let rs = pm2.replay_stats().unwrap().clone();
-            std::fs::remove_file(&path).unwrap();
-            for s in 0..shards {
-                let mut sp = path.as_os_str().to_os_string();
-                sp.push(format!(".s{s}"));
-                let _ = std::fs::remove_file(sp);
-            }
+            remove_pool(&path, shards);
             (words, rs)
         };
         let (single, rs1) = run("set_single", 1, Durability::Buffered);
@@ -1733,12 +1929,7 @@ mod tests {
         assert_eq!(st.journal_shards, 2);
         assert!(pm.backend_file_bytes().unwrap() > 0);
         drop(pm);
-        std::fs::remove_file(&path).unwrap();
-        for s in 0..2 {
-            let mut sp = path.as_os_str().to_os_string();
-            sp.push(format!(".s{s}"));
-            let _ = std::fs::remove_file(sp);
-        }
+        remove_pool(&path, 2);
     }
 
     #[test]
@@ -1751,6 +1942,6 @@ mod tests {
         let img = pm.crash_image(CrashPolicy::OnlyFenced);
         assert_eq!(img.backend_kind(), crate::backend::BackendKind::Mem);
         assert_eq!(img.peek_u64(0x100), 3);
-        std::fs::remove_file(&path).unwrap();
+        remove_pool(&path, 1);
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::engine::ServerRoots;
 use mod_core::{CommitMode, ModHeap, PersistPolicy, SharedModHeap};
-use mod_pmem::{Durability, PmemConfig};
+use mod_pmem::{Durability, FileBackend, PmemConfig};
 use std::io;
 use std::path::Path;
 
@@ -20,7 +20,7 @@ pub fn pool_config() -> PmemConfig {
 
 /// Opens (recovering) or creates the server pool at `path` and shards
 /// it for `workers` connection slots in the given commit mode, with
-/// kill-grade (buffered, single-journal) durability. See
+/// kill-grade (buffered, one-journal) durability. See
 /// [`open_or_create_with`] for power-loss-grade pool sets.
 ///
 /// Initialization is atomic against kills: a fresh pool is built and
@@ -50,8 +50,8 @@ pub fn open_or_create(
 /// shard count. `Durability::Fsync` makes an acked `SESSION` op durable
 /// across power loss, not just SIGKILL — the group-commit fence
 /// amortizes the fsync round over the whole batch — and
-/// `journal_shards > 1` splits the journal into a pool set replayed by
-/// parallel threads at recovery.
+/// `journal_shards > 1` splits the journal across that many files,
+/// replayed by parallel threads at recovery.
 ///
 /// The shard count is a property of the *file set*: it applies when
 /// this call creates the pool, while reopening an existing pool keeps
@@ -82,13 +82,9 @@ pub fn open_or_create_with(
     };
     if !path.exists() {
         let init = path.with_extension("init");
-        let _ = std::fs::remove_file(&init); // stale half-init from a kill
-                                             // Stale shard journals from a killed init: the rename below
-                                             // only moves the base file, so sweep the set members too.
-        for s in 0..journal_shards {
-            let mut sp = init.as_os_str().to_os_string();
-            sp.push(format!(".s{s}"));
-            let _ = std::fs::remove_file(sp);
+        let init_members = FileBackend::member_paths(&init, journal_shards);
+        for stale in &init_members {
+            let _ = std::fs::remove_file(stale); // half-init from a kill
         }
         let mut heap = ModHeap::create_file(&init, cfg.clone())?;
         let _ = ServerRoots::create(&mut heap, policy);
@@ -96,16 +92,10 @@ pub fn open_or_create_with(
         // Move the shard journals first, the base last: recovery keys
         // off the base file, so a kill mid-rename still reads as
         // "no pool yet" until the base lands.
-        for s in 0..journal_shards {
-            let mut from = init.as_os_str().to_os_string();
-            from.push(format!(".s{s}"));
-            let mut to = path.as_os_str().to_os_string();
-            to.push(format!(".s{s}"));
-            if std::path::Path::new(&from).exists() {
-                std::fs::rename(&from, &to)?;
-            }
+        let members = FileBackend::member_paths(path, journal_shards);
+        for (from, to) in init_members.iter().zip(&members).rev() {
+            std::fs::rename(from, to)?;
         }
-        std::fs::rename(&init, path)?;
     }
     let (mut heap, _report) = ModHeap::open_file(path, cfg)?;
     let roots = ServerRoots::open(&mut heap, policy).map_err(io::Error::other)?;

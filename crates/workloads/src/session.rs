@@ -21,7 +21,7 @@
 //! committed FASEs present, all-or-nothing, torn journal tail discarded.
 
 use mod_core::{DurableMap, DurableQueue, DurableVector, ModHeap, PersistPolicy};
-use mod_pmem::{Durability, PmemConfig};
+use mod_pmem::{Durability, FileBackend, PmemConfig};
 use std::io;
 use std::path::Path;
 
@@ -85,7 +85,7 @@ fn last_writer(n: u64, j: u64) -> Option<u64> {
 ///   volatile, only compact op records are journaled, and recovery
 ///   rebuilds the index by replay. The verifier checks the identical
 ///   shadow model either way.
-fn pool_config() -> PmemConfig {
+pub fn pool_config() -> PmemConfig {
     let journal_shards = std::env::var("MOD_SESSION_SHARDS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -128,11 +128,9 @@ pub fn open_session(path: &Path, seed: u64) -> io::Result<Session> {
     if !path.exists() {
         let cfg = pool_config();
         let init = path.with_extension("init");
-        let _ = std::fs::remove_file(&init); // stale half-init from a kill
-        for s in 0..cfg.journal_shards {
-            let mut sp = init.as_os_str().to_os_string();
-            sp.push(format!(".s{s}"));
-            let _ = std::fs::remove_file(sp);
+        let init_members = FileBackend::member_paths(&init, cfg.journal_shards);
+        for stale in &init_members {
+            let _ = std::fs::remove_file(stale); // half-init from a kill
         }
         let mut heap = ModHeap::create_file(&init, cfg.clone())?;
         let policy = session_policy();
@@ -144,16 +142,10 @@ pub fn open_session(path: &Path, seed: u64) -> io::Result<Session> {
         // Shard journals move first, the base last: a verifier keys off
         // the base file, so a kill mid-rename still reads "no session
         // yet" until the base lands.
-        for s in 0..cfg.journal_shards {
-            let mut from = init.as_os_str().to_os_string();
-            from.push(format!(".s{s}"));
-            let mut to = path.as_os_str().to_os_string();
-            to.push(format!(".s{s}"));
-            if Path::new(&from).exists() {
-                std::fs::rename(&from, &to)?;
-            }
+        let members = FileBackend::member_paths(path, cfg.journal_shards);
+        for (from, to) in init_members.iter().zip(&members).rev() {
+            std::fs::rename(from, to)?;
         }
-        std::fs::rename(&init, path)?;
     }
     let (mut heap, _report) = ModHeap::open_file(path, pool_config())?;
     let (roots, committed) = check_session(&mut heap, seed).map_err(io::Error::other)?;

@@ -192,6 +192,8 @@ fn parent() {
     println!("lifetime 2: recovery kept all 20 acks, retry applied seq 21 exactly once");
     kid.kill().expect("final kill");
     kid.wait().expect("reap");
-    std::fs::remove_file(&path).expect("cleanup");
+    for member in mod_pmem::FileBackend::member_paths(&path, 1) {
+        std::fs::remove_file(member).expect("cleanup");
+    }
     println!("durable_server: acked ⇒ durable, retries ⇒ exactly-once ✓");
 }

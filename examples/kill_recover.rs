@@ -84,16 +84,26 @@ fn parent() {
     let mut session = open_session(&path, SEED).expect("final reopen");
     let resume = session.committed;
     run_ops(&mut session, resume + 1_000);
-    let pool_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    let backend = session.heap.nv().pm().backend_stats();
-    drop(session.heap.close().expect("orderly close"));
+    let pm = session.heap.close().expect("orderly close");
+    let backend = pm.backend_stats();
+    let pool_bytes = pm.backend_file_bytes().expect("pool members");
+    drop(pm);
     let committed = verify_session(&path, SEED).expect("post-close verify");
     assert_eq!(committed, resume + 1_000);
     println!(
         "clean tail: resumed at {resume}, closed at {committed} \
-         ({} fence records, {} journal bytes, {} compactions, pool file {pool_bytes} B)",
-        backend.fence_batches, backend.journal_bytes, backend.compactions
+         ({} fence records, {} journal bytes, pool files {pool_bytes} B)",
+        backend.fence_batches, backend.journal_bytes
     );
-    std::fs::remove_file(&path).expect("cleanup");
+    println!(
+        "checkpoints: {} completed ({} failed), {} B written home, longest {:.2} ms",
+        backend.compactions,
+        backend.checkpoint_failures,
+        backend.checkpoint_bytes,
+        backend.longest_checkpoint_ns as f64 / 1e6
+    );
+    for member in mod_pmem::FileBackend::member_paths(&path, backend.journal_shards as u16) {
+        std::fs::remove_file(member).expect("cleanup");
+    }
     println!("kill_recover: all rounds recovered all-or-nothing ✓");
 }

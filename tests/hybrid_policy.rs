@@ -690,7 +690,9 @@ fn memcached_mix_journal_bytes_per_op_drop_under_hybrid() {
         let journal = h.nv().pm().backend_stats().journal_bytes;
         let avoided = h.nv().pm().stats().flushes_avoided;
         drop(h.close().unwrap());
-        let _ = std::fs::remove_file(&path);
+        for member in mod_pmem::FileBackend::member_paths(&path, 1) {
+            let _ = std::fs::remove_file(member);
+        }
         (journal / OPS, avoided)
     };
     let (full_jpo, full_avoided) = run(PersistPolicy::Full, "full");

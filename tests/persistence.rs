@@ -1,5 +1,5 @@
 //! File-backed pools: cross-process kill/recover, torn journal tails,
-//! compaction, and MemBackend behavior-identity.
+//! checkpoint kill points and bounds, and MemBackend behavior-identity.
 //!
 //! The kill test re-invokes this very test binary as the writer child
 //! (the `writer_child` "test" below becomes the child's entry point when
@@ -8,19 +8,63 @@
 //! memory, only the pool file.
 
 use mod_core::{DurableMap, ModHeap};
-use mod_pmem::{Pmem, PmemConfig};
+use mod_pmem::journal::{ReplayError, IMAGE_OFFSET, MARK_SLOT_AT, MARK_SLOT_BYTES};
+use mod_pmem::{FileBackend, Pmem, PmemConfig};
 use mod_workloads::session::{
-    open_session, run_ops, session_policy, verify_session, SLOTS, WINDOW,
+    open_session, pool_config, run_ops, session_policy, verify_session, SLOTS, WINDOW,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
 fn temp_pool(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("mod_persist_{}_{name}.pool", std::process::id()));
-    let _ = std::fs::remove_file(&p);
+    remove_pool(&p);
     p
+}
+
+/// Removes a pool's base file and any shard journals beside it.
+fn remove_pool(path: &Path) {
+    for member in FileBackend::member_paths(path, 4) {
+        let _ = std::fs::remove_file(member);
+    }
+}
+
+/// The journal shard count the session pools of this run are created
+/// with (the knob the CI battery turns).
+fn session_shards() -> u16 {
+    pool_config().journal_shards
+}
+
+/// Every member of the pool at `path` (base first), as bytes.
+fn read_members(path: &Path) -> Vec<Vec<u8>> {
+    FileBackend::member_paths(path, session_shards())
+        .iter()
+        .map(|p| std::fs::read(p).unwrap())
+        .collect()
+}
+
+fn write_members(path: &Path, members: &[Vec<u8>]) {
+    for (p, m) in FileBackend::member_paths(path, session_shards())
+        .iter()
+        .zip(members)
+    {
+        std::fs::write(p, m).unwrap();
+    }
+}
+
+/// The first `len` bytes a journal-level recovery of `path` rebuilds
+/// (no typed recovery on top: nothing is appended to the pool).
+fn recovered_bytes(path: &Path, len: usize) -> Vec<u8> {
+    let pm = Pmem::open_file(path, pool_config()).unwrap();
+    let mut bytes = vec![0u8; len];
+    pm.peek_bytes(0, &mut bytes);
+    bytes
+}
+
+fn replay_error(err: &std::io::Error) -> Option<&ReplayError> {
+    err.get_ref()?.downcast_ref::<ReplayError>()
 }
 
 /// Child entry point: under `MOD_SESSION_POOL` this "test" writes the
@@ -75,42 +119,48 @@ fn kill_and_reopen_recovers_committed_fases() {
     run_ops(&mut session, resume + 100);
     drop(session.heap.close().unwrap());
     assert_eq!(verify_session(&path, seed).unwrap(), resume + 100);
-    std::fs::remove_file(&path).unwrap();
+    remove_pool(&path);
 }
 
 #[test]
 fn torn_journal_tail_recovers_to_a_complete_fence_at_any_cut() {
     // Write a session, then simulate kills at many byte offsets by
-    // truncating a copy of the pool file: every cut must verify as a
-    // consistent all-or-nothing prefix, monotone in the cut point.
+    // truncating a copy of the pool's journal: every cut must verify as
+    // a consistent all-or-nothing prefix, monotone in the cut point.
+    if session_shards() != 1 {
+        eprintln!("skipping: this test pins the one-journal shape");
+        return;
+    }
     let path = temp_pool("torn");
     let seed = 7u64;
     let mut session = open_session(&path, seed).unwrap();
     run_ops(&mut session, 120);
-    drop(session); // no close/checkpoint: the file is as a kill leaves it
-    let full = std::fs::read(&path).unwrap();
-    let base = {
-        // State with no journal suffix at all: right after initialization.
-        let cut_path = temp_pool("torn_cut");
-        std::fs::write(&cut_path, &full).unwrap();
-        verify_session(&cut_path, seed).unwrap()
+    drop(session); // no close/checkpoint: the files are as a kill leaves them
+    let full = read_members(&path);
+    let cut_path = temp_pool("torn_cut");
+    let verify_cut = |cut: usize| {
+        // Recovery truncates (and typed recovery appends) in place, so
+        // every cut starts from a fresh copy of the set.
+        write_members(&cut_path, &[full[0].clone(), full[1][..cut].to_vec()]);
+        verify_session(&cut_path, seed)
+            .unwrap_or_else(|e| panic!("cut at {cut}: inconsistent state: {e}"))
     };
     // The last FASE's directory swing is fenced by the *next* FASE (or a
-    // close), so an un-closed file holds one less than the staged count.
-    assert_eq!(base, 119);
-    let cut_path = temp_pool("torn_cut");
-    // ~150 cuts spread over the whole file plus every byte of the tail.
-    let init_len = full.len() - (full.len() / 3);
+    // close), so an un-closed pool holds one less than the staged count.
+    let journal_len = full[1].len();
+    assert_eq!(verify_cut(journal_len), 119);
+    // The init's close checkpointed, so the journal holds only the 120
+    // ops: with no record at all the image alone is the empty session.
+    assert_eq!(verify_cut(24), 0);
+    // ~100 cuts spread over the whole journal plus every byte of the tail.
     let mut cuts: Vec<usize> = (0..100)
-        .map(|i| init_len + i * (full.len() - init_len) / 100)
+        .map(|i| 24 + i * (journal_len - 24) / 100)
         .collect();
-    cuts.extend(full.len() - 200..=full.len());
+    cuts.extend(journal_len - 200..=journal_len);
     let mut prev_n = None::<u64>;
     let mut distinct = std::collections::BTreeSet::new();
     for cut in cuts {
-        std::fs::write(&cut_path, &full[..cut]).unwrap();
-        let n = verify_session(&cut_path, seed)
-            .unwrap_or_else(|e| panic!("cut at {cut}: inconsistent state: {e}"));
+        let n = verify_cut(cut);
         if let Some(p) = prev_n {
             assert!(
                 n >= p,
@@ -124,8 +174,8 @@ fn torn_journal_tail_recovers_to_a_complete_fence_at_any_cut() {
         distinct.len() > 10,
         "cuts should land on many distinct fences, got {distinct:?}"
     );
-    std::fs::remove_file(&path).unwrap();
-    std::fs::remove_file(&cut_path).unwrap();
+    remove_pool(&path);
+    remove_pool(&cut_path);
 }
 
 #[test]
@@ -223,51 +273,252 @@ fn pool_set_torn_shard_tail_recovers_to_the_frontier_at_any_cut() {
         distinct.len() > 5,
         "cuts should land on many distinct frontiers, got {distinct:?}"
     );
-    std::fs::remove_file(&path).unwrap();
-    std::fs::remove_file(&cut_path).unwrap();
-    for p in shard_paths.iter().chain(cut_shards.iter()) {
-        std::fs::remove_file(p).unwrap();
-    }
+    remove_pool(&path);
+    remove_pool(&cut_path);
 }
 
 #[test]
 fn compaction_bounds_the_file_and_preserves_state() {
     // This is a journal-*volume* test: it pins how much the Full-policy
-    // journal grows and when it compacts. Under MOD_SESSION_POLICY=hybrid
-    // the same op count journals a fraction of the bytes and legitimately
-    // never crosses the threshold, so the hybrid battery skips it.
+    // journal grows, when it checkpoints and what a checkpoint leaves on
+    // disk. Under MOD_SESSION_POLICY=hybrid the same op count journals a
+    // fraction of the bytes and legitimately never crosses the
+    // threshold, so the hybrid battery skips it.
     if session_policy() != mod_core::PersistPolicy::Full {
-        eprintln!("skipping: compaction volume test pins the Full journal shape");
+        eprintln!("skipping: checkpoint volume test pins the Full journal shape");
         return;
     }
+    // The backend's private trigger, and a generous bound on one fence
+    // record of this session (≈ 20 lines).
+    const THRESHOLD: u64 = 1 << 20;
+    const ONE_RECORD: u64 = 16 << 10;
     let path = temp_pool("compaction");
+    let members = FileBackend::member_paths(&path, session_shards());
+    let journal_bytes = || -> u64 {
+        let len = |p: &PathBuf| std::fs::metadata(p).unwrap().len() - 24;
+        members[1..].iter().map(len).sum()
+    };
     let seed = 42u64;
     let mut session = open_session(&path, seed).unwrap();
-    // Enough churn that the journal crosses the compaction threshold.
-    run_ops(&mut session, 1_500);
+    // Enough churn that the journal crosses the checkpoint threshold —
+    // and at no point may it sit more than one record above it.
+    for target in (100..=1_500).step_by(100) {
+        run_ops(&mut session, target);
+        assert!(
+            journal_bytes() < THRESHOLD + ONE_RECORD,
+            "journals hold {} B at op {target}",
+            journal_bytes()
+        );
+    }
     let stats = session.heap.nv().pm().backend_stats();
     assert!(
-        stats.compactions >= 1,
-        "1.5k FASEs must have crossed the compaction threshold \
+        stats.compactions >= 1 && stats.checkpoint_failures == 0,
+        "1.5k FASEs must have crossed the checkpoint threshold \
          ({} journal bytes appended)",
         stats.journal_bytes
     );
-    drop(session.heap.close().unwrap());
-    let file_len = std::fs::metadata(&path).unwrap().len();
     assert!(
-        file_len < stats.journal_bytes,
-        "compaction must keep the file ({file_len} B) well under the \
-         total journal traffic ({} B)",
+        stats.checkpoint_bytes <= stats.journal_bytes,
+        "checkpoints write what was journaled ({} B), not the pool: {} B",
+        stats.journal_bytes,
+        stats.checkpoint_bytes
+    );
+    drop(session.heap.close().unwrap());
+    assert_eq!(journal_bytes(), 0, "a close leaves empty journals");
+    // The base is the header page plus the image up to the highest line
+    // the session ever made durable — found here as the highest nonzero
+    // line of the recovered pool (the flush cache never journals a line
+    // that is still all zero).
+    let base_len = std::fs::metadata(&path).unwrap().len();
+    let image = recovered_bytes(&path, 1 << 26);
+    let high_water = image
+        .rchunks(64)
+        .position(|line| line.iter().any(|&b| b != 0));
+    let high_water = image.len() as u64 - 64 * high_water.unwrap() as u64;
+    assert!(
+        base_len <= IMAGE_OFFSET + high_water,
+        "base is {base_len} B for a touched high-water mark of {high_water} B"
+    );
+    assert!(
+        base_len < stats.journal_bytes,
+        "the pool ({base_len} B) stays well under the total journal \
+         traffic ({} B)",
         stats.journal_bytes
     );
-    // All state survives the compactions and the reopen.
+    // All state survives the checkpoints and the reopen.
     let committed = verify_session(&path, seed).unwrap();
     assert_eq!(committed, 1_500);
     let mut session = open_session(&path, seed).unwrap();
     run_ops(&mut session, 1_600);
     drop(session.heap.close().unwrap());
     assert_eq!(verify_session(&path, seed).unwrap(), 1_600);
-    std::fs::remove_file(&path).unwrap();
+    remove_pool(&path);
+}
+
+/// The differing 64-byte-aligned runs of two images, `(offset, len)`,
+/// split every 4 KiB: a kill can stop a long image write part-way too.
+fn differing_runs(before: &[u8], after: &[u8]) -> Vec<(usize, usize)> {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for at in (IMAGE_OFFSET as usize..after.len()).step_by(64) {
+        let end = (at + 64).min(after.len());
+        if before.get(at..end) == Some(&after[at..end]) {
+            continue;
+        }
+        match runs.last_mut() {
+            Some((start, len)) if *start + *len == at && *len < 4096 => *len += end - at,
+            _ => runs.push((at, end - at)),
+        }
+    }
+    runs
+}
+
+#[test]
+fn checkpoint_killed_at_any_point_recovers_the_same_session() {
+    // File level of the kill-atomicity battery, in whatever pool shape
+    // the env knobs select (CI: 1-shard buffered and 4-shard fsync).
+    // `before` is a killed, un-checkpointed session; `after` is the same
+    // pool checkpointed. Every on-disk state a kill *inside* that
+    // checkpoint can leave is rebuilt from the two — image runs landed
+    // one by one (the last one torn), the mark slot written or torn, the
+    // journals truncated one by one — and every one of them must recover
+    // the same committed session and the same bytes.
+    let path = temp_pool("ckpt_kill");
+    let seed = 0xC4EC_4B17u64;
+    let mut session = open_session(&path, seed).unwrap();
+    run_ops(&mut session, 400);
+    drop(session); // the kill
+    let before = read_members(&path);
+    // Journal-level open + checkpoint: nothing is appended, so `after`
+    // is exactly `before`'s journal written home.
+    let mut pm = Pmem::open_file(&path, pool_config()).unwrap();
+    assert!(pm.replay_stats().unwrap().batches >= 399);
+    pm.checkpoint().unwrap();
+    assert_eq!(pm.backend_stats().compactions, 1);
+    drop(pm);
+    let after = read_members(&path);
+    let image_len = after[0].len() - IMAGE_OFFSET as usize;
+    let oracle = recovered_bytes(&path, image_len);
+    let committed = verify_session(&path, seed).unwrap();
+    assert_eq!(committed, 399);
+
+    let state = temp_pool("ckpt_kill_state");
+    let check = |what: &str, members: &[Vec<u8>]| {
+        write_members(&state, members);
+        assert!(
+            recovered_bytes(&state, image_len) == oracle,
+            "{what}: bytes"
+        );
+        write_members(&state, members); // the open above truncated in place
+        let n = verify_session(&state, seed).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(n, committed, "{what}");
+    };
+    check("before", &before);
+    check("after", &after);
+
+    // Step 1: the image runs land one by one; the old mark and the whole
+    // journal still stand. The image only ever grows.
+    let runs = differing_runs(&before[0], &after[0]);
+    assert!(runs.len() >= 3, "only {} runs differ", runs.len());
+    let mut members = before.clone();
+    members[0].resize(after[0].len().max(before[0].len()), 0);
+    for (k, &(at, len)) in runs.iter().enumerate() {
+        if k == runs.len() / 2 {
+            // This run is torn at every byte offset on its way down.
+            for cut in 0..len.min(192) {
+                let mut torn = members.clone();
+                torn[0][at..at + cut].copy_from_slice(&after[0][at..at + cut]);
+                check(&format!("run {k} torn at byte {cut}"), &torn);
+            }
+        }
+        members[0][at..at + len].copy_from_slice(&after[0][at..at + len]);
+        if k % 8 == 0 || k + 1 == runs.len() {
+            check(
+                &format!("{} of {} runs written", k + 1, runs.len()),
+                &members,
+            );
+        }
+    }
+    // Steps 2–3: base synced, then the newer mark slot written — torn at
+    // every byte on the way, where the older slot must carry the open.
+    let newer = (0..2)
+        .map(|i| MARK_SLOT_AT[i] as usize)
+        .find(|&at| before[0][at..at + MARK_SLOT_BYTES] != after[0][at..at + MARK_SLOT_BYTES])
+        .expect("the checkpoint wrote one mark slot");
+    for cut in 0..=MARK_SLOT_BYTES {
+        members[0][newer..newer + cut].copy_from_slice(&after[0][newer..newer + cut]);
+        check(&format!("mark slot torn at byte {cut}"), &members);
+    }
+    assert!(
+        members[0] == after[0],
+        "runs + mark slot are the whole checkpoint"
+    );
+    // Step 4: the journals are truncated one by one.
+    for j in 1..members.len() {
+        members[j] = after[j].clone();
+        check(&format!("{j} journal(s) truncated"), &members);
+    }
+    // Both mark slots damaged: a typed error, never a guess.
+    let mut damaged = after.clone();
+    for at in MARK_SLOT_AT {
+        damaged[0][at as usize + 9] ^= 0x01;
+    }
+    write_members(&state, &damaged);
+    let err = Pmem::open_file(&state, pool_config()).unwrap_err();
+    assert_eq!(replay_error(&err), Some(&ReplayError::MarkDamaged), "{err}");
+    remove_pool(&path);
+    remove_pool(&state);
+}
+
+#[test]
+fn lines_only_the_replayed_journal_held_survive_the_next_checkpoint() {
+    // Reopen an un-checkpointed pool, write on until the threshold
+    // checkpoint fires, get killed: that checkpoint truncated the
+    // records the reopen replayed, so their lines must have been seeded
+    // into it — the verifier walks every slot, old and new.
+    if session_policy() != mod_core::PersistPolicy::Full {
+        eprintln!("skipping: needs the Full journal volume to cross the threshold");
+        return;
+    }
+    let path = temp_pool("seeded");
+    let seed = 0x5EED_ED00u64;
+    let mut session = open_session(&path, seed).unwrap();
+    run_ops(&mut session, 300);
+    drop(session); // killed, un-checkpointed
+    let mut session = open_session(&path, seed).unwrap();
+    assert_eq!(session.committed, 299);
+    let replayed = session.heap.nv().pm().replay_stats().unwrap().batches;
+    assert!(replayed >= 299, "reopen replayed {replayed} batches");
+    let mut target = 300;
+    while session.heap.nv().pm().backend_stats().compactions == 0 {
+        target += 100;
+        run_ops(&mut session, target);
+    }
+    drop(session); // killed right after the checkpoint
+    assert_eq!(verify_session(&path, seed).unwrap(), target - 1);
+    remove_pool(&path);
+}
+
+#[test]
+fn generation_3_pool_fails_to_open_with_a_typed_error() {
+    // The checked-in fixture is a pool exactly as the previous on-disk
+    // generation laid it down (header + empty snapshot record). Old
+    // pools fail typed — at the pmem level and through the heap — never
+    // a panic and never a best-effort read.
+    let path = temp_pool("gen3");
+    std::fs::copy("tests/fixtures/gen3_pool.bin", &path).unwrap();
+    let want = ReplayError::UnsupportedGeneration {
+        found: 3,
+        supported: 4,
+    };
+    let err = Pmem::open_file(&path, pool_config()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(replay_error(&err), Some(&want), "{err}");
+    let err = ModHeap::open_file(&path, pool_config())
+        .map(drop)
+        .unwrap_err();
+    assert_eq!(replay_error(&err), Some(&want), "{err}");
+    assert!(verify_session(&path, 1).is_err());
+    remove_pool(&path);
 }
 
 #[test]
@@ -280,7 +531,7 @@ fn verifier_rejects_a_wrong_shadow_model() {
     drop(session.heap.close().unwrap());
     assert!(verify_session(&path, 2).is_err(), "wrong seed must fail");
     assert_eq!(verify_session(&path, 1).unwrap(), 50);
-    std::fs::remove_file(&path).unwrap();
+    remove_pool(&path);
 }
 
 const _: () = assert!(WINDOW < SLOTS, "session model: window must fit the map");
@@ -311,5 +562,5 @@ fn mem_backend_paths_are_behavior_identical_to_file_pools_minus_io() {
         file_wall.to_bits(),
         "bit-identical simulated time"
     );
-    std::fs::remove_file(&path).unwrap();
+    remove_pool(&path);
 }
