@@ -1,27 +1,206 @@
-//! The CI perf-regression gate behind `bench_smoke`.
+//! The sim gate: [`collect`] runs a fixed, CI-sized slice of the
+//! evaluation on the simulator and [`diff`] compares the result **for
+//! equality, key set included**, against the committed
+//! `bench/baseline.json` (`tests/sim_gate.rs` does that on every
+//! `cargo test`).
 //!
-//! The gate works on a *flat* metric map — `"workload.metric" → f64` —
-//! serialized as a tiny, sorted, dependency-free JSON object. All gated
-//! metrics come from the deterministic simulation (fences/FASE,
-//! sim-ns/op, overlap ratio), never from host wall-clock time, so a run
-//! is bit-for-bit reproducible on any machine and a >10 % delta against
-//! the committed `bench/baseline.json` is a real model/code change, not
-//! noise.
-//!
-//! Direction matters: for most metrics lower is better (latency,
-//! fences), but for a few — overlap ratio, speedup — higher is better.
-//! [`higher_is_better`] encodes the rule by key suffix.
+//! Metrics are a *flat* map — `"workload.metric" → f64` — serialized as
+//! a tiny, sorted, dependency-free JSON object. Every key comes from the
+//! deterministic simulation (fences/FASE, sim-ns/op, overlap ratio,
+//! flush and journal-byte counts), never from host wall-clock time, so a
+//! run is bit-for-bit reproducible on any machine, in any build profile,
+//! and *any* delta is a real model/code change, not noise. Host-time
+//! numbers are `benchmark/`'s business.
 
-use std::collections::BTreeMap;
+use mod_workloads::{
+    run_pipelined, run_read_heavy, run_workload, ConcurrencyConfig, ReadHeavyConfig, ScaleConfig,
+    System, Workload,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A flat metric map, ordered by key for stable serialization.
 pub type Metrics = BTreeMap<String, f64>;
 
-/// Whether a larger value of `key` is an improvement (keys ending in
-/// `_ratio`, `_speedup` or `_per_ms`) rather than a regression.
-pub fn higher_is_better(key: &str) -> bool {
-    key.ends_with("_ratio") || key.ends_with("_speedup") || key.ends_with("_per_ms")
+/// Runs the gated slice: the four applications/microbenchmarks the PR
+/// pipeline tracks (map, memcached, vacation, bfs on MOD), the 1- and
+/// 8-thread turnstile `SharedModHeap` pipeline, the hybrid-policy and
+/// flush-coalescing ablations (in simulation and against a scratch pool
+/// file), and the 95/5 snapshot-read turnstile.
+///
+/// # Panics
+///
+/// Panics if a scratch pool file cannot be created in the system
+/// temporary directory.
+pub fn collect() -> Metrics {
+    let mut m = Metrics::new();
+    let scale = ScaleConfig::testing();
+    for w in [
+        Workload::Map,
+        Workload::Memcached,
+        Workload::Vacation,
+        Workload::Bfs,
+    ] {
+        let r = run_workload(w, System::Mod, &scale);
+        let key = w.name().replace('-', "_");
+        m.insert(format!("{key}.sim_ns_per_op"), r.ns_per_op());
+        m.insert(
+            format!("{key}.fences_per_op"),
+            r.fences as f64 / r.ops as f64,
+        );
+        m.insert(
+            format!("{key}.flushes_per_op"),
+            r.flushes as f64 / r.ops as f64,
+        );
+        m.insert(format!("{key}.overlap_ratio"), r.overlap_ratio());
+    }
+
+    let solo = run_pipelined(&ConcurrencyConfig::testing(1));
+    let eight = run_pipelined(&ConcurrencyConfig::testing(8));
+    for (key, r) in [("pipeline1", &solo), ("pipeline8", &eight)] {
+        m.insert(format!("{key}.sim_ns_per_op"), r.sim_ns_per_fase());
+        m.insert(format!("{key}.fences_per_op"), r.fences_per_fase());
+        m.insert(format!("{key}.overlap_ratio"), r.overlap_ratio());
+    }
+    m.insert(
+        "pipeline8.fases_speedup".to_string(),
+        eight.fases_per_sim_ms() / solo.fases_per_sim_ms(),
+    );
+    // Batch occupancy of the deterministic 8-thread pipeline: how full
+    // the group commits ran (1.0 = every batch carried all 8 workers).
+    m.insert(
+        "pipeline8.batch_occupancy_ratio".to_string(),
+        eight.mean_batch() / eight.threads as f64,
+    );
+
+    // Hybrid-policy ablation, simulated half: the hybrid map run's
+    // flushes/op must stay low (the point of "Don't Persist All"), and
+    // any drift in the volatile-node accounting shows up here.
+    let hyb = mod_workloads::run_map_hybrid(&scale);
+    m.insert(
+        "hybrid.flushes_per_op".to_string(),
+        hyb.flushes as f64 / hyb.ops as f64,
+    );
+    m.insert("hybrid.sim_ns_per_op".to_string(), hyb.ns_per_op());
+    hybrid_file_mix(&mut m);
+
+    // Flush-coalescing ablation: the map micro with the fence-epoch
+    // flush cache explicitly on and off. Drift in the on-run means the
+    // elision coverage itself changed; the off-run pins the cache's
+    // contribution.
+    let on = mod_workloads::run_map_coalesce(&scale, true);
+    let off = mod_workloads::run_map_coalesce(&scale, false);
+    assert_eq!(
+        on.fences, off.fences,
+        "flush coalescing must never change the fence schedule"
+    );
+    m.insert(
+        "coalesce.flushes_per_op".to_string(),
+        on.flushes as f64 / on.ops as f64,
+    );
+    m.insert(
+        "coalesce.flushes_deduped_per_op".to_string(),
+        on.flushes_deduped as f64 / on.ops as f64,
+    );
+    m.insert(
+        "coalesce.flushes_per_op_uncoalesced".to_string(),
+        off.flushes as f64 / off.ops as f64,
+    );
+    m.insert(
+        "coalesce.journal_bytes_per_fase".to_string(),
+        session_journal_bytes_per_fase(),
+    );
+
+    let r95 = run_read_heavy(&ReadHeavyConfig::testing());
+    m.insert("read95.sim_ns_per_op".to_string(), r95.sim_ns_per_op());
+    // How many reader turns were served from a view that lagged the
+    // published epoch. Drift means the publication or pinning discipline
+    // changed.
+    m.insert(
+        "read95.snapshot_epochs_lagged".to_string(),
+        r95.epochs_lagged as f64,
+    );
+    m.insert("read95.reads".to_string(), r95.reads as f64);
+    m.insert("read95.final_epoch".to_string(), r95.final_epoch as f64);
+    m
+}
+
+/// A scratch pool path unique to this process.
+fn scratch_pool(tag: &str) -> std::path::PathBuf {
+    let mut path = std::env::temp_dir();
+    path.push(format!("mod_sim_gate_{tag}_{}.pool", std::process::id()));
+    path
+}
+
+/// Deletes a one-journal scratch pool: the base file and its journal.
+fn remove_pool(path: &std::path::Path) {
+    for member in mod_pmem::FileBackend::member_paths(path, 1) {
+        let _ = std::fs::remove_file(member);
+    }
+}
+
+/// Hybrid-policy ablation, file-backed half: the memcached mix (16-byte
+/// keys, 512-byte values, 95 % sets) on a hybrid map against a real
+/// pool, recording flush and journal traffic per op.
+fn hybrid_file_mix(m: &mut Metrics) {
+    use mod_core::{DurableMap, ModHeap, PersistPolicy};
+    use mod_workloads::WorkloadRng;
+    const OPS: u64 = 1_000;
+    let path = scratch_pool("hybrid");
+    remove_pool(&path);
+    let cfg = mod_pmem::PmemConfig {
+        capacity: 1 << 26,
+        crash_sim: false,
+        ..mod_pmem::PmemConfig::default()
+    };
+    let mut heap = ModHeap::create_file(&path, cfg).expect("hybrid pool");
+    let map: DurableMap<[u8; 16], Vec<u8>> = heap.root(0).policy(PersistPolicy::Hybrid).create();
+    let mut rng = WorkloadRng::new(0xD0_4A11);
+    for op in 0..OPS {
+        let mut key = [0u8; 16];
+        key[..8].copy_from_slice(&rng.below(256).to_le_bytes());
+        if rng.percent(95) {
+            let mut v = vec![0u8; 512];
+            v[..8].copy_from_slice(&op.to_le_bytes());
+            map.insert(&mut heap, &key, &v);
+        } else {
+            let _ = map.get(&heap, &key);
+        }
+    }
+    heap.quiesce();
+    let stats = heap.nv().pm().stats().clone();
+    let backend = heap.nv().pm().backend_stats();
+    drop(heap);
+    remove_pool(&path);
+    m.insert(
+        "hybrid_file.flushes_per_op".to_string(),
+        stats.effective_flushes as f64 / OPS as f64,
+    );
+    m.insert(
+        "hybrid_file.flushes_avoided_per_op".to_string(),
+        stats.flushes_avoided as f64 / OPS as f64,
+    );
+    m.insert(
+        "hybrid_file.journal_bytes_per_op".to_string(),
+        backend.journal_bytes as f64 / OPS as f64,
+    );
+}
+
+/// Journal bytes appended per FASE by the seeded persistent session on
+/// a real pool file. Sim time and line contents are both deterministic,
+/// so the compact journal codec's traffic is too: a regression in the
+/// varint/delta encoding shows up here.
+fn session_journal_bytes_per_fase() -> f64 {
+    const SEED: u64 = 0xBE5E_ED05;
+    const OPS: u64 = 2_000;
+    let path = scratch_pool("session");
+    remove_pool(&path);
+    let mut session = mod_workloads::session::open_session(&path, SEED).expect("session pool");
+    mod_workloads::session::run_ops(&mut session, OPS);
+    let backend = session.heap.nv().pm().backend_stats();
+    drop(session);
+    remove_pool(&path);
+    backend.journal_bytes as f64 / OPS as f64
 }
 
 /// Serializes metrics as a pretty-printed flat JSON object with stable
@@ -31,7 +210,7 @@ pub fn higher_is_better(key: &str) -> bool {
 ///
 /// Panics on a non-finite value: `NaN`/`inf` are not JSON, and a metric
 /// that degenerated to one (e.g. a division by zero ops) must fail the
-/// run loudly rather than poison the artifact.
+/// run loudly rather than poison the baseline.
 pub fn to_json(metrics: &Metrics) -> String {
     let mut out = String::from("{\n");
     for (i, (k, v)) in metrics.iter().enumerate() {
@@ -58,7 +237,7 @@ impl std::error::Error for ParseError {}
 
 /// Parses the flat JSON object emitted by [`to_json`] (also tolerant of
 /// arbitrary whitespace). Only the flat `{"key": number, ...}` shape is
-/// supported — nested objects are a format error.
+/// supported — nested objects and non-finite numbers are format errors.
 pub fn from_json(s: &str) -> Result<Metrics, ParseError> {
     let body = s.trim();
     let body = body
@@ -66,7 +245,9 @@ pub fn from_json(s: &str) -> Result<Metrics, ParseError> {
         .and_then(|b| b.strip_suffix('}'))
         .ok_or_else(|| ParseError("expected one top-level object".into()))?;
     let mut out = Metrics::new();
-    for entry in split_top_level(body) {
+    // No nested structure or quoted commas: keys are dotted identifiers,
+    // values plain numbers.
+    for entry in body.split(',') {
         let entry = entry.trim();
         if entry.is_empty() {
             continue;
@@ -79,10 +260,17 @@ pub fn from_json(s: &str) -> Result<Metrics, ParseError> {
             .strip_prefix('"')
             .and_then(|k| k.strip_suffix('"'))
             .ok_or_else(|| ParseError(format!("unquoted key `{k}`")))?;
-        let v: f64 = v
+        let v = v
             .trim()
             .parse()
-            .map_err(|_| ParseError(format!("non-numeric value for `{k}`: `{}`", v.trim())))?;
+            .ok()
+            .filter(|v: &f64| v.is_finite())
+            .ok_or_else(|| {
+                ParseError(format!(
+                    "value for `{k}` is not a finite number: `{}`",
+                    v.trim()
+                ))
+            })?;
         if out.insert(k.to_string(), v).is_some() {
             return Err(ParseError(format!("duplicate key `{k}`")));
         }
@@ -90,93 +278,47 @@ pub fn from_json(s: &str) -> Result<Metrics, ParseError> {
     Ok(out)
 }
 
-/// Splits on commas (the format has no nested structure or quoted
-/// commas: keys are dotted identifiers, values plain numbers).
-fn split_top_level(body: &str) -> impl Iterator<Item = &str> {
-    body.split(',')
-}
-
-/// One metric's gate verdict.
+/// One key on which a run and the baseline disagree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Finding {
+pub struct Mismatch {
     /// Metric key.
     pub key: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// Relative change in the *bad* direction (0 if improved).
-    pub regression: f64,
+    /// The baseline's value; `None` if the baseline does not know the key.
+    pub baseline: Option<f64>,
+    /// The run's value; `None` if the run did not produce the key.
+    pub current: Option<f64>,
 }
 
-/// Compares `current` against `baseline` with relative tolerance `tol`
-/// (0.10 = fail on >10 % regression). Returns the failing findings,
-/// worst first. A key present in the baseline but missing from the
-/// current run is a failure (a metric silently disappeared); new keys in
-/// `current` are allowed (they gate once the baseline is refreshed).
-///
-/// Two key-prefix escapes:
-///
-/// * `info.` — informational metrics (raw host timings, environment
-///   facts): recorded in the artifact, never gated, so a baseline
-///   refresh cannot accidentally start gating machine-dependent noise.
-/// * `host_` — host wall-clock metrics, gated *only when the current run
-///   reports them*: `bench_smoke` omits them on machines without enough
-///   cores for the concurrency curve to mean anything, and that omission
-///   must not read as "the metric regressed to nothing".
-pub fn gate(baseline: &Metrics, current: &Metrics, tol: f64) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (key, &base) in baseline {
-        if key.starts_with("info.") {
-            continue;
-        }
-        let Some(&cur) = current.get(key) else {
-            if key.starts_with("host_") {
-                continue; // machine opted out of host metrics
-            }
-            findings.push(Finding {
-                key: key.clone(),
-                baseline: base,
-                current: f64::NAN,
-                regression: f64::INFINITY,
-            });
-            continue;
-        };
-        let regression = regression_of(key, base, cur);
-        if regression > tol {
-            findings.push(Finding {
+impl fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let show = |v: Option<f64>| v.map_or("absent".to_string(), |v| v.to_string());
+        write!(
+            f,
+            "{}: baseline {}, current {}",
+            self.key,
+            show(self.baseline),
+            show(self.current)
+        )
+    }
+}
+
+/// Every key on which `current` differs from `baseline`, in key order:
+/// a value that is not exactly equal (or not finite), a key the run did
+/// not produce, a key the baseline does not know. Empty means the two
+/// maps are identical.
+pub fn diff(baseline: &Metrics, current: &Metrics) -> Vec<Mismatch> {
+    let keys: BTreeSet<&String> = baseline.keys().chain(current.keys()).collect();
+    keys.into_iter()
+        .filter_map(|key| {
+            let (base, cur) = (baseline.get(key).copied(), current.get(key).copied());
+            let same = matches!((base, cur), (Some(b), Some(c)) if c.is_finite() && b == c);
+            (!same).then(|| Mismatch {
                 key: key.clone(),
                 baseline: base,
                 current: cur,
-                regression,
-            });
-        }
-    }
-    findings.sort_by(|a, b| b.regression.total_cmp(&a.regression));
-    findings
-}
-
-/// Relative change of `cur` vs `base` in the bad direction for `key`
-/// (0 when equal or improved). A zero baseline gates only appearances
-/// of bad non-zero values; a non-finite current value (a metric that
-/// degenerated to NaN/inf) is an unconditional failure — NaN must never
-/// slip through a `>` comparison as "within tolerance".
-fn regression_of(key: &str, base: f64, cur: f64) -> f64 {
-    if !cur.is_finite() {
-        return f64::INFINITY;
-    }
-    let worse = if higher_is_better(key) {
-        base - cur
-    } else {
-        cur - base
-    };
-    if worse <= 0.0 {
-        return 0.0;
-    }
-    if base.abs() < f64::EPSILON {
-        return f64::INFINITY;
-    }
-    worse / base.abs()
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -193,6 +335,8 @@ mod tests {
             ("map.sim_ns_per_op", 1234.5678901234567),
             ("map.fences_per_op", 1.0),
             ("pipeline8.overlap_ratio", 0.34256789),
+            ("tiny", f64::MIN_POSITIVE),
+            ("third", 1.0 / 3.0),
         ]);
         let parsed = from_json(&to_json(&metrics)).unwrap();
         assert_eq!(parsed, metrics);
@@ -205,100 +349,68 @@ mod tests {
         assert!(from_json("{\"a\": \"str\"}").is_err());
         assert!(from_json("{a: 1}").is_err());
         assert!(from_json("{\"a\": 1, \"a\": 2}").is_err());
+        assert!(from_json("{\"a\": NaN}").is_err());
+        assert!(from_json("{\"a\": inf}").is_err());
         assert_eq!(from_json("{}").unwrap(), Metrics::new());
     }
 
     #[test]
-    fn gate_passes_within_tolerance() {
-        let base = m(&[("x.sim_ns_per_op", 100.0)]);
-        let cur = m(&[("x.sim_ns_per_op", 109.0)]);
-        assert!(gate(&base, &cur, 0.10).is_empty());
-    }
-
-    #[test]
-    fn gate_fails_lower_is_better_regression() {
-        let base = m(&[("x.sim_ns_per_op", 100.0)]);
-        let cur = m(&[("x.sim_ns_per_op", 112.0)]);
-        let f = gate(&base, &cur, 0.10);
-        assert_eq!(f.len(), 1);
-        assert!((f[0].regression - 0.12).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gate_fails_higher_is_better_drop() {
-        let base = m(&[("p.overlap_ratio", 0.40), ("p.fases_speedup", 2.5)]);
-        let cur = m(&[("p.overlap_ratio", 0.30), ("p.fases_speedup", 2.6)]);
-        let f = gate(&base, &cur, 0.10);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].key, "p.overlap_ratio");
-    }
-
-    #[test]
-    fn improvements_never_fail() {
+    fn equal_maps_have_no_diff() {
         let base = m(&[("x.sim_ns_per_op", 100.0), ("p.overlap_ratio", 0.3)]);
-        let cur = m(&[("x.sim_ns_per_op", 50.0), ("p.overlap_ratio", 0.9)]);
-        assert!(gate(&base, &cur, 0.10).is_empty());
+        assert!(diff(&base, &base.clone()).is_empty());
     }
 
     #[test]
-    fn missing_metric_fails_hard() {
-        let base = m(&[("x.sim_ns_per_op", 100.0)]);
-        let f = gate(&base, &Metrics::new(), 0.10);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].regression.is_infinite());
+    fn one_ulp_is_a_mismatch_in_either_direction() {
+        let v = 1136.5712000000904f64;
+        let base = m(&[("map.sim_ns_per_op", v), ("map.overlap_ratio", v)]);
+        let cur = m(&[
+            ("map.sim_ns_per_op", f64::from_bits(v.to_bits() - 1)),
+            ("map.overlap_ratio", f64::from_bits(v.to_bits() + 1)),
+        ]);
+        let d = diff(&base, &cur);
+        assert_eq!(d.len(), 2, "better and worse both fail: {d:?}");
+        assert_eq!(d[0].key, "map.overlap_ratio");
+        assert_eq!(d[1].key, "map.sim_ns_per_op");
+        assert_eq!(d[1].baseline, Some(v));
     }
 
     #[test]
-    fn new_metrics_are_allowed() {
-        let base = Metrics::new();
-        let cur = m(&[("fresh.sim_ns_per_op", 5.0)]);
-        assert!(gate(&base, &cur, 0.10).is_empty());
+    fn key_missing_from_the_run_is_a_mismatch() {
+        let base = m(&[("x.sim_ns_per_op", 100.0), ("x.fences_per_op", 1.0)]);
+        let cur = m(&[("x.fences_per_op", 1.0)]);
+        let d = diff(&base, &cur);
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].baseline, d[0].current), (Some(100.0), None));
+        assert!(d[0].to_string().contains("current absent"));
     }
 
     #[test]
-    fn info_keys_never_gate() {
-        let base = m(&[("info.host_pipeline8.ns_per_op", 100.0)]);
-        let cur = m(&[("info.host_pipeline8.ns_per_op", 500.0)]);
-        assert!(gate(&base, &cur, 0.10).is_empty(), "worse info is fine");
-        assert!(
-            gate(&base, &Metrics::new(), 0.10).is_empty(),
-            "absent info is fine"
-        );
+    fn key_unknown_to_the_baseline_is_a_mismatch() {
+        let base = m(&[("x.fences_per_op", 1.0)]);
+        let cur = m(&[("x.fences_per_op", 1.0), ("fresh.sim_ns_per_op", 5.0)]);
+        let d = diff(&base, &cur);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].key, "fresh.sim_ns_per_op");
+        assert_eq!((d[0].baseline, d[0].current), (None, Some(5.0)));
     }
 
     #[test]
-    fn host_keys_gate_only_when_reported() {
-        let base = m(&[("host_pipeline8.fases_speedup", 2.5)]);
-        // A small machine omits host metrics entirely: no finding.
-        assert!(gate(&base, &Metrics::new(), 0.10).is_empty());
-        // A capable machine reporting a regression still fails.
-        let cur = m(&[("host_pipeline8.fases_speedup", 1.8)]);
-        let f = gate(&base, &cur, 0.10);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].key, "host_pipeline8.fases_speedup");
-    }
-
-    #[test]
-    fn nan_current_fails_unconditionally() {
-        let base = m(&[("x.sim_ns_per_op", 100.0), ("p.overlap_ratio", 0.5)]);
-        let cur = m(&[("x.sim_ns_per_op", f64::NAN), ("p.overlap_ratio", 0.5)]);
-        let f = gate(&base, &cur, 0.10);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].key, "x.sim_ns_per_op");
-        assert!(f[0].regression.is_infinite());
+    fn non_finite_value_is_a_mismatch() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let base = m(&[("x.sim_ns_per_op", 100.0), ("p.overlap_ratio", 0.5)]);
+            let cur = m(&[("x.sim_ns_per_op", bad), ("p.overlap_ratio", 0.5)]);
+            let d = diff(&base, &cur);
+            assert_eq!(d.len(), 1);
+            assert_eq!(d[0].key, "x.sim_ns_per_op");
+            // Even against itself: a degenerate metric never passes.
+            assert_eq!(diff(&cur, &cur).len(), 1);
+        }
     }
 
     #[test]
     #[should_panic(expected = "not a finite number")]
     fn to_json_rejects_nan() {
         to_json(&m(&[("x.sim_ns_per_op", f64::NAN)]));
-    }
-
-    #[test]
-    fn worst_regression_sorts_first() {
-        let base = m(&[("a.sim_ns_per_op", 100.0), ("b.sim_ns_per_op", 100.0)]);
-        let cur = m(&[("a.sim_ns_per_op", 120.0), ("b.sim_ns_per_op", 150.0)]);
-        let f = gate(&base, &cur, 0.10);
-        assert_eq!(f[0].key, "b.sim_ns_per_op");
     }
 }

@@ -1,4 +1,4 @@
-//! # mod-bench — figure/table regeneration harness
+//! # mod-bench — figure/table regeneration and the sim gate
 //!
 //! One binary per table/figure of the paper's evaluation:
 //!
@@ -12,6 +12,10 @@
 //! | `table3` | Memory growth 1M → 2M elements (Table 3) |
 //! | `all` | Everything above in sequence |
 //!
+//! plus `ablation` (the design-choice ablations) and `bench_smoke`, which
+//! prints the simulated metrics [`gate`] holds equal to
+//! `bench/baseline.json`.
+//!
 //! Scale defaults are CI-friendly; set `MOD_OPS=1000000` (and optionally
 //! `MOD_PRELOAD`) to run at paper scale.
 
@@ -20,7 +24,6 @@
 use mod_workloads::{RunReport, ScaleConfig, System, Workload};
 
 pub mod gate;
-pub mod harness;
 
 /// A simple fixed-width text table.
 #[derive(Debug, Default)]

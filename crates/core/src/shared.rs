@@ -94,7 +94,7 @@ use crate::fase::{Fase, LaneConflict, PendingUpdate, RootLanes};
 use crate::heap::ModHeap;
 use crate::queue::HandoffQueue;
 use crate::snapshot::{DirSnapshot, SnapshotView};
-use mod_alloc::{EpochRegistry, NvHeap, RecoveryReport, StagedAllocEffects};
+use mod_alloc::{EpochRegistry, NvHeap, StagedAllocEffects};
 use mod_pmem::{CrashPolicy, LineHandoff, PmStats, Pmem, TraceEvent};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -900,21 +900,9 @@ impl SharedModHeap {
         }
     }
 
-    /// Opens a (possibly crashed) pool, recovers it, and shards it for
-    /// `workers` worker threads.
-    pub fn open(pm: Pmem, workers: usize) -> (SharedModHeap, RecoveryReport) {
-        let (heap, report) = ModHeap::open(pm);
-        (SharedModHeap::from_heap(heap, workers), report)
-    }
-
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
         self.inner.shards.len()
-    }
-
-    /// The configured commit mode.
-    pub fn mode(&self) -> CommitMode {
-        self.inner.mode
     }
 
     /// Runs a FASE on behalf of `worker`, staging its updates with **no
@@ -1163,9 +1151,7 @@ impl SharedModHeap {
     }
 
     /// [`SharedModHeap::flush`], surfacing a poisoned commit lock as a
-    /// typed error instead of panicking — the server's connection
-    /// teardown uses this so one wedged engine degrades to clean error
-    /// replies rather than a panic cascade.
+    /// typed error instead of panicking.
     ///
     /// # Errors
     ///

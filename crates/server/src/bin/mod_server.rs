@@ -1,21 +1,18 @@
-//! The `mod-server` binary: serve a file-backed durable pool over TCP,
-//! or drive a running server with the open-loop load generator.
+//! The `mod-server` binary: serve a file-backed durable pool over TCP.
 //!
 //! ```text
 //! mod_server serve <pool-file> [--addr A] [--workers N] [--window W] [--timeout-ms T]
 //!                              [--durability fsync|buffered] [--journal-shards N]
 //!                              [--persist-policy full|hybrid]
-//! mod_server loadgen <addr> [--conns N] [--window W] [--ops N] [--set-pct P]
 //! ```
 //!
 //! `serve` prints `LISTENING <addr>` once the socket is bound and runs
 //! until killed; a `SIGKILL` at any point leaves the pool recoverable
-//! (that is the point). `loadgen` prints a one-line throughput/latency
-//! summary.
+//! (that is the point).
 
 use mod_core::{CommitMode, PersistPolicy};
 use mod_pmem::Durability;
-use mod_server::{pool, run_loadgen, serve_with, LoadgenConfig, ServerConfig};
+use mod_server::{pool, serve_with, ServerConfig};
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -23,8 +20,7 @@ fn usage() -> ! {
         "usage:\n  \
          mod_server serve <pool-file> [--addr A] [--workers N] [--window W] [--timeout-ms T]\n  \
          \x20                         [--durability fsync|buffered] [--journal-shards N]\n  \
-         \x20                         [--persist-policy full|hybrid]\n  \
-         mod_server loadgen <addr> [--conns N] [--window W] [--ops N] [--set-pct P]\n\n\
+         \x20                         [--persist-policy full|hybrid]\n\n\
          --persist-policy hybrid keeps interior index nodes volatile (journaling only\n\
          compact op records; the index is rebuilt from them at recovery). The policy is\n\
          recorded in the pool: reopening under the other policy fails with a typed error."
@@ -113,30 +109,6 @@ fn main() {
             loop {
                 std::thread::park();
             }
-        }
-        "loadgen" => {
-            let [addr] = pos.as_slice() else { usage() };
-            let cfg = LoadgenConfig {
-                conns: flag(&flags, "conns", 4),
-                window: flag(&flags, "window", 16),
-                ops_per_conn: flag(&flags, "ops", 500),
-                set_percent: flag(&flags, "set-pct", 90),
-                ..LoadgenConfig::default()
-            };
-            let report = run_loadgen(addr.as_str(), &cfg).unwrap_or_else(|e| {
-                eprintln!("loadgen against {addr} failed: {e}");
-                std::process::exit(1);
-            });
-            println!(
-                "conns={} window={} reqs={} errors={} req_per_s={:.0} p50_us={:.1} p99_us={:.1}",
-                report.conns,
-                report.window,
-                report.reqs,
-                report.errors,
-                report.req_per_s(),
-                report.p50_ns() as f64 / 1e3,
-                report.p99_ns() as f64 / 1e3,
-            );
         }
         _ => usage(),
     }

@@ -18,9 +18,10 @@
 //!
 //! The pieces: [`proto`] (the RESP-style wire codec, shared with the
 //! closed-loop memcached simulation), [`engine`] (typed durable state +
-//! command execution), [`serve`] (threaded TCP listener multiplexing
-//! connections onto worker shards), and [`loadgen`] (open-loop client
-//! with bounded in-flight windows).
+//! command execution) and [`serve`] (threaded TCP listener multiplexing
+//! connections onto worker shards). Load generation and every
+//! throughput/latency number live in `benchmark/` (workload
+//! `server_kv_mixed`), which spawns the `mod_server` binary.
 //!
 //! ## Example
 //!
@@ -60,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod loadgen;
 pub mod pool;
 pub mod proto;
 
@@ -69,7 +69,6 @@ mod listener;
 
 pub use engine::ServerRoots;
 pub use listener::{serve, serve_with, ServerConfig, ServerHandle};
-pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use proto::{
     encode_tokens, Command, FrameDecoder, ProtoError, Reply, ReplyDecoder, MAX_ARGS, MAX_BULK,
 };

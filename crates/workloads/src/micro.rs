@@ -155,7 +155,7 @@ fn mod_map_on(pm: Pmem, scale: &ScaleConfig, as_set: bool) -> RunReport {
 }
 
 /// The map microbenchmark with the fence-epoch flush cache forced on or
-/// off — the A/B behind the bench gate's `coalesce.*` keys. Same key
+/// off — the A/B behind the sim gate's `coalesce.*` keys. Same key
 /// mix, op count and fence schedule either way (elision drops `clwb`s,
 /// never ordering points); only the effective-writeback count moves.
 /// Fully deterministic in the simulation, so the on-run's flushes/op

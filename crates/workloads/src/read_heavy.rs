@@ -11,13 +11,12 @@
 //! * [`run_sim`] — deterministic: writers and one reader interleave
 //!   under a [`SeededRoundRobin`] turnstile, so every reported number
 //!   (including how often the reader's held view lagged the published
-//!   epoch) is a pure function of the config. These feed the
-//!   bit-identical `read95.*` CI gate keys.
+//!   epoch) is a pure function of the config. These feed the sim
+//!   gate's `read95.*` keys.
 //! * [`run_host_readers`] — free-running: `readers` OS threads traverse
 //!   snapshots at full speed while writers keep committing. Because
 //!   readers never touch a lock or fence, read throughput scales with
-//!   reader count — the `host_read95.*` gate keys and the CI
-//!   read-scaling step assert it.
+//!   reader count — the CI read-scaling step asserts it.
 
 use crate::spec::WorkloadRng;
 use mod_core::{CommitMode, DurableMap, SeededRoundRobin, SharedModHeap, Turn};
@@ -209,7 +208,7 @@ impl ReadHostReport {
 /// threads each serving `cfg.reader_reads` gets while `cfg.writers`
 /// writer threads keep committing puts (group commit) until the readers
 /// finish. Wall-clock numbers are machine-dependent; the scaling claim
-/// (readers never serialize) is what the CI gate asserts.
+/// (readers never serialize) is what the CI read-scaling step asserts.
 pub fn run_host_readers(cfg: &ReadHeavyConfig, readers: usize) -> ReadHostReport {
     let pm = Pmem::new(PmemConfig::benchmarking(cfg.capacity));
     let shared = SharedModHeap::create_with(
@@ -351,7 +350,7 @@ mod tests {
     /// exactly this test in release mode: aggregate snapshot-read
     /// throughput must at least double from 1 to 8 reader threads, since
     /// readers share no lock, no lane, and no fence. Skipped on small
-    /// machines, like the host_* gate keys.
+    /// machines.
     #[test]
     fn reader_throughput_scales_1_to_8() {
         let cores = std::thread::available_parallelism()
