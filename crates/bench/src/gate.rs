@@ -7,10 +7,10 @@
 //! Metrics are a *flat* map — `"workload.metric" → f64` — serialized as
 //! a tiny, sorted, dependency-free JSON object. Every key comes from the
 //! deterministic simulation (fences/FASE, sim-ns/op, overlap ratio,
-//! flush and journal-byte counts), never from host wall-clock time, so a
-//! run is bit-for-bit reproducible on any machine, in any build profile,
-//! and *any* delta is a real model/code change, not noise. Host-time
-//! numbers are `benchmark/`'s business.
+//! flush, journal-byte and sync-round counts), never from host wall-clock
+//! time, so a run is bit-for-bit reproducible on any machine, in any
+//! build profile, and *any* delta is a real model/code change, not
+//! noise. Host-time numbers are `benchmark/`'s business.
 
 use mod_workloads::{
     run_pipelined, run_read_heavy, run_workload, ConcurrencyConfig, ReadHeavyConfig, ScaleConfig,
@@ -26,7 +26,8 @@ pub type Metrics = BTreeMap<String, f64>;
 /// pipeline tracks (map, memcached, vacation, bfs on MOD), the 1- and
 /// 8-thread turnstile `SharedModHeap` pipeline, the hybrid-policy and
 /// flush-coalescing ablations (in simulation and against a scratch pool
-/// file), and the 95/5 snapshot-read turnstile.
+/// file), the sync rounds of ticketed FASEs on a scratch fsync pool set,
+/// and the 95/5 snapshot-read turnstile.
 ///
 /// # Panics
 ///
@@ -110,6 +111,10 @@ pub fn collect() -> Metrics {
         "coalesce.journal_bytes_per_fase".to_string(),
         session_journal_bytes_per_fase(),
     );
+    m.insert(
+        "fsync_file.fsync_rounds_per_fase".to_string(),
+        ticketed_fsync_rounds_per_fase(),
+    );
 
     let r95 = run_read_heavy(&ReadHeavyConfig::testing());
     m.insert("read95.sim_ns_per_op".to_string(), r95.sim_ns_per_op());
@@ -132,9 +137,9 @@ fn scratch_pool(tag: &str) -> std::path::PathBuf {
     path
 }
 
-/// Deletes a one-journal scratch pool: the base file and its journal.
-fn remove_pool(path: &std::path::Path) {
-    for member in mod_pmem::FileBackend::member_paths(path, 1) {
+/// Deletes a scratch pool: the base file and its `shards` journals.
+fn remove_pool(path: &std::path::Path, shards: u16) {
+    for member in mod_pmem::FileBackend::member_paths(path, shards) {
         let _ = std::fs::remove_file(member);
     }
 }
@@ -147,7 +152,7 @@ fn hybrid_file_mix(m: &mut Metrics) {
     use mod_workloads::WorkloadRng;
     const OPS: u64 = 1_000;
     let path = scratch_pool("hybrid");
-    remove_pool(&path);
+    remove_pool(&path, 1);
     let cfg = mod_pmem::PmemConfig {
         capacity: 1 << 26,
         crash_sim: false,
@@ -171,7 +176,7 @@ fn hybrid_file_mix(m: &mut Metrics) {
     let stats = heap.nv().pm().stats().clone();
     let backend = heap.nv().pm().backend_stats();
     drop(heap);
-    remove_pool(&path);
+    remove_pool(&path, 1);
     m.insert(
         "hybrid_file.flushes_per_op".to_string(),
         stats.effective_flushes as f64 / OPS as f64,
@@ -194,13 +199,44 @@ fn session_journal_bytes_per_fase() -> f64 {
     const SEED: u64 = 0xBE5E_ED05;
     const OPS: u64 = 2_000;
     let path = scratch_pool("session");
-    remove_pool(&path);
+    remove_pool(&path, 1);
     let mut session = mod_workloads::session::open_session(&path, SEED).expect("session pool");
     mod_workloads::session::run_ops(&mut session, OPS);
     let backend = session.heap.nv().pm().backend_stats();
     drop(session);
-    remove_pool(&path);
+    remove_pool(&path, 1);
     backend.journal_bytes as f64 / OPS as f64
+}
+
+/// Fsync rounds per acknowledged FASE on a 2-shard `Fsync` pool set: one
+/// worker runs ticketed FASEs and waits on each, so every FASE is its own
+/// batch (the lone worker is the whole quorum). The count is a pure
+/// function of the commit path — which fences sync — not of the disk.
+fn ticketed_fsync_rounds_per_fase() -> f64 {
+    use mod_core::{DurableMap, ModHeap, SharedModHeap};
+    const FASES: u64 = 64;
+    const SHARDS: u16 = 2;
+    let path = scratch_pool("fsync");
+    remove_pool(&path, SHARDS);
+    let cfg = mod_pmem::PmemConfig {
+        capacity: 1 << 26,
+        journal_shards: SHARDS,
+        durability: mod_pmem::Durability::Fsync,
+        ..mod_pmem::PmemConfig::default()
+    };
+    let heap = ModHeap::create_file(&path, cfg).expect("fsync pool");
+    let shared = SharedModHeap::from_heap(heap, 1);
+    let map: DurableMap<u64, u64> = shared.setup(DurableMap::create);
+    let rounds = || shared.with(|h| h.nv().pm().backend_stats().fsync_rounds);
+    let before = rounds();
+    for i in 0..FASES {
+        let ((), ticket) = shared.fase_ticketed(0, |tx| map.insert_in(tx, &i, &i));
+        shared.wait_durable(&ticket);
+    }
+    let synced = rounds() - before;
+    drop(shared);
+    remove_pool(&path, SHARDS);
+    synced as f64 / FASES as f64
 }
 
 /// Serializes metrics as a pretty-printed flat JSON object with stable

@@ -43,7 +43,7 @@ use crate::parent;
 use crate::root::{current_of, Root, ROOT_DIR_SLOT};
 use crate::spine::{self, SpineOp, COMPACT_FACTOR, COMPACT_MIN_OPS};
 use mod_alloc::{HeapRead, NvHeap};
-use mod_pmem::{PmPtr, Pmem};
+use mod_pmem::{PmPtr, Pmem, SyncRound};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -519,7 +519,7 @@ impl ModHeap {
             let out = f(&mut tx);
             (std::mem::take(&mut tx.pending), out)
         };
-        self.commit_fase(pending);
+        self.commit_fase(pending, SyncRound::Now);
         out
     }
 
@@ -530,8 +530,9 @@ impl ModHeap {
     /// (wrapped as a commit write, like a root-slot store) swings it — no
     /// directory rebuild, no allocation, one `clwb`. Multi-root FASEs
     /// build one fresh directory (Fig 8c): flush it, fence once, swing
-    /// the directory slot.
-    pub(crate) fn commit_fase(&mut self, pending: Vec<PendingUpdate>) {
+    /// the directory slot. `sync` says when that fence's sync round runs
+    /// (a ticketed batch defers it to its covering fence).
+    pub(crate) fn commit_fase(&mut self, pending: Vec<PendingUpdate>, sync: SyncRound) {
         if pending.is_empty() {
             return;
         }
@@ -544,7 +545,7 @@ impl ModHeap {
                 kind: p.kind,
                 root: old,
             };
-            self.fence_and_drain();
+            self.fence_and_drain(sync);
             {
                 let pm = self.nv_mut().pm_mut();
                 pm.begin_commit();
@@ -566,7 +567,7 @@ impl ModHeap {
                 entry.root = p.new;
                 fresh.push(*entry);
             }
-            self.swing_directory(dir, &children, &fresh, &tags);
+            self.swing_directory(dir, &children, &fresh, &tags, sync);
         }
         // Hybrid roots: the committed spine record is durable; publish
         // the matching volatile-index head to the annex and retire the

@@ -26,7 +26,7 @@
 use crate::erased::ErasedDs;
 use crate::root::ROOT_DIR_SLOT;
 use mod_alloc::NvHeap;
-use mod_pmem::{PmPtr, Pmem, PmemConfig};
+use mod_pmem::{PmPtr, Pmem, PmemConfig, SyncRound};
 use std::io;
 use std::path::Path;
 
@@ -127,7 +127,7 @@ impl ModHeap {
     /// [`ModHeap::nv`] without consuming the heap.
     pub fn into_pm(mut self) -> Pmem {
         if !self.pending.is_empty() {
-            self.fence_and_drain();
+            self.fence_and_drain(SyncRound::Now);
         }
         self.nv.into_pm()
     }
@@ -168,8 +168,10 @@ impl ModHeap {
         std::mem::take(&mut self.pending)
     }
 
-    pub(crate) fn fence_and_drain(&mut self) {
-        self.nv.sfence();
+    /// Fences (its sync round per `sync`), then frees what the previous
+    /// commit superseded.
+    pub(crate) fn fence_and_drain(&mut self, sync: SyncRound) {
+        self.nv.pm_mut().sfence_with(sync);
         // The previous commit's pointer store is now durable; its old
         // version can never be observed by recovery again.
         let pending = std::mem::take(&mut self.pending);
@@ -189,12 +191,13 @@ impl ModHeap {
         children: &[ErasedDs],
         fresh: &[ErasedDs],
         tags: &[u64],
+        sync: SyncRound,
     ) {
         let new_dir = crate::parent::store_parent_tagged(&mut self.nv, children, tags);
         for f in fresh {
             self.nv.rc_dec(f.root);
         }
-        self.fence_and_drain();
+        self.fence_and_drain(sync);
         self.store_root_slot(ROOT_DIR_SLOT, new_dir);
         if !old_dir.is_null() {
             self.pending.push(ErasedDs {
@@ -216,7 +219,7 @@ impl ModHeap {
     /// Forces all queued reclamation now by issuing an extra fence. Used
     /// by tests and at orderly shutdown to reach a zero-garbage state.
     pub fn quiesce(&mut self) {
-        self.fence_and_drain();
+        self.fence_and_drain(SyncRound::Now);
     }
 
     /// Number of versions awaiting deferred reclamation.

@@ -25,6 +25,7 @@ use crate::erased::{DurableDs, ErasedDs};
 use crate::heap::ModHeap;
 use crate::parent;
 use mod_alloc::NvHeap;
+use mod_pmem::SyncRound;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -148,7 +149,7 @@ impl ModHeap {
         let index = children.len();
         children.push(initial.erase());
         tags.push(tag);
-        self.swing_directory(dir, &children, &[initial.erase()], &tags);
+        self.swing_directory(dir, &children, &[initial.erase()], &tags, SyncRound::Now);
         Root::new(index)
     }
 
@@ -168,7 +169,7 @@ impl ModHeap {
         let index = children.len();
         children.push(initial);
         tags.push(tag);
-        self.swing_directory(dir, &children, &[initial], &tags);
+        self.swing_directory(dir, &children, &[initial], &tags, SyncRound::Now);
         index
     }
 

@@ -95,7 +95,7 @@ use crate::heap::ModHeap;
 use crate::queue::HandoffQueue;
 use crate::snapshot::{DirSnapshot, SnapshotView};
 use mod_alloc::{EpochRegistry, NvHeap, StagedAllocEffects};
-use mod_pmem::{CrashPolicy, LineHandoff, PmStats, Pmem, TraceEvent};
+use mod_pmem::{CrashPolicy, LineHandoff, PmStats, Pmem, SyncRound, TraceEvent};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -572,6 +572,13 @@ impl Inner {
         }
         let fases = participants.len();
         let committed = !batch.is_empty();
+        // A batch that carries tickets pays a covering fence (below), and
+        // nothing is acknowledged before it: its data fence defers its
+        // sync round to that fence, whose one round puts both records on
+        // the medium. The journal's frontier keeps the pair ordered — a
+        // power loss that keeps the covering record but not the data
+        // record replays neither.
+        let covered = committed && !tickets.is_empty();
         if committed {
             // Epoch-clear limbo chains go back onto the deferral queue
             // *now*, so the fence inside `commit_fase` frees them at
@@ -580,7 +587,12 @@ impl Inner {
             // latency metrics) is bit-identical to the old path.
             self.reinject_unpinned(st);
         }
-        st.heap.commit_fase(batch);
+        let data_sync = if covered {
+            SyncRound::Deferred
+        } else {
+            SyncRound::Now
+        };
+        st.heap.commit_fase(batch, data_sync);
         if committed {
             // Steal the chains this batch superseded out of the heap's
             // deferral queue before any later fence can free them — a
@@ -604,15 +616,15 @@ impl Inner {
         // covers it (epsilon-durability, one fence per FASE preserved).
         // A ticket is a promise to an external client, and a reply must
         // imply the swing itself is durable, so a batch carrying tickets
-        // pays the covering fence now. Ticket-free batches are untouched:
-        // the simulated fence counts of every existing workload are
-        // bit-identical.
-        if committed && !tickets.is_empty() {
+        // pays the covering fence now — and its sync round, the batch's
+        // only one. Ticket-free batches are untouched: the simulated
+        // fence counts of every existing workload are bit-identical.
+        if covered {
             // With no reader pinned, this batch's own chains (stolen
             // above) come straight back and the covering fence frees
             // them — matching the old path, which drained them here.
             self.reinject_unpinned(st);
-            st.heap.fence_and_drain();
+            st.heap.fence_and_drain(SyncRound::Now);
         }
         if committed {
             self.stats.batches.fetch_add(1, Ordering::SeqCst);
@@ -643,7 +655,7 @@ impl Inner {
         // for a write that never happened).
         let fence_ns = st.heap.nv().pm().clock().now_ns();
         // Reply-after-fence gate: tickets flip durable strictly *after*
-        // `commit_fase` ran the batch's sfence + directory swing above.
+        // the covering fence and its sync round above.
         for t in &tickets {
             t.fence_ns.store(fence_ns.to_bits(), Ordering::SeqCst);
             t.durable.store(true, Ordering::SeqCst);
@@ -1529,7 +1541,7 @@ impl SharedModHeap {
 mod tests {
     use super::*;
     use crate::basic::{DurableMap, DurableQueue};
-    use mod_pmem::{Durability, PmemConfig};
+    use mod_pmem::{BackendStats, Durability, PmemConfig};
 
     fn shared(workers: usize) -> SharedModHeap {
         SharedModHeap::create(Pmem::new(PmemConfig::testing()), workers)
@@ -2358,6 +2370,125 @@ mod tests {
         }
         drop(h2);
         for member in mod_pmem::FileBackend::member_paths(&path, 4) {
+            std::fs::remove_file(member).unwrap();
+        }
+    }
+
+    /// A fresh 2-shard pool set at a per-test temp path.
+    fn two_shard_pool(name: &str, durability: Durability) -> (std::path::PathBuf, PmemConfig) {
+        let mut path = std::env::temp_dir();
+        path.push(format!("mod_shared_{name}_{}.pool", std::process::id()));
+        let cfg = PmemConfig {
+            journal_shards: 2,
+            durability,
+            ..PmemConfig::testing()
+        };
+        (path, cfg)
+    }
+
+    /// Two threads × `per_worker` ticketed FASEs, each waited on, through
+    /// `CommitMode::Group { max_batch: 2 }` into a map at root 0. Returns
+    /// the heap and the (pipeline, fence, backend) deltas of the threaded
+    /// phase.
+    fn ticketed_pairs(
+        pm: Pmem,
+        per_worker: u64,
+    ) -> (SharedModHeap, PipelineStats, u64, BackendStats) {
+        let sh = SharedModHeap::create_with(
+            pm,
+            2,
+            CommitMode::Group {
+                max_batch: 2,
+                timeout: Duration::from_millis(20),
+            },
+        );
+        let map: DurableMap<u64, u64> = sh.setup(DurableMap::create);
+        let counters = || sh.with(|h| (h.nv().pm().stats().fences, h.nv().pm().backend_stats()));
+        let (fences0, be0) = counters();
+        std::thread::scope(|s| {
+            for w in 0..2usize {
+                let sh = &sh;
+                s.spawn(move || {
+                    for i in 0..per_worker {
+                        let key = 1000 * w as u64 + i;
+                        let ((), t) = sh.fase_ticketed(w, |tx| map.insert_in(tx, &key, &i));
+                        sh.wait_durable(&t);
+                    }
+                    sh.deregister(w);
+                });
+            }
+        });
+        // `setup` commits owner-mode: the pipeline counts start at zero.
+        let (pipe, (fences, be)) = (sh.stats(), counters());
+        let be = BackendStats {
+            fsyncs: be.fsyncs - be0.fsyncs,
+            fsync_rounds: be.fsync_rounds - be0.fsync_rounds,
+            ..be
+        };
+        (sh, pipe, fences - fences0, be)
+    }
+
+    #[test]
+    fn fsync_ticketed_batch_pays_one_round_for_its_two_fences() {
+        // A ticketed batch fences twice (data, then the covering fence
+        // for its directory swing) but acknowledges once: its one sync
+        // round comes after the covering fence, and every acked FASE is
+        // on the medium when its ticket resolves.
+        const PER_WORKER: u64 = 24;
+        let (path, cfg) = two_shard_pool("ticketed_fsync", Durability::Fsync);
+        let pm = Pmem::create_file(&path, cfg.clone()).unwrap();
+        let (sh, pipe, fences, be) = ticketed_pairs(pm, PER_WORKER);
+        assert_eq!(pipe.fases, 2 * PER_WORKER);
+        assert!(pipe.batches > 0);
+        assert_eq!(fences, 2 * pipe.batches, "data + covering fence per batch");
+        assert_eq!(be.fsync_rounds, pipe.batches, "one sync round per batch");
+        assert!(be.fsyncs >= be.fsync_rounds);
+        drop(sh.into_heap().close().unwrap());
+        let (mut h2, _) = ModHeap::open_file(&path, cfg).unwrap();
+        let map2: DurableMap<u64, u64> = h2.root(0).open().unwrap();
+        for w in 0..2u64 {
+            for i in 0..PER_WORKER {
+                assert_eq!(map2.get(&h2, &(1000 * w + i)), Some(i), "acked FASE lost");
+            }
+        }
+        drop(h2);
+        for member in mod_pmem::FileBackend::member_paths(&path, 2) {
+            std::fs::remove_file(member).unwrap();
+        }
+    }
+
+    #[test]
+    fn fsync_owner_heap_syncs_every_fence_and_buffered_never() {
+        // Same pool shape, the other two cases: an owner-mode heap
+        // acknowledges at every FASE, so every fence keeps its round; a
+        // buffered pool set never fsyncs, ticketed batches or not.
+        let (path, cfg) = two_shard_pool("owner_fsync", Durability::Fsync);
+        let mut heap = ModHeap::create_file(&path, cfg).unwrap();
+        let map: DurableMap<u64, u64> = heap.root(0).create();
+        let counters = |h: &ModHeap| (h.nv().pm().stats().fences, h.nv().pm().backend_stats());
+        let (fences0, be0) = counters(&heap);
+        for i in 0..16u64 {
+            map.insert(&mut heap, &i, &i);
+        }
+        let (fences, be) = counters(&heap);
+        assert_eq!(fences - fences0, 16);
+        assert_eq!(be.fsync_rounds - be0.fsync_rounds, fences - fences0);
+        drop(heap);
+        for member in mod_pmem::FileBackend::member_paths(&path, 2) {
+            std::fs::remove_file(member).unwrap();
+        }
+
+        let (path, cfg) = two_shard_pool("buffered_pairs", Durability::Buffered);
+        let pm = Pmem::create_file(&path, cfg).unwrap();
+        let (sh, pipe, _, be) = ticketed_pairs(pm, 8);
+        assert!(pipe.batches > 0);
+        assert_eq!(
+            (be.fsyncs, be.fsync_rounds),
+            (0, 0),
+            "buffered never fsyncs"
+        );
+        drop(sh);
+        for member in mod_pmem::FileBackend::member_paths(&path, 2) {
             std::fs::remove_file(member).unwrap();
         }
     }

@@ -21,6 +21,21 @@
 //!   bit-identical to a one-journal replay (`journal_shards == 1` is
 //!   simply the one-shard set).
 //!
+//! ## The sync round
+//!
+//! An append reaches the page cache; [`PoolBackend::sync`] puts it on
+//! the medium. Under [`Durability::Fsync`] a round fdatasyncs every
+//! journal dirtied since the last one, and [`crate::Pmem::sfence`] runs
+//! one after each fence — except a fence its caller marks
+//! [`SyncRound::Deferred`], which the next round covers. Deferring is
+//! safe because of the **frontier**: recovery replays a record only if
+//! every lower global sequence is complete in every shard that record
+//! names, so when power loss keeps a synced record but not the unsynced
+//! one before it, the later record is truncated as past the frontier
+//! too. The medium is needed only where something is acknowledged, and
+//! a ticketed batch acknowledges once, after its covering fence: its
+//! data fence defers, and the batch pays one round, not two.
+//!
 //! ## The checkpoint protocol
 //!
 //! Every 1 MiB of journal, a checkpoint moves the journal into the
@@ -78,14 +93,29 @@ pub enum Durability {
     /// (page cache), not a power loss. Fsync happens at checkpoints.
     #[default]
     Buffered,
-    /// fdatasync every dirty shard journal before a **fence** append
-    /// returns: an acknowledged fence survives power loss. Drained-line
-    /// records stay buffered until the next fence's sync round covers
-    /// them (they carry earlier sequence numbers, so recovery's
-    /// contiguous frontier would otherwise recede past an acked fence),
-    /// and group commit amortizes the whole thing to one fsync round
-    /// per batch of FASEs.
+    /// fdatasync every dirty shard journal ([`PoolBackend::sync`]) before
+    /// the batch's tickets resolve; an owner heap syncs every fence. An
+    /// acknowledged FASE survives power loss. Records appended between
+    /// rounds (drained lines, a ticketed batch's data fence) ride on the
+    /// next one: the journal's frontier never replays a record above a
+    /// lost one (see "The sync round" in the module docs). Group commit
+    /// amortizes this to one round per batch of FASEs.
     Fsync,
+}
+
+/// When an `sfence` runs its pool's sync round ([`PoolBackend::sync`];
+/// see [`crate::Pmem::sfence_with`]). Simulated PM cannot tell the two
+/// apart: same fence, same flushes, same journal record.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SyncRound {
+    /// Right after the fence's journal append — what [`crate::Pmem::sfence`]
+    /// does.
+    Now,
+    /// At the next fence that syncs. Only for a caller that issues that
+    /// fence before anything relies on this one reaching the medium: the
+    /// ticketed batch commit, whose covering fence syncs both records
+    /// before any ticket resolves.
+    Deferred,
 }
 
 /// Observability counters for a backend.
@@ -109,12 +139,13 @@ pub struct BackendStats {
     pub journal_shards: u64,
     /// Journal bytes appended per shard (len = `journal_shards`).
     pub journal_bytes_by_shard: Vec<u64>,
-    /// Individual fsync calls issued on the per-fence append path
+    /// Individual journal fdatasyncs issued by sync rounds
     /// ([`Durability::Fsync`] only; checkpoint syncs are not counted).
     pub fsyncs: u64,
-    /// Fsync *rounds*: append events that fsync'd (each round syncs
-    /// every dirty shard journal once). Under group commit this is one
-    /// per batch, so rounds/FASE ≤ 1/N for batch size N.
+    /// Sync *rounds* ([`PoolBackend::sync`] calls that found a dirty
+    /// journal; each syncs every dirty shard journal once). One per
+    /// acknowledged batch under group commit, so rounds/FASE ≤ 1/N for
+    /// batch size N; one per fence on an owner heap.
     pub fsync_rounds: u64,
     /// Bytes checkpoints wrote to the base member (image runs + mark
     /// slots): proportional to the lines journaled between checkpoints,
@@ -133,8 +164,9 @@ pub struct BackendStats {
 ///
 /// Implementations receive *durability events* from the simulator: one
 /// [`PoolBackend::append_batch`] per fence (or per drained-line
-/// observation), plus the checkpoint hook at orderly points. All
-/// methods take `&self` — a backend is shared by every forked shard
+/// observation), a [`PoolBackend::sync`] round after every fence whose
+/// caller did not defer it, plus the checkpoint hook at orderly points.
+/// All methods take `&self` — a backend is shared by every forked shard
 /// handle of its pool and must synchronize internally.
 pub trait PoolBackend: fmt::Debug + Send + Sync {
     /// Which backend family this is.
@@ -150,8 +182,15 @@ pub trait PoolBackend: fmt::Debug + Send + Sync {
 
     /// One durability event: `lines` became durable at simulated time
     /// `fence_ns` (see [`BatchKind`] for why). Called with the lines in
-    /// ascending address order.
+    /// ascending address order. Reaches the OS, not the medium: that is
+    /// [`PoolBackend::sync`]'s job.
     fn append_batch(&self, _kind: BatchKind, _lines: &[LineImage], _fence_ns: f64) {}
+
+    /// One sync round: puts every record appended so far on stable
+    /// storage ([`Durability::Fsync`]), so the next acknowledgement may
+    /// rely on all of them. A no-op when nothing is unsynced, under
+    /// [`Durability::Buffered`] and without files.
+    fn sync(&self) {}
 
     /// Whether enough journal has accumulated that the caller should run
     /// a [`PoolBackend::checkpoint`] at the next orderly point.
@@ -227,11 +266,12 @@ struct SetState {
     /// Which mark slot holds the current mark; a checkpoint writes the
     /// other one.
     mark_slot: usize,
-    /// Bitmask of journals with appended-but-unsynced bytes. A fence's
-    /// fsync round must cover every dirty journal, not just the shards
-    /// the fence touched: a buffered drained-line record holds an earlier
-    /// sequence number, and losing it to power-off would recede the
-    /// recovery frontier below an already-acknowledged fence.
+    /// Bitmask of journals with appended-but-unsynced bytes. A sync round
+    /// covers every dirty journal, not just the shards the last fence
+    /// touched: an unsynced earlier record (drained lines, a deferred
+    /// fence) holds an earlier sequence number, and losing it to
+    /// power-off would recede the recovery frontier below the
+    /// acknowledgement the round is for.
     dirty: u64,
     /// The lines journaled since the mark, last write wins: what the
     /// next checkpoint writes home. Non-empty exactly when the journal
@@ -680,20 +720,6 @@ impl PoolBackend for FileBackend {
         for l in lines {
             st.pending.insert(l.addr, l.data);
         }
-        if self.durability == Durability::Fsync && kind == BatchKind::Fence {
-            // The round covers every dirty journal, not just this
-            // fence's shards: buffered drained-line records hold earlier
-            // sequence numbers, and an acked fence must never outlive
-            // them on disk (frontier contiguity).
-            for (shard, j) in st.journals.iter().enumerate() {
-                if st.dirty & (1u64 << shard) != 0 {
-                    j.sync_data().expect("pool journal fsync failed");
-                    st.stats.fsyncs += 1;
-                }
-            }
-            st.dirty = 0;
-            st.stats.fsync_rounds += 1;
-        }
         st.since_checkpoint += appended;
         st.stats.journal_bytes += appended;
         st.stats.batches_appended += 1;
@@ -701,6 +727,25 @@ impl PoolBackend for FileBackend {
             BatchKind::Fence => st.stats.fence_batches += 1,
             BatchKind::Drained => st.stats.drained_batches += 1,
         }
+    }
+
+    fn sync(&self) {
+        if self.durability != Durability::Fsync {
+            return;
+        }
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        if st.dirty == 0 {
+            return;
+        }
+        for (shard, j) in st.journals.iter().enumerate() {
+            if st.dirty & (1u64 << shard) != 0 {
+                j.sync_data().expect("pool journal fsync failed");
+                st.stats.fsyncs += 1;
+            }
+        }
+        st.dirty = 0;
+        st.stats.fsync_rounds += 1;
     }
 
     fn should_checkpoint(&self) -> bool {
@@ -784,8 +829,12 @@ mod tests {
             )
         }
 
+        /// Appends like `Pmem::sfence` does: a fence ends in a sync round.
         fn append(&mut self, be: &FileBackend, kind: BatchKind, lines: &[LineImage]) {
             be.append_batch(kind, lines, 1.0);
+            if kind == FENCE {
+                be.sync();
+            }
             for l in lines {
                 self.oracle[l.addr as usize..][..64].copy_from_slice(&l.data);
             }
@@ -920,6 +969,7 @@ mod tests {
         assert_eq!(be.kind(), BackendKind::Mem);
         assert!(!be.wants_batches() && !be.should_checkpoint());
         be.append_batch(FENCE, &[line(0, 1)], 1.0);
+        be.sync();
         be.checkpoint().unwrap();
         assert_eq!(be.stats(), BackendStats::default());
         assert_eq!(be.durable_file_bytes().unwrap(), 0);
@@ -1032,6 +1082,45 @@ mod tests {
         let (mut buffered, be) = Scratch::create("fsyncnot", 1, Durability::Buffered);
         buffered.workload(&be, 0);
         assert_eq!(be.stats().fsync_rounds, 0, "buffered mode never fsyncs");
+    }
+
+    #[test]
+    fn the_frontier_orders_a_deferred_fence_before_its_covering_fence() {
+        // A ticketed batch appends its data fence k without a sync round
+        // and lets the covering fence k+1's round sync both. A power loss
+        // can keep k+1 and lose k — the round synced shard 0 first and
+        // died before shard 1. Recovery must then stop at k-1: k+1 lies
+        // past the frontier and is truncated, so no record survives that
+        // an unsynced earlier one should have preceded.
+        let (mut pool, be) = Scratch::create("deferred", 2, Durability::Fsync);
+        let span = shard_span(CAP, 2);
+        pool.append(&be, FENCE, &[line(0, 1), line(span, 2)]);
+        pool.append(&be, FENCE, &[line(64, 3)]);
+        let k = be.lock().seq;
+        let before = be.stats();
+        let shard1_len = std::fs::metadata(&pool.members()[2]).unwrap().len();
+        be.append_batch(FENCE, &[line(span + 64, 4)], 3.0); // k, deferred
+        be.append_batch(FENCE, &[line(128, 5)], 4.0); // k+1, covering
+        assert_eq!(
+            be.stats().fsync_rounds,
+            before.fsync_rounds,
+            "appends never sync"
+        );
+        be.sync();
+        let after = be.stats();
+        assert_eq!(after.fsync_rounds - before.fsync_rounds, 1, "one round");
+        assert_eq!(after.fsyncs - before.fsyncs, 2, "covering both journals");
+        drop(be);
+        // The power loss: shard 1 keeps only what was synced before k.
+        let f = open_rw(&pool.members()[2], false).unwrap();
+        f.set_len(shard1_len).unwrap();
+        drop(f);
+        let (be, replay, exact) = pool.reopen();
+        assert!(exact, "image + replay = everything up to k-1");
+        assert_eq!(replay.batches.len() as u64, k);
+        assert_eq!(replay.batches.last().unwrap().seq, k - 1);
+        assert!(replay.torn_bytes > 0, "k+1 truncated as past the frontier");
+        assert_eq!(be.lock().seq, k, "appends resume at k");
     }
 
     fn checkpoint_killed_after_every_step(name: &str, shards: u16, durability: Durability) {

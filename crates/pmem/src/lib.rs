@@ -54,7 +54,9 @@ pub mod volatile;
 pub mod wpq;
 
 pub use arena::SharedArena;
-pub use backend::{BackendKind, BackendStats, Durability, FileBackend, MemBackend, PoolBackend};
+pub use backend::{
+    BackendKind, BackendStats, Durability, FileBackend, MemBackend, PoolBackend, SyncRound,
+};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use clock::{SimClock, TimeBreakdown, TimeCategory};
 pub use drain::WpqDrain;

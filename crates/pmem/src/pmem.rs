@@ -23,7 +23,9 @@
 //!   which [`Pmem::crash_image`] models with a pluggable [`CrashPolicy`].
 
 use crate::arena::SharedArena;
-use crate::backend::{BackendKind, BackendStats, Durability, FileBackend, MemBackend, PoolBackend};
+use crate::backend::{
+    BackendKind, BackendStats, Durability, FileBackend, MemBackend, PoolBackend, SyncRound,
+};
 use crate::cache::{CacheConfig, CacheSim, CacheStats};
 use crate::clock::{SimClock, TimeCategory};
 use crate::drain::WpqDrain;
@@ -54,10 +56,11 @@ pub struct PmemConfig {
     pub cache: CacheConfig,
     /// Last-level cache geometry.
     pub llc: CacheConfig,
-    /// Per-fence durability grade of a file-backed pool (ignored by
-    /// memory-backed pools). [`Durability::Fsync`] makes an acknowledged
-    /// fence power-loss durable; the default [`Durability::Buffered`]
-    /// is process-kill grade.
+    /// Durability grade of a file-backed pool (ignored by memory-backed
+    /// pools). [`Durability::Fsync`] makes every fence that ends in a
+    /// sync round — and everything journaled before it — power-loss
+    /// durable; the default [`Durability::Buffered`] is process-kill
+    /// grade.
     pub durability: Durability,
     /// Journal shard count for [`Pmem::create_file`]: the pool is the base
     /// file plus this many journal files `path.s0 …` (one per contiguous
@@ -671,8 +674,19 @@ impl Pmem {
     /// when everything already drained under compute, the full Amdahl
     /// stall of [`LatencyModel::fence_stall_ns`] when the flushes were
     /// issued back-to-back. The difference between those two is recorded
-    /// as [`PmStats::overlap_ns`].
+    /// as [`PmStats::overlap_ns`]. On a file-backed pool the fence's
+    /// lines are journaled and a sync round follows
+    /// ([`PoolBackend::sync`]).
     pub fn sfence(&mut self) {
+        self.sfence_with(SyncRound::Now);
+    }
+
+    /// [`Pmem::sfence`], choosing when the pool's sync round runs. The
+    /// round is driven by unsynced journal state, not by this fence: a
+    /// [`SyncRound::Now`] fence with nothing in flight still syncs what
+    /// an earlier [`SyncRound::Deferred`] one left behind. The simulated
+    /// fence is the same either way.
+    pub fn sfence_with(&mut self, sync: SyncRound) {
         let n = self.lines.inflight();
         let overhead = self.cfg.latency.fence_overhead_ns;
         // The charge-at-the-fence reference: what this fence would have
@@ -708,15 +722,18 @@ impl Pmem {
                 self.backend
                     .append_batch(BatchKind::Fence, &images, self.clock.now_ns());
             }
-            // Fold a grown journal into the base image. A checkpoint
-            // that fails leaves image + journal a valid pool, so it must
-            // not kill the engine: the backend counts it
-            // (`BackendStats::checkpoint_failures`), this fence's record
-            // is already appended, and the next threshold crossing
-            // retries. `Pmem::checkpoint` is where the error surfaces.
-            if self.backend.should_checkpoint() {
-                let _ = self.backend.checkpoint();
-            }
+        }
+        if sync == SyncRound::Now {
+            self.backend.sync();
+        }
+        // Fold a grown journal into the base image. A checkpoint that
+        // fails leaves image + journal a valid pool, so it must not kill
+        // the engine: the backend counts it
+        // (`BackendStats::checkpoint_failures`), this fence's record is
+        // already appended, and the next threshold crossing retries.
+        // `Pmem::checkpoint` is where the error surfaces.
+        if !flushed.is_empty() && self.backend.should_checkpoint() {
+            let _ = self.backend.checkpoint();
         }
         if self.cfg.trace {
             self.trace.push(TraceEvent::Fence);
@@ -1930,6 +1947,54 @@ mod tests {
         assert!(pm.backend_file_bytes().unwrap() > 0);
         drop(pm);
         remove_pool(&path, 2);
+    }
+
+    #[test]
+    fn a_deferred_fence_is_synced_by_the_next_fence_even_an_empty_one() {
+        // The sync round follows unsynced journal state, not "this fence
+        // appended": a deferred fence's record across both shards, then
+        // a fence with nothing in flight, must end with every journal
+        // clean — and simulate exactly like two plain fences.
+        let run = |name: &str, first: SyncRound| {
+            let path = pool_path(name);
+            let cfg = PmemConfig {
+                journal_shards: 2,
+                durability: Durability::Fsync,
+                ..PmemConfig::testing()
+            };
+            let be = FileBackend::create_set(&path, cfg.capacity, 2, cfg.durability).unwrap();
+            let be = Arc::new(be);
+            let mut pm = Pmem::fresh_on(cfg, be.clone());
+            for addr in [0x100, (1 << 25) + 0x100] {
+                pm.write_u64(addr, addr);
+                pm.clwb(addr);
+            }
+            pm.sfence_with(first);
+            let after_first = be.stats();
+            assert_eq!(pm.inflight_flushes(), 0);
+            pm.sfence();
+            let after_second = be.stats();
+            be.sync();
+            assert_eq!(be.stats(), after_second, "nothing left to sync");
+            let sim = (pm.stats().clone(), pm.take_trace(), pm.clock().now_ns());
+            drop(pm);
+            remove_pool(&path, 2);
+            (after_first, after_second, sim)
+        };
+        let (deferred, synced, sim_deferred) = run("deferred_sync", SyncRound::Deferred);
+        assert_eq!((deferred.fence_batches, deferred.fsync_rounds), (1, 0));
+        assert_eq!(synced.fence_batches, 1, "the empty fence appends nothing");
+        assert_eq!(
+            (synced.fsync_rounds, synced.fsyncs),
+            (1, 2),
+            "its round syncs both"
+        );
+        let (now, _, sim_now) = run("deferred_sync_now", SyncRound::Now);
+        assert_eq!((now.fsync_rounds, now.fsyncs), (1, 2));
+        assert!(
+            sim_deferred == sim_now,
+            "deferral is invisible to the model"
+        );
     }
 
     #[test]

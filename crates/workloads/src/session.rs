@@ -78,8 +78,9 @@ fn last_writer(n: u64, j: u64) -> Option<u64> {
 ///
 /// * `MOD_SESSION_SHARDS=<n>` — create new pools as an `n`-shard pool
 ///   set (parallel replay at recovery). Reopens keep the on-disk shape.
-/// * `MOD_SESSION_FSYNC=1` — append with [`Durability::Fsync`]: every
-///   fence record hits the medium before the op is counted committed.
+/// * `MOD_SESSION_FSYNC=1` — append with [`Durability::Fsync`]: the
+///   session heap is owner-mode, so every fence ends in a sync round and
+///   its record hits the medium before the op is counted committed.
 /// * `MOD_SESSION_POLICY=hybrid` — create (and reopen) the three roots
 ///   under [`PersistPolicy::Hybrid`]: interior index nodes stay
 ///   volatile, only compact op records are journaled, and recovery
