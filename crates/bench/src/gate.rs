@@ -113,7 +113,11 @@ pub fn collect() -> Metrics {
     );
     m.insert(
         "fsync_file.fsync_rounds_per_fase".to_string(),
-        ticketed_fsync_rounds_per_fase(),
+        ticketed_fsync_rounds_per_fase(1),
+    );
+    m.insert(
+        "fsync_file.fsync_rounds_per_fase_wait16".to_string(),
+        ticketed_fsync_rounds_per_fase(16),
     );
 
     let r95 = run_read_heavy(&ReadHeavyConfig::testing());
@@ -208,11 +212,12 @@ fn session_journal_bytes_per_fase() -> f64 {
     backend.journal_bytes as f64 / OPS as f64
 }
 
-/// Fsync rounds per acknowledged FASE on a 2-shard `Fsync` pool set: one
-/// worker runs ticketed FASEs and waits on each, so every FASE is its own
-/// batch (the lone worker is the whole quorum). The count is a pure
-/// function of the commit path — which fences sync — not of the disk.
-fn ticketed_fsync_rounds_per_fase() -> f64 {
+/// Fsync rounds per FASE on a 2-shard `Fsync` pool set: one worker runs
+/// ticketed FASEs and waits on every `wait_every`-th ticket; every FASE
+/// is its own batch (the lone worker is the whole quorum). The count is
+/// a pure function of the commit path — where a round runs — not of the
+/// disk.
+fn ticketed_fsync_rounds_per_fase(wait_every: u64) -> f64 {
     use mod_core::{DurableMap, ModHeap, SharedModHeap};
     const FASES: u64 = 64;
     const SHARDS: u16 = 2;
@@ -231,7 +236,9 @@ fn ticketed_fsync_rounds_per_fase() -> f64 {
     let before = rounds();
     for i in 0..FASES {
         let ((), ticket) = shared.fase_ticketed(0, |tx| map.insert_in(tx, &i, &i));
-        shared.wait_durable(&ticket);
+        if (i + 1) % wait_every == 0 {
+            shared.wait_durable(&ticket);
+        }
     }
     let synced = rounds() - before;
     drop(shared);

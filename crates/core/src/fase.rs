@@ -530,8 +530,8 @@ impl ModHeap {
     /// (wrapped as a commit write, like a root-slot store) swings it — no
     /// directory rebuild, no allocation, one `clwb`. Multi-root FASEs
     /// build one fresh directory (Fig 8c): flush it, fence once, swing
-    /// the directory slot. `sync` says when that fence's sync round runs
-    /// (a ticketed batch defers it to its covering fence).
+    /// the directory slot. `sync` says whether that fence runs its sync
+    /// round (the shared engine's never does: its waiters run them).
     pub(crate) fn commit_fase(&mut self, pending: Vec<PendingUpdate>, sync: SyncRound) {
         if pending.is_empty() {
             return;

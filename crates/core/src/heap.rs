@@ -169,9 +169,16 @@ impl ModHeap {
     }
 
     /// Fences (its sync round per `sync`), then frees what the previous
-    /// commit superseded.
+    /// commit superseded. A [`SyncRound::Now`] fence is an owner heap's
+    /// acknowledgement and an orderly point for a due checkpoint; the
+    /// shared engine's fences defer both until it has dropped its commit
+    /// lock.
     pub(crate) fn fence_and_drain(&mut self, sync: SyncRound) {
-        self.nv.pm_mut().sfence_with(sync);
+        let pm = self.nv.pm_mut();
+        pm.sfence_with(sync);
+        if sync == SyncRound::Now {
+            pm.checkpoint_if_due();
+        }
         // The previous commit's pointer store is now durable; its old
         // version can never be observed by recovery again.
         let pending = std::mem::take(&mut self.pending);

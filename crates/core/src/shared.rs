@@ -46,10 +46,17 @@
 //! * FASEs updating the same root serialize in lane order and see each
 //!   other's staged shadows (read-your-batch); FASEs over disjoint
 //!   roots stage concurrently and merge at commit.
-//! * Durability is *group-commit*: `fase` returns when the update is
-//!   staged; it becomes durable at the batch's fence. A crash can drop a
-//!   staged-but-unpublished suffix — each FASE still all-or-nothing.
-//!   [`SharedModHeap::flush`] forces a partial batch out.
+//! * Durability is *group-commit*, twice over: `fase` returns when the
+//!   update is staged; it is fenced in simulated PM at the batch's fence;
+//!   and on a file pool its journal records reach the medium at the next
+//!   sync round, which a thread that needs them runs — a ticket waiter
+//!   ([`SharedModHeap::wait_durable`]), a snapshot-served reply
+//!   ([`SharedModHeap::wait_synced`]) or [`SharedModHeap::flush`] —
+//!   never the commit stage. One round covers every batch appended
+//!   before it. A crash can drop a staged-but-unpublished suffix, or
+//!   under `Fsync` a power loss an unsynced one — each FASE still
+//!   all-or-nothing. [`SharedModHeap::flush`] forces a partial batch
+//!   out.
 //!
 //! Determinism: `SharedModHeap` is `Send + Sync` and safe under any
 //! interleaving; driving the workers through a seeded turnstile makes
@@ -60,14 +67,20 @@
 //! ## Lock ordering and poison policy
 //!
 //! The lock hierarchy is `global` (commit) → per-shard → `group` (batch
-//! metadata) → `subscribers`: a lock may only be acquired while holding
-//! locks strictly *earlier* in that list. Every blocking wait respects
-//! it — [`SharedModHeap::wait_durable`]'s bounded-wait fallback and the
-//! group-commit lap wait both **drop the group lock before** calling
-//! into `flush()`/`commit_now()` (which take `global`), so a reader
-//! thread forcing a batch out can never invert the commit stage's
-//! `global → group` order, and the group condvar's waiters park holding
-//! only `group`. Snapshot readers ([`SharedModHeap::snapshot`]) sit
+//! metadata) → `subscribers` → the pool backend's state lock: a lock may
+//! only be acquired while holding locks strictly *earlier* in that list.
+//! Every blocking wait respects it — [`SharedModHeap::wait_durable`]'s
+//! bounded-wait fallback and the group-commit lap wait both **drop the
+//! group lock before** calling into `commit_now()` (which takes
+//! `global`), so a reader thread forcing a batch out can never invert
+//! the commit stage's `global → group` order, and the group condvar's
+//! waiters park holding only `group`. The commit stage takes the backend
+//! lock only to append its fences' records. Host durability work — a
+//! sync round, a checkpoint — takes **only the backend lock**, and runs
+//! after the thread has dropped every engine lock, so an fdatasync never
+//! stalls the next batch's merge. (Only [`SharedModHeap::setup`], which
+//! runs owner-mode FASEs, syncs as an owner heap does.) Snapshot
+//! readers ([`SharedModHeap::snapshot`]) sit
 //! entirely *outside* the hierarchy: pinning is two atomic stores in
 //! the [`EpochRegistry`] plus one pointer load, so a view can be taken
 //! and traversed while any (or all) of the locks above are held by
@@ -95,7 +108,7 @@ use crate::heap::ModHeap;
 use crate::queue::HandoffQueue;
 use crate::snapshot::{DirSnapshot, SnapshotView};
 use mod_alloc::{EpochRegistry, NvHeap, StagedAllocEffects};
-use mod_pmem::{CrashPolicy, LineHandoff, PmStats, Pmem, SyncRound, TraceEvent};
+use mod_pmem::{CrashPolicy, LineHandoff, PmStats, Pmem, PoolBackend, SyncRound, TraceEvent};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -294,22 +307,29 @@ fn conflict_backoff(attempt: u32) {
 /// Shared durability state behind a [`CommitTicket`].
 #[derive(Debug, Default)]
 struct TicketState {
-    /// Set (after the batch's `sfence`) by the commit stage.
-    durable: AtomicBool,
-    /// Simulated time of the fence that made this FASE durable (f64
-    /// bits; valid once `durable` is set).
+    /// Set (after the batch's fences) by the commit stage.
+    committed: AtomicBool,
+    /// The journal sequence the batch needs on the medium (valid once
+    /// `committed` is set).
+    frontier: AtomicU64,
+    /// Simulated time of the fence that committed this FASE (f64 bits;
+    /// valid once `committed` is set).
     fence_ns: AtomicU64,
 }
 
 /// A durability handle for one staged FASE.
 ///
-/// [`SharedModHeap::fase_ticketed`] returns one per FASE: the ticket
-/// turns *durable* the moment the batch carrying the FASE publishes —
-/// i.e. strictly after the batch's `sfence` has executed. This is the
-/// primitive a network front end needs for **reply-after-fence**
-/// semantics: a response may be flushed to the client only once the
-/// ticket of the FASE that produced it is durable, so an acknowledged
-/// operation is guaranteed to survive a crash.
+/// [`SharedModHeap::fase_ticketed`] returns one per FASE. The ticket
+/// turns *durable* once the batch carrying the FASE has published —
+/// strictly after the batch's fences have executed — **and** the pool's
+/// synced frontier covers the batch's journal records. Under
+/// [`mod_pmem::Durability::Fsync`] the second half needs a sync round,
+/// which [`SharedModHeap::wait_durable`] runs (or finds another waiter's
+/// round already ran); under `Buffered` and on memory pools it holds at
+/// publish. This is the primitive a network front end needs for
+/// **reply-after-fence** semantics: a response may be flushed to the
+/// client only once the ticket of the FASE that produced it is durable,
+/// so an acknowledged operation is guaranteed to survive a crash.
 ///
 /// Tickets are cheap (`Arc`-backed), cloneable, and safe to poll from
 /// any thread; [`SharedModHeap::wait_durable`] blocks on one (bounded by
@@ -318,30 +338,49 @@ struct TicketState {
 #[derive(Clone, Debug)]
 pub struct CommitTicket {
     state: Arc<TicketState>,
+    backend: Arc<dyn PoolBackend>,
 }
 
 impl CommitTicket {
-    fn new() -> CommitTicket {
+    fn new(backend: Arc<dyn PoolBackend>) -> CommitTicket {
         CommitTicket {
             state: Arc::new(TicketState::default()),
+            backend,
         }
     }
 
-    /// Whether the FASE's batch has published (its fence has executed).
+    /// The batch's frontier and fence watermark, once it has published.
+    fn committed(&self) -> Option<(u64, f64)> {
+        let s = &self.state;
+        s.committed.load(Ordering::SeqCst).then(|| {
+            (
+                s.frontier.load(Ordering::SeqCst),
+                f64::from_bits(s.fence_ns.load(Ordering::SeqCst)),
+            )
+        })
+    }
+
+    /// Whether the FASE's batch has published (its fences have executed)
+    /// and a sync round has put its records on the medium. Under `Fsync`
+    /// it turns true only once a round covers the ticket: a committed
+    /// batch nobody waited on stays not durable.
     pub fn is_durable(&self) -> bool {
-        self.state.durable.load(Ordering::SeqCst)
+        self.fence_ns().is_some()
     }
 
     /// Simulated time of the fence that committed this FASE, once
     /// durable (`None` before that).
     pub fn fence_ns(&self) -> Option<f64> {
-        self.is_durable()
-            .then(|| f64::from_bits(self.state.fence_ns.load(Ordering::SeqCst)))
+        let (frontier, ns) = self.committed()?;
+        (self.backend.synced() >= frontier).then_some(ns)
     }
 }
 
 /// What a commit subscriber learns about one published batch (see
-/// [`SharedModHeap::subscribe_commits`]).
+/// [`SharedModHeap::subscribe_commits`]). Notices fire at commit: under
+/// [`mod_pmem::Durability::Fsync`] a noticed batch is published and
+/// fenced but not necessarily on the medium yet — that is what the
+/// batch's tickets wait for.
 #[derive(Clone, Debug)]
 pub struct CommitNotice {
     /// Monotone batch sequence number (1 for the first drained batch).
@@ -352,7 +391,8 @@ pub struct CommitNotice {
     /// drains participants but pays no fence).
     pub committed: bool,
     /// The batch's fence watermark: simulated time after which every
-    /// FASE in this batch (and all earlier batches) is durable.
+    /// FASE in this batch (and all earlier batches) is fenced in
+    /// simulated PM.
     pub fence_ns: f64,
 }
 
@@ -517,6 +557,9 @@ struct Inner {
     /// storage with every shard, owns only private volatile sim state,
     /// and is never mutated (readers use `&self` peek paths only).
     read_nv: NvHeap,
+    /// The pool's backend, reachable without the commit lock: sync
+    /// rounds, the synced frontier, checkpoints.
+    backend: Arc<dyn PoolBackend>,
     #[cfg(test)]
     mid_commit_hook: MidCommitHook,
 }
@@ -572,13 +615,6 @@ impl Inner {
         }
         let fases = participants.len();
         let committed = !batch.is_empty();
-        // A batch that carries tickets pays a covering fence (below), and
-        // nothing is acknowledged before it: its data fence defers its
-        // sync round to that fence, whose one round puts both records on
-        // the medium. The journal's frontier keeps the pair ordered — a
-        // power loss that keeps the covering record but not the data
-        // record replays neither.
-        let covered = committed && !tickets.is_empty();
         if committed {
             // Epoch-clear limbo chains go back onto the deferral queue
             // *now*, so the fence inside `commit_fase` frees them at
@@ -587,12 +623,12 @@ impl Inner {
             // latency metrics) is bit-identical to the old path.
             self.reinject_unpinned(st);
         }
-        let data_sync = if covered {
-            SyncRound::Deferred
-        } else {
-            SyncRound::Now
-        };
-        st.heap.commit_fase(batch, data_sync);
+        // No fence here runs a sync round (nor a checkpoint): the records
+        // wait in the page cache for the round of whichever thread next
+        // needs them on the medium, outside this lock. The journal's
+        // frontier keeps them ordered — a power loss that keeps a later
+        // record but not an earlier one replays neither.
+        st.heap.commit_fase(batch, SyncRound::Deferred);
         if committed {
             // Steal the chains this batch superseded out of the heap's
             // deferral queue before any later fence can free them — a
@@ -616,15 +652,15 @@ impl Inner {
         // covers it (epsilon-durability, one fence per FASE preserved).
         // A ticket is a promise to an external client, and a reply must
         // imply the swing itself is durable, so a batch carrying tickets
-        // pays the covering fence now — and its sync round, the batch's
-        // only one. Ticket-free batches are untouched: the simulated
-        // fence counts of every existing workload are bit-identical.
-        if covered {
+        // pays the covering fence now. Ticket-free batches are untouched:
+        // the simulated fence counts of every existing workload are
+        // bit-identical.
+        if committed && !tickets.is_empty() {
             // With no reader pinned, this batch's own chains (stolen
             // above) come straight back and the covering fence frees
             // them — matching the old path, which drained them here.
             self.reinject_unpinned(st);
-            st.heap.fence_and_drain(SyncRound::Now);
+            st.heap.fence_and_drain(SyncRound::Deferred);
         }
         if committed {
             self.stats.batches.fetch_add(1, Ordering::SeqCst);
@@ -643,22 +679,30 @@ impl Inner {
         if let Some(hook) = relock(&self.mid_commit_hook.0).as_ref() {
             hook();
         }
+        // What this batch needs on the medium: every record appended so
+        // far, its own fences last. Its tickets — and its snapshot, whose
+        // readers may reveal it — count as durable once the synced
+        // frontier reaches this.
+        let frontier = self.backend.appended();
         if committed {
             // Publish the batch's snapshot *before* resolving tickets:
             // once a client learns its write is durable, any snapshot
             // taken afterwards must already contain that write.
-            self.publish_snapshot(st);
+            self.publish_snapshot(st, frontier);
         }
-        // The batch's fence watermark. An all-no-op batch paid no fence,
-        // but its FASEs wrote nothing — they are trivially durable, so
-        // their tickets resolve too (a read-only request must not wait
-        // for a write that never happened).
+        // The batch's fence watermark. An all-no-op batch paid no fence
+        // and wrote nothing, but its FASEs may have read what earlier
+        // batches committed, so their tickets wait for the same frontier:
+        // a read-only reply must not reveal a write that is not yet on
+        // the medium.
         let fence_ns = st.heap.nv().pm().clock().now_ns();
-        // Reply-after-fence gate: tickets flip durable strictly *after*
-        // the covering fence and its sync round above.
+        // Reply-after-fence gate: tickets commit strictly *after* the
+        // covering fence above, and turn durable once a round covers
+        // `frontier`.
         for t in &tickets {
             t.fence_ns.store(fence_ns.to_bits(), Ordering::SeqCst);
-            t.durable.store(true, Ordering::SeqCst);
+            t.frontier.store(frontier, Ordering::SeqCst);
+            t.committed.store(true, Ordering::SeqCst);
         }
         let batch_seq = self.batch_seq.fetch_add(1, Ordering::SeqCst) + 1;
         for w in participants {
@@ -705,14 +749,15 @@ impl Inner {
     /// Publishes the current root directory as the next epoch's
     /// [`DirSnapshot`] — one atomic pointer swing, piggybacked on the
     /// directory swing the batch already paid for — then runs a
-    /// reclamation pass. Must be called with `st` locked.
+    /// reclamation pass. `frontier` is the journal sequence the image
+    /// needs on the medium. Must be called with `st` locked.
     ///
     /// Publication order is load-bearing: the pointer swings *before*
     /// the registry's epoch advances, so the published image's epoch is
     /// always ≥ the counter a reader pins against (a reader pinned at
     /// `e` can only ever load a snapshot of epoch ≥ `e`, which the
     /// epoch gate then keeps alive for it).
-    fn publish_snapshot(&self, st: &mut GlobalState) {
+    fn publish_snapshot(&self, st: &mut GlobalState, frontier: u64) {
         let epoch = self.registry.current() + 1;
         // Hybrid roots publish their *logical* volatile head (from the
         // annex, set by `commit_fase` just before this) instead of the
@@ -734,7 +779,11 @@ impl Inner {
                 _ => e,
             })
             .collect();
-        let old = self.snap.swap(Box::new(DirSnapshot { epoch, roots }));
+        let old = self.snap.swap(Box::new(DirSnapshot {
+            epoch,
+            roots,
+            frontier,
+        }));
         st.old_snaps.push(old);
         self.registry.advance();
         self.prune_old_snaps(st);
@@ -873,9 +922,11 @@ impl SharedModHeap {
         let read_nv = heap.nv().read_view();
         // Epoch 0: the pre-first-commit image (whatever roots the heap
         // already holds, e.g. after recovery).
+        let backend = heap.nv().pm().backend();
         let snap = SnapPtr::new(Box::new(DirSnapshot {
             epoch: 0,
             roots: crate::root::all_entries(heap.nv()),
+            frontier: backend.appended(),
         }));
         SharedModHeap {
             inner: Arc::new(Inner {
@@ -906,6 +957,7 @@ impl SharedModHeap {
                 snap,
                 registry: EpochRegistry::new(),
                 read_nv,
+                backend,
                 #[cfg(test)]
                 mid_commit_hook: MidCommitHook::default(),
             }),
@@ -976,7 +1028,8 @@ impl SharedModHeap {
 
     /// [`SharedModHeap::fase`] returning a [`CommitTicket`] alongside the
     /// closure's result: the ticket turns durable once the batch carrying
-    /// this FASE has published (its fence has executed). This is the
+    /// this FASE has published (its fences have executed) and its records
+    /// are on the medium (see [`CommitTicket::is_durable`]). This is the
     /// building block for reply-after-fence front ends — acknowledge the
     /// operation to the client only after
     /// [`SharedModHeap::wait_durable`] on the ticket returns.
@@ -1014,7 +1067,7 @@ impl SharedModHeap {
         worker: usize,
         f: impl FnMut(&mut Fase<'_>) -> R,
     ) -> Result<(R, CommitTicket), EngineError> {
-        let ticket = CommitTicket::new();
+        let ticket = CommitTicket::new(Arc::clone(&self.inner.backend));
         self.try_fase_inner(worker, f, Some(Arc::clone(&ticket.state)))
             .map(|out| (out, ticket))
     }
@@ -1149,8 +1202,9 @@ impl SharedModHeap {
         }
     }
 
-    /// Commits any staged batch now (one ordering point). Used at the
-    /// end of a run and by orderly shutdown.
+    /// Commits any staged batch now (one ordering point), then runs the
+    /// sync round that puts every committed batch on the medium. Used at
+    /// the end of a run and by orderly shutdown.
     ///
     /// # Panics
     ///
@@ -1169,13 +1223,29 @@ impl SharedModHeap {
     ///
     /// Returns [`HeapPoisoned`] if a thread panicked mid-commit.
     pub fn try_flush(&self) -> Result<(), HeapPoisoned> {
-        self.commit_now()
+        self.commit_now()?;
+        self.wait_synced(self.inner.backend.appended());
+        Ok(())
     }
 
+    /// Commits the staged batch under the commit lock, then — with the
+    /// lock dropped — runs a checkpoint if one is due.
     fn commit_now(&self) -> Result<(), HeapPoisoned> {
         let mut st = self.inner.global.lock().map_err(|_| HeapPoisoned)?;
         self.inner.commit_locked(&mut st);
+        drop(st);
+        self.inner.backend.checkpoint_if_due();
         Ok(())
+    }
+
+    /// Blocks until every journal record below `frontier` is on the
+    /// medium — a [`SnapshotView::frontier`], say — running the sync
+    /// round in this thread unless another thread's round already
+    /// covers it. Takes no engine lock, only the backend's, on which
+    /// concurrent rounds coalesce. One comparison under
+    /// [`mod_pmem::Durability::Buffered`] and on memory pools.
+    pub fn wait_synced(&self, frontier: u64) {
+        self.inner.backend.sync_to(frontier);
     }
 
     /// Removes `worker` from the batch-completion quorum (its op stream
@@ -1209,22 +1279,28 @@ impl SharedModHeap {
 
     /// Registers a commit subscriber: called once per drained batch (in
     /// batch order, with monotone fence watermarks), strictly after the
-    /// batch's fence executed and its tickets turned durable. The
-    /// callback runs on whichever thread drove the commit, under the
-    /// commit lock — keep it short and never call back into the heap.
+    /// batch's fences executed and its tickets committed — at commit, not
+    /// at a sync round, so under `Fsync` a noticed batch may not be on
+    /// the medium yet. The callback runs on whichever thread drove the
+    /// commit, under the commit lock — keep it short and never call back
+    /// into the heap.
     pub fn subscribe_commits(&self, f: impl Fn(&CommitNotice) + Send + Sync + 'static) {
         relock(&self.inner.subscribers.0).push(Box::new(f));
     }
 
     /// Blocks until `ticket` is durable — i.e. the batch carrying its
-    /// FASE has published and its fence has executed. Returns the fence
-    /// watermark (simulated ns).
+    /// FASE has published, its fences have executed, and its records are
+    /// on the medium. Returns the fence watermark (simulated ns).
     ///
     /// The wait is bounded: if the batch has not published after the
     /// group timeout (or ~1 ms in [`CommitMode::Pipelined`]), this
-    /// thread forces it out itself via [`SharedModHeap::flush`] — so a
-    /// lone connection on an otherwise idle server never deadlocks
-    /// waiting for peers that will never stage.
+    /// thread forces it out itself — so a lone connection on an
+    /// otherwise idle server never deadlocks waiting for peers that will
+    /// never stage. Once published, the batch reaches the medium through
+    /// [`SharedModHeap::wait_synced`]: under `Fsync` this thread runs the
+    /// sync round, outside every engine lock, unless a concurrent
+    /// waiter's round already covered the batch — so one round serves
+    /// every batch committed before it started.
     ///
     /// # Panics
     ///
@@ -1253,33 +1329,26 @@ impl SharedModHeap {
             CommitMode::Pipelined => Duration::from_millis(1),
         };
         loop {
-            if let Some(ns) = ticket.fence_ns() {
+            if let Some((frontier, ns)) = ticket.committed() {
+                self.wait_synced(frontier);
                 return Ok(ns);
             }
             let deadline = Instant::now() + bound;
             loop {
                 let g = relock(&inner.group);
-                if ticket.is_durable() {
+                if ticket.committed().is_some() {
                     break;
                 }
                 let now = Instant::now();
                 if now >= deadline {
                     // Nobody committed within the latency bound: drain
-                    // the batch ourselves (re-check afterwards — the
-                    // ticket may have been resolved by a racing commit).
-                    // The group lock is dropped FIRST: `commit_now`
-                    // takes global → group, so flushing while holding
-                    // `g` would invert the lock order (module docs).
+                    // the batch ourselves; the outer loop then picks the
+                    // committed ticket up. The group lock is dropped
+                    // FIRST: `commit_now` takes global → group, so
+                    // committing while holding `g` would invert the lock
+                    // order (module docs).
                     drop(g);
-                    self.try_flush()?;
-                    // Explicit post-flush re-check: the drain this thread
-                    // just drove (or a racing commit that beat it to the
-                    // lock) must have resolved the ticket — return its
-                    // fence watermark directly instead of relying on the
-                    // outer loop's poll to pick it up.
-                    if let Some(ns) = ticket.fence_ns() {
-                        return Ok(ns);
-                    }
+                    self.commit_now()?;
                     break;
                 }
                 let epoch = g.batch_epoch;
@@ -1334,6 +1403,7 @@ impl SharedModHeap {
         );
         let out = f(&mut st.heap);
         self.inner.lanes.clear_heads();
+        let frontier = self.inner.backend.appended();
         // Setup may have swung the directory: republish so views taken
         // after setup see the new roots immediately. Trailing superseded
         // chains stay on the heap's own deferral queue (not epoch
@@ -1342,7 +1412,7 @@ impl SharedModHeap {
         // free them exactly as it always did. Routing them through limbo
         // would defer the frees into the measured phase of benchmarks
         // that `reset_metrics` inside a setup, shifting charge points.
-        self.inner.publish_snapshot(&mut st);
+        self.inner.publish_snapshot(&mut st, frontier);
         out
     }
 
@@ -1386,6 +1456,12 @@ impl SharedModHeap {
     /// (see [`crate::snapshot`]) — drop it promptly. The view does not
     /// observe batches published after it was taken; take a fresh one
     /// for fresh data.
+    ///
+    /// Batches publish at commit, before any sync round, so under
+    /// [`mod_pmem::Durability::Fsync`] a view may hold committed batches
+    /// that are not on the medium yet. A reply that reveals what a view
+    /// read must first [`SharedModHeap::wait_synced`] on
+    /// [`SnapshotView::frontier`].
     ///
     /// # Panics
     ///
@@ -1484,7 +1560,9 @@ impl SharedModHeap {
     }
 
     /// Flushes the pipeline, then issues an extra fence so all deferred
-    /// reclamation completes (see [`ModHeap::quiesce`]).
+    /// reclamation completes (see [`ModHeap::quiesce`]). Like every
+    /// engine fence it syncs and checkpoints only after the commit lock
+    /// is dropped.
     pub fn quiesce(&self) {
         let mut st = self.inner.global.lock().unwrap();
         self.inner.commit_locked(&mut st);
@@ -1492,8 +1570,11 @@ impl SharedModHeap {
         // quiesce fence frees them; chains a live view can still reach
         // stay in limbo until their readers unpin.
         self.inner.reinject_unpinned(&mut st);
-        st.heap.quiesce();
+        st.heap.fence_and_drain(SyncRound::Deferred);
         self.inner.prune_old_snaps(&mut st);
+        drop(st);
+        self.inner.backend.checkpoint_if_due();
+        self.wait_synced(self.inner.backend.appended());
     }
 
     /// Takes a crash image of the pool *as is* — staged-but-uncommitted
@@ -2323,9 +2404,9 @@ mod tests {
     fn fsync_group_commit_amortizes_fsync_rounds() {
         // Power-loss-grade durability at group-commit cost: with
         // `Durability::Fsync` on a 4-shard pool set and
-        // `CommitMode::Group { max_batch: 4 }`, N FASEs share one fence
-        // record and therefore one fsync round — fsync rounds per FASE
-        // must be ≤ 1/max_batch.
+        // `CommitMode::Group { max_batch: 4 }`, 16 FASEs commit in four
+        // batches and pay no round at all — nothing acknowledged them.
+        // The flush that does acknowledge pays one round for all four.
         let mut path = std::env::temp_dir();
         path.push(format!("mod_shared_fsync_{}.pool", std::process::id()));
         let cfg = PmemConfig {
@@ -2349,17 +2430,15 @@ mod tests {
         for i in 0..fases {
             sh.fase((i % 4) as usize, |tx| map.insert_in(tx, &i, &i));
         }
+        let rounds = || sh.with(|h| h.nv().pm().backend_stats().fsync_rounds) - before.fsync_rounds;
+        assert_eq!(sh.stats().batches, 4);
+        assert_eq!(rounds(), 0, "nothing acknowledged, nothing synced");
+        sh.flush();
+        assert_eq!(rounds(), 1, "one round covers all four batches");
         let after = sh.with(|h| h.nv().pm().backend_stats());
-        let rounds = after.fsync_rounds - before.fsync_rounds;
-        assert!(rounds >= 1, "Fsync mode must actually sync");
         assert!(
-            rounds <= fases / 4,
-            "group commit amortizes: {rounds} fsync rounds for {fases} FASEs \
-             exceeds 1/max_batch"
-        );
-        assert!(
-            after.fsyncs >= rounds,
-            "each round syncs at least one shard journal"
+            after.fsyncs - before.fsyncs >= 1,
+            "the round synced the dirty journals"
         );
         drop(sh.into_heap().close().unwrap());
         // The set survives reopen with everything acked present.
@@ -2386,13 +2465,14 @@ mod tests {
         (path, cfg)
     }
 
-    /// Two threads × `per_worker` ticketed FASEs, each waited on, through
-    /// `CommitMode::Group { max_batch: 2 }` into a map at root 0. Returns
-    /// the heap and the (pipeline, fence, backend) deltas of the threaded
-    /// phase.
+    /// Two threads × `per_worker` ticketed FASEs, every `wait_every`-th
+    /// waited on, through `CommitMode::Group { max_batch: 2 }` into a map
+    /// at root 0. Returns the heap and the (pipeline, fence, backend)
+    /// deltas of the threaded phase.
     fn ticketed_pairs(
         pm: Pmem,
         per_worker: u64,
+        wait_every: u64,
     ) -> (SharedModHeap, PipelineStats, u64, BackendStats) {
         let sh = SharedModHeap::create_with(
             pm,
@@ -2412,7 +2492,10 @@ mod tests {
                     for i in 0..per_worker {
                         let key = 1000 * w as u64 + i;
                         let ((), t) = sh.fase_ticketed(w, |tx| map.insert_in(tx, &key, &i));
-                        sh.wait_durable(&t);
+                        if (i + 1) % wait_every == 0 {
+                            sh.wait_durable(&t);
+                            assert!(t.is_durable());
+                        }
                     }
                     sh.deregister(w);
                 });
@@ -2429,19 +2512,27 @@ mod tests {
     }
 
     #[test]
-    fn fsync_ticketed_batch_pays_one_round_for_its_two_fences() {
-        // A ticketed batch fences twice (data, then the covering fence
-        // for its directory swing) but acknowledges once: its one sync
-        // round comes after the covering fence, and every acked FASE is
-        // on the medium when its ticket resolves.
+    fn fsync_pays_at_most_one_round_per_wait() {
+        // Every ticketed batch fences twice (data, then the covering
+        // fence for its directory swing), but only a wait runs a sync
+        // round — after the batch commits, outside the commit lock — and
+        // one round covers every batch committed before it. Waiting on
+        // every 8th FASE, rounds ≤ waits ≪ batches, and every acked FASE
+        // is on the medium.
         const PER_WORKER: u64 = 24;
+        const WAIT_EVERY: u64 = 8;
         let (path, cfg) = two_shard_pool("ticketed_fsync", Durability::Fsync);
         let pm = Pmem::create_file(&path, cfg.clone()).unwrap();
-        let (sh, pipe, fences, be) = ticketed_pairs(pm, PER_WORKER);
+        let (sh, pipe, fences, be) = ticketed_pairs(pm, PER_WORKER, WAIT_EVERY);
+        let waits = 2 * PER_WORKER / WAIT_EVERY;
         assert_eq!(pipe.fases, 2 * PER_WORKER);
-        assert!(pipe.batches > 0);
+        assert!(pipe.batches >= PER_WORKER, "{} batches", pipe.batches);
         assert_eq!(fences, 2 * pipe.batches, "data + covering fence per batch");
-        assert_eq!(be.fsync_rounds, pipe.batches, "one sync round per batch");
+        assert!(
+            (1..=waits).contains(&be.fsync_rounds),
+            "{} rounds for {waits} waits",
+            be.fsync_rounds
+        );
         assert!(be.fsyncs >= be.fsync_rounds);
         drop(sh.into_heap().close().unwrap());
         let (mut h2, _) = ModHeap::open_file(&path, cfg).unwrap();
@@ -2480,12 +2571,90 @@ mod tests {
 
         let (path, cfg) = two_shard_pool("buffered_pairs", Durability::Buffered);
         let pm = Pmem::create_file(&path, cfg).unwrap();
-        let (sh, pipe, _, be) = ticketed_pairs(pm, 8);
+        let (sh, pipe, _, be) = ticketed_pairs(pm, 8, 1);
         assert!(pipe.batches > 0);
         assert_eq!(
             (be.fsyncs, be.fsync_rounds),
             (0, 0),
             "buffered never fsyncs"
+        );
+        drop(sh);
+        for member in mod_pmem::FileBackend::member_paths(&path, 2) {
+            std::fs::remove_file(member).unwrap();
+        }
+    }
+
+    #[test]
+    fn fsync_snapshot_frontier_wait_syncs_a_committed_batch_once() {
+        // A committed batch nobody waited on is visible in `snapshot()`
+        // at once — publication does not wait for the medium. Waiting on
+        // the view's frontier runs exactly one round under `Fsync` (which
+        // covers the batch's ticket too) and none under `Buffered`.
+        for (name, durability, want) in [
+            ("snap_fsync", Durability::Fsync, 1),
+            ("snap_buffered", Durability::Buffered, 0),
+        ] {
+            let (path, cfg) = two_shard_pool(name, durability);
+            let sh = SharedModHeap::create(Pmem::create_file(&path, cfg).unwrap(), 1);
+            let map: DurableMap<u64, u64> = sh.setup(DurableMap::create);
+            let rounds = || sh.with(|h| h.nv().pm().backend_stats().fsync_rounds);
+            let before = rounds();
+            let ((), ticket) = sh.fase_ticketed(0, |tx| map.insert_in(tx, &1, &10));
+            assert_eq!(sh.stats().batches, 1, "the lone worker's batch committed");
+            let buffered = durability == Durability::Buffered;
+            assert_eq!(ticket.is_durable(), buffered, "{name}: before any round");
+            let view = sh.snapshot();
+            assert_eq!(map.get(&view, &1), Some(10), "{name}: visible unsynced");
+            let frontier = view.frontier();
+            drop(view);
+            sh.wait_synced(frontier);
+            assert_eq!(rounds() - before, want, "{name}");
+            assert!(ticket.is_durable(), "{name}: the round covered the ticket");
+            sh.wait_synced(frontier);
+            sh.wait_durable(&ticket);
+            assert_eq!(rounds() - before, want, "{name}: covered waits are free");
+            drop(sh);
+            for member in mod_pmem::FileBackend::member_paths(&path, 2) {
+                std::fs::remove_file(member).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn fsync_rounds_and_checkpoints_never_run_under_the_commit_lock() {
+        // The mid-commit hook runs inside `commit_locked`, after both of
+        // a batch's fences. Backend counters read there must equal those
+        // read just before the FASE: no round and no checkpoint ran under
+        // the commit lock — although every FASE is waited on (rounds do
+        // run) and the journal crosses the checkpoint threshold
+        // (checkpoints do run), all after the lock is dropped.
+        const FASES: u64 = 400;
+        let (path, cfg) = two_shard_pool("unlocked_fsync", Durability::Fsync);
+        let sh = SharedModHeap::create(Pmem::create_file(&path, cfg).unwrap(), 1);
+        let map: DurableMap<u64, Vec<u8>> = sh.setup(DurableMap::create);
+        let backend = Arc::clone(&sh.inner.backend);
+        let counts = move || {
+            let s = backend.stats();
+            (s.fsync_rounds, s.compactions)
+        };
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        {
+            let (seen, counts) = (Arc::clone(&seen), counts.clone());
+            sh.set_mid_commit_hook(move || seen.lock().unwrap().push(counts()));
+        }
+        let value = vec![7u8; 4096];
+        for i in 0..FASES {
+            let before = counts();
+            let ((), t) = sh.fase_ticketed(0, |tx| map.insert_in(tx, &i, &value));
+            let mid = seen.lock().unwrap().pop().expect("the batch committed");
+            assert_eq!(mid, before, "FASE {i}: durability work under the lock");
+            sh.wait_durable(&t);
+        }
+        let (rounds, compactions) = counts();
+        assert!(compactions >= 1, "no checkpoint came due");
+        assert!(
+            rounds + compactions >= FASES,
+            "each wait was covered by a round or a checkpoint's step 0"
         );
         drop(sh);
         for member in mod_pmem::FileBackend::member_paths(&path, 2) {

@@ -52,6 +52,8 @@ use mod_alloc::{EpochRegistry, NvHeap};
 pub struct DirSnapshot {
     pub(crate) epoch: u64,
     pub(crate) roots: Vec<ErasedDs>,
+    /// The journal sequence this image needs on the medium.
+    pub(crate) frontier: u64,
 }
 
 impl DirSnapshot {
@@ -118,6 +120,15 @@ impl<'h> SnapshotView<'h> {
     /// Number of roots in this view.
     pub fn root_count(&self) -> usize {
         self.snap.roots.len()
+    }
+
+    /// The journal sequence this view's image needs on the medium: every
+    /// batch it shows is power-loss durable once the pool's synced
+    /// frontier reaches it ([`crate::SharedModHeap::wait_synced`]). A
+    /// view publishes at commit, so under `Fsync` it can be ahead of the
+    /// medium; under `Buffered` and on memory pools it never is.
+    pub fn frontier(&self) -> u64 {
+        self.snap.frontier
     }
 
     /// Resolves directory index `index` to a typed version handle. The

@@ -23,18 +23,29 @@
 //!
 //! ## The sync round
 //!
-//! An append reaches the page cache; [`PoolBackend::sync`] puts it on
-//! the medium. Under [`Durability::Fsync`] a round fdatasyncs every
-//! journal dirtied since the last one, and [`crate::Pmem::sfence`] runs
-//! one after each fence — except a fence its caller marks
-//! [`SyncRound::Deferred`], which the next round covers. Deferring is
-//! safe because of the **frontier**: recovery replays a record only if
+//! An append reaches the page cache; a sync round
+//! ([`PoolBackend::sync_to`]) puts it on the medium. Under
+//! [`Durability::Fsync`] a round fdatasyncs every journal dirtied since
+//! the last one and advances the **synced frontier**
+//! ([`PoolBackend::synced`]): every record whose global sequence lies
+//! below it is on the medium. A checkpoint's step 0 advances it too.
+//! Under [`Durability::Buffered`] (and without files) the frontier is
+//! simply everything appended, so a caller waiting on it pays one
+//! comparison.
+//!
+//! Only acknowledgements need the medium, so only they run rounds:
+//! [`crate::Pmem::sfence`] runs one after each fence (an owner heap
+//! acknowledges every FASE), a fence its caller marks
+//! [`SyncRound::Deferred`] runs none, and the shared engine runs a round
+//! in whichever thread waits on a ticket — outside its commit lock,
+//! covering every batch appended before it started. Deferring is safe
+//! because of the **frontier rule** of replay: a record replays only if
 //! every lower global sequence is complete in every shard that record
-//! names, so when power loss keeps a synced record but not the unsynced
+//! names, so when power loss keeps a synced record but not an unsynced
 //! one before it, the later record is truncated as past the frontier
-//! too. The medium is needed only where something is acknowledged, and
-//! a ticketed batch acknowledges once, after its covering fence: its
-//! data fence defers, and the batch pays one round, not two.
+//! too. Rounds serialize on the backend's state lock, so concurrent
+//! waiters coalesce: the second one finds the frontier already past its
+//! record and returns.
 //!
 //! ## The checkpoint protocol
 //!
@@ -42,7 +53,8 @@
 //! image. It costs what changed since the last one, never the pool:
 //!
 //! 0. fdatasync every dirty shard journal — the image must never run
-//!    ahead of the durable journal;
+//!    ahead of the durable journal — which advances the synced frontier
+//!    like a round;
 //! 1. write the lines journaled since the last checkpoint to
 //!    `IMAGE_OFFSET + addr`, coalesced into address runs. The bytes are
 //!    the images *the journal itself recorded* (kept last-write-wins as
@@ -60,9 +72,11 @@
 //! idempotent); after it, the journal's records sit below the mark and
 //! are skipped as stale whether or not (4) got to them. A checkpoint
 //! that *fails* (ENOSPC, EIO) before its mark is written therefore
-//! leaves a valid pool too: the fence path counts it
-//! ([`BackendStats::checkpoint_failures`]), keeps appending, and retries
-//! at the next threshold crossing.
+//! leaves a valid pool too: [`PoolBackend::checkpoint_if_due`] counts it
+//! ([`BackendStats::checkpoint_failures`]), the pool keeps appending, and
+//! the next threshold crossing retries. Nothing checkpoints inside a
+//! fence: an owner heap calls `checkpoint_if_due` after each fence, the
+//! shared engine after dropping its commit lock.
 
 use crate::arena::SharedArena;
 use crate::journal::{
@@ -74,6 +88,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -93,28 +108,31 @@ pub enum Durability {
     /// (page cache), not a power loss. Fsync happens at checkpoints.
     #[default]
     Buffered,
-    /// fdatasync every dirty shard journal ([`PoolBackend::sync`]) before
-    /// the batch's tickets resolve; an owner heap syncs every fence. An
-    /// acknowledged FASE survives power loss. Records appended between
-    /// rounds (drained lines, a ticketed batch's data fence) ride on the
-    /// next one: the journal's frontier never replays a record above a
-    /// lost one (see "The sync round" in the module docs). Group commit
-    /// amortizes this to one round per batch of FASEs.
+    /// fdatasync every dirty shard journal before an acknowledgement
+    /// relies on it: an owner heap syncs every fence, the shared engine
+    /// syncs when a thread waits on a ticket (or a snapshot's frontier),
+    /// never under its commit lock. An acknowledged FASE survives power
+    /// loss. Everything appended before a round rides on it — drained
+    /// lines, every engine fence of every batch since the last round —
+    /// and the journal's frontier never replays a record above a lost
+    /// one (see "The sync round" in the module docs). One round can
+    /// therefore cover many batches of FASEs.
     Fsync,
 }
 
-/// When an `sfence` runs its pool's sync round ([`PoolBackend::sync`];
-/// see [`crate::Pmem::sfence_with`]). Simulated PM cannot tell the two
-/// apart: same fence, same flushes, same journal record.
+/// Whether an `sfence` runs its pool's sync round
+/// ([`PoolBackend::sync_to`]; see [`crate::Pmem::sfence_with`]).
+/// Simulated PM cannot tell the two apart: same fence, same flushes,
+/// same journal record.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SyncRound {
     /// Right after the fence's journal append — what [`crate::Pmem::sfence`]
-    /// does.
+    /// does, and what an owner heap's every FASE does.
     Now,
-    /// At the next fence that syncs. Only for a caller that issues that
-    /// fence before anything relies on this one reaching the medium: the
-    /// ticketed batch commit, whose covering fence syncs both records
-    /// before any ticket resolves.
+    /// Not at all: the record waits in the page cache for whoever next
+    /// needs the synced frontier past it. Every fence of the shared
+    /// engine's commit stage is deferred; a ticket's waiter runs the round
+    /// that covers it.
     Deferred,
 }
 
@@ -142,10 +160,10 @@ pub struct BackendStats {
     /// Individual journal fdatasyncs issued by sync rounds
     /// ([`Durability::Fsync`] only; checkpoint syncs are not counted).
     pub fsyncs: u64,
-    /// Sync *rounds* ([`PoolBackend::sync`] calls that found a dirty
-    /// journal; each syncs every dirty shard journal once). One per
-    /// acknowledged batch under group commit, so rounds/FASE ≤ 1/N for
-    /// batch size N; one per fence on an owner heap.
+    /// Sync *rounds* ([`PoolBackend::sync_to`] calls whose record was not
+    /// yet covered; each syncs every dirty shard journal once). At most
+    /// one per ticket wait on the shared engine, however many batches it
+    /// covers; one per fence on an owner heap.
     pub fsync_rounds: u64,
     /// Bytes checkpoints wrote to the base member (image runs + mark
     /// slots): proportional to the lines journaled between checkpoints,
@@ -164,10 +182,11 @@ pub struct BackendStats {
 ///
 /// Implementations receive *durability events* from the simulator: one
 /// [`PoolBackend::append_batch`] per fence (or per drained-line
-/// observation), a [`PoolBackend::sync`] round after every fence whose
-/// caller did not defer it, plus the checkpoint hook at orderly points.
-/// All methods take `&self` — a backend is shared by every forked shard
-/// handle of its pool and must synchronize internally.
+/// observation), a [`PoolBackend::sync_to`] round wherever something is
+/// acknowledged, plus the checkpoint hook at orderly points. All methods
+/// take `&self` — a backend is shared by every forked shard handle of
+/// its pool (and by the shared engine's tickets) and must synchronize
+/// internally.
 pub trait PoolBackend: fmt::Debug + Send + Sync {
     /// Which backend family this is.
     fn kind(&self) -> BackendKind;
@@ -183,19 +202,46 @@ pub trait PoolBackend: fmt::Debug + Send + Sync {
     /// One durability event: `lines` became durable at simulated time
     /// `fence_ns` (see [`BatchKind`] for why). Called with the lines in
     /// ascending address order. Reaches the OS, not the medium: that is
-    /// [`PoolBackend::sync`]'s job.
+    /// [`PoolBackend::sync_to`]'s job.
     fn append_batch(&self, _kind: BatchKind, _lines: &[LineImage], _fence_ns: f64) {}
 
-    /// One sync round: puts every record appended so far on stable
-    /// storage ([`Durability::Fsync`]), so the next acknowledgement may
-    /// rely on all of them. A no-op when nothing is unsynced, under
+    /// The next global record sequence: every record appended so far lies
+    /// below it, so a caller that needs all of them on the medium waits
+    /// for [`PoolBackend::synced`] to reach this value.
+    fn appended(&self) -> u64 {
+        0
+    }
+
+    /// The synced frontier: every record below it is on the medium.
+    /// Lock-free, so a ticket can poll it from any thread. Equal to
+    /// [`PoolBackend::appended`] under [`Durability::Buffered`] and
+    /// without files, whose acknowledgements never wait.
+    fn synced(&self) -> u64 {
+        self.appended()
+    }
+
+    /// One sync round, unless the synced frontier already reaches `seq`
+    /// (pass [`PoolBackend::appended`] for everything so far): fdatasyncs
+    /// every dirty journal and advances the frontier to everything
+    /// appended when the round started. A no-op under
     /// [`Durability::Buffered`] and without files.
-    fn sync(&self) {}
+    fn sync_to(&self, _seq: u64) {}
 
     /// Whether enough journal has accumulated that the caller should run
     /// a [`PoolBackend::checkpoint`] at the next orderly point.
     fn should_checkpoint(&self) -> bool {
         false
+    }
+
+    /// Runs a checkpoint if one is due. A failed one leaves image +
+    /// journal a valid pool, so it must not kill the caller: the backend
+    /// counts it ([`BackendStats::checkpoint_failures`]) and the next
+    /// threshold crossing retries; [`crate::Pmem::checkpoint`] is where
+    /// an error surfaces.
+    fn checkpoint_if_due(&self) {
+        if self.should_checkpoint() {
+            let _ = self.checkpoint();
+        }
     }
 
     /// Folds everything journaled so far into the pool's base image and
@@ -230,8 +276,8 @@ impl PoolBackend for MemBackend {
     }
 }
 
-/// Journal bytes since the last checkpoint that make the fence path run
-/// the next one.
+/// Journal bytes since the last checkpoint that make the next
+/// [`PoolBackend::checkpoint_if_due`] run one.
 const CHECKPOINT_BYTES: u64 = 1 << 20;
 /// Largest single image write of a checkpoint (its one reused buffer).
 const RUN_BYTES: usize = 256 << 10;
@@ -271,7 +317,8 @@ struct SetState {
     /// touched: an unsynced earlier record (drained lines, a deferred
     /// fence) holds an earlier sequence number, and losing it to
     /// power-off would recede the recovery frontier below the
-    /// acknowledgement the round is for.
+    /// acknowledgement the round is for. Under `Fsync`, non-zero exactly
+    /// when the synced frontier lags `seq`.
     dirty: u64,
     /// The lines journaled since the mark, last write wins: what the
     /// next checkpoint writes home. Non-empty exactly when the journal
@@ -293,6 +340,9 @@ pub struct FileBackend {
     /// absorbs the remainder).
     span: u64,
     state: Mutex<SetState>,
+    /// The synced frontier ([`PoolBackend::synced`]): written under the
+    /// state lock, read without it.
+    synced: AtomicU64,
     /// Test-only kill switch: see [`FileBackend::step`].
     #[cfg(test)]
     hook: StepHook,
@@ -303,8 +353,8 @@ pub struct FileBackend {
 #[cfg(test)]
 #[derive(Debug)]
 struct StepHook {
-    taken: std::sync::atomic::AtomicU64,
-    stop_at: std::sync::atomic::AtomicU64,
+    taken: AtomicU64,
+    stop_at: AtomicU64,
 }
 
 /// The fixed address partition of a pool set: contiguous equal 64-byte-
@@ -412,6 +462,8 @@ impl FileBackend {
             durability,
             shards,
             span: shard_span(capacity, shards),
+            // Nothing this handle appended is unsynced yet (`dirty` is 0).
+            synced: AtomicU64::new(state.seq),
             state: Mutex::new(state),
             #[cfg(test)]
             hook: StepHook {
@@ -600,7 +652,7 @@ impl FileBackend {
     fn step(&self) -> io::Result<()> {
         #[cfg(test)]
         {
-            use std::sync::atomic::Ordering::Relaxed;
+            use Ordering::Relaxed;
             if self.hook.taken.fetch_add(1, Relaxed) == self.hook.stop_at.load(Relaxed) {
                 return Err(io::Error::other("checkpoint stopped by the test hook"));
             }
@@ -613,14 +665,12 @@ impl FileBackend {
     /// fails instead of proceeding.
     #[cfg(test)]
     pub(crate) fn stop_checkpoint_at_step(&self, step: u64) {
-        self.hook
-            .stop_at
-            .store(step, std::sync::atomic::Ordering::Relaxed);
+        self.hook.stop_at.store(step, Ordering::Relaxed);
     }
 
     #[cfg(test)]
     pub(crate) fn checkpoint_steps_taken(&self) -> u64 {
-        self.hook.taken.load(std::sync::atomic::Ordering::Relaxed)
+        self.hook.taken.load(Ordering::Relaxed)
     }
 
     /// Steps 0–4 of the module docs' protocol; returns the bytes written
@@ -641,6 +691,7 @@ impl FileBackend {
             }
         }
         *dirty = 0;
+        self.synced.store(*seq, Ordering::SeqCst);
         self.step()?;
         let mut written = 0u64;
         if !pending.is_empty() {
@@ -717,6 +768,10 @@ impl PoolBackend for FileBackend {
             st.stats.journal_bytes_by_shard[shard] += record.len() as u64;
         }
         st.dirty |= mask;
+        if self.durability == Durability::Buffered {
+            // Nothing waits for the medium: the frontier is the append.
+            self.synced.store(st.seq, Ordering::SeqCst);
+        }
         for l in lines {
             st.pending.insert(l.addr, l.data);
         }
@@ -729,13 +784,24 @@ impl PoolBackend for FileBackend {
         }
     }
 
-    fn sync(&self) {
-        if self.durability != Durability::Fsync {
-            return;
+    fn appended(&self) -> u64 {
+        self.lock().seq
+    }
+
+    fn synced(&self) -> u64 {
+        self.synced.load(Ordering::SeqCst)
+    }
+
+    fn sync_to(&self, seq: u64) {
+        if self.synced() >= seq {
+            return; // always, under `Buffered`
         }
         let mut guard = self.lock();
         let st = &mut *guard;
-        if st.dirty == 0 {
+        // A round that held the lock while this one waited may have
+        // covered `seq` already: concurrent waiters coalesce here. No
+        // round covers more than was appended.
+        if self.synced() >= seq.min(st.seq) {
             return;
         }
         for (shard, j) in st.journals.iter().enumerate() {
@@ -746,6 +812,7 @@ impl PoolBackend for FileBackend {
         }
         st.dirty = 0;
         st.stats.fsync_rounds += 1;
+        self.synced.store(st.seq, Ordering::SeqCst);
     }
 
     fn should_checkpoint(&self) -> bool {
@@ -833,7 +900,7 @@ mod tests {
         fn append(&mut self, be: &FileBackend, kind: BatchKind, lines: &[LineImage]) {
             be.append_batch(kind, lines, 1.0);
             if kind == FENCE {
-                be.sync();
+                be.sync_to(be.appended());
             }
             for l in lines {
                 self.oracle[l.addr as usize..][..64].copy_from_slice(&l.data);
@@ -969,8 +1036,10 @@ mod tests {
         assert_eq!(be.kind(), BackendKind::Mem);
         assert!(!be.wants_batches() && !be.should_checkpoint());
         be.append_batch(FENCE, &[line(0, 1)], 1.0);
-        be.sync();
+        be.sync_to(be.appended());
+        be.checkpoint_if_due();
         be.checkpoint().unwrap();
+        assert_eq!((be.appended(), be.synced()), (0, 0), "nothing to wait for");
         assert_eq!(be.stats(), BackendStats::default());
         assert_eq!(be.durable_file_bytes().unwrap(), 0);
     }
@@ -1082,21 +1151,22 @@ mod tests {
         let (mut buffered, be) = Scratch::create("fsyncnot", 1, Durability::Buffered);
         buffered.workload(&be, 0);
         assert_eq!(be.stats().fsync_rounds, 0, "buffered mode never fsyncs");
+        assert_eq!(be.synced(), be.appended(), "its frontier is the append");
     }
 
     #[test]
     fn the_frontier_orders_a_deferred_fence_before_its_covering_fence() {
-        // A ticketed batch appends its data fence k without a sync round
-        // and lets the covering fence k+1's round sync both. A power loss
-        // can keep k+1 and lose k — the round synced shard 0 first and
-        // died before shard 1. Recovery must then stop at k-1: k+1 lies
-        // past the frontier and is truncated, so no record survives that
-        // an unsynced earlier one should have preceded.
+        // A ticketed batch appends its data fence k and its covering
+        // fence k+1 without a sync round; the waiter's round syncs both.
+        // A power loss can keep k+1 and lose k — the round synced shard 0
+        // first and died before shard 1. Recovery must then stop at k-1:
+        // k+1 lies past the frontier and is truncated, so no record
+        // survives that an unsynced earlier one should have preceded.
         let (mut pool, be) = Scratch::create("deferred", 2, Durability::Fsync);
         let span = shard_span(CAP, 2);
         pool.append(&be, FENCE, &[line(0, 1), line(span, 2)]);
         pool.append(&be, FENCE, &[line(64, 3)]);
-        let k = be.lock().seq;
+        let k = be.appended();
         let before = be.stats();
         let shard1_len = std::fs::metadata(&pool.members()[2]).unwrap().len();
         be.append_batch(FENCE, &[line(span + 64, 4)], 3.0); // k, deferred
@@ -1106,10 +1176,14 @@ mod tests {
             before.fsync_rounds,
             "appends never sync"
         );
-        be.sync();
+        assert_eq!((be.synced(), be.appended()), (k, k + 2));
+        be.sync_to(k + 2);
         let after = be.stats();
         assert_eq!(after.fsync_rounds - before.fsync_rounds, 1, "one round");
         assert_eq!(after.fsyncs - before.fsyncs, 2, "covering both journals");
+        assert_eq!(be.synced(), k + 2, "the round reports its frontier");
+        be.sync_to(k + 1);
+        assert_eq!(be.stats(), after, "a covered waiter runs no round");
         drop(be);
         // The power loss: shard 1 keeps only what was synced before k.
         let f = open_rw(&pool.members()[2], false).unwrap();
@@ -1121,6 +1195,91 @@ mod tests {
         assert_eq!(replay.batches.last().unwrap().seq, k - 1);
         assert!(replay.torn_bytes > 0, "k+1 truncated as past the frontier");
         assert_eq!(be.lock().seq, k, "appends resume at k");
+    }
+
+    #[test]
+    fn power_loss_after_any_round_replays_exactly_to_its_frontier() {
+        // Appends across both shards interleave with rounds, as batch
+        // commits interleave with their waiters' rounds. Power loss after
+        // round r keeps each journal as that round left it on the medium:
+        // replay must end right below the frontier round r reported,
+        // replaying nothing at or past it. If one journal also kept its
+        // unsynced tail, replay may go further — but only up to the first
+        // later record the other journal lost.
+        let (pool, be) = Scratch::create("cuts", 2, Durability::Fsync);
+        let span = shard_span(CAP, 2);
+        let lens = || -> Vec<u64> {
+            let len = |p: &PathBuf| std::fs::metadata(p).unwrap().len();
+            pool.members()[1..].iter().map(len).collect()
+        };
+        let mut masks = Vec::new(); // per sequence: the shards it names
+        let mut rounds = Vec::new(); // per round: (frontier, journal lengths)
+        for k in 0..30u64 {
+            let (a, b) = (line(64 * k, k as u8 + 1), line(span + 64 * k, k as u8 + 1));
+            let (lines, mask) = match k % 3 {
+                0 => (vec![a], 0b01),
+                1 => (vec![b], 0b10),
+                _ => (vec![a, b], 0b11),
+            };
+            let kind = if k % 7 == 6 {
+                BatchKind::Drained
+            } else {
+                FENCE
+            };
+            be.append_batch(kind, &lines, k as f64);
+            masks.push(mask);
+            if k % 4 == 3 {
+                be.sync_to(be.appended());
+                rounds.push((be.synced(), lens()));
+            }
+        }
+        assert_eq!(be.stats().fsync_rounds, rounds.len() as u64);
+        assert!(be.synced() < be.appended(), "an unsynced tail remains");
+        drop(be);
+        let full = pool.read();
+        let replayed_through = |cut: &[u64]| {
+            let mut members = full.clone();
+            for (m, &len) in members[1..].iter_mut().zip(cut) {
+                m.truncate(len as usize);
+            }
+            pool.write(&members);
+            let (_, replay) = FileBackend::open(&pool.path).unwrap();
+            let seqs: Vec<u64> = replay.batches.iter().map(|b| b.seq).collect();
+            assert!(seqs.iter().copied().eq(0..seqs.len() as u64), "gap-free");
+            seqs.len() as u64
+        };
+        for (r, (frontier, cut)) in rounds.iter().enumerate() {
+            assert_eq!(
+                replayed_through(cut),
+                *frontier,
+                "power loss after round {r}"
+            );
+            // Shard 1 kept everything it was ever written; shard 0 only
+            // what round r synced.
+            let full_len = full[2].len() as u64;
+            let lost = (*frontier..30).find(|&s| masks[s as usize] & 0b01 != 0);
+            assert_eq!(
+                replayed_through(&[cut[0], full_len]),
+                lost.unwrap_or(30),
+                "round {r}, shard 1's tail survived"
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoint_step_zero_advances_the_frontier() {
+        let (mut pool, be) = Scratch::create("ckpt_frontier", 2, Durability::Fsync);
+        pool.workload(&be, 0);
+        be.append_batch(FENCE, &[line(0, 9), line(CAP - 64, 9)], 9.0); // unsynced
+        let before = be.stats();
+        assert_eq!(be.synced() + 1, be.appended());
+        be.checkpoint().unwrap();
+        assert_eq!(be.synced(), be.appended(), "step 0 synced the journals");
+        let after = be.stats();
+        assert_eq!(after.fsync_rounds, before.fsync_rounds, "not a round");
+        assert_eq!(after.compactions, before.compactions + 1);
+        be.sync_to(be.appended());
+        assert_eq!(be.stats().fsync_rounds, before.fsync_rounds, "nothing left");
     }
 
     fn checkpoint_killed_after_every_step(name: &str, shards: u16, durability: Durability) {

@@ -57,10 +57,9 @@ pub struct PmemConfig {
     /// Last-level cache geometry.
     pub llc: CacheConfig,
     /// Durability grade of a file-backed pool (ignored by memory-backed
-    /// pools). [`Durability::Fsync`] makes every fence that ends in a
-    /// sync round — and everything journaled before it — power-loss
-    /// durable; the default [`Durability::Buffered`] is process-kill
-    /// grade.
+    /// pools). Under [`Durability::Fsync`] a sync round makes everything
+    /// journaled before it power-loss durable; the default
+    /// [`Durability::Buffered`] is process-kill grade.
     pub durability: Durability,
     /// Journal shard count for [`Pmem::create_file`]: the pool is the base
     /// file plus this many journal files `path.s0 …` (one per contiguous
@@ -676,15 +675,16 @@ impl Pmem {
     /// issued back-to-back. The difference between those two is recorded
     /// as [`PmStats::overlap_ns`]. On a file-backed pool the fence's
     /// lines are journaled and a sync round follows
-    /// ([`PoolBackend::sync`]).
+    /// ([`PoolBackend::sync_to`]). A fence never checkpoints: see
+    /// [`Pmem::checkpoint_if_due`].
     pub fn sfence(&mut self) {
         self.sfence_with(SyncRound::Now);
     }
 
-    /// [`Pmem::sfence`], choosing when the pool's sync round runs. The
-    /// round is driven by unsynced journal state, not by this fence: a
+    /// [`Pmem::sfence`], choosing whether the pool's sync round runs. The
+    /// round covers everything appended so far, not just this fence: a
     /// [`SyncRound::Now`] fence with nothing in flight still syncs what
-    /// an earlier [`SyncRound::Deferred`] one left behind. The simulated
+    /// earlier [`SyncRound::Deferred`] ones left behind. The simulated
     /// fence is the same either way.
     pub fn sfence_with(&mut self, sync: SyncRound) {
         let n = self.lines.inflight();
@@ -724,20 +724,27 @@ impl Pmem {
             }
         }
         if sync == SyncRound::Now {
-            self.backend.sync();
-        }
-        // Fold a grown journal into the base image. A checkpoint that
-        // fails leaves image + journal a valid pool, so it must not kill
-        // the engine: the backend counts it
-        // (`BackendStats::checkpoint_failures`), this fence's record is
-        // already appended, and the next threshold crossing retries.
-        // `Pmem::checkpoint` is where the error surfaces.
-        if !flushed.is_empty() && self.backend.should_checkpoint() {
-            let _ = self.backend.checkpoint();
+            self.backend.sync_to(self.backend.appended());
         }
         if self.cfg.trace {
             self.trace.push(TraceEvent::Fence);
         }
+    }
+
+    /// Folds a grown journal into the base image if one is due
+    /// ([`PoolBackend::checkpoint_if_due`]; a failure is counted, not
+    /// returned). Not part of any fence: an owner heap calls it right
+    /// after each of its fences, the shared engine after dropping its
+    /// commit lock. A no-op on memory-backed pools.
+    pub fn checkpoint_if_due(&self) {
+        self.backend.checkpoint_if_due();
+    }
+
+    /// The pool's backend, shared: a thread holding no lock on this
+    /// handle can read the synced frontier or run a sync round through
+    /// it.
+    pub fn backend(&self) -> Arc<dyn PoolBackend> {
+        Arc::clone(&self.backend)
     }
 
     // ------------------------------------------------------------------
@@ -1521,17 +1528,22 @@ mod tests {
         (path, be, pm)
     }
 
-    /// Worker-style sweep: one store + clwb per line of `[from, from +
-    /// bytes)`, a fence every 64 lines (and one at the end).
+    /// Owner-style sweep: one store + clwb per line of `[from, from +
+    /// bytes)`, a fence every 64 lines (and one at the end), each
+    /// followed by a checkpoint if one is due.
     fn sweep(pm: &mut Pmem, from: u64, bytes: u64, salt: u64) {
+        let fence = |pm: &mut Pmem| {
+            pm.sfence();
+            pm.checkpoint_if_due();
+        };
         for (i, addr) in (from..from + bytes).step_by(64).enumerate() {
             pm.write_u64(addr, addr ^ salt);
             pm.clwb(addr);
             if i % 64 == 63 {
-                pm.sfence();
+                fence(pm);
             }
         }
-        pm.sfence();
+        fence(pm);
     }
 
     /// Whether a reopened pool's bytes equal `live`'s durable image.
@@ -1696,6 +1708,26 @@ mod tests {
         let pm2 = Pmem::open_file(&path, PmemConfig::testing()).unwrap();
         assert!(matches_durable_image(&pm2, &pm), "reopen == durable image");
         assert!(pm2.replay_stats().unwrap().lines <= 2 * threshold / 64);
+        remove_pool(&path, 1);
+    }
+
+    #[test]
+    fn a_fence_never_checkpoints_checkpoint_if_due_does() {
+        let path = pool_path("ckpt_due");
+        let mut pm = Pmem::create_file(&path, PmemConfig::testing()).unwrap();
+        for (i, addr) in (0..2u64 << 20).step_by(64).enumerate() {
+            pm.write_u64(addr, addr);
+            pm.clwb(addr);
+            if i % 64 == 63 {
+                pm.sfence();
+            }
+        }
+        assert!(pm.backend_stats().journal_bytes > 1 << 20);
+        assert_eq!(pm.backend_stats().compactions, 0, "fences never fold");
+        pm.checkpoint_if_due();
+        assert_eq!(pm.backend_stats().compactions, 1);
+        pm.checkpoint_if_due();
+        assert_eq!(pm.backend_stats().compactions, 1, "no longer due");
         remove_pool(&path, 1);
     }
 
@@ -1974,7 +2006,7 @@ mod tests {
             assert_eq!(pm.inflight_flushes(), 0);
             pm.sfence();
             let after_second = be.stats();
-            be.sync();
+            be.sync_to(be.appended());
             assert_eq!(be.stats(), after_second, "nothing left to sync");
             let sim = (pm.stats().clone(), pm.take_trace(), pm.clock().now_ns());
             drop(pm);

@@ -68,9 +68,9 @@ fn main() {
             let window: usize = flag(&flags, "window", 16).max(1);
             let timeout_ms: u64 = flag(&flags, "timeout-ms", 2);
             // Power-loss-grade by default: an acked op must survive a
-            // power cut, not just a SIGKILL. Each acked batch pays one
-            // sync round, after its covering fence, shared by every op
-            // in the batch.
+            // power cut, not just a SIGKILL. A connection's reply wait
+            // runs the sync round, off the commit lock, and it covers
+            // every batch any connection committed before it.
             let durability = match flag(&flags, "durability", "fsync".to_string()).as_str() {
                 "fsync" => Durability::Fsync,
                 "buffered" => Durability::Buffered,

@@ -6,7 +6,10 @@
 //! flushed **only after** [`mod_core::SharedModHeap::wait_durable`] on
 //! the *last* ticket returns. Batches drain the handoff queue in FIFO
 //! order, so the last FASE durable implies every earlier FASE of the
-//! window is durable too — one wait covers the window.
+//! window is durable too — one wait covers the window. Under `Fsync`
+//! that wait runs the sync round (or finds a concurrent one covered it),
+//! so a connection's round covers every other connection's batches
+//! committed before it too.
 //!
 //! Backpressure is explicit: a FASE that loses its staging-lane retry
 //! budget is not buffered or blocked on — the client gets a `-BUSY`
@@ -61,6 +64,9 @@ pub(crate) fn serve_conn(ctx: &ConnCtx, mut stream: TcpStream) {
             out.clear();
             let mut batch = 0usize;
             let mut last_ticket: Option<CommitTicket> = None;
+            // The journal sequence the window's snapshot reads need on
+            // the medium before their replies may reveal what they saw.
+            let mut read_frontier = 0u64;
             while batch < ctx.window {
                 let tokens = match dec.next_frame() {
                     Ok(Some(t)) => t,
@@ -85,12 +91,19 @@ pub(crate) fn serve_conn(ctx: &ConnCtx, mut stream: TcpStream) {
                     // FASE). Writes of *earlier* windows are covered:
                     // their snapshot published before their reply was
                     // flushed, so a client that saw an ack sees its write
-                    // in every later snapshot.
+                    // in every later snapshot. A snapshot publishes at
+                    // commit, before its batch is on the medium, so the
+                    // window waits for the view's frontier before any of
+                    // its replies go out.
                     Ok(Command::Get { ref key }) if last_ticket.is_none() => {
-                        ctx.roots.get_from_snapshot(&ctx.heap.snapshot(), key)
+                        let view = ctx.heap.snapshot();
+                        read_frontier = read_frontier.max(view.frontier());
+                        ctx.roots.get_from_snapshot(&view, key)
                     }
                     Ok(Command::RPeek) if last_ticket.is_none() => {
-                        ctx.roots.rpeek_from_snapshot(&ctx.heap.snapshot())
+                        let view = ctx.heap.snapshot();
+                        read_frontier = read_frontier.max(view.frontier());
+                        ctx.roots.rpeek_from_snapshot(&view)
                     }
                     Ok(cmd) => {
                         match ctx
@@ -123,12 +136,15 @@ pub(crate) fn serve_conn(ctx: &ConnCtx, mut stream: TcpStream) {
             if batch == 0 {
                 break;
             }
-            // Reply-after-fence: nothing reaches the socket until the
-            // window's last FASE — and, by drain order, all before it —
-            // has been published by a batch fence. A poisoned engine
-            // fails the wait: the window's replies are unackable, so
-            // they are dropped and the connection closes with a typed
-            // error instead of a worker-thread panic cascade.
+            // Reply-after-fence: nothing reaches the socket until every
+            // batch a reply reveals is on the medium — the snapshots the
+            // window read (a single comparison under `Buffered`), then
+            // the window's last FASE and, by drain order, all before it.
+            // A poisoned engine fails the ticket wait: the window's
+            // replies are unackable, so they are dropped and the
+            // connection closes with a typed error instead of a
+            // worker-thread panic cascade.
+            ctx.heap.wait_synced(read_frontier);
             if let Some(t) = &last_ticket {
                 if let Err(e) = ctx.heap.try_wait_durable(t) {
                     let _ = stream.write_all(&Reply::Err(format!("ERR {e}")).encode());

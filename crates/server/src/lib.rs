@@ -6,7 +6,8 @@
 //!
 //! * **Reply-after-fence.** A worker FASE's reply is queued until the
 //!   batch carrying that FASE publishes — one `sfence`, one root
-//!   directory swing — and only then flushed to the socket
+//!   directory swing — and, on an fsync pool, a sync round has put its
+//!   journal record on the medium; only then is it flushed to the socket
 //!   ([`mod_core::CommitTicket`] + [`mod_core::SharedModHeap::wait_durable`]).
 //!   A client that reads `+OK` knows the operation survives a crash:
 //!   MOD's single commit point makes the durability boundary exactly

@@ -48,8 +48,8 @@ pub fn open_or_create(
 
 /// [`open_or_create`] with an explicit durability grade and journal
 /// shard count. `Durability::Fsync` makes an acked `SESSION` op durable
-/// across power loss, not just SIGKILL — each acked batch pays one sync
-/// round, after its covering fence, shared by every op it carries — and
+/// across power loss, not just SIGKILL — the reply wait runs a sync
+/// round, shared by every batch committed before it started — and
 /// `journal_shards > 1` splits the journal across that many files,
 /// replayed by parallel threads at recovery.
 ///
