@@ -23,20 +23,29 @@
 //!                                                                     one ptr store
 //! ```
 //!
-//! ## Commit modes
+//! ## Commit policy
 //!
-//! * [`CommitMode::Pipelined`] (default) — never blocks: the batch
-//!   publishes once every active worker has staged, and a worker that
-//!   laps the pipeline force-drains it first. Deterministic under a
-//!   [`crate::sched::SeededRoundRobin`] turnstile, which is what the
-//!   crash-injection tests drive.
-//! * [`CommitMode::Group`] — free-running OS threads *wait* for the
-//!   batch instead of force-draining it: a worker that laps the pipeline
-//!   blocks on a condvar until the open batch commits (because it filled
-//!   to `max_batch`, because every active worker staged, or because
-//!   `timeout` expired — which bounds worst-case FASE latency). This is
-//!   the mode that keeps fences/FASE at `1/max_batch` under real
-//!   concurrency instead of degrading to ~1.
+//! One rule set, configured by [`CommitMode::Group`]'s `max_batch` and
+//! `timeout`:
+//!
+//! 1. After staging, the batch publishes once `max_batch` FASEs are
+//!    queued or every active worker has staged.
+//! 2. A worker that laps the open batch (it already has a FASE in it)
+//!    waits up to `timeout` for the batch to publish, then publishes it
+//!    itself.
+//! 3. [`SharedModHeap::wait_durable`] waits up to `timeout` for its
+//!    ticket's batch to publish, then publishes it itself.
+//!
+//! `timeout` bounds how long a lapping worker or a ticket waiter waits —
+//! not how old a batch may grow: no rule reads a batch's age. The default
+//! ([`SharedModHeap::create`], [`SharedModHeap::from_heap`]) is
+//! `max_batch = workers` with a **zero** wait: a lap force-drains the
+//! batch at once and nothing ever blocks, so no outcome depends on a
+//! clock and runs under a [`crate::sched::SeededRoundRobin`] turnstile
+//! are deterministic — which is what the crash-injection tests drive.
+//! Free-running OS threads want a nonzero wait instead: force-draining
+//! would shrink their batches toward one FASE (~1 fence/FASE), while
+//! waiting keeps fences/FASE near `1/max_batch`.
 //!
 //! ## Semantics
 //!
@@ -69,12 +78,11 @@
 //! The lock hierarchy is `global` (commit) → per-shard → `group` (batch
 //! metadata) → `subscribers` → the pool backend's state lock: a lock may
 //! only be acquired while holding locks strictly *earlier* in that list.
-//! Every blocking wait respects it — [`SharedModHeap::wait_durable`]'s
-//! bounded-wait fallback and the group-commit lap wait both **drop the
-//! group lock before** calling into `commit_now()` (which takes
-//! `global`), so a reader thread forcing a batch out can never invert
-//! the commit stage's `global → group` order, and the group condvar's
-//! waiters park holding only `group`. The commit stage takes the backend
+//! Every blocking wait respects it — the one bounded wait behind rules 2
+//! and 3 **drops the group lock before** calling into `commit_now()`
+//! (which takes `global`), so a reader thread forcing a batch out can
+//! never invert the commit stage's `global → group` order, and the group
+//! condvar's waiters park holding only `group`. The commit stage takes the backend
 //! lock only to append its fences' records. Host durability work — a
 //! sync round, a checkpoint — takes **only the backend lock**, and runs
 //! after the thread has dropped every engine lock, so an fdatasync never
@@ -113,19 +121,20 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// When the pipelined commit stage publishes a batch (see module docs).
+/// The two parameters of the commit policy (see the module docs' three
+/// rules). It is an enum with a single variant only so that callers
+/// that name `CommitMode::Group` keep compiling; the default heap is
+/// `Group { max_batch: workers, timeout: Duration::ZERO }`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CommitMode {
-    /// Publish when every active worker has staged; a worker lapping the
-    /// pipeline force-drains it. Never blocks (turnstile-friendly).
-    Pipelined,
-    /// Blocking group commit: a lapping worker waits for the open batch,
-    /// which publishes at `max_batch` FASEs, when every active worker
-    /// staged, or after `timeout` — whichever comes first.
+    /// Publish at `max_batch` queued FASEs or once every active worker
+    /// has staged; a lapping worker or a ticket waiter waits up to
+    /// `timeout` for the open batch, then publishes it itself.
     Group {
-        /// Batch size that triggers an immediate publish.
+        /// Queued FASEs that publish the batch at once.
         max_batch: usize,
-        /// Upper bound on how long a staged FASE waits for its fence.
+        /// How long a lapping worker or a ticket waiter waits for the
+        /// open batch before publishing it itself (zero: at once).
         timeout: Duration,
     },
 }
@@ -522,8 +531,6 @@ impl std::fmt::Debug for MidCommitHook {
 
 #[derive(Debug)]
 struct GroupMeta {
-    /// When the oldest FASE of the open batch was staged.
-    opened_at: Option<Instant>,
     /// Batches drained so far — mutex-protected so condvar waiters can
     /// use it as a wake predicate with no missed-notify window.
     batch_epoch: u64,
@@ -535,7 +542,10 @@ struct Inner {
     shards: Vec<Mutex<WorkerCtx>>,
     lanes: RootLanes,
     queue: HandoffQueue<StagedFase>,
-    mode: CommitMode,
+    /// Queued FASEs that publish the batch at once (rule 1).
+    max_batch: usize,
+    /// The bounded wait of rules 2 and 3.
+    timeout: Duration,
     active: Vec<AtomicBool>,
     staged: Vec<AtomicBool>,
     /// FASEs pushed but not yet drained by a commit.
@@ -710,25 +720,11 @@ impl Inner {
         }
         self.queued.fetch_sub(fases, Ordering::SeqCst);
         {
-            // A new FASE may have raced in between the drain and here:
-            // the open-time must survive (the Group timeout bound relies
-            // on it), so clear it only when the queue really emptied and
-            // (re)stamp it when it did not.
+            // Publish the epoch and notify while *holding* the mutex:
+            // every waiter either sees the new epoch before sleeping or
+            // is already parked in the condvar and receives the
+            // notification — no missed-notify window.
             let mut g = relock(&self.group);
-            if self.queued.load(Ordering::SeqCst) == 0 {
-                g.opened_at = None;
-            } else if g.opened_at.is_none() {
-                g.opened_at = Some(Instant::now());
-            }
-            // Publish the epoch and notify while *holding* the mutex.
-            // The old code notified after dropping it, which left the
-            // wakeup's delivery ordering resting on the accident that
-            // this block takes the same lock the waiters hold between
-            // their predicate check and `wait_timeout` — correct today,
-            // but one refactor away from a classic missed-notify. With
-            // the epoch bump + notify inside the lock, every waiter
-            // either sees the new epoch before sleeping or is already
-            // parked in `wait_timeout` and receives the notification.
             g.batch_epoch += 1;
             self.group_cv.notify_all();
         }
@@ -759,26 +755,7 @@ impl Inner {
     /// epoch gate then keeps alive for it).
     fn publish_snapshot(&self, st: &mut GlobalState, frontier: u64) {
         let epoch = self.registry.current() + 1;
-        // Hybrid roots publish their *logical* volatile head (from the
-        // annex, set by `commit_fase` just before this) instead of the
-        // durable spine record: snapshot readers traverse the live
-        // index, never the op log. The superseded volatile versions sit
-        // in limbo under the same epoch guard as persistent chains.
-        let annex = st.heap.nv().annex().clone();
-        let roots = crate::root::all_entries(st.heap.nv())
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| match (e.kind, annex.get(i)) {
-                (crate::erased::RootKind::Spine, w) if w != 0 => {
-                    let (kind, addr) = crate::spine::unpack_annex(w);
-                    ErasedDs {
-                        kind,
-                        root: mod_pmem::PmPtr::from_addr(addr),
-                    }
-                }
-                _ => e,
-            })
-            .collect();
+        let roots = snapshot_roots(st.heap.nv());
         let old = self.snap.swap(Box::new(DirSnapshot {
             epoch,
             roots,
@@ -817,6 +794,30 @@ impl Inner {
         let min = self.registry.min_pinned();
         st.old_snaps.retain(|s| s.epoch >= min);
     }
+}
+
+/// The root directory as snapshot readers see it. Hybrid roots show
+/// their *logical* volatile head (from the annex, set by `commit_fase`
+/// and by recovery's index rebuild) instead of the durable spine record:
+/// snapshot readers traverse the live index, never the op log. The
+/// superseded volatile versions sit in limbo under the same epoch guard
+/// as persistent chains.
+fn snapshot_roots(nv: &NvHeap) -> Vec<ErasedDs> {
+    let annex = nv.annex();
+    crate::root::all_entries(nv)
+        .into_iter()
+        .enumerate()
+        .map(|(i, e)| match (e.kind, annex.get(i)) {
+            (crate::erased::RootKind::Spine, w) if w != 0 => {
+                let (kind, addr) = crate::spine::unpack_annex(w);
+                ErasedDs {
+                    kind,
+                    root: mod_pmem::PmPtr::from_addr(addr),
+                }
+            }
+            _ => e,
+        })
+        .collect()
 }
 
 /// Merges one FASE's staged updates into the batch: chains on the
@@ -888,7 +889,10 @@ const _: () = {
 
 impl SharedModHeap {
     /// Formats a fresh pool into a shared heap with one shard (arena +
-    /// PM handle) per worker, in [`CommitMode::Pipelined`].
+    /// PM handle) per worker, under the default commit policy:
+    /// `max_batch = workers` and a zero wait, so a lapping worker or a
+    /// ticket waiter publishes the open batch at once (see the module
+    /// docs).
     ///
     /// # Panics
     ///
@@ -903,21 +907,26 @@ impl SharedModHeap {
     }
 
     /// Wraps an existing single-owner heap (e.g. one that just finished
-    /// recovery), sharding it for `workers` worker threads.
+    /// recovery), sharding it for `workers` worker threads under the
+    /// default commit policy (`max_batch = workers`, zero wait; see
+    /// [`SharedModHeap::create`]).
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0`, the heap is already split, or the
     /// remaining pool space is too small to shard.
     pub fn from_heap(heap: ModHeap, workers: usize) -> SharedModHeap {
-        SharedModHeap::from_heap_with(heap, workers, CommitMode::Pipelined)
+        let mode = CommitMode::Group {
+            max_batch: workers,
+            timeout: Duration::ZERO,
+        };
+        SharedModHeap::from_heap_with(heap, workers, mode)
     }
 
     /// [`SharedModHeap::from_heap`] with an explicit [`CommitMode`].
     pub fn from_heap_with(mut heap: ModHeap, workers: usize, mode: CommitMode) -> SharedModHeap {
-        if let CommitMode::Group { max_batch, .. } = mode {
-            assert!(max_batch > 0, "group commit needs max_batch >= 1");
-        }
+        let CommitMode::Group { max_batch, timeout } = mode;
+        assert!(max_batch > 0, "group commit needs max_batch >= 1");
         let worker_heaps = heap.nv_mut().split_workers(workers);
         let read_nv = heap.nv().read_view();
         // Epoch 0: the pre-first-commit image (whatever roots the heap
@@ -925,7 +934,7 @@ impl SharedModHeap {
         let backend = heap.nv().pm().backend();
         let snap = SnapPtr::new(Box::new(DirSnapshot {
             epoch: 0,
-            roots: crate::root::all_entries(heap.nv()),
+            roots: snapshot_roots(heap.nv()),
             frontier: backend.appended(),
         }));
         SharedModHeap {
@@ -941,16 +950,14 @@ impl SharedModHeap {
                     .collect(),
                 lanes: RootLanes::new(),
                 queue: HandoffQueue::new(),
-                mode,
+                max_batch,
+                timeout,
                 active: (0..workers).map(|_| AtomicBool::new(true)).collect(),
                 staged: (0..workers).map(|_| AtomicBool::new(false)).collect(),
                 queued: AtomicUsize::new(0),
                 stats: AtomicPipelineStats::default(),
                 last_fence_ns: AtomicU64::new(0f64.to_bits()),
-                group: Mutex::new(GroupMeta {
-                    opened_at: None,
-                    batch_epoch: 0,
-                }),
+                group: Mutex::new(GroupMeta { batch_epoch: 0 }),
                 group_cv: Condvar::new(),
                 batch_seq: AtomicU64::new(0),
                 subscribers: Subscribers::default(),
@@ -973,10 +980,11 @@ impl SharedModHeap {
     /// global lock**: shadows build in the worker's own arena/timeline,
     /// same-root FASEs serialize on per-root staging lanes, and the
     /// finished FASE enters the lock-free commit queue. The batch
-    /// publishes — one `sfence`, one pointer store — per the configured
-    /// [`CommitMode`]. If `worker` already has a FASE in the open batch,
-    /// [`CommitMode::Pipelined`] force-drains the batch first while
-    /// [`CommitMode::Group`] waits for it (bounded by its `timeout`).
+    /// publishes — one `sfence`, one pointer store — at `max_batch`
+    /// queued FASEs or once every active worker has staged. If `worker`
+    /// already has a FASE in the open batch, this first waits up to the
+    /// configured `timeout` for that batch, then publishes it itself (at
+    /// once under the default zero wait).
     ///
     /// The closure may run more than once: if two FASEs race to lane
     /// ownership of overlapping root sets in conflicting order, one
@@ -1085,11 +1093,8 @@ impl SharedModHeap {
             "worker {worker} deregistered"
         );
         if inner.staged[worker].load(Ordering::SeqCst) {
-            // This worker outpaced the batch.
-            match inner.mode {
-                CommitMode::Pipelined => self.commit_now()?,
-                CommitMode::Group { timeout, .. } => self.wait_for_batch(worker, timeout)?,
-            }
+            // Rule 2: this worker lapped the open batch.
+            self.wait_or_publish(|| !inner.staged[worker].load(Ordering::SeqCst))?;
         }
         // The shard mutex is safe to relock after a poison: a panicking
         // FASE runs `abort_fase` before its unwind releases the guard.
@@ -1124,14 +1129,6 @@ impl SharedModHeap {
                 };
                 inner.staged[worker].store(true, Ordering::SeqCst);
                 inner.queued.fetch_add(1, Ordering::SeqCst);
-                {
-                    // Stamp the batch's open time if it has none (the
-                    // committer clears it only when the queue empties).
-                    let mut g = relock(&inner.group);
-                    if g.opened_at.is_none() {
-                        g.opened_at = Some(Instant::now());
-                    }
-                }
                 inner.queue.push(staged);
                 drop(tx); // releases the staging lanes, after the push
                 out
@@ -1155,51 +1152,42 @@ impl SharedModHeap {
         };
         drop(ctx);
         inner.stats.fases.fetch_add(1, Ordering::SeqCst);
-        // Commit policy.
-        match inner.mode {
-            CommitMode::Pipelined => {
-                if inner.all_active_staged() {
-                    self.commit_now()?;
-                }
-            }
-            CommitMode::Group { max_batch, timeout } => {
-                let full = inner.queued.load(Ordering::SeqCst) >= max_batch;
-                let timed_out = relock(&inner.group)
-                    .opened_at
-                    .is_some_and(|t| t.elapsed() >= timeout);
-                if full || timed_out || inner.all_active_staged() {
-                    self.commit_now()?;
-                }
-            }
+        // Rule 1.
+        if inner.queued.load(Ordering::SeqCst) >= inner.max_batch || inner.all_active_staged() {
+            self.commit_now()?;
         }
         Ok(out)
     }
 
-    /// Group-commit wait: block until this worker's staged FASE commits,
-    /// or force the batch out after `timeout`. Waits holding only the
-    /// group lock, and **drops it** before forcing the batch (which
-    /// takes the global commit lock) — see the module docs' lock order.
-    fn wait_for_batch(&self, worker: usize, timeout: Duration) -> Result<(), HeapPoisoned> {
+    /// The bounded wait behind rules 2 and 3: blocks until `done` holds
+    /// (a lapping worker's FASE left the queue; a ticket's batch
+    /// committed), for at most the configured `timeout`, then publishes
+    /// the open batch itself. Only a published batch can make `done`
+    /// true, so only an epoch advance ends a sleep — a spurious wake
+    /// keeps waiting out the bound. With a zero wait the deadline has
+    /// passed at the first check, so the batch publishes at once.
+    ///
+    /// Waits holding only the group lock, and **drops it** before
+    /// publishing: `commit_now` takes global → group, so committing
+    /// while holding it would invert the lock order (module docs).
+    fn wait_or_publish(&self, done: impl Fn() -> bool) -> Result<(), HeapPoisoned> {
         let inner = &*self.inner;
-        let deadline = Instant::now() + timeout;
-        loop {
-            if !inner.staged[worker].load(Ordering::SeqCst) {
-                return Ok(());
-            }
+        let deadline = Instant::now() + inner.timeout;
+        let mut g = relock(&inner.group);
+        while !done() {
             let now = Instant::now();
             if now >= deadline {
+                drop(g);
                 return self.commit_now();
             }
-            let g = relock(&inner.group);
-            if !inner.staged[worker].load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let (g, _) = inner
+            let epoch = g.batch_epoch;
+            g = inner
                 .group_cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            drop(g);
+                .wait_timeout_while(g, deadline - now, |m| m.batch_epoch == epoch)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
+        Ok(())
     }
 
     /// Commits any staged batch now (one ordering point), then runs the
@@ -1260,7 +1248,6 @@ impl SharedModHeap {
             // like a crash before the fence.
             let _ = self.commit_now();
         }
-        self.inner.group_cv.notify_all();
     }
 
     /// Re-adds `worker` to the batch-completion quorum (the inverse of
@@ -1292,11 +1279,11 @@ impl SharedModHeap {
     /// FASE has published, its fences have executed, and its records are
     /// on the medium. Returns the fence watermark (simulated ns).
     ///
-    /// The wait is bounded: if the batch has not published after the
-    /// group timeout (or ~1 ms in [`CommitMode::Pipelined`]), this
-    /// thread forces it out itself — so a lone connection on an
-    /// otherwise idle server never deadlocks waiting for peers that will
-    /// never stage. Once published, the batch reaches the medium through
+    /// The wait is bounded: if the batch has not published within the
+    /// configured `timeout` (at once under the default zero wait), this
+    /// thread publishes it itself — so a lone connection on an otherwise
+    /// idle server never deadlocks waiting for peers that will never
+    /// stage. Once published, the batch reaches the medium through
     /// [`SharedModHeap::wait_synced`]: under `Fsync` this thread runs the
     /// sync round, outside every engine lock, unless a concurrent
     /// waiter's round already covered the batch — so one round serves
@@ -1323,50 +1310,13 @@ impl SharedModHeap {
     /// Returns [`HeapPoisoned`] if the ticket is still unresolved and
     /// draining the batch found the commit lock poisoned.
     pub fn try_wait_durable(&self, ticket: &CommitTicket) -> Result<f64, HeapPoisoned> {
-        let inner = &*self.inner;
-        let bound = match inner.mode {
-            CommitMode::Group { timeout, .. } => timeout,
-            CommitMode::Pipelined => Duration::from_millis(1),
-        };
         loop {
             if let Some((frontier, ns)) = ticket.committed() {
                 self.wait_synced(frontier);
                 return Ok(ns);
             }
-            let deadline = Instant::now() + bound;
-            loop {
-                let g = relock(&inner.group);
-                if ticket.committed().is_some() {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    // Nobody committed within the latency bound: drain
-                    // the batch ourselves; the outer loop then picks the
-                    // committed ticket up. The group lock is dropped
-                    // FIRST: `commit_now` takes global → group, so
-                    // committing while holding `g` would invert the lock
-                    // order (module docs).
-                    drop(g);
-                    self.commit_now()?;
-                    break;
-                }
-                let epoch = g.batch_epoch;
-                let (g, _) = inner
-                    .group_cv
-                    .wait_timeout(g, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                // Predicate re-check: only an epoch bump (a published
-                // batch) can have resolved the ticket, so only that
-                // wake is worth breaking out to re-poll it. A spurious
-                // wake with no bump keeps waiting out the bound instead
-                // of burning poll cycles as if something had happened.
-                let advanced = g.batch_epoch != epoch;
-                drop(g);
-                if advanced {
-                    break;
-                }
-            }
+            // Rule 3; the loop then picks the committed ticket up.
+            self.wait_or_publish(|| ticket.committed().is_some())?;
         }
     }
 
@@ -1474,8 +1424,9 @@ impl SharedModHeap {
         // `new`) and stays alive while any reader is pinned at an epoch
         // ≤ its own: the swing-before-advance publication order means
         // this load observes an image of epoch ≥ `pinned`, and the
-        // epoch gate in `reclaim_locked` keeps such images (and every
-        // chain they reach) alive until our slot unpins.
+        // epoch gate keeps such images alive until our slot unpins —
+        // `prune_old_snaps` for superseded images, `reinject_unpinned`
+        // for every chain they reach.
         let snap = unsafe { &*inner.snap.load() };
         debug_assert!(
             snap.epoch >= pinned,
@@ -1674,8 +1625,9 @@ mod tests {
     fn fast_worker_stalls_pipeline_instead_of_overwriting() {
         let sh = shared(2);
         let q: DurableQueue<u64> = sh.setup(DurableQueue::create);
-        // Worker 0 stages twice in a row; the second fase forces the
-        // half-full batch out first (Pipelined mode never blocks).
+        // Worker 0 stages twice in a row; the second fase laps the
+        // half-full batch and, under the default zero wait, publishes it
+        // at once instead of blocking.
         sh.fase(0, |tx| q.enqueue_in(tx, &1));
         sh.fase(0, |tx| q.enqueue_in(tx, &2));
         sh.fase(1, |tx| q.enqueue_in(tx, &3));
@@ -1887,17 +1839,32 @@ mod tests {
 
     #[test]
     fn disjoint_roots_stage_in_parallel_threads() {
-        // One map per worker: no staging lane is ever shared, so real
-        // threads stage with zero coordination and every update lands.
-        let sh = shared(4);
+        // One map per worker: no staging lane is ever shared, so 8
+        // free-running threads stage with zero coordination and every
+        // update lands. With a nonzero wait a lapping worker waits for
+        // the open batch instead of force-draining it, so batches run
+        // nearly full and fences/FASE stay near 1/max_batch rather than
+        // degrading toward 1.
+        const WORKERS: usize = 8;
+        const PER_WORKER: u64 = 150;
+        let sh = SharedModHeap::create_with(
+            Pmem::new(PmemConfig::testing()),
+            WORKERS,
+            CommitMode::Group {
+                max_batch: WORKERS,
+                timeout: Duration::from_millis(5),
+            },
+        );
         let maps: Vec<DurableMap<u64, u64>> =
-            (0..4).map(|_| sh.setup(DurableMap::create)).collect();
+            (0..WORKERS).map(|_| sh.setup(DurableMap::create)).collect();
+        let fences = || sh.with(|h| h.nv().pm().stats().fences);
+        let fences0 = fences();
         let mut handles = Vec::new();
         for (w, map) in maps.iter().enumerate() {
             let sh = sh.clone();
             let map = *map;
             handles.push(std::thread::spawn(move || {
-                for i in 0..50u64 {
+                for i in 0..PER_WORKER {
                     sh.fase(w, |tx| map.insert_in(tx, &i, &(w as u64)));
                 }
                 sh.deregister(w);
@@ -1909,10 +1876,22 @@ mod tests {
         sh.flush();
         sh.with(|h| {
             for (w, map) in maps.iter().enumerate() {
-                assert_eq!(map.len(h), 50, "worker {w}'s map complete");
+                assert_eq!(map.len(h), PER_WORKER, "worker {w}'s map complete");
                 assert_eq!(map.get(h, &7), Some(w as u64));
             }
         });
+        let stats = sh.stats();
+        assert_eq!(stats.fases, WORKERS as u64 * PER_WORKER);
+        let per_fase = (fences() - fences0) as f64 / stats.fases as f64;
+        let mean_batch = stats.batched_fases as f64 / stats.batches as f64;
+        assert!(
+            per_fase <= 0.2,
+            "group commit must amortize fences, got {per_fase:.3}/FASE (mean batch {mean_batch:.2})"
+        );
+        assert!(
+            mean_batch >= 5.0,
+            "batches should run nearly full, got {mean_batch:.2}"
+        );
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! gate's `pipeline1.*`/`pipeline8.*` keys pin its two ends).
 
 use crate::spec::WorkloadRng;
-use mod_core::{CommitMode, DurableMap, DurableQueue, SeededRoundRobin, SharedModHeap, Turn};
+use mod_core::{DurableMap, DurableQueue, SeededRoundRobin, SharedModHeap, Turn};
 use mod_pmem::{PmStats, Pmem, PmemConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Parameters of one pipelined concurrency run.
 #[derive(Clone, Debug)]
@@ -222,168 +221,6 @@ pub fn run_pipelined(cfg: &ConcurrencyConfig) -> ConcurrencyReport {
     }
 }
 
-/// Measurements of one free-running host-throughput run (wall-clock
-/// time on the machine actually running the simulation — the number
-/// that shows the lock-free staging path scales on real cores, which
-/// simulated time cannot).
-#[derive(Clone, Debug)]
-pub struct HostReport {
-    /// Worker threads.
-    pub threads: usize,
-    /// FASEs staged.
-    pub fases: u64,
-    /// Batches committed.
-    pub batches: u64,
-    /// Host wall-clock nanoseconds for the op phase.
-    pub host_ns: u64,
-    /// Fences paid (from the commit stage's PM counters).
-    pub fences: u64,
-}
-
-impl HostReport {
-    /// Host nanoseconds per FASE.
-    pub fn host_ns_per_op(&self) -> f64 {
-        if self.fases == 0 {
-            0.0
-        } else {
-            self.host_ns as f64 / self.fases as f64
-        }
-    }
-
-    /// FASE throughput in FASEs per host millisecond.
-    pub fn fases_per_host_ms(&self) -> f64 {
-        self.fases as f64 / (self.host_ns as f64 / 1e6)
-    }
-
-    /// Mean FASEs per committed batch (group-commit occupancy).
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.fases as f64 / self.batches as f64
-        }
-    }
-
-    /// Mean fences per FASE.
-    pub fn fences_per_fase(&self) -> f64 {
-        if self.fases == 0 {
-            0.0
-        } else {
-            self.fences as f64 / self.fases as f64
-        }
-    }
-}
-
-/// Runs the *host-throughput* workload: `threads` free-running OS
-/// threads (no turnstile), each owning its own `DurableQueue` +
-/// `DurableMap` pair (a sharded keyspace, as a sharded KV service would
-/// run), over a [`SharedModHeap`] in blocking group-commit mode
-/// (`CommitMode::Group { max_batch: threads, timeout: 5 ms }`).
-///
-/// Because every FASE touches only its worker's own roots, staging takes
-/// no shared lock at all: the run measures the real host-side
-/// parallelism of the lock-free staging path, serialized only by the
-/// per-batch publish. Wall-clock numbers are machine-dependent;
-/// correctness (queue/ledger consistency) is still asserted
-/// deterministically.
-pub fn run_host(cfg: &ConcurrencyConfig) -> HostReport {
-    let pm = Pmem::new(PmemConfig::benchmarking(cfg.capacity));
-    let shared = SharedModHeap::create_with(
-        pm,
-        cfg.threads,
-        CommitMode::Group {
-            max_batch: cfg.threads,
-            timeout: Duration::from_millis(5),
-        },
-    );
-    let pairs: Vec<(DurableQueue<u64>, DurableMap<u64, u64>)> = (0..cfg.threads)
-        .map(|_| {
-            (
-                shared.setup(DurableQueue::create),
-                shared.setup(DurableMap::create),
-            )
-        })
-        .collect();
-    let preload_per = cfg.preload / cfg.threads.max(1) as u64;
-    shared.setup(|h| {
-        for (_, map) in &pairs {
-            for chunk in (0..preload_per).collect::<Vec<_>>().chunks(64) {
-                h.fase(|tx| {
-                    for &i in chunk {
-                        let k = 0x8000_0000_0000_0000 | i;
-                        map.insert_in(tx, &k, &i);
-                    }
-                });
-            }
-        }
-        h.nv_mut().pm_mut().reset_metrics();
-    });
-
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for (w, (queue, map)) in pairs.into_iter().enumerate() {
-        let shared = shared.clone();
-        let ops = cfg.ops_per_thread;
-        let app_ns = cfg.app_ns_per_op;
-        let mut rng =
-            WorkloadRng::new(cfg.seed ^ (w as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407));
-        handles.push(std::thread::spawn(move || {
-            for i in 0..ops {
-                let produce = rng.percent(60);
-                let pre_ns = app_ns / 2.0;
-                let post_ns = app_ns - pre_ns;
-                if produce {
-                    let token = (w as u64) << 32 | i;
-                    shared.fase(w, |tx| {
-                        tx.nv_mut().pm_mut().charge_ns(pre_ns);
-                        queue.enqueue_in(tx, &token);
-                        map.insert_in(tx, &token, &(token ^ 0xFFFF));
-                        tx.nv_mut().pm_mut().charge_ns(post_ns);
-                    });
-                } else {
-                    shared.fase(w, |tx| {
-                        tx.nv_mut().pm_mut().charge_ns(pre_ns);
-                        if let Some(t) = queue.dequeue_in(tx) {
-                            map.remove_in(tx, &t);
-                        }
-                        tx.nv_mut().pm_mut().charge_ns(post_ns);
-                    });
-                }
-            }
-            shared.deregister(w);
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    shared.flush();
-    let host_ns = t0.elapsed().as_nanos() as u64;
-
-    let stats = shared.stats();
-    let fences = shared.with(|h| h.nv().pm().stats().fences);
-    HostReport {
-        threads: cfg.threads,
-        fases: stats.fases,
-        batches: stats.batches,
-        host_ns,
-        fences,
-    }
-}
-
-/// Thread counts for the scaling curve, overridable by the
-/// `MOD_TEST_THREADS` environment variable (a single count, e.g.
-/// `MOD_TEST_THREADS=8`; unset runs the full `1,2,4,8` sweep). CI runs
-/// the test suite once per count.
-pub fn test_thread_counts() -> Vec<usize> {
-    match std::env::var("MOD_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => vec![n],
-        _ => vec![1, 2, 4, 8],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,7 +247,7 @@ mod tests {
 
     #[test]
     fn queue_and_ledger_stay_consistent() {
-        for threads in test_thread_counts() {
+        for threads in [1, 2, 4, 8] {
             let cfg = ConcurrencyConfig::testing(threads);
             let r = run_pipelined(&cfg);
             assert_eq!(
@@ -453,57 +290,6 @@ mod tests {
              (1t: {:.0} fases/ms, 8t: {:.0} fases/ms)",
             base.fases_per_sim_ms(),
             eight.fases_per_sim_ms()
-        );
-    }
-
-    #[test]
-    fn host_run_group_commit_amortizes_fences() {
-        // 8 free-running threads in group-commit mode: fences per FASE
-        // must stay at ~1/max_batch — the ROADMAP's blocking mode, not
-        // the force-drain degradation to ~1.
-        let cfg = ConcurrencyConfig {
-            ops_per_thread: 150,
-            ..ConcurrencyConfig::testing(8)
-        };
-        let r = run_host(&cfg);
-        assert_eq!(r.fases, 8 * 150);
-        assert!(r.batches > 0);
-        assert!(
-            r.fences_per_fase() <= 0.2,
-            "group commit must amortize fences, got {:.3}/FASE (mean batch {:.2})",
-            r.fences_per_fase(),
-            r.mean_batch()
-        );
-        assert!(r.mean_batch() >= 5.0, "batches should run nearly full");
-        assert!(r.host_ns > 0);
-    }
-
-    #[test]
-    fn host_throughput_scales_with_threads() {
-        // Wall-clock speedup of the lock-free staging path: a
-        // conservative floor, asserted only when the machine actually
-        // has cores to scale on. Host-time numbers proper are measured
-        // by `benchmark/` (`compose_fsync_file`).
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores < 4 {
-            eprintln!("host_throughput_scales_with_threads: skipped ({cores} cores)");
-            return;
-        }
-        let cfg = |threads| ConcurrencyConfig {
-            ops_per_thread: 400,
-            ..ConcurrencyConfig::testing(threads)
-        };
-        let solo = run_host(&cfg(1));
-        let eight = run_host(&cfg(8));
-        let speedup = solo.host_ns_per_op() / eight.host_ns_per_op();
-        assert!(
-            speedup >= 1.3,
-            "8-thread host throughput should beat 1 thread, got {speedup:.2}x \
-             (1t {:.0} ns/op, 8t {:.0} ns/op)",
-            solo.host_ns_per_op(),
-            eight.host_ns_per_op()
         );
     }
 

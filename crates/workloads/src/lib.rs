@@ -30,11 +30,9 @@ pub mod session;
 pub mod spec;
 pub mod vacation;
 
-pub use concurrent::{run_host, run_pipelined, ConcurrencyConfig, ConcurrencyReport, HostReport};
+pub use concurrent::{run_pipelined, ConcurrencyConfig, ConcurrencyReport};
 pub use micro::{run_map_coalesce, run_map_hybrid};
-pub use read_heavy::{
-    run_host_readers, run_sim as run_read_heavy, ReadHeavyConfig, ReadHeavyReport, ReadHostReport,
-};
+pub use read_heavy::{run_sim as run_read_heavy, ReadHeavyConfig, ReadHeavyReport};
 pub use report::{OpProfile, RunReport};
 pub use session::{open_session, run_ops, verify_session, Session, SessionRoots};
 pub use spec::{ScaleConfig, System, Workload, WorkloadRng};

@@ -6,42 +6,32 @@
 //! snapshots** ([`SharedModHeap::snapshot`]) — wait-free, off the commit
 //! pipeline entirely (no staging lane, no handoff push, no fence).
 //!
-//! Two modes, mirroring `concurrent.rs`:
-//!
-//! * [`run_sim`] — deterministic: writers and one reader interleave
-//!   under a [`SeededRoundRobin`] turnstile, so every reported number
-//!   (including how often the reader's held view lagged the published
-//!   epoch) is a pure function of the config. These feed the sim
-//!   gate's `read95.*` keys.
-//! * [`run_host_readers`] — free-running: `readers` OS threads traverse
-//!   snapshots at full speed while writers keep committing. Because
-//!   readers never touch a lock or fence, read throughput scales with
-//!   reader count — the CI read-scaling step asserts it.
+//! [`run_sim`] is deterministic: writers and one reader interleave under
+//! a [`SeededRoundRobin`] turnstile, so every reported number (including
+//! how often the reader's held view lagged the published epoch) is a pure
+//! function of the config. These feed the sim gate's `read95.*` keys.
 
 use crate::spec::WorkloadRng;
-use mod_core::{CommitMode, DurableMap, SeededRoundRobin, SharedModHeap, Turn};
+use mod_core::{DurableMap, SeededRoundRobin, SharedModHeap, Turn};
 use mod_pmem::{Pmem, PmemConfig};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Parameters of one read-heavy run.
 #[derive(Clone, Debug)]
 pub struct ReadHeavyConfig {
     /// Writer threads (= heap worker shards).
     pub writers: usize,
-    /// Put FASEs per writer (sim mode) or total put budget (host mode
-    /// writers loop until the readers finish, so this is a floor).
+    /// Put FASEs per writer.
     pub writer_ops: u64,
-    /// Snapshot-read turns the reader takes (sim mode) / gets per reader
-    /// thread (host mode).
+    /// Snapshot-read turns the reader takes.
     pub reader_reads: u64,
     /// Gets per reader turn — with the 1 put per writer turn this sets
     /// the read/write mix (19 ≈ 95/5 at one writer).
     pub reads_per_turn: u64,
     /// Working-set keys, preloaded before measurement.
     pub keys: u64,
-    /// The sim-mode reader re-pins a fresh snapshot every this many
+    /// The reader re-pins a fresh snapshot every this many
     /// turns; in between it deliberately reads a stale view, which is
     /// what the `epochs_lagged` metric counts.
     pub refresh_every: u64,
@@ -106,7 +96,15 @@ pub fn run_sim(cfg: &ReadHeavyConfig) -> ReadHeavyReport {
     let pm = Pmem::new(PmemConfig::benchmarking(cfg.capacity));
     let shared = SharedModHeap::create(pm, cfg.writers);
     let map: DurableMap<u64, u64> = shared.setup(DurableMap::create);
-    preload(&shared, &map, cfg.keys);
+    shared.setup(|h| {
+        for chunk in (0..cfg.keys).collect::<Vec<_>>().chunks(64) {
+            h.fase(|tx| {
+                for &k in chunk {
+                    map.insert_in(tx, &k, &k);
+                }
+            });
+        }
+    });
     shared.setup(|h| h.nv_mut().pm_mut().reset_metrics());
 
     // Participants: writers 0..writers, reader = writers.
@@ -175,121 +173,6 @@ pub fn run_sim(cfg: &ReadHeavyConfig) -> ReadHeavyReport {
     }
 }
 
-/// Measurements of one free-running host run at a given reader count.
-#[derive(Clone, Debug)]
-pub struct ReadHostReport {
-    /// Snapshot-reader threads.
-    pub readers: usize,
-    /// Gets served from snapshots (all readers).
-    pub reads: u64,
-    /// Put FASEs the writers committed while the readers ran.
-    pub writer_fases: u64,
-    /// Host wall-clock nanoseconds until the last reader finished.
-    pub host_ns: u64,
-}
-
-impl ReadHostReport {
-    /// Host nanoseconds per snapshot get.
-    pub fn ns_per_read(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.host_ns as f64 / self.reads as f64
-        }
-    }
-
-    /// Aggregate read throughput in gets per host millisecond.
-    pub fn reads_per_host_ms(&self) -> f64 {
-        self.reads as f64 / (self.host_ns as f64 / 1e6)
-    }
-}
-
-/// Runs the free-running host workload: `readers` snapshot-reader
-/// threads each serving `cfg.reader_reads` gets while `cfg.writers`
-/// writer threads keep committing puts (group commit) until the readers
-/// finish. Wall-clock numbers are machine-dependent; the scaling claim
-/// (readers never serialize) is what the CI read-scaling step asserts.
-pub fn run_host_readers(cfg: &ReadHeavyConfig, readers: usize) -> ReadHostReport {
-    let pm = Pmem::new(PmemConfig::benchmarking(cfg.capacity));
-    let shared = SharedModHeap::create_with(
-        pm,
-        cfg.writers,
-        CommitMode::Group {
-            max_batch: cfg.writers,
-            timeout: Duration::from_millis(1),
-        },
-    );
-    let map: DurableMap<u64, u64> = shared.setup(DurableMap::create);
-    preload(&shared, &map, cfg.keys);
-    shared.setup(|h| h.nv_mut().pm_mut().reset_metrics());
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-    let t0 = Instant::now();
-    let mut host_ns = 0u64;
-    std::thread::scope(|s| {
-        for w in 0..cfg.writers {
-            let shared = shared.clone();
-            let stop = Arc::clone(&stop);
-            let mut rng = WorkloadRng::new(writer_seed(cfg.seed, w));
-            let keys = cfg.keys;
-            s.spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let k = rng.next_u64() % keys;
-                    shared.fase(w, |tx| map.insert_in(tx, &k, &i));
-                    i += 1;
-                }
-                shared.deregister(w);
-            });
-        }
-        let mut handles = Vec::new();
-        for r in 0..readers {
-            let shared = shared.clone();
-            let reads = Arc::clone(&reads);
-            let mut rng = WorkloadRng::new(writer_seed(cfg.seed ^ 0x5EED, r));
-            let cfg = cfg.clone();
-            handles.push(s.spawn(move || {
-                let mut done = 0u64;
-                while done < cfg.reader_reads {
-                    let view = shared.snapshot();
-                    for _ in 0..cfg.reads_per_turn.min(cfg.reader_reads - done) {
-                        let k = rng.next_u64() % cfg.keys;
-                        std::hint::black_box(map.get(&view, &k));
-                        done += 1;
-                    }
-                }
-                reads.fetch_add(done, Ordering::Relaxed);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        host_ns = t0.elapsed().as_nanos() as u64;
-        stop.store(true, Ordering::Relaxed);
-    });
-    shared.flush();
-
-    ReadHostReport {
-        readers,
-        reads: reads.load(Ordering::Relaxed),
-        writer_fases: shared.stats().fases,
-        host_ns: host_ns.max(1),
-    }
-}
-
-fn preload(shared: &SharedModHeap, map: &DurableMap<u64, u64>, keys: u64) {
-    shared.setup(|h| {
-        for chunk in (0..keys).collect::<Vec<_>>().chunks(64) {
-            h.fase(|tx| {
-                for &k in chunk {
-                    map.insert_in(tx, &k, &k);
-                }
-            });
-        }
-    });
-}
-
 fn writer_seed(seed: u64, w: usize) -> u64 {
     seed ^ (w as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407)
 }
@@ -331,49 +214,5 @@ mod tests {
             // reads / reads_per_turn of the testing config.
             self.reads / ReadHeavyConfig::testing().reads_per_turn + 1
         }
-    }
-
-    #[test]
-    fn host_run_reports_reads() {
-        let cfg = ReadHeavyConfig {
-            writer_ops: 50,
-            reader_reads: 200,
-            ..ReadHeavyConfig::testing()
-        };
-        let r = run_host_readers(&cfg, 2);
-        assert_eq!(r.reads, 2 * 200);
-        assert!(r.writer_fases > 0, "writers never committed");
-        assert!(r.ns_per_read() > 0.0);
-    }
-
-    /// The CI read-scaling step (thread-matrix job, threads == 8) runs
-    /// exactly this test in release mode: aggregate snapshot-read
-    /// throughput must at least double from 1 to 8 reader threads, since
-    /// readers share no lock, no lane, and no fence. Skipped on small
-    /// machines.
-    #[test]
-    fn reader_throughput_scales_1_to_8() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores < 4 {
-            eprintln!("reader_throughput_scales_1_to_8: skipped ({cores} cores)");
-            return;
-        }
-        let cfg = ReadHeavyConfig {
-            reader_reads: 40_000,
-            keys: 4_000,
-            ..ReadHeavyConfig::testing()
-        };
-        let solo = run_host_readers(&cfg, 1);
-        let eight = run_host_readers(&cfg, 8);
-        let speedup = eight.reads_per_host_ms() / solo.reads_per_host_ms();
-        assert!(
-            speedup >= 2.0,
-            "8 wait-free readers should at least double 1, got {speedup:.2}x \
-             (1r {:.0} ns/read, 8r {:.0} ns/read)",
-            solo.ns_per_read(),
-            eight.ns_per_read()
-        );
     }
 }

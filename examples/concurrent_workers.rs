@@ -34,8 +34,8 @@ fn main() {
     // turnstile: that makes the run deterministic AND keeps the workers
     // in lock-step so every batch fills with one FASE per worker. (A
     // free-running fast worker would keep draining the pipeline early —
-    // the commit stage never blocks, so it trades batch fill for
-    // bounded latency.) Producers move tokens into queue + ledger in
+    // the default heap's lap wait is zero, so it trades batch fill for
+    // never blocking.) Producers move tokens into queue + ledger in
     // one FASE; consumers settle them in one FASE. Each FASE is
     // individually failure-atomic; durability is group-commit.
     let sched = Arc::new(SeededRoundRobin::new(0xD15C0, WORKERS));

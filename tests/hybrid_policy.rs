@@ -729,3 +729,18 @@ fn wait_durable_forced_flush_returns_the_resolved_watermark() {
     assert_eq!(Some(ns), ticket.fence_ns());
     assert!(ns > 0.0);
 }
+
+/// A heap sharded straight after recovery serves snapshot reads of a
+/// hybrid root before its first batch commits: the epoch-0 image shows
+/// the rebuilt volatile index, not the durable spine record.
+#[test]
+fn snapshot_before_first_commit_reads_recovered_hybrid_root() {
+    let mut h = mh();
+    let map: DurableMap<u64, u64> = h.root(0).policy(PersistPolicy::Hybrid).create();
+    map.insert(&mut h, &1, &10);
+    let (h2, _) = ModHeap::open(h.into_pm().crash_image(CrashPolicy::OnlyFenced));
+    let shared = SharedModHeap::from_heap(h2, 2);
+    let view = shared.snapshot();
+    assert_eq!(view.epoch(), 0, "no batch has committed yet");
+    assert_eq!(map.get(&view, &1), Some(10));
+}

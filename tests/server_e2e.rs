@@ -173,6 +173,9 @@ fn acked_ops_survive_sigkill_and_replay_is_exactly_once() {
     // for the INCR session; LPUSH acks counted separately.
     let mut acked: Vec<(u64, Reply)> = Vec::new();
     let mut pushes = 0u64;
+    // Whether the previous round's in-flight INCR committed before the
+    // kill: then it, not the last acked seq, holds the session's memo.
+    let mut inflight_landed = false;
     for round in 0..3u64 {
         let (mut kid, addr) = spawn_server(&path);
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -180,10 +183,11 @@ fn acked_ops_survive_sigkill_and_replay_is_exactly_once() {
         let mut dec = ReplyDecoder::new();
         // Replay the whole log from the top: exactly-once means stale
         // seqs are rejected (typed error, no re-execution) and the most
-        // recent seq returns its memoized reply verbatim.
+        // recent seq returns its memoized reply verbatim — unless the
+        // in-flight op landed, which makes every acked seq stale.
         for (i, (seq, reply)) in acked.iter().enumerate() {
             let got = request(&mut stream, &mut dec, &incr(*seq));
-            if i + 1 == acked.len() {
+            if i + 1 == acked.len() && !inflight_landed {
                 assert_eq!(&got, reply, "memoized replay of seq {seq}");
             } else {
                 match &got {
@@ -239,6 +243,7 @@ fn acked_ops_survive_sigkill_and_replay_is_exactly_once() {
             max_acked + 1
         );
         assert_eq!(list_len, pushes, "round {round}: LPUSH exactly-once");
+        inflight_landed = counter == max_acked + 1;
     }
     // Final session: resolve the last in-flight op, then verify the
     // whole history one more time.
