@@ -1236,9 +1236,11 @@ impl SharedModHeap {
         self.inner.backend.sync_to(frontier);
     }
 
-    /// Removes `worker` from the batch-completion quorum (its op stream
-    /// is exhausted). If the remaining active workers have all staged,
-    /// the batch commits — stragglers cannot stall the pipeline forever.
+    /// Removes `worker` from the batch-completion quorum: its op stream
+    /// is exhausted, or (in a network front end) no connection on it
+    /// holds a request right now. If the remaining active workers have
+    /// all staged, the batch commits — a worker that has nothing to
+    /// stage never makes the others wait out the `timeout`.
     pub fn deregister(&self, worker: usize) {
         self.inner.active[worker].store(false, Ordering::SeqCst);
         if self.inner.all_active_staged() {
@@ -1251,11 +1253,12 @@ impl SharedModHeap {
     }
 
     /// Re-adds `worker` to the batch-completion quorum (the inverse of
-    /// [`SharedModHeap::deregister`]). A network front end uses this to
-    /// activate a shard only while connections are pinned to it: idle
-    /// slots must not count toward the all-active-staged quorum, or a
-    /// single connection would pay the full group timeout on every
-    /// batch.
+    /// [`SharedModHeap::deregister`]). A network front end registers a
+    /// slot only while one of its connections holds a request — read but
+    /// not yet answered — and deregisters it before the connection blocks
+    /// in `read` again: a slot waiting on its client must not count
+    /// toward the all-active-staged quorum, or a lone write would pay the
+    /// full group timeout whenever another client is merely connected.
     pub fn register(&self, worker: usize) {
         assert!(
             worker < self.inner.shards.len(),

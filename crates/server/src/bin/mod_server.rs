@@ -21,6 +21,9 @@ fn usage() -> ! {
          mod_server serve <pool-file> [--addr A] [--workers N] [--window W] [--timeout-ms T]\n  \
          \x20                         [--durability fsync|buffered] [--journal-shards N]\n  \
          \x20                         [--persist-policy full|hybrid]\n\n\
+         --timeout-ms bounds how long a write waits for another connection that is\n\
+         mid-request to stage into the same batch (default 2); an idle connection\n\
+         never holds a batch open.\n\n\
          --persist-policy hybrid keeps interior index nodes volatile (journaling only\n\
          compact op records; the index is rebuilt from them at recovery). The policy is\n\
          recorded in the pool: reopening under the other policy fails with a typed error."

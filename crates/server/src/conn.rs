@@ -11,6 +11,13 @@
 //! so a connection's round covers every other connection's batches
 //! committed before it too.
 //!
+//! The slot counts toward the batch-completion quorum only while the
+//! connection holds a request: from a `read` that returns bytes until
+//! the last window those bytes completed has been answered (a `Busy`
+//! guard, so every exit path releases it). A connection blocked in
+//! `read` — idle, or holding half a frame — never makes a peer's write
+//! wait out the group timeout.
+//!
 //! Backpressure is explicit: a FASE that loses its staging-lane retry
 //! budget is not buffered or blocked on — the client gets a `-BUSY`
 //! reply (queue-full) and decides when to retry. `PING` never touches
@@ -18,6 +25,7 @@
 //! per-connection reply order.
 
 use crate::engine::ServerRoots;
+use crate::listener::Slots;
 use crate::proto::{Command, FrameDecoder, Reply};
 use mod_core::{CommitTicket, EngineError, SharedModHeap};
 use std::io::{ErrorKind, Read, Write};
@@ -36,6 +44,8 @@ pub(crate) struct ConnCtx {
     pub worker: usize,
     /// Max frames staged before a durability wait + reply flush.
     pub window: usize,
+    /// The listener's slot table: `worker`'s busy count lives here.
+    pub slots: Arc<Slots>,
     pub shutdown: Arc<AtomicBool>,
 }
 
@@ -46,9 +56,9 @@ pub(crate) fn serve_conn(ctx: &ConnCtx, mut stream: TcpStream) {
     let mut chunk = vec![0u8; 16 * 1024];
     let mut out = Vec::new();
     'conn: while !ctx.shutdown.load(Ordering::SeqCst) {
-        match stream.read(&mut chunk) {
+        let n = match stream.read(&mut chunk) {
             Ok(0) => break, // orderly EOF
-            Ok(n) => dec.feed(&chunk[..n]),
+            Ok(n) => n,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -58,7 +68,12 @@ pub(crate) fn serve_conn(ctx: &ConnCtx, mut stream: TcpStream) {
                 continue;
             }
             Err(_) => break,
-        }
+        };
+        // In the quorum until every window these bytes complete is
+        // answered; the guard drops before the next `read` blocks, and
+        // on every `break 'conn`. Poll wake-ups above never get here.
+        let _busy = ctx.slots.hold(&ctx.heap, ctx.worker);
+        dec.feed(&chunk[..n]);
         // Drain everything decodable, one reply window at a time.
         loop {
             out.clear();

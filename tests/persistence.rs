@@ -15,7 +15,7 @@ use mod_workloads::session::{
 };
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_pool(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -178,6 +178,10 @@ fn torn_journal_tail_recovers_to_a_complete_fence_at_any_cut() {
     remove_pool(&cut_path);
 }
 
+/// The busiest shard journal's size at which the pool-set torn-tail
+/// test kills its writer.
+const KILL_AT_JOURNAL_BYTES: u64 = 64 * 1024;
+
 #[test]
 fn pool_set_torn_shard_tail_recovers_to_the_frontier_at_any_cut() {
     // The pool-set variant of the torn-tail test, driven end-to-end: a
@@ -201,13 +205,6 @@ fn pool_set_torn_shard_tail_recovers_to_the_frontier_at_any_cut() {
         .stderr(Stdio::null())
         .spawn()
         .unwrap();
-    std::thread::sleep(Duration::from_millis(500));
-    kid.kill().unwrap(); // SIGKILL: no destructors, no checkpoint
-    kid.wait().unwrap();
-    // First recovery truncates real torn tails in place and leaves a
-    // clean set at the frontier — the baseline for the cut sweep.
-    let committed = verify_session(&path, seed).unwrap();
-    assert!(committed > 0, "child committed nothing before the kill");
     let shard_paths: Vec<PathBuf> = (0..4)
         .map(|s| {
             let mut p = path.as_os_str().to_os_string();
@@ -215,6 +212,28 @@ fn pool_set_torn_shard_tail_recovers_to_the_frontier_at_any_cut() {
             PathBuf::from(p)
         })
         .collect();
+    // Kill once the busiest journal holds a few dozen fence records, so
+    // the cut sweep below has many frontiers to land on however slow
+    // the host is. The threshold stays far below the checkpoint trigger.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while Instant::now() < deadline {
+        let busiest = shard_paths
+            .iter()
+            .filter_map(|p| std::fs::metadata(p).ok())
+            .map(|m| m.len())
+            .max()
+            .unwrap_or(0);
+        if busiest >= KILL_AT_JOURNAL_BYTES {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    kid.kill().unwrap(); // SIGKILL: no destructors, no checkpoint
+    kid.wait().unwrap();
+    // First recovery truncates real torn tails in place and leaves a
+    // clean set at the frontier — the baseline for the cut sweep.
+    let committed = verify_session(&path, seed).unwrap();
+    assert!(committed > 0, "child committed nothing before the kill");
     let base_bytes = std::fs::read(&path).unwrap();
     let shard_bytes: Vec<Vec<u8>> = shard_paths
         .iter()

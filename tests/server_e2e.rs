@@ -12,19 +12,24 @@
 //!   last seq returns the memoized reply, and the maybe-in-flight op a
 //!   kill leaves behind is resolved by the client's ordinary retry.
 //!
+//! The `quorum_*` tests pin the server's commit quorum in process: a
+//! slot counts toward a batch only while one of its connections holds a
+//! request, so an idle client never delays a peer's write, and two
+//! clients that are both mid-window still share batches.
+//!
 //! The child entry point mirrors `persistence.rs`: the `server_child`
 //! "test" below becomes a real server process when `MOD_SERVER_POOL` is
 //! set, so the SIGKILL lands on a different process and recovery shares
 //! nothing with the writer but the pool file.
 
-use mod_core::{CommitMode, ModHeap, PersistPolicy};
+use mod_core::{CommitMode, ModHeap, PersistPolicy, SharedModHeap};
 use mod_pmem::{CrashPolicy, Durability, Pmem, PmemConfig};
 use mod_server::{pool, serve, Command, Reply, ReplyDecoder, ServerRoots};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Persistence policy for the battery: `MOD_SESSION_POLICY=hybrid`
 /// reruns every SIGKILL round with hybrid (volatile-index) roots, so
@@ -114,6 +119,11 @@ fn spawn_server(path: &Path) -> (Child, SocketAddr) {
 /// reply-after-fence, returning from here means the op is durable.
 fn request(stream: &mut TcpStream, dec: &mut ReplyDecoder, cmd: &Command) -> Reply {
     stream.write_all(&cmd.encode()).unwrap();
+    read_reply(stream, dec)
+}
+
+/// Blocks for the next reply on `stream`.
+fn read_reply(stream: &mut TcpStream, dec: &mut ReplyDecoder) -> Reply {
     let mut buf = [0u8; 4096];
     loop {
         if let Some(r) = dec.next_reply().expect("valid reply stream") {
@@ -370,7 +380,6 @@ fn acked_op_is_recoverable_at_every_step() {
     // and take a crash image at *every* step — both before the fence
     // wait (op may or may not be in; state must be consistent) and after
     // it (op must be in: that is the ack the server would flush).
-    use mod_core::SharedModHeap;
     let mut heap = ModHeap::create(Pmem::new(PmemConfig::testing()));
     let roots = ServerRoots::create(&mut heap, test_policy());
     let sh = SharedModHeap::from_heap_with(
@@ -410,4 +419,129 @@ fn acked_op_is_recoverable_at_every_step() {
         let acked = reopen(sh.crash_image(CrashPolicy::OnlyFenced));
         assert_eq!(acked, k, "step {k}: acknowledged op lost");
     }
+}
+
+/// The group wait of the quorum tests: long enough that a write which
+/// waits it out cannot pass for one that did not.
+const QUORUM_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// A 2-worker in-memory heap whose batches close at 4 FASEs, when every
+/// quorum slot has staged, or after [`QUORUM_TIMEOUT`].
+fn quorum_heap() -> (SharedModHeap, ServerRoots) {
+    let mut heap = ModHeap::create(Pmem::new(PmemConfig::testing()));
+    let roots = ServerRoots::create(&mut heap, PersistPolicy::Full);
+    let shared = SharedModHeap::from_heap_with(
+        heap,
+        2,
+        CommitMode::Group {
+            max_batch: 4,
+            timeout: QUORUM_TIMEOUT,
+        },
+    );
+    (shared, roots)
+}
+
+fn set(key: String) -> Command {
+    Command::Set {
+        key: key.into_bytes(),
+        value: b"v".to_vec(),
+    }
+}
+
+#[test]
+fn quorum_idle_connection_does_not_hold_a_lone_set() {
+    let (heap, roots) = quorum_heap();
+    let handle = serve(heap, roots, "127.0.0.1:0").unwrap();
+    // The PING round trip proves the idle client was accepted (onto
+    // slot 0) before the writer connects (onto slot 1).
+    let mut idle = TcpStream::connect(handle.addr()).unwrap();
+    let mut idle_dec = ReplyDecoder::new();
+    assert_eq!(
+        request(&mut idle, &mut idle_dec, &Command::Ping),
+        Reply::Pong
+    );
+    let mut writer = TcpStream::connect(handle.addr()).unwrap();
+    let mut dec = ReplyDecoder::new();
+    for i in 0..5 {
+        let t0 = Instant::now();
+        assert_eq!(
+            request(&mut writer, &mut dec, &set(format!("k{i}"))),
+            Reply::Ok
+        );
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "SET {i} took {took:?}: it waited on the idle client's slot"
+        );
+    }
+    drop((idle, writer));
+    handle.stop();
+}
+
+/// The largest value a frame may carry.
+fn big_value() -> Vec<u8> {
+    vec![b'x'; mod_server::MAX_BULK]
+}
+
+#[test]
+fn quorum_mid_window_connections_share_one_batch() {
+    let (heap, roots) = quorum_heap();
+    let stats = heap.clone();
+    let handle = serve(heap, roots, "127.0.0.1:0").unwrap();
+    // B lands on slot 0, A on slot 1.
+    let mut b = TcpStream::connect(handle.addr()).unwrap();
+    let mut b_dec = ReplyDecoder::new();
+    let big = Command::Set {
+        key: b"big".to_vec(),
+        value: big_value(),
+    };
+    assert_eq!(request(&mut b, &mut b_dec, &big), Reply::Ok);
+    let mut a = TcpStream::connect(handle.addr()).unwrap();
+    let mut a_dec = ReplyDecoder::new();
+    assert_eq!(request(&mut a, &mut a_dec, &Command::Ping), Reply::Pong);
+    // B holds a request mid-window: one full window of GETs whose 16 MiB
+    // of replies cannot fit in the socket buffers while its client
+    // reads nothing, then a SET for the next window.
+    let get = Command::Get {
+        key: b"big".to_vec(),
+    };
+    let mut wire: Vec<u8> = (0..16).flat_map(|_| get.encode()).collect();
+    wire.extend(set("b".into()).encode());
+    b.write_all(&wire).unwrap();
+    // The first reply arriving means B's thread is in its `write`.
+    assert_eq!(
+        read_reply(&mut b, &mut b_dec),
+        Reply::Value(Some(big_value()))
+    );
+    // A's SET stages, and its batch stays open: B's slot is in the
+    // quorum and has not staged.
+    let before = stats.stats();
+    a.write_all(&set("a".into()).encode()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats.stats().fases == before.fases {
+        assert!(Instant::now() < deadline, "A's SET never staged");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(stats.stats().batches, before.batches, "A's batch closed");
+    // Let B finish its window: its SET stages, every quorum slot has now
+    // staged, and the batch publishes.
+    for _ in 1..16 {
+        assert_eq!(
+            read_reply(&mut b, &mut b_dec),
+            Reply::Value(Some(big_value()))
+        );
+    }
+    assert_eq!(read_reply(&mut b, &mut b_dec), Reply::Ok);
+    assert_eq!(read_reply(&mut a, &mut a_dec), Reply::Ok);
+    let after = stats.stats();
+    assert_eq!(
+        (
+            after.batches - before.batches,
+            after.batched_fases - before.batched_fases
+        ),
+        (1, 2),
+        "A's SET and B's must share one batch"
+    );
+    drop((a, b));
+    handle.stop();
 }
