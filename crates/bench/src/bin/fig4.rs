@@ -1,11 +1,11 @@
 //! Figure 4: average PM cacheline flush latency vs flush concurrency,
-//! observed (WPQ event model) against the Amdahl fit and against the
-//! *measured* behaviour of the simulated pool itself (background drains
-//! plus residual fence stalls), with the Karp–Flatt-estimated parallel
-//! fraction, as in the paper's §3.
+//! measured on the simulated pool itself (its background drain calendar
+//! plus residual fence stalls) against the Amdahl fit, with the
+//! Karp–Flatt-estimated parallel fraction of the measured curve, as in
+//! the paper's §3.
 
 use mod_bench::{banner, TextTable};
-use mod_pmem::{fit_parallel_fraction, LatencyModel, Pmem, PmemConfig, WpqModel};
+use mod_pmem::{fit_parallel_fraction, LatencyModel, Pmem, PmemConfig};
 
 /// Replays the paper's §3 microbenchmark against the real simulated
 /// pool: `total` lines flushed with an `sfence` every `per_fence`
@@ -45,9 +45,7 @@ fn measured_avg_flush_ns(per_fence: usize, total: usize, prewrite: bool) -> f64 
 fn main() {
     banner("Figure 4: flush latency vs flushes overlapped per fence");
     let model = LatencyModel::optane();
-    let wpq = WpqModel::from_latency(&model);
     let levels: Vec<usize> = vec![1, 2, 4, 8, 12, 16, 20, 24, 28, 32];
-    let observed = wpq.observed_curve(&levels);
     let amdahl = model.amdahl_curve(&levels);
     let saturated: Vec<(usize, f64)> = levels
         .iter()
@@ -59,33 +57,24 @@ fn main() {
         .collect();
     let mut t = TextTable::new(vec![
         "flushes/fence",
-        "observed (ns)",
-        "amdahl f=0.82 (ns)",
         "pmem saturated (ns)",
+        "amdahl f=0.82 (ns)",
         "pmem stores+flush (ns)",
     ]);
-    for (((o, a), s), v) in observed
-        .iter()
-        .zip(&amdahl)
-        .zip(&saturated)
-        .zip(&overlapped)
-    {
+    for ((s, a), v) in saturated.iter().zip(&amdahl).zip(&overlapped) {
         t.row(vec![
-            o.0.to_string(),
-            format!("{:.1}", o.1),
-            format!("{:.1}", a.1),
+            s.0.to_string(),
             format!("{:.1}", s.1),
+            format!("{:.1}", a.1),
             format!("{:.1}", v.1),
         ]);
     }
     println!("{}", t.render());
-    let fit = fit_parallel_fraction(&observed);
-    println!("Karp-Flatt fit of observed curve: parallel fraction f = {fit:.3}");
-    let fit_sat = fit_parallel_fraction(&saturated);
-    println!("Karp-Flatt fit of pmem saturated curve: f = {fit_sat:.3}");
+    let fit = fit_parallel_fraction(&saturated);
+    println!("Karp-Flatt fit of pmem saturated curve: parallel fraction f = {fit:.3}");
     println!("Paper: f = 0.82 (82% parallel / 18% serial)");
-    let l1 = observed[0].1;
-    let l16 = observed.iter().find(|&&(n, _)| n == 16).unwrap().1;
+    let l1 = saturated[0].1;
+    let l16 = saturated.iter().find(|&&(n, _)| n == 16).unwrap().1;
     println!(
         "16-way overlap cuts average flush latency by {:.0}% (paper: 75%)",
         (1.0 - l16 / l1) * 100.0
@@ -94,6 +83,6 @@ fn main() {
         "(saturated = pure clwb trains: the background-drain calendar has \
          nothing to hide under and lands on the Amdahl stall; stores+flush = \
          the stores' own cache-miss time hides drain work, the overlap the \
-         residual-stall model newly captures)"
+         residual-stall model captures)"
     );
 }

@@ -204,8 +204,9 @@ fn session_journal_bytes_per_fase() -> f64 {
     const OPS: u64 = 2_000;
     let path = scratch_pool("session");
     remove_pool(&path, 1);
-    let mut session = mod_workloads::session::open_session(&path, SEED).expect("session pool");
-    mod_workloads::session::run_ops(&mut session, OPS);
+    let shape = mod_workloads::SessionShape::Buffered;
+    let mut session = mod_workloads::open_session(&path, shape, SEED).expect("session pool");
+    mod_workloads::run_ops(&mut session, OPS);
     let backend = session.heap.nv().pm().backend_stats();
     drop(session);
     remove_pool(&path, 1);

@@ -80,20 +80,6 @@ pub enum OpenError {
         /// The codec tag word derived from the wrapper's type parameters.
         expected: u64,
     },
-    /// The root was created under a different [`PersistPolicy`] than the
-    /// one requested. The policy is recorded durably in the directory
-    /// entry: a hybrid root's persistent image is a spine of op records,
-    /// not a full structure, so opening it as `Full` would traverse
-    /// records as trie nodes (and opening a full root as `Hybrid` would
-    /// replay trie nodes as records).
-    PolicyMismatch {
-        /// The requested directory index.
-        index: usize,
-        /// The policy the root was created under.
-        stored: PersistPolicy,
-        /// The policy the open requested.
-        requested: PersistPolicy,
-    },
 }
 
 impl std::fmt::Display for OpenError {
@@ -123,15 +109,6 @@ impl std::fmt::Display for OpenError {
                      but was opened expecting key/elem={ek} value={ev}"
                 )
             }
-            OpenError::PolicyMismatch {
-                index,
-                stored,
-                requested,
-            } => write!(
-                f,
-                "root {index} was created with PersistPolicy::{stored:?}, \
-                 but was opened requesting PersistPolicy::{requested:?}"
-            ),
         }
     }
 }
@@ -292,38 +269,21 @@ impl<D: DurableDs> Handle<D> {
         Handle { root, policy }
     }
 
-    /// Reattaches to the root at `index`: policy check (the directory
-    /// entry's kind *is* the durable policy record — hybrid roots are
-    /// stored as [`RootKind::Spine`]), then kind check, then codec check
-    /// against the persisted tag word.
-    fn open(
-        heap: &ModHeap,
-        index: usize,
-        policy: PersistPolicy,
-        codec: u64,
-    ) -> Result<Self, OpenError> {
+    /// Reattaches to the root at `index` under the policy its directory
+    /// entry records (the entry's kind *is* the durable policy record —
+    /// hybrid roots are stored as [`RootKind::Spine`]), then checks the
+    /// kind and the codec against the persisted tag word.
+    fn open(heap: &ModHeap, index: usize, codec: u64) -> Result<Self, OpenError> {
         let entry = crate::root::peek_entry(heap.nv(), index).ok_or(OpenError::NoSuchRoot {
             index,
             roots: heap.root_count(),
         })?;
-        let stored_kind = match (policy, entry.kind) {
-            (PersistPolicy::Full, RootKind::Spine) => {
-                return Err(OpenError::PolicyMismatch {
-                    index,
-                    stored: PersistPolicy::Hybrid,
-                    requested: PersistPolicy::Full,
-                });
-            }
-            (PersistPolicy::Full, k) => k,
-            (PersistPolicy::Hybrid, RootKind::Spine) => spine::logical_kind(heap.nv(), entry.root),
-            (PersistPolicy::Hybrid, k) if k == D::KIND => {
-                return Err(OpenError::PolicyMismatch {
-                    index,
-                    stored: PersistPolicy::Full,
-                    requested: PersistPolicy::Hybrid,
-                });
-            }
-            (PersistPolicy::Hybrid, k) => k,
+        let (policy, stored_kind) = match entry.kind {
+            RootKind::Spine => (
+                PersistPolicy::Hybrid,
+                spine::logical_kind(heap.nv(), entry.root),
+            ),
+            k => (PersistPolicy::Full, k),
         };
         if stored_kind != D::KIND {
             return Err(OpenError::KindMismatch {
@@ -470,12 +430,8 @@ macro_rules! durable_wrapper {
                 Self::on(Handle::create(heap, policy, $codec))
             }
 
-            fn open_with(
-                heap: &ModHeap,
-                index: usize,
-                policy: PersistPolicy,
-            ) -> Result<Self, OpenError> {
-                Handle::open(heap, index, policy, $codec).map(Self::on)
+            fn open_with(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
+                Handle::open(heap, index, $codec).map(Self::on)
             }
         }
     };
@@ -486,15 +442,17 @@ macro_rules! durable_wrapper {
 // ---------------------------------------------------------------------
 
 /// A typed wrapper that can be created and reopened through
-/// [`ModHeap::root`]'s builder: the five `Durable*` collections.
+/// [`ModHeap::root`]'s builder: the five `Durable*` collections. The
+/// policy is a create-time choice: the directory entry records it, and
+/// a reopen reads it back.
 pub trait DurableRoot: Sized {
     /// Creates the structure under `policy`, publishing it as a new root
     /// at the directory's next free index.
     fn create_with(heap: &mut ModHeap, policy: PersistPolicy) -> Self;
 
-    /// Reattaches to the root at `index`, checking kind, codec, and
-    /// persistence policy against the durable directory entry.
-    fn open_with(heap: &ModHeap, index: usize, policy: PersistPolicy) -> Result<Self, OpenError>;
+    /// Reattaches to the root at `index` under the policy its durable
+    /// directory entry records, checking kind and codec against it.
+    fn open_with(heap: &ModHeap, index: usize) -> Result<Self, OpenError>;
 }
 
 /// Builder for opening or creating a typed root at one directory index —
@@ -522,8 +480,9 @@ pub struct RootBuilder<'h, D: DurableRoot> {
 
 impl ModHeap {
     /// Starts opening or creating the typed root at directory `index`.
-    /// Defaults to [`PersistPolicy::Full`]; select hybrid persistence
-    /// with [`RootBuilder::policy`].
+    /// A create defaults to [`PersistPolicy::Full`]; select hybrid
+    /// persistence with [`RootBuilder::policy`]. An open needs no
+    /// policy: it reads the one the root was created under.
     pub fn root<D: DurableRoot>(&mut self, index: usize) -> RootBuilder<'_, D> {
         RootBuilder {
             heap: self,
@@ -535,26 +494,30 @@ impl ModHeap {
 }
 
 impl<D: DurableRoot> RootBuilder<'_, D> {
-    /// Selects the persistence policy (checked against the durable
-    /// directory entry on open, recorded in it on create).
+    /// Selects the persistence policy a create records in the durable
+    /// directory entry. It matters only when the builder creates: an
+    /// open always takes the recorded policy.
     pub fn policy(mut self, policy: PersistPolicy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Reattaches to the existing root at this index.
+    /// Reattaches to the existing root at this index, under the policy
+    /// it was created with ([`DurableMap::policy`] and its siblings
+    /// report it).
     pub fn open(self) -> Result<D, OpenError> {
-        D::open_with(self.heap, self.index, self.policy)
+        D::open_with(self.heap, self.index)
     }
 
-    /// Opens the root if the index exists, creates it if the index is
-    /// the directory's next free slot, and fails with
+    /// Opens the root if the index exists (under its recorded policy),
+    /// creates it under the builder's policy if the index is the
+    /// directory's next free slot, and fails with
     /// [`OpenError::NoSuchRoot`] on a gap (a create there would land at
     /// a different index than the one named).
     pub fn open_or_create(self) -> Result<D, OpenError> {
         let count = self.heap.root_count();
         match self.index {
-            i if i < count => D::open_with(self.heap, i, self.policy),
+            i if i < count => D::open_with(self.heap, i),
             i if i == count => Ok(D::create_with(self.heap, self.policy)),
             i => Err(OpenError::NoSuchRoot {
                 index: i,

@@ -25,8 +25,10 @@
 //!   together with exactly one ordering point.
 //!
 //! Recovery ([`ModHeap::open`]) is self-describing: typed roots live in a
-//! persistent root directory that records each structure's [`RootKind`],
-//! so reopening a pool needs no caller-supplied slot specs. It
+//! persistent root directory that records each structure's [`RootKind`]
+//! and [`PersistPolicy`], and a file pool's header records its journal
+//! shards, so reopening a pool needs no caller-supplied slot specs,
+//! policies or shapes. It
 //! garbage-collects mid-FASE leaks by reachability and rebuilds the
 //! volatile reference counts (§5.2–5.3).
 //!

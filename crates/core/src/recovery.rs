@@ -18,7 +18,7 @@
 use crate::erased::{ErasedDs, RootKind};
 use crate::heap::ModHeap;
 use mod_alloc::{NvHeap, RecoveryReport};
-use mod_pmem::Pmem;
+use mod_pmem::{FileBackend, Pmem};
 
 impl ModHeap {
     /// Opens a (possibly crashed) pool and recovers it: walks every typed
@@ -68,6 +68,41 @@ impl ModHeap {
         cfg: mod_pmem::PmemConfig,
     ) -> std::io::Result<(ModHeap, RecoveryReport)> {
         Ok(ModHeap::open(Pmem::open_file(path, cfg)?))
+    }
+
+    /// Opens the file-backed pool at `path` like [`ModHeap::open_file`],
+    /// first creating it if no pool is there: `init` publishes the fresh
+    /// heap's roots, and the pool is closed under a temporary `.init`
+    /// name and renamed into place, so a kill at any point leaves either
+    /// no pool or a fully built one — never a half-initialized one.
+    ///
+    /// What the create chooses is recorded in the pool: the journal
+    /// shard count (`cfg.journal_shards`) in the header, each root's
+    /// [`crate::PersistPolicy`] in the root directory. A reopen reads
+    /// both back; only `cfg.durability` applies to every open.
+    pub fn open_or_create_file(
+        path: &std::path::Path,
+        cfg: mod_pmem::PmemConfig,
+        init: impl FnOnce(&mut ModHeap),
+    ) -> std::io::Result<(ModHeap, RecoveryReport)> {
+        if !path.exists() {
+            let init_path = path.with_extension("init");
+            let init_members = FileBackend::member_paths(&init_path, cfg.journal_shards);
+            for stale in &init_members {
+                let _ = std::fs::remove_file(stale); // half-built by a kill
+            }
+            let mut heap = ModHeap::create_file(&init_path, cfg.clone())?;
+            init(&mut heap);
+            drop(heap.close()?);
+            // The shard journals move first, the base last: an open keys
+            // off the base file, so a kill mid-rename still reads as "no
+            // pool yet" until the base lands.
+            let members = FileBackend::member_paths(path, cfg.journal_shards);
+            for (from, to) in init_members.iter().zip(&members).rev() {
+                std::fs::rename(from, to)?;
+            }
+        }
+        ModHeap::open_file(path, cfg)
     }
 }
 

@@ -34,8 +34,9 @@ use mod_pmem::PmPtr;
 /// Per-root persistence policy (the "Don't Persist All" switch).
 ///
 /// Selected at create time through [`crate::RootBuilder::policy`] and
-/// recorded durably in the root directory; reopening a root under the
-/// wrong policy fails with [`crate::OpenError::PolicyMismatch`].
+/// recorded durably in the root directory (a hybrid root's entry has
+/// kind [`RootKind::Spine`]); a reopen reads it back from there and
+/// needs no policy named.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Hash)]
 pub enum PersistPolicy {
     /// Every node of the functional structure is flushed and journaled

@@ -20,8 +20,8 @@
 //!   [`MemBackend`] and the file-backed [`FileBackend`] (home-location
 //!   image + redo journal; [`Pmem::create_file`] / [`Pmem::open_file`]
 //!   make pools that survive a real process kill);
-//! * [`WpqModel`] — the black-box memory-controller model behind Fig 4's
-//!   "observed" curve, plus the Karp–Flatt fit used by the paper.
+//! * [`fit_parallel_fraction`] — the Karp–Flatt fit the paper applies to
+//!   Fig 4's flush-latency curve.
 //!
 //! ## Example
 //!
@@ -51,7 +51,6 @@ pub mod pmem;
 pub mod stats;
 pub mod trace;
 pub mod volatile;
-pub mod wpq;
 
 pub use arena::SharedArena;
 pub use backend::{
@@ -67,4 +66,3 @@ pub use pmem::{CrashPolicy, LineHandoff, Pmem, PmemConfig, ReplayStats};
 pub use stats::{EpochHistogram, PmStats};
 pub use trace::{check_trace, TraceChecker, TraceEvent, Violation};
 pub use volatile::VolatileSet;
-pub use wpq::WpqModel;

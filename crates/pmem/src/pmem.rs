@@ -1198,6 +1198,32 @@ mod tests {
     }
 
     #[test]
+    fn saturated_curve_fits_the_papers_parallel_fraction() {
+        // Fig 4 through the pool itself: 320 pre-dirtied lines flushed
+        // with a fence every n, and the Karp–Flatt fit of the average
+        // flush latency per n recovers the paper's f ≈ 0.82.
+        let curve: Vec<(usize, f64)> = [1usize, 2, 4, 8, 16, 32]
+            .into_iter()
+            .map(|n| {
+                let mut pm = testing_pmem();
+                for i in 0..320u64 {
+                    pm.write_u64(0x1000 + i * 64, i + 1);
+                }
+                let before = pm.clock().breakdown().flush_ns;
+                for i in 0..320u64 {
+                    pm.clwb(0x1000 + i * 64);
+                    if (i + 1) % n as u64 == 0 {
+                        pm.sfence();
+                    }
+                }
+                (n, (pm.clock().breakdown().flush_ns - before) / 320.0)
+            })
+            .collect();
+        let f = crate::model::fit_parallel_fraction(&curve);
+        assert!((f - 0.82).abs() < 0.02, "saturated curve fits f = {f:.3}");
+    }
+
+    #[test]
     fn single_flush_plus_fence_costs_353ns() {
         // §3's headline number now falls out of the event model exactly:
         // launch + drain = 353 ns from issue, minus nothing.

@@ -25,8 +25,9 @@ fn usage() -> ! {
          mid-request to stage into the same batch (default 2); an idle connection\n\
          never holds a batch open.\n\n\
          --persist-policy hybrid keeps interior index nodes volatile (journaling only\n\
-         compact op records; the index is rebuilt from them at recovery). The policy is\n\
-         recorded in the pool: reopening under the other policy fails with a typed error."
+         compact op records; the index is rebuilt from them at recovery).\n\
+         --persist-policy applies when the pool is created; an existing pool keeps its\n\
+         recorded policy, like --journal-shards."
     );
     std::process::exit(2);
 }

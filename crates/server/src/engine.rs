@@ -76,32 +76,21 @@ impl ServerRoots {
         }
     }
 
-    /// Reattaches to the roots of a reopened pool, verifying kinds,
-    /// codecs, and persistence policy against the persistent directory.
+    /// Reattaches to the roots of a reopened pool under the persistence
+    /// policy they were created with, verifying kinds and codecs against
+    /// the persistent directory.
     ///
     /// # Errors
     ///
-    /// Returns the first root that is missing or of the wrong shape —
-    /// including a pool created under the other [`PersistPolicy`].
-    pub fn open(heap: &mut ModHeap, policy: PersistPolicy) -> Result<ServerRoots, OpenError> {
+    /// Returns the first root that is missing or of the wrong shape.
+    pub fn open(heap: &mut ModHeap) -> Result<ServerRoots, OpenError> {
         Ok(ServerRoots {
-            sessions: heap.root(0).policy(policy).open()?,
-            kv: heap.root(1).policy(policy).open()?,
-            next_id: heap.root(2).policy(policy).open()?,
-            list_ids: heap.root(3).policy(policy).open()?,
-            list_blobs: heap.root(4).policy(policy).open()?,
+            sessions: heap.root(0).open()?,
+            kv: heap.root(1).open()?,
+            next_id: heap.root(2).open()?,
+            list_ids: heap.root(3).open()?,
+            list_blobs: heap.root(4).open()?,
         })
-    }
-
-    /// Opens the roots if the pool has them, creates them otherwise.
-    pub fn ensure(heap: &mut ModHeap, policy: PersistPolicy) -> ServerRoots {
-        match ServerRoots::open(heap, policy) {
-            Ok(r) => r,
-            Err(OpenError::NoSuchRoot { .. }) if heap.root_count() == 0 => {
-                ServerRoots::create(heap, policy)
-            }
-            Err(e) => panic!("pool holds incompatible roots: {e}"),
-        }
     }
 
     /// Executes one command inside an in-progress FASE and returns its
@@ -548,7 +537,7 @@ mod tests {
         h.quiesce();
         let img = h.nv().pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced);
         let (mut h2, _) = ModHeap::open(img);
-        let r2 = ServerRoots::open(&mut h2, PersistPolicy::Full).unwrap();
+        let r2 = ServerRoots::open(&mut h2).unwrap();
         assert_eq!(r2.kv.get(&h2, &b"k".to_vec()), Some(b"v".to_vec()));
         assert_eq!(r2.list_ids.len(&h2), 1);
     }

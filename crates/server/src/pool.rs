@@ -3,7 +3,7 @@
 
 use crate::engine::ServerRoots;
 use mod_core::{CommitMode, ModHeap, PersistPolicy, SharedModHeap};
-use mod_pmem::{Durability, FileBackend, PmemConfig};
+use mod_pmem::{Durability, PmemConfig};
 use std::io;
 use std::path::Path;
 
@@ -20,17 +20,19 @@ pub fn pool_config() -> PmemConfig {
 
 /// Opens (recovering) or creates the server pool at `path` and shards
 /// it for `workers` connection slots in the given commit mode, with
-/// kill-grade (buffered, one-journal) durability. See
-/// [`open_or_create_with`] for power-loss-grade pool sets.
+/// kill-grade (buffered, one-journal) durability and full-persistence
+/// roots. See [`open_or_create_with`] for power-loss-grade pool sets
+/// and hybrid roots.
 ///
-/// Initialization is atomic against kills: a fresh pool is built and
-/// closed under a temporary `.init` name and renamed into place, so a
-/// recovery only ever sees "no pool yet" or a fully formed one.
+/// Initialization is atomic against kills
+/// ([`ModHeap::open_or_create_file`]): a recovery only ever sees "no
+/// pool yet" or a fully formed one.
 ///
 /// # Errors
 ///
-/// Returns file I/O or recovery errors; an existing pool whose roots
-/// are not the server's five panics (it is some other application's).
+/// Returns file I/O or recovery errors, or the [`mod_core::OpenError`]
+/// of an existing pool whose roots are not the server's five (it is
+/// some other application's).
 pub fn open_or_create(
     path: &Path,
     workers: usize,
@@ -46,23 +48,20 @@ pub fn open_or_create(
     )
 }
 
-/// [`open_or_create`] with an explicit durability grade and journal
-/// shard count. `Durability::Fsync` makes an acked `SESSION` op durable
-/// across power loss, not just SIGKILL — the reply wait runs a sync
-/// round, shared by every batch committed before it started — and
-/// `journal_shards > 1` splits the journal across that many files,
-/// replayed by parallel threads at recovery.
-///
-/// The shard count is a property of the *file set*: it applies when
-/// this call creates the pool, while reopening an existing pool keeps
-/// the on-disk layout (the header is authoritative). Durability applies
-/// either way.
-///
-/// `policy` selects the persistence mode the roots are created under —
+/// [`open_or_create`] with an explicit durability grade, journal shard
+/// count and persistence policy. `Durability::Fsync` makes an acked
+/// `SESSION` op durable across power loss, not just SIGKILL — the reply
+/// wait runs a sync round, shared by every batch committed before it
+/// started — and `journal_shards > 1` splits the journal across that
+/// many files, replayed by parallel threads at recovery.
 /// [`PersistPolicy::Hybrid`] keeps interior index nodes volatile and
 /// journals only compact op records, rebuilding the index at recovery.
-/// The policy is recorded durably in the root directory, so reopening
-/// an existing pool under the other policy fails rather than corrupt.
+///
+/// The shard count and the policy are create-time choices: they apply
+/// when this call creates the pool, and the pool records them (the
+/// header its shards, the root directory its policy), so reopening an
+/// existing pool keeps what it recorded, whatever is passed here.
+/// Durability applies either way.
 ///
 /// # Errors
 ///
@@ -80,24 +79,9 @@ pub fn open_or_create_with(
         journal_shards,
         ..pool_config()
     };
-    if !path.exists() {
-        let init = path.with_extension("init");
-        let init_members = FileBackend::member_paths(&init, journal_shards);
-        for stale in &init_members {
-            let _ = std::fs::remove_file(stale); // half-init from a kill
-        }
-        let mut heap = ModHeap::create_file(&init, cfg.clone())?;
-        let _ = ServerRoots::create(&mut heap, policy);
-        drop(heap.close()?);
-        // Move the shard journals first, the base last: recovery keys
-        // off the base file, so a kill mid-rename still reads as
-        // "no pool yet" until the base lands.
-        let members = FileBackend::member_paths(path, journal_shards);
-        for (from, to) in init_members.iter().zip(&members).rev() {
-            std::fs::rename(from, to)?;
-        }
-    }
-    let (mut heap, _report) = ModHeap::open_file(path, cfg)?;
-    let roots = ServerRoots::open(&mut heap, policy).map_err(io::Error::other)?;
+    let (mut heap, _report) = ModHeap::open_or_create_file(path, cfg, |heap| {
+        ServerRoots::create(heap, policy);
+    })?;
+    let roots = ServerRoots::open(&mut heap).map_err(io::Error::other)?;
     Ok((SharedModHeap::from_heap_with(heap, workers, mode), roots))
 }

@@ -34,7 +34,7 @@ pub use concurrent::{run_pipelined, ConcurrencyConfig, ConcurrencyReport};
 pub use micro::{run_map_coalesce, run_map_hybrid};
 pub use read_heavy::{run_sim as run_read_heavy, ReadHeavyConfig, ReadHeavyReport};
 pub use report::{OpProfile, RunReport};
-pub use session::{open_session, run_ops, verify_session, Session, SessionRoots};
+pub use session::{open_session, run_ops, verify_session, Session, SessionRoots, SessionShape};
 pub use spec::{ScaleConfig, System, Workload, WorkloadRng};
 
 /// Runs any Table 2 workload on any system.

@@ -19,9 +19,14 @@
 //! resurrected partial batch fails verification. This is what the
 //! kill-test asserts after `SIGKILL`ing a writer at a random point: all
 //! committed FASEs present, all-or-nothing, torn journal tail discarded.
+//!
+//! A session pool is created in one of the [`SessionShape`]s — one
+//! buffered journal, a 4-journal fsync set, or that set with hybrid
+//! roots — and the kill batteries run each of them as its own test.
+//! Everything after the create reads the shape back from the pool.
 
 use mod_core::{DurableMap, DurableQueue, DurableVector, ModHeap, PersistPolicy};
-use mod_pmem::{Durability, FileBackend, PmemConfig};
+use mod_pmem::{Durability, PmemConfig};
 use std::io;
 use std::path::Path;
 
@@ -71,84 +76,79 @@ fn last_writer(n: u64, j: u64) -> Option<u64> {
     Some(j + SLOTS * ((n - 1 - j) / SLOTS))
 }
 
-/// Session pool configuration. The CI kill battery reruns the whole
-/// write → SIGKILL → verify cycle in pool-set / power-loss-grade shapes
-/// through two env knobs (a binary re-invoking itself as a child cannot
-/// take structured arguments):
-///
-/// * `MOD_SESSION_SHARDS=<n>` — create new pools as an `n`-shard pool
-///   set (parallel replay at recovery). Reopens keep the on-disk shape.
-/// * `MOD_SESSION_FSYNC=1` — append with [`Durability::Fsync`]: the
-///   session heap is owner-mode, so every fence ends in a sync round and
-///   its record hits the medium before the op is counted committed.
-/// * `MOD_SESSION_POLICY=hybrid` — create (and reopen) the three roots
-///   under [`PersistPolicy::Hybrid`]: interior index nodes stay
-///   volatile, only compact op records are journaled, and recovery
-///   rebuilds the index by replay. The verifier checks the identical
-///   shadow model either way.
-pub fn pool_config() -> PmemConfig {
-    let journal_shards = std::env::var("MOD_SESSION_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let durability = if std::env::var("MOD_SESSION_FSYNC").is_ok_and(|v| v == "1") {
-        Durability::Fsync
-    } else {
-        Durability::Buffered
-    };
-    PmemConfig {
-        capacity: 1 << 26,
-        crash_sim: false,
-        trace: false,
-        journal_shards,
-        durability,
-        ..PmemConfig::default()
-    }
+/// The shapes a session pool is created in: a closed list, one entry
+/// per shape the kill batteries run. A shape is a create-time choice;
+/// the pool records its journal shards (header) and its roots' policy
+/// (root directory), so a reopen reads both back and takes only the
+/// shape's durability from here.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SessionShape {
+    /// One journal appended [`Durability::Buffered`], [`PersistPolicy::Full`]
+    /// roots: kill-grade. The shape the sim gate's session key measures.
+    #[default]
+    Buffered,
+    /// Four shard journals appended [`Durability::Fsync`], Full roots:
+    /// power-loss grade. The session heap is owner-mode, so every fence
+    /// ends in a sync round, and recovery replays the shards in parallel.
+    FsyncSet,
+    /// [`SessionShape::FsyncSet`] with the three roots under
+    /// [`PersistPolicy::Hybrid`]: interior index nodes stay volatile,
+    /// only compact op records are journaled, and recovery rebuilds the
+    /// index by replay. The verifier checks the same shadow model.
+    FsyncSetHybrid,
 }
 
-/// The persistence policy the session's roots are created and reopened
-/// under (`MOD_SESSION_POLICY=hybrid` selects hybrid; anything else —
-/// including unset — selects full persistence).
-pub fn session_policy() -> PersistPolicy {
-    if std::env::var("MOD_SESSION_POLICY").is_ok_and(|v| v == "hybrid") {
-        PersistPolicy::Hybrid
-    } else {
-        PersistPolicy::Full
+impl SessionShape {
+    /// Every shape, in the order the batteries list them.
+    pub const ALL: [SessionShape; 3] = [
+        SessionShape::Buffered,
+        SessionShape::FsyncSet,
+        SessionShape::FsyncSetHybrid,
+    ];
+
+    /// The pool configuration of this shape. Its `journal_shards`
+    /// applies only when the pool is created.
+    pub fn pool_config(self) -> PmemConfig {
+        let (journal_shards, durability) = match self {
+            SessionShape::Buffered => (1, Durability::Buffered),
+            SessionShape::FsyncSet | SessionShape::FsyncSetHybrid => (4, Durability::Fsync),
+        };
+        PmemConfig {
+            capacity: 1 << 26,
+            crash_sim: false,
+            trace: false,
+            journal_shards,
+            durability,
+            ..PmemConfig::default()
+        }
+    }
+
+    /// The policy this shape creates the three roots under.
+    pub fn policy(self) -> PersistPolicy {
+        match self {
+            SessionShape::FsyncSetHybrid => PersistPolicy::Hybrid,
+            SessionShape::Buffered | SessionShape::FsyncSet => PersistPolicy::Full,
+        }
     }
 }
 
 /// Opens the session at `path`, creating and initializing a fresh pool
-/// if none exists; an existing pool is recovered (journal replay + typed
-/// recovery) and verified against the shadow model before the session
-/// is handed back.
+/// in `shape` if none exists; an existing pool is recovered (journal
+/// replay + typed recovery) in whatever shape it was created and
+/// verified against the shadow model before the session is handed back.
+/// Only `shape`'s durability applies to an existing pool.
 ///
-/// Initialization is atomic against kills: the fresh pool is built and
-/// checkpointed under a temporary name and renamed into place, so a
-/// verifier only ever sees "no session yet" or a fully initialized one.
-pub fn open_session(path: &Path, seed: u64) -> io::Result<Session> {
-    if !path.exists() {
-        let cfg = pool_config();
-        let init = path.with_extension("init");
-        let init_members = FileBackend::member_paths(&init, cfg.journal_shards);
-        for stale in &init_members {
-            let _ = std::fs::remove_file(stale); // half-init from a kill
-        }
-        let mut heap = ModHeap::create_file(&init, cfg.clone())?;
-        let policy = session_policy();
+/// Initialization is atomic against kills
+/// ([`ModHeap::open_or_create_file`]): a verifier only ever sees "no
+/// session yet" or a fully initialized one.
+pub fn open_session(path: &Path, shape: SessionShape, seed: u64) -> io::Result<Session> {
+    let policy = shape.policy();
+    let (mut heap, _report) = ModHeap::open_or_create_file(path, shape.pool_config(), |heap| {
         let _map: DurableMap<u64, u64> = heap.root(0).policy(policy).create();
         let _queue: DurableQueue<u64> = heap.root(1).policy(policy).create();
         let count: DurableVector<u64> = heap.root(2).policy(policy).create();
-        count.push_back(&mut heap, &0);
-        drop(heap.close()?);
-        // Shard journals move first, the base last: a verifier keys off
-        // the base file, so a kill mid-rename still reads "no session
-        // yet" until the base lands.
-        let members = FileBackend::member_paths(path, cfg.journal_shards);
-        for (from, to) in init_members.iter().zip(&members).rev() {
-            std::fs::rename(from, to)?;
-        }
-    }
-    let (mut heap, _report) = ModHeap::open_file(path, pool_config())?;
+        count.push_back(heap, &0);
+    })?;
     let (roots, committed) = check_session(&mut heap, seed).map_err(io::Error::other)?;
     Ok(Session {
         heap,
@@ -179,9 +179,10 @@ pub fn run_ops(session: &mut Session, target: u64) {
     }
 }
 
-/// Verifies the pool at `path` against the shadow model and returns the
-/// committed op count. The pool is opened read-only-and-discarded (a
-/// fresh recovery, exactly what a restarted process would see). A
+/// Verifies the pool at `path`, in whatever shape it was created,
+/// against the shadow model and returns the committed op count. The
+/// pool is opened read-only-and-discarded (a fresh recovery, exactly
+/// what a restarted process would see). A
 /// missing pool file is the legal "killed before initialization
 /// finished" outcome (the init rename never ran) and verifies as 0
 /// committed ops.
@@ -196,27 +197,24 @@ pub fn verify_session(path: &Path, seed: u64) -> io::Result<u64> {
     if !path.exists() {
         return Ok(0);
     }
-    let (mut heap, _report) = ModHeap::open_file(path, pool_config())?;
+    let cfg = SessionShape::default().pool_config();
+    let (mut heap, _report) = ModHeap::open_file(path, cfg)?;
     let (_roots, n) = check_session(&mut heap, seed).map_err(io::Error::other)?;
     Ok(n)
 }
 
 fn check_session(heap: &mut ModHeap, seed: u64) -> Result<(SessionRoots, u64), String> {
-    let policy = session_policy();
     let roots = SessionRoots {
         map: heap
             .root(0)
-            .policy(policy)
             .open()
             .map_err(|e| format!("map root: {e:?}"))?,
         queue: heap
             .root(1)
-            .policy(policy)
             .open()
             .map_err(|e| format!("queue root: {e:?}"))?,
         count: heap
             .root(2)
-            .policy(policy)
             .open()
             .map_err(|e| format!("count root: {e:?}"))?,
     };

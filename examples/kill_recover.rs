@@ -15,7 +15,7 @@
 //! cargo run --release --example kill_recover
 //! ```
 
-use mod_workloads::session::{open_session, run_ops, verify_session};
+use mod_workloads::session::{open_session, run_ops, verify_session, SessionShape};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
@@ -39,7 +39,8 @@ fn main() {
 
 /// The writer: open (or create) the session and write until killed.
 fn child(path: &Path) {
-    let mut session = open_session(path, SEED).expect("child failed to open session");
+    let mut session =
+        open_session(path, SessionShape::Buffered, SEED).expect("child failed to open session");
     run_ops(&mut session, CHILD_TARGET);
     drop(session.heap.close().expect("orderly close"));
 }
@@ -81,7 +82,7 @@ fn parent() {
     );
 
     // Final lifetime: finish a clean tail in-process and close properly.
-    let mut session = open_session(&path, SEED).expect("final reopen");
+    let mut session = open_session(&path, SessionShape::Buffered, SEED).expect("final reopen");
     let resume = session.committed;
     run_ops(&mut session, resume + 1_000);
     let pm = session.heap.close().expect("orderly close");

@@ -3,14 +3,14 @@
 //! root keeps its interior nodes in a volatile index (never flushed,
 //! never charged) and persists only a compact op spine; recovery rebuilds
 //! the index by replaying the spine. These tests pin the API contract
-//! (policy recorded durably, mismatches are typed errors), the
+//! (policy recorded durably and read back on open), the
 //! equivalence contract (a hybrid root is observationally identical to a
 //! full one), and the rebuild contract (crash → reopen → same contents).
 
 use mod_core::codec::KeyRepr;
 use mod_core::{
     CommitMode, DurableMap, DurableQueue, DurableSet, DurableStack, DurableVector, Fase, ModHeap,
-    OpenError, PersistPolicy, PmKey, SharedModHeap,
+    OpenError, PersistPolicy, PmKey, RootKind, SharedModHeap,
 };
 use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,10 +56,10 @@ fn builder_creates_and_reopens_all_five_kinds_hybrid() {
     assert_eq!(queue.dequeue(&mut h), Some(11));
 
     // Reopen every handle through the builder without a restart.
-    let map2: DurableMap<u64, Vec<u8>> = h.root(0).policy(PersistPolicy::Hybrid).open().unwrap();
+    let map2: DurableMap<u64, Vec<u8>> = h.root(0).open().unwrap();
     assert_eq!(map2.policy(), PersistPolicy::Hybrid);
     assert_eq!(map2.get(&h, &2), Some(b"two".to_vec()));
-    let vec2: DurableVector<u64> = h.root(2).policy(PersistPolicy::Hybrid).open().unwrap();
+    let vec2: DurableVector<u64> = h.root(2).open().unwrap();
     assert_eq!(vec2.to_vec(&h), vec![70, 8]);
 }
 
@@ -83,32 +83,44 @@ fn open_or_create_opens_existing_and_rejects_gaps() {
 }
 
 #[test]
-fn policy_mismatch_is_a_typed_error_both_ways() {
+fn open_takes_each_roots_policy_from_the_directory() {
     let mut h = mh();
-    let _hybrid: DurableMap<u64, u64> = h.root(0).policy(PersistPolicy::Hybrid).create();
-    let _full: DurableMap<u64, u64> = h.root(1).create();
+    let hybrid: DurableMap<u64, u64> = h.root(0).policy(PersistPolicy::Hybrid).create();
+    let full: DurableMap<u64, u64> = h.root(1).create();
+    hybrid.insert(&mut h, &1, &10);
+    full.insert(&mut h, &2, &20);
+    h.quiesce();
+    let (mut h, _) = ModHeap::open(h.into_pm().crash_image(CrashPolicy::OnlyFenced));
 
-    let as_full: Result<DurableMap<u64, u64>, _> = h.root(0).open();
-    match as_full {
-        Err(OpenError::PolicyMismatch {
-            index: 0,
-            stored: PersistPolicy::Hybrid,
-            requested: PersistPolicy::Full,
-        }) => {}
-        other => panic!("expected hybrid-as-full PolicyMismatch, got {other:?}"),
-    }
-    let as_hybrid: Result<DurableMap<u64, u64>, _> = h.root(1).policy(PersistPolicy::Hybrid).open();
-    match as_hybrid {
-        Err(OpenError::PolicyMismatch {
-            index: 1,
-            stored: PersistPolicy::Full,
-            requested: PersistPolicy::Hybrid,
-        }) => {}
-        other => panic!("expected full-as-hybrid PolicyMismatch, got {other:?}"),
-    }
-    // The error names both policies for the operator.
-    let msg = as_full.unwrap_err().to_string();
-    assert!(msg.contains("Hybrid") && msg.contains("Full"), "{msg}");
+    // No `.policy(..)`: each directory entry records its root's policy.
+    let hybrid: DurableMap<u64, u64> = h.root(0).open().unwrap();
+    let full: DurableMap<u64, u64> = h.root(1).open().unwrap();
+    assert_eq!(hybrid.policy(), PersistPolicy::Hybrid);
+    assert_eq!(hybrid.get(&h, &1), Some(10));
+    assert_eq!(full.policy(), PersistPolicy::Full);
+    assert_eq!(full.get(&h, &2), Some(20));
+    // The builder's policy is a create-time choice: an open ignores it.
+    let named_full: DurableMap<u64, u64> = h.root(0).policy(PersistPolicy::Full).open().unwrap();
+    assert_eq!(named_full.policy(), PersistPolicy::Hybrid);
+
+    // The kind and codec checks still guard a hybrid root.
+    let as_queue: Result<DurableQueue<u64>, _> = h.root(0).open();
+    assert!(
+        matches!(
+            as_queue,
+            Err(OpenError::KindMismatch {
+                index: 0,
+                stored: RootKind::Map,
+                expected: RootKind::Queue,
+            })
+        ),
+        "{as_queue:?}"
+    );
+    let as_bytes: Result<DurableMap<u64, Vec<u8>>, _> = h.root(0).open();
+    assert!(
+        matches!(as_bytes, Err(OpenError::CodecMismatch { index: 0, .. })),
+        "{as_bytes:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -151,13 +163,13 @@ impl Roots {
         }
     }
 
-    fn open(h: &mut ModHeap, policy: PersistPolicy) -> Roots {
+    fn open(h: &mut ModHeap) -> Roots {
         Roots {
-            map: h.root(0).policy(policy).open().unwrap(),
-            set: h.root(1).policy(policy).open().unwrap(),
-            ids: h.root(2).policy(policy).open().unwrap(),
-            vec: h.root(3).policy(policy).open().unwrap(),
-            stack: h.root(4).policy(policy).open().unwrap(),
+            map: h.root(0).open().unwrap(),
+            set: h.root(1).open().unwrap(),
+            ids: h.root(2).open().unwrap(),
+            vec: h.root(3).open().unwrap(),
+            stack: h.root(4).open().unwrap(),
         }
     }
 }
@@ -454,7 +466,8 @@ fn run_conformance_cell(policy: PersistPolicy, shared: bool) {
     let mut h = eng.into_heap();
     h.quiesce();
     let (mut h2, _) = ModHeap::open(h.into_pm().crash_image(CrashPolicy::OnlyFenced));
-    let r2 = Roots::open(&mut h2, policy);
+    let r2 = Roots::open(&mut h2);
+    assert_eq!(r2.map.policy(), policy, "the directory keeps the policy");
     for k in 0..40 {
         assert_eq!(
             observe!(&h2, r2, &name(k)),
@@ -545,10 +558,10 @@ fn hybrid_roots_rebuild_after_crash() {
     let (mut h2, _report) = ModHeap::open(pm);
     assert!(h2.rebuild_ns() > 0, "rebuild was never timed");
 
-    let map: DurableMap<u64, Vec<u8>> = h2.root(0).policy(PersistPolicy::Hybrid).open().unwrap();
-    let vec: DurableVector<u64> = h2.root(1).policy(PersistPolicy::Hybrid).open().unwrap();
-    let stack: DurableStack<u64> = h2.root(2).policy(PersistPolicy::Hybrid).open().unwrap();
-    let queue: DurableQueue<u64> = h2.root(3).policy(PersistPolicy::Hybrid).open().unwrap();
+    let map: DurableMap<u64, Vec<u8>> = h2.root(0).open().unwrap();
+    let vec: DurableVector<u64> = h2.root(1).open().unwrap();
+    let stack: DurableStack<u64> = h2.root(2).open().unwrap();
+    let queue: DurableQueue<u64> = h2.root(3).open().unwrap();
     let full: DurableMap<u64, u64> = h2.root(4).open().unwrap();
 
     assert_eq!(map.len(&h2), model.len() as u64);
@@ -575,7 +588,7 @@ fn hybrid_roots_rebuild_after_crash() {
     h2.quiesce();
     let pm = h2.into_pm().crash_image(CrashPolicy::OnlyFenced);
     let (mut h3, _) = ModHeap::open(pm);
-    let map: DurableMap<u64, Vec<u8>> = h3.root(0).policy(PersistPolicy::Hybrid).open().unwrap();
+    let map: DurableMap<u64, Vec<u8>> = h3.root(0).open().unwrap();
     assert_eq!(map.get(&h3, &999), Some(b"post-crash".to_vec()));
 }
 
@@ -603,7 +616,7 @@ fn compaction_bounds_spine_growth_and_rebuild_still_matches() {
     );
     let pm = h.into_pm().crash_image(CrashPolicy::OnlyFenced);
     let (mut h2, _) = ModHeap::open(pm);
-    let vec: DurableVector<u64> = h2.root(0).policy(PersistPolicy::Hybrid).open().unwrap();
+    let vec: DurableVector<u64> = h2.root(0).open().unwrap();
     assert_eq!(vec.to_vec(&h2), vec![42]);
 }
 
@@ -644,7 +657,7 @@ fn shared_mode_hybrid_ops_snapshot_reads_and_rebuild() {
             .into_pm()
             .crash_image(CrashPolicy::OnlyFenced),
     );
-    let map: DurableMap<u64, u64> = h2.root(0).policy(PersistPolicy::Hybrid).open().unwrap();
+    let map: DurableMap<u64, u64> = h2.root(0).open().unwrap();
     assert_eq!(map.len(&h2), 100);
     for i in 0..50 {
         assert_eq!(map.get(&h2, &(2 * i)), Some(i));

@@ -5,16 +5,15 @@
 //! (the `writer_child` "test" below becomes the child's entry point when
 //! `MOD_SESSION_POOL` is set), so a genuine `SIGKILL` lands on a process
 //! mid-FASE-stream and recovery runs in a different process — no shared
-//! memory, only the pool file.
+//! memory, only the pool file. The kill battery runs once per
+//! [`SessionShape`], the checkpoint batteries once per journal shape.
 
 use mod_core::{DurableMap, ModHeap};
 use mod_pmem::journal::{ReplayError, IMAGE_OFFSET, MARK_SLOT_AT, MARK_SLOT_BYTES};
 use mod_pmem::{FileBackend, Pmem, PmemConfig};
-use mod_workloads::session::{
-    open_session, pool_config, run_ops, session_policy, verify_session, SLOTS, WINDOW,
-};
+use mod_workloads::session::{open_session, run_ops, verify_session, SessionShape, SLOTS, WINDOW};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn temp_pool(name: &str) -> PathBuf {
@@ -31,25 +30,23 @@ fn remove_pool(path: &Path) {
     }
 }
 
-/// The journal shard count the session pools of this run are created
-/// with (the knob the CI battery turns).
-fn session_shards() -> u16 {
-    pool_config().journal_shards
+/// Every member path of a pool created in `shape` (base first).
+fn members(path: &Path, shape: SessionShape) -> Vec<PathBuf> {
+    FileBackend::member_paths(path, shape.pool_config().journal_shards)
 }
 
 /// Every member of the pool at `path` (base first), as bytes.
-fn read_members(path: &Path) -> Vec<Vec<u8>> {
-    FileBackend::member_paths(path, session_shards())
+fn read_members(path: &Path, shape: SessionShape) -> Vec<Vec<u8>> {
+    members(path, shape)
         .iter()
         .map(|p| std::fs::read(p).unwrap())
         .collect()
 }
 
+/// Writes a whole pool set (base first, then one journal per shard).
 fn write_members(path: &Path, members: &[Vec<u8>]) {
-    for (p, m) in FileBackend::member_paths(path, session_shards())
-        .iter()
-        .zip(members)
-    {
+    let shards = members.len() as u16 - 1;
+    for (p, m) in FileBackend::member_paths(path, shards).iter().zip(members) {
         std::fs::write(p, m).unwrap();
     }
 }
@@ -57,7 +54,7 @@ fn write_members(path: &Path, members: &[Vec<u8>]) {
 /// The first `len` bytes a journal-level recovery of `path` rebuilds
 /// (no typed recovery on top: nothing is appended to the pool).
 fn recovered_bytes(path: &Path, len: usize) -> Vec<u8> {
-    let pm = Pmem::open_file(path, pool_config()).unwrap();
+    let pm = Pmem::open_file(path, SessionShape::Buffered.pool_config()).unwrap();
     let mut bytes = vec![0u8; len];
     pm.peek_bytes(0, &mut bytes);
     bytes
@@ -67,36 +64,45 @@ fn replay_error(err: &std::io::Error) -> Option<&ReplayError> {
     err.get_ref()?.downcast_ref::<ReplayError>()
 }
 
-/// Child entry point: under `MOD_SESSION_POOL` this "test" writes the
-/// session until killed; in a normal test run it is an instant no-op.
+/// Child entry point: under `MOD_SESSION_POOL=<shape>:<path>` this
+/// "test" writes the session, created in that [`SessionShape`], until
+/// killed; in a normal test run it is an instant no-op.
 #[test]
 fn writer_child() {
-    let Ok(path) = std::env::var("MOD_SESSION_POOL") else {
+    let Ok(pool) = std::env::var("MOD_SESSION_POOL") else {
         return;
     };
+    let (shape, path) = pool.split_once(':').unwrap();
+    let shape = SessionShape::ALL
+        .into_iter()
+        .find(|s| format!("{s:?}") == shape)
+        .unwrap();
     let seed: u64 = std::env::var("MOD_SESSION_SEED").unwrap().parse().unwrap();
-    let mut session = open_session(PathBuf::from(path).as_path(), seed).unwrap();
+    let mut session = open_session(Path::new(path), shape, seed).unwrap();
     run_ops(&mut session, u64::MAX / 2); // write until the kill arrives
 }
 
-#[test]
-fn kill_and_reopen_recovers_committed_fases() {
-    let path = temp_pool("kill");
+/// Re-invokes this binary as the writer child of the session at `path`.
+fn spawn_writer(path: &Path, shape: SessionShape, seed: u64) -> Child {
+    Command::new(std::env::current_exe().unwrap())
+        .args(["writer_child", "--exact", "--nocapture"])
+        .env("MOD_SESSION_POOL", format!("{shape:?}:{}", path.display()))
+        .env("MOD_SESSION_SEED", seed.to_string())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap()
+}
+
+fn kill_and_reopen(shape: SessionShape) {
+    let path = temp_pool(&format!("kill_{shape:?}"));
     let seed = 0xDEAD_BEEFu64;
-    let exe = std::env::current_exe().unwrap();
     let mut last = 0u64;
     // The last round is generous so even a debug build on a loaded host
     // commits work; an early kill that beats initialization verifies as
     // the legal 0-committed state.
     for (round, ms) in [60u64, 150, 400].into_iter().enumerate() {
-        let mut kid = Command::new(&exe)
-            .args(["writer_child", "--exact", "--nocapture"])
-            .env("MOD_SESSION_POOL", &path)
-            .env("MOD_SESSION_SEED", seed.to_string())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .unwrap();
+        let mut kid = spawn_writer(&path, shape, seed);
         std::thread::sleep(Duration::from_millis(ms));
         kid.kill().unwrap(); // SIGKILL: no destructors, no checkpoint
         kid.wait().unwrap();
@@ -113,7 +119,8 @@ fn kill_and_reopen_recovers_committed_fases() {
         "three kill rounds committed nothing — writer never reached a fence"
     );
     // The survivor pool still works: resume, close cleanly, verify.
-    let mut session = open_session(&path, seed).unwrap();
+    let mut session = open_session(&path, shape, seed).unwrap();
+    assert_eq!(session.roots.map.policy(), shape.policy());
     let resume = session.committed;
     assert_eq!(resume, last);
     run_ops(&mut session, resume + 100);
@@ -123,20 +130,34 @@ fn kill_and_reopen_recovers_committed_fases() {
 }
 
 #[test]
+fn kill_and_reopen_recovers_committed_fases() {
+    kill_and_reopen(SessionShape::Buffered);
+}
+
+#[test]
+fn kill_and_reopen_recovers_committed_fases_fsync_set() {
+    kill_and_reopen(SessionShape::FsyncSet);
+}
+
+#[test]
+fn kill_and_reopen_recovers_committed_fases_fsync_set_hybrid() {
+    // Every recovery rebuilds the volatile index from the op spine
+    // before the verifier walks the shadow model.
+    kill_and_reopen(SessionShape::FsyncSetHybrid);
+}
+
+#[test]
 fn torn_journal_tail_recovers_to_a_complete_fence_at_any_cut() {
     // Write a session, then simulate kills at many byte offsets by
     // truncating a copy of the pool's journal: every cut must verify as
     // a consistent all-or-nothing prefix, monotone in the cut point.
-    if session_shards() != 1 {
-        eprintln!("skipping: this test pins the one-journal shape");
-        return;
-    }
+    let shape = SessionShape::Buffered;
     let path = temp_pool("torn");
     let seed = 7u64;
-    let mut session = open_session(&path, seed).unwrap();
+    let mut session = open_session(&path, shape, seed).unwrap();
     run_ops(&mut session, 120);
     drop(session); // no close/checkpoint: the files are as a kill leaves them
-    let full = read_members(&path);
+    let full = read_members(&path, shape);
     let cut_path = temp_pool("torn_cut");
     let verify_cut = |cut: usize| {
         // Recovery truncates (and typed recovery appends) in place, so
@@ -186,32 +207,17 @@ const KILL_AT_JOURNAL_BYTES: u64 = 64 * 1024;
 fn pool_set_torn_shard_tail_recovers_to_the_frontier_at_any_cut() {
     // The pool-set variant of the torn-tail test, driven end-to-end: a
     // writer child runs in the power-loss-grade shape (4 shard journals,
-    // fsync per fence — the env knobs the CI kill battery uses), gets
-    // SIGKILLed, and then one shard journal of a copy of the set is
-    // truncated at many byte offsets. Every cut must recover to a
-    // consistent all-or-nothing prefix — the durable frontier: losing a
-    // record in one shard journal must also retire every *complete*
-    // record of later fences sitting in the sibling journals.
+    // fsync per fence), gets SIGKILLed, and then one shard journal of a
+    // copy of the set is truncated at many byte offsets. Every cut must
+    // recover to a consistent all-or-nothing prefix — the durable
+    // frontier: losing a record in one shard journal must also retire
+    // every *complete* record of later fences sitting in the sibling
+    // journals.
+    let shape = SessionShape::FsyncSet;
     let path = temp_pool("set_torn");
     let seed = 21u64;
-    let exe = std::env::current_exe().unwrap();
-    let mut kid = Command::new(&exe)
-        .args(["writer_child", "--exact", "--nocapture"])
-        .env("MOD_SESSION_POOL", &path)
-        .env("MOD_SESSION_SEED", seed.to_string())
-        .env("MOD_SESSION_SHARDS", "4")
-        .env("MOD_SESSION_FSYNC", "1")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    let shard_paths: Vec<PathBuf> = (0..4)
-        .map(|s| {
-            let mut p = path.as_os_str().to_os_string();
-            p.push(format!(".s{s}"));
-            PathBuf::from(p)
-        })
-        .collect();
+    let mut kid = spawn_writer(&path, shape, seed);
+    let shard_paths = members(&path, shape).split_off(1);
     // Kill once the busiest journal holds a few dozen fence records, so
     // the cut sweep below has many frontiers to land on however slow
     // the host is. The threshold stays far below the checkpoint trigger.
@@ -234,29 +240,19 @@ fn pool_set_torn_shard_tail_recovers_to_the_frontier_at_any_cut() {
     // clean set at the frontier — the baseline for the cut sweep.
     let committed = verify_session(&path, seed).unwrap();
     assert!(committed > 0, "child committed nothing before the kill");
-    let base_bytes = std::fs::read(&path).unwrap();
-    let shard_bytes: Vec<Vec<u8>> = shard_paths
-        .iter()
-        .map(|p| std::fs::read(p).unwrap())
-        .collect();
+    let full = read_members(&path, shape);
     // Shards own contiguous address ranges, so a small workload in a big
     // pool concentrates in the low shards: cut the busiest journal.
-    let victim = (0..4).max_by_key(|&s| shard_bytes[s].len()).unwrap();
+    let victim = (1..full.len()).max_by_key(|&m| full[m].len()).unwrap();
     assert!(
-        shard_bytes[victim].len() > 24,
+        full[victim].len() > 24,
         "no shard journal holds any records"
     );
     let cut_path = temp_pool("set_torn_cut");
-    let cut_shards: Vec<PathBuf> = (0..4)
-        .map(|s| {
-            let mut p = cut_path.as_os_str().to_os_string();
-            p.push(format!(".s{s}"));
-            PathBuf::from(p)
-        })
-        .collect();
+    let victim_path = &members(&cut_path, shape)[victim];
     // 24 = the shard-journal header; below that the member is invalid,
     // which a power loss cannot produce (headers are synced at create).
-    let len = shard_bytes[victim].len();
+    let len = full[victim].len();
     let mut cuts: Vec<usize> = (0..60).map(|i| 24 + i * (len - 24) / 60).collect();
     cuts.extend(len.saturating_sub(100).max(24)..=len);
     let mut prev_n = None::<u64>;
@@ -264,16 +260,10 @@ fn pool_set_torn_shard_tail_recovers_to_the_frontier_at_any_cut() {
     for cut in cuts {
         // Recovery truncates in place, so every cut starts from a fresh
         // copy of the whole set.
-        std::fs::write(&cut_path, &base_bytes).unwrap();
-        for (s, p) in cut_shards.iter().enumerate() {
-            if s == victim {
-                std::fs::write(p, &shard_bytes[s][..cut]).unwrap();
-            } else {
-                std::fs::write(p, &shard_bytes[s]).unwrap();
-            }
-        }
+        write_members(&cut_path, &full);
+        std::fs::write(victim_path, &full[victim][..cut]).unwrap();
         let n = verify_session(&cut_path, seed)
-            .unwrap_or_else(|e| panic!("cut shard {victim} at {cut}: inconsistent state: {e}"));
+            .unwrap_or_else(|e| panic!("cut member {victim} at {cut}: inconsistent state: {e}"));
         if let Some(p) = prev_n {
             assert!(
                 n >= p,
@@ -296,29 +286,23 @@ fn pool_set_torn_shard_tail_recovers_to_the_frontier_at_any_cut() {
     remove_pool(&cut_path);
 }
 
-#[test]
-fn compaction_bounds_the_file_and_preserves_state() {
-    // This is a journal-*volume* test: it pins how much the Full-policy
-    // journal grows, when it checkpoints and what a checkpoint leaves on
-    // disk. Under MOD_SESSION_POLICY=hybrid the same op count journals a
-    // fraction of the bytes and legitimately never crosses the
-    // threshold, so the hybrid battery skips it.
-    if session_policy() != mod_core::PersistPolicy::Full {
-        eprintln!("skipping: checkpoint volume test pins the Full journal shape");
-        return;
-    }
+/// A journal-*volume* battery: it pins how much the Full-policy journal
+/// grows, when it checkpoints and what a checkpoint leaves on disk. (A
+/// hybrid session journals a fraction of the bytes and never crosses
+/// the threshold in this many ops, so it runs only the Full shapes.)
+fn compaction_bounds(shape: SessionShape) {
     // The backend's private trigger, and a generous bound on one fence
     // record of this session (≈ 20 lines).
     const THRESHOLD: u64 = 1 << 20;
     const ONE_RECORD: u64 = 16 << 10;
-    let path = temp_pool("compaction");
-    let members = FileBackend::member_paths(&path, session_shards());
+    let path = temp_pool(&format!("compaction_{shape:?}"));
+    let members = members(&path, shape);
     let journal_bytes = || -> u64 {
         let len = |p: &PathBuf| std::fs::metadata(p).unwrap().len() - 24;
         members[1..].iter().map(len).sum()
     };
     let seed = 42u64;
-    let mut session = open_session(&path, seed).unwrap();
+    let mut session = open_session(&path, shape, seed).unwrap();
     // Enough churn that the journal crosses the checkpoint threshold —
     // and at no point may it sit more than one record above it.
     for target in (100..=1_500).step_by(100) {
@@ -367,11 +351,21 @@ fn compaction_bounds_the_file_and_preserves_state() {
     // All state survives the checkpoints and the reopen.
     let committed = verify_session(&path, seed).unwrap();
     assert_eq!(committed, 1_500);
-    let mut session = open_session(&path, seed).unwrap();
+    let mut session = open_session(&path, shape, seed).unwrap();
     run_ops(&mut session, 1_600);
     drop(session.heap.close().unwrap());
     assert_eq!(verify_session(&path, seed).unwrap(), 1_600);
     remove_pool(&path);
+}
+
+#[test]
+fn compaction_bounds_the_file_and_preserves_state() {
+    compaction_bounds(SessionShape::Buffered);
+}
+
+#[test]
+fn compaction_bounds_the_file_and_preserves_state_fsync_set() {
+    compaction_bounds(SessionShape::FsyncSet);
 }
 
 /// The differing 64-byte-aligned runs of two images, `(offset, len)`,
@@ -391,36 +385,34 @@ fn differing_runs(before: &[u8], after: &[u8]) -> Vec<(usize, usize)> {
     runs
 }
 
-#[test]
-fn checkpoint_killed_at_any_point_recovers_the_same_session() {
-    // File level of the kill-atomicity battery, in whatever pool shape
-    // the env knobs select (CI: 1-shard buffered and 4-shard fsync).
+/// File level of the kill-atomicity battery.
+fn checkpoint_killed_at_any_point(shape: SessionShape) {
     // `before` is a killed, un-checkpointed session; `after` is the same
     // pool checkpointed. Every on-disk state a kill *inside* that
     // checkpoint can leave is rebuilt from the two — image runs landed
     // one by one (the last one torn), the mark slot written or torn, the
     // journals truncated one by one — and every one of them must recover
     // the same committed session and the same bytes.
-    let path = temp_pool("ckpt_kill");
+    let path = temp_pool(&format!("ckpt_kill_{shape:?}"));
     let seed = 0xC4EC_4B17u64;
-    let mut session = open_session(&path, seed).unwrap();
+    let mut session = open_session(&path, shape, seed).unwrap();
     run_ops(&mut session, 400);
     drop(session); // the kill
-    let before = read_members(&path);
+    let before = read_members(&path, shape);
     // Journal-level open + checkpoint: nothing is appended, so `after`
     // is exactly `before`'s journal written home.
-    let mut pm = Pmem::open_file(&path, pool_config()).unwrap();
+    let mut pm = Pmem::open_file(&path, shape.pool_config()).unwrap();
     assert!(pm.replay_stats().unwrap().batches >= 399);
     pm.checkpoint().unwrap();
     assert_eq!(pm.backend_stats().compactions, 1);
     drop(pm);
-    let after = read_members(&path);
+    let after = read_members(&path, shape);
     let image_len = after[0].len() - IMAGE_OFFSET as usize;
     let oracle = recovered_bytes(&path, image_len);
     let committed = verify_session(&path, seed).unwrap();
     assert_eq!(committed, 399);
 
-    let state = temp_pool("ckpt_kill_state");
+    let state = temp_pool(&format!("ckpt_kill_state_{shape:?}"));
     let check = |what: &str, members: &[Vec<u8>]| {
         write_members(&state, members);
         assert!(
@@ -482,28 +474,34 @@ fn checkpoint_killed_at_any_point_recovers_the_same_session() {
         damaged[0][at as usize + 9] ^= 0x01;
     }
     write_members(&state, &damaged);
-    let err = Pmem::open_file(&state, pool_config()).unwrap_err();
+    let err = Pmem::open_file(&state, shape.pool_config()).unwrap_err();
     assert_eq!(replay_error(&err), Some(&ReplayError::MarkDamaged), "{err}");
     remove_pool(&path);
     remove_pool(&state);
 }
 
 #[test]
-fn lines_only_the_replayed_journal_held_survive_the_next_checkpoint() {
-    // Reopen an un-checkpointed pool, write on until the threshold
-    // checkpoint fires, get killed: that checkpoint truncated the
-    // records the reopen replayed, so their lines must have been seeded
-    // into it — the verifier walks every slot, old and new.
-    if session_policy() != mod_core::PersistPolicy::Full {
-        eprintln!("skipping: needs the Full journal volume to cross the threshold");
-        return;
-    }
-    let path = temp_pool("seeded");
+fn checkpoint_killed_at_any_point_recovers_the_same_session() {
+    checkpoint_killed_at_any_point(SessionShape::Buffered);
+}
+
+#[test]
+fn checkpoint_killed_at_any_point_recovers_the_same_session_fsync_set() {
+    checkpoint_killed_at_any_point(SessionShape::FsyncSet);
+}
+
+/// Reopen an un-checkpointed pool, write on until the threshold
+/// checkpoint fires, get killed: that checkpoint truncated the records
+/// the reopen replayed, so their lines must have been seeded into it —
+/// the verifier walks every slot, old and new. (Full shapes only: it
+/// needs the Full journal volume to cross the threshold.)
+fn replayed_lines_survive_the_next_checkpoint(shape: SessionShape) {
+    let path = temp_pool(&format!("seeded_{shape:?}"));
     let seed = 0x5EED_ED00u64;
-    let mut session = open_session(&path, seed).unwrap();
+    let mut session = open_session(&path, shape, seed).unwrap();
     run_ops(&mut session, 300);
     drop(session); // killed, un-checkpointed
-    let mut session = open_session(&path, seed).unwrap();
+    let mut session = open_session(&path, shape, seed).unwrap();
     assert_eq!(session.committed, 299);
     let replayed = session.heap.nv().pm().replay_stats().unwrap().batches;
     assert!(replayed >= 299, "reopen replayed {replayed} batches");
@@ -518,6 +516,16 @@ fn lines_only_the_replayed_journal_held_survive_the_next_checkpoint() {
 }
 
 #[test]
+fn lines_only_the_replayed_journal_held_survive_the_next_checkpoint() {
+    replayed_lines_survive_the_next_checkpoint(SessionShape::Buffered);
+}
+
+#[test]
+fn lines_only_the_replayed_journal_held_survive_the_next_checkpoint_fsync_set() {
+    replayed_lines_survive_the_next_checkpoint(SessionShape::FsyncSet);
+}
+
+#[test]
 fn generation_3_pool_fails_to_open_with_a_typed_error() {
     // The checked-in fixture is a pool exactly as the previous on-disk
     // generation laid it down (header + empty snapshot record). Old
@@ -529,12 +537,11 @@ fn generation_3_pool_fails_to_open_with_a_typed_error() {
         found: 3,
         supported: 4,
     };
-    let err = Pmem::open_file(&path, pool_config()).unwrap_err();
+    let cfg = SessionShape::Buffered.pool_config();
+    let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(replay_error(&err), Some(&want), "{err}");
-    let err = ModHeap::open_file(&path, pool_config())
-        .map(drop)
-        .unwrap_err();
+    let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
     assert_eq!(replay_error(&err), Some(&want), "{err}");
     assert!(verify_session(&path, 1).is_err());
     remove_pool(&path);
@@ -545,7 +552,7 @@ fn verifier_rejects_a_wrong_shadow_model() {
     // The kill tests are only as strong as the verifier: feed it the
     // wrong seed and it must notice every slot mismatching.
     let path = temp_pool("wrong_seed");
-    let mut session = open_session(&path, 1).unwrap();
+    let mut session = open_session(&path, SessionShape::Buffered, 1).unwrap();
     run_ops(&mut session, 50);
     drop(session.heap.close().unwrap());
     assert!(verify_session(&path, 2).is_err(), "wrong seed must fail");

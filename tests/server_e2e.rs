@@ -20,10 +20,12 @@
 //! The child entry point mirrors `persistence.rs`: the `server_child`
 //! "test" below becomes a real server process when `MOD_SERVER_POOL` is
 //! set, so the SIGKILL lands on a different process and recovery shares
-//! nothing with the writer but the pool file.
+//! nothing with the writer but the pool file. The SIGKILL batteries run
+//! once per [`PersistPolicy`]: the parent creates the pool under it, and
+//! the child, like any reopen, serves whatever policy the pool records.
 
 use mod_core::{CommitMode, ModHeap, PersistPolicy, SharedModHeap};
-use mod_pmem::{CrashPolicy, Durability, Pmem, PmemConfig};
+use mod_pmem::{CrashPolicy, Durability, FileBackend, Pmem, PmemConfig};
 use mod_server::{pool, serve, Command, Reply, ReplyDecoder, ServerRoots};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -31,15 +33,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Stdio};
 use std::time::{Duration, Instant};
 
-/// Persistence policy for the battery: `MOD_SESSION_POLICY=hybrid`
-/// reruns every SIGKILL round with hybrid (volatile-index) roots, so
-/// recovery additionally exercises the spine replay path.
-fn test_policy() -> PersistPolicy {
-    match std::env::var("MOD_SESSION_POLICY").as_deref() {
-        Ok("hybrid") => PersistPolicy::Hybrid,
-        _ => PersistPolicy::Full,
-    }
-}
+/// Journal shards of every pool the server children serve.
+const SHARDS: u16 = 2;
 
 fn temp_pool(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -48,39 +43,41 @@ fn temp_pool(name: &str) -> PathBuf {
     p
 }
 
-/// Removes a pool and any shard journals of its set.
+/// Removes a pool and the shard journals of its set.
 fn remove_pool(path: &Path) {
-    let _ = std::fs::remove_file(path);
-    for s in 0..8 {
-        let mut sp = path.as_os_str().to_os_string();
-        sp.push(format!(".s{s}"));
-        let _ = std::fs::remove_file(sp);
+    for member in FileBackend::member_paths(path, SHARDS) {
+        let _ = std::fs::remove_file(member);
     }
 }
 
-/// Child entry point: under `MOD_SERVER_POOL` this "test" serves the
-/// pool until killed; in a normal test run it is an instant no-op.
-///
-/// The child serves a **2-shard pool set with `Durability::Fsync`** —
-/// the power-loss-grade shape — so every SIGKILL round in this file
-/// also exercises per-shard journal recovery with parallel replay.
-#[test]
-fn server_child() {
-    let Ok(path) = std::env::var("MOD_SERVER_POOL") else {
-        return;
-    };
-    let (heap, roots) = pool::open_or_create_with(
-        Path::new(&path),
+/// Opens the pool at `path` the way a server child does — a **2-shard
+/// pool set with `Durability::Fsync`**, the power-loss-grade shape, so
+/// every SIGKILL round also exercises per-shard journal recovery with
+/// parallel replay — creating it under `policy` if it does not exist.
+fn open_pool(path: &Path, policy: PersistPolicy) -> (SharedModHeap, ServerRoots) {
+    pool::open_or_create_with(
+        path,
         2,
         CommitMode::Group {
             max_batch: 8,
             timeout: Duration::from_millis(2),
         },
         Durability::Fsync,
-        2,
-        test_policy(),
+        SHARDS,
+        policy,
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Child entry point: under `MOD_SERVER_POOL` this "test" serves the
+/// pool until killed; in a normal test run it is an instant no-op. A
+/// pool the parent created keeps the policy it recorded.
+#[test]
+fn server_child() {
+    let Ok(path) = std::env::var("MOD_SERVER_POOL") else {
+        return;
+    };
+    let (heap, roots) = open_pool(Path::new(&path), PersistPolicy::Full);
     let handle = serve(heap, roots, "127.0.0.1:0").unwrap();
     println!("LISTENING {}", handle.addr());
     std::io::stdout().flush().unwrap();
@@ -164,10 +161,11 @@ fn lpush(seq: u64) -> Command {
 }
 
 /// Reads the pool directly (no server) and returns the counter value
-/// and the list length.
-fn inspect_pool(path: &Path) -> (i64, u64) {
+/// and the list length, checking that its roots kept `policy`.
+fn inspect_pool(path: &Path, policy: PersistPolicy) -> (i64, u64) {
     let (mut heap, _) = ModHeap::open_file(path, pool::pool_config()).unwrap();
-    let roots = ServerRoots::open(&mut heap, test_policy()).unwrap();
+    let roots = ServerRoots::open(&mut heap).unwrap();
+    assert_eq!(roots.kv.policy(), policy, "the pool's recorded policy");
     let counter = roots
         .kv
         .get(&heap, &b"counter".to_vec())
@@ -176,9 +174,9 @@ fn inspect_pool(path: &Path) -> (i64, u64) {
     (counter, roots.list_ids.len(&heap))
 }
 
-#[test]
-fn acked_ops_survive_sigkill_and_replay_is_exactly_once() {
-    let path = temp_pool("kill");
+fn acked_ops_survive_sigkill(policy: PersistPolicy) {
+    let path = temp_pool(&format!("kill_{policy:?}"));
+    drop(open_pool(&path, policy));
     // The client's durable request log: every acked (seq, reply) pair
     // for the INCR session; LPUSH acks counted separately.
     let mut acked: Vec<(u64, Reply)> = Vec::new();
@@ -241,7 +239,7 @@ fn acked_ops_survive_sigkill_and_replay_is_exactly_once() {
         // Reply-after-fence, checked in a third process-independent way:
         // a direct reopen shows every acked op, and at most the one
         // in-flight op beyond them.
-        let (counter, list_len) = inspect_pool(&path);
+        let (counter, list_len) = inspect_pool(&path, policy);
         let max_acked = acked.len() as i64;
         assert!(
             counter >= max_acked,
@@ -281,21 +279,32 @@ fn acked_ops_survive_sigkill_and_replay_is_exactly_once() {
     );
     kid.kill().unwrap();
     kid.wait().unwrap();
-    let (counter, list_len) = inspect_pool(&path);
+    let (counter, list_len) = inspect_pool(&path, policy);
     assert_eq!(counter, acked.len() as i64);
     assert_eq!(list_len, pushes, "LPUSH retries never double-apply");
     remove_pool(&path);
 }
 
 #[test]
-fn session_retry_replays_a_memoized_error_verbatim() {
+fn acked_ops_survive_sigkill_and_replay_is_exactly_once() {
+    acked_ops_survive_sigkill(PersistPolicy::Full);
+}
+
+#[test]
+fn acked_ops_survive_sigkill_and_replay_is_exactly_once_hybrid() {
+    // The index is volatile: every recovery rebuilds it by spine replay.
+    acked_ops_survive_sigkill(PersistPolicy::Hybrid);
+}
+
+fn memoized_error_replays_verbatim(policy: PersistPolicy) {
     // Exactly-once covers failures too: a SESSION op that answered
     // `-ERR` has *completed* — the error is the memoized reply, and a
     // retry of that seq must replay it verbatim, never re-execute the
     // inner command. Re-execution is observable here because the key is
     // repaired between the first delivery and the retry: a re-executed
     // INCR would suddenly succeed with `:6`.
-    let path = temp_pool("memoerr");
+    let path = temp_pool(&format!("memoerr_{policy:?}"));
+    drop(open_pool(&path, policy));
     let key = || b"gauge".to_vec();
     let (mut kid, addr) = spawn_server(&path);
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -374,14 +383,60 @@ fn session_retry_replays_a_memoized_error_verbatim() {
 }
 
 #[test]
+fn session_retry_replays_a_memoized_error_verbatim() {
+    memoized_error_replays_verbatim(PersistPolicy::Full);
+}
+
+#[test]
+fn session_retry_replays_a_memoized_error_verbatim_hybrid() {
+    memoized_error_replays_verbatim(PersistPolicy::Hybrid);
+}
+
+#[test]
+fn reopen_keeps_the_recorded_policy_whatever_is_asked() {
+    // A policy is a create-time choice: reopening a pool under the other
+    // policy opens it as recorded and serves what was written before.
+    for (created, asked) in [
+        (PersistPolicy::Full, PersistPolicy::Hybrid),
+        (PersistPolicy::Hybrid, PersistPolicy::Full),
+    ] {
+        let path = temp_pool(&format!("reopen_{created:?}"));
+        let (heap, roots) = open_pool(&path, created);
+        let (_, ticket) = heap.fase_ticketed(0, |tx| roots.execute_in(tx, &set("k".into())));
+        heap.wait_durable(&ticket);
+        drop(heap);
+        let (heap, roots) = open_pool(&path, asked);
+        assert_eq!(roots.kv.policy(), created);
+        let handle = serve(heap, roots, "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut dec = ReplyDecoder::new();
+        let get = Command::Get { key: b"k".to_vec() };
+        assert_eq!(
+            request(&mut stream, &mut dec, &get),
+            Reply::Value(Some(b"v".to_vec())),
+            "{created:?} pool reopened asking for {asked:?}"
+        );
+        drop(stream);
+        handle.stop();
+        remove_pool(&path);
+    }
+}
+
+#[test]
 fn acked_op_is_recoverable_at_every_step() {
     // The in-process, deterministic half of the battery: drive the exact
     // code path a connection uses (ticketed FASE → wait_durable → ack)
     // and take a crash image at *every* step — both before the fence
     // wait (op may or may not be in; state must be consistent) and after
     // it (op must be in: that is the ack the server would flush).
+    for policy in [PersistPolicy::Full, PersistPolicy::Hybrid] {
+        acked_op_recoverable_at_every_step(policy);
+    }
+}
+
+fn acked_op_recoverable_at_every_step(policy: PersistPolicy) {
     let mut heap = ModHeap::create(Pmem::new(PmemConfig::testing()));
-    let roots = ServerRoots::create(&mut heap, test_policy());
+    let roots = ServerRoots::create(&mut heap, policy);
     let sh = SharedModHeap::from_heap_with(
         heap,
         2,
@@ -393,7 +448,7 @@ fn acked_op_is_recoverable_at_every_step() {
     sh.deregister(1); // one-connection server: a lone slot carries all ops
     let reopen = |img: Pmem| {
         let (mut h, _) = ModHeap::open(img);
-        let counter: i64 = ServerRoots::open(&mut h, test_policy())
+        let counter: i64 = ServerRoots::open(&mut h)
             .unwrap()
             .kv
             .get(&h, &b"counter".to_vec())
