@@ -152,11 +152,6 @@ impl NvHeap {
         NvHeap::from_pool(pm, true)
     }
 
-    /// Whether the heap is still in recovery mode.
-    pub fn in_recovery(&self) -> bool {
-        self.mark.is_some()
-    }
-
     fn assert_ready(&self) {
         assert!(
             self.mark.is_none(),
@@ -424,11 +419,6 @@ impl NvHeap {
             "end_volatile without begin_volatile"
         );
         self.volatile_depth -= 1;
-    }
-
-    /// Whether a volatile allocation scope is open.
-    pub fn in_volatile(&self) -> bool {
-        self.volatile_depth > 0
     }
 
     /// The pool's shared volatile root annex (committed volatile heads

@@ -71,7 +71,6 @@ pub mod erased;
 pub mod fase;
 pub mod heap;
 pub mod parent;
-pub mod queue;
 pub mod recovery;
 pub mod root;
 pub mod sched;
@@ -87,7 +86,6 @@ pub use codec::{PmKey, PmValue, PmWord};
 pub use erased::{DurableDs, ErasedDs, RootKind};
 pub use fase::Fase;
 pub use heap::ModHeap;
-pub use queue::HandoffQueue;
 pub use root::{Root, ROOT_DIR_SLOT};
 pub use sched::{SeededRoundRobin, Turn};
 pub use shared::{

@@ -137,20 +137,7 @@ impl ModHeap {
     /// typed wrappers use it so reopening with mismatched key/value
     /// codecs is rejected. Tag 0 means "no codec recorded".
     pub fn publish_tagged<D: DurableDs>(&mut self, initial: D, tag: u64) -> Root<D> {
-        let dir = self.nv_mut().read_root(ROOT_DIR_SLOT);
-        let (mut children, mut tags) = if dir.is_null() {
-            (Vec::new(), Vec::new())
-        } else {
-            (
-                parent::children_of(self.nv_mut(), dir),
-                parent::peek_tags_of(self.nv(), dir),
-            )
-        };
-        let index = children.len();
-        children.push(initial.erase());
-        tags.push(tag);
-        self.swing_directory(dir, &children, &[initial.erase()], &tags, SyncRound::Now);
-        Root::new(index)
+        Root::new(self.publish_erased_tagged(initial.erase(), tag))
     }
 
     /// [`ModHeap::publish_tagged`] for entries whose kind has no typed

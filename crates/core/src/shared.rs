@@ -1,5 +1,5 @@
-//! `SharedModHeap`: a thread-safe, sharded front end with lock-free FASE
-//! staging and pipelined (group) commits.
+//! `SharedModHeap`: a thread-safe, sharded front end with FASE staging
+//! under no global lock and pipelined (group) commits.
 //!
 //! MOD's whole point is that shadow updates need almost no ordering — so
 //! staging them should need almost no *locking* either. Each worker
@@ -11,16 +11,17 @@
 //! is per-root *staging lanes* (a FASE updating root `r` owns `r`'s lane
 //! until it is queued, so dependent same-root FASEs serialize while
 //! disjoint-root FASEs never meet), and completed FASEs are handed to the
-//! commit stage through a **lock-free MPSC queue**
-//! ([`crate::queue::HandoffQueue`]). Only the batch publish — one root
-//! directory swing, one `sfence` — remains serialized, and it is exactly
-//! one ordering point however many FASEs the batch carries.
+//! commit stage through a **handoff queue**: a `Mutex<Vec>` held only for
+//! one push, which the commit stage empties in one take. Only the batch
+//! publish — one root directory swing, one `sfence` — remains
+//! serialized, and it is exactly one ordering point however many FASEs
+//! the batch carries.
 //!
 //! ```text
 //!  worker 0 ──┐ stage in own arena/timeline ──┐
-//!  worker 1 ──┤   (no lock; per-root lanes)   ├──▶ lock-free MPSC ──▶ commit stage
-//!  worker N ──┘                               ┘      (push CAS)       one sfence +
-//!                                                                     one ptr store
+//!  worker 1 ──┤   (no lock; per-root lanes)   ├──▶ handoff Vec ──▶ commit stage
+//!  worker N ──┘                               ┘    (push; take)    one sfence +
+//!                                                                  one ptr store
 //! ```
 //!
 //! ## Commit policy
@@ -70,7 +71,7 @@
 //! Determinism: `SharedModHeap` is `Send + Sync` and safe under any
 //! interleaving; driving the workers through a seeded turnstile makes
 //! runs bit-for-bit reproducible (the concurrent crash tests do exactly
-//! that — merges happen in handoff-queue order, which the turnstile
+//! that — merges happen in handoff push order, which the turnstile
 //! fixes).
 //!
 //! ## Lock ordering and poison policy
@@ -87,23 +88,29 @@
 //! sync round, a checkpoint — takes **only the backend lock**, and runs
 //! after the thread has dropped every engine lock, so an fdatasync never
 //! stalls the next batch's merge. (Only [`SharedModHeap::setup`], which
-//! runs owner-mode FASEs, syncs as an owner heap does.) Snapshot
-//! readers ([`SharedModHeap::snapshot`]) sit
-//! entirely *outside* the hierarchy: pinning is two atomic stores in
-//! the [`EpochRegistry`] plus one pointer load, so a view can be taken
-//! and traversed while any (or all) of the locks above are held by
-//! other threads — the commit stage coordinates with readers only
-//! through the epoch gate on reclamation, never through a lock.
+//! runs owner-mode FASEs, syncs as an owner heap does.)
+//!
+//! Two **leaf** locks sit below every other: the handoff `queue` (held
+//! for one push, or for the commit stage's take of the whole batch) and
+//! the published snapshot `snap` (write-held for one `Arc` swap, read-held
+//! for one `Arc` clone). Either may be taken while holding any lock
+//! above, and nothing is acquired while holding either. Snapshot readers
+//! ([`SharedModHeap::snapshot`]) take only those two steps — a registry
+//! pin in the [`EpochRegistry`], then `snap` for the clone — so a view
+//! can be taken and traversed while the commit lock, the lanes or any
+//! shard are held by other threads; the commit stage coordinates with
+//! traversals only through the epoch gate on reclamation.
 //!
 //! Poisoning is handled per lock, by what a panic unwinding through it
 //! can leave behind:
 //!
-//! * **shard / group / subscriber mutexes** — consistent at every
-//!   unlock (a panicking FASE runs `abort_fase` before the unwind
-//!   releases its shard; `GroupMeta` and the subscriber list are plain
-//!   values). These recover silently via [`PoisonError::into_inner`]
-//!   (`relock`), so one panicking worker never cascades into failures
-//!   on every other server connection.
+//! * **shard / group / subscriber mutexes, `queue` and `snap`** —
+//!   consistent at every unlock (a panicking FASE runs `abort_fase`
+//!   before the unwind releases its shard; `GroupMeta`, the subscriber
+//!   list, the staged Vec and the published `Arc` are plain values).
+//!   These recover silently via [`PoisonError::into_inner`] (`relock`),
+//!   so one panicking worker never cascades into failures on every
+//!   other server connection.
 //! * **the global commit lock** — guards the multi-step batch merge in
 //!   `commit_locked`; a panic there can strand a half-applied batch, so
 //!   poison is surfaced as a typed [`HeapPoisoned`] /
@@ -113,12 +120,11 @@
 use crate::erased::ErasedDs;
 use crate::fase::{Fase, LaneConflict, PendingUpdate, RootLanes};
 use crate::heap::ModHeap;
-use crate::queue::HandoffQueue;
 use crate::snapshot::{DirSnapshot, SnapshotView};
 use mod_alloc::{EpochRegistry, NvHeap, StagedAllocEffects};
 use mod_pmem::{CrashPolicy, LineHandoff, PmStats, Pmem, PoolBackend, SyncRound, TraceEvent};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// The two parameters of the commit policy (see the module docs' three
@@ -463,56 +469,6 @@ struct GlobalState {
     heap: ModHeap,
     /// Superseded version chains awaiting epoch-gated reclamation.
     limbo: Vec<RetiredBatch>,
-    /// Superseded snapshot images: readers pinned at their epoch may
-    /// still hold pointers into them, so they wait out the epoch gate
-    /// like version chains (no fence gate — they are volatile). The
-    /// `Box` is load-bearing: a pinned reader's `&DirSnapshot` points
-    /// at the heap allocation `SnapPtr::swap` recovered, so the image
-    /// must keep that address — unboxing into the `Vec` would move it.
-    #[allow(clippy::vec_box)]
-    old_snaps: Vec<Box<DirSnapshot>>,
-}
-
-/// Owner of the currently published [`DirSnapshot`]: readers load the
-/// pointer with no lock; the commit stage swings it under the commit
-/// lock. A dedicated newtype with its own `Drop` rather than a `Drop`
-/// impl on `Inner`, because [`SharedModHeap::into_heap`] partially
-/// moves `Inner`'s fields — which a `Drop` on `Inner` would forbid.
-struct SnapPtr(AtomicPtr<DirSnapshot>);
-
-impl SnapPtr {
-    fn new(snap: Box<DirSnapshot>) -> SnapPtr {
-        SnapPtr(AtomicPtr::new(Box::into_raw(snap)))
-    }
-
-    fn load(&self) -> *const DirSnapshot {
-        self.0.load(Ordering::SeqCst)
-    }
-
-    /// Publishes `snap` (one atomic pointer swing) and returns the
-    /// superseded image, which the caller must keep alive until no
-    /// reader is pinned at its epoch.
-    fn swap(&self, snap: Box<DirSnapshot>) -> Box<DirSnapshot> {
-        let old = self.0.swap(Box::into_raw(snap), Ordering::SeqCst);
-        // SAFETY: every pointer stored here came from `Box::into_raw`,
-        // and each is recovered exactly once — `swap` runs only under
-        // the commit lock, and `Drop` has `&mut self`.
-        unsafe { Box::from_raw(old) }
-    }
-}
-
-impl Drop for SnapPtr {
-    fn drop(&mut self) {
-        // SAFETY: sole owner at drop time; any `SnapshotView` borrows
-        // the `SharedModHeap` handle, so none can outlive `Inner`.
-        drop(unsafe { Box::from_raw(*self.0.get_mut()) });
-    }
-}
-
-impl std::fmt::Debug for SnapPtr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SnapPtr({:p})", self.0.load(Ordering::Relaxed))
-    }
 }
 
 /// Test-only hook run inside `commit_locked` between the directory
@@ -532,7 +488,8 @@ impl std::fmt::Debug for MidCommitHook {
 #[derive(Debug)]
 struct GroupMeta {
     /// Batches drained so far — mutex-protected so condvar waiters can
-    /// use it as a wake predicate with no missed-notify window.
+    /// use it as a wake predicate with no missed-notify window; also the
+    /// `batch_seq` of each batch's [`CommitNotice`].
     batch_epoch: u64,
 }
 
@@ -541,7 +498,9 @@ struct Inner {
     global: Mutex<GlobalState>,
     shards: Vec<Mutex<WorkerCtx>>,
     lanes: RootLanes,
-    queue: HandoffQueue<StagedFase>,
+    /// Staged FASEs in push (merge) order, awaiting the commit stage. A
+    /// leaf lock: held only to push one FASE or take them all.
+    queue: Mutex<Vec<StagedFase>>,
     /// Queued FASEs that publish the batch at once (rule 1).
     max_batch: usize,
     /// The bounded wait of rules 2 and 3.
@@ -556,11 +515,10 @@ struct Inner {
     last_fence_ns: AtomicU64,
     group: Mutex<GroupMeta>,
     group_cv: Condvar,
-    /// Monotone drained-batch counter (the `batch_seq` in notices).
-    batch_seq: AtomicU64,
     subscribers: Subscribers,
-    /// The currently published snapshot (readers load it lock-free).
-    snap: SnapPtr,
+    /// The currently published snapshot. A leaf lock: held only to swap
+    /// in a new image or to clone the current one.
+    snap: RwLock<Arc<DirSnapshot>>,
     /// Snapshot reader registry: pin/unpin slots + the published epoch.
     registry: EpochRegistry,
     /// Read-only heap view for snapshot traversals: shares the pool
@@ -585,7 +543,7 @@ impl Inner {
     /// Drains the handoff queue and publishes everything as one batch
     /// with one ordering point. Must be called with `st` locked.
     fn commit_locked(&self, st: &mut GlobalState) {
-        let drained = self.queue.drain();
+        let drained = std::mem::take(&mut *relock(&self.queue));
         if drained.is_empty() {
             return;
         }
@@ -714,12 +672,11 @@ impl Inner {
             t.frontier.store(frontier, Ordering::SeqCst);
             t.committed.store(true, Ordering::SeqCst);
         }
-        let batch_seq = self.batch_seq.fetch_add(1, Ordering::SeqCst) + 1;
         for w in participants {
             self.staged[w].store(false, Ordering::SeqCst);
         }
         self.queued.fetch_sub(fases, Ordering::SeqCst);
-        {
+        let batch_seq = {
             // Publish the epoch and notify while *holding* the mutex:
             // every waiter either sees the new epoch before sleeping or
             // is already parked in the condvar and receives the
@@ -727,7 +684,8 @@ impl Inner {
             let mut g = relock(&self.group);
             g.batch_epoch += 1;
             self.group_cv.notify_all();
-        }
+            g.batch_epoch
+        };
         // Commit subscribers run outside the group lock (waiters are
         // already released) but still under the commit lock, so notices
         // arrive in batch order with monotone fence watermarks.
@@ -743,27 +701,29 @@ impl Inner {
     }
 
     /// Publishes the current root directory as the next epoch's
-    /// [`DirSnapshot`] — one atomic pointer swing, piggybacked on the
-    /// directory swing the batch already paid for — then runs a
-    /// reclamation pass. `frontier` is the journal sequence the image
+    /// [`DirSnapshot`], piggybacked on the directory swing the batch
+    /// already paid for. `frontier` is the journal sequence the image
     /// needs on the medium. Must be called with `st` locked.
     ///
-    /// Publication order is load-bearing: the pointer swings *before*
+    /// Publication order is load-bearing: the image swaps in *before*
     /// the registry's epoch advances, so the published image's epoch is
     /// always ≥ the counter a reader pins against (a reader pinned at
-    /// `e` can only ever load a snapshot of epoch ≥ `e`, which the
-    /// epoch gate then keeps alive for it).
-    fn publish_snapshot(&self, st: &mut GlobalState, frontier: u64) {
-        let epoch = self.registry.current() + 1;
-        let roots = snapshot_roots(st.heap.nv());
-        let old = self.snap.swap(Box::new(DirSnapshot {
-            epoch,
-            roots,
+    /// `e` can only ever clone a snapshot of epoch ≥ `e`, and the epoch
+    /// gate keeps every chain that image reaches alive for it). The
+    /// superseded image itself is freed by its last holder.
+    fn publish_snapshot(&self, st: &GlobalState, frontier: u64) {
+        let snap = Arc::new(DirSnapshot {
+            epoch: self.registry.current() + 1,
+            roots: snapshot_roots(st.heap.nv()),
             frontier,
-        }));
-        st.old_snaps.push(old);
+        });
+        // The write guard is a temporary: it drops at the end of this
+        // statement, so the superseded image is released outside it.
+        let _superseded = std::mem::replace(
+            &mut *self.snap.write().unwrap_or_else(PoisonError::into_inner),
+            snap,
+        );
         self.registry.advance();
-        self.prune_old_snaps(st);
     }
 
     /// Moves every epoch-clear limbo batch back onto the single-owner
@@ -784,15 +744,6 @@ impl Inner {
                 st.limbo.push(b);
             }
         }
-    }
-
-    /// Drops superseded snapshot images no reader can still hold (pure
-    /// volatile boxes — freeing them charges no simulated time, so this
-    /// is safe anywhere in the commit path). Must be called with `st`
-    /// locked.
-    fn prune_old_snaps(&self, st: &mut GlobalState) {
-        let min = self.registry.min_pinned();
-        st.old_snaps.retain(|s| s.epoch >= min);
     }
 }
 
@@ -852,7 +803,7 @@ fn merge(batch: &mut Vec<PendingUpdate>, pending: Vec<PendingUpdate>) {
     }
 }
 
-/// A thread-safe, sharded MOD heap with lock-free staging and pipelined
+/// A thread-safe, sharded MOD heap with no-global-lock staging and pipelined
 /// FASE commits (see the module docs). Cheap to clone; all clones share
 /// one heap.
 #[derive(Clone, Debug)]
@@ -862,14 +813,13 @@ pub struct SharedModHeap {
 
 // `SharedModHeap` must stay shareable across worker threads; this is the
 // crate's Send/Sync audit point for the whole `PmPtr`-holding tower
-// (Pmem → NvHeap → ModHeap) plus the lock-free handoff queue.
+// (Pmem → NvHeap → ModHeap).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_send<T: Send>() {}
     assert_send_sync::<SharedModHeap>();
     assert_send::<ModHeap>();
     assert_send::<crate::erased::ErasedDs>();
-    assert_send_sync::<HandoffQueue<StagedFase>>();
     // Snapshot machinery: `Inner` holds the read-only `NvHeap` *bare*
     // (readers on many threads traverse it through `&`), so `NvHeap`
     // must be `Sync` — its interior mutability is confined to the
@@ -932,7 +882,7 @@ impl SharedModHeap {
         // Epoch 0: the pre-first-commit image (whatever roots the heap
         // already holds, e.g. after recovery).
         let backend = heap.nv().pm().backend();
-        let snap = SnapPtr::new(Box::new(DirSnapshot {
+        let snap = RwLock::new(Arc::new(DirSnapshot {
             epoch: 0,
             roots: snapshot_roots(heap.nv()),
             frontier: backend.appended(),
@@ -942,14 +892,13 @@ impl SharedModHeap {
                 global: Mutex::new(GlobalState {
                     heap,
                     limbo: Vec::new(),
-                    old_snaps: Vec::new(),
                 }),
                 shards: worker_heaps
                     .into_iter()
                     .map(|nv| Mutex::new(WorkerCtx { nv }))
                     .collect(),
                 lanes: RootLanes::new(),
-                queue: HandoffQueue::new(),
+                queue: Mutex::new(Vec::new()),
                 max_batch,
                 timeout,
                 active: (0..workers).map(|_| AtomicBool::new(true)).collect(),
@@ -959,7 +908,6 @@ impl SharedModHeap {
                 last_fence_ns: AtomicU64::new(0f64.to_bits()),
                 group: Mutex::new(GroupMeta { batch_epoch: 0 }),
                 group_cv: Condvar::new(),
-                batch_seq: AtomicU64::new(0),
                 subscribers: Subscribers::default(),
                 snap,
                 registry: EpochRegistry::new(),
@@ -979,7 +927,7 @@ impl SharedModHeap {
     /// Runs a FASE on behalf of `worker`, staging its updates with **no
     /// global lock**: shadows build in the worker's own arena/timeline,
     /// same-root FASEs serialize on per-root staging lanes, and the
-    /// finished FASE enters the lock-free commit queue. The batch
+    /// finished FASE enters the commit stage's handoff queue. The batch
     /// publishes — one `sfence`, one pointer store — at `max_batch`
     /// queued FASEs or once every active worker has staged. If `worker`
     /// already has a FASE in the open batch, this first waits up to the
@@ -1129,7 +1077,7 @@ impl SharedModHeap {
                 };
                 inner.staged[worker].store(true, Ordering::SeqCst);
                 inner.queued.fetch_add(1, Ordering::SeqCst);
-                inner.queue.push(staged);
+                relock(&inner.queue).push(staged);
                 drop(tx); // releases the staging lanes, after the push
                 out
             }));
@@ -1341,7 +1289,7 @@ impl SharedModHeap {
         // deadlock; holding all of them means no FASE is mid-closure.
         let _shards: Vec<_> = self.inner.shards.iter().map(relock).collect();
         assert!(
-            self.inner.queue.is_empty() && self.inner.queued.load(Ordering::SeqCst) == 0,
+            relock(&self.inner.queue).is_empty() && self.inner.queued.load(Ordering::SeqCst) == 0,
             "setup() with FASEs staged in the pipeline"
         );
         // Single-owner FASEs inside `f` fence as they go, freeing their
@@ -1365,7 +1313,7 @@ impl SharedModHeap {
         // free them exactly as it always did. Routing them through limbo
         // would defer the frees into the measured phase of benchmarks
         // that `reset_metrics` inside a setup, shifting charge points.
-        self.inner.publish_snapshot(&mut st, frontier);
+        self.inner.publish_snapshot(&st, frontier);
         out
     }
 
@@ -1394,16 +1342,16 @@ impl SharedModHeap {
         Ok(f(&st.heap))
     }
 
-    /// Takes a wait-free, consistent snapshot of every published root.
+    /// Takes a consistent snapshot of every published root.
     ///
     /// The returned [`SnapshotView`] reads the multi-root image the
     /// most recently published batch left behind — all roots from the
-    /// *same* batch, never a torn mix — and is **completely off the
-    /// commit pipeline**: no staging lanes, no handoff-queue pushes, no
-    /// fences, no group lock, not even the commit lock. The cost is two
-    /// atomic stores (registry pin) plus one pointer load; traversals
-    /// are then pure memory reads, so reader threads scale with no
-    /// shared state beyond their registry slots.
+    /// *same* batch, never a torn mix — and is **off the commit
+    /// pipeline**: no staging lanes, no handoff push, no fences, no
+    /// group lock, not the commit lock. The cost is a registry pin (two
+    /// atomic stores) plus one read-lock of the published image for an
+    /// `Arc` clone — a leaf lock the commit stage write-holds only for
+    /// the swap; traversals are then pure memory reads.
     ///
     /// Holding the view defers reclamation of every chain it can reach
     /// (see [`crate::snapshot`]) — drop it promptly. The view does not
@@ -1422,15 +1370,12 @@ impl SharedModHeap {
     /// once.
     pub fn snapshot(&self) -> SnapshotView<'_> {
         let inner = &*self.inner;
+        // Pin first: the swap-before-advance publication order means the
+        // clone below is an image of epoch ≥ `pinned`, and the epoch gate
+        // (`reinject_unpinned`) keeps every chain it reaches alive until
+        // our slot unpins.
         let (slot, pinned) = inner.registry.pin();
-        // SAFETY: the pointer was published by `SnapPtr::swap` (or
-        // `new`) and stays alive while any reader is pinned at an epoch
-        // ≤ its own: the swing-before-advance publication order means
-        // this load observes an image of epoch ≥ `pinned`, and the
-        // epoch gate keeps such images alive until our slot unpins —
-        // `prune_old_snaps` for superseded images, `reinject_unpinned`
-        // for every chain they reach.
-        let snap = unsafe { &*inner.snap.load() };
+        let snap = Arc::clone(&inner.snap.read().unwrap_or_else(PoisonError::into_inner));
         debug_assert!(
             snap.epoch >= pinned,
             "snapshot epoch {} older than pinned epoch {pinned}",
@@ -1525,7 +1470,6 @@ impl SharedModHeap {
         // stay in limbo until their readers unpin.
         self.inner.reinject_unpinned(&mut st);
         st.heap.fence_and_drain(SyncRound::Deferred);
-        self.inner.prune_old_snaps(&mut st);
         drop(st);
         self.inner.backend.checkpoint_if_due();
         self.wait_synced(self.inner.backend.appended());

@@ -1,16 +1,18 @@
-//! Epoch-stamped root-directory snapshots: wait-free MVCC readers that
-//! never touch the commit pipeline.
+//! Epoch-stamped root-directory snapshots: MVCC readers that never touch
+//! the commit pipeline.
 //!
 //! Every committed batch publishes an immutable [`DirSnapshot`] — the
-//! root directory's `(kind, root)` entries plus a monotone epoch — with
-//! one atomic pointer swing, piggybacked on the directory swing the
-//! batch already paid for. A reader calls
+//! root directory's `(kind, root)` entries plus a monotone epoch — by
+//! swapping an `Arc` under a leaf `RwLock`, piggybacked on the directory
+//! swing the batch already paid for. A reader calls
 //! [`crate::SharedModHeap::snapshot`] and receives a [`SnapshotView`]:
-//! a pinned, consistent multi-root image it can traverse with **zero
-//! coordination** — no staging lanes, no handoff-queue pushes, no
-//! fences, no group lock, not even the commit lock. MOD's versions are
-//! immutable once published, so the only thing a reader ever needed
-//! protection from is *reclamation* of chains its snapshot can still
+//! a pinned, consistent multi-root image. Taking it costs a registry pin
+//! and one read-lock for an `Arc` clone; traversing it needs no
+//! coordination at all — no staging lanes, no handoff push, no fences,
+//! no group lock, not the commit lock. The view owns its image through
+//! the `Arc`, so a superseded image is freed by its last holder. MOD's
+//! versions are immutable once published, so what else a reader needs
+//! protection from is *reclamation* of the PM chains its image can still
 //! reach; that is handled by epoch-based deferral
 //! ([`mod_alloc::EpochRegistry`]): a batch's superseded chains move to
 //! limbo stamped with the epoch of the last snapshot that can reach
@@ -32,8 +34,8 @@
 //!
 //! Reading through `&ModHeap` takes the global commit lock via
 //! [`crate::SharedModHeap::with`] and sees the latest committed state. Use a snapshot instead when reads are hot
-//! (the view costs two atomic stores to pin + one load, then traversals
-//! are pure memory reads that scale linearly with reader threads), or
+//! (the view costs a pin plus a read-locked `Arc` clone, then traversals
+//! are pure memory reads that never wait on a writer), or
 //! when a multi-step read sequence must observe one consistent cut
 //! across several roots. The trade is staleness: a view is a consistent
 //! *past* — it does not see batches published after it was taken.
@@ -42,12 +44,13 @@ use crate::basic::DurableVector;
 use crate::codec::PmWord;
 use crate::erased::{DurableDs, ErasedDs};
 use mod_alloc::{EpochRegistry, NvHeap};
+use std::sync::Arc;
 
 /// One published batch's immutable root-directory image.
 ///
 /// Built by the commit stage under the commit lock and published with a
-/// single atomic pointer swing; never mutated afterwards. Readers reach
-/// it through [`crate::SharedModHeap::snapshot`].
+/// single `Arc` swap; never mutated afterwards. Readers reach it through
+/// [`crate::SharedModHeap::snapshot`].
 #[derive(Debug)]
 pub struct DirSnapshot {
     pub(crate) epoch: u64,
@@ -91,7 +94,7 @@ impl DirSnapshot {
 /// matching the panics of [`crate::ModHeap::open_root`].
 #[derive(Debug)]
 pub struct SnapshotView<'h> {
-    snap: &'h DirSnapshot,
+    snap: Arc<DirSnapshot>,
     nv: &'h NvHeap,
     registry: &'h EpochRegistry,
     slot: usize,
@@ -99,7 +102,7 @@ pub struct SnapshotView<'h> {
 
 impl<'h> SnapshotView<'h> {
     pub(crate) fn new(
-        snap: &'h DirSnapshot,
+        snap: Arc<DirSnapshot>,
         nv: &'h NvHeap,
         registry: &'h EpochRegistry,
         slot: usize,
@@ -265,7 +268,7 @@ mod tests {
         sh.flush();
         // Baseline across every timeline (workers + commit stage) and
         // the pipeline counters; snapshot reads must perturb *nothing*:
-        // zero fences, zero staged FASEs (= zero handoff-queue pushes),
+        // zero fences, zero staged FASEs (= zero handoff pushes),
         // zero PM charges of any kind.
         let pm_before = sh.lane_stats();
         let pipe_before = sh.stats();

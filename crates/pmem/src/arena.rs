@@ -82,20 +82,6 @@ impl SharedArena {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Whether the segment containing `addr` has been materialized (i.e.
-    /// some byte in it was written). Snapshot writers use this to skip
-    /// untouched, all-zero segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is beyond the arena capacity.
-    pub fn is_resident(&self, addr: u64) -> bool {
-        self.check(addr, 1);
-        self.inner.segs[(addr >> SEG_SHIFT) as usize]
-            .get()
-            .is_some()
-    }
-
     #[inline]
     fn check(&self, addr: u64, len: u64) {
         assert!(

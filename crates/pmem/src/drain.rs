@@ -7,8 +7,8 @@
 //! finished by the time it executes. [`WpqDrain`] is that queue: a small
 //! event calendar of per-line drain completions. Each `clwb` schedules a
 //! drain at its issue timestamp — an overlappable *launch* phase
-//! ([`crate::LatencyModel::wpq_launch_ns`]) followed by a serialized
-//! per-line *drain* occupancy ([`crate::LatencyModel::wpq_drain_ns`]) on
+//! ([`crate::LatencyModel::wpq_launch_ns()`]) followed by a serialized
+//! per-line *drain* occupancy ([`crate::LatencyModel::wpq_drain_ns()`]) on
 //! the line's WPQ lane — and `sfence` stalls until the latest scheduled
 //! completion, not for the whole backlog from scratch.
 //!

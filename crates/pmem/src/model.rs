@@ -2,8 +2,8 @@
 //!
 //! Constants come from the paper's test machine (Table 1) and its flush
 //! microbenchmark (§3): a single `clwb + sfence` to an L1-resident line
-//! costs 353 ns, random 8-byte PM reads cost 302 ns, DRAM reads 80 ns, and
-//! overlapped flushes follow Amdahl's law with parallel fraction
+//! costs 353 ns, random 8-byte PM reads cost 302 ns, and overlapped
+//! flushes follow Amdahl's law with parallel fraction
 //! f ≈ 0.82 (Fig 4).
 //!
 //! The key modelling identity: flushing `n` lines then fencing costs
@@ -14,9 +14,9 @@
 //! Since the overlapped-drain rework, [`crate::Pmem`] no longer charges
 //! that whole stall at the fence. Each `clwb` schedules a background
 //! drain on its WPQ lane ([`crate::WpqDrain`]): an overlappable *launch*
-//! phase of [`LatencyModel::wpq_launch_ns`] (= `fence_base_ns · f`)
+//! phase of [`LatencyModel::wpq_launch_ns()`] (= `fence_base_ns · f`)
 //! followed by a serialized per-line *drain* occupancy of
-//! [`LatencyModel::wpq_drain_ns`] (= `fence_base_ns · (1 − f)`), and
+//! [`LatencyModel::wpq_drain_ns()`] (= `fence_base_ns · (1 − f)`), and
 //! `sfence` stalls only for the **residual** — whatever of that calendar
 //! is still in the future. With flushes issued back-to-back (nothing to
 //! overlap), the residual equals the Amdahl stall above, so
@@ -33,8 +33,6 @@ pub struct LatencyModel {
     pub llc_hit_ns: f64,
     /// Full miss to PM (random 8-byte read; paper Table 1: 302 ns).
     pub pm_miss_ns: f64,
-    /// L1D miss to DRAM (paper Table 1: 80 ns).
-    pub dram_miss_ns: f64,
     /// Store into the cache hierarchy (hit path).
     pub store_ns: f64,
     /// Issue cost of one `clwb` (commits instantly per §3; the writeback
@@ -42,23 +40,10 @@ pub struct LatencyModel {
     pub clwb_issue_ns: f64,
     /// Latency of one un-overlapped `clwb + sfence` pair (§3: 353 ns).
     pub fence_base_ns: f64,
-    /// Amdahl parallel fraction of concurrent flushes (Fig 4: 0.82).
-    ///
-    /// Coupled to [`LatencyModel::wpq_launch_ns`] /
-    /// [`LatencyModel::wpq_drain_ns`]: changing `amdahl_f` alone (e.g.
-    /// via struct-update syntax) leaves the background-drain calendar on
-    /// the old split and the overlap accounting stops balancing. Use
-    /// [`LatencyModel::with_parallel_fraction`], which re-derives all
-    /// three together.
+    /// Amdahl parallel fraction of concurrent flushes (Fig 4: 0.82). The
+    /// WPQ launch/drain split ([`LatencyModel::wpq_launch_ns()`],
+    /// [`LatencyModel::wpq_drain_ns()`]) is derived from it.
     pub amdahl_f: f64,
-    /// Overlappable launch phase of a writeback: the parallel share of
-    /// the base flush latency (`fence_base_ns · amdahl_f`). Starts at
-    /// `clwb` issue and overlaps with anything, including other launches.
-    pub wpq_launch_ns: f64,
-    /// Serialized WPQ drain occupancy per line: the serial share of the
-    /// base flush latency (`fence_base_ns · (1 − amdahl_f)`). Lines on
-    /// the same WPQ lane drain one after another.
-    pub wpq_drain_ns: f64,
     /// Number of independent WPQ drain lanes (line-addressed,
     /// `line % wpq_lanes`). The paper's Optane fit behaves like a single
     /// serialized channel, so the default is 1; more lanes model
@@ -79,13 +64,10 @@ impl LatencyModel {
             l1_hit_ns: 1.0,
             llc_hit_ns: 40.0,
             pm_miss_ns: 302.0,
-            dram_miss_ns: 80.0,
             store_ns: 1.0,
             clwb_issue_ns: 4.0,
             fence_base_ns: 353.0,
             amdahl_f: 0.82,
-            wpq_launch_ns: 353.0 * 0.82,
-            wpq_drain_ns: 353.0 * (1.0 - 0.82),
             wpq_lanes: 1,
             fence_overhead_ns: 15.0,
             log_entry_overhead_ns: 100.0,
@@ -99,23 +81,19 @@ impl LatencyModel {
             l1_hit_ns: 0.0,
             llc_hit_ns: 0.0,
             pm_miss_ns: 0.0,
-            dram_miss_ns: 0.0,
             store_ns: 0.0,
             clwb_issue_ns: 0.0,
             fence_base_ns: 0.0,
             amdahl_f: 0.82,
-            wpq_launch_ns: 0.0,
-            wpq_drain_ns: 0.0,
             wpq_lanes: 1,
             fence_overhead_ns: 0.0,
             log_entry_overhead_ns: 0.0,
         }
     }
 
-    /// The Optane model with a different Amdahl parallel fraction `f`,
-    /// with the WPQ launch/drain split re-derived so the event model and
-    /// the analytical curve stay consistent (used by the ablation's
-    /// hypothetical no-overlap device).
+    /// The Optane model with a different Amdahl parallel fraction `f`
+    /// (used by the ablation's hypothetical no-overlap device); the WPQ
+    /// launch/drain split follows from it.
     ///
     /// # Panics
     ///
@@ -125,11 +103,24 @@ impl LatencyModel {
             (0.0..=1.0).contains(&f),
             "parallel fraction must be in [0, 1]"
         );
-        let mut m = LatencyModel::optane();
-        m.amdahl_f = f;
-        m.wpq_launch_ns = m.fence_base_ns * f;
-        m.wpq_drain_ns = m.fence_base_ns * (1.0 - f);
-        m
+        LatencyModel {
+            amdahl_f: f,
+            ..LatencyModel::optane()
+        }
+    }
+
+    /// Overlappable launch phase of a writeback: the parallel share of
+    /// the base flush latency (`fence_base_ns · amdahl_f`). Starts at
+    /// `clwb` issue and overlaps with anything, including other launches.
+    pub fn wpq_launch_ns(&self) -> f64 {
+        self.fence_base_ns * self.amdahl_f
+    }
+
+    /// Serialized WPQ drain occupancy per line: the serial share of the
+    /// base flush latency (`fence_base_ns · (1 − amdahl_f)`). Lines on
+    /// the same WPQ lane drain one after another.
+    pub fn wpq_drain_ns(&self) -> f64 {
+        self.fence_base_ns * (1.0 - self.amdahl_f)
     }
 
     /// Stall time of an `sfence` with `n_inflight` weakly-ordered flushes
@@ -166,7 +157,7 @@ impl LatencyModel {
         if n == 0 {
             return 0.0;
         }
-        self.wpq_launch_ns + n as f64 * self.wpq_drain_ns
+        self.wpq_launch_ns() + n as f64 * self.wpq_drain_ns()
     }
 }
 
@@ -327,11 +318,11 @@ mod tests {
     #[test]
     fn with_parallel_fraction_rederives_the_split() {
         let m = LatencyModel::with_parallel_fraction(0.0);
-        assert_eq!(m.wpq_launch_ns, 0.0);
-        assert!((m.wpq_drain_ns - m.fence_base_ns).abs() < 1e-9);
+        assert_eq!(m.wpq_launch_ns(), 0.0);
+        assert!((m.wpq_drain_ns() - m.fence_base_ns).abs() < 1e-9);
         let m = LatencyModel::with_parallel_fraction(1.0);
-        assert!((m.wpq_launch_ns - m.fence_base_ns).abs() < 1e-9);
-        assert_eq!(m.wpq_drain_ns, 0.0);
+        assert!((m.wpq_launch_ns() - m.fence_base_ns).abs() < 1e-9);
+        assert_eq!(m.wpq_drain_ns(), 0.0);
     }
 
     #[test]

@@ -544,18 +544,6 @@ impl Pmem {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
-    /// Reads one byte.
-    pub fn read_u8(&mut self, addr: u64) -> u8 {
-        let mut b = [0u8; 1];
-        self.read_bytes(addr, &mut b);
-        b[0]
-    }
-
-    /// Writes one byte.
-    pub fn write_u8(&mut self, addr: u64, v: u8) {
-        self.write_bytes(addr, &[v]);
-    }
-
     /// Debug/recovery peek that bypasses the cache model, clock and stats.
     /// Use sparingly: performance-relevant paths must use [`Pmem::read_bytes`].
     pub fn peek_bytes(&self, addr: u64, buf: &mut [u8]) {
@@ -633,8 +621,8 @@ impl Pmem {
             let done_ns = self.drain.schedule(
                 line,
                 self.clock.now_ns(),
-                m.wpq_launch_ns,
-                m.wpq_drain_ns,
+                m.wpq_launch_ns(),
+                m.wpq_drain_ns(),
                 m.wpq_lanes,
             );
             self.lines.set(line, LineState::Inflight { done_ns });
@@ -774,11 +762,6 @@ impl Pmem {
         self.volatile.contains(addr)
     }
 
-    /// Number of currently volatile node-cache lines.
-    pub fn volatile_lines(&self) -> u64 {
-        self.volatile.marked_lines()
-    }
-
     /// Number of flushes issued but not yet ordered by a fence.
     pub fn inflight_flushes(&self) -> usize {
         self.lines.inflight()
@@ -845,12 +828,6 @@ impl Pmem {
 
     /// Charges `ns` of compute time to the current tag.
     pub fn charge_ns(&mut self, ns: f64) {
-        self.tick_tagged(ns);
-    }
-
-    /// Charges one DRAM access (volatile-data work in workloads).
-    pub fn charge_dram_access(&mut self) {
-        let ns = self.cfg.latency.dram_miss_ns;
         self.tick_tagged(ns);
     }
 

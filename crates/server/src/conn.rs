@@ -98,8 +98,8 @@ pub(crate) fn serve_conn(ctx: &ConnCtx, mut stream: TcpStream) {
                     Ok(Command::Ping) => Reply::Pong,
                     // Plain reads with no write in flight in this window
                     // are served from the latest published snapshot:
-                    // wait-free, off the commit pipeline entirely (no
-                    // lane, no handoff push, no fence). Once a write has
+                    // off the commit pipeline entirely (no lane, no
+                    // handoff push, no fence). Once a write has
                     // staged, reads rejoin the pipeline so the window
                     // keeps read-your-writes; sessioned reads always take
                     // the pipeline (their reply must be memoized in a

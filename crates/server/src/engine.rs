@@ -179,8 +179,8 @@ impl ServerRoots {
         }
     }
 
-    /// Answers a `GET` from a pinned snapshot view — wait-free: no
-    /// staging lanes, no handoff push, no fence. The view is one
+    /// Answers a `GET` from a pinned snapshot view — off the commit
+    /// pipeline: no staging lanes, no handoff push, no fence. The view is one
     /// batch-atomic image, so the reply can never mix commits.
     pub fn get_from_snapshot(&self, view: &SnapshotView<'_>, key: &Vec<u8>) -> Reply {
         Reply::Value(self.kv.get(view, key))

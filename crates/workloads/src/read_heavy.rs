@@ -3,8 +3,8 @@
 //! The workload models a read-mostly KV service on the pipelined
 //! [`SharedModHeap`]: writer threads push puts through the commit
 //! pipeline while reader threads serve gets from **epoch-stamped
-//! snapshots** ([`SharedModHeap::snapshot`]) — wait-free, off the commit
-//! pipeline entirely (no staging lane, no handoff push, no fence).
+//! snapshots** ([`SharedModHeap::snapshot`]) — off the commit pipeline
+//! entirely (no staging lane, no handoff push, no fence).
 //!
 //! [`run_sim`] is deterministic: writers and one reader interleave under
 //! a [`SeededRoundRobin`] turnstile, so every reported number (including

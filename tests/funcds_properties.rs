@@ -1,16 +1,19 @@
 //! Randomized equivalence of the functional datastructures against
 //! std-library models, including version immutability (old handles always
-//! observe their original contents) and zero-leak reclamation.
+//! observe their original contents) and zero-leak reclamation. Every
+//! substrate is read through both paths: `&mut NvHeap` charges the
+//! simulator, `&NvHeap` peeks for free.
 //!
 //! Deterministic xorshift streams replace an external property-testing
 //! framework: cases are enumerated over seeds, so failures reproduce
 //! exactly.
 
-use mod_alloc::NvHeap;
-use mod_funcds::{HashKind, PmMap, PmQueue, PmStack, PmVector};
+use mod_alloc::{HeapRead, NvHeap};
+use mod_funcds::{HashKind, PmMap, PmQueue, PmSet, PmStack, PmVector};
 use mod_pmem::{Pmem, PmemConfig};
 use mod_workloads::WorkloadRng;
 use std::collections::HashMap;
+use std::fmt::Debug;
 
 fn heap() -> NvHeap {
     NvHeap::format(Pmem::new(PmemConfig {
@@ -19,6 +22,20 @@ fn heap() -> NvHeap {
         trace: false,
         ..PmemConfig::default()
     }))
+}
+
+/// Runs `read` on the charged path (`&mut NvHeap`), then on the peek
+/// path (`&NvHeap`), and returns the value after asserting that both
+/// paths agree and that only the charged one moved `PmStats::reads`.
+fn read_both<T: PartialEq + Debug>(h: &mut NvHeap, what: &str, read: impl Fn(HeapRead) -> T) -> T {
+    let before = h.pm().stats().reads;
+    let charged = read(HeapRead::from(&mut *h));
+    let after = h.pm().stats().reads;
+    assert!(after > before, "{what}: the &mut read charged no reads");
+    let peeked = read(HeapRead::from(&*h));
+    assert_eq!(h.pm().stats().reads, after, "{what}: the & read charged");
+    assert_eq!(charged, peeked, "{what}: the two read paths disagree");
+    charged
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +57,7 @@ fn ops_stream(rng: &mut WorkloadRng) -> Vec<Op> {
         .collect()
 }
 
+/// The CHAMP map and the set built on it, driven by one op stream.
 #[test]
 fn champ_matches_hashmap() {
     for case in 0..48u64 {
@@ -53,6 +71,7 @@ fn champ_matches_hashmap() {
             HashKind::SplitMix
         };
         let mut m = PmMap::empty_with_hash(&mut h, hk);
+        let mut s = PmSet::empty_with_hash(&mut h, hk);
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         for op in &ops {
             match *op {
@@ -60,7 +79,11 @@ fn champ_matches_hashmap() {
                     let next = m.insert(&mut h, k as u64, &[v; 4]);
                     m.release(&mut h);
                     m = next;
-                    model.insert(k as u64, vec![v; 4]);
+                    let (next, added) = s.insert(&mut h, k as u64);
+                    s.release(&mut h);
+                    s = next;
+                    let was = model.insert(k as u64, vec![v; 4]);
+                    assert_eq!(added, was.is_none(), "case {case}");
                 }
                 Op::Remove(k) => {
                     let (next, removed) = m.remove(&mut h, k as u64);
@@ -69,17 +92,29 @@ fn champ_matches_hashmap() {
                         m.release(&mut h);
                         m = next;
                     }
+                    let (next, removed_s) = s.remove(&mut h, k as u64);
+                    assert_eq!(removed_s, removed, "case {case}");
+                    if removed_s {
+                        s.release(&mut h);
+                        s = next;
+                    }
                 }
             }
             assert_eq!(m.len(&mut h) as usize, model.len(), "case {case}");
+            assert_eq!(s.len(&h) as usize, model.len(), "case {case}");
         }
         for (&k, v) in &model {
-            // Exercise both the charged and the peek read paths.
-            assert_eq!(m.get(&mut h, k).as_ref(), Some(v), "case {case}");
-            assert_eq!(m.get(&h, k).as_ref(), Some(v), "case {case}");
+            let got = read_both(&mut h, &format!("case {case}"), |r| m.get(r, k));
+            assert_eq!(got.as_ref(), Some(v), "case {case}");
         }
-        // Releasing the last version reclaims every block.
+        for k in 0..=255u64 {
+            let what = format!("case {case} key {k}");
+            let got = read_both(&mut h, &what, |r| s.contains(r, k));
+            assert_eq!(got, model.contains_key(&k), "{what}");
+        }
+        // Releasing the last versions reclaims every block.
         m.release(&mut h);
+        s.release(&mut h);
         assert_eq!(h.stats().live_blocks, 0, "case {case}");
     }
 }
@@ -123,8 +158,8 @@ fn rrb_matches_vec() {
                 None => assert!(model.is_empty(), "case {case}"),
             }
         }
-        assert_eq!(v.to_vec(&mut h), model, "case {case}");
-        assert_eq!(v.to_vec(&h), model, "case {case}");
+        let got = read_both(&mut h, &format!("case {case}"), |r| v.to_vec(r));
+        assert_eq!(got, model, "case {case}");
         v.release(&mut h);
         assert_eq!(h.stats().live_blocks, 0, "case {case}");
     }
@@ -145,8 +180,11 @@ fn rrb_concat_matches_vec_concat() {
         assert_eq!(vc.to_vec(&mut h), want, "case {case}");
         // Indexed access through any relaxed nodes, on both read paths.
         for idx in (0..want.len()).step_by(17) {
-            assert_eq!(vc.get(&mut h, idx as u64), want[idx], "case {case}");
-            assert_eq!(vc.get(&h, idx as u64), want[idx], "case {case}");
+            let what = format!("case {case} index {idx}");
+            assert_eq!(
+                read_both(&mut h, &what, |r| vc.get(r, idx as u64)),
+                want[idx]
+            );
         }
         // Originals untouched.
         assert_eq!(va.to_vec(&mut h), a, "case {case}");
@@ -182,8 +220,8 @@ fn old_versions_are_immutable() {
             }
         }
         for (v, model) in &versions {
-            assert_eq!(&v.to_vec(&mut h), model, "case {case}");
-            assert_eq!(&v.to_vec(&h), model, "case {case}");
+            let got = read_both(&mut h, &format!("case {case}"), |r| v.to_vec(r));
+            assert_eq!(&got, model, "case {case}");
         }
     }
 }
@@ -216,7 +254,8 @@ fn queue_matches_vecdeque() {
             assert_eq!(q.peek(&h), model.front().copied(), "case {case}");
         }
         let want: Vec<u64> = model.into_iter().collect();
-        assert_eq!(q.to_vec(&mut h), want, "case {case}");
+        let got = read_both(&mut h, &format!("case {case}"), |r| q.to_vec(r));
+        assert_eq!(got, want, "case {case}");
         q.release(&mut h);
         assert_eq!(h.stats().live_blocks, 0, "case {case}");
     }

@@ -111,7 +111,13 @@ fn replay(ops: &[Op]) -> (f64, f64, f64) {
                 let issue_at = pm.clock().now_ns();
                 pm.clwb(addr_of(l));
                 if pm.inflight_flushes() > inflight_before {
-                    shadow.schedule(l, issue_at, m.wpq_launch_ns, m.wpq_drain_ns, m.wpq_lanes);
+                    shadow.schedule(
+                        l,
+                        issue_at,
+                        m.wpq_launch_ns(),
+                        m.wpq_drain_ns(),
+                        m.wpq_lanes,
+                    );
                     inflight.insert(l);
                 }
             }

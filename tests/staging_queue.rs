@@ -1,146 +1,16 @@
-//! Interleaving tests for the lock-free staging path — the
-//! [`mod_core::HandoffQueue`] and the stage/commit handoff built on it —
-//! driven loom-style through every seeded turnstile schedule, with crash
-//! injection at every step.
-//!
-//! Two layers:
-//!
-//! * **Queue-level** — real producer threads and a batch drainer
-//!   interleaved by a [`SeededRoundRobin`]: at every possible halt point
-//!   the union of drained batches and the final sweep must be exactly
-//!   the multiset of completed pushes, in per-producer FIFO order —
-//!   nothing lost, nothing duplicated, whatever the schedule.
-//! * **Heap-level** — staging workers racing a dedicated *flusher*
-//!   thread that batch-drains the pipeline mid-run (the push-vs-drain
-//!   race the lock-free queue exists to make safe), frozen at every
-//!   scheduler step: recovery must see each FASE all-or-nothing across
-//!   both structures, and the op phase must cost exactly one fence per
-//!   committed batch (via `PmStats`).
+//! Interleaving tests for the stage/commit handoff: staging workers
+//! racing a dedicated *flusher* thread that batch-drains the pipeline
+//! mid-run (the push-vs-take race on the handoff queue), driven
+//! loom-style through every seeded turnstile schedule and frozen at
+//! every scheduler step. Recovery must see each FASE all-or-nothing
+//! across both structures, with nothing lost, nothing duplicated and each
+//! worker's FASEs in its push order, and the op phase must cost exactly
+//! one fence per committed batch (via `PmStats`).
 
-use mod_core::{
-    DurableMap, DurableQueue, HandoffQueue, ModHeap, SeededRoundRobin, SharedModHeap, Turn,
-};
+use mod_core::{DurableMap, DurableQueue, ModHeap, SeededRoundRobin, SharedModHeap, Turn};
 use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
-
-// ---------------------------------------------------------------------
-// Queue-level schedules
-// ---------------------------------------------------------------------
-
-const PUSHERS: usize = 3;
-const PUSHES_PER_WORKER: u64 = 5;
-const DRAIN_STEPS: u64 = 6;
-
-/// Runs `PUSHERS` producer threads plus one batch drainer under a seeded
-/// turnstile, optionally halting before step `halt_at`. Returns
-/// `(batches drained during the run, items left at the freeze point,
-/// pushes that completed)`.
-fn run_queue_schedule(seed: u64, halt_at: Option<u64>) -> (Vec<Vec<u64>>, Vec<u64>, u64) {
-    let q = Arc::new(HandoffQueue::<u64>::new());
-    let sched = Arc::new(SeededRoundRobin::with_halt(seed, PUSHERS + 1, halt_at));
-    let drained = Arc::new(Mutex::new(Vec::new()));
-    let pushed = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for w in 0..PUSHERS {
-        let q = Arc::clone(&q);
-        let sched = Arc::clone(&sched);
-        let pushed = Arc::clone(&pushed);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..PUSHES_PER_WORKER {
-                if sched.step(w) == Turn::Halt {
-                    break;
-                }
-                q.push((w as u64) << 32 | i);
-                pushed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-            sched.finish(w);
-        }));
-    }
-    {
-        let q = Arc::clone(&q);
-        let sched = Arc::clone(&sched);
-        let drained = Arc::clone(&drained);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..DRAIN_STEPS {
-                if sched.step(PUSHERS) == Turn::Halt {
-                    break;
-                }
-                let batch = q.drain();
-                if !batch.is_empty() {
-                    drained.lock().unwrap().push(batch);
-                }
-            }
-            sched.finish(PUSHERS);
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let batches = Arc::try_unwrap(drained).unwrap().into_inner().unwrap();
-    let rest = q.drain();
-    let pushed = pushed.load(std::sync::atomic::Ordering::SeqCst);
-    (batches, rest, pushed)
-}
-
-fn assert_queue_outcome(seed: u64, k: u64, batches: &[Vec<u64>], rest: &[u64], pushed: u64) {
-    let all: Vec<u64> = batches
-        .iter()
-        .flatten()
-        .chain(rest.iter())
-        .copied()
-        .collect();
-    assert_eq!(
-        all.len() as u64,
-        pushed,
-        "seed {seed} halt {k}: {} items recovered from {pushed} completed pushes",
-        all.len()
-    );
-    let set: BTreeSet<u64> = all.iter().copied().collect();
-    assert_eq!(set.len(), all.len(), "seed {seed} halt {k}: duplicates");
-    // Per-producer FIFO across batch boundaries.
-    for p in 0..PUSHERS as u64 {
-        let seq: Vec<u64> = all
-            .iter()
-            .filter(|&&v| v >> 32 == p)
-            .map(|&v| v & 0xFFFF_FFFF)
-            .collect();
-        assert_eq!(
-            seq,
-            (0..seq.len() as u64).collect::<Vec<_>>(),
-            "seed {seed} halt {k}: producer {p} reordered"
-        );
-    }
-}
-
-#[test]
-fn queue_schedules_lose_nothing_at_any_halt_point() {
-    for seed in [1u64, 2, 3] {
-        let (_, _, total) = {
-            let (b, r, p) = run_queue_schedule(seed, None);
-            assert_queue_outcome(seed, u64::MAX, &b, &r, p);
-            (b, r, p)
-        };
-        assert_eq!(total, PUSHERS as u64 * PUSHES_PER_WORKER);
-        let steps = PUSHERS as u64 * PUSHES_PER_WORKER + DRAIN_STEPS;
-        for k in 0..=steps {
-            let (batches, rest, pushed) = run_queue_schedule(seed, Some(k));
-            assert_queue_outcome(seed, k, &batches, &rest, pushed);
-        }
-    }
-}
-
-#[test]
-fn queue_schedules_are_deterministic_in_the_seed() {
-    let a = run_queue_schedule(9, Some(10));
-    let b = run_queue_schedule(9, Some(10));
-    assert_eq!(a.0, b.0, "same seed, same drained batches");
-    assert_eq!(a.1, b.1, "same seed, same residue");
-}
-
-// ---------------------------------------------------------------------
-// Heap-level: staging vs batch-drain vs crash
-// ---------------------------------------------------------------------
+use std::sync::Arc;
 
 const STAGERS: usize = 3;
 const OPS_PER_STAGER: u64 = 4;
@@ -193,7 +63,7 @@ fn run_with_flusher(seed: u64, halt_at: Option<u64>) -> Outcome {
     }
     {
         // The flusher races the stagers' pushes with batch drains — the
-        // exact interleaving the lock-free handoff queue must survive.
+        // exact interleaving the handoff queue must survive.
         let shared = shared.clone();
         let sched = Arc::clone(&sched);
         handles.push(std::thread::spawn(move || {
