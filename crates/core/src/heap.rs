@@ -22,21 +22,35 @@
 //! This changes no flush/fence counts (reclamation is volatile); it makes
 //! the recovery argument of §5.2 hold under any crash timing, which our
 //! adversarial crash tests exercise.
+//!
+//! The same queue carries the **epoch gate** of snapshot readers. Under a
+//! [`crate::SharedModHeap`] every queued version is stamped with the
+//! reader registry's current epoch — the last snapshot that can still
+//! reach it — and a fence frees only the entries whose stamp is older
+//! than every pinned view ([`mod_alloc::EpochRegistry::min_pinned`]);
+//! the rest wait for a later fence. An owner heap has no readers: it
+//! stamps 0 and frees its whole queue at each fence, without scanning a
+//! registry.
 
 use crate::erased::ErasedDs;
 use crate::root::ROOT_DIR_SLOT;
-use mod_alloc::NvHeap;
+use mod_alloc::{EpochRegistry, NvHeap, UNPINNED};
 use mod_pmem::{PmPtr, Pmem, PmemConfig, SyncRound};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The MOD heap: allocator + commit protocols + deferred reclamation.
 #[derive(Debug)]
 pub struct ModHeap {
     nv: NvHeap,
-    /// Versions superseded by a committed pointer store that is not yet
-    /// known durable; released after the next fence.
-    pending: Vec<ErasedDs>,
+    /// Versions superseded by a committed pointer store, each stamped
+    /// with the reader epoch that can still reach it; released at the
+    /// first fence that finds no view pinned at or before its stamp.
+    pending: Vec<(u64, ErasedDs)>,
+    /// The snapshot reader registry while a [`crate::SharedModHeap`]
+    /// owns this heap; `None` for an owner heap, which has no readers.
+    readers: Option<Arc<EpochRegistry>>,
     /// Wall-clock nanoseconds [`ModHeap::open`] spent replaying hybrid
     /// spines into volatile indices (0 when the pool had no hybrid
     /// roots). Host time, not simulated time: the rebuild is volatile
@@ -50,6 +64,7 @@ impl ModHeap {
         ModHeap {
             nv: NvHeap::format(pm),
             pending: Vec::new(),
+            readers: None,
             rebuild_ns: 0,
         }
     }
@@ -66,6 +81,7 @@ impl ModHeap {
         ModHeap {
             nv,
             pending: Vec::new(),
+            readers: None,
             rebuild_ns: 0,
         }
     }
@@ -153,38 +169,49 @@ impl ModHeap {
         self.nv.read_root(slot)
     }
 
-    /// Queues a superseded version for release after the next fence.
+    /// Hands the heap to a shared engine whose snapshot views pin epochs
+    /// in `readers`, or (`None`) takes it back as an owner heap. Queued
+    /// stamps restart at 0: they count the previous registry's epochs,
+    /// and no view of the new one can reach what was superseded before.
+    pub(crate) fn set_readers(&mut self, readers: Option<Arc<EpochRegistry>>) {
+        for (stamp, _) in &mut self.pending {
+            *stamp = 0;
+        }
+        self.readers = readers;
+    }
+
+    /// Queues a superseded version for release at a later fence, stamped
+    /// with the current reader epoch (0 on an owner heap).
     pub(crate) fn defer_release(&mut self, old: ErasedDs) {
-        self.pending.push(old);
+        let stamp = self.readers.as_ref().map_or(0, |r| r.current());
+        self.pending.push((stamp, old));
     }
 
-    /// Steals the deferred-release queue. The shared-heap commit stage
-    /// calls this after every batch commit so superseded chains move to
-    /// *epoch-gated* limbo instead of being freed at the next fence —
-    /// a snapshot reader pinned at an older epoch may still reach them.
-    /// The next `fence_and_drain` then drains an empty queue (the fence
-    /// itself still runs; fence counts are unchanged).
-    pub(crate) fn take_pending(&mut self) -> Vec<ErasedDs> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Fences (its sync round per `sync`), then frees what the previous
-    /// commit superseded. A [`SyncRound::Now`] fence is an owner heap's
-    /// acknowledgement and an orderly point for a due checkpoint; the
-    /// shared engine's fences defer both until it has dropped its commit
-    /// lock.
+    /// Fences (its sync round per `sync`), then frees, in queue order,
+    /// every superseded version no pinned view can reach. A
+    /// [`SyncRound::Now`] fence is an owner heap's acknowledgement and an
+    /// orderly point for a due checkpoint; the shared engine's fences
+    /// defer both until it has dropped its commit lock.
     pub(crate) fn fence_and_drain(&mut self, sync: SyncRound) {
         let pm = self.nv.pm_mut();
         pm.sfence_with(sync);
         if sync == SyncRound::Now {
             pm.checkpoint_if_due();
         }
-        // The previous commit's pointer store is now durable; its old
-        // version can never be observed by recovery again.
-        let pending = std::mem::take(&mut self.pending);
-        for e in pending {
-            e.release(&mut self.nv);
-        }
+        // Every queued pointer store is now durable, so recovery can never
+        // observe these versions again. A version stamped `e` is reachable
+        // only from snapshots of epoch ≤ `e`, and a view pinned at `p`
+        // reads an image of epoch ≥ `p`: it is free once `e < p` for
+        // every pinned `p`.
+        let min_pinned = self.readers.as_ref().map_or(UNPINNED, |r| r.min_pinned());
+        let nv = &mut self.nv;
+        self.pending.retain(|&(stamp, e)| {
+            let held = stamp >= min_pinned;
+            if !held {
+                e.release(nv);
+            }
+            held
+        });
     }
 
     /// Publishes a fresh root directory (Fig 8c on the directory parent):
@@ -207,7 +234,7 @@ impl ModHeap {
         self.fence_and_drain(sync);
         self.store_root_slot(ROOT_DIR_SLOT, new_dir);
         if !old_dir.is_null() {
-            self.pending.push(ErasedDs {
+            self.defer_release(ErasedDs {
                 kind: crate::erased::RootKind::Parent,
                 root: old_dir,
             });
@@ -229,7 +256,9 @@ impl ModHeap {
         self.fence_and_drain(SyncRound::Now);
     }
 
-    /// Number of versions awaiting deferred reclamation.
+    /// Number of versions awaiting deferred reclamation: those the next
+    /// fence will free, plus, under a [`crate::SharedModHeap`], those held
+    /// for live snapshot views.
     pub fn pending_reclaims(&self) -> usize {
         self.pending.len()
     }

@@ -89,8 +89,8 @@ pub use heap::ModHeap;
 pub use root::{Root, ROOT_DIR_SLOT};
 pub use sched::{SeededRoundRobin, Turn};
 pub use shared::{
-    CommitMode, CommitNotice, CommitTicket, EngineError, HeapPoisoned, LaneContention,
-    PipelineStats, SharedModHeap,
+    CommitMode, CommitTicket, EngineError, HeapPoisoned, LaneContention, PipelineStats,
+    SharedModHeap,
 };
 pub use snapshot::{DirSnapshot, SnapshotView};
 pub use spine::PersistPolicy;

@@ -77,8 +77,8 @@
 //! ## Lock ordering and poison policy
 //!
 //! The lock hierarchy is `global` (commit) → per-shard → `group` (batch
-//! metadata) → `subscribers` → the pool backend's state lock: a lock may
-//! only be acquired while holding locks strictly *earlier* in that list.
+//! metadata) → the pool backend's state lock: a lock may only be acquired
+//! while holding locks strictly *earlier* in that list.
 //! Every blocking wait respects it — the one bounded wait behind rules 2
 //! and 3 **drops the group lock before** calling into `commit_now()`
 //! (which takes `global`), so a reader thread forcing a batch out can
@@ -104,18 +104,20 @@
 //! Poisoning is handled per lock, by what a panic unwinding through it
 //! can leave behind:
 //!
-//! * **shard / group / subscriber mutexes, `queue` and `snap`** —
-//!   consistent at every unlock (a panicking FASE runs `abort_fase`
-//!   before the unwind releases its shard; `GroupMeta`, the subscriber
-//!   list, the staged Vec and the published `Arc` are plain values).
-//!   These recover silently via [`PoisonError::into_inner`] (`relock`),
-//!   so one panicking worker never cascades into failures on every
-//!   other server connection.
+//! * **shard and group mutexes, `queue` and `snap`** — consistent at
+//!   every unlock (a panicking FASE runs `abort_fase` before the unwind
+//!   releases its shard; `GroupMeta`, the staged Vec and the published
+//!   `Arc` are plain values). These recover silently via
+//!   [`PoisonError::into_inner`] (`relock`), so one panicking worker
+//!   never cascades into failures on every other server connection.
 //! * **the global commit lock** — guards the multi-step batch merge in
 //!   `commit_locked`; a panic there can strand a half-applied batch, so
 //!   poison is surfaced as a typed [`HeapPoisoned`] /
-//!   [`EngineError::Poisoned`] on the `try_*` APIs and the pool must be
-//!   reopened (journal replay recovers to the last published batch).
+//!   [`EngineError::Poisoned`] on the `try_*` APIs (every panicking
+//!   form panics with its message) and the pool must be reopened
+//!   (journal replay recovers to the last published batch). Reporters
+//!   (`sim_wall_ns`, `lane_stats`, `overlap_ratio`) read only clocks and
+//!   counters, valid even mid-commit, so they relock it instead.
 
 use crate::erased::ErasedDs;
 use crate::fase::{Fase, LaneConflict, PendingUpdate, RootLanes};
@@ -124,7 +126,7 @@ use crate::snapshot::{DirSnapshot, SnapshotView};
 use mod_alloc::{EpochRegistry, NvHeap, StagedAllocEffects};
 use mod_pmem::{CrashPolicy, LineHandoff, PmStats, Pmem, PoolBackend, SyncRound, TraceEvent};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// The two parameters of the commit policy (see the module docs' three
@@ -224,7 +226,7 @@ impl std::error::Error for LaneContention {}
 
 /// The commit machinery is wedged: a thread panicked while holding the
 /// **global commit lock** (mid-`commit_locked`), so the single-owner
-/// heap may hold a half-merged batch. Unlike the shard/group/subscriber
+/// heap may hold a half-merged batch. Unlike the shard and group
 /// mutexes — whose state is consistent whenever a panic unwinds through
 /// them, and which this module recovers silently (see the module docs'
 /// poison policy) — the global lock guards multi-step merge state, so
@@ -291,8 +293,8 @@ impl From<HeapPoisoned> for EngineError {
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 /// Only correct for locks whose invariants hold at every unlock — the
-/// shard, group-metadata and subscriber mutexes here (see the module
-/// docs' poison policy). The global commit lock must NOT go through
+/// shard and group-metadata mutexes here (see the module docs' poison
+/// policy). The global commit lock must NOT go through
 /// this: its poison means a half-merged batch and is surfaced as
 /// [`HeapPoisoned`] instead.
 fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -319,18 +321,11 @@ fn conflict_backoff(attempt: u32) {
     }
 }
 
-/// Shared durability state behind a [`CommitTicket`].
-#[derive(Debug, Default)]
-struct TicketState {
-    /// Set (after the batch's fences) by the commit stage.
-    committed: AtomicBool,
-    /// The journal sequence the batch needs on the medium (valid once
-    /// `committed` is set).
-    frontier: AtomicU64,
-    /// Simulated time of the fence that committed this FASE (f64 bits;
-    /// valid once `committed` is set).
-    fence_ns: AtomicU64,
-}
+/// Shared durability state behind a [`CommitTicket`]: set once, after
+/// the batch's fences, by the commit stage to the journal sequence the
+/// batch needs on the medium and the simulated time of the fence that
+/// committed the FASE.
+type TicketState = OnceLock<(u64, f64)>;
 
 /// A durability handle for one staged FASE.
 ///
@@ -364,17 +359,6 @@ impl CommitTicket {
         }
     }
 
-    /// The batch's frontier and fence watermark, once it has published.
-    fn committed(&self) -> Option<(u64, f64)> {
-        let s = &self.state;
-        s.committed.load(Ordering::SeqCst).then(|| {
-            (
-                s.frontier.load(Ordering::SeqCst),
-                f64::from_bits(s.fence_ns.load(Ordering::SeqCst)),
-            )
-        })
-    }
-
     /// Whether the FASE's batch has published (its fences have executed)
     /// and a sync round has put its records on the medium. Under `Fsync`
     /// it turns true only once a round covers the ticket: a committed
@@ -386,41 +370,8 @@ impl CommitTicket {
     /// Simulated time of the fence that committed this FASE, once
     /// durable (`None` before that).
     pub fn fence_ns(&self) -> Option<f64> {
-        let (frontier, ns) = self.committed()?;
+        let &(frontier, ns) = self.state.get()?;
         (self.backend.synced() >= frontier).then_some(ns)
-    }
-}
-
-/// What a commit subscriber learns about one published batch (see
-/// [`SharedModHeap::subscribe_commits`]). Notices fire at commit: under
-/// [`mod_pmem::Durability::Fsync`] a noticed batch is published and
-/// fenced but not necessarily on the medium yet — that is what the
-/// batch's tickets wait for.
-#[derive(Clone, Debug)]
-pub struct CommitNotice {
-    /// Monotone batch sequence number (1 for the first drained batch).
-    pub batch_seq: u64,
-    /// FASEs the batch carried (including staged no-ops).
-    pub fases: usize,
-    /// Whether the batch actually published updates (an all-no-op batch
-    /// drains participants but pays no fence).
-    pub committed: bool,
-    /// The batch's fence watermark: simulated time after which every
-    /// FASE in this batch (and all earlier batches) is fenced in
-    /// simulated PM.
-    pub fence_ns: f64,
-}
-
-type CommitSubscriber = Box<dyn Fn(&CommitNotice) + Send + Sync>;
-
-/// Registered commit subscribers (manual `Debug`: closures aren't).
-#[derive(Default)]
-struct Subscribers(Mutex<Vec<CommitSubscriber>>);
-
-impl std::fmt::Debug for Subscribers {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.0.lock().map(|v| v.len()).unwrap_or(0);
-        write!(f, "Subscribers({n})")
     }
 }
 
@@ -450,27 +401,6 @@ struct WorkerCtx {
     nv: NvHeap,
 }
 
-/// One committed batch's superseded version chains, parked until the
-/// **epoch gate** opens: no snapshot reader pinned at an epoch ≤
-/// `retire_epoch` (the epoch of the last snapshot that can still reach
-/// these chains). Once clear, the chains return to the single-owner
-/// deferral queue and are freed by the next `fence_and_drain` — which
-/// also preserves the crash-safety rule (never free a superseded chain
-/// before a fence covers the swing that superseded it) *and* keeps the
-/// charge location of the frees identical to the pre-snapshot code.
-#[derive(Debug)]
-struct RetiredBatch {
-    retire_epoch: u64,
-    versions: Vec<ErasedDs>,
-}
-
-#[derive(Debug)]
-struct GlobalState {
-    heap: ModHeap,
-    /// Superseded version chains awaiting epoch-gated reclamation.
-    limbo: Vec<RetiredBatch>,
-}
-
 /// Test-only hook run inside `commit_locked` between the directory
 /// swing and the snapshot publication (manual `Debug`: closures
 /// aren't).
@@ -488,14 +418,15 @@ impl std::fmt::Debug for MidCommitHook {
 #[derive(Debug)]
 struct GroupMeta {
     /// Batches drained so far — mutex-protected so condvar waiters can
-    /// use it as a wake predicate with no missed-notify window; also the
-    /// `batch_seq` of each batch's [`CommitNotice`].
+    /// use it as a wake predicate with no missed-notify window.
     batch_epoch: u64,
 }
 
 #[derive(Debug)]
 struct Inner {
-    global: Mutex<GlobalState>,
+    /// The single-owner heap the commit stage publishes through. Its
+    /// deferred-release queue is epoch-gated on `registry`.
+    global: Mutex<ModHeap>,
     shards: Vec<Mutex<WorkerCtx>>,
     lanes: RootLanes,
     /// Staged FASEs in push (merge) order, awaiting the commit stage. A
@@ -515,12 +446,12 @@ struct Inner {
     last_fence_ns: AtomicU64,
     group: Mutex<GroupMeta>,
     group_cv: Condvar,
-    subscribers: Subscribers,
     /// The currently published snapshot. A leaf lock: held only to swap
     /// in a new image or to clone the current one.
     snap: RwLock<Arc<DirSnapshot>>,
     /// Snapshot reader registry: pin/unpin slots + the published epoch.
-    registry: EpochRegistry,
+    /// Shared with the heap, which stamps and gates its releases on it.
+    registry: Arc<EpochRegistry>,
     /// Read-only heap view for snapshot traversals: shares the pool
     /// storage with every shard, owns only private volatile sim state,
     /// and is never mutated (readers use `&self` peek paths only).
@@ -541,8 +472,8 @@ impl Inner {
     }
 
     /// Drains the handoff queue and publishes everything as one batch
-    /// with one ordering point. Must be called with `st` locked.
-    fn commit_locked(&self, st: &mut GlobalState) {
+    /// with one ordering point. Must be called with the commit lock held.
+    fn commit_locked(&self, heap: &mut ModHeap) {
         let drained = std::mem::take(&mut *relock(&self.queue));
         if drained.is_empty() {
             return;
@@ -552,8 +483,8 @@ impl Inner {
         let t0 = drained
             .iter()
             .map(|sf| sf.stage_end_ns)
-            .fold(st.heap.nv().pm().clock().now_ns(), f64::max);
-        st.heap.nv_mut().pm_mut().sync_clock_to(t0);
+            .fold(heap.nv().pm().clock().now_ns(), f64::max);
+        heap.nv_mut().pm_mut().sync_clock_to(t0);
         let mut batch: Vec<PendingUpdate> = Vec::new();
         let mut releases = Vec::new();
         let mut participants = Vec::with_capacity(drained.len());
@@ -567,9 +498,9 @@ impl Inner {
         for sf in drained {
             participants.push(sf.worker);
             tickets.extend(sf.ticket);
-            st.heap.nv_mut().apply_staged_effects(sf.effects);
+            heap.nv_mut().apply_staged_effects(sf.effects);
             {
-                let pm = st.heap.nv_mut().pm_mut();
+                let pm = heap.nv_mut().pm_mut();
                 coalesced += pm.absorb_lines(sf.lines) as u64;
                 pm.append_trace(sf.trace);
             }
@@ -583,37 +514,19 @@ impl Inner {
         }
         let fases = participants.len();
         let committed = !batch.is_empty();
-        if committed {
-            // Epoch-clear limbo chains go back onto the deferral queue
-            // *now*, so the fence inside `commit_fase` frees them at
-            // exactly the point the pre-snapshot code always did — with
-            // no reader pinned, commit timing (and the gated simulated-
-            // latency metrics) is bit-identical to the old path.
-            self.reinject_unpinned(st);
-        }
         // No fence here runs a sync round (nor a checkpoint): the records
         // wait in the page cache for the round of whichever thread next
         // needs them on the medium, outside this lock. The journal's
         // frontier keeps them ordered — a power loss that keeps a later
-        // record but not an earlier one replays neither.
-        st.heap.commit_fase(batch, SyncRound::Deferred);
-        if committed {
-            // Steal the chains this batch superseded out of the heap's
-            // deferral queue before any later fence can free them — a
-            // reader pinned at the pre-batch epoch may still be
-            // traversing them through its snapshot.
-            let versions = st.heap.take_pending();
-            if !versions.is_empty() {
-                st.limbo.push(RetiredBatch {
-                    retire_epoch: self.registry.current(),
-                    versions,
-                });
-            }
-        }
+        // record but not an earlier one replays neither. The fence frees
+        // what earlier batches superseded, unless a pinned view still
+        // reaches it; this batch's superseded chains join the queue
+        // stamped with the epoch of the snapshot about to be replaced.
+        heap.commit_fase(batch, SyncRound::Deferred);
         // Deferred revert chains were never published: reclaim now that
         // their refcount authority has arrived.
         for r in releases {
-            r.release(st.heap.nv_mut());
+            r.release(heap.nv_mut());
         }
         // `commit_fase` flushes the directory swing but does not fence
         // it — in the closed-loop pipeline the *next* batch's fence
@@ -624,11 +537,7 @@ impl Inner {
         // the simulated fence counts of every existing workload are
         // bit-identical.
         if committed && !tickets.is_empty() {
-            // With no reader pinned, this batch's own chains (stolen
-            // above) come straight back and the covering fence frees
-            // them — matching the old path, which drained them here.
-            self.reinject_unpinned(st);
-            st.heap.fence_and_drain(SyncRound::Deferred);
+            heap.fence_and_drain(SyncRound::Deferred);
         }
         if committed {
             self.stats.batches.fetch_add(1, Ordering::SeqCst);
@@ -636,10 +545,8 @@ impl Inner {
                 .batched_fases
                 .fetch_add(fases as u64, Ordering::SeqCst);
             self.stats.max_batch.fetch_max(fases, Ordering::SeqCst);
-            self.last_fence_ns.store(
-                st.heap.nv().pm().clock().now_ns().to_bits(),
-                Ordering::SeqCst,
-            );
+            self.last_fence_ns
+                .store(heap.nv().pm().clock().now_ns().to_bits(), Ordering::SeqCst);
         }
         // Mid-commit test hook: observes the window where the directory
         // has swung but the new snapshot has not yet published.
@@ -656,54 +563,38 @@ impl Inner {
             // Publish the batch's snapshot *before* resolving tickets:
             // once a client learns its write is durable, any snapshot
             // taken afterwards must already contain that write.
-            self.publish_snapshot(st, frontier);
+            self.publish_snapshot(heap, frontier);
         }
         // The batch's fence watermark. An all-no-op batch paid no fence
         // and wrote nothing, but its FASEs may have read what earlier
         // batches committed, so their tickets wait for the same frontier:
         // a read-only reply must not reveal a write that is not yet on
         // the medium.
-        let fence_ns = st.heap.nv().pm().clock().now_ns();
+        let fence_ns = heap.nv().pm().clock().now_ns();
         // Reply-after-fence gate: tickets commit strictly *after* the
         // covering fence above, and turn durable once a round covers
-        // `frontier`.
+        // `frontier`. Each ticket rides exactly one batch, so this is
+        // its only write.
         for t in &tickets {
-            t.fence_ns.store(fence_ns.to_bits(), Ordering::SeqCst);
-            t.frontier.store(frontier, Ordering::SeqCst);
-            t.committed.store(true, Ordering::SeqCst);
+            let _ = t.set((frontier, fence_ns));
         }
         for w in participants {
             self.staged[w].store(false, Ordering::SeqCst);
         }
         self.queued.fetch_sub(fases, Ordering::SeqCst);
-        let batch_seq = {
-            // Publish the epoch and notify while *holding* the mutex:
-            // every waiter either sees the new epoch before sleeping or
-            // is already parked in the condvar and receives the
-            // notification — no missed-notify window.
-            let mut g = relock(&self.group);
-            g.batch_epoch += 1;
-            self.group_cv.notify_all();
-            g.batch_epoch
-        };
-        // Commit subscribers run outside the group lock (waiters are
-        // already released) but still under the commit lock, so notices
-        // arrive in batch order with monotone fence watermarks.
-        let notice = CommitNotice {
-            batch_seq,
-            fases,
-            committed,
-            fence_ns,
-        };
-        for sub in relock(&self.subscribers.0).iter() {
-            sub(&notice);
-        }
+        // Publish the epoch and notify while *holding* the mutex: every
+        // waiter either sees the new epoch before sleeping or is already
+        // parked in the condvar and receives the notification — no
+        // missed-notify window.
+        let mut g = relock(&self.group);
+        g.batch_epoch += 1;
+        self.group_cv.notify_all();
     }
 
     /// Publishes the current root directory as the next epoch's
     /// [`DirSnapshot`], piggybacked on the directory swing the batch
     /// already paid for. `frontier` is the journal sequence the image
-    /// needs on the medium. Must be called with `st` locked.
+    /// needs on the medium. Must be called with the commit lock held.
     ///
     /// Publication order is load-bearing: the image swaps in *before*
     /// the registry's epoch advances, so the published image's epoch is
@@ -711,10 +602,10 @@ impl Inner {
     /// `e` can only ever clone a snapshot of epoch ≥ `e`, and the epoch
     /// gate keeps every chain that image reaches alive for it). The
     /// superseded image itself is freed by its last holder.
-    fn publish_snapshot(&self, st: &GlobalState, frontier: u64) {
+    fn publish_snapshot(&self, heap: &ModHeap, frontier: u64) {
         let snap = Arc::new(DirSnapshot {
             epoch: self.registry.current() + 1,
-            roots: snapshot_roots(st.heap.nv()),
+            roots: snapshot_roots(heap.nv()),
             frontier,
         });
         // The write guard is a temporary: it drops at the end of this
@@ -726,24 +617,18 @@ impl Inner {
         self.registry.advance();
     }
 
-    /// Moves every epoch-clear limbo batch back onto the single-owner
-    /// deferral queue, in retirement order: a batch's chains are clear
-    /// once the oldest pinned epoch is strictly newer than their
-    /// `retire_epoch`. The next `fence_and_drain` then frees them —
-    /// after a fence, as crash safety demands, and (when no reader was
-    /// ever pinned) at the exact charge point of the pre-snapshot code.
-    /// Must be called with `st` locked.
-    fn reinject_unpinned(&self, st: &mut GlobalState) {
-        let min = self.registry.min_pinned();
-        for b in std::mem::take(&mut st.limbo) {
-            if min > b.retire_epoch {
-                for v in b.versions {
-                    st.heap.defer_release(v);
-                }
-            } else {
-                st.limbo.push(b);
-            }
-        }
+    /// Locks the commit stage's heap, or reports the poison a panic
+    /// mid-commit left on it.
+    fn lock_heap(&self) -> Result<MutexGuard<'_, ModHeap>, HeapPoisoned> {
+        self.global.lock().map_err(|_| HeapPoisoned)
+    }
+
+    /// The commit stage's heap for a reporter: its clock and PM counters
+    /// are plain values, valid even mid-commit, and a reporter must not
+    /// turn one worker panic into a cascade — so a poisoned commit lock
+    /// is relocked here, for reads only.
+    fn peek_heap(&self) -> MutexGuard<'_, ModHeap> {
+        self.global.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -751,8 +636,8 @@ impl Inner {
 /// their *logical* volatile head (from the annex, set by `commit_fase`
 /// and by recovery's index rebuild) instead of the durable spine record:
 /// snapshot readers traverse the live index, never the op log. The
-/// superseded volatile versions sit in limbo under the same epoch guard
-/// as persistent chains.
+/// superseded volatile versions wait in the deferred-release queue under
+/// the same epoch gate as persistent chains.
 fn snapshot_roots(nv: &NvHeap) -> Vec<ErasedDs> {
     let annex = nv.annex();
     crate::root::all_entries(nv)
@@ -878,6 +763,8 @@ impl SharedModHeap {
         let CommitMode::Group { max_batch, timeout } = mode;
         assert!(max_batch > 0, "group commit needs max_batch >= 1");
         let worker_heaps = heap.nv_mut().split_workers(workers);
+        let registry = Arc::new(EpochRegistry::new());
+        heap.set_readers(Some(Arc::clone(&registry)));
         let read_nv = heap.nv().read_view();
         // Epoch 0: the pre-first-commit image (whatever roots the heap
         // already holds, e.g. after recovery).
@@ -889,10 +776,7 @@ impl SharedModHeap {
         }));
         SharedModHeap {
             inner: Arc::new(Inner {
-                global: Mutex::new(GlobalState {
-                    heap,
-                    limbo: Vec::new(),
-                }),
+                global: Mutex::new(heap),
                 shards: worker_heaps
                     .into_iter()
                     .map(|nv| Mutex::new(WorkerCtx { nv }))
@@ -908,9 +792,8 @@ impl SharedModHeap {
                 last_fence_ns: AtomicU64::new(0f64.to_bits()),
                 group: Mutex::new(GroupMeta { batch_epoch: 0 }),
                 group_cv: Condvar::new(),
-                subscribers: Subscribers::default(),
                 snap,
-                registry: EpochRegistry::new(),
+                registry,
                 read_nv,
                 backend,
                 #[cfg(test)]
@@ -1167,9 +1050,9 @@ impl SharedModHeap {
     /// Commits the staged batch under the commit lock, then — with the
     /// lock dropped — runs a checkpoint if one is due.
     fn commit_now(&self) -> Result<(), HeapPoisoned> {
-        let mut st = self.inner.global.lock().map_err(|_| HeapPoisoned)?;
-        self.inner.commit_locked(&mut st);
-        drop(st);
+        let mut heap = self.inner.lock_heap()?;
+        self.inner.commit_locked(&mut heap);
+        drop(heap);
         self.inner.backend.checkpoint_if_due();
         Ok(())
     }
@@ -1215,17 +1098,6 @@ impl SharedModHeap {
         self.inner.active[worker].store(true, Ordering::SeqCst);
     }
 
-    /// Registers a commit subscriber: called once per drained batch (in
-    /// batch order, with monotone fence watermarks), strictly after the
-    /// batch's fences executed and its tickets committed — at commit, not
-    /// at a sync round, so under `Fsync` a noticed batch may not be on
-    /// the medium yet. The callback runs on whichever thread drove the
-    /// commit, under the commit lock — keep it short and never call back
-    /// into the heap.
-    pub fn subscribe_commits(&self, f: impl Fn(&CommitNotice) + Send + Sync + 'static) {
-        relock(&self.inner.subscribers.0).push(Box::new(f));
-    }
-
     /// Blocks until `ticket` is durable — i.e. the batch carrying its
     /// FASE has published, its fences have executed, and its records are
     /// on the medium. Returns the fence watermark (simulated ns).
@@ -1262,12 +1134,12 @@ impl SharedModHeap {
     /// draining the batch found the commit lock poisoned.
     pub fn try_wait_durable(&self, ticket: &CommitTicket) -> Result<f64, HeapPoisoned> {
         loop {
-            if let Some((frontier, ns)) = ticket.committed() {
+            if let Some(&(frontier, ns)) = ticket.state.get() {
                 self.wait_synced(frontier);
                 return Ok(ns);
             }
             // Rule 3; the loop then picks the committed ticket up.
-            self.wait_or_publish(|| ticket.committed().is_some())?;
+            self.wait_or_publish(|| ticket.state.get().is_some())?;
         }
     }
 
@@ -1281,9 +1153,10 @@ impl SharedModHeap {
     ///
     /// # Panics
     ///
-    /// Panics if a batch is (partially) staged.
+    /// Panics if a batch is (partially) staged, a snapshot view is live,
+    /// or the commit machinery is poisoned.
     pub fn setup<R>(&self, f: impl FnOnce(&mut ModHeap) -> R) -> R {
-        let mut st = self.inner.global.lock().unwrap();
+        let mut heap = self.inner.lock_heap().unwrap_or_else(|e| panic!("{e}"));
         // Workers never hold their shard lock while waiting on the
         // commit lock, so global → shards (in index order) cannot
         // deadlock; holding all of them means no FASE is mid-closure.
@@ -1292,28 +1165,21 @@ impl SharedModHeap {
             relock(&self.inner.queue).is_empty() && self.inner.queued.load(Ordering::SeqCst) == 0,
             "setup() with FASEs staged in the pipeline"
         );
-        // Single-owner FASEs inside `f` fence as they go, freeing their
-        // own deferral queue immediately — a live snapshot view could
-        // still be traversing those chains. Snapshot readers take no
-        // lock, so (like the worker-FASE exclusion above) this is a
-        // caller contract; the assert catches violations at entry.
+        // Setup runs as the heap's single owner, so no view may be live
+        // across it. Snapshot readers take no lock, so (like the
+        // worker-FASE exclusion above) this is a caller contract; the
+        // assert catches violations at entry.
         assert_eq!(
             self.inner.registry.live_pins(),
             0,
             "setup() with live snapshot views"
         );
-        let out = f(&mut st.heap);
+        let out = f(&mut heap);
         self.inner.lanes.clear_heads();
         let frontier = self.inner.backend.appended();
         // Setup may have swung the directory: republish so views taken
-        // after setup see the new roots immediately. Trailing superseded
-        // chains stay on the heap's own deferral queue (not epoch
-        // limbo): no view is live — asserted above — and none taken from
-        // here on can reach pre-setup versions, so the next fence may
-        // free them exactly as it always did. Routing them through limbo
-        // would defer the frees into the measured phase of benchmarks
-        // that `reset_metrics` inside a setup, shifting charge points.
-        self.inner.publish_snapshot(&st, frontier);
+        // after setup see the new roots immediately.
+        self.inner.publish_snapshot(&heap, frontier);
         out
     }
 
@@ -1338,8 +1204,7 @@ impl SharedModHeap {
     ///
     /// Returns [`HeapPoisoned`] if a thread panicked mid-commit.
     pub fn try_with<R>(&self, f: impl FnOnce(&ModHeap) -> R) -> Result<R, HeapPoisoned> {
-        let st = self.inner.global.lock().map_err(|_| HeapPoisoned)?;
-        Ok(f(&st.heap))
+        Ok(f(&*self.inner.lock_heap()?))
     }
 
     /// Takes a consistent snapshot of every published root.
@@ -1372,8 +1237,8 @@ impl SharedModHeap {
         let inner = &*self.inner;
         // Pin first: the swap-before-advance publication order means the
         // clone below is an image of epoch ≥ `pinned`, and the epoch gate
-        // (`reinject_unpinned`) keeps every chain it reaches alive until
-        // our slot unpins.
+        // on the heap's deferred releases keeps every chain it reaches
+        // alive until our slot unpins.
         let (slot, pinned) = inner.registry.pin();
         let snap = Arc::clone(&inner.snap.read().unwrap_or_else(PoisonError::into_inner));
         debug_assert!(
@@ -1392,7 +1257,8 @@ impl SharedModHeap {
     }
 
     /// Number of currently live (pinned) snapshot views — observability
-    /// for reclamation stalls: limbo only drains past the oldest pin.
+    /// for reclamation stalls: a fence frees only what the oldest pin
+    /// can no longer reach.
     pub fn live_reader_pins(&self) -> usize {
         self.inner.registry.live_pins()
     }
@@ -1415,7 +1281,7 @@ impl SharedModHeap {
     /// in parallel; batch fences synchronize them with the commit
     /// stage's clock).
     pub fn sim_wall_ns(&self) -> f64 {
-        let mut wall = self.with(|h| h.nv().pm().clock().now_ns());
+        let mut wall = self.inner.peek_heap().nv().pm().clock().now_ns();
         for shard in &self.inner.shards {
             wall = wall.max(relock(shard).nv.pm().clock().now_ns());
         }
@@ -1432,19 +1298,7 @@ impl SharedModHeap {
         for shard in &self.inner.shards {
             total.merge(relock(shard).nv.pm().stats());
         }
-        // PM counters are plain values, valid even mid-commit — a
-        // reporter reading them must not turn one worker panic into a
-        // cascade, so the global lock is relocked here (reads only).
-        total.merge(
-            self.inner
-                .global
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .heap
-                .nv()
-                .pm()
-                .stats(),
-        );
+        total.merge(self.inner.peek_heap().nv().pm().stats());
         total
     }
 
@@ -1459,18 +1313,19 @@ impl SharedModHeap {
     }
 
     /// Flushes the pipeline, then issues an extra fence so all deferred
-    /// reclamation completes (see [`ModHeap::quiesce`]). Like every
-    /// engine fence it syncs and checkpoints only after the commit lock
-    /// is dropped.
+    /// reclamation completes (see [`ModHeap::quiesce`]) — except chains
+    /// a live snapshot view can still reach, which wait for a fence after
+    /// it drops. Like every engine fence it syncs and checkpoints only
+    /// after the commit lock is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the commit machinery is poisoned.
     pub fn quiesce(&self) {
-        let mut st = self.inner.global.lock().unwrap();
-        self.inner.commit_locked(&mut st);
-        // Epoch-clear limbo chains rejoin the deferral queue so the
-        // quiesce fence frees them; chains a live view can still reach
-        // stay in limbo until their readers unpin.
-        self.inner.reinject_unpinned(&mut st);
-        st.heap.fence_and_drain(SyncRound::Deferred);
-        drop(st);
+        let mut heap = self.inner.lock_heap().unwrap_or_else(|e| panic!("{e}"));
+        self.inner.commit_locked(&mut heap);
+        heap.fence_and_drain(SyncRound::Deferred);
+        drop(heap);
         self.inner.backend.checkpoint_if_due();
         self.wait_synced(self.inner.backend.appended());
     }
@@ -1492,27 +1347,26 @@ impl SharedModHeap {
     ///
     /// # Panics
     ///
-    /// Panics if other clones of this handle are still alive.
+    /// Panics if other clones of this handle are still alive, or if the
+    /// commit machinery is poisoned.
     pub fn into_heap(self) -> ModHeap {
         self.flush();
         let inner = Arc::try_unwrap(self.inner).expect("into_heap with live SharedModHeap clones");
-        let mut state = inner.global.into_inner().unwrap();
+        let mut heap = inner
+            .global
+            .into_inner()
+            .unwrap_or_else(|_| panic!("{HeapPoisoned}"));
         for shard in inner.shards {
             // A worker that panicked (and was recovered via `relock`)
             // leaves its shard mutex poisoned but its state consistent.
             let ctx = shard.into_inner().unwrap_or_else(PoisonError::into_inner);
-            state.heap.nv_mut().absorb_worker(ctx.nv);
+            heap.nv_mut().absorb_worker(ctx.nv);
         }
         // Sole owner now, so no snapshot view is live (views borrow the
-        // handle this call consumed). Chains still in epoch limbo go
-        // back onto the single-owner deferral queue, to be freed at the
-        // next fence (`close`/`quiesce`).
-        for b in state.limbo.drain(..) {
-            for v in b.versions {
-                state.heap.defer_release(v);
-            }
-        }
-        state.heap
+        // handle this call consumed): releases still held for one go at
+        // the next fence (`close`/`quiesce`).
+        heap.set_readers(None);
+        heap
     }
 }
 
@@ -2096,35 +1950,26 @@ mod tests {
     }
 
     #[test]
-    fn commit_subscribers_see_batches_in_order_with_fence_watermarks() {
+    fn tickets_turn_durable_per_batch_with_monotone_fence_watermarks() {
+        // What a reply-after-fence front end relies on: a ticket resolves
+        // exactly when its batch publishes, and a later batch's watermark
+        // never precedes an earlier one's.
         let sh = shared(2);
         let map: DurableMap<u64, u64> = sh.setup(DurableMap::create);
-        let notices: Arc<Mutex<Vec<CommitNotice>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let notices = Arc::clone(&notices);
-            sh.subscribe_commits(move |n| notices.lock().unwrap().push(n.clone()));
-        }
+        let mut watermarks = Vec::new();
         for round in 0..3u64 {
             let ((), ticket) = sh.fase_ticketed(0, |tx| {
                 map.insert_in(tx, &round, &round);
             });
+            assert!(!ticket.is_durable(), "round {round}: batch still open");
             sh.fase(1, |tx| map.insert_in(tx, &(100 + round), &round));
-            let seen = notices.lock().unwrap();
-            let last = seen.last().expect("a notice per batch");
-            assert_eq!(last.batch_seq, round + 1, "monotone batch sequence");
-            assert_eq!(last.fases, 2);
-            assert!(last.committed);
-            assert_eq!(
-                Some(last.fence_ns),
-                ticket.fence_ns(),
-                "notice carries the same fence watermark as the tickets"
-            );
+            assert_eq!(sh.stats().batches, round + 1, "one batch per round");
+            assert!(ticket.is_durable(), "round {round}: batch published");
+            watermarks.push(ticket.fence_ns().unwrap());
         }
-        let seen = notices.lock().unwrap();
-        assert_eq!(seen.len(), 3);
         assert!(
-            seen.windows(2).all(|w| w[0].fence_ns <= w[1].fence_ns),
-            "fence watermarks are monotone across batches"
+            watermarks.windows(2).all(|w| w[0] <= w[1]),
+            "fence watermarks are monotone across batches: {watermarks:?}"
         );
     }
 
@@ -2247,8 +2092,22 @@ mod tests {
         // Teardown paths tolerate the wedge instead of double-panicking.
         sh.deregister(0);
         sh.deregister(1);
-        // Reporters still read (counters are plain values).
+        // Reporters still read (clocks and counters are plain values).
         let _ = sh.lane_stats();
+        assert!(sh.sim_wall_ns() > 0.0);
+        let _ = sh.overlap_ratio();
+        // The panicking forms name the poison, not a `PoisonError`.
+        fn panics_poisoned(f: impl FnOnce()) {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(msg, HeapPoisoned.to_string());
+        }
+        panics_poisoned(|| sh.setup(|_| ()));
+        panics_poisoned(|| sh.quiesce());
+        panics_poisoned(|| drop(sh.into_heap()));
     }
 
     #[test]

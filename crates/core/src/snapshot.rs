@@ -14,12 +14,13 @@
 //! versions are immutable once published, so what else a reader needs
 //! protection from is *reclamation* of the PM chains its image can still
 //! reach; that is handled by epoch-based deferral
-//! ([`mod_alloc::EpochRegistry`]): a batch's superseded chains move to
-//! limbo stamped with the epoch of the last snapshot that can reach
-//! them, and are freed only once every reader pinned at that epoch (or
-//! older) has dropped — and, independently, once a fence has covered
-//! the swing that superseded them (the crash-safety gate inherited from
-//! the single-owner deferral queue).
+//! ([`mod_alloc::EpochRegistry`]): a batch's superseded chains join the
+//! heap's deferred-release queue stamped with the epoch of the last
+//! snapshot that can reach them, and a fence frees them only once every
+//! reader pinned at that epoch (or older) has dropped. Being freed at a
+//! fence, they also keep the crash-safety rule of the single-owner
+//! queue: never before a fence has covered the swing that superseded
+//! them.
 //!
 //! ## Consistency guarantee
 //!
@@ -77,8 +78,8 @@ impl DirSnapshot {
 /// Obtained from [`crate::SharedModHeap::snapshot`]. Holding a view
 /// pins its epoch in the reader registry, which defers reclamation of
 /// any version chain the view can reach; **drop views promptly** —
-/// a long-lived view holds superseded chains of every later batch in
-/// limbo. The `Drop` impl unpins unconditionally (a reader that panics
+/// a long-lived view holds back the superseded chains of every later
+/// batch. The `Drop` impl unpins unconditionally (a reader that panics
 /// mid-traversal releases its pin during unwind).
 ///
 /// A `&SnapshotView` is a [`crate::ReadCtx`]: pass it to the typed
@@ -364,8 +365,9 @@ mod tests {
     /// Reclamation property: while a pinned view can reach a version
     /// chain, the chain is never freed — heavy same-key churn plus
     /// explicit quiesce (which reclaims everything unpinned) must leave
-    /// the view's image byte-identical; unpinning then releases the
-    /// held chains at the next fence.
+    /// the view's image byte-identical. The held chains wait in the
+    /// heap's deferred-release queue, and once the view drops the very
+    /// next fence frees them — here a `setup` FASE's.
     #[test]
     fn pinned_view_blocks_reclamation_until_dropped() {
         let churn = if cfg!(miri) { 8 } else { 64 };
@@ -391,10 +393,12 @@ mod tests {
         assert_eq!(map.get(&v, &1), Some(100), "pinned chain was recycled");
         assert_eq!(queue.peek(&v), Some(100));
         assert_eq!(queue.len(&v), 1);
+        // Each batch superseded one directory the view may reach.
+        assert_eq!(sh.with(|h| h.pending_reclaims()), churn as usize);
         let frees_pinned = sh.with(|h| h.nv().stats().frees);
         drop(v);
         assert_eq!(sh.live_reader_pins(), 0);
-        sh.quiesce();
+        sh.setup(|h| map.insert(h, &2, &2));
         let frees_unpinned = sh.with(|h| h.nv().stats().frees);
         assert!(
             frees_unpinned > frees_pinned,
