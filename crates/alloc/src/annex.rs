@@ -13,7 +13,7 @@
 //! Writes happen only under the commit path's serialization (commit
 //! lock or single ownership); reads are racy relaxed loads, safe
 //! because a published word is never pointed at reclaimed memory until
-//! the epoch machinery says no reader can still hold it.
+//! the commit stage's epoch gate says no reader can still hold it.
 
 use crate::layout::N_ROOTS;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod annex;
-pub mod epoch;
 pub mod heap;
 pub mod layout;
 pub mod read;
@@ -39,7 +38,6 @@ mod table;
 pub mod worker;
 
 pub use annex::RootAnnex;
-pub use epoch::{EpochRegistry, MAX_READERS, UNPINNED};
 pub use heap::{AllocStats, NvHeap};
 pub use layout::{class_size, volatile_class_size, HEADER_BYTES, HEAP_BASE, N_ROOTS, POOL_MAGIC};
 pub use read::HeapRead;

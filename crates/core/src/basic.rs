@@ -206,7 +206,7 @@ impl ReadCtx for &SnapshotView<'_> {
     }
 
     fn heap_read(&mut self) -> HeapRead<'_> {
-        HeapRead::Peek(self.nv())
+        HeapRead::Peek(self.nv)
     }
 }
 

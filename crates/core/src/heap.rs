@@ -24,20 +24,24 @@
 //! adversarial crash tests exercise.
 //!
 //! The same queue carries the **epoch gate** of snapshot readers. Under a
-//! [`crate::SharedModHeap`] every queued version is stamped with the
-//! reader registry's current epoch — the last snapshot that can still
-//! reach it — and a fence frees only the entries whose stamp is older
-//! than every pinned view ([`mod_alloc::EpochRegistry::min_pinned`]);
-//! the rest wait for a later fence. An owner heap has no readers: it
-//! stamps 0 and frees its whole queue at each fence, without scanning a
-//! registry.
+//! [`crate::SharedModHeap`] the heap holds every published image a view
+//! may still read ([`crate::snapshot::DirSnapshot`], oldest first, the
+//! current one last), and each queued version is stamped with the
+//! current image's epoch — the last image that can still reach it. A
+//! fence frees only the entries stamped older than the oldest image a
+//! view still holds (its `Arc` count says so); the rest wait for a later
+//! fence. An owner heap publishes no images: it stamps 0 and frees its
+//! whole queue at each fence.
 
 use crate::erased::ErasedDs;
 use crate::root::ROOT_DIR_SLOT;
-use mod_alloc::{EpochRegistry, NvHeap, UNPINNED};
+use crate::snapshot::DirSnapshot;
+use mod_alloc::NvHeap;
 use mod_pmem::{PmPtr, Pmem, PmemConfig, SyncRound};
+use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 /// The MOD heap: allocator + commit protocols + deferred reclamation.
@@ -45,12 +49,15 @@ use std::sync::Arc;
 pub struct ModHeap {
     nv: NvHeap,
     /// Versions superseded by a committed pointer store, each stamped
-    /// with the reader epoch that can still reach it; released at the
-    /// first fence that finds no view pinned at or before its stamp.
+    /// with the epoch of the last image that can still reach it;
+    /// released at the first fence that finds no view holding an image
+    /// at or before its stamp.
     pending: Vec<(u64, ErasedDs)>,
-    /// The snapshot reader registry while a [`crate::SharedModHeap`]
-    /// owns this heap; `None` for an owner heap, which has no readers.
-    readers: Option<Arc<EpochRegistry>>,
+    /// The images a [`crate::SharedModHeap`] published over this heap
+    /// that a view may still hold, oldest first; the last one is the
+    /// current image, which the engine's `snap` holds too. Empty on an
+    /// owner heap, which has no readers.
+    images: VecDeque<Arc<DirSnapshot>>,
     /// Wall-clock nanoseconds [`ModHeap::open`] spent replaying hybrid
     /// spines into volatile indices (0 when the pool had no hybrid
     /// roots). Host time, not simulated time: the rebuild is volatile
@@ -64,7 +71,7 @@ impl ModHeap {
         ModHeap {
             nv: NvHeap::format(pm),
             pending: Vec::new(),
-            readers: None,
+            images: VecDeque::new(),
             rebuild_ns: 0,
         }
     }
@@ -81,7 +88,7 @@ impl ModHeap {
         ModHeap {
             nv,
             pending: Vec::new(),
-            readers: None,
+            images: VecDeque::new(),
             rebuild_ns: 0,
         }
     }
@@ -169,26 +176,46 @@ impl ModHeap {
         self.nv.read_root(slot)
     }
 
-    /// Hands the heap to a shared engine whose snapshot views pin epochs
-    /// in `readers`, or (`None`) takes it back as an owner heap. Queued
-    /// stamps restart at 0: they count the previous registry's epochs,
-    /// and no view of the new one can reach what was superseded before.
-    pub(crate) fn set_readers(&mut self, readers: Option<Arc<EpochRegistry>>) {
+    /// Publishes `roots` as the next epoch's image (epoch 0 if it is the
+    /// first) and records it as the current one.
+    pub(crate) fn push_image(&mut self, roots: Vec<ErasedDs>, frontier: u64) -> Arc<DirSnapshot> {
+        let image = Arc::new(DirSnapshot {
+            epoch: self.images.back().map_or(0, |s| s.epoch + 1),
+            roots,
+            frontier,
+        });
+        self.images.push_back(Arc::clone(&image));
+        image
+    }
+
+    /// Takes the heap back as an owner heap: no image is published any
+    /// more, and queued stamps restart at 0 — they count the engine's
+    /// epochs, and no view of a later engine can reach what was
+    /// superseded before it.
+    pub(crate) fn clear_images(&mut self) {
+        self.images.clear();
         for (stamp, _) in &mut self.pending {
             *stamp = 0;
         }
-        self.readers = readers;
+    }
+
+    /// Number of live snapshot views: every holder of a published image
+    /// beyond this list, and beyond the engine's `snap` for the current
+    /// image.
+    pub(crate) fn live_views(&self) -> usize {
+        let holders: usize = self.images.iter().map(Arc::strong_count).sum();
+        holders.saturating_sub(self.images.len() + 1)
     }
 
     /// Queues a superseded version for release at a later fence, stamped
-    /// with the current reader epoch (0 on an owner heap).
+    /// with the current image's epoch (0 on an owner heap).
     pub(crate) fn defer_release(&mut self, old: ErasedDs) {
-        let stamp = self.readers.as_ref().map_or(0, |r| r.current());
+        let stamp = self.images.back().map_or(0, |s| s.epoch);
         self.pending.push((stamp, old));
     }
 
-    /// Fences (its sync round per `sync`), then frees, in queue order,
-    /// every superseded version no pinned view can reach. A
+    /// Fences (its sync round per `sync`), then frees every superseded
+    /// version no view can reach ([`ModHeap::drain_released`]). A
     /// [`SyncRound::Now`] fence is an owner heap's acknowledgement and an
     /// orderly point for a due checkpoint; the shared engine's fences
     /// defer both until it has dropped its commit lock.
@@ -198,15 +225,35 @@ impl ModHeap {
         if sync == SyncRound::Now {
             pm.checkpoint_if_due();
         }
-        // Every queued pointer store is now durable, so recovery can never
-        // observe these versions again. A version stamped `e` is reachable
-        // only from snapshots of epoch ≤ `e`, and a view pinned at `p`
-        // reads an image of epoch ≥ `p`: it is free once `e < p` for
-        // every pinned `p`.
-        let min_pinned = self.readers.as_ref().map_or(UNPINNED, |r| r.min_pinned());
+        self.drain_released();
+    }
+
+    /// Frees, in queue order, every queued version whose replacing
+    /// pointer store a fence has covered and that no live view can
+    /// reach. Called right after a fence: every queued pointer store is
+    /// then durable, so recovery can never observe these versions again.
+    pub(crate) fn drain_released(&mut self) {
+        // Superseded images no view holds: `get_mut` proves this list is
+        // the only holder, and synchronizes with the views' drops.
+        while self.images.len() > 1 && Arc::get_mut(&mut self.images[0]).is_some() {
+            self.images.pop_front();
+        }
+        // A version stamped `e` is reachable only from images of epoch
+        // ≤ `e`: it is free once every held image is newer. The current
+        // image has the engine's `snap` as its second holder.
+        let last = self.images.len().saturating_sub(1);
+        let gate = self
+            .images
+            .iter()
+            .enumerate()
+            .find(|&(i, s)| Arc::strong_count(s) > 1 + usize::from(i == last))
+            .map_or(u64::MAX, |(_, s)| s.epoch);
+        // Pairs with the release decrement of every view dropped before
+        // the counts above were read: its reads happen before our frees.
+        fence(Ordering::Acquire);
         let nv = &mut self.nv;
         self.pending.retain(|&(stamp, e)| {
-            let held = stamp >= min_pinned;
+            let held = stamp >= gate;
             if !held {
                 e.release(nv);
             }

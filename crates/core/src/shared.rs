@@ -95,11 +95,11 @@
 //! the published snapshot `snap` (write-held for one `Arc` swap, read-held
 //! for one `Arc` clone). Either may be taken while holding any lock
 //! above, and nothing is acquired while holding either. Snapshot readers
-//! ([`SharedModHeap::snapshot`]) take only those two steps — a registry
-//! pin in the [`EpochRegistry`], then `snap` for the clone — so a view
-//! can be taken and traversed while the commit lock, the lanes or any
-//! shard are held by other threads; the commit stage coordinates with
-//! traversals only through the epoch gate on reclamation.
+//! ([`SharedModHeap::snapshot`]) take only `snap`, for the clone, so a
+//! view can be taken and traversed while the commit lock, the lanes or
+//! any shard are held by other threads; the commit stage coordinates
+//! with traversals only through the epoch gate on reclamation, which
+//! reads the published images' reference counts.
 //!
 //! Poisoning is handled per lock, by what a panic unwinding through it
 //! can leave behind:
@@ -116,17 +116,18 @@
 //!   [`EngineError::Poisoned`] on the `try_*` APIs (every panicking
 //!   form panics with its message) and the pool must be reopened
 //!   (journal replay recovers to the last published batch). Reporters
-//!   (`sim_wall_ns`, `lane_stats`, `overlap_ratio`) read only clocks and
-//!   counters, valid even mid-commit, so they relock it instead.
+//!   (`sim_wall_ns`, `lane_stats`, `overlap_ratio`, `live_reader_pins`)
+//!   read only clocks and counters, valid even mid-commit, so they
+//!   relock it instead.
 
 use crate::erased::ErasedDs;
 use crate::fase::{Fase, LaneConflict, PendingUpdate, RootLanes};
 use crate::heap::ModHeap;
 use crate::snapshot::{DirSnapshot, SnapshotView};
-use mod_alloc::{EpochRegistry, NvHeap, StagedAllocEffects};
+use mod_alloc::{NvHeap, StagedAllocEffects};
 use mod_pmem::{CrashPolicy, LineHandoff, PmStats, Pmem, PoolBackend, SyncRound, TraceEvent};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// The two parameters of the commit policy (see the module docs' three
@@ -424,8 +425,9 @@ struct GroupMeta {
 
 #[derive(Debug)]
 struct Inner {
-    /// The single-owner heap the commit stage publishes through. Its
-    /// deferred-release queue is epoch-gated on `registry`.
+    /// The single-owner heap the commit stage publishes through. It
+    /// keeps the published images a view may hold, and gates its
+    /// deferred-release queue on them.
     global: Mutex<ModHeap>,
     shards: Vec<Mutex<WorkerCtx>>,
     lanes: RootLanes,
@@ -446,12 +448,10 @@ struct Inner {
     last_fence_ns: AtomicU64,
     group: Mutex<GroupMeta>,
     group_cv: Condvar,
-    /// The currently published snapshot. A leaf lock: held only to swap
-    /// in a new image or to clone the current one.
+    /// The currently published snapshot, also the last of the heap's
+    /// images. A leaf lock: held only to swap in a new image or to clone
+    /// the current one.
     snap: RwLock<Arc<DirSnapshot>>,
-    /// Snapshot reader registry: pin/unpin slots + the published epoch.
-    /// Shared with the heap, which stamps and gates its releases on it.
-    registry: Arc<EpochRegistry>,
     /// Read-only heap view for snapshot traversals: shares the pool
     /// storage with every shard, owns only private volatile sim state,
     /// and is never mutated (readers use `&self` peek paths only).
@@ -519,7 +519,7 @@ impl Inner {
         // needs them on the medium, outside this lock. The journal's
         // frontier keeps them ordered — a power loss that keeps a later
         // record but not an earlier one replays neither. The fence frees
-        // what earlier batches superseded, unless a pinned view still
+        // what earlier batches superseded, unless a live view still
         // reaches it; this batch's superseded chains join the queue
         // stamped with the epoch of the snapshot about to be replaced.
         heap.commit_fase(batch, SyncRound::Deferred);
@@ -536,17 +536,9 @@ impl Inner {
         // pays the covering fence now. Ticket-free batches are untouched:
         // the simulated fence counts of every existing workload are
         // bit-identical.
-        if committed && !tickets.is_empty() {
-            heap.fence_and_drain(SyncRound::Deferred);
-        }
-        if committed {
-            self.stats.batches.fetch_add(1, Ordering::SeqCst);
-            self.stats
-                .batched_fases
-                .fetch_add(fases as u64, Ordering::SeqCst);
-            self.stats.max_batch.fetch_max(fases, Ordering::SeqCst);
-            self.last_fence_ns
-                .store(heap.nv().pm().clock().now_ns().to_bits(), Ordering::SeqCst);
+        let ticketed = committed && !tickets.is_empty();
+        if ticketed {
+            heap.nv_mut().pm_mut().sfence_with(SyncRound::Deferred);
         }
         // Mid-commit test hook: observes the window where the directory
         // has swung but the new snapshot has not yet published.
@@ -564,6 +556,19 @@ impl Inner {
             // once a client learns its write is durable, any snapshot
             // taken afterwards must already contain that write.
             self.publish_snapshot(heap, frontier);
+            // The covering fence's releases wait for the publish: until
+            // then the image that reaches this batch's superseded chains
+            // is still the one a new view clones.
+            if ticketed {
+                heap.drain_released();
+            }
+            self.stats.batches.fetch_add(1, Ordering::SeqCst);
+            self.stats
+                .batched_fases
+                .fetch_add(fases as u64, Ordering::SeqCst);
+            self.stats.max_batch.fetch_max(fases, Ordering::SeqCst);
+            self.last_fence_ns
+                .store(heap.nv().pm().clock().now_ns().to_bits(), Ordering::SeqCst);
         }
         // The batch's fence watermark. An all-no-op batch paid no fence
         // and wrote nothing, but its FASEs may have read what earlier
@@ -593,28 +598,18 @@ impl Inner {
 
     /// Publishes the current root directory as the next epoch's
     /// [`DirSnapshot`], piggybacked on the directory swing the batch
-    /// already paid for. `frontier` is the journal sequence the image
-    /// needs on the medium. Must be called with the commit lock held.
-    ///
-    /// Publication order is load-bearing: the image swaps in *before*
-    /// the registry's epoch advances, so the published image's epoch is
-    /// always ≥ the counter a reader pins against (a reader pinned at
-    /// `e` can only ever clone a snapshot of epoch ≥ `e`, and the epoch
-    /// gate keeps every chain that image reaches alive for it). The
-    /// superseded image itself is freed by its last holder.
-    fn publish_snapshot(&self, heap: &ModHeap, frontier: u64) {
-        let snap = Arc::new(DirSnapshot {
-            epoch: self.registry.current() + 1,
-            roots: snapshot_roots(heap.nv()),
-            frontier,
-        });
-        // The write guard is a temporary: it drops at the end of this
-        // statement, so the superseded image is released outside it.
-        let _superseded = std::mem::replace(
-            &mut *self.snap.write().unwrap_or_else(PoisonError::into_inner),
-            snap,
-        );
-        self.registry.advance();
+    /// already paid for: the heap records it as its current image, and
+    /// `snap` swaps it in for readers. `frontier` is the journal sequence
+    /// the image needs on the medium. Must be called with the commit
+    /// lock held.
+    fn publish_snapshot(&self, heap: &mut ModHeap, frontier: u64) {
+        let snap = heap.push_image(snapshot_roots(heap.nv()), frontier);
+        *self.snap.write().unwrap_or_else(PoisonError::into_inner) = snap;
+    }
+
+    /// The current published image, read-locked.
+    fn published(&self) -> RwLockReadGuard<'_, Arc<DirSnapshot>> {
+        self.snap.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Locks the commit stage's heap, or reports the poison a panic
@@ -708,9 +703,8 @@ const _: () = {
     // Snapshot machinery: `Inner` holds the read-only `NvHeap` *bare*
     // (readers on many threads traverse it through `&`), so `NvHeap`
     // must be `Sync` — its interior mutability is confined to the
-    // word-atomic shared arena. The registry is all atomics.
+    // word-atomic shared arena.
     assert_send_sync::<NvHeap>();
-    assert_send_sync::<EpochRegistry>();
     assert_send_sync::<crate::snapshot::DirSnapshot>();
     // Typed handles cross thread boundaries by value in the workers.
     assert_send_sync::<crate::Root<mod_funcds::PmMap>>();
@@ -763,17 +757,11 @@ impl SharedModHeap {
         let CommitMode::Group { max_batch, timeout } = mode;
         assert!(max_batch > 0, "group commit needs max_batch >= 1");
         let worker_heaps = heap.nv_mut().split_workers(workers);
-        let registry = Arc::new(EpochRegistry::new());
-        heap.set_readers(Some(Arc::clone(&registry)));
         let read_nv = heap.nv().read_view();
         // Epoch 0: the pre-first-commit image (whatever roots the heap
         // already holds, e.g. after recovery).
         let backend = heap.nv().pm().backend();
-        let snap = RwLock::new(Arc::new(DirSnapshot {
-            epoch: 0,
-            roots: snapshot_roots(heap.nv()),
-            frontier: backend.appended(),
-        }));
+        let snap = heap.push_image(snapshot_roots(heap.nv()), backend.appended());
         SharedModHeap {
             inner: Arc::new(Inner {
                 global: Mutex::new(heap),
@@ -792,8 +780,7 @@ impl SharedModHeap {
                 last_fence_ns: AtomicU64::new(0f64.to_bits()),
                 group: Mutex::new(GroupMeta { batch_epoch: 0 }),
                 group_cv: Condvar::new(),
-                snap,
-                registry,
+                snap: RwLock::new(snap),
                 read_nv,
                 backend,
                 #[cfg(test)]
@@ -1169,17 +1156,13 @@ impl SharedModHeap {
         // across it. Snapshot readers take no lock, so (like the
         // worker-FASE exclusion above) this is a caller contract; the
         // assert catches violations at entry.
-        assert_eq!(
-            self.inner.registry.live_pins(),
-            0,
-            "setup() with live snapshot views"
-        );
+        assert_eq!(heap.live_views(), 0, "setup() with live snapshot views");
         let out = f(&mut heap);
         self.inner.lanes.clear_heads();
         let frontier = self.inner.backend.appended();
         // Setup may have swung the directory: republish so views taken
         // after setup see the new roots immediately.
-        self.inner.publish_snapshot(&heap, frontier);
+        self.inner.publish_snapshot(&mut heap, frontier);
         out
     }
 
@@ -1213,10 +1196,10 @@ impl SharedModHeap {
     /// most recently published batch left behind — all roots from the
     /// *same* batch, never a torn mix — and is **off the commit
     /// pipeline**: no staging lanes, no handoff push, no fences, no
-    /// group lock, not the commit lock. The cost is a registry pin (two
-    /// atomic stores) plus one read-lock of the published image for an
-    /// `Arc` clone — a leaf lock the commit stage write-holds only for
-    /// the swap; traversals are then pure memory reads.
+    /// group lock, not the commit lock. The cost is one read-lock of the
+    /// published image for an `Arc` clone — a leaf lock the commit stage
+    /// write-holds only for the swap; traversals are then pure memory
+    /// reads.
     ///
     /// Holding the view defers reclamation of every chain it can reach
     /// (see [`crate::snapshot`]) — drop it promptly. The view does not
@@ -1228,39 +1211,27 @@ impl SharedModHeap {
     /// that are not on the medium yet. A reply that reveals what a view
     /// read must first [`SharedModHeap::wait_synced`] on
     /// [`SnapshotView::frontier`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`mod_alloc::MAX_READERS`] views are live at
-    /// once.
     pub fn snapshot(&self) -> SnapshotView<'_> {
-        let inner = &*self.inner;
-        // Pin first: the swap-before-advance publication order means the
-        // clone below is an image of epoch ≥ `pinned`, and the epoch gate
-        // on the heap's deferred releases keeps every chain it reaches
-        // alive until our slot unpins.
-        let (slot, pinned) = inner.registry.pin();
-        let snap = Arc::clone(&inner.snap.read().unwrap_or_else(PoisonError::into_inner));
-        debug_assert!(
-            snap.epoch >= pinned,
-            "snapshot epoch {} older than pinned epoch {pinned}",
-            snap.epoch
-        );
-        SnapshotView::new(snap, &inner.read_nv, &inner.registry, slot)
+        let snap = Arc::clone(&self.inner.published());
+        SnapshotView {
+            snap,
+            nv: &self.inner.read_nv,
+        }
     }
 
     /// The epoch of the most recently published snapshot (0 before the
     /// first committed batch; bumped once per committed batch and once
     /// per [`SharedModHeap::setup`]).
     pub fn snapshot_epoch(&self) -> u64 {
-        self.inner.registry.current()
+        self.inner.published().epoch
     }
 
-    /// Number of currently live (pinned) snapshot views — observability
-    /// for reclamation stalls: a fence frees only what the oldest pin
-    /// can no longer reach.
+    /// Number of currently live snapshot views, counted from the
+    /// published images' reference counts under the commit lock —
+    /// observability for reclamation stalls: a fence frees only what the
+    /// oldest held image can no longer reach.
     pub fn live_reader_pins(&self) -> usize {
-        self.inner.registry.live_pins()
+        self.inner.peek_heap().live_views()
     }
 
     /// Installs a hook that `commit_locked` runs between the directory
@@ -1365,7 +1336,7 @@ impl SharedModHeap {
         // Sole owner now, so no snapshot view is live (views borrow the
         // handle this call consumed): releases still held for one go at
         // the next fence (`close`/`quiesce`).
-        heap.set_readers(None);
+        heap.clear_images();
         heap
     }
 }

@@ -6,21 +6,19 @@
 //! swapping an `Arc` under a leaf `RwLock`, piggybacked on the directory
 //! swing the batch already paid for. A reader calls
 //! [`crate::SharedModHeap::snapshot`] and receives a [`SnapshotView`]:
-//! a pinned, consistent multi-root image. Taking it costs a registry pin
-//! and one read-lock for an `Arc` clone; traversing it needs no
-//! coordination at all — no staging lanes, no handoff push, no fences,
-//! no group lock, not the commit lock. The view owns its image through
-//! the `Arc`, so a superseded image is freed by its last holder. MOD's
-//! versions are immutable once published, so what else a reader needs
-//! protection from is *reclamation* of the PM chains its image can still
-//! reach; that is handled by epoch-based deferral
-//! ([`mod_alloc::EpochRegistry`]): a batch's superseded chains join the
-//! heap's deferred-release queue stamped with the epoch of the last
-//! snapshot that can reach them, and a fence frees them only once every
-//! reader pinned at that epoch (or older) has dropped. Being freed at a
-//! fence, they also keep the crash-safety rule of the single-owner
-//! queue: never before a fence has covered the swing that superseded
-//! them.
+//! a consistent multi-root image. Taking it costs one read-lock for an
+//! `Arc` clone; traversing it needs no coordination at all — no staging
+//! lanes, no handoff push, no fences, no group lock, not the commit
+//! lock. MOD's versions are immutable once published, so what else a
+//! reader needs protection from is *reclamation* of the PM chains its
+//! image can still reach. The view's `Arc` is that protection too: the
+//! heap keeps every published image a view may hold, a batch's
+//! superseded chains join its deferred-release queue stamped with the
+//! epoch of the last image that can reach them, and a fence frees them
+//! only once no view holds an image of that epoch or older, as the
+//! images' reference counts show. Being freed at a fence, they also keep
+//! the crash-safety rule of the single-owner queue: never before a fence
+//! has covered the swing that superseded them.
 //!
 //! ## Consistency guarantee
 //!
@@ -34,17 +32,18 @@
 //! ## When to prefer `snapshot()` over reading the heap
 //!
 //! Reading through `&ModHeap` takes the global commit lock via
-//! [`crate::SharedModHeap::with`] and sees the latest committed state. Use a snapshot instead when reads are hot
-//! (the view costs a pin plus a read-locked `Arc` clone, then traversals
-//! are pure memory reads that never wait on a writer), or
-//! when a multi-step read sequence must observe one consistent cut
-//! across several roots. The trade is staleness: a view is a consistent
-//! *past* — it does not see batches published after it was taken.
+//! [`crate::SharedModHeap::with`] and sees the latest committed state.
+//! Use a snapshot instead when reads are hot (the view costs a
+//! read-locked `Arc` clone, then traversals are pure memory reads that
+//! never wait on a writer), or when a multi-step read sequence must
+//! observe one consistent cut across several roots. The trade is
+//! staleness: a view is a consistent *past* — it does not see batches
+//! published after it was taken.
 
 use crate::basic::DurableVector;
 use crate::codec::PmWord;
 use crate::erased::{DurableDs, ErasedDs};
-use mod_alloc::{EpochRegistry, NvHeap};
+use mod_alloc::NvHeap;
 use std::sync::Arc;
 
 /// One published batch's immutable root-directory image.
@@ -73,14 +72,13 @@ impl DirSnapshot {
     }
 }
 
-/// A pinned, consistent, read-only view of every published root.
+/// A consistent, read-only view of every published root.
 ///
 /// Obtained from [`crate::SharedModHeap::snapshot`]. Holding a view
-/// pins its epoch in the reader registry, which defers reclamation of
-/// any version chain the view can reach; **drop views promptly** —
-/// a long-lived view holds back the superseded chains of every later
-/// batch. The `Drop` impl unpins unconditionally (a reader that panics
-/// mid-traversal releases its pin during unwind).
+/// holds its image's `Arc`, which defers reclamation of any version
+/// chain the view can reach; **drop views promptly** — a long-lived
+/// view holds back the superseded chains of every later batch. Dropping
+/// the view (during a panic's unwind too) releases the hold.
 ///
 /// A `&SnapshotView` is a [`crate::ReadCtx`]: pass it to the typed
 /// wrappers' own read accessors (`map.get(&view, &key)`,
@@ -95,28 +93,12 @@ impl DirSnapshot {
 /// matching the panics of [`crate::ModHeap::open_root`].
 #[derive(Debug)]
 pub struct SnapshotView<'h> {
-    snap: Arc<DirSnapshot>,
-    nv: &'h NvHeap,
-    registry: &'h EpochRegistry,
-    slot: usize,
+    pub(crate) snap: Arc<DirSnapshot>,
+    pub(crate) nv: &'h NvHeap,
 }
 
-impl<'h> SnapshotView<'h> {
-    pub(crate) fn new(
-        snap: Arc<DirSnapshot>,
-        nv: &'h NvHeap,
-        registry: &'h EpochRegistry,
-        slot: usize,
-    ) -> SnapshotView<'h> {
-        SnapshotView {
-            snap,
-            nv,
-            registry,
-            slot,
-        }
-    }
-
-    /// The epoch this view is pinned at (see [`DirSnapshot::epoch`]).
+impl SnapshotView<'_> {
+    /// The epoch of this view's image (see [`DirSnapshot::epoch`]).
     pub fn epoch(&self) -> u64 {
         self.snap.epoch
     }
@@ -156,11 +138,6 @@ impl<'h> SnapshotView<'h> {
         D::from_root_ptr(entry.root)
     }
 
-    /// The heap image this view traverses (peek reads only).
-    pub(crate) fn nv(&self) -> &NvHeap {
-        self.nv
-    }
-
     /// `vec.get(&view, index)` spelled as a method of the view.
     ///
     /// # Panics
@@ -171,23 +148,14 @@ impl<'h> SnapshotView<'h> {
     }
 }
 
-impl Drop for SnapshotView<'_> {
-    fn drop(&mut self) {
-        // Unconditional (runs during unwind too): a reader panicking
-        // mid-traversal must not leave its epoch pinned forever, or
-        // reclamation of every later batch stalls.
-        self.registry.unpin(self.slot);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::basic::{DurableMap, DurableQueue, DurableSet, DurableStack, DurableVector};
     use crate::sched::{SeededRoundRobin, Turn};
     use crate::shared::SharedModHeap;
     use mod_pmem::{Pmem, PmemConfig};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{Arc, OnceLock};
 
     fn shared(workers: usize) -> SharedModHeap {
         SharedModHeap::create(Pmem::new(PmemConfig::testing()), workers)
@@ -483,6 +451,107 @@ mod tests {
             "mid-swing view must be the previous epoch's image"
         );
         assert_eq!(map.get(&sh.snapshot(), &2), Some(20));
+    }
+
+    /// Regression: a ticketed batch pays its covering fence before it
+    /// publishes, and a view taken in between reads the previous image.
+    /// That fence must not free the chains the previous image reaches:
+    /// they wait for the publish, and then for the view.
+    #[test]
+    fn view_taken_inside_a_ticketed_commit_keeps_its_chain() {
+        let sh = shared(1);
+        let map: DurableMap<u64, u64> = sh.setup(DurableMap::create);
+        sh.fase(0, |tx| map.insert_in(tx, &1, &10));
+        sh.flush();
+        // The view outlives the hook call, so it borrows a handle that
+        // lives for the rest of the process.
+        let leaked: &'static SharedModHeap = Box::leak(Box::new(sh.clone()));
+        let held = Arc::new(OnceLock::new());
+        {
+            let held = Arc::clone(&held);
+            sh.set_mid_commit_hook(move || {
+                held.get_or_init(|| leaked.snapshot());
+            });
+        }
+        for i in 0..5u64 {
+            let ((), ticket) = sh.fase_ticketed(0, |tx| map.insert_in(tx, &1, &(20 + i)));
+            sh.wait_durable(&ticket);
+        }
+        let view = held.get().expect("the hook took a view");
+        assert_eq!(view.epoch() + 5, sh.snapshot_epoch());
+        let root = view.snap.roots[map.root().index()].root;
+        let rc = sh.with(|h| h.nv().rc_get(root));
+        assert!(rc > 0, "view's chain was freed");
+        assert_eq!(map.get(view, &1), Some(10), "view reads a recycled chain");
+    }
+
+    /// Views are counted by their images' `Arc`s, so any number may be
+    /// live at once; each keeps reading its own image across later
+    /// batches and a quiesce.
+    #[test]
+    fn six_hundred_live_views_each_read_their_image() {
+        let sh = shared(1);
+        let map: DurableMap<u64, u64> = sh.setup(DurableMap::create);
+        let mut views = Vec::new();
+        for round in 1..=2u64 {
+            sh.fase(0, |tx| map.insert_in(tx, &1, &round));
+            views.extend((0..300).map(|_| (round, sh.snapshot())));
+        }
+        sh.fase(0, |tx| map.insert_in(tx, &1, &3));
+        sh.quiesce();
+        for (round, v) in &views {
+            assert_eq!(map.get(v, &1), Some(*round));
+        }
+        assert_eq!(sh.live_reader_pins(), 600);
+        drop(views);
+        assert_eq!(sh.live_reader_pins(), 0);
+        sh.quiesce();
+        assert_eq!(sh.with(|h| h.pending_reclaims()), 0);
+        assert_eq!(map.get(&sh.snapshot(), &1), Some(3));
+    }
+
+    /// Views racing writer churn across threads: while a writer rewrites
+    /// every key each round (and quiesces, freeing all no view holds),
+    /// every view a reader takes shows one round on all keys, and a
+    /// reader's views never go back in time.
+    #[test]
+    fn views_racing_writer_churn_read_one_round() {
+        let rounds = if cfg!(miri) { 20u64 } else { 400 };
+        let readers = if cfg!(miri) { 2 } else { 4 };
+        let sh = shared(1);
+        let map: DurableMap<u64, u64> = sh.setup(DurableMap::create);
+        sh.fase(0, |tx| (0..8u64).for_each(|k| map.insert_in(tx, &k, &0)));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..readers {
+                s.spawn(|| {
+                    let mut last = 0;
+                    while !done.load(Ordering::SeqCst) {
+                        let v = sh.snapshot();
+                        let round = map.get(&v, &0).expect("key 0 is always present");
+                        for k in 1..8u64 {
+                            assert_eq!(map.get(&v, &k), Some(round), "torn view");
+                        }
+                        assert!(round >= last, "a later view showed an older round");
+                        last = round;
+                    }
+                });
+            }
+            let writer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for r in 1..=rounds {
+                    sh.fase(0, |tx| (0..8u64).for_each(|k| map.insert_in(tx, &k, &r)));
+                    if r % 16 == 0 {
+                        sh.quiesce();
+                    }
+                }
+            }));
+            // Stop the readers even if the writer failed.
+            done.store(true, Ordering::SeqCst);
+            writer.unwrap();
+        });
+        assert_eq!(sh.live_reader_pins(), 0);
+        sh.quiesce();
+        assert_eq!(sh.with(|h| h.pending_reclaims()), 0);
     }
 
     /// Regression: a reader that panics while holding a view must unpin
