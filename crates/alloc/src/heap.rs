@@ -773,12 +773,6 @@ impl NvHeap {
         PmPtr::from_addr(self.pm.read_u64(a))
     }
 
-    /// Reads root slot `i` without touching the cache/time model (see
-    /// [`NvHeap::peek_u64`]).
-    pub fn peek_root(&self, i: usize) -> PmPtr {
-        PmPtr::from_addr(self.pm.peek_u64(root_slot_offset(i)))
-    }
-
     // ------------------------------------------------------------------
     // Pass-throughs to the PM device
     // ------------------------------------------------------------------

@@ -35,6 +35,7 @@ use crate::codec::{
     codec_compatible, codec_word_elem, codec_word_fields, codec_word_kv, frames, push_frame,
     KeyRepr, PmKey, PmValue, PmWord,
 };
+use crate::dir;
 use crate::erased::{DurableDs, ErasedDs, RootKind};
 use crate::fase::Fase;
 use crate::heap::ModHeap;
@@ -135,13 +136,10 @@ impl std::error::Error for OpenError {}
 /// the cache and clock model. A hybrid root's index is DRAM state, so
 /// even a charged read of it costs nothing.
 pub trait ReadCtx {
-    /// The version of full-persistence `root` this context sees.
+    /// The version of `root` this context sees (a hybrid root's volatile
+    /// index).
     #[doc(hidden)]
-    fn published<D: DurableDs>(&self, root: Root<D>) -> D;
-
-    /// The volatile-index version of hybrid `root` this context sees.
-    #[doc(hidden)]
-    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D;
+    fn current<D: DurableDs>(&self, root: Root<D>) -> D;
 
     /// The heap read path of this context.
     #[doc(hidden)]
@@ -149,16 +147,8 @@ pub trait ReadCtx {
 }
 
 impl ReadCtx for &ModHeap {
-    fn published<D: DurableDs>(&self, root: Root<D>) -> D {
-        self.current(root)
-    }
-
-    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D {
-        let (kind, addr) = self
-            .hybrid_head(root.index())
-            .expect("hybrid root has no volatile head (pool not opened hybrid-aware?)");
-        debug_assert_eq!(kind, D::KIND);
-        D::from_root_ptr(PmPtr::from_addr(addr))
+    fn current<D: DurableDs>(&self, root: Root<D>) -> D {
+        ModHeap::current(self, root)
     }
 
     fn heap_read(&mut self) -> HeapRead<'_> {
@@ -167,12 +157,8 @@ impl ReadCtx for &ModHeap {
 }
 
 impl ReadCtx for &mut ModHeap {
-    fn published<D: DurableDs>(&self, root: Root<D>) -> D {
-        (&**self).published(root)
-    }
-
-    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D {
-        (&**self).volatile(root)
+    fn current<D: DurableDs>(&self, root: Root<D>) -> D {
+        ModHeap::current(self, root)
     }
 
     fn heap_read(&mut self) -> HeapRead<'_> {
@@ -181,12 +167,8 @@ impl ReadCtx for &mut ModHeap {
 }
 
 impl ReadCtx for &Fase<'_> {
-    fn published<D: DurableDs>(&self, root: Root<D>) -> D {
-        self.current(root)
-    }
-
-    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D {
-        D::from_root_ptr(PmPtr::from_addr(self.hybrid_vhead(root.index())))
+    fn current<D: DurableDs>(&self, root: Root<D>) -> D {
+        Fase::current(self, root)
     }
 
     fn heap_read(&mut self) -> HeapRead<'_> {
@@ -194,14 +176,8 @@ impl ReadCtx for &Fase<'_> {
     }
 }
 
-// A published snapshot already holds a hybrid root's committed volatile
-// head under its logical kind, so both policies resolve the same way.
 impl ReadCtx for &SnapshotView<'_> {
-    fn published<D: DurableDs>(&self, root: Root<D>) -> D {
-        self.resolve(root.index())
-    }
-
-    fn volatile<D: DurableDs>(&self, root: Root<D>) -> D {
+    fn current<D: DurableDs>(&self, root: Root<D>) -> D {
         self.resolve(root.index())
     }
 
@@ -240,16 +216,16 @@ impl<D: DurableDs> Handle<D> {
             PersistPolicy::Hybrid => {
                 let nv = heap.nv_mut();
                 nv.begin_volatile();
-                let v0 = D::empty_version(nv).root_ptr().addr();
+                let v0 = D::empty_version(nv);
                 nv.end_volatile();
-                let genesis = spine::state_of(nv, D::KIND, v0);
+                let genesis = spine::state_of(nv, D::KIND, v0.root_ptr().addr());
                 let rec = spine::store_record(nv, PmPtr::NULL, D::KIND, 0, &genesis);
                 let spine_head = ErasedDs {
                     kind: RootKind::Spine,
                     root: rec,
                 };
-                let index = heap.publish_erased_tagged(spine_head, codec);
-                heap.nv().annex().set(index, spine::pack_annex(D::KIND, v0));
+                let index = dir::append(heap, spine_head, codec);
+                dir::set_head(heap.nv(), index, v0.erase());
                 Root::new(index)
             }
         };
@@ -261,25 +237,23 @@ impl<D: DurableDs> Handle<D> {
     /// hybrid roots are stored as [`RootKind::Spine`]), then checks the
     /// kind and the codec against the persisted tag word.
     fn open(heap: &ModHeap, index: usize, codec: u64) -> Result<Self, OpenError> {
-        let entry = crate::root::peek_entry(heap.nv(), index).ok_or(OpenError::NoSuchRoot {
+        let entry = dir::entry(heap.nv(), index).ok_or(OpenError::NoSuchRoot {
             index,
             roots: heap.root_count(),
         })?;
-        let (policy, stored_kind) = match entry.kind {
-            RootKind::Spine => (
-                PersistPolicy::Hybrid,
-                spine::logical_kind(heap.nv(), entry.root),
-            ),
-            k => (PersistPolicy::Full, k),
+        let policy = match entry.kind {
+            RootKind::Spine => PersistPolicy::Hybrid,
+            _ => PersistPolicy::Full,
         };
-        if stored_kind != D::KIND {
+        let version = dir::resolve(heap.nv(), index).expect("entry read above");
+        if version.kind != D::KIND {
             return Err(OpenError::KindMismatch {
                 index,
-                stored: stored_kind,
+                stored: version.kind,
                 expected: D::KIND,
             });
         }
-        let stored = heap.root_codec_tag(index);
+        let stored = dir::tag(heap.nv(), index).expect("entry read above");
         if !codec_compatible(stored, codec) {
             return Err(OpenError::CodecMismatch {
                 index,
@@ -291,15 +265,6 @@ impl<D: DurableDs> Handle<D> {
             root: Root::new(index),
             policy,
         })
-    }
-
-    /// The substrate version `ctx` reads: the published structure
-    /// (full) or the volatile index (hybrid).
-    fn cur<C: ReadCtx>(&self, ctx: &C) -> D {
-        match self.policy {
-            PersistPolicy::Full => ctx.published(self.root),
-            PersistPolicy::Hybrid => ctx.volatile(self.root),
-        }
     }
 
     /// The single staging entry point. `lower` sees the version the op
@@ -619,7 +584,7 @@ impl<K: PmKey, V: PmValue> DurableMap<K, V> {
     /// reads and costs): exact keys read the value directly; hashed
     /// keys scan the bucket's frames for the matching key bytes.
     pub fn get<C: ReadCtx>(&self, mut ctx: C, key: &K) -> Option<V> {
-        let cur = self.h.cur(&ctx);
+        let cur = ctx.current(self.h.root);
         let read = ctx.heap_read();
         match key.repr() {
             KeyRepr::Exact(w) => cur.get(read, w).map(|b| V::from_value_bytes(&b)),
@@ -634,7 +599,7 @@ impl<K: PmKey, V: PmValue> DurableMap<K, V> {
     /// Whether `key` is present.
     pub fn contains_key<C: ReadCtx>(&self, mut ctx: C, key: &K) -> bool {
         match key.repr() {
-            KeyRepr::Exact(w) => self.h.cur(&ctx).contains_key(ctx.heap_read(), w),
+            KeyRepr::Exact(w) => ctx.current(self.h.root).contains_key(ctx.heap_read(), w),
             KeyRepr::Hashed { .. } => self.get(ctx, key).is_some(),
         }
     }
@@ -644,10 +609,9 @@ impl<K: PmKey, V: PmValue> DurableMap<K, V> {
     /// packs two entries into one substrate slot.
     pub fn len<C: ReadCtx>(&self, mut ctx: C) -> u64 {
         if K::EXACT {
-            return self.h.cur(&ctx).len(ctx.heap_read());
+            return ctx.current(self.h.root).len(ctx.heap_read());
         }
-        self.h
-            .cur(&ctx)
+        ctx.current(self.h.root)
             .to_vec(ctx.heap_read())
             .iter()
             .map(|(_, bucket)| frames(bucket).count() as u64)
@@ -656,7 +620,7 @@ impl<K: PmKey, V: PmValue> DurableMap<K, V> {
 
     /// Whether the map is empty. `O(1)`.
     pub fn is_empty<C: ReadCtx>(&self, mut ctx: C) -> bool {
-        self.h.cur(&ctx).is_empty(ctx.heap_read())
+        ctx.current(self.h.root).is_empty(ctx.heap_read())
     }
 }
 
@@ -804,12 +768,12 @@ impl<V: PmWord> DurableVector<V> {
     ///
     /// Panics if `index` is out of bounds.
     pub fn get<C: ReadCtx>(&self, mut ctx: C, index: u64) -> V {
-        V::from_word(self.h.cur(&ctx).get(ctx.heap_read(), index))
+        V::from_word(ctx.current(self.h.root).get(ctx.heap_read(), index))
     }
 
     /// Number of elements.
     pub fn len<C: ReadCtx>(&self, mut ctx: C) -> u64 {
-        self.h.cur(&ctx).len(ctx.heap_read())
+        ctx.current(self.h.root).len(ctx.heap_read())
     }
 
     /// Whether the vector is empty.
@@ -819,7 +783,7 @@ impl<V: PmWord> DurableVector<V> {
 
     /// Collects all elements in order.
     pub fn to_vec<C: ReadCtx>(&self, mut ctx: C) -> Vec<V> {
-        let words = self.h.cur(&ctx).to_vec(ctx.heap_read());
+        let words = ctx.current(self.h.root).to_vec(ctx.heap_read());
         words.into_iter().map(V::from_word).collect()
     }
 }
@@ -859,12 +823,14 @@ impl<V: PmWord> DurableStack<V> {
 
     /// Top element.
     pub fn peek<C: ReadCtx>(&self, mut ctx: C) -> Option<V> {
-        self.h.cur(&ctx).peek(ctx.heap_read()).map(V::from_word)
+        ctx.current(self.h.root)
+            .peek(ctx.heap_read())
+            .map(V::from_word)
     }
 
     /// Number of elements.
     pub fn len<C: ReadCtx>(&self, mut ctx: C) -> u64 {
-        self.h.cur(&ctx).len(ctx.heap_read())
+        ctx.current(self.h.root).len(ctx.heap_read())
     }
 
     /// Whether the stack is empty.
@@ -909,12 +875,14 @@ impl<V: PmWord> DurableQueue<V> {
 
     /// Head element.
     pub fn peek<C: ReadCtx>(&self, mut ctx: C) -> Option<V> {
-        self.h.cur(&ctx).peek(ctx.heap_read()).map(V::from_word)
+        ctx.current(self.h.root)
+            .peek(ctx.heap_read())
+            .map(V::from_word)
     }
 
     /// Number of elements.
     pub fn len<C: ReadCtx>(&self, mut ctx: C) -> u64 {
-        self.h.cur(&ctx).len(ctx.heap_read())
+        ctx.current(self.h.root).len(ctx.heap_read())
     }
 
     /// Whether the queue is empty.

@@ -3,15 +3,14 @@
 //! Commit protocols and recovery need to reclaim and mark datastructures
 //! whose concrete types differ (a FASE can update a map and a queue).
 //! [`DurableDs`] abstracts over the five MOD handle types; [`ErasedDs`]
-//! carries a handle as a `(kind, root)` pair that can be persisted (parent
-//! objects, recovery directories) and dispatched at runtime.
+//! carries a handle as a `(kind, root)` pair that can be persisted (root
+//! directory entries) and dispatched at runtime.
 
-use crate::parent;
 use mod_alloc::NvHeap;
 use mod_funcds::{PmMap, PmQueue, PmSet, PmStack, PmVector};
 use mod_pmem::PmPtr;
 
-/// The persistent type of a root slot or parent-object child.
+/// The persistent type of a root slot or root-directory entry.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
 pub enum RootKind {
     /// [`PmMap`].
@@ -24,8 +23,10 @@ pub enum RootKind {
     Stack,
     /// [`PmQueue`].
     Queue,
-    /// A parent object grouping sibling datastructures (Fig 8c).
-    Parent,
+    /// The root directory block: one `(kind, root)` entry and one tag
+    /// word per typed root (Fig 8c's parent object; see
+    /// [`crate::ROOT_DIR_SLOT`]).
+    Directory,
     /// The persistent spine of a hybrid ("Don't Persist All") root: a
     /// chain of per-op records replayed at recovery to rebuild the
     /// volatile index (see [`crate::spine`]).
@@ -41,7 +42,7 @@ impl RootKind {
             RootKind::Vector => 3,
             RootKind::Stack => 4,
             RootKind::Queue => 5,
-            RootKind::Parent => 6,
+            RootKind::Directory => 6,
             RootKind::Spine => 7,
         }
     }
@@ -58,7 +59,7 @@ impl RootKind {
             3 => RootKind::Vector,
             4 => RootKind::Stack,
             5 => RootKind::Queue,
-            6 => RootKind::Parent,
+            6 => RootKind::Directory,
             7 => RootKind::Spine,
             _ => panic!("corrupt RootKind tag {v}"),
         }
@@ -151,7 +152,7 @@ impl ErasedDs {
             RootKind::Vector => PmVector::from_root(self.root).release(nv),
             RootKind::Stack => PmStack::from_root(self.root).release(nv),
             RootKind::Queue => PmQueue::from_root(self.root).release(nv),
-            RootKind::Parent => parent::release_parent(nv, self.root),
+            RootKind::Directory => crate::dir::release(nv, self.root),
             RootKind::Spine => crate::spine::release_record(nv, self.root),
         }
     }
@@ -164,7 +165,7 @@ impl ErasedDs {
             RootKind::Vector => PmVector::from_root(self.root).mark(nv),
             RootKind::Stack => PmStack::from_root(self.root).mark(nv),
             RootKind::Queue => PmQueue::from_root(self.root).mark(nv),
-            RootKind::Parent => parent::mark_parent(nv, self.root),
+            RootKind::Directory => crate::dir::mark(nv, self.root),
             RootKind::Spine => crate::spine::mark_record(nv, self.root),
         }
     }
@@ -182,7 +183,7 @@ mod tests {
             RootKind::Vector,
             RootKind::Stack,
             RootKind::Queue,
-            RootKind::Parent,
+            RootKind::Directory,
             RootKind::Spine,
         ] {
             assert_eq!(RootKind::from_u64(k.to_u64()), k);

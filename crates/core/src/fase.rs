@@ -37,10 +37,10 @@
 //! dropped (their blocks are reclaimed by GC on the next recovery, like
 //! any crash-interrupted FASE) and the heap's committed state is intact.
 
+use crate::dir;
 use crate::erased::{DurableDs, ErasedDs, RootKind};
 use crate::heap::ModHeap;
-use crate::parent;
-use crate::root::{current_of, Root, ROOT_DIR_SLOT};
+use crate::root::Root;
 use crate::spine::{self, SpineOp, COMPACT_FACTOR, COMPACT_MIN_OPS};
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::{PmPtr, Pmem, SyncRound};
@@ -58,19 +58,9 @@ pub(crate) struct PendingUpdate {
     /// (never published; reclaimed immediately after commit).
     pub(crate) intermediates: Vec<ErasedDs>,
     /// For hybrid roots (`kind == RootKind::Spine`): the volatile-index
-    /// version that accompanies the staged spine record. Published to
-    /// the root annex when the record commits.
-    pub(crate) hybrid: Option<HybridUpdate>,
-}
-
-/// The volatile half of a staged hybrid-root update.
-#[derive(Debug)]
-pub(crate) struct HybridUpdate {
-    /// The root's logical datastructure kind (the directory says
-    /// `Spine`; this says what the spine encodes).
-    pub(crate) logical: RootKind,
-    /// Root address of the new volatile-index version.
-    pub(crate) new_v: u64,
+    /// version staged with the spine record, under the root's logical
+    /// kind. Becomes the root's volatile head when the record commits.
+    pub(crate) hybrid: Option<ErasedDs>,
 }
 
 /// Maximum directory indices the concurrent staging path supports.
@@ -109,7 +99,8 @@ struct RootLane {
     head: AtomicU64,
     /// Hybrid roots only: the volatile-index root address staged
     /// alongside `head` (0 = none staged — read the root annex). Written
-    /// under the lane lock together with `head`.
+    /// under the lane lock after `head`; a hybrid root's readers take
+    /// only this word, since its `head` is a spine record.
     aux: AtomicU64,
 }
 
@@ -126,28 +117,14 @@ impl RootLanes {
         }
     }
 
-    fn head(&self, index: usize) -> Option<PmPtr> {
-        // Acquire pairs with the Release in `set_head`: a lock-free
-        // reader that follows this pointer must see the shadow words
-        // written before the head was published.
-        match self.lanes[index].head.load(Ordering::Acquire) {
-            0 => None,
-            a => Some(PmPtr::from_addr(a)),
+    /// Publishes `p`'s staged head (and a hybrid root's volatile head).
+    /// Caller must hold the lane's lock.
+    fn stage(&self, p: &PendingUpdate) {
+        let lane = &self.lanes[p.index];
+        lane.head.store(p.new.addr(), Ordering::Release);
+        if let Some(h) = p.hybrid {
+            lane.aux.store(h.root.addr(), Ordering::Release);
         }
-    }
-
-    /// Publishes a staged head. Caller must hold the lane's lock.
-    pub(crate) fn set_head(&self, index: usize, p: PmPtr) {
-        self.lanes[index].head.store(p.addr(), Ordering::Release);
-    }
-
-    fn aux(&self, index: usize) -> u64 {
-        self.lanes[index].aux.load(Ordering::Acquire)
-    }
-
-    /// Publishes a staged volatile head. Caller must hold the lane's lock.
-    fn set_aux(&self, index: usize, addr: u64) {
-        self.lanes[index].aux.store(addr, Ordering::Release);
     }
 
     /// Forgets all staged heads (single-threaded setup changed the
@@ -158,6 +135,16 @@ impl RootLanes {
             lane.head.store(0, Ordering::Relaxed);
             lane.aux.store(0, Ordering::Relaxed);
         }
+    }
+}
+
+/// Reads a lane word: `None` while unset. Acquire pairs with the Release
+/// of `RootLanes::stage`: a lock-free reader that follows the pointer
+/// must see the shadow words written before it was published.
+fn load(word: &AtomicU64) -> Option<PmPtr> {
+    match word.load(Ordering::Acquire) {
+        0 => None,
+        a => Some(PmPtr::from_addr(a)),
     }
 }
 
@@ -221,10 +208,7 @@ impl<'h> Fase<'h> {
     pub(crate) fn finish_staging(&mut self) -> (Vec<PendingUpdate>, Vec<ErasedDs>) {
         let st = self.staging.as_mut().expect("finish_staging on owner FASE");
         for p in &self.pending {
-            st.lanes.set_head(p.index, p.new);
-            if let Some(h) = &p.hybrid {
-                st.lanes.set_aux(p.index, h.new_v);
-            }
+            st.lanes.stage(p);
         }
         (
             std::mem::take(&mut self.pending),
@@ -279,33 +263,45 @@ impl Fase<'_> {
     /// The version of `root` this FASE currently sees: the shadow staged
     /// by an earlier [`Fase::update`] in this FASE, the latest head
     /// staged by an earlier FASE of the same pipeline, or the published
-    /// version.
+    /// version. A hybrid root's version is its volatile index.
     pub fn current<D: DurableDs>(&self, root: Root<D>) -> D {
-        match self.find(root.index()) {
-            Some(p) => D::from_root_ptr(p.new),
-            None => match self.lane_head(root.index()) {
-                Some(p) => D::from_root_ptr(p),
-                None => current_of(self.nv, root),
-            },
+        D::from_root_ptr(self.version(root.index()))
+    }
+
+    /// The root address of the version of `index` this FASE sees (see
+    /// [`Fase::current`]).
+    fn version(&self, index: usize) -> PmPtr {
+        if let Some(p) = self.find(index) {
+            return p.hybrid.map_or(p.new, |h| h.root);
+        }
+        // The root's kind picks the lane word: a hybrid root's `head` is
+        // its spine record, never a version, so its reader takes `aux`.
+        let lane = self.lane(index);
+        match dir::head(self.nv, index) {
+            Some(committed) => lane.and_then(|l| load(&l.aux)).unwrap_or(committed.root),
+            None => lane.and_then(|l| load(&l.head)).unwrap_or_else(|| {
+                dir::resolve(self.nv, index)
+                    .unwrap_or_else(|| panic!("root {index} not in directory"))
+                    .root
+            }),
         }
     }
 
-    /// The version this FASE's first update to `index` chains from.
+    /// The directory entry this FASE's first update to `index` chains
+    /// from (a hybrid root's spine head, not its volatile index).
     fn baseline(&self, index: usize) -> PmPtr {
-        match self.lane_head(index) {
-            Some(p) => p,
-            None => {
-                let entry = crate::root::peek_entry(self.nv, index)
-                    .unwrap_or_else(|| panic!("root {index} not in directory"));
-                entry.root
-            }
-        }
+        let staged = self.lane(index).and_then(|l| load(&l.head));
+        staged.unwrap_or_else(|| {
+            dir::entry(&*self.nv, index)
+                .unwrap_or_else(|| panic!("root {index} not in directory"))
+                .root
+        })
     }
 
-    fn lane_head(&self, index: usize) -> Option<PmPtr> {
-        self.staging
-            .as_ref()
-            .and_then(|st| (index < STAGING_LANES).then(|| st.lanes.head(index))?)
+    /// This worker FASE's staging lane for `index` (`None` in an owner
+    /// FASE or past the lane limit).
+    fn lane(&self, index: usize) -> Option<&RootLane> {
+        self.staging.as_ref()?.lanes.lanes.get(index)
     }
 
     /// Stages a pure update: `f` receives the heap and the current
@@ -322,6 +318,12 @@ impl Fase<'_> {
         root: Root<D>,
         f: impl FnOnce(&mut NvHeap, D) -> (D, R),
     ) -> R {
+        let index = root.index();
+        assert!(
+            dir::head(self.nv, index).is_none(),
+            "root {index} is a hybrid root: update it through its typed wrapper \
+             (DurableMap, DurableVector, …), not Fase::update"
+        );
         // Worker mode: own this root's staging lane before reading the
         // version the update chains from, and keep it until the FASE is
         // queued — same-root FASEs serialize, disjoint ones never meet.
@@ -382,31 +384,6 @@ impl Fase<'_> {
         out
     }
 
-    /// The volatile-index head of hybrid root `index` as this FASE sees
-    /// it: a version staged earlier in this FASE, a head staged by an
-    /// earlier FASE of the same pipeline, or the committed head from the
-    /// root annex. Returns 0 only for a root that was never hybrid
-    /// (caller bug).
-    pub(crate) fn hybrid_vhead(&self, index: usize) -> u64 {
-        if let Some(p) = self.find(index) {
-            if let Some(h) = &p.hybrid {
-                return h.new_v;
-            }
-        }
-        if let Some(st) = &self.staging {
-            if index < STAGING_LANES {
-                let a = st.lanes.aux(index);
-                if a != 0 {
-                    return a;
-                }
-            }
-        }
-        match self.nv.annex().get(index) {
-            0 => 0,
-            w => spine::unpack_annex(w).1,
-        }
-    }
-
     /// Stages one op on hybrid root `index`. `lower` sees the volatile
     /// head (peek reads — the index is DRAM state) and names the
     /// substrate op, or `None` when the typed op is a no-op. The op is
@@ -424,8 +401,7 @@ impl Fase<'_> {
         lower: impl FnOnce(&mut HeapRead<'_>, PmPtr) -> Option<SpineOp>,
     ) -> Option<u64> {
         self.hold_lane(index);
-        let vcur = self.hybrid_vhead(index);
-        assert!(vcur != 0, "hybrid op on root {index} with no volatile head");
+        let vcur = self.version(index).addr();
         let op = lower(&mut HeapRead::Peek(self.nv), PmPtr::from_addr(vcur))?;
         // The volatile scope must be closed even if the op panics (e.g.
         // an out-of-bounds `VecSet`): a stuck scope would silently mark
@@ -463,19 +439,19 @@ impl Fase<'_> {
                     kind: RootKind::Spine,
                     root: p.new,
                 });
-                p.intermediates.push(ErasedDs {
-                    kind: h.logical,
-                    root: PmPtr::from_addr(h.new_v),
-                });
+                p.intermediates.push(*h);
                 p.new = rec;
-                h.new_v = new_v;
+                h.root = PmPtr::from_addr(new_v);
             }
             None => self.pending.push(PendingUpdate {
                 index,
                 kind: RootKind::Spine,
                 new: rec,
                 intermediates: Vec::new(),
-                hybrid: Some(HybridUpdate { logical, new_v }),
+                hybrid: Some(ErasedDs {
+                    kind: logical,
+                    root: PmPtr::from_addr(new_v),
+                }),
             }),
         }
         Some(taken)
@@ -523,70 +499,15 @@ impl ModHeap {
         out
     }
 
-    /// Publishes staged FASE updates with exactly one ordering point.
-    ///
-    /// Single-root FASEs take the Fig 8b path: the directory entry is an
-    /// 8-byte root pointer, so after the fence one atomic in-place store
-    /// (wrapped as a commit write, like a root-slot store) swings it — no
-    /// directory rebuild, no allocation, one `clwb`. Multi-root FASEs
-    /// build one fresh directory (Fig 8c): flush it, fence once, swing
-    /// the directory slot. `sync` says whether that fence runs its sync
-    /// round (the shared engine's never does: its waiters run them).
+    /// Publishes staged FASE updates with exactly one ordering point (the
+    /// root directory's swing), then reclaims the intra-FASE shadows.
+    /// `sync` says whether that fence runs its sync round (the shared
+    /// engine's never does: its waiters run them).
     pub(crate) fn commit_fase(&mut self, pending: Vec<PendingUpdate>, sync: SyncRound) {
         if pending.is_empty() {
             return;
         }
-        let dir = self.nv_mut().read_root(ROOT_DIR_SLOT);
-        assert!(!dir.is_null(), "FASE update with no published roots");
-        if let [p] = pending.as_slice() {
-            let entry_addr = dir.addr() + 8 + 16 * p.index as u64 + 8;
-            let old = PmPtr::from_addr(self.nv_mut().read_u64(entry_addr));
-            let old = ErasedDs {
-                kind: p.kind,
-                root: old,
-            };
-            self.fence_and_drain(sync);
-            {
-                let pm = self.nv_mut().pm_mut();
-                pm.begin_commit();
-                pm.write_u64(entry_addr, p.new.addr());
-                pm.clwb(entry_addr);
-                pm.end_commit();
-            }
-            // The FASE's temporary ownership of the shadow transfers to
-            // the directory; the directory's reference to the superseded
-            // version becomes a deferred reclaim.
-            self.defer_release(old);
-        } else {
-            let mut children = parent::children_of(self.nv_mut(), dir);
-            let tags = parent::peek_tags_of(self.nv(), dir);
-            let mut fresh = Vec::with_capacity(pending.len());
-            for p in &pending {
-                let entry = &mut children[p.index];
-                debug_assert_eq!(entry.kind, p.kind, "directory kind drift");
-                entry.root = p.new;
-                fresh.push(*entry);
-            }
-            self.swing_directory(dir, &children, &fresh, &tags, sync);
-        }
-        // Hybrid roots: the committed spine record is durable; publish
-        // the matching volatile-index head to the annex and retire the
-        // superseded one through deferred reclaim (epoch-protected in
-        // shared mode, next drain in single-owner mode).
-        let annex = self.nv().annex().clone();
-        for p in &pending {
-            if let Some(h) = &p.hybrid {
-                let old = annex.get(p.index);
-                annex.set(p.index, spine::pack_annex(h.logical, h.new_v));
-                if old != 0 {
-                    let (kind, addr) = spine::unpack_annex(old);
-                    self.defer_release(ErasedDs {
-                        kind,
-                        root: PmPtr::from_addr(addr),
-                    });
-                }
-            }
-        }
+        dir::swing(self, &pending, sync);
         // Intra-FASE shadows were never published: reclaim immediately.
         for p in pending {
             for im in p.intermediates {

@@ -33,11 +33,11 @@
 //! fence. An owner heap publishes no images: it stamps 0 and frees its
 //! whole queue at each fence.
 
-use crate::erased::ErasedDs;
-use crate::root::ROOT_DIR_SLOT;
+use crate::dir;
+use crate::erased::{ErasedDs, RootKind};
 use crate::snapshot::DirSnapshot;
 use mod_alloc::NvHeap;
-use mod_pmem::{PmPtr, Pmem, PmemConfig, SyncRound};
+use mod_pmem::{Pmem, PmemConfig, SyncRound};
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
@@ -104,27 +104,17 @@ impl ModHeap {
     /// the reachability sweep.
     pub(crate) fn rebuild_hybrid_roots(&mut self) {
         let t0 = std::time::Instant::now();
-        let entries = crate::root::all_entries(self.nv());
+        let entries = dir::entries(&self.nv);
         let mut any = false;
         for (i, e) in entries.iter().enumerate() {
-            if e.kind == crate::erased::RootKind::Spine {
+            if e.kind == RootKind::Spine {
                 any = true;
-                let (logical, v) = crate::spine::replay(&mut self.nv, e.root);
-                self.nv.annex().set(i, crate::spine::pack_annex(logical, v));
+                let head = crate::spine::replay(&mut self.nv, e.root);
+                dir::set_head(&self.nv, i, head);
             }
         }
         if any {
             self.rebuild_ns = t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// The committed volatile head of hybrid root `index`: its logical
-    /// kind and volatile root address, or `None` if the root is not
-    /// hybrid (or does not exist).
-    pub(crate) fn hybrid_head(&self, index: usize) -> Option<(crate::erased::RootKind, u64)> {
-        match self.nv.annex().get(index) {
-            0 => None,
-            w => Some(crate::spine::unpack_annex(w)),
         }
     }
 
@@ -168,12 +158,6 @@ impl ModHeap {
         let mut pm = self.nv.into_pm();
         pm.checkpoint()?;
         Ok(pm)
-    }
-
-    /// Reads a root slot (raw-slot interface; typed code uses
-    /// [`ModHeap::current`] instead).
-    pub fn read_root(&mut self, slot: usize) -> PmPtr {
-        self.nv.read_root(slot)
     }
 
     /// Publishes `roots` as the next epoch's image (epoch 0 if it is the
@@ -261,42 +245,6 @@ impl ModHeap {
         });
     }
 
-    /// Publishes a fresh root directory (Fig 8c on the directory parent):
-    /// flush the new parent, fence once, swing the directory pointer.
-    /// `fresh` names the children whose temporary FASE ownership transfers
-    /// to the new directory. `tags` carries one codec-discipline word per
-    /// entry (see [`crate::codec`]), preserved across directory rebuilds.
-    pub(crate) fn swing_directory(
-        &mut self,
-        old_dir: PmPtr,
-        children: &[ErasedDs],
-        fresh: &[ErasedDs],
-        tags: &[u64],
-        sync: SyncRound,
-    ) {
-        let new_dir = crate::parent::store_parent_tagged(&mut self.nv, children, tags);
-        for f in fresh {
-            self.nv.rc_dec(f.root);
-        }
-        self.fence_and_drain(sync);
-        self.store_root_slot(ROOT_DIR_SLOT, new_dir);
-        if !old_dir.is_null() {
-            self.defer_release(ErasedDs {
-                kind: crate::erased::RootKind::Parent,
-                root: old_dir,
-            });
-        }
-    }
-
-    fn store_root_slot(&mut self, slot: usize, root: PmPtr) {
-        let addr = self.nv.root_slot_addr(slot);
-        let pm = self.nv.pm_mut();
-        pm.begin_commit();
-        pm.write_u64(addr, root.addr());
-        pm.clwb(addr);
-        pm.end_commit();
-    }
-
     /// Forces all queued reclamation now by issuing an extra fence. Used
     /// by tests and at orderly shutdown to reach a zero-garbage state.
     pub fn quiesce(&mut self) {
@@ -314,7 +262,7 @@ impl ModHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::root::ROOT_DIR_SLOT;
+    use crate::dir::ROOT_DIR_SLOT;
     use mod_funcds::PmMap;
     use mod_pmem::{CrashPolicy, PmemConfig};
 

@@ -28,7 +28,9 @@
 //! persistent root directory that records each structure's [`RootKind`]
 //! and [`PersistPolicy`], and a file pool's header records its journal
 //! shards, so reopening a pool needs no caller-supplied slot specs,
-//! policies or shapes. It
+//! policies or shapes. One internal module, `dir`, owns that directory:
+//! its layout, the commit swings that publish through it, and which
+//! version a root index names (a hybrid root's volatile index). It
 //! garbage-collects mid-FASE leaks by reachability and rebuilds the
 //! volatile reference counts (§5.2–5.3).
 //!
@@ -67,10 +69,10 @@
 
 pub mod basic;
 pub mod codec;
+mod dir;
 pub mod erased;
 pub mod fase;
 pub mod heap;
-pub mod parent;
 pub mod recovery;
 pub mod root;
 pub mod sched;
@@ -83,10 +85,11 @@ pub use basic::{
     ReadCtx, RootBuilder,
 };
 pub use codec::{PmKey, PmValue, PmWord};
+pub use dir::ROOT_DIR_SLOT;
 pub use erased::{DurableDs, ErasedDs, RootKind};
 pub use fase::Fase;
 pub use heap::ModHeap;
-pub use root::{Root, ROOT_DIR_SLOT};
+pub use root::Root;
 pub use sched::{SeededRoundRobin, Turn};
 pub use shared::{
     CommitMode, CommitTicket, EngineError, HeapPoisoned, LaneContention, PipelineStats,

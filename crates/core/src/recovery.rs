@@ -15,7 +15,6 @@
 //! [`ModHeap::open_root`] need no caller-supplied root specs; only
 //! directory-reachable structures survive GC.
 
-use crate::erased::{ErasedDs, RootKind};
 use crate::heap::ModHeap;
 use mod_alloc::{NvHeap, RecoveryReport};
 use mod_pmem::{FileBackend, Pmem};
@@ -23,7 +22,7 @@ use mod_pmem::{FileBackend, Pmem};
 impl ModHeap {
     /// Opens a (possibly crashed) pool and recovers it: walks every typed
     /// root reachable from the root directory (whose entries carry their own
-    /// [`RootKind`] — no caller-supplied specs needed), rebuilds the
+    /// [`crate::RootKind`] — no caller-supplied specs needed), rebuilds the
     /// volatile refcounts, and sweeps everything unreachable (including
     /// shadows leaked by an interrupted FASE) back into free space.
     ///
@@ -36,16 +35,9 @@ impl ModHeap {
     /// fail integrity checks.
     pub fn open(pm: Pmem) -> (ModHeap, RecoveryReport) {
         let mut nv = NvHeap::open(pm);
-        // The typed root directory is self-describing: marking its parent
-        // object cascades to every typed root.
-        let dir = nv.read_root(crate::root::ROOT_DIR_SLOT);
-        if !dir.is_null() {
-            ErasedDs {
-                kind: RootKind::Parent,
-                root: dir,
-            }
-            .mark(&mut nv);
-        }
+        // The typed root directory is self-describing: marking it
+        // cascades to every typed root.
+        crate::dir::mark_published(&mut nv);
         let report = nv.finish_recovery();
         let mut heap = ModHeap::from_parts(nv);
         // Hybrid ("Don't Persist All") roots: their interior nodes were

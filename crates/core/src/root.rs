@@ -9,30 +9,24 @@
 //!
 //! ## The root directory
 //!
-//! All typed roots live in one *root directory*: a parent object
-//! (Fig 8c's `CommitSiblings` machinery) published in the distinguished
-//! slot [`ROOT_DIR_SLOT`], holding a `(kind, root)` entry per application
-//! datastructure. Because every typed root is a child of this single
-//! directory, **any** combination of structures updated in one FASE
-//! commits like siblings: build the shadows, write one fresh directory,
-//! fence once, swing one pointer. The paper's general unrelated-roots
-//! case (Fig 8d, three ordering points) is never needed on this path —
-//! a multi-structure [`crate::ModHeap::fase`] costs exactly one `sfence`,
-//! and recovery is self-describing (the directory records each entry's
-//! kind, so reopening a pool needs no caller-supplied root specs).
+//! All typed roots live in one *root directory*: a PM block published
+//! in the distinguished slot [`crate::ROOT_DIR_SLOT`], holding a
+//! `(kind, root)` entry per application datastructure. Because every
+//! typed root is an entry of this single directory, **any** combination
+//! of structures updated in one FASE commits with one ordering point:
+//! build the shadows, fence once, swing one pointer (one entry, or a
+//! fresh directory). The paper's general unrelated-roots case (Fig 8d,
+//! three ordering points) is never needed on this path, and recovery is
+//! self-describing (the directory records each entry's kind, so
+//! reopening a pool needs no caller-supplied root specs). The crate's
+//! `dir` module owns the directory's layout, both swings, and which
+//! version an index names.
 
-use crate::erased::{DurableDs, ErasedDs};
+use crate::dir;
+use crate::erased::DurableDs;
 use crate::heap::ModHeap;
-use crate::parent;
-use mod_alloc::NvHeap;
-use mod_pmem::SyncRound;
 use std::fmt;
 use std::marker::PhantomData;
-
-/// The root slot that holds the root directory parent object. Raw-slot
-/// code (e.g. legacy pools from pre-0.3 binaries) must not use this
-/// slot.
-pub const ROOT_DIR_SLOT: usize = mod_alloc::N_ROOTS - 1;
 
 /// A typed handle to a persistent datastructure root: an index into the
 /// root directory plus the compile-time datastructure type.
@@ -83,45 +77,6 @@ impl<D: DurableDs> fmt::Debug for Root<D> {
     }
 }
 
-/// Reads one directory entry without materializing the whole directory
-/// (typed reads are hot: every `current`/`update` resolves a root).
-pub(crate) fn peek_entry(nv: &NvHeap, index: usize) -> Option<ErasedDs> {
-    let dir = nv.peek_root(ROOT_DIR_SLOT);
-    if dir.is_null() {
-        return None;
-    }
-    let count = nv.peek_u64(dir.addr()) as usize;
-    if index >= count {
-        return None;
-    }
-    let base = dir.addr() + 8 + 16 * index as u64;
-    Some(ErasedDs {
-        kind: crate::erased::RootKind::from_u64(nv.peek_u64(base)),
-        root: mod_pmem::PmPtr::from_addr(nv.peek_u64(base + 8)),
-    })
-}
-
-/// Materializes every directory entry in index order — the commit stage
-/// uses this to build an immutable [`crate::snapshot::DirSnapshot`] from
-/// the just-swung directory (runs under the commit lock, so the
-/// directory is stable for the duration).
-pub(crate) fn all_entries(nv: &NvHeap) -> Vec<ErasedDs> {
-    let dir = nv.peek_root(ROOT_DIR_SLOT);
-    if dir.is_null() {
-        return Vec::new();
-    }
-    let count = nv.peek_u64(dir.addr()) as usize;
-    (0..count)
-        .map(|i| {
-            let base = dir.addr() + 8 + 16 * i as u64;
-            ErasedDs {
-                kind: crate::erased::RootKind::from_u64(nv.peek_u64(base)),
-                root: mod_pmem::PmPtr::from_addr(nv.peek_u64(base + 8)),
-            }
-        })
-        .collect()
-}
-
 impl ModHeap {
     /// Publishes the initial version of a datastructure as a new typed
     /// root, returning its handle. One FASE, one ordering point.
@@ -137,47 +92,12 @@ impl ModHeap {
     /// typed wrappers use it so reopening with mismatched key/value
     /// codecs is rejected. Tag 0 means "no codec recorded".
     pub fn publish_tagged<D: DurableDs>(&mut self, initial: D, tag: u64) -> Root<D> {
-        Root::new(self.publish_erased_tagged(initial.erase(), tag))
-    }
-
-    /// [`ModHeap::publish_tagged`] for entries whose kind has no typed
-    /// handle — hybrid roots publish their spine head under
-    /// [`crate::RootKind::Spine`]. Returns the new directory index.
-    pub(crate) fn publish_erased_tagged(&mut self, initial: ErasedDs, tag: u64) -> usize {
-        let dir = self.nv_mut().read_root(ROOT_DIR_SLOT);
-        let (mut children, mut tags) = if dir.is_null() {
-            (Vec::new(), Vec::new())
-        } else {
-            (
-                parent::children_of(self.nv_mut(), dir),
-                parent::peek_tags_of(self.nv(), dir),
-            )
-        };
-        let index = children.len();
-        children.push(initial);
-        tags.push(tag);
-        self.swing_directory(dir, &children, &[initial], &tags, SyncRound::Now);
-        index
-    }
-
-    /// The codec tag word recorded for directory entry `index` (0 when
-    /// none was recorded or the index does not exist).
-    pub fn root_codec_tag(&self, index: usize) -> u64 {
-        let dir = self.nv().peek_root(ROOT_DIR_SLOT);
-        if dir.is_null() || index >= self.root_count() {
-            return 0;
-        }
-        parent::peek_tag_of(self.nv(), dir, index)
+        Root::new(dir::append(self, initial.erase(), tag))
     }
 
     /// Number of published typed roots.
     pub fn root_count(&self) -> usize {
-        let dir = self.nv().peek_root(ROOT_DIR_SLOT);
-        if dir.is_null() {
-            0
-        } else {
-            self.nv().peek_u64(dir.addr()) as usize
-        }
+        dir::entries(self.nv()).len()
     }
 
     /// Re-opens the typed root at `index` after recovery, checking that
@@ -205,30 +125,31 @@ impl ModHeap {
     ///
     /// Panics on a kind mismatch (see [`ModHeap::open_root`]).
     pub fn try_open_root<D: DurableDs>(&self, index: usize) -> Option<Root<D>> {
-        let entry = peek_entry(self.nv(), index)?;
+        let version = dir::resolve(self.nv(), index)?;
         assert_eq!(
-            entry.kind,
+            version.kind,
             D::KIND,
             "root {index} holds a {:?}, not a {:?}",
-            entry.kind,
+            version.kind,
             D::KIND
         );
         Some(Root::new(index))
     }
 
     /// The currently published version of `root` (a pure, immutable
-    /// handle). Reads only — no exclusive access, no simulated charges.
+    /// handle): the directory entry, or a hybrid root's committed
+    /// volatile index. Reads only — no exclusive access, no simulated
+    /// charges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not in the directory.
     pub fn current<D: DurableDs>(&self, root: Root<D>) -> D {
-        current_of(self.nv(), root)
+        let version = dir::resolve(self.nv(), root.index())
+            .unwrap_or_else(|| panic!("root {} not in directory", root.index()));
+        debug_assert_eq!(version.kind, D::KIND);
+        D::from_root_ptr(version.root)
     }
-}
-
-/// Read-only view helper shared with [`crate::Fase`].
-pub(crate) fn current_of<D: DurableDs>(nv: &NvHeap, root: Root<D>) -> D {
-    let entry = peek_entry(nv, root.index())
-        .unwrap_or_else(|| panic!("root {} not in directory", root.index()));
-    debug_assert_eq!(entry.kind, D::KIND);
-    D::from_root_ptr(entry.root)
 }
 
 #[cfg(test)]

@@ -603,7 +603,7 @@ impl Inner {
     /// the image needs on the medium. Must be called with the commit
     /// lock held.
     fn publish_snapshot(&self, heap: &mut ModHeap, frontier: u64) {
-        let snap = heap.push_image(snapshot_roots(heap.nv()), frontier);
+        let snap = heap.push_image(crate::dir::resolve_all(heap.nv()), frontier);
         *self.snap.write().unwrap_or_else(PoisonError::into_inner) = snap;
     }
 
@@ -627,30 +627,6 @@ impl Inner {
     }
 }
 
-/// The root directory as snapshot readers see it. Hybrid roots show
-/// their *logical* volatile head (from the annex, set by `commit_fase`
-/// and by recovery's index rebuild) instead of the durable spine record:
-/// snapshot readers traverse the live index, never the op log. The
-/// superseded volatile versions wait in the deferred-release queue under
-/// the same epoch gate as persistent chains.
-fn snapshot_roots(nv: &NvHeap) -> Vec<ErasedDs> {
-    let annex = nv.annex();
-    crate::root::all_entries(nv)
-        .into_iter()
-        .enumerate()
-        .map(|(i, e)| match (e.kind, annex.get(i)) {
-            (crate::erased::RootKind::Spine, w) if w != 0 => {
-                let (kind, addr) = crate::spine::unpack_annex(w);
-                ErasedDs {
-                    kind,
-                    root: mod_pmem::PmPtr::from_addr(addr),
-                }
-            }
-            _ => e,
-        })
-        .collect()
-}
-
 /// Merges one FASE's staged updates into the batch: chains on the
 /// existing per-root heads (which the FASE already saw through its
 /// staging lane), turning superseded heads into intra-batch
@@ -668,12 +644,7 @@ fn merge(batch: &mut Vec<PendingUpdate>, pending: Vec<PendingUpdate>) {
                 // A hybrid root's superseded volatile head is an
                 // intra-batch intermediate too: only the final head gets
                 // published to the annex at commit.
-                if let Some(old_h) = entry.hybrid.take() {
-                    entry.intermediates.push(ErasedDs {
-                        kind: old_h.logical,
-                        root: mod_pmem::PmPtr::from_addr(old_h.new_v),
-                    });
-                }
+                entry.intermediates.extend(entry.hybrid.take());
                 entry.intermediates.extend(p.intermediates);
                 entry.new = p.new;
                 entry.hybrid = p.hybrid;
@@ -761,7 +732,7 @@ impl SharedModHeap {
         // Epoch 0: the pre-first-commit image (whatever roots the heap
         // already holds, e.g. after recovery).
         let backend = heap.nv().pm().backend();
-        let snap = heap.push_image(snapshot_roots(heap.nv()), backend.appended());
+        let snap = heap.push_image(crate::dir::resolve_all(heap.nv()), backend.appended());
         SharedModHeap {
             inner: Arc::new(Inner {
                 global: Mutex::new(heap),
@@ -1742,8 +1713,11 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
                     sh.fase(w, |tx| {
+                        // Read-modify-write: hold the lane before the read.
+                        first.touch_in(tx);
                         let x = first.get(&*tx, &0).unwrap();
                         first.insert_in(tx, &0, &(x + 1));
+                        second.touch_in(tx);
                         let y = second.get(&*tx, &0).unwrap();
                         second.insert_in(tx, &0, &(y + 1));
                     });

@@ -416,11 +416,6 @@ pub(crate) fn peek_record_op(nv: &NvHeap, rec: PmPtr) -> Vec<u8> {
     nv.peek_vec(rec.addr() + 24, len)
 }
 
-/// The logical datastructure kind a spine chain encodes.
-pub(crate) fn logical_kind(nv: &NvHeap, head: PmPtr) -> RootKind {
-    peek_record_meta(nv, head).1
-}
-
 /// Releases one reference to a record, walking the chain iteratively
 /// (chains can be thousands of records long between compactions; a
 /// recursive drop would overflow the stack).
@@ -450,9 +445,9 @@ pub(crate) fn mark_record(nv: &mut NvHeap, rec: PmPtr) {
 
 /// Replays a spine chain into a fresh volatile version: collects the
 /// records newest-to-oldest, then applies oldest-to-newest through the
-/// same `SpineOp::apply` staging uses. Returns the logical kind and
-/// the rebuilt version's root address.
-pub(crate) fn replay(nv: &mut NvHeap, head: PmPtr) -> (RootKind, u64) {
+/// same `SpineOp::apply` staging uses. Returns the rebuilt version under
+/// the chain's logical kind.
+pub(crate) fn replay(nv: &mut NvHeap, head: PmPtr) -> ErasedDs {
     let mut ops = Vec::new();
     let mut kind = None;
     let mut cur = head;
@@ -465,45 +460,25 @@ pub(crate) fn replay(nv: &mut NvHeap, head: PmPtr) -> (RootKind, u64) {
     }
     let kind = kind.expect("empty spine chain");
     nv.begin_volatile();
-    let mut v = 0u64;
+    let mut v = ErasedDs {
+        kind,
+        root: PmPtr::NULL,
+    };
     for bytes in ops.iter().rev() {
         let op = SpineOp::decode(kind, bytes);
         // Staging never records a no-op, so a record that changes
         // nothing (a pop on an empty structure, a removal of an absent
         // key) means the chain is corrupt.
         let (next, _) = op
-            .apply(nv, kind, v)
+            .apply(nv, kind, v.root.addr())
             .unwrap_or_else(|| panic!("spine record {op:?} is a no-op on its predecessor"));
-        if v != 0 {
-            ErasedDs {
-                kind,
-                root: PmPtr::from_addr(v),
-            }
-            .release(nv);
+        if !v.root.is_null() {
+            v.release(nv);
         }
-        v = next;
+        v.root = PmPtr::from_addr(next);
     }
     nv.end_volatile();
-    (kind, v)
-}
-
-// ---------------------------------------------------------------------
-// Volatile-head annex words
-// ---------------------------------------------------------------------
-
-/// Packs a committed volatile head for the root annex: logical kind in
-/// the top byte, root address below (addresses are far below 2^56).
-pub(crate) fn pack_annex(kind: RootKind, addr: u64) -> u64 {
-    debug_assert!(addr != 0 && addr <= META_COUNT_MASK);
-    (kind.to_u64() << META_KIND_SHIFT) | addr
-}
-
-/// Unpacks a root-annex word (must be nonzero).
-pub(crate) fn unpack_annex(word: u64) -> (RootKind, u64) {
-    (
-        RootKind::from_u64(word >> META_KIND_SHIFT),
-        word & META_COUNT_MASK,
-    )
+    v
 }
 
 #[cfg(test)]
@@ -579,9 +554,9 @@ mod tests {
         );
         let (prev, kind, count) = peek_record_meta(&nv, r2);
         assert_eq!((prev, kind, count), (r1, RootKind::Map, 2));
-        let (kind, v) = replay(&mut nv, r2);
-        assert_eq!(kind, RootKind::Map);
-        let m = PmMap::from_root(PmPtr::from_addr(v));
+        let v = replay(&mut nv, r2);
+        assert_eq!(v.kind, RootKind::Map);
+        let m = PmMap::from_root(v.root);
         assert_eq!(m.get(&nv, 1), Some(b"one".to_vec()));
         assert_eq!(m.get(&nv, 2), Some(b"two".to_vec()));
         assert_eq!(m.len(&nv), 2);
@@ -599,8 +574,7 @@ mod tests {
         );
         let r1 = store_record(&mut nv, g, RootKind::Queue, 1, &SpineOp::QueueEnq(7));
         let r2 = store_record(&mut nv, r1, RootKind::Queue, 2, &SpineOp::QueueDeq);
-        let (_, v) = replay(&mut nv, r2);
-        let q = PmQueue::from_root(PmPtr::from_addr(v));
+        let q = PmQueue::from_root(replay(&mut nv, r2).root);
         assert_eq!(q.to_vec(&nv), vec![6, 7]);
     }
 
@@ -662,11 +636,5 @@ mod tests {
         assert_eq!(nv.stats().live_blocks, 4001);
         release_record(&mut nv, head);
         assert_eq!(nv.stats().live_blocks, 0, "chain fully reclaimed");
-    }
-
-    #[test]
-    fn annex_words_roundtrip() {
-        let w = pack_annex(RootKind::Queue, 0xbeef0);
-        assert_eq!(unpack_annex(w), (RootKind::Queue, 0xbeef0));
     }
 }

@@ -7,13 +7,16 @@
 //! equivalence contract (a hybrid root is observationally identical to a
 //! full one), and the rebuild contract (crash → reopen → same contents).
 
+use mod_alloc::NvHeap;
 use mod_core::codec::KeyRepr;
 use mod_core::{
     CommitMode, DurableMap, DurableQueue, DurableSet, DurableStack, DurableVector, Fase, ModHeap,
-    OpenError, PersistPolicy, PmKey, RootKind, SharedModHeap,
+    OpenError, PersistPolicy, PmKey, Root, RootKind, SharedModHeap,
 };
+use mod_funcds::PmMap;
 use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn mh() -> ModHeap {
     ModHeap::create(Pmem::new(PmemConfig::testing()))
@@ -756,4 +759,120 @@ fn snapshot_before_first_commit_reads_recovered_hybrid_root() {
     let view = shared.snapshot();
     assert_eq!(view.epoch(), 0, "no batch has committed yet");
     assert_eq!(map.get(&view, &1), Some(10));
+}
+
+fn twenty_keys(h: &mut ModHeap) -> DurableMap<u64, Vec<u8>> {
+    let map: DurableMap<u64, Vec<u8>> = h.root(0).policy(PersistPolicy::Hybrid).create();
+    for k in 0..20u64 {
+        map.insert(h, &k, &vec![k as u8; 3]);
+    }
+    map
+}
+
+/// Asserts that `cur` holds `twenty_keys`' 20 keys, as `typed` (the
+/// wrapper's own read) does.
+fn assert_twenty(path: &str, nv: &NvHeap, cur: PmMap, typed: impl Fn(u64) -> Option<Vec<u8>>) {
+    assert_eq!(cur.len(nv), 20, "{path}");
+    for k in 0..20u64 {
+        let want = Some(vec![k as u8; 3]);
+        assert_eq!(
+            (cur.get(nv, k), typed(k)),
+            (want.clone(), want),
+            "{path}: key {k}"
+        );
+    }
+}
+
+/// Every way of naming a root's current version resolves a hybrid root
+/// to its volatile index, never to the spine record its directory entry
+/// holds.
+#[test]
+fn every_resolver_reads_a_hybrid_roots_volatile_index() {
+    let mut h = mh();
+    let map = twenty_keys(&mut h);
+    let root = map.root();
+    assert_twenty("heap.current", h.nv(), h.current(root), |k| map.get(&h, &k));
+    let reopened: Root<PmMap> = h.open_root(0);
+    assert_twenty("open_root", h.nv(), h.current(reopened), |k| {
+        map.get(&h, &k)
+    });
+    h.fase(|tx| {
+        assert_twenty("owner tx", tx.nv(), tx.current(root), |k| map.get(&*tx, &k));
+        map.insert_in(tx, &7, &vec![7; 3]);
+        assert_twenty("owner tx, staged", tx.nv(), tx.current(root), |k| {
+            map.get(&*tx, &k)
+        });
+    });
+    let shared = SharedModHeap::create(Pmem::new(PmemConfig::testing()), 2);
+    let map = shared.setup(twenty_keys);
+    // The second worker FASE reads the lane head the first one staged.
+    for (worker, path) in [(0, "worker tx"), (1, "worker tx, lane head")] {
+        shared.fase(worker, |tx| {
+            assert_twenty(path, tx.nv(), tx.current(root), |k| map.get(&*tx, &k));
+            map.insert_in(tx, &3, &vec![3; 3]);
+        });
+        shared.flush();
+    }
+    let view = shared.snapshot();
+    assert_eq!(map.len(&view), 20, "SnapshotView");
+    assert!((0..20u64).all(|k| map.get(&view, &k) == Some(vec![k as u8; 3])));
+    drop(view);
+    shared.with(|h| assert_twenty("shared heap", h.nv(), h.current(root), |k| map.get(h, &k)));
+}
+
+/// A raw `Fase::update` would path-copy the volatile index and swing the
+/// result into the root's Spine entry; it is refused before the closure
+/// runs.
+#[test]
+#[should_panic(expected = "root 0 is a hybrid root: update it through its typed wrapper")]
+fn raw_update_on_a_hybrid_root_panics_before_its_closure_runs() {
+    let mut h = mh();
+    let map = twenty_keys(&mut h);
+    h.fase(|tx| tx.update(map.root(), |_, _| unreachable!("the closure must not run")));
+}
+
+/// A lock-free reader in one worker FASE resolves a hybrid root to its
+/// volatile index while another worker stages the root for the first
+/// time since the staging lanes were cleared: the lane's spine-record
+/// word is never taken for a version.
+#[test]
+fn worker_reads_race_a_hybrid_roots_first_staging() {
+    let shared = SharedModHeap::create(Pmem::new(PmemConfig::testing()), 2);
+    let map = shared.setup(twenty_keys);
+    let root = map.root();
+    for round in 0..=255u8 {
+        shared.flush();
+        shared.setup(|_| ()); // clears the staging lanes
+        let staged = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                shared.fase(0, |tx| map.insert_in(tx, &3, &vec![round; 3]));
+                staged.store(true, Ordering::Release);
+            });
+            loop {
+                let done = staged.load(Ordering::Acquire);
+                shared.fase(1, |tx| {
+                    assert_eq!(tx.current(root).len(tx.nv()), 20, "round {round}");
+                    assert_eq!(map.len(&*tx), 20, "round {round}");
+                });
+                if done {
+                    break;
+                }
+            }
+        });
+    }
+}
+
+/// The hybrid-root guard in `Fase::update_with` passes a Full root that
+/// sits past the root annex's words, in an owner and in a worker FASE.
+#[test]
+fn full_roots_past_the_annex_update_in_owner_and_worker_fases() {
+    let shared = SharedModHeap::create(Pmem::new(PmemConfig::testing()), 1);
+    let queues: Vec<DurableQueue<u64>> =
+        shared.setup(|h| (0..65).map(|i| h.root(i).create()).collect());
+    let last = queues[64];
+    shared.setup(|h| h.fase(|tx| tx.update(last.root(), |nv, q| q.enqueue(nv, 1))));
+    shared.fase(0, |tx| last.enqueue_in(tx, &2));
+    shared.flush();
+    shared.with(|h| assert_eq!(last.len(h), 2));
 }
