@@ -4,7 +4,7 @@
 use crate::annex::RootAnnex;
 use crate::layout::{
     class_index, class_size, is_volatile_shape, root_slot_offset, volatile_class_size, BLOCK_MAGIC,
-    HEADER_BYTES, HEAP_BASE, MIN_BLOCK, POOL_MAGIC, SIZE_CLASSES,
+    HEADER_BYTES, HEAP_BASE, MAX_POOL_BYTES, MIN_BLOCK, POOL_MAGIC, SIZE_CLASSES,
 };
 use crate::recovery::MarkState;
 use crate::table::BlockTable;
@@ -36,6 +36,16 @@ pub struct AllocStats {
 fn volatile_index(class: u64) -> Option<usize> {
     let footprint = HEADER_BYTES + class;
     (footprint % 64 == 0).then_some((footprint / 64) as usize)
+}
+
+/// Refuses a pool larger than [`MAX_POOL_BYTES`]: nodes store block
+/// pointers as 32-bit indices, which name at most 64 GiB.
+fn assert_pool_fits(capacity: u64) {
+    assert!(
+        capacity <= MAX_POOL_BYTES,
+        "pool of {capacity} bytes exceeds the 64 GiB limit ({MAX_POOL_BYTES} bytes): \
+         nodes store block pointers as 32-bit indices"
+    );
 }
 
 /// A persistent heap over a simulated PM pool: an `nvm_malloc` equivalent
@@ -126,7 +136,13 @@ impl NvHeap {
 
     /// Formats a fresh pool: writes the pool header, zeroes the root
     /// slots, and makes both durable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool is larger than [`MAX_POOL_BYTES`] (64 GiB):
+    /// nodes store block pointers as 32-bit indices.
     pub fn format(mut pm: Pmem) -> NvHeap {
+        assert_pool_fits(pm.capacity());
         pm.trace_alloc(0, HEAP_BASE); // metadata region is "allocated"
         pm.write_u64(0, POOL_MAGIC);
         pm.write_u64(8, pm.capacity());
@@ -920,6 +936,16 @@ mod tests {
         assert_eq!(h.pm().peek_u64(0), POOL_MAGIC);
         let img = h.pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced);
         assert_eq!(img.peek_u64(0), POOL_MAGIC);
+    }
+
+    #[test]
+    fn pool_limit_is_64_gib() {
+        assert_pool_fits(PmemConfig::testing().capacity);
+        assert_pool_fits(MAX_POOL_BYTES);
+        let past = std::panic::catch_unwind(|| assert_pool_fits(MAX_POOL_BYTES + 16));
+        let msg = past.unwrap_err();
+        let msg = msg.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("64 GiB limit"), "{msg}");
     }
 
     #[test]

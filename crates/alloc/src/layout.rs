@@ -30,6 +30,12 @@ pub const HEAP_BASE: u64 = 1024;
 /// Bytes of block header preceding each payload.
 pub const HEADER_BYTES: u64 = 16;
 
+/// Largest pool [`crate::NvHeap::format`] accepts: 64 GiB (2^36 bytes).
+/// Every block payload is 16-byte aligned, so a node can name any block
+/// of such a pool with a 32-bit index (`addr / 16`) instead of an 8-byte
+/// address — the stored form of CHAMP child and value pointers.
+pub const MAX_POOL_BYTES: u64 = 1 << 36;
+
 /// Magic mixed into block headers for integrity checking.
 pub const BLOCK_MAGIC: u64 = 0x4D4F_445F_424C_4B00;
 

@@ -39,7 +39,9 @@ pub mod worker;
 
 pub use annex::RootAnnex;
 pub use heap::{AllocStats, NvHeap};
-pub use layout::{class_size, volatile_class_size, HEADER_BYTES, HEAP_BASE, N_ROOTS, POOL_MAGIC};
+pub use layout::{
+    class_size, volatile_class_size, HEADER_BYTES, HEAP_BASE, MAX_POOL_BYTES, N_ROOTS, POOL_MAGIC,
+};
 pub use read::HeapRead;
 pub use recovery::RecoveryReport;
 pub use worker::{AllocDelta, StagedAllocEffects};

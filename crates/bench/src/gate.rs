@@ -7,10 +7,10 @@
 //! Metrics are a *flat* map — `"workload.metric" → f64` — serialized as
 //! a tiny, sorted, dependency-free JSON object. Every key comes from the
 //! deterministic simulation (fences/FASE, sim-ns/op, overlap ratio,
-//! flush, journal-byte and sync-round counts), never from host wall-clock
-//! time, so a run is bit-for-bit reproducible on any machine, in any
-//! build profile, and *any* delta is a real model/code change, not
-//! noise. Host-time numbers are `benchmark/`'s business.
+//! flush, stored-byte, journal-byte and sync-round counts), never from
+//! host wall-clock time, so a run is bit-for-bit reproducible on any
+//! machine, in any build profile, and *any* delta is a real model/code
+//! change, not noise. Host-time numbers are `benchmark/`'s business.
 
 use mod_workloads::{
     run_pipelined, run_read_heavy, run_workload, ConcurrencyConfig, ReadHeavyConfig, ScaleConfig,
@@ -54,6 +54,14 @@ pub fn collect() -> Metrics {
             r.flushes as f64 / r.ops as f64,
         );
         m.insert(format!("{key}.overlap_ratio"), r.overlap_ratio());
+        if w == Workload::Map {
+            // The map micro's stored bytes per upsert: what a node-layout
+            // change pays in, line by line.
+            m.insert(
+                "map.bytes_written_per_op".to_string(),
+                r.bytes_written as f64 / r.ops as f64,
+            );
+        }
     }
 
     let solo = run_pipelined(&ConcurrencyConfig::testing(1));

@@ -42,7 +42,7 @@ use crate::heap::ModHeap;
 use crate::root::Root;
 use crate::snapshot::SnapshotView;
 use crate::spine::{self, PersistPolicy, SpineOp};
-use mod_alloc::HeapRead;
+use mod_alloc::{HeapRead, N_ROOTS};
 use mod_funcds::{PmMap, PmQueue, PmStack, PmVector};
 use mod_pmem::PmPtr;
 use std::marker::PhantomData;
@@ -207,6 +207,12 @@ impl<D: DurableDs> Handle<D> {
     /// root is an empty volatile index, a durable genesis snapshot
     /// record, and a directory entry of kind [`RootKind::Spine`] (the
     /// durable policy record).
+    ///
+    /// # Panics
+    ///
+    /// Panics for a hybrid root past directory index 63 — before it
+    /// allocates or writes anything: a hybrid root's volatile head lives
+    /// in the 64-word root annex.
     fn create(heap: &mut ModHeap, policy: PersistPolicy, codec: u64) -> Self {
         let root = match policy {
             PersistPolicy::Full => {
@@ -214,6 +220,12 @@ impl<D: DurableDs> Handle<D> {
                 heap.publish_tagged(v0, codec)
             }
             PersistPolicy::Hybrid => {
+                let next = heap.root_count();
+                assert!(
+                    next < N_ROOTS,
+                    "hybrid root {next} is past the root annex: hybrid roots \
+                     must sit at one of the first {N_ROOTS} directory indices"
+                );
                 let nv = heap.nv_mut();
                 nv.begin_volatile();
                 let v0 = D::empty_version(nv);

@@ -12,9 +12,28 @@
 //! while every untouched subtree is shared with the previous version —
 //! the structural sharing that keeps shadow overheads below 0.01 %/update
 //! (§4.1, Table 3).
+//!
+//! Nodes are *half-width* in PM: keys stay 8-byte words, but value-blob
+//! and child pointers are stored as 32-bit block indices (`addr / 16`,
+//! see [`crate::node`]). A bitmap node is stored as
+//!
+//! ```text
+//! [kind][datamap | nodemap << 32][key × d][u32 × (d + n), padded to a word]
+//! ```
+//!
+//! — the `d` value indices, then the `n` child indices — and a collision
+//! node as `[kind][count][key × c][u32 × c]`, padded the same way. A full
+//! 32-child node is 144 bytes (the 192-byte size class), where 8-byte
+//! pointers would take 272 (the 384-byte class): a path copy rewrites
+//! every node on the path, so a node's line count is what an upsert pays
+//! in flushes. The volatile images keep full 8-byte pointers; only
+//! `BitmapImg::store`, `CollisionImg::store` and `read_node` see the
+//! stored form.
 
 use crate::blob::{blob_create, blob_mark, blob_read, blob_release};
-use crate::node::{store_words, KIND_BITMAP, KIND_COLLISION, NODE_WORDS};
+use crate::node::{
+    pack_ptrs, store_words, unpack_ptrs, NodeBuf, KIND_BITMAP, KIND_COLLISION, NODE_WORDS,
+};
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
@@ -82,10 +101,11 @@ pub struct PmMap {
 // Volatile node images
 // ---------------------------------------------------------------------
 
-/// A bitmap node as stored — `[kind][datamap | nodemap << 32]
-/// [(key, value) × d][child × n]`, at most [`NODE_WORDS`] words — decoded
-/// into, edited in and stored from a stack buffer: visiting or copying a
-/// node allocates nothing on the host.
+/// A bitmap node decoded into a stack buffer with full-width pointers —
+/// `[kind][datamap | nodemap << 32][(key, value) × d][child × n]`, at
+/// most [`NODE_WORDS`] words — and edited and stored from it: visiting or
+/// copying a node allocates nothing on the host. [`BitmapImg::store`]
+/// writes the half-width form of the module docs.
 #[derive(Debug, Clone)]
 struct BitmapImg {
     words: [u64; NODE_WORDS],
@@ -210,15 +230,25 @@ impl BitmapImg {
     /// non-null value and each child, in one pass; callers drop their
     /// own temporary ownership of freshly created pointers afterwards.
     fn store(&self, heap: &mut NvHeap) -> PmPtr {
-        let ptr = store_words(heap, &self.words[..self.len()]);
+        let mut buf = NodeBuf::new();
+        buf.push_u64(KIND_BITMAP).push_u64(self.words[1]);
+        for pos in 0..self.n_data() {
+            buf.push_u64(self.entry(pos).0);
+        }
+        for w in pack_ptrs(self.values().chain(self.children())) {
+            buf.push_u64(w);
+        }
+        let ptr = buf.store(heap);
         heap.rc_inc_all(self.values().chain(self.children()));
         ptr
     }
 }
 
-/// A collision node as stored: `[kind][count][(key, value) × count]`.
-/// Full 64-bit hash collisions are unbounded, so this one image lives on
-/// the heap; only pathological hashes ever build one.
+/// A collision node decoded with full-width pointers:
+/// `[kind][count][(key, value) × count]`; [`CollisionImg::store`] writes
+/// `[kind][count][key × count][u32 × count]`. Full 64-bit hash
+/// collisions are unbounded, so this one image lives on the heap; only
+/// pathological hashes ever build one.
 #[derive(Debug, Clone)]
 struct CollisionImg {
     words: Vec<u64>,
@@ -265,7 +295,10 @@ impl CollisionImg {
 
     /// Stores the node; same ownership rule as [`BitmapImg::store`].
     fn store(&self, heap: &mut NvHeap) -> PmPtr {
-        let ptr = store_words(heap, &self.words);
+        let mut words = self.words[..2].to_vec();
+        words.extend(self.entries().map(|(k, _)| k));
+        words.extend(pack_ptrs(self.entries().map(|(_, v)| v)));
+        let ptr = store_words(heap, &words);
         heap.rc_inc_all(self.entries().map(|(_, v)| v));
         ptr
     }
@@ -280,6 +313,8 @@ enum NodeImg {
     Collision(CollisionImg),
 }
 
+/// Decodes a stored node into its full-width image: `d` keys followed by
+/// the half-width pointer array (see the module docs).
 fn read_node<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> NodeImg {
     let mut heap = heap.into();
     let a = node.addr();
@@ -288,16 +323,30 @@ fn read_node<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> NodeImg {
         KIND_BITMAP => {
             let mut img = BitmapImg::empty();
             img.words[1] = heap.u64(a + 8);
-            let len = img.len();
-            heap.words(a + 16, &mut img.words[2..len]);
+            let (d, n) = (img.n_data(), img.n_children());
+            let mut body = [0; NODE_WORDS];
+            let body = &mut body[..d + (d + n).div_ceil(2)];
+            heap.words(a + 16, body);
+            let (keys, ptrs) = body.split_at(d);
+            let mut ptrs = unpack_ptrs(ptrs);
+            for ((pos, &key), val) in keys.iter().enumerate().zip(&mut ptrs) {
+                img.words[2 + 2 * pos] = key;
+                img.words[3 + 2 * pos] = val.addr();
+            }
+            for (slot, child) in img.words[2 + 2 * d..2 + 2 * d + n].iter_mut().zip(ptrs) {
+                *slot = child.addr();
+            }
             NodeImg::Bitmap(img)
         }
         KIND_COLLISION => {
-            let count = heap.u64(a + 8);
-            let mut words = vec![0; 2 + 2 * count as usize];
-            words[0] = KIND_COLLISION;
-            words[1] = count;
-            heap.words(a + 16, &mut words[2..]);
+            let count = heap.u64(a + 8) as usize;
+            let mut body = vec![0; count + count.div_ceil(2)];
+            heap.words(a + 16, &mut body);
+            let (keys, ptrs) = body.split_at(count);
+            let mut words = vec![KIND_COLLISION, count as u64];
+            for (&key, val) in keys.iter().zip(unpack_ptrs(ptrs)) {
+                words.extend([key, val.addr()]);
+            }
             NodeImg::Collision(CollisionImg { words })
         }
         k => panic!("corrupt CHAMP node kind {k} at {node}"),
@@ -947,6 +996,100 @@ mod tests {
         for (&k, v) in &model {
             assert_eq!(m.get(&mut h, k).as_ref(), Some(v));
         }
+    }
+
+    /// A decoded node's full-width words.
+    fn image_words(img: NodeImg) -> Vec<u64> {
+        match img {
+            NodeImg::Bitmap(b) => b.words[..b.len()].to_vec(),
+            NodeImg::Collision(c) => c.words,
+        }
+    }
+
+    #[test]
+    fn full_node_is_half_width_and_fully_flushed() {
+        let mut h = heap();
+        let children: Vec<PmPtr> = (0..32).map(|i| store_words(&mut h, &[i])).collect();
+        let mut img = BitmapImg::empty();
+        for (bit, &c) in children.iter().enumerate() {
+            img.insert_child(1 << bit, c);
+        }
+        let p = img.store(&mut h);
+        // 2 header words + 32 × 4-byte indices = 144 bytes.
+        assert_eq!(h.block_len(p), 192);
+        h.sfence();
+        assert_eq!(h.pm().dirty_lines(), 0);
+        let crashed = NvHeap::open(h.pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced));
+        let NodeImg::Bitmap(back) = read_node(&crashed, p) else {
+            panic!("not a bitmap node");
+        };
+        assert_eq!(back.children().collect::<Vec<_>>(), children);
+    }
+
+    #[test]
+    fn stored_images_read_back_equal_charged_and_peek() {
+        let mut h = heap();
+        let blobs: Vec<PmPtr> = (0..4u64)
+            .map(|i| blob_create(&mut h, &i.to_le_bytes()))
+            .collect();
+        let child = h.alloc(16);
+        let mut mixed = BitmapImg::empty();
+        mixed.insert_entry(1 << 20, 200, blobs[0]);
+        mixed.insert_child(1 << 31, child);
+        mixed.insert_entry(1 << 3, 30, blobs[1]);
+        mixed.insert_child(1 << 5, child);
+        mixed.insert_entry(1 << 9, 90, PmPtr::NULL); // a set member
+        let collision =
+            CollisionImg::new(&[(0x10, blobs[2]), (0x20, PmPtr::NULL), (0x30, blobs[3])]);
+        let (m, c) = (mixed.store(&mut h), collision.store(&mut h));
+        // 16 + 3 keys × 8 + 5 indices × 4 (padded to 24) = 64 bytes.
+        assert_eq!(h.block_len(m), 64);
+        let want_m = mixed.words[..mixed.len()].to_vec();
+        let want_c = collision.words.clone();
+        for (node, want) in [(m, want_m), (c, want_c)] {
+            assert_eq!(image_words(read_node(&mut h, node)), want);
+            assert_eq!(image_words(read_node(&h, node)), want);
+        }
+    }
+
+    #[test]
+    fn weak_hash_trie_decodes_identically_on_both_paths() {
+        // Keys 0x10/0x20/0x30 collide on the whole hash; 0x01 and 0x02
+        // sit beside the collision chain in the root, which therefore
+        // holds data entries and a child.
+        let mut h = heap();
+        let mut m = PmMap::empty_with_hash(&mut h, HashKind::WeakLow4);
+        for k in [0x10u64, 0x01, 0x20, 0x02, 0x30] {
+            let v = if k == 0x20 {
+                Vec::new()
+            } else {
+                k.to_le_bytes().to_vec()
+            };
+            m = step_insert(&mut h, m, k, &v);
+        }
+        let (_, root, _) = m.read_root_obj(&h);
+        let (mut mixed, mut collisions) = (0, 0);
+        let mut stack = vec![root];
+        while let Some(n) = stack.pop() {
+            let charged = read_node(&mut h, n);
+            match &charged {
+                NodeImg::Bitmap(b) => {
+                    mixed += (b.n_data() > 0 && b.n_children() > 0) as usize;
+                    stack.extend(b.children());
+                }
+                NodeImg::Collision(c) => {
+                    assert_eq!(c.count(), 3);
+                    collisions += 1;
+                }
+            }
+            assert_eq!(image_words(charged), image_words(read_node(&h, n)));
+        }
+        assert_eq!((mixed, collisions), (1, 1));
+        for k in [0x10u64, 0x01, 0x30, 0x02] {
+            assert_eq!(m.get(&h, k), Some(k.to_le_bytes().to_vec()));
+            assert_eq!(m.get(&mut h, k), Some(k.to_le_bytes().to_vec()));
+        }
+        assert_eq!(m.get(&h, 0x20), Some(Vec::new()));
     }
 
     #[test]

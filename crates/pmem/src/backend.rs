@@ -1056,10 +1056,22 @@ mod tests {
         // The checked-in generation-3 pool: typed, never a panic.
         let gen3 = include_bytes!("../../../tests/fixtures/gen3_pool.bin");
         std::fs::write(&pool.path, gen3).unwrap();
-        let (found, supported) = (3, 4);
+        let (found, supported) = (3, 5);
         assert_eq!(
             replay_error(&pool.path),
             ReplayError::UnsupportedGeneration { found, supported }
+        );
+        // The checked-in generation-4 pool (base + one journal).
+        let gen4 = include_bytes!("../../../tests/fixtures/gen4_pool.bin");
+        let gen4_s0 = include_bytes!("../../../tests/fixtures/gen4_pool.bin.s0");
+        std::fs::write(&pool.path, gen4).unwrap();
+        std::fs::write(journal, gen4_s0).unwrap();
+        assert_eq!(
+            replay_error(&pool.path),
+            ReplayError::UnsupportedGeneration {
+                found: 4,
+                supported: 5
+            }
         );
         std::fs::remove_file(&pool.path).unwrap();
         let err = FileBackend::open(&pool.path).unwrap_err();

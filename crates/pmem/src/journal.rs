@@ -41,8 +41,9 @@
 //! half-finished image write left behind is overwritten by the journal
 //! records at or above the mark.
 //!
-//! Pools of header generation ≤ 3 (snapshot-record base files) are not
-//! readable: opening one fails with the typed
+//! Pools of header generation ≤ 3 (snapshot-record base files) and of
+//! generation 4 (the same file layout, but full-width CHAMP node pointers
+//! in the pool image) are not readable: opening one fails with the typed
 //! [`ReplayError::UnsupportedGeneration`].
 //!
 //! The codec is pure (byte slices in, byte vectors out, no IO) so the
@@ -55,7 +56,7 @@ use std::collections::BTreeMap;
 /// Pool-file magic ("MODPOOLF").
 pub const FILE_MAGIC: u64 = 0x4D4F_4450_4F4F_4C46;
 /// The one on-disk header generation this build reads and writes.
-pub const FORMAT_GENERATION: u32 = 4;
+pub const FORMAT_GENERATION: u32 = 5;
 /// Bytes of the fixed file header.
 pub const HEADER_BYTES: usize = 24;
 /// `shard_index` sentinel naming the base (image) member of a set.
@@ -206,7 +207,8 @@ pub enum ReplayError {
     NotAPool(&'static str),
     /// The header names an on-disk generation this build does not read:
     /// pools written before the home-location image format (generations
-    /// 1–3) fail here, typed, rather than being migrated.
+    /// 1–3) or before half-width CHAMP nodes (generation 4) fail here,
+    /// typed, rather than being migrated.
     UnsupportedGeneration {
         /// The generation the header names.
         found: u32,
@@ -797,10 +799,10 @@ mod tests {
 
     #[test]
     fn older_and_newer_generations_fail_typed() {
-        // Generations 1–3 (snapshot-record pools) and anything newer
-        // than this build: a typed error naming both sides, never a
-        // panic, never a best-effort read.
-        for found in [0u32, 1, 2, 3, 5, 99] {
+        // Generations 1–3 (snapshot-record pools), 4 (full-width CHAMP
+        // pointers) and anything newer than this build: a typed error
+        // naming both sides, never a panic, never a best-effort read.
+        for found in [0u32, 1, 2, 3, 4, 6, 99] {
             let mut h = encode_header(1 << 20, 1, SHARD_BASE);
             h[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(
@@ -818,7 +820,17 @@ mod tests {
             decode_header(fixture),
             Err(ReplayError::UnsupportedGeneration {
                 found: 3,
-                supported: 4
+                supported: 5
+            })
+        );
+        // The checked-in generation-4 pool's base member (a 3-key map in
+        // its journal): the header check rejects it before any replay.
+        let fixture = include_bytes!("../../../tests/fixtures/gen4_pool.bin");
+        assert_eq!(
+            decode_header(fixture),
+            Err(ReplayError::UnsupportedGeneration {
+                found: 4,
+                supported: 5
             })
         );
     }

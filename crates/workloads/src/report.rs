@@ -62,6 +62,8 @@ pub struct RunReport {
     pub flushes_deduped: u64,
     /// Fences in the measured phase.
     pub fences: u64,
+    /// Bytes stored to PM in the measured phase.
+    pub bytes_written: u64,
     /// WPQ drain work hidden under compute in the measured phase (ns).
     pub overlap_ns: f64,
     /// Residual drain stall actually paid at fences (ns).
@@ -111,6 +113,7 @@ pub struct Snapshot {
     flushes: u64,
     flushes_deduped: u64,
     fences: u64,
+    bytes_written: u64,
     overlap_ns: f64,
     residual_stall_ns: f64,
     cache: CacheStats,
@@ -125,6 +128,7 @@ impl Snapshot {
             flushes: pm.stats().effective_flushes,
             flushes_deduped: pm.stats().flushes_deduped,
             fences: pm.stats().fences,
+            bytes_written: pm.stats().bytes_written,
             overlap_ns: pm.stats().overlap_ns,
             residual_stall_ns: pm.stats().residual_stall_ns,
             cache: pm.cache_stats(),
@@ -152,6 +156,7 @@ impl Snapshot {
             flushes: pm.stats().effective_flushes - self.flushes,
             flushes_deduped: pm.stats().flushes_deduped - self.flushes_deduped,
             fences: pm.stats().fences - self.fences,
+            bytes_written: pm.stats().bytes_written - self.bytes_written,
             overlap_ns: pm.stats().overlap_ns - self.overlap_ns,
             residual_stall_ns: pm.stats().residual_stall_ns - self.residual_stall_ns,
             cache: pm.cache_stats().since(&self.cache),

@@ -866,6 +866,36 @@ fn worker_reads_race_a_hybrid_roots_first_staging() {
 /// The hybrid-root guard in `Fase::update_with` passes a Full root that
 /// sits past the root annex's words, in an owner and in a worker FASE.
 #[test]
+fn hybrid_create_past_the_annex_panics_before_publishing() {
+    let mut h = mh();
+    for i in 0..64 {
+        let _: DurableQueue<u64> = h.root(i).create();
+    }
+    let before = h.nv().pm().stats().clone();
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _: DurableMap<u64, u64> = h.root(64).policy(PersistPolicy::Hybrid).create();
+    }))
+    .unwrap_err();
+    let msg = err.downcast_ref::<String>().unwrap();
+    assert!(msg.contains("first 64 directory indices"), "{msg}");
+    assert_eq!(h.root_count(), 64, "nothing published");
+    let after = h.nv().pm().stats();
+    assert_eq!(
+        (after.writes, after.fences),
+        (before.writes, before.fences),
+        "no PM write before the check"
+    );
+    let full: DurableQueue<u64> = h.root(64).create();
+    full.enqueue(&mut h, &7);
+    h.quiesce();
+    let img = h.nv().pm().crash_image(CrashPolicy::OnlyFenced);
+    let (mut h2, _) = ModHeap::open(img);
+    assert_eq!(h2.root_count(), 65);
+    let full: DurableQueue<u64> = h2.root(64).open().unwrap();
+    assert_eq!(full.len(&mut h2), 1);
+}
+
+#[test]
 fn full_roots_past_the_annex_update_in_owner_and_worker_fases() {
     let shared = SharedModHeap::create(Pmem::new(PmemConfig::testing()), 1);
     let queues: Vec<DurableQueue<u64>> =

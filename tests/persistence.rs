@@ -535,7 +535,7 @@ fn generation_3_pool_fails_to_open_with_a_typed_error() {
     std::fs::copy("tests/fixtures/gen3_pool.bin", &path).unwrap();
     let want = ReplayError::UnsupportedGeneration {
         found: 3,
-        supported: 4,
+        supported: 5,
     };
     let cfg = SessionShape::Buffered.pool_config();
     let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
@@ -544,6 +544,29 @@ fn generation_3_pool_fails_to_open_with_a_typed_error() {
     let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
     assert_eq!(replay_error(&err), Some(&want), "{err}");
     assert!(verify_session(&path, 1).is_err());
+    remove_pool(&path);
+}
+
+#[test]
+fn generation_4_pool_fails_to_open_with_a_typed_error() {
+    // A one-journal pool holding a 3-key `DurableMap`, written by the
+    // last generation-4 build: its file layout is today's, but its image
+    // stores full-width CHAMP node pointers. It fails typed — at the pmem
+    // level and through the heap — before any of its journal is replayed.
+    let path = temp_pool("gen4");
+    std::fs::copy("tests/fixtures/gen4_pool.bin", &path).unwrap();
+    let journal = FileBackend::member_paths(&path, 1).pop().unwrap();
+    std::fs::copy("tests/fixtures/gen4_pool.bin.s0", journal).unwrap();
+    let want = ReplayError::UnsupportedGeneration {
+        found: 4,
+        supported: 5,
+    };
+    let cfg = SessionShape::Buffered.pool_config();
+    let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(replay_error(&err), Some(&want), "{err}");
+    let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
+    assert_eq!(replay_error(&err), Some(&want), "{err}");
     remove_pool(&path);
 }
 

@@ -7,8 +7,9 @@
 //! `core` (refcounts, line states, cache-sim storage, node decode
 //! buffers) may change representation freely, but must never move one of
 //! those calls. This test runs a fixed seeded script and compares a
-//! fingerprint of everything observable against constants recorded
-//! **before** the paged side tables landed: an FNV hash over the
+//! fingerprint of everything observable against recorded constants
+//! (last re-recorded when CHAMP nodes started storing 32-bit pointer
+//! indices — a change of stored bytes, not of call order): an FNV hash over the
 //! `Pmem::trace()` stream, the full `PmStats`, the L1/LLC `CacheStats`
 //! and the `TimeBreakdown` f64 bit patterns. A representation change
 //! that perturbs any of them fails here, with the new fingerprint
@@ -341,44 +342,44 @@ fn wide_script(policy: PersistPolicy) -> String {
 
 const OWNER_FULL: &str = "\
 map_len=1056 vec_len=536 queue_len=299\n\
-trace=0x4ae77caa656f5621/111083\n\
-issued=36487 effective=29634 deduped=6853 avoided=0 fences=3408 reads=92170 writes=42522 bytes=1527944 overlap=0x41226b6cae146373 residual=0x41410698d1eb8af8 volatile_bytes=0 hist=1x2,2x105,3x308,4x413,5x250,6x140,7x175,8x243,9x331,10x318,11x278,12x252,13x218,14x178,15x113,16x46,17x7,18x6,19x2,20x2,21x7,22x3,23x2,24x3,25x1,33x1,35x1,44x1,93x1,184x1\n\
-l1=184662/179129/5533 llc=5533/3281/2252\n\
-other=0x413358dd00000000 flush=0x4141ee1cd1eb8af8 log=0x0000000000000000";
+trace=0xb3f2341f9dc8d0b4/105995\n\
+issued=31399 effective=26052 deduped=5347 avoided=0 fences=3408 reads=92170 writes=42522 bytes=1176960 overlap=0x412118af666652df residual=0x413f41b82e1484aa volatile_bytes=0 hist=1x2,2x112,3x342,4x407,5x246,6x196,7x281,8x376,9x488,10x439,11x282,12x138,13x65,14x7,15x1,16x2,17x3,18x2,19x5,20x3,21x5,23x1,24x1,25x1,43x1,93x1,184x1\n\
+l1=166024/161000/5024 llc=5024/2919/2105\n\
+other=0x41322c1200000000 flush=0x41406c64170a4255 log=0x0000000000000000";
 const OWNER_HYBRID: &str = "\
 map_len=1056 vec_len=536 queue_len=299\n\
-trace=0xfd24cd39dd9ff232/37411\n\
-issued=36735 effective=9464 deduped=30 avoided=27241 fences=3408 reads=7216 writes=14179 bytes=262356 overlap=0x410ed4f733332838 residual=0x41345d53f0a3d848 volatile_bytes=1743424 hist=1x2,2x1130,3x2003,4x249,7x11,8x7,9x6\n\
-l1=23243/18211/5032 llc=5032/0/5032\n\
-other=0x413844e400000000 flush=0x4134f133f0a3d848 log=0x0000000000000000";
+trace=0x430ed00f573ef6c3/37398\n\
+issued=31331 effective=9453 deduped=28 avoided=21850 fences=3408 reads=7216 writes=14179 bytes=262356 overlap=0x410ed8c87ae13cc9 residual=0x41345a1ed70a3eac volatile_bytes=1398400 hist=1x2,2x1150,3x1974,4x258,7x11,8x7,9x6\n\
+l1=23235/18205/5030 llc=5030/0/5030\n\
+other=0x4138428200000000 flush=0x4134edd2d70a3eac log=0x0000000000000000";
 const TURNSTILE_FULL: &str = "\
 fases=192 batches=96 ledger_len=80\n\
-lanes: issued=6293 effective=5855 deduped=438 avoided=0 fences=304 reads=20703 writes=9574 bytes=254712 overlap=0x410ed4028f5c28cf residual=0x4101e8411eb85217 volatile_bytes=0 hist=1x3,2x5,3x16,4x72,5x56,6x38,7x14,8x4,27x1,32x3,33x1,34x4,35x4,36x9,37x2,38x8,39x13,40x10,41x10,42x6,43x3,44x8,45x4,47x2,48x2,49x2,50x1,52x1,67x1,90x1\n\
-wall=0x413b491523d70a43\n\
-trace=0xa88fbdf9b6ff4c64/21448\n\
-issued=1669 effective=1285 deduped=384 avoided=0 fences=304 reads=14592 writes=3382 bytes=60816 overlap=0x410ed4028f5c28cf residual=0x4101e8411eb85217 volatile_bytes=0 hist=1x3,2x5,3x16,4x72,5x56,6x38,7x14,8x4,27x1,32x3,33x1,34x4,35x4,36x9,37x2,38x8,39x13,40x10,41x10,42x6,43x3,44x8,45x4,47x2,48x2,49x2,50x1,52x1,67x1,90x1\n\
-l1=19665/16861/2804 llc=2804/101/2703\n\
-other=0x412a75ba00000000 flush=0x412c1c7047ae1486 log=0x0000000000000000";
+lanes: issued=5997 effective=5569 deduped=428 avoided=0 fences=304 reads=20703 writes=9574 bytes=234632 overlap=0x410c1120a3d70a16 residual=0x4101e8411eb85216 volatile_bytes=0 hist=1x3,2x5,3x16,4x72,5x56,6x38,7x14,8x4,27x1,29x1,30x4,31x4,32x4,33x3,34x7,35x14,36x14,37x14,38x8,39x3,40x6,41x4,42x2,43x2,44x3,63x1,88x1\n\
+wall=0x41381b7823d70a43\n\
+trace=0x44cff16e6769168f/21152\n\
+issued=1669 effective=1285 deduped=384 avoided=0 fences=304 reads=14592 writes=3382 bytes=60816 overlap=0x410c1120a3d70a16 residual=0x4101e8411eb85216 volatile_bytes=0 hist=1x3,2x5,3x16,4x72,5x56,6x38,7x14,8x4,27x1,29x1,30x4,31x4,32x4,33x3,34x7,35x14,36x14,37x14,38x8,39x3,40x6,41x4,42x2,43x2,44x3,63x1,88x1\n\
+l1=19389/16937/2452 llc=2452/90/2362\n\
+other=0x41274e5600000000 flush=0x4128e89a47ae1486 log=0x0000000000000000";
 const TURNSTILE_HYBRID: &str = "\
 fases=192 batches=96 ledger_len=80\n\
-lanes: issued=6008 effective=1587 deduped=110 avoided=4311 fences=304 reads=2962 writes=4822 bytes=68481 overlap=0x40f2ccd33333334e residual=0x40fb4d49eb851ea6 volatile_bytes=275904 hist=1x3,2x201,4x3,5x1,11x48,13x36,14x11,15x1\n\
+lanes: issued=5785 effective=1587 deduped=110 avoided=4088 fences=304 reads=2962 writes=4822 bytes=68481 overlap=0x40f2ccd33333334e residual=0x40fb4d49eb851ea6 volatile_bytes=261632 hist=1x3,2x201,4x3,5x1,11x48,13x36,14x11,15x1\n\
 wall=0x41146f527ae147a9\n\
-trace=0x458323a16eb2d5b2/8516\n\
+trace=0x0a250d87f9393514/8516\n\
 issued=1614 effective=711 deduped=110 avoided=793 fences=304 reads=2962 writes=2770 bytes=27285 overlap=0x40f2ccd33333334e residual=0x40fb4d49eb851ea6 volatile_bytes=50752 hist=1x3,2x201,4x3,5x1,11x48,13x36,14x11,15x1\n\
 l1=5732/5504/228 llc=228/0/228\n\
 other=0x40f384e000000000 flush=0x410f1c34f5c28f52 log=0x0000000000000000";
 const WIDE_FULL: &str = "\
 replies=2391 names=261 tags=44 ids=27 vec=0 stack=0 plain=43\n\
-trace=0x89558d9ebdbea74d/99604\n\
-issued=31054 effective=25208 deduped=5846 avoided=0 fences=3013 reads=103350 writes=39567 bytes=1281539 overlap=0x411c01191eb827fa residual=0x413e9e69851ec2c6 volatile_bytes=0 hist=1x143,2x322,3x283,4x286,5x188,6x159,7x267,8x201,9x178,10x172,11x168,12x121,13x117,14x101,15x46,16x34,17x28,18x28,19x8,20x5,21x7,22x3,23x6,24x8,25x8,26x7,27x12,28x12,29x7,30x9,31x11,32x6,33x5,34x12,35x7,36x6,37x9,38x7,39x2,40x3,41x1,42x4,43x2,44x2,45x1,50x1\n\
-l1=191607/190211/1396 llc=1396/700/696\n\
-other=0x4124b2d000000000 flush=0x41401424c28f6163 log=0x0000000000000000";
+trace=0x8110adc83b834090/96344\n\
+issued=27794 effective=22737 deduped=5057 avoided=0 fences=3013 reads=103350 writes=39567 bytes=1102883 overlap=0x411a83bf1eb82d88 residual=0x413c97aa851ec16c volatile_bytes=0 hist=1x142,2x326,3x391,4x230,5x168,6x294,7x263,8x226,9x210,10x193,11x145,12x97,13x48,14x29,15x27,16x32,17x21,18x10,19x3,20x11,21x9,22x8,23x9,24x21,25x12,26x9,27x7,28x8,29x15,30x5,31x10,32x4,33x7,34x5,35x4,36x4,37x2,38x2,39x2,40x3,41x1\n\
+l1=178862/177621/1241 llc=1241/575/666\n\
+other=0x4123e29c00000000 flush=0x413dfaee851ec16c log=0x0000000000000000";
 const WIDE_HYBRID: &str = "\
 replies=2391 names=261 tags=44 ids=27 vec=0 stack=0 plain=43\n\
-trace=0x45ac2024e2b53d9a/46317\n\
-issued=34579 effective=10947 deduped=547 avoided=23085 fences=3013 reads=17350 writes=18611 bytes=419317 overlap=0x411176effffff5a4 residual=0x413385f68a3d7334 volatile_bytes=1477440 hist=1x4,2x1578,3x600,4x180,5x237,6x142,7x73,8x17,9x15,10x16,11x24,12x28,13x20,14x13,15x25,16x21,17x10,18x6,19x1,20x2,165x1\n\
-l1=39498/31576/7922 llc=7922/3687/4235\n\
-other=0x4137a62f00000000 flush=0x413431028a3d7334 log=0x0000000000000000";
+trace=0x3cca49c8e1c36c34/46296\n\
+issued=31790 effective=10938 deduped=535 avoided=20317 fences=3013 reads=17350 writes=18611 bytes=419317 overlap=0x41116975c28f51d3 residual=0x41338856f0a3d999 volatile_bytes=1300288 hist=1x4,2x1584,3x583,4x192,5x240,6x141,7x70,8x16,9x15,10x14,11x30,12x24,13x21,14x12,15x31,16x16,17x10,18x5,19x3,20x1,165x1\n\
+l1=39484/31598/7886 llc=7886/3654/4232\n\
+other=0x41379d9300000000 flush=0x4134333ef0a3d999 log=0x0000000000000000";
 
 #[test]
 fn owner_heap_full_matches_recorded_fingerprint() {
