@@ -765,6 +765,9 @@ impl<V: PmWord> DurableVector<V> {
     /// Stages a swap on an in-progress FASE.
     pub fn swap_in(&self, tx: &mut Fase<'_>, i: u64, j: u64) {
         if i == j {
+            // A self-swap stages nothing, but still owes the bounds check.
+            let len = self.len(&*tx);
+            assert!(i < len, "index {i} out of bounds ({len})");
             return;
         }
         // Read-modify-write: own the lane before reading.
@@ -1066,5 +1069,13 @@ mod tests {
         assert_eq!(vec.to_vec(&h2), vec![-3, 100, 7]);
         assert_eq!(stack.peek(&h2), Some(5));
         assert_eq!(queue.peek(&h2), Some(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "index 10 out of bounds (3)")]
+    fn self_swap_out_of_bounds_panics() {
+        let mut h = mh();
+        let vec: DurableVector<u64> = DurableVector::create_from(&mut h, &[1, 2, 3]);
+        vec.swap(&mut h, 10, 10);
     }
 }

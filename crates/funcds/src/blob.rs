@@ -40,21 +40,6 @@ pub fn blob_read<'a>(heap: impl Into<HeapRead<'a>>, ptr: PmPtr) -> Vec<u8> {
     heap.vec(ptr.addr() + BLOB_HEADER, len)
 }
 
-/// Length in bytes of a blob (0 for null).
-pub fn blob_len(heap: &mut NvHeap, ptr: PmPtr) -> u32 {
-    if ptr.is_null() {
-        return 0;
-    }
-    heap.read_u32(ptr.addr())
-}
-
-/// Adds a reference to a blob (no-op for null).
-pub fn blob_retain(heap: &mut NvHeap, ptr: PmPtr) {
-    if !ptr.is_null() {
-        heap.rc_inc(ptr);
-    }
-}
-
 /// Drops a reference to a blob, freeing it at zero (no-op for null).
 pub fn blob_release(heap: &mut NvHeap, ptr: PmPtr) {
     if !ptr.is_null() && heap.rc_dec(ptr) == 0 {
@@ -83,7 +68,6 @@ mod tests {
         let mut h = heap();
         let p = blob_create(&mut h, b"persistent value");
         assert_eq!(blob_read(&mut h, p), b"persistent value");
-        assert_eq!(blob_len(&mut h, p), 16);
     }
 
     #[test]
@@ -92,14 +76,13 @@ mod tests {
         let p = blob_create(&mut h, b"");
         assert!(p.is_null());
         assert_eq!(blob_read(&mut h, p), Vec::<u8>::new());
-        assert_eq!(blob_len(&mut h, p), 0);
     }
 
     #[test]
     fn refcounting_frees_at_zero() {
         let mut h = heap();
         let p = blob_create(&mut h, &[9u8; 100]);
-        blob_retain(&mut h, p);
+        h.rc_inc(p);
         assert_eq!(h.rc_get(p), 2);
         blob_release(&mut h, p);
         assert_eq!(h.stats().frees, 0);
@@ -110,7 +93,6 @@ mod tests {
     #[test]
     fn null_ops_are_noops() {
         let mut h = heap();
-        blob_retain(&mut h, PmPtr::NULL);
         blob_release(&mut h, PmPtr::NULL);
         blob_mark(&mut h, PmPtr::NULL);
     }

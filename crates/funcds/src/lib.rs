@@ -11,9 +11,13 @@
 //! | Type | Substrate | Paper reference |
 //! |------|-----------|-----------------|
 //! | [`PmMap`]/[`PmSet`] | CHAMP trie | §4.2 (Steindorfer & Vinju) |
-//! | [`PmVector`] | RRB tree + tail | §4.2 (Stucki et al., Puente) |
+//! | [`PmVector`] | radix-balanced tree + tail¹ | §4.2 (Stucki et al., Puente) |
 //! | [`PmStack`] | cons list | Fig 1 |
 //! | [`PmQueue`] | two-list banker's queue | §6.4 |
+//!
+//! ¹ The regular case of an RRB tree: no relaxed (size-table) nodes,
+//! which only concatenation and slicing create and this vector offers
+//! neither, so lookups and updates index by pure radix arithmetic.
 //!
 //! Reclamation uses the heap's volatile reference counts (§5.3): handles
 //! expose `release` (drop one version) and `mark` (recovery GC walk).

@@ -21,16 +21,15 @@ use mod_pmem::PmPtr;
 pub const KIND_BITMAP: u64 = 1;
 /// Kind tag: CHAMP hash-collision node.
 pub const KIND_COLLISION: u64 = 2;
-/// Kind tag: RRB leaf node.
+/// Kind tag: vector leaf node.
 pub const KIND_LEAF: u64 = 3;
-/// Kind tag: RRB internal node.
+/// Kind tag: vector internal node.
 pub const KIND_INNER: u64 = 4;
 /// Kind tag: cons-list cell.
 pub const KIND_CONS: u64 = 5;
 
 /// Words in the largest fixed-fanout node image: a CHAMP bitmap node
-/// full of entries (2 header words + 32 × `(key, value)`), or an RRB
-/// inner node with its size table (2 + 32 children + 32 sizes).
+/// full of entries (2 header words + 32 × `(key, value)`).
 pub const NODE_WORDS: usize = 66;
 
 /// Alignment of every block payload, and so the unit of a stored index.

@@ -1,18 +1,30 @@
-//! RRB-tree vector — the MOD **vector** substrate.
+//! Radix-balanced vector — the MOD **vector** substrate.
 //!
 //! A persistent vector in the Relaxed-Radix-Balanced family (Stucki et
 //! al., ICFP '15; Puente, which the paper cites as its vector
-//! implementation): a 32-way branching tree of `u64` elements with a tail
-//! buffer. Regular nodes use pure radix indexing; nodes produced by
-//! `concat` carry cumulative *size tables* ("relaxed" nodes) that lookups
-//! traverse with a prefix scan.
+//! implementation), restricted to its regular case: a 32-way branching
+//! tree of `u64` elements with a tail buffer.
+//!
+//! There are no relaxed (size-table) nodes. They exist only to make
+//! concatenation and slicing cheap, and this vector offers neither: its
+//! operations are `from_slice`, `push_back`, `update` and `pop_back`,
+//! which keep every in-tree leaf full (32 elements) and the tree packed
+//! to the left. An element's path is therefore pure radix arithmetic —
+//! five index bits per level — and no operation reads a child's element
+//! count.
+//!
+//! Stored nodes:
+//! - leaf: `[KIND_LEAF][count][elem × count]`;
+//! - inner: `[KIND_INNER][count][child × count]`, with `count ≤ 32`. The
+//!   high half of the count word is zero; a node that sets it is not
+//!   this format, and reading it panics naming the node.
 //!
 //! Every update is a pure path copy, so a `push_back`/`update` rewrites
 //! O(log₃₂ n) nodes while sharing the rest — this is exactly why the
 //! paper's Fig 10 shows vector writes flushing many more cachelines than
 //! PMDK's flat array, and why Fig 9 shows vector as MOD's losing case.
 
-use crate::node::{store_words, NodeBuf, KIND_INNER, KIND_LEAF, NODE_WORDS};
+use crate::node::{store_words, NodeBuf, KIND_INNER, KIND_LEAF};
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
@@ -41,11 +53,9 @@ struct LeafImg {
     elems: Vec<u64>,
 }
 
-#[derive(Clone, Debug)]
-struct InnerImg {
-    children: Vec<PmPtr>,
-    /// Cumulative element counts per child; present on relaxed nodes.
-    sizes: Option<Vec<u64>>,
+/// Child slot of `index` in a node at `shift` (shift 0 = leaf).
+fn radix(index: u64, shift: u64) -> usize {
+    ((index >> shift) & (B as u64 - 1)) as usize
 }
 
 fn read_leaf<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> LeafImg {
@@ -58,20 +68,26 @@ fn read_leaf<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> LeafImg {
     LeafImg { elems }
 }
 
-fn read_inner<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> InnerImg {
+/// An inner node's children.
+///
+/// # Panics
+///
+/// Panics, naming the node, unless it is an inner node whose count word
+/// is at most 32 (and so has a zero high half).
+fn read_inner<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> Vec<PmPtr> {
     let mut heap = heap.into();
     let kind = heap.u64(node.addr());
     assert_eq!(kind, KIND_INNER, "expected inner at {node}, kind {kind}");
-    let meta = heap.u64(node.addr() + 8);
-    let count = (meta & 0xFFFF_FFFF) as usize;
-    let has_sizes = (meta >> 32) != 0;
-    let words = count + if has_sizes { count } else { 0 };
-    let mut body = [0; NODE_WORDS];
-    let body = &mut body[..words];
+    let count = heap.u64(node.addr() + 8);
+    assert!(
+        count <= B as u64,
+        "inner node at {node} has count word {count:#x}: not a radix-balanced \
+         node of at most {B} children with a zero high half"
+    );
+    let mut body = [0; B];
+    let body = &mut body[..count as usize];
     heap.words(node.addr() + 16, body);
-    let children = body[..count].iter().map(|&c| PmPtr::from_addr(c)).collect();
-    let sizes = has_sizes.then(|| body[count..].to_vec());
-    InnerImg { children, sizes }
+    body.iter().map(|&c| PmPtr::from_addr(c)).collect()
 }
 
 fn store_leaf(heap: &mut NvHeap, img: &LeafImg) -> PmPtr {
@@ -85,59 +101,21 @@ fn store_leaf(heap: &mut NvHeap, img: &LeafImg) -> PmPtr {
 }
 
 /// Stores an inner node; owns (increments) every child pointer.
-fn store_inner(heap: &mut NvHeap, img: &InnerImg) -> PmPtr {
-    let count = img.children.len();
-    debug_assert!((1..=B).contains(&count));
-    if let Some(s) = &img.sizes {
-        debug_assert_eq!(s.len(), count);
-    }
+fn store_inner(heap: &mut NvHeap, children: &[PmPtr]) -> PmPtr {
+    debug_assert!((1..=B).contains(&children.len()));
     let mut b = NodeBuf::new();
-    b.push_u64(KIND_INNER)
-        .push_u64(count as u64 | ((img.sizes.is_some() as u64) << 32));
-    for &c in &img.children {
+    b.push_u64(KIND_INNER).push_u64(children.len() as u64);
+    for &c in children {
         b.push_ptr(c);
     }
-    if let Some(s) = &img.sizes {
-        for &v in s {
-            b.push_u64(v);
-        }
-    }
     let ptr = b.store(heap);
-    heap.rc_inc_all(img.children.iter().copied());
+    heap.rc_inc_all(children.iter().copied());
     ptr
 }
 
 fn drop_temp(heap: &mut NvHeap, ptr: PmPtr) {
     let left = heap.rc_dec(ptr);
     debug_assert!(left >= 1, "temp node should be co-owned");
-}
-
-/// Total elements in the subtree rooted at `node` (shift 0 = leaf).
-fn subtree_count(heap: &mut NvHeap, node: PmPtr, shift: u64) -> u64 {
-    if shift == 0 {
-        return heap.read_u64(node.addr() + 8);
-    }
-    let img = read_inner(&mut *heap, node);
-    if let Some(sizes) = &img.sizes {
-        return *sizes.last().unwrap();
-    }
-    let full = (img.children.len() as u64 - 1) << shift;
-    full + subtree_count(heap, *img.children.last().unwrap(), shift - BITS)
-}
-
-/// Cumulative sizes a regular node would have, for relaxation.
-fn implied_sizes(heap: &mut NvHeap, img: &InnerImg, shift: u64) -> Vec<u64> {
-    let mut out = Vec::with_capacity(img.children.len());
-    let mut acc = 0u64;
-    for (i, &c) in img.children.iter().enumerate() {
-        acc += if i + 1 < img.children.len() {
-            1 << shift
-        } else {
-            subtree_count(heap, c, shift - BITS)
-        };
-        out.push(acc);
-    }
-    out
 }
 
 /// Builds a left spine of single-child inner nodes bringing `leaf` up to
@@ -148,170 +126,87 @@ fn make_spine(heap: &mut NvHeap, shift: u64, leaf: PmPtr) -> PmPtr {
         return leaf;
     }
     let child = make_spine(heap, shift - BITS, leaf);
-    let fresh = store_inner(
-        heap,
-        &InnerImg {
-            children: vec![child],
-            sizes: None,
-        },
-    );
+    let fresh = store_inner(heap, &[child]);
     drop_temp(heap, child);
     fresh
 }
 
-/// Appends `leaf` to the rightmost edge of `node` (an inner at `shift`).
-/// Returns the fresh temp-owned copy, or `None` if the edge is full.
+/// Appends the full `leaf` at the rightmost edge of `node` (an inner at
+/// `shift`). Returns the fresh temp-owned copy, or `None` if the subtree
+/// is full.
 fn push_leaf_rec(heap: &mut NvHeap, node: PmPtr, shift: u64, leaf: PmPtr) -> Option<PmPtr> {
-    let mut img = read_inner(&mut *heap, node);
-    let leaf_count = heap.read_u64(leaf.addr() + 8);
+    let mut children = read_inner(&mut *heap, node);
     if shift == BITS {
-        if img.children.len() == B {
+        if children.len() == B {
             return None;
         }
-        // Regularity: appending after a partial sibling, or appending a
-        // partial leaf that later gains a sibling, needs size tables.
-        let last_full = {
-            let last = *img.children.last().unwrap();
-            subtree_count(heap, last, 0) == B as u64
-        };
-        if img.sizes.is_none() && !last_full {
-            img.sizes = Some(implied_sizes(heap, &img, shift));
-        }
-        if let Some(sizes) = &mut img.sizes {
-            let total = *sizes.last().unwrap();
-            sizes.push(total + leaf_count);
-        }
-        img.children.push(leaf);
-        return Some(store_inner(heap, &img));
+        children.push(leaf);
+        return Some(store_inner(heap, &children));
     }
-    let last_idx = img.children.len() - 1;
-    let last = img.children[last_idx];
-    if let Some(new_last) = push_leaf_rec(heap, last, shift - BITS, leaf) {
-        img.children[last_idx] = new_last;
-        if let Some(sizes) = &mut img.sizes {
-            sizes[last_idx] += leaf_count;
-        }
-        let fresh = store_inner(heap, &img);
+    let last_idx = children.len() - 1;
+    if let Some(new_last) = push_leaf_rec(heap, children[last_idx], shift - BITS, leaf) {
+        children[last_idx] = new_last;
+        let fresh = store_inner(heap, &children);
         drop_temp(heap, new_last);
         return Some(fresh);
     }
-    if img.children.len() == B {
+    if children.len() == B {
         return None;
     }
-    // The rightmost edge of `last` is full; start a new spine. If `last`
-    // is not a completely full subtree (relaxed history), sizes are
-    // needed for correct radix math on the new sibling.
-    if img.sizes.is_none() {
-        let last_total = subtree_count(heap, last, shift - BITS);
-        if last_total != 1 << shift {
-            img.sizes = Some(implied_sizes(heap, &img, shift));
-        }
-    }
+    // The rightmost child is full; start a new spine beside it.
     let spine = make_spine(heap, shift - BITS, leaf);
-    if let Some(sizes) = &mut img.sizes {
-        let total = *sizes.last().unwrap();
-        sizes.push(total + leaf_count);
-    }
-    img.children.push(spine);
-    let fresh = store_inner(heap, &img);
+    children.push(spine);
+    let fresh = store_inner(heap, &children);
     drop_temp(heap, spine);
     Some(fresh)
 }
 
-/// Pushes a (possibly partial) leaf into the tree, growing the root if
-/// needed. Returns a temp-owned new root and the new shift.
+/// Pushes the full `leaf` into the tree, growing the root if needed.
+/// Returns a temp-owned new root and the new shift.
 fn push_tail(heap: &mut NvHeap, root: PmPtr, shift: u64, leaf: PmPtr) -> (PmPtr, u64) {
     if root.is_null() {
         heap.rc_inc(leaf);
         return (leaf, 0);
     }
-    if shift == 0 {
-        // Root is a single leaf; grow to one inner level.
-        let root_count = heap.read_u64(root.addr() + 8);
-        let sizes = (root_count != B as u64).then(|| {
-            let leaf_count = heap.read_u64(leaf.addr() + 8);
-            vec![root_count, root_count + leaf_count]
-        });
-        let fresh = store_inner(
-            heap,
-            &InnerImg {
-                children: vec![root, leaf],
-                sizes,
-            },
-        );
-        return (fresh, BITS);
+    if shift > 0 {
+        if let Some(fresh) = push_leaf_rec(heap, root, shift, leaf) {
+            return (fresh, shift);
+        }
     }
-    if let Some(fresh) = push_leaf_rec(heap, root, shift, leaf) {
-        return (fresh, shift);
-    }
-    // Root full along its right edge: grow a level.
-    let root_total = subtree_count(heap, root, shift);
-    let leaf_count = heap.read_u64(leaf.addr() + 8);
-    let sizes =
-        (root_total != 1 << (shift + BITS)).then(|| vec![root_total, root_total + leaf_count]);
+    // The root (or the lone root leaf) is full: grow a level.
     let spine = make_spine(heap, shift, leaf);
-    let fresh = store_inner(
-        heap,
-        &InnerImg {
-            children: vec![root, spine],
-            sizes,
-        },
-    );
+    let fresh = store_inner(heap, &[root, spine]);
     drop_temp(heap, spine);
     (fresh, shift + BITS)
 }
 
-/// Removes the rightmost leaf. Returns `(new_node_or_none, leaf)` with the
-/// extracted leaf temp-owned by the caller.
+/// Removes the rightmost leaf of the subtree at `node`. Returns
+/// `(new_node_or_none, leaf)` with the extracted leaf temp-owned by the
+/// caller; `None` when the subtree held only that leaf.
 fn pop_leaf_rec(heap: &mut NvHeap, node: PmPtr, shift: u64) -> (Option<PmPtr>, PmPtr) {
-    let mut img = read_inner(&mut *heap, node);
-    let last_idx = img.children.len() - 1;
-    let last = img.children[last_idx];
-    if shift == BITS {
-        heap.rc_inc(last); // caller's temp ownership of the leaf
-        if last_idx == 0 {
-            return (None, last);
-        }
-        img.children.pop();
-        if let Some(s) = &mut img.sizes {
-            s.pop();
-        }
-        return (Some(store_inner(heap, &img)), last);
+    if shift == 0 {
+        heap.rc_inc(node); // caller's temp ownership of the leaf
+        return (None, node);
     }
+    let mut children = read_inner(&mut *heap, node);
+    let last = children.pop().expect("a stored inner node has a child");
     let (new_last, leaf) = pop_leaf_rec(heap, last, shift - BITS);
-    let leaf_count = heap.read_u64(leaf.addr() + 8);
-    match new_last {
-        None => {
-            if last_idx == 0 {
-                (None, leaf)
-            } else {
-                img.children.pop();
-                if let Some(s) = &mut img.sizes {
-                    s.pop();
-                }
-                (Some(store_inner(heap, &img)), leaf)
-            }
-        }
-        Some(nl) => {
-            img.children[last_idx] = nl;
-            if let Some(s) = &mut img.sizes {
-                s[last_idx] -= leaf_count;
-            }
-            let fresh = store_inner(heap, &img);
-            drop_temp(heap, nl);
-            (Some(fresh), leaf)
-        }
+    children.extend(new_last);
+    let fresh = (!children.is_empty()).then(|| store_inner(heap, &children));
+    if let Some(nl) = new_last {
+        drop_temp(heap, nl);
     }
+    (fresh, leaf)
 }
 
 /// Collapses single-child root chains. Takes and returns temp ownership.
 fn shrink_root(heap: &mut NvHeap, mut node: PmPtr, mut shift: u64) -> (PmPtr, u64) {
     while shift > 0 {
-        let img = read_inner(&mut *heap, node);
-        if img.children.len() != 1 {
+        let children = read_inner(&mut *heap, node);
+        if children.len() != 1 {
             break;
         }
-        let child = img.children[0];
+        let child = children[0];
         heap.rc_inc(child);
         release_vec_node(heap, node, shift); // drops our temp ownership
         node = child;
@@ -328,9 +223,9 @@ fn release_vec_node(heap: &mut NvHeap, node: PmPtr, shift: u64) {
         heap.free(node);
         return;
     }
-    let img = read_inner(&mut *heap, node);
+    let children = read_inner(&mut *heap, node);
     heap.free(node);
-    for c in img.children {
+    for c in children {
         release_vec_node(heap, c, shift - BITS);
     }
 }
@@ -342,8 +237,7 @@ fn mark_vec_node(heap: &mut NvHeap, node: PmPtr, shift: u64) {
     if shift == 0 {
         return;
     }
-    let img = read_inner(&mut *heap, node);
-    for c in img.children {
+    for c in read_inner(&mut *heap, node) {
         mark_vec_node(heap, c, shift - BITS);
     }
 }
@@ -395,13 +289,7 @@ impl PmVector {
             level = level
                 .chunks(B)
                 .map(|group| {
-                    let fresh = store_inner(
-                        heap,
-                        &InnerImg {
-                            children: group.to_vec(),
-                            sizes: None,
-                        },
-                    );
+                    let fresh = store_inner(heap, group);
                     for &c in group {
                         drop_temp(heap, c);
                     }
@@ -495,27 +383,11 @@ impl PmVector {
         }
         let mut node = img.root;
         let mut shift = img.shift;
-        let mut i = index;
         while shift > 0 {
-            let inner = read_inner(&mut heap, node);
-            let j = match &inner.sizes {
-                Some(sizes) => {
-                    let j = sizes.partition_point(|&s| s <= i);
-                    if j > 0 {
-                        i -= sizes[j - 1];
-                    }
-                    j
-                }
-                None => {
-                    let j = ((i >> shift) & (B as u64 - 1)) as usize;
-                    i -= (j as u64) << shift;
-                    j
-                }
-            };
-            node = inner.children[j];
+            node = read_inner(&mut heap, node)[radix(index, shift)];
             shift -= BITS;
         }
-        heap.u64(node.addr() + 16 + 8 * i)
+        heap.u64(node.addr() + 16 + 8 * radix(index, 0) as u64)
     }
 
     // ------------------------------------------------------------------
@@ -637,12 +509,7 @@ impl PmVector {
             return Some((Self::empty(heap), last));
         }
         // Tail exhausted: pull the rightmost tree leaf out as the new tail.
-        let (new_root_opt, leaf) = if img.shift == 0 {
-            heap.rc_inc(img.root);
-            (None, img.root)
-        } else {
-            pop_leaf_rec(heap, img.root, img.shift)
-        };
+        let (new_root_opt, leaf) = pop_leaf_rec(heap, img.root, img.shift);
         let leaf_count = heap.read_u64(leaf.addr() + 8);
         let (root, shift) = match new_root_opt {
             None => (PmPtr::NULL, 0),
@@ -663,54 +530,6 @@ impl PmVector {
         }
         drop_temp(heap, leaf);
         Some((v, last))
-    }
-
-    /// Pure concatenation: `self ++ other` as a new version, in
-    /// O(log n) by joining the two trees under a relaxed root.
-    pub fn concat(&self, heap: &mut NvHeap, other: &PmVector) -> PmVector {
-        let a = self.read_root_obj(&mut *heap);
-        let b = other.read_root_obj(&mut *heap);
-        if a.len == 0 {
-            return Self::store_root_obj(heap, &b);
-        }
-        if b.len == 0 {
-            return Self::store_root_obj(heap, &a);
-        }
-        // Flush a's tail into a's tree so concatenation is tree ++ tree.
-        let (ra, sa) = push_tail(heap, a.root, a.shift, a.tail);
-        let (root, shift) = if b.root.is_null() {
-            (ra, sa)
-        } else {
-            // Equalize heights, then join under a relaxed 2-ary root.
-            let hi = sa.max(b.shift);
-            let wa = wrap_to(heap, ra, sa, hi); // consumes temp ra
-            heap.rc_inc(b.root);
-            let wb = wrap_to(heap, b.root, b.shift, hi);
-            let ca = subtree_count(heap, wa, hi);
-            let cb = subtree_count(heap, wb, hi);
-            let joined = store_inner(
-                heap,
-                &InnerImg {
-                    children: vec![wa, wb],
-                    sizes: Some(vec![ca, ca + cb]),
-                },
-            );
-            drop_temp(heap, wa);
-            drop_temp(heap, wb);
-            (joined, hi + BITS)
-        };
-        let v = Self::store_root_obj(
-            heap,
-            &RootImg {
-                len: a.len + b.len,
-                shift,
-                root,
-                tail: b.tail,
-                tail_len: b.tail_len,
-            },
-        );
-        drop_temp(heap, root);
-        v
     }
 
     /// Collects all elements in order (tests and small vectors).
@@ -767,46 +586,16 @@ impl PmVector {
 fn update_rec(heap: &mut NvHeap, node: PmPtr, shift: u64, index: u64, elem: u64) -> PmPtr {
     if shift == 0 {
         let mut leaf = read_leaf(&mut *heap, node);
-        leaf.elems[index as usize] = elem;
+        leaf.elems[radix(index, 0)] = elem;
         return store_leaf(heap, &leaf);
     }
-    let mut img = read_inner(&mut *heap, node);
-    let (j, sub_index) = match &img.sizes {
-        Some(sizes) => {
-            let j = sizes.partition_point(|&s| s <= index);
-            let prefix = if j > 0 { sizes[j - 1] } else { 0 };
-            (j, index - prefix)
-        }
-        None => {
-            let j = ((index >> shift) & (B as u64 - 1)) as usize;
-            (j, index - ((j as u64) << shift))
-        }
-    };
-    let new_child = update_rec(heap, img.children[j], shift - BITS, sub_index, elem);
-    img.children[j] = new_child;
-    let fresh = store_inner(heap, &img);
+    let mut children = read_inner(&mut *heap, node);
+    let j = radix(index, shift);
+    let new_child = update_rec(heap, children[j], shift - BITS, index, elem);
+    children[j] = new_child;
+    let fresh = store_inner(heap, &children);
     drop_temp(heap, new_child);
     fresh
-}
-
-/// Wraps `node` (temp-owned, at `from` shift) in single-child spines up to
-/// `to` shift. Returns temp ownership of the result.
-fn wrap_to(heap: &mut NvHeap, node: PmPtr, from: u64, to: u64) -> PmPtr {
-    let mut cur = node;
-    let mut s = from;
-    while s < to {
-        let fresh = store_inner(
-            heap,
-            &InnerImg {
-                children: vec![cur],
-                sizes: None,
-            },
-        );
-        drop_temp(heap, cur);
-        cur = fresh;
-        s += BITS;
-    }
-    cur
 }
 
 fn collect_rec(heap: &mut HeapRead<'_>, node: PmPtr, shift: u64, out: &mut Vec<u64>) {
@@ -815,8 +604,7 @@ fn collect_rec(heap: &mut HeapRead<'_>, node: PmPtr, shift: u64, out: &mut Vec<u
         out.extend(leaf.elems);
         return;
     }
-    let img = read_inner(&mut *heap, node);
-    for c in img.children {
+    for c in read_inner(&mut *heap, node) {
         collect_rec(heap, c, shift - BITS, out);
     }
 }
@@ -931,57 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_small_and_large() {
-        let mut h = heap();
-        let a: Vec<u64> = (0..100).collect();
-        let b: Vec<u64> = (1000..1077).collect();
-        let va = PmVector::from_slice(&mut h, &a);
-        let vb = PmVector::from_slice(&mut h, &b);
-        let vc = va.concat(&mut h, &vb);
-        let mut want = a.clone();
-        want.extend(&b);
-        assert_eq!(vc.to_vec(&mut h), want);
-        assert_eq!(vc.len(&mut h), 177);
-        // Indexing through the relaxed root.
-        assert_eq!(vc.get(&mut h, 99), 99);
-        assert_eq!(vc.get(&mut h, 100), 1000);
-        assert_eq!(vc.get(&mut h, 176), 1076);
-        // Originals untouched.
-        assert_eq!(va.to_vec(&mut h), a);
-        assert_eq!(vb.to_vec(&mut h), b);
-    }
-
-    #[test]
-    fn concat_then_push_and_update() {
-        let mut h = heap();
-        let va = PmVector::from_slice(&mut h, &(0..40).collect::<Vec<_>>());
-        let vb = PmVector::from_slice(&mut h, &(100..140).collect::<Vec<_>>());
-        let mut vc = va.concat(&mut h, &vb);
-        for i in 0..80u64 {
-            vc = step_push(&mut h, vc, 5000 + i);
-        }
-        assert_eq!(vc.len(&mut h), 160);
-        assert_eq!(vc.get(&mut h, 39), 39);
-        assert_eq!(vc.get(&mut h, 40), 100);
-        assert_eq!(vc.get(&mut h, 80), 5000);
-        assert_eq!(vc.get(&mut h, 159), 5079);
-        let vd = vc.update(&mut h, 40, 7);
-        assert_eq!(vd.get(&mut h, 40), 7);
-        assert_eq!(vc.get(&mut h, 40), 100);
-    }
-
-    #[test]
-    fn concat_with_empty() {
-        let mut h = heap();
-        let ve = PmVector::empty(&mut h);
-        let va = PmVector::from_slice(&mut h, &[1, 2, 3]);
-        let r1 = ve.concat(&mut h, &va);
-        let r2 = va.concat(&mut h, &ve);
-        assert_eq!(r1.to_vec(&mut h), vec![1, 2, 3]);
-        assert_eq!(r2.to_vec(&mut h), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn no_leaks_through_mixed_ops() {
         let mut h = heap();
         let mut v = PmVector::empty(&mut h);
@@ -1040,22 +777,139 @@ mod tests {
     }
 
     #[test]
-    fn get_update_through_deep_relaxed_tree() {
-        // Repeated concat creates nested relaxed nodes.
+    fn get_update_through_deep_regular_tree() {
+        // 40 000 elements: a shift-15 root over four levels of nodes,
+        // its last subtree partly filled by pushes.
         let mut h = heap();
-        let mut acc = PmVector::from_slice(&mut h, &(0..50).collect::<Vec<_>>());
-        let mut want: Vec<u64> = (0..50).collect();
-        for round in 0..6 {
-            let chunk: Vec<u64> = (0..37).map(|i| 1000 * (round + 1) + i).collect();
-            let vb = PmVector::from_slice(&mut h, &chunk);
-            acc = acc.concat(&mut h, &vb);
-            want.extend(&chunk);
+        let mut want: Vec<u64> = (0..33_000).map(|i| i * 3).collect();
+        let mut acc = PmVector::from_slice(&mut h, &want);
+        for i in 0..7_000u64 {
+            acc = step_push(&mut h, acc, 1_000_000 + i);
+            want.push(1_000_000 + i);
         }
+        assert_eq!(acc.read_root_obj(&h).shift, 3 * BITS);
         assert_eq!(acc.to_vec(&mut h), want);
-        for idx in [0usize, 49, 50, 87, 123, 200, want.len() - 1] {
+        let last = want.len() - 1;
+        for idx in [0usize, 31, 32, 1023, 1024, 32_767, 32_768, 32_800, last] {
             assert_eq!(acc.get(&mut h, idx as u64), want[idx], "index {idx}");
         }
-        let upd = acc.update(&mut h, 123, 42);
-        assert_eq!(upd.get(&mut h, 123), 42);
+        let upd = acc.update(&mut h, 32_768, 42);
+        assert_eq!(upd.get(&mut h, 32_768), 42);
+        assert_eq!(upd.get(&mut h, 32_767), want[32_767]);
+        assert_eq!(acc.get(&mut h, 32_768), want[32_768]);
+    }
+
+    /// Walks `v`'s tree on the peek path and asserts the radix-balanced
+    /// shape: every inner count word is at most 32 with a zero high
+    /// half, every in-tree leaf holds exactly 32 elements, an inner root
+    /// has at least two children, and tree plus tail hold `len`.
+    fn assert_regular(h: &NvHeap, v: PmVector) {
+        fn walk(h: &NvHeap, node: PmPtr, shift: u64) -> u64 {
+            let mut r = HeapRead::from(h);
+            let count = r.u64(node.addr() + 8);
+            if shift == 0 {
+                assert_eq!(r.u64(node.addr()), KIND_LEAF, "leaf {node}");
+                assert_eq!(count, B as u64, "in-tree leaf {node} is not full");
+                return count;
+            }
+            assert_eq!(r.u64(node.addr()), KIND_INNER, "inner {node}");
+            assert_eq!(count >> 32, 0, "inner {node}: count word {count:#x}");
+            assert!((1..=B as u64).contains(&count), "inner {node}: {count}");
+            (0..count)
+                .map(|k| PmPtr::from_addr(r.u64(node.addr() + 16 + 8 * k)))
+                .map(|c| walk(h, c, shift - BITS))
+                .sum()
+        }
+        let img = v.read_root_obj(h);
+        let tree = if img.root.is_null() {
+            0
+        } else {
+            walk(h, img.root, img.shift)
+        };
+        if img.shift > 0 {
+            assert!(read_inner(h, img.root).len() >= 2, "unshrunk root");
+        }
+        assert_eq!(tree + img.tail_len, img.len);
+        assert!(img.len == 0 || (1..=B as u64).contains(&img.tail_len));
+    }
+
+    #[test]
+    fn every_op_stream_keeps_the_tree_regular() {
+        // Each stream starts up to 40 below a boundary where the root
+        // changes height (33: first tail migration; 1 057: shift 5 → 10;
+        // 32 801: shift 10 → 15) or below B + B² + B³, climbs 40 past
+        // it, falls back to its start and climbs again, with point
+        // updates mixed in. The shape is checked after every step.
+        for (seed, boundary) in [(1u64, 32u64), (2, 1056), (3, 32_800), (4, 33_824)] {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut h = heap();
+            let start = boundary.saturating_sub(40);
+            let mut model: Vec<u64> = (0..start).collect();
+            let mut v = PmVector::from_slice(&mut h, &model);
+            assert_regular(&h, v);
+            let (mut crossed_up, mut crossed_down) = (0, 0);
+            while crossed_up < 2 {
+                let len = model.len() as u64;
+                let climbing = crossed_up == crossed_down;
+                let nv = if next() % 4 == 0 && len > 0 {
+                    let (i, e) = (next() % len, next());
+                    model[i as usize] = e;
+                    v.update(&mut h, i, e)
+                } else if climbing {
+                    let e = next();
+                    model.push(e);
+                    v.push_back(&mut h, e)
+                } else {
+                    let (nv, e) = v.pop_back(&mut h).unwrap();
+                    assert_eq!(Some(e), model.pop());
+                    nv
+                };
+                v.release(&mut h);
+                v = nv;
+                assert_regular(&h, v);
+                let len = model.len() as u64;
+                if climbing && len >= boundary + 40 {
+                    crossed_up += 1;
+                } else if !climbing && len <= start {
+                    crossed_down += 1;
+                }
+            }
+            assert_eq!(v.to_vec(&mut h), model, "boundary {boundary}");
+            v.release(&mut h);
+            assert_eq!(h.stats().live_blocks, 0, "boundary {boundary}");
+        }
+    }
+
+    /// The formatted message of the panic `run` raises.
+    fn panic_message(run: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+        *err.downcast::<String>().unwrap()
+    }
+
+    #[test]
+    fn flagged_count_word_panics_naming_the_node() {
+        // An inner root whose count word gets a high half by hand, fenced.
+        let mut h = heap();
+        let v = PmVector::from_slice(&mut h, &(0..100).collect::<Vec<_>>());
+        let root = v.read_root_obj(&h).root;
+        let count = h.read_u64(root.addr() + 8);
+        h.write_u64(root.addr() + 8, count | 1 << 32);
+        h.flush_range(root.addr() + 8, 8);
+        h.sfence();
+        let msg = panic_message(|| {
+            v.get(&mut h, 5);
+        });
+        assert!(msg.contains(&format!("inner node at {root}")), "{msg}");
+
+        let img = h.pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced);
+        let mut h2 = NvHeap::open(img);
+        let msg = panic_message(|| v.mark(&mut h2));
+        assert!(msg.contains(&format!("inner node at {root}")), "{msg}");
     }
 }

@@ -166,33 +166,6 @@ fn rrb_matches_vec() {
 }
 
 #[test]
-fn rrb_concat_matches_vec_concat() {
-    for case in 0..16u64 {
-        let mut rng = WorkloadRng::new(0xC0CA + case);
-        let a: Vec<u64> = (0..rng.below(120)).map(|_| rng.next_u64()).collect();
-        let b: Vec<u64> = (0..rng.below(120)).map(|_| rng.next_u64()).collect();
-        let mut h = heap();
-        let va = PmVector::from_slice(&mut h, &a);
-        let vb = PmVector::from_slice(&mut h, &b);
-        let vc = va.concat(&mut h, &vb);
-        let mut want = a.clone();
-        want.extend(&b);
-        assert_eq!(vc.to_vec(&mut h), want, "case {case}");
-        // Indexed access through any relaxed nodes, on both read paths.
-        for idx in (0..want.len()).step_by(17) {
-            let what = format!("case {case} index {idx}");
-            assert_eq!(
-                read_both(&mut h, &what, |r| vc.get(r, idx as u64)),
-                want[idx]
-            );
-        }
-        // Originals untouched.
-        assert_eq!(va.to_vec(&mut h), a, "case {case}");
-        assert_eq!(vb.to_vec(&mut h), b, "case {case}");
-    }
-}
-
-#[test]
 fn old_versions_are_immutable() {
     for case in 0..12u64 {
         let mut rng = WorkloadRng::new(0x01D + case);
