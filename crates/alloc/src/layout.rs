@@ -11,6 +11,8 @@
 //! Size classes mirror nvm_malloc's segregated bins: small classes grow
 //! roughly geometrically, large requests round up to 4 KiB multiples.
 
+use mod_pmem::PmPtr;
+
 /// Pool magic number ("MODPOOL1").
 pub const POOL_MAGIC: u64 = 0x4D4F_4450_4F4F_4C31;
 
@@ -32,9 +34,56 @@ pub const HEADER_BYTES: u64 = 16;
 
 /// Largest pool [`crate::NvHeap::format`] accepts: 64 GiB (2^36 bytes).
 /// Every block payload is 16-byte aligned, so a node can name any block
-/// of such a pool with a 32-bit index (`addr / 16`) instead of an 8-byte
-/// address — the stored form of CHAMP child and value pointers.
+/// of such a pool with a 32-bit index (`addr / 16`, see [`pack_ptr`])
+/// instead of an 8-byte address.
 pub const MAX_POOL_BYTES: u64 = 1 << 36;
+
+/// Alignment of every block payload, and so the unit of a stored index.
+const INDEX_GRAIN: u64 = 16;
+
+/// Encodes a block pointer as a stored 32-bit index: `addr / 16`, with
+/// null as 0 (no block sits at address 0 — the heap starts at
+/// [`HEAP_BASE`]). This and [`unpack_ptr`] are the one place the
+/// encoding lives: every block pointer stored as an index (CHAMP nodes,
+/// cons cells, the vector and queue root objects) goes through them.
+///
+/// # Panics
+///
+/// Panics if the address is not 16-byte aligned or not below 2^36 (the
+/// 64 GiB [`MAX_POOL_BYTES`] limit) — neither can be a block payload.
+pub fn pack_ptr(p: PmPtr) -> u32 {
+    let a = p.addr();
+    assert!(
+        a % INDEX_GRAIN == 0 && a < MAX_POOL_BYTES,
+        "{p} is not a 16-byte aligned address below 64 GiB — no 32-bit block index names it"
+    );
+    (a / INDEX_GRAIN) as u32
+}
+
+/// Decodes a stored 32-bit index (see [`pack_ptr`]); 0 is null.
+pub fn unpack_ptr(index: u32) -> PmPtr {
+    PmPtr::from_addr(index as u64 * INDEX_GRAIN)
+}
+
+/// Packs `ptrs` as stored indices, two to a word with the first in the
+/// low half — in the little-endian image, a plain `u32` array. An odd
+/// count pads the last word's high half with null.
+pub fn pack_ptrs(ptrs: impl IntoIterator<Item = PmPtr>) -> impl Iterator<Item = u64> {
+    let mut ptrs = ptrs.into_iter();
+    std::iter::from_fn(move || {
+        let lo = pack_ptr(ptrs.next()?) as u64;
+        let hi = pack_ptr(ptrs.next().unwrap_or(PmPtr::NULL)) as u64;
+        Some(lo | hi << 32)
+    })
+}
+
+/// Unpacks words written by [`pack_ptrs`], two pointers per word
+/// (including a trailing pad, which the caller's count leaves out).
+pub fn unpack_ptrs(words: &[u64]) -> impl Iterator<Item = PmPtr> + '_ {
+    words
+        .iter()
+        .flat_map(|&w| [unpack_ptr(w as u32), unpack_ptr((w >> 32) as u32)])
+}
 
 /// Magic mixed into block headers for integrity checking.
 pub const BLOCK_MAGIC: u64 = 0x4D4F_445F_424C_4B00;
@@ -151,6 +200,41 @@ mod tests {
         assert_eq!(volatile_class_size(1), 48);
         assert_eq!(volatile_class_size(48), 48);
         assert_eq!(volatile_class_size(49), 112);
+    }
+
+    #[test]
+    fn pointer_indices_roundtrip_across_the_whole_64_gib_span() {
+        // Synthetic addresses: null, the lowest heap block's payload and
+        // the highest 16-aligned address below 2^36. No pool is built.
+        let lowest = HEAP_BASE + HEADER_BYTES;
+        let highest = MAX_POOL_BYTES - INDEX_GRAIN;
+        assert_eq!(pack_ptr(PmPtr::NULL), 0);
+        assert_eq!(pack_ptr(PmPtr::from_addr(lowest)), 65);
+        assert_eq!(pack_ptr(PmPtr::from_addr(highest)), u32::MAX);
+        for a in [0, lowest, highest] {
+            let p = PmPtr::from_addr(a);
+            assert_eq!(unpack_ptr(pack_ptr(p)), p);
+        }
+        // Packed two to a word, first in the low half; an odd count pads
+        // with null.
+        let ptrs = [lowest, highest, 4096].map(PmPtr::from_addr);
+        let words: Vec<u64> = pack_ptrs(ptrs).collect();
+        assert_eq!(words, [65 | (u32::MAX as u64) << 32, 256]);
+        let back: Vec<PmPtr> = unpack_ptrs(&words).collect();
+        assert_eq!(back, [ptrs[0], ptrs[1], ptrs[2], PmPtr::NULL]);
+        assert_eq!(pack_ptrs([]).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no 32-bit block index names it")]
+    fn misaligned_pointer_has_no_index() {
+        pack_ptr(PmPtr::from_addr(HEAP_BASE + 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "no 32-bit block index names it")]
+    fn pointer_past_64_gib_has_no_index() {
+        pack_ptr(PmPtr::from_addr(MAX_POOL_BYTES));
     }
 
     #[test]

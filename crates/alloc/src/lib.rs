@@ -40,7 +40,8 @@ pub mod worker;
 pub use annex::RootAnnex;
 pub use heap::{AllocStats, NvHeap};
 pub use layout::{
-    class_size, volatile_class_size, HEADER_BYTES, HEAP_BASE, MAX_POOL_BYTES, N_ROOTS, POOL_MAGIC,
+    class_size, pack_ptr, pack_ptrs, unpack_ptr, unpack_ptrs, volatile_class_size, HEADER_BYTES,
+    HEAP_BASE, MAX_POOL_BYTES, N_ROOTS, POOL_MAGIC,
 };
 pub use read::HeapRead;
 pub use recovery::RecoveryReport;

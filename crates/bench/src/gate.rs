@@ -23,7 +23,8 @@ use std::fmt;
 pub type Metrics = BTreeMap<String, f64>;
 
 /// Runs the gated slice: the four applications/microbenchmarks the PR
-/// pipeline tracks (map, memcached, vacation, bfs on MOD), the 1- and
+/// pipeline tracks (map, memcached, vacation, bfs on MOD), the Fig 9
+/// queue and vector micros' flushes and stored bytes, the 1- and
 /// 8-thread turnstile `SharedModHeap` pipeline, the hybrid-policy and
 /// flush-coalescing ablations (in simulation and against a scratch pool
 /// file), the sync rounds of ticketed FASEs on a scratch fsync pool set,
@@ -62,6 +63,22 @@ pub fn collect() -> Metrics {
                 r.bytes_written as f64 / r.ops as f64,
             );
         }
+    }
+
+    // The Fig 9 queue and vector micros: what the cons-cell, queue-root,
+    // vector inner-node and vector-root layouts pay per op, line by line
+    // and byte by byte.
+    for w in [Workload::Queue, Workload::Vector] {
+        let r = run_workload(w, System::Mod, &scale);
+        let key = w.name();
+        m.insert(
+            format!("{key}.flushes_per_op"),
+            r.flushes as f64 / r.ops as f64,
+        );
+        m.insert(
+            format!("{key}.bytes_written_per_op"),
+            r.bytes_written as f64 / r.ops as f64,
+        );
     }
 
     let solo = run_pipelined(&ConcurrencyConfig::testing(1));

@@ -427,6 +427,40 @@ mod tests {
     }
 
     #[test]
+    fn fig8b_swing_stores_one_root_word_with_one_clwb() {
+        use crate::basic::{DurableMap, DurableQueue};
+        use mod_pmem::TraceEvent;
+        let mut h = ModHeap::create(Pmem::new(PmemConfig::testing()));
+        let map: DurableMap<u64, u64> = h.root(0).open_or_create().unwrap();
+        let _queue: DurableQueue<u64> = h.root(1).open_or_create().unwrap();
+        let dir = published(h.nv()).1;
+        let mark = h.nv().pm().trace().len();
+        map.insert(&mut h, &1, &2);
+        let events = &h.nv().pm().trace()[mark..];
+        let begin = events
+            .iter()
+            .position(|e| *e == TraceEvent::CommitBegin)
+            .unwrap();
+        let end = events
+            .iter()
+            .position(|e| *e == TraceEvent::CommitEnd)
+            .unwrap();
+        let addr = entry_addr(dir, 0) + 8;
+        assert_eq!(
+            events[begin + 1..end],
+            [
+                TraceEvent::Write { addr, len: 8 },
+                TraceEvent::Clwb { line: addr & !63 }
+            ]
+        );
+        assert_eq!(published(h.nv()).1, dir, "no fresh directory");
+        let e = entry(h.nv(), 0).unwrap();
+        assert_eq!(e.kind, RootKind::Map);
+        assert_eq!(e.root, h.current(map.root()).root());
+        assert_eq!(h.nv().peek_u64(addr), e.root.addr());
+    }
+
+    #[test]
     fn annex_heads_roundtrip() {
         let nv = heap();
         let head = ErasedDs {

@@ -357,7 +357,9 @@ pub(crate) fn live_len(nv: &NvHeap, kind: RootKind, v: u64) -> u64 {
 // ---------------------------------------------------------------------
 //
 // Layout (payload words):
-//   [0] prev record pointer (0 terminates the chain)
+//   [0] prev record pointer (0 terminates the chain), left a full
+//       8-byte address where nodes store a 32-bit block index
+//       (`mod_alloc::pack_ptr`)
 //   [1] meta: logical RootKind in bits 56..64, ops-since-snapshot count
 //       in bits 0..56 (snapshot records reset it to 0)
 //   [2] op byte length

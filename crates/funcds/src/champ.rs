@@ -15,7 +15,7 @@
 //!
 //! Nodes are *half-width* in PM: keys stay 8-byte words, but value-blob
 //! and child pointers are stored as 32-bit block indices (`addr / 16`,
-//! see [`crate::node`]). A bitmap node is stored as
+//! see [`mod_alloc::pack_ptr`]). A bitmap node is stored as
 //!
 //! ```text
 //! [kind][datamap | nodemap << 32][key × d][u32 × (d + n), padded to a word]
@@ -31,10 +31,8 @@
 //! stored form.
 
 use crate::blob::{blob_create, blob_mark, blob_read, blob_release};
-use crate::node::{
-    pack_ptrs, store_words, unpack_ptrs, NodeBuf, KIND_BITMAP, KIND_COLLISION, NODE_WORDS,
-};
-use mod_alloc::{HeapRead, NvHeap};
+use crate::node::{store_words, NodeBuf, KIND_BITMAP, KIND_COLLISION, NODE_WORDS};
+use mod_alloc::{pack_ptrs, unpack_ptrs, HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
 /// Hash chunking: 5 bits per level.

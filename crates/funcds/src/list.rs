@@ -2,12 +2,22 @@
 //! paper generalized), and the building block of the two-list queue.
 //!
 //! A stack is a root object `[len][head]` pointing at an immutable chain
-//! of cons cells `[kind][elem][next]`. `push`/`pop` are pure: they return
-//! a new root object; cells are shared between versions and reference
-//! counted (volatile counts, §5.3).
+//! of cons cells. `push`/`pop` are pure: they return a new root object;
+//! cells are shared between versions and reference counted (volatile
+//! counts, §5.3).
+//!
+//! A cell is 16 bytes, the smallest size class:
+//!
+//! ```text
+//! [KIND_CONS | next << 32][elem]
+//! ```
+//!
+//! `next` is a 32-bit block index ([`mod_alloc::pack_ptr`]), so the kind
+//! check compares the first word's low half. The stack root keeps its
+//! 8-byte `head`: `[len][head]` is already 16 bytes.
 
 use crate::node::{check_kind, store_words, KIND_CONS};
-use mod_alloc::{HeapRead, NvHeap};
+use mod_alloc::{pack_ptr, unpack_ptr, HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
 /// Handle to one immutable version of a persistent stack.
@@ -24,17 +34,27 @@ pub struct PmStack {
 pub(crate) fn cons(heap: &mut NvHeap, elem: u64, next: PmPtr) -> PmPtr {
     // Ownership: `next`'s refcount must already account for this new
     // reference (callers retain before consing).
-    store_words(heap, &[KIND_CONS, elem, next.addr()])
+    store_words(heap, &[KIND_CONS | (pack_ptr(next) as u64) << 32, elem])
 }
 
+/// A cell's element.
+///
+/// # Panics
+///
+/// Panics "corrupt traversal" unless `cell` is a cons cell.
 pub(crate) fn cell_elem<'a>(heap: impl Into<HeapRead<'a>>, cell: PmPtr) -> u64 {
     let mut heap = heap.into();
     check_kind(&mut heap, cell, KIND_CONS);
     heap.u64(cell.addr() + 8)
 }
 
+/// A cell's next pointer (null at the end of the chain).
+///
+/// # Panics
+///
+/// Panics "corrupt traversal" unless `cell` is a cons cell.
 pub(crate) fn cell_next<'a>(heap: impl Into<HeapRead<'a>>, cell: PmPtr) -> PmPtr {
-    PmPtr::from_addr(heap.into().u64(cell.addr() + 16))
+    unpack_ptr((check_kind(heap, cell, KIND_CONS) >> 32) as u32)
 }
 
 /// Releases one reference to a chain starting at `head`, freeing cells
@@ -58,7 +78,7 @@ pub(crate) fn mark_chain(heap: &mut NvHeap, head: PmPtr) {
         if !heap.mark_block(cur) {
             break; // shared suffix already walked
         }
-        cur = PmPtr::from_addr(heap.pm_mut().read_u64(cur.addr() + 16));
+        cur = cell_next(&mut *heap, cur);
     }
 }
 
@@ -279,6 +299,45 @@ mod tests {
         }
         s.release(&mut h);
         assert_eq!(h.stats().live_blocks, 0);
+    }
+
+    #[test]
+    fn cons_cell_is_16_bytes_with_next_in_the_kind_words_high_half() {
+        let mut h = heap();
+        let s1 = PmStack::empty(&mut h).push(&mut h, 7);
+        let before = h.pm().stats().bytes_written;
+        let s2 = s1.push(&mut h, 8);
+        let (first, second) = (s1.head(&h), s2.head(&h));
+        // The fresh cell (header + 16) and the stack root (header + 16).
+        assert_eq!(
+            h.pm().stats().bytes_written - before,
+            2 * (mod_alloc::HEADER_BYTES + 16)
+        );
+        assert_eq!(h.block_len(second), 16, "the 16-byte class");
+        assert_eq!(
+            h.read_u64(second.addr()),
+            KIND_CONS | (pack_ptr(first) as u64) << 32
+        );
+        assert_eq!(h.read_u64(second.addr() + 8), 8);
+        assert_eq!(h.read_u64(first.addr()), KIND_CONS, "null next");
+        assert_eq!(cell_next(&h, second), first);
+        assert_eq!(cell_next(&mut h, first), PmPtr::NULL);
+        assert_eq!(s2.to_vec(&mut h), s2.to_vec(&h));
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt traversal")]
+    fn cell_with_a_wrong_low_half_kind_panics() {
+        // Keep the next index in the high half, break only the kind.
+        let mut h = heap();
+        let s = PmStack::empty(&mut h).push(&mut h, 1).push(&mut h, 2);
+        let cell = s.head(&h);
+        let word = h.read_u64(cell.addr());
+        h.write_u64(
+            cell.addr(),
+            word & !(u32::MAX as u64) | crate::node::KIND_LEAF,
+        );
+        s.to_vec(&mut h);
     }
 
     #[test]

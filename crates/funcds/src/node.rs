@@ -6,15 +6,16 @@
 //! place), flushed with unordered `clwb`s, and never modified afterwards —
 //! the Functional Shadowing discipline of §4.1.
 //!
-//! A node may store its block pointers as 32-bit *indices* instead of
-//! 8-byte addresses: every block payload is 16-byte aligned and a pool is
-//! at most [`mod_alloc::MAX_POOL_BYTES`] (64 GiB), so `addr / 16` fits in
-//! 32 bits, with 0 standing for null (no block sits at address 0 — the
-//! heap starts at [`mod_alloc::HEAP_BASE`]). `pack_ptr` and `unpack_ptr`
-//! are the one place that encoding lives; CHAMP nodes use it for their
-//! value and child pointers.
+//! Most blocks store their pointers as 32-bit *indices*
+//! ([`mod_alloc::pack_ptr`]: `addr / 16`, 0 = null) rather than 8-byte
+//! addresses: CHAMP value and child pointers, cons-cell next pointers,
+//! and the vector and queue root objects. Left full width
+//! ([`NodeBuf::push_ptr`]): vector inner-node children (see `rrb`), the
+//! stack root `[len][head]` (16 bytes, already the smallest class), the
+//! `PmMap` root object `[count][root node][hash kind]`, and the hybrid
+//! spine record's `prev` link (`mod-core`).
 
-use mod_alloc::{HeapRead, NvHeap, MAX_POOL_BYTES};
+use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
 /// Kind tag: CHAMP bitmap node.
@@ -31,50 +32,6 @@ pub const KIND_CONS: u64 = 5;
 /// Words in the largest fixed-fanout node image: a CHAMP bitmap node
 /// full of entries (2 header words + 32 × `(key, value)`).
 pub const NODE_WORDS: usize = 66;
-
-/// Alignment of every block payload, and so the unit of a stored index.
-const INDEX_GRAIN: u64 = 16;
-
-/// Encodes a block pointer as a stored 32-bit index: `addr / 16`, with
-/// null as 0.
-///
-/// # Panics
-///
-/// Panics if the address is not 16-byte aligned or not below 2^36 (the
-/// 64 GiB [`MAX_POOL_BYTES`] limit) — neither can be a block payload.
-pub(crate) fn pack_ptr(p: PmPtr) -> u32 {
-    let a = p.addr();
-    assert!(
-        a % INDEX_GRAIN == 0 && a < MAX_POOL_BYTES,
-        "{p} is not a 16-byte aligned address below 64 GiB — no 32-bit block index names it"
-    );
-    (a / INDEX_GRAIN) as u32
-}
-
-/// Decodes a stored 32-bit index (see [`pack_ptr`]); 0 is null.
-pub(crate) fn unpack_ptr(index: u32) -> PmPtr {
-    PmPtr::from_addr(index as u64 * INDEX_GRAIN)
-}
-
-/// Packs `ptrs` as stored indices, two to a word with the first in the
-/// low half — in the little-endian image, a plain `u32` array. An odd
-/// count pads the last word's high half with null.
-pub(crate) fn pack_ptrs(ptrs: impl IntoIterator<Item = PmPtr>) -> impl Iterator<Item = u64> {
-    let mut ptrs = ptrs.into_iter();
-    std::iter::from_fn(move || {
-        let lo = pack_ptr(ptrs.next()?) as u64;
-        let hi = pack_ptr(ptrs.next().unwrap_or(PmPtr::NULL)) as u64;
-        Some(lo | hi << 32)
-    })
-}
-
-/// Unpacks words written by [`pack_ptrs`], two pointers per word
-/// (including a trailing pad, which the caller's count leaves out).
-pub(crate) fn unpack_ptrs(words: &[u64]) -> impl Iterator<Item = PmPtr> + '_ {
-    words
-        .iter()
-        .flat_map(|&w| [unpack_ptr(w as u32), unpack_ptr((w >> 32) as u32)])
-}
 
 /// A node image assembled word by word in a fixed stack buffer, then
 /// stored with a single charged write — building, editing and storing a
@@ -111,7 +68,7 @@ impl NodeBuf {
         self
     }
 
-    /// Appends a pointer.
+    /// Appends a pointer as an 8-byte address.
     pub fn push_ptr(&mut self, p: PmPtr) -> &mut Self {
         self.push_u64(p.addr())
     }
@@ -157,19 +114,22 @@ pub fn store_bytes(heap: &mut NvHeap, bytes: &[u8]) -> PmPtr {
     })
 }
 
-/// Reads the kind word of a node and asserts it matches `expect`.
+/// Reads the first word of a node, asserts that its low half is the
+/// kind `expect`, and returns the whole word (a cons cell keeps its next
+/// pointer in the high half).
 ///
 /// # Panics
 ///
 /// Panics on a kind mismatch — a traversal reached a block of the wrong
 /// type, which indicates a datastructure bug.
 pub fn check_kind<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr, expect: u64) -> u64 {
-    let k = heap.into().u64(node.addr());
+    let word = heap.into().u64(node.addr());
+    let k = word as u32 as u64;
     assert_eq!(
         k, expect,
         "node {node} has kind {k}, expected {expect} — corrupt traversal"
     );
-    k
+    word
 }
 
 #[cfg(test)]
@@ -185,12 +145,12 @@ mod tests {
     fn nodebuf_roundtrip() {
         let mut h = heap();
         let mut b = NodeBuf::new();
-        b.push_u64(KIND_CONS).push_u64(42).push_ptr(PmPtr::NULL);
+        b.push_u64(KIND_LEAF).push_u64(1).push_u64(42);
         assert_eq!(b.words().len(), 3);
         let p = b.store(&mut h);
-        assert_eq!(h.read_u64(p.addr()), KIND_CONS);
-        assert_eq!(h.read_u64(p.addr() + 8), 42);
-        assert_eq!(h.read_u64(p.addr() + 16), 0);
+        assert_eq!(h.read_u64(p.addr()), KIND_LEAF);
+        assert_eq!(h.read_u64(p.addr() + 8), 1);
+        assert_eq!(h.read_u64(p.addr() + 16), 42);
         assert_eq!(h.rc_get(p), 1);
     }
 
@@ -206,41 +166,6 @@ mod tests {
         assert_eq!(h.pm().dirty_lines(), 0);
         let img = h.pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced);
         assert_eq!(img.peek_u64(p.addr() + 39 * 8), 39);
-    }
-
-    #[test]
-    fn pointer_indices_roundtrip_across_the_whole_64_gib_span() {
-        // Synthetic addresses: null, the lowest heap block's payload and
-        // the highest 16-aligned address below 2^36. No pool is built.
-        let lowest = mod_alloc::HEAP_BASE + mod_alloc::HEADER_BYTES;
-        let highest = MAX_POOL_BYTES - INDEX_GRAIN;
-        assert_eq!(pack_ptr(PmPtr::NULL), 0);
-        assert_eq!(pack_ptr(PmPtr::from_addr(lowest)), 65);
-        assert_eq!(pack_ptr(PmPtr::from_addr(highest)), u32::MAX);
-        for a in [0, lowest, highest] {
-            let p = PmPtr::from_addr(a);
-            assert_eq!(unpack_ptr(pack_ptr(p)), p);
-        }
-        // Packed two to a word, first in the low half; an odd count pads
-        // with null.
-        let ptrs = [lowest, highest, 4096].map(PmPtr::from_addr);
-        let words: Vec<u64> = pack_ptrs(ptrs).collect();
-        assert_eq!(words, [65 | (u32::MAX as u64) << 32, 256]);
-        let back: Vec<PmPtr> = unpack_ptrs(&words).collect();
-        assert_eq!(back, [ptrs[0], ptrs[1], ptrs[2], PmPtr::NULL]);
-        assert_eq!(pack_ptrs([]).count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no 32-bit block index names it")]
-    fn misaligned_pointer_has_no_index() {
-        pack_ptr(PmPtr::from_addr(mod_alloc::HEAP_BASE + 8));
-    }
-
-    #[test]
-    #[should_panic(expected = "no 32-bit block index names it")]
-    fn pointer_past_64_gib_has_no_index() {
-        pack_ptr(PmPtr::from_addr(MAX_POOL_BYTES));
     }
 
     #[test]

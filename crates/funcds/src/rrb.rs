@@ -13,11 +13,17 @@
 //! five index bits per level — and no operation reads a child's element
 //! count.
 //!
-//! Stored nodes:
+//! Stored blocks:
 //! - leaf: `[KIND_LEAF][count][elem × count]`;
-//! - inner: `[KIND_INNER][count][child × count]`, with `count ≤ 32`. The
-//!   high half of the count word is zero; a node that sets it is not
-//!   this format, and reading it panics naming the node.
+//! - inner: `[KIND_INNER][count][child × count]`, with `count ≤ 32` and
+//!   each child an 8-byte address. The high half of the count word is
+//!   zero; a node that sets it is not this format, and reading it panics
+//!   naming the node. Children stay full width: with 32-bit indices the
+//!   uncoalesced vector micro undercuts PMDK at CI scale, erasing the
+//!   Fig 9 losing case described below (ROADMAP item 1);
+//! - the version's root object, 24 bytes:
+//!   `[len][root | tail << 32][shift | tail_len << 32]`, tree root and
+//!   tail leaf as 32-bit block indices ([`mod_alloc::pack_ptr`]).
 //!
 //! Every update is a pure path copy, so a `push_back`/`update` rewrites
 //! O(log₃₂ n) nodes while sharing the rest — this is exactly why the
@@ -25,7 +31,7 @@
 //! PMDK's flat array, and why Fig 9 shows vector as MOD's losing case.
 
 use crate::node::{store_words, NodeBuf, KIND_INNER, KIND_LEAF};
-use mod_alloc::{HeapRead, NvHeap};
+use mod_alloc::{pack_ptr, unpack_ptr, HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
 /// Branching factor.
@@ -39,7 +45,7 @@ pub struct PmVector {
     root: PmPtr,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct RootImg {
     len: u64,
     shift: u64,
@@ -327,26 +333,25 @@ impl PmVector {
     }
 
     fn read_root_obj<'a>(&self, heap: impl Into<HeapRead<'a>>) -> RootImg {
-        let mut heap = heap.into();
-        let a = self.root.addr();
+        let mut words = [0; 3];
+        heap.into().words(self.root.addr(), &mut words);
+        let [len, ptrs, sizes] = words;
         RootImg {
-            len: heap.u64(a),
-            shift: heap.u64(a + 8),
-            root: PmPtr::from_addr(heap.u64(a + 16)),
-            tail: PmPtr::from_addr(heap.u64(a + 24)),
-            tail_len: heap.u64(a + 32),
+            len,
+            root: unpack_ptr(ptrs as u32),
+            tail: unpack_ptr((ptrs >> 32) as u32),
+            shift: sizes & u32::MAX as u64,
+            tail_len: sizes >> 32,
         }
     }
 
-    /// Stores a root object `[len][shift][root][tail][tail_len]`; owns
-    /// root and tail pointers.
+    /// Stores a root object `[len][root | tail << 32][shift | tail_len <<
+    /// 32]`; owns root and tail pointers.
     fn store_root_obj(heap: &mut NvHeap, img: &RootImg) -> PmVector {
         let words = [
             img.len,
-            img.shift,
-            img.root.addr(),
-            img.tail.addr(),
-            img.tail_len,
+            pack_ptr(img.root) as u64 | (pack_ptr(img.tail) as u64) << 32,
+            img.shift | img.tail_len << 32,
         ];
         let root = store_words(heap, &words);
         heap.rc_inc_all([img.root, img.tail]);
@@ -570,15 +575,12 @@ impl PmVector {
         if !heap.mark_block(self.root) {
             return;
         }
-        let a = self.root.addr();
-        let shift = heap.pm_mut().read_u64(a + 8);
-        let root = PmPtr::from_addr(heap.pm_mut().read_u64(a + 16));
-        let tail = PmPtr::from_addr(heap.pm_mut().read_u64(a + 24));
-        if !root.is_null() {
-            mark_vec_node(heap, root, shift);
+        let img = self.read_root_obj(&mut *heap);
+        if !img.root.is_null() {
+            mark_vec_node(heap, img.root, img.shift);
         }
-        if !tail.is_null() {
-            mark_vec_node(heap, tail, 0);
+        if !img.tail.is_null() {
+            mark_vec_node(heap, img.tail, 0);
         }
     }
 }
@@ -883,6 +885,38 @@ mod tests {
             assert_eq!(v.to_vec(&mut h), model, "boundary {boundary}");
             v.release(&mut h);
             assert_eq!(h.stats().live_blocks, 0, "boundary {boundary}");
+        }
+    }
+
+    #[test]
+    fn root_object_is_24_bytes_and_reads_back_equal_on_both_paths() {
+        let mut h = heap();
+        let before = h.pm().stats().bytes_written;
+        let empty = PmVector::empty(&mut h);
+        assert_eq!(
+            h.pm().stats().bytes_written - before,
+            mod_alloc::HEADER_BYTES + 24
+        );
+        assert_eq!(h.block_len(empty.root()), 32, "24-byte root, class 32");
+        for n in [0u64, 1, 40, 1100] {
+            let v = PmVector::from_slice(&mut h, &(0..n).collect::<Vec<_>>());
+            let peek = v.read_root_obj(&h);
+            assert_eq!(v.read_root_obj(&mut h), peek, "{n} elements");
+            assert_eq!(peek.len, n);
+            assert_eq!(peek.tail_len, if n == 0 { 0 } else { (n - 1) % 32 + 1 });
+            assert_eq!(peek.tail.is_null(), n == 0);
+            assert_eq!(peek.root.is_null(), n <= 32);
+            let words: Vec<u64> = (0..3)
+                .map(|k| h.read_u64(v.root().addr() + 8 * k))
+                .collect();
+            assert_eq!(
+                words,
+                [
+                    n,
+                    pack_ptr(peek.root) as u64 | (pack_ptr(peek.tail) as u64) << 32,
+                    peek.shift | peek.tail_len << 32
+                ]
+            );
         }
     }
 

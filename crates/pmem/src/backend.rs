@@ -1056,23 +1056,28 @@ mod tests {
         // The checked-in generation-3 pool: typed, never a panic.
         let gen3 = include_bytes!("../../../tests/fixtures/gen3_pool.bin");
         std::fs::write(&pool.path, gen3).unwrap();
-        let (found, supported) = (3, 5);
+        let (found, supported) = (3, 6);
         assert_eq!(
             replay_error(&pool.path),
             ReplayError::UnsupportedGeneration { found, supported }
         );
-        // The checked-in generation-4 pool (base + one journal).
+        // The checked-in generation-4 and generation-5 pools (base + one
+        // journal each).
         let gen4 = include_bytes!("../../../tests/fixtures/gen4_pool.bin");
         let gen4_s0 = include_bytes!("../../../tests/fixtures/gen4_pool.bin.s0");
-        std::fs::write(&pool.path, gen4).unwrap();
-        std::fs::write(journal, gen4_s0).unwrap();
-        assert_eq!(
-            replay_error(&pool.path),
-            ReplayError::UnsupportedGeneration {
-                found: 4,
-                supported: 5
-            }
-        );
+        let gen5 = include_bytes!("../../../tests/fixtures/gen5_pool.bin");
+        let gen5_s0 = include_bytes!("../../../tests/fixtures/gen5_pool.bin.s0");
+        for (found, base, s0) in [(4, &gen4[..], &gen4_s0[..]), (5, gen5, gen5_s0)] {
+            std::fs::write(&pool.path, base).unwrap();
+            std::fs::write(journal, s0).unwrap();
+            assert_eq!(
+                replay_error(&pool.path),
+                ReplayError::UnsupportedGeneration {
+                    found,
+                    supported: 6
+                }
+            );
+        }
         std::fs::remove_file(&pool.path).unwrap();
         let err = FileBackend::open(&pool.path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);

@@ -41,9 +41,11 @@
 //! half-finished image write left behind is overwritten by the journal
 //! records at or above the mark.
 //!
-//! Pools of header generation ≤ 3 (snapshot-record base files) and of
+//! Pools of header generation ≤ 3 (snapshot-record base files), of
 //! generation 4 (the same file layout, but full-width CHAMP node pointers
-//! in the pool image) are not readable: opening one fails with the typed
+//! in the pool image) and of generation 5 (full-width pointers in cons
+//! cells and in the vector and queue root objects) are not readable:
+//! opening one fails with the typed
 //! [`ReplayError::UnsupportedGeneration`].
 //!
 //! The codec is pure (byte slices in, byte vectors out, no IO) so the
@@ -56,7 +58,7 @@ use std::collections::BTreeMap;
 /// Pool-file magic ("MODPOOLF").
 pub const FILE_MAGIC: u64 = 0x4D4F_4450_4F4F_4C46;
 /// The one on-disk header generation this build reads and writes.
-pub const FORMAT_GENERATION: u32 = 5;
+pub const FORMAT_GENERATION: u32 = 6;
 /// Bytes of the fixed file header.
 pub const HEADER_BYTES: usize = 24;
 /// `shard_index` sentinel naming the base (image) member of a set.
@@ -800,9 +802,10 @@ mod tests {
     #[test]
     fn older_and_newer_generations_fail_typed() {
         // Generations 1–3 (snapshot-record pools), 4 (full-width CHAMP
-        // pointers) and anything newer than this build: a typed error
+        // pointers), 5 (full-width cons-cell and root-object pointers)
+        // and anything newer than this build: a typed error
         // naming both sides, never a panic, never a best-effort read.
-        for found in [0u32, 1, 2, 3, 4, 6, 99] {
+        for found in [0u32, 1, 2, 3, 4, 5, 7, 99] {
             let mut h = encode_header(1 << 20, 1, SHARD_BASE);
             h[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(
@@ -820,7 +823,7 @@ mod tests {
             decode_header(fixture),
             Err(ReplayError::UnsupportedGeneration {
                 found: 3,
-                supported: 5
+                supported: 6
             })
         );
         // The checked-in generation-4 pool's base member (a 3-key map in
@@ -830,7 +833,17 @@ mod tests {
             decode_header(fixture),
             Err(ReplayError::UnsupportedGeneration {
                 found: 4,
-                supported: 5
+                supported: 6
+            })
+        );
+        // The checked-in generation-5 pool's base member (a vector, a
+        // queue and a map in its journal).
+        let fixture = include_bytes!("../../../tests/fixtures/gen5_pool.bin");
+        assert_eq!(
+            decode_header(fixture),
+            Err(ReplayError::UnsupportedGeneration {
+                found: 5,
+                supported: 6
             })
         );
     }

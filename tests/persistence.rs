@@ -535,7 +535,7 @@ fn generation_3_pool_fails_to_open_with_a_typed_error() {
     std::fs::copy("tests/fixtures/gen3_pool.bin", &path).unwrap();
     let want = ReplayError::UnsupportedGeneration {
         found: 3,
-        supported: 5,
+        supported: 6,
     };
     let cfg = SessionShape::Buffered.pool_config();
     let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
@@ -559,7 +559,32 @@ fn generation_4_pool_fails_to_open_with_a_typed_error() {
     std::fs::copy("tests/fixtures/gen4_pool.bin.s0", journal).unwrap();
     let want = ReplayError::UnsupportedGeneration {
         found: 4,
-        supported: 5,
+        supported: 6,
+    };
+    let cfg = SessionShape::Buffered.pool_config();
+    let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(replay_error(&err), Some(&want), "{err}");
+    let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
+    assert_eq!(replay_error(&err), Some(&want), "{err}");
+    remove_pool(&path);
+}
+
+#[test]
+fn generation_5_pool_fails_to_open_with_a_typed_error() {
+    // A one-journal pool holding a `DurableVector<u64>`, a
+    // `DurableQueue<u64>` and a `DurableMap<u64, u64>` — a vector, a queue
+    // and a three-root directory — written by the last generation-5
+    // build: its image stores full-width pointers in cons cells and in
+    // the vector and queue root objects. It fails typed — at the pmem level and through the heap —
+    // before any of its journal is replayed.
+    let path = temp_pool("gen5");
+    std::fs::copy("tests/fixtures/gen5_pool.bin", &path).unwrap();
+    let journal = FileBackend::member_paths(&path, 1).pop().unwrap();
+    std::fs::copy("tests/fixtures/gen5_pool.bin.s0", journal).unwrap();
+    let want = ReplayError::UnsupportedGeneration {
+        found: 5,
+        supported: 6,
     };
     let cfg = SessionShape::Buffered.pool_config();
     let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
