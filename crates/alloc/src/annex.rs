@@ -2,7 +2,7 @@
 //! handle of one pool.
 //!
 //! Hybrid ("Don't Persist All") roots keep their logical structure in
-//! the volatile node cache; the persistent directory only stores the
+//! the pool's volatile range; the persistent directory only stores the
 //! spine. Readers and stagers need the *committed volatile head* of
 //! such a root, and they need to agree on it across worker heaps, read
 //! views and the commit-side heap — so the words live here, in one

@@ -3,14 +3,15 @@
 
 use crate::annex::RootAnnex;
 use crate::layout::{
-    class_index, class_size, is_volatile_shape, root_slot_offset, volatile_class_size, BLOCK_MAGIC,
-    HEADER_BYTES, HEAP_BASE, MAX_POOL_BYTES, MIN_BLOCK, POOL_MAGIC, SIZE_CLASSES,
+    class_index, class_size, root_slot_offset, BLOCK_MAGIC, HEADER_BYTES, HEAP_BASE,
+    MAX_POOL_BYTES, MIN_BLOCK, POOL_MAGIC, SIZE_CLASSES,
 };
 use crate::recovery::MarkState;
 use crate::table::BlockTable;
 use crate::worker::{AllocDelta, SplitState, StagedAllocEffects, WorkerMode};
 use mod_pmem::{PmPtr, Pmem};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Allocation statistics, the data source of Table 3.
@@ -30,12 +31,113 @@ pub struct AllocStats {
     pub frees: u64,
 }
 
-/// Index into the volatile free lists for a payload class, if the class
-/// is one a volatile node-cache block can have (header + payload a whole
-/// number of cachelines; see [`crate::layout::volatile_class_size`]).
-fn volatile_index(class: u64) -> Option<usize> {
-    let footprint = HEADER_BYTES + class;
-    (footprint % 64 == 0).then_some((footprint / 64) as usize)
+/// Free space of one address space — the persistent pool, or the
+/// volatile range beside it (see [`mod_pmem::Pmem::volatile_range`]).
+/// The allocator runs one algorithm over both: exact-class lists, then
+/// first-fit regions, then the bump pointer.
+#[derive(Debug)]
+struct Space {
+    /// Freed blocks' headers, per exact size class.
+    free_by_class: Vec<Vec<u64>>,
+    /// Coalesced free space (start → length): found by recovery, left
+    /// by a rejoined worker arena, or a freed block above the classes.
+    regions: BTreeMap<u64, u64>,
+    /// Next never-allocated byte.
+    bump: u64,
+    /// End of the span the bump pointer may grow into: the space's end,
+    /// or — on a worker heap — the end of the worker's arena in it.
+    limit: u64,
+}
+
+impl Space {
+    fn new(span: Range<u64>) -> Space {
+        Space {
+            free_by_class: vec![Vec::new(); SIZE_CLASSES.len()],
+            regions: BTreeMap::new(),
+            bump: span.start,
+            limit: span.end,
+        }
+    }
+
+    /// Cuts `n` equal, 64-byte aligned worker arenas off the front of
+    /// the largest free span — the unallocated tail *or* a coalesced
+    /// region left by recovery, whichever is larger (after a reopen the
+    /// bump pointer sits above the highest live block and most free
+    /// space lives in the region list) — and keeps an equal slice and
+    /// the rest. Returns the first arena's start and the arena size.
+    fn carve(&mut self, n: u64) -> (u64, u64) {
+        let tail = (self.bump, self.limit - self.bump);
+        let (base, len) = self
+            .regions
+            .iter()
+            .map(|(&s, &l)| (s, l))
+            .chain(std::iter::once(tail))
+            .max_by_key(|&(_, l)| l)
+            .unwrap();
+        // Word-disjointness across concurrent writers requires 64-byte
+        // aligned arena bounds (cacheline handoffs stay per-shard too).
+        let abase = (base + 63) & !63;
+        let per = (len.saturating_sub(abase - base) / (n + 1)) & !63;
+        if per == 0 {
+            return (abase, 0);
+        }
+        if base == self.bump {
+            // The span was the tail: workers own the first n slices, this
+            // side keeps bumping in the remainder.
+            self.bump = abase + n * per;
+        } else {
+            self.regions.remove(&base);
+            self.regions
+                .insert(abase + n * per, len - (abase - base) - n * per);
+        }
+        (abase, per)
+    }
+
+    /// Takes back a worker's share of this space: its free lists, and
+    /// the unbumped rest of its arena as a region.
+    fn rejoin(&mut self, share: Space) {
+        for (mine, theirs) in self.free_by_class.iter_mut().zip(share.free_by_class) {
+            mine.extend(theirs);
+        }
+        if share.limit - share.bump >= MIN_BLOCK {
+            self.regions.insert(share.bump, share.limit - share.bump);
+        }
+    }
+
+    /// A block from the exact-class list of `class`, if one is free.
+    fn pop_class(&mut self, class: u64) -> Option<u64> {
+        self.free_by_class[class_index(class)?].pop()
+    }
+
+    /// `need` bytes from the bump pointer, if the span has them.
+    fn bump(&mut self, need: u64) -> Option<u64> {
+        let hdr = self.bump;
+        (hdr + need <= self.limit).then(|| {
+            self.bump += need;
+            hdr
+        })
+    }
+
+    /// The first region (by address) of at least `need` bytes, split.
+    fn first_fit(&mut self, need: u64) -> Option<u64> {
+        let (&start, &len) = self.regions.iter().find(|&(_, &len)| len >= need)?;
+        self.regions.remove(&start);
+        if len - need >= MIN_BLOCK {
+            self.regions.insert(start + need, len - need);
+        }
+        Some(start)
+    }
+
+    /// Returns a free block: to its class list, or — above the classes —
+    /// to the regions.
+    fn recycle(&mut self, hdr: u64, class: u64) {
+        match class_index(class) {
+            Some(idx) => self.free_by_class[idx].push(hdr),
+            None => {
+                self.regions.insert(hdr, HEADER_BYTES + class);
+            }
+        }
+    }
 }
 
 /// Refuses a pool larger than [`MAX_POOL_BYTES`]: nodes store block
@@ -57,18 +159,20 @@ fn assert_pool_fits(capacity: u64) {
 /// everything else (free lists, refcounts, the bump pointer) is volatile
 /// and reconstructed by recovery.
 ///
+/// Inside a [`NvHeap::begin_volatile`] scope, blocks come from the
+/// pool's volatile range instead — DRAM beside the pool, same size
+/// classes, same algorithm, its own free space. A block's address alone
+/// says which space it belongs to, and a free goes back there.
+///
 /// [`NvHeap::split_workers`] checks arenas out as independent worker
 /// heaps for lock-free multi-threaded staging (see `mod-core`'s
 /// `SharedModHeap` and [`crate::worker`]).
 #[derive(Debug)]
 pub struct NvHeap {
     pm: Pmem,
-    free_by_class: Vec<Vec<u64>>,
-    /// Coalesced free space discovered by recovery: start → length.
-    regions: BTreeMap<u64, u64>,
-    /// Next never-allocated byte: of the pool, or — on a worker heap —
-    /// of the worker's arena.
-    bump: u64,
+    /// Free space of the persistent pool (`[0]`) and of the volatile
+    /// range (`[1]`): index a space by `volatile as usize`.
+    spaces: [Space; 2],
     /// Authoritative refcounts (owner and commit-side heaps; a worker
     /// heap keeps its fresh blocks' counts in its [`WorkerMode`]).
     pub(crate) rc: BlockTable,
@@ -80,12 +184,8 @@ pub struct NvHeap {
     /// [`NvHeap::split_workers`]).
     split: Option<SplitState>,
     /// Depth of nested [`NvHeap::begin_volatile`] scopes: while > 0,
-    /// allocations land in the volatile node cache.
+    /// allocations land in the volatile range.
     volatile_depth: u32,
-    /// Free lists for volatile-shaped blocks (64-aligned, whole-line
-    /// footprint; see [`crate::layout::is_volatile_shape`]), indexed by
-    /// [`volatile_index`] of the exact class size.
-    volatile_free: Vec<Vec<u64>>,
     /// Volatile heads of hybrid roots, shared by every heap handle over
     /// this pool (see [`RootAnnex`]).
     annex: Arc<RootAnnex>,
@@ -106,16 +206,16 @@ impl NvHeap {
     /// recovery that follows) is bit-identical to a single-journal open.
     fn from_pool(pm: Pmem, recovering: bool) -> NvHeap {
         NvHeap {
+            spaces: [
+                Space::new(HEAP_BASE..pm.capacity()),
+                Space::new(pm.volatile_range()),
+            ],
             pm,
-            free_by_class: vec![Vec::new(); SIZE_CLASSES.len()],
-            regions: BTreeMap::new(),
-            bump: HEAP_BASE,
             rc: BlockTable::default(),
             stats: AllocStats::default(),
             worker: None,
             split: None,
             volatile_depth: 0,
-            volatile_free: Vec::new(),
             annex: Arc::new(RootAnnex::new()),
             mark: recovering.then(MarkState::default),
         }
@@ -182,19 +282,16 @@ impl NvHeap {
     /// Checks one allocation arena out to each of `n` worker threads and
     /// returns the worker heaps. Each worker heap owns
     ///
-    /// * a 64-byte-aligned arena carved from the pool's largest free
-    ///   span (private bump pointer + free lists: allocation never
+    /// * a 64-byte-aligned arena carved from the largest free span of
+    ///   each space — the persistent pool and the volatile range —
+    ///   (private bump pointers + free lists: allocation never
     ///   contends), and
     /// * a [`Pmem`] shard handle sharing this pool's storage with a
     ///   private simulated timeline (clock, caches, line table, WPQ).
     ///
-    /// The span is the unallocated tail *or* a coalesced free region
-    /// left by recovery, whichever is larger — after a crash/reopen the
-    /// bump pointer sits above the highest live block and most free
-    /// space lives in the region list.
-    ///
-    /// This heap keeps the last slice of the span for commit-side
-    /// allocation (root directories) and becomes the *commit-side* heap:
+    /// This heap keeps a slice of each span past the workers' for
+    /// commit-side allocation (root directories) and becomes the
+    /// *commit-side* heap:
     /// its [`NvHeap::free`] routes blocks inside a worker arena to that
     /// worker's return bin, where the owner drains them on its next
     /// arena miss. Worker heaps defer all cross-shard effects to
@@ -204,56 +301,36 @@ impl NvHeap {
     /// # Panics
     ///
     /// Panics if `n == 0`, in recovery mode, if a previous split is
-    /// still checked out, or if the largest free span is too small to
-    /// give every worker a useful arena.
+    /// still checked out, or if the pool's largest free span is too
+    /// small to give every worker a useful arena.
     pub fn split_workers(&mut self, n: usize) -> Vec<NvHeap> {
         self.assert_ready();
         assert!(n > 0, "need at least one worker");
         assert!(self.split.is_none(), "workers already split");
         assert!(self.worker.is_none(), "cannot split a worker heap");
-        let tail = (self.bump, self.pm.capacity() - self.bump);
-        let (base, len) = self
-            .regions
-            .iter()
-            .map(|(&s, &l)| (s, l))
-            .chain(std::iter::once(tail))
-            .max_by_key(|&(_, l)| l)
-            .unwrap();
-        // Word-disjointness across concurrent writers requires 64-byte
-        // aligned arena bounds (cacheline handoffs stay per-shard too).
-        let abase = (base + 63) & !63;
-        let alen = len - (abase - base);
-        let per = (alen / (n as u64 + 1)) & !63;
+        let slices = self.spaces.each_mut().map(|space| space.carve(n as u64));
+        let per = slices[0].1;
         assert!(
             per >= 64 * MIN_BLOCK,
             "pool too fragmented to split: largest free span gives {per} bytes per worker"
         );
-        if base == self.bump {
-            // The span was the tail: workers own the first n slices, the
-            // commit side keeps bumping in the remainder.
-            self.bump = abase + n as u64 * per;
-        } else {
-            self.regions.remove(&base);
-            self.regions.insert(
-                abase + n as u64 * per,
-                len - (abase - base) - n as u64 * per,
-            );
-        }
         let bins: Arc<Vec<Mutex<Vec<u64>>>> =
             Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
         let workers = (0..n)
             .map(|home| {
-                let start = abase + home as u64 * per;
+                let arenas = slices.map(|(base, per)| {
+                    let start = base + home as u64 * per;
+                    start..start + per
+                });
                 let mut w = NvHeap::from_pool(self.pm.fork_handle(), false);
-                w.bump = start;
+                w.spaces = arenas.clone().map(Space::new);
                 w.annex = Arc::clone(&self.annex);
-                w.worker = Some(WorkerMode::new(home, Arc::clone(&bins), start..start + per));
+                w.worker = Some(WorkerMode::new(home, Arc::clone(&bins), arenas));
                 w
             })
             .collect();
         self.split = Some(SplitState {
-            base: abase,
-            per,
+            slices,
             checked_out: vec![true; n],
             bins,
         });
@@ -353,8 +430,8 @@ impl NvHeap {
     }
 
     /// Absorbs a finished worker heap back into this commit-side heap:
-    /// outstanding side effects apply, the arena's remaining space and
-    /// free lists (and its return bin) rejoin the global pools, and the
+    /// outstanding side effects apply, the arenas' remaining space and
+    /// free lists (and its return bin) rejoin their spaces, and the
     /// worker's PM handle merges its leftover line states and trace.
     ///
     /// # Panics
@@ -366,7 +443,6 @@ impl NvHeap {
         self.apply_staged_effects(fx);
         self.pm.absorb_lines(w.pm.take_lines());
         self.pm.append_trace(w.pm.take_trace());
-        let arena_end = w.worker.as_ref().expect("worker heap").arena.end;
         let split = self.split.as_mut().expect("absorb_worker without a split");
         assert!(
             split.checked_out.get(home).is_some_and(|&c| c),
@@ -374,18 +450,10 @@ impl NvHeap {
         );
         split.checked_out[home] = false;
         let bin = std::mem::take(&mut *split.bins[home].lock().unwrap());
-        for (idx, list) in w.free_by_class.into_iter().enumerate() {
-            self.free_by_class[idx].extend(list);
+        for (space, share) in self.spaces.iter_mut().zip(w.spaces) {
+            space.rejoin(share);
         }
-        for (idx, list) in w.volatile_free.into_iter().enumerate() {
-            self.volatile_list(idx).extend(list);
-        }
-        for hdr in bin {
-            self.recycle_by_shape(hdr);
-        }
-        if arena_end - w.bump >= MIN_BLOCK {
-            self.regions.insert(w.bump, arena_end - w.bump);
-        }
+        self.recycle_returned(bin);
         if self.split_workers_outstanding() == 0 {
             self.split = None;
         }
@@ -397,29 +465,25 @@ impl NvHeap {
     fn free_untracked(&mut self, ptr: PmPtr) {
         let class = self.block_len(ptr);
         let hdr = ptr.addr() - HEADER_BYTES;
-        let volatile = self.pm.is_volatile(hdr);
-        if volatile {
-            self.pm.clear_volatile(hdr, HEADER_BYTES + class);
-        } else {
+        if !self.in_volatile_range(hdr) {
             self.pm.trace_free(hdr, HEADER_BYTES + class);
         }
         self.stats.allocs -= 1;
         self.stats.live_blocks -= 1;
         self.stats.live_bytes -= class;
         self.stats.cumulative_alloc_bytes -= class;
-        self.recycle(hdr, class, volatile);
+        self.recycle(hdr, class);
     }
 
     // ------------------------------------------------------------------
-    // Volatile node cache ("Don't Persist All" hybrid roots)
+    // The volatile range ("Don't Persist All" hybrid roots)
     // ------------------------------------------------------------------
 
     /// Enters a volatile allocation scope: until the matching
-    /// [`NvHeap::end_volatile`], every [`NvHeap::alloc`] produces a
-    /// *volatile node-cache block* — 64-byte aligned with a whole-line
-    /// footprint, its lines marked volatile on the pool so stores,
-    /// flushes and journaling are all elided (see
-    /// [`mod_pmem::Pmem::mark_volatile`]). Scopes nest.
+    /// [`NvHeap::end_volatile`], every [`NvHeap::alloc`] takes its block
+    /// from the pool's volatile range, where stores, flushes and
+    /// journaling are all elided (see
+    /// [`mod_pmem::Pmem::volatile_range`]). Scopes nest.
     pub fn begin_volatile(&mut self) {
         self.volatile_depth += 1;
     }
@@ -444,6 +508,12 @@ impl NvHeap {
         &self.annex
     }
 
+    /// Whether the block whose header sits at `hdr` is a volatile-range
+    /// block.
+    fn in_volatile_range(&self, hdr: u64) -> bool {
+        hdr >= self.pm.capacity()
+    }
+
     // ------------------------------------------------------------------
     // Allocation
     // ------------------------------------------------------------------
@@ -459,22 +529,13 @@ impl NvHeap {
     pub fn alloc(&mut self, len: u64) -> PmPtr {
         self.assert_ready();
         let volatile = self.volatile_depth > 0;
-        let class = if volatile {
-            volatile_class_size(len)
-        } else {
-            class_size(len)
-        };
-        let hdr = if volatile {
-            self.take_block_volatile(class)
-        } else {
-            self.take_block(class)
-        };
+        let class = class_size(len);
+        let hdr = self.take_block(volatile, class);
         let payload = hdr + HEADER_BYTES;
         if volatile {
-            // Mark before the header store so nothing below charges the
-            // model: a volatile node block is DRAM state, not simulated
-            // PM traffic (and not §5.4 trace material either).
-            self.pm.mark_volatile(hdr, HEADER_BYTES + class);
+            // A volatile-range block is DRAM state: nothing below charges
+            // the model, and it is not §5.4 trace material either.
+            self.pm.count_volatile_alloc(HEADER_BYTES + class);
         } else {
             self.pm.trace_alloc(hdr, HEADER_BYTES + class);
             // 15 ns models nvm_malloc's bin bookkeeping.
@@ -496,138 +557,70 @@ impl NvHeap {
         PmPtr::from_addr(payload)
     }
 
-    /// End of the space the bump pointer may grow into: the worker's
-    /// arena, or the whole pool.
-    fn bump_limit(&self) -> u64 {
-        self.worker
-            .as_ref()
-            .map_or(self.pm.capacity(), |w| w.arena.end)
-    }
-
-    fn take_block(&mut self, class: u64) -> u64 {
+    /// Takes a free block of `class` from the volatile range or the
+    /// pool: the class list, then — a worker — its arena's bump pointer
+    /// and, that spent, its return bin; then the first region that fits;
+    /// then the space's bump pointer.
+    fn take_block(&mut self, volatile: bool, class: u64) -> u64 {
         let need = HEADER_BYTES + class;
-        let idx = class_index(class);
-        if let Some(hdr) = idx.and_then(|i| self.free_by_class[i].pop()) {
+        let space = &mut self.spaces[volatile as usize];
+        if let Some(hdr) = space.pop_class(class) {
             return hdr;
         }
         if self.worker.is_some() {
             // A worker bumps through its arena before recycling anything
             // else, then drains its return bin — blocks of its own the
             // commit stage freed — and retries.
-            if self.bump + need <= self.bump_limit() {
-                let hdr = self.bump;
-                self.bump += need;
+            if let Some(hdr) = space.bump(need) {
                 return hdr;
             }
             self.drain_return_bin();
-            if let Some(hdr) = idx.and_then(|i| self.free_by_class[i].pop()) {
-                return hdr;
-            }
         }
-        // A volatile-shaped block serves a persistent request of the same
-        // class fine (its alignment is harmless; its marks were cleared
-        // at free time).
-        if let Some(hdr) = self.pop_volatile(class) {
+        let space = &mut self.spaces[volatile as usize];
+        if let Some(hdr) = space
+            .pop_class(class)
+            .or_else(|| space.first_fit(need))
+            .or_else(|| space.bump(need))
+        {
             return hdr;
         }
-        // First-fit from recovered regions.
-        if let Some((&start, &rlen)) = self.regions.iter().find(|&(_, &rlen)| rlen >= need) {
-            self.regions.remove(&start);
-            let rest = rlen - need;
-            if rest >= MIN_BLOCK {
-                self.regions.insert(start + need, rest);
-            }
-            return start;
-        }
-        // Bump allocation.
-        assert!(
-            self.worker.is_none(),
-            "worker shard arena exhausted ({} bytes requested): grow the pool \
-             or reduce per-worker churn",
-            need
-        );
-        let hdr = self.bump;
-        assert!(
-            hdr + need <= self.pm.capacity(),
-            "persistent pool exhausted: bump {hdr:#x} + {need} > capacity {:#x}",
-            self.pm.capacity()
-        );
-        self.bump += need;
-        hdr
-    }
-
-    /// Takes a volatile-shaped block: 64-byte aligned header, whole-line
-    /// footprint. Recycles from the volatile free lists first, then bump
-    /// allocates with the alignment gap (if any) returned to the region
-    /// list; a worker whose arena is spent drains its return bin (recycled
-    /// node blocks come back that way) and retries.
-    fn take_block_volatile(&mut self, class: u64) -> u64 {
-        let need = HEADER_BYTES + class;
-        debug_assert_eq!(need % 64, 0);
-        if let Some(hdr) = self.pop_volatile(class) {
-            return hdr;
-        }
-        let aligned = (self.bump + 63) & !63;
-        if aligned + need <= self.bump_limit() {
-            let gap = aligned - self.bump;
-            if gap >= MIN_BLOCK {
-                self.regions.insert(self.bump, gap);
-            }
-            self.bump = aligned + need;
-            return aligned;
-        }
-        assert!(
-            self.worker.is_some(),
-            "persistent pool exhausted: bump {aligned:#x} + {need} > capacity {:#x}",
-            self.pm.capacity()
-        );
-        self.drain_return_bin();
-        self.pop_volatile(class).unwrap_or_else(|| {
-            panic!(
-                "worker shard arena exhausted ({need} bytes requested, volatile): \
+        let (bump, limit) = (space.bump, space.limit);
+        let name = if volatile {
+            let range = self.pm.volatile_range();
+            format!("volatile range [{:#x}, {:#x})", range.start, range.end)
+        } else {
+            "persistent pool".to_string()
+        };
+        match self.worker {
+            Some(_) => panic!(
+                "worker shard arena exhausted ({need} bytes requested in the {name}): \
                  grow the pool or reduce per-worker churn"
-            )
-        })
+            ),
+            None => panic!("{name} exhausted: bump {bump:#x} + {need} > limit {limit:#x}"),
+        }
     }
 
     /// Moves every block the commit stage freed on this worker's behalf
-    /// from its return bin into the local free pools, routed by *shape*
-    /// (the volatile marks were cleared at free time).
+    /// from its return bin into the local free space.
     fn drain_return_bin(&mut self) {
         let w = self.worker.as_ref().expect("only workers have return bins");
         let returned = std::mem::take(&mut *w.bins[w.home].lock().unwrap());
-        for hdr in returned {
-            self.recycle_by_shape(hdr);
+        self.recycle_returned(returned);
+    }
+
+    /// Recycles blocks that came back through a return bin, reading each
+    /// one's class from its header.
+    fn recycle_returned(&mut self, headers: Vec<u64>) {
+        for hdr in headers {
+            let class = self.pm.peek_u64(hdr);
+            self.recycle(hdr, class);
         }
     }
 
-    fn recycle_by_shape(&mut self, hdr: u64) {
-        let class = self.pm.peek_u64(hdr);
-        self.recycle(hdr, class, is_volatile_shape(hdr, class));
-    }
-
-    /// Returns a free block to the pool its kind selects: the volatile
-    /// lists, the exact-class segregated lists, or the region map.
-    fn recycle(&mut self, hdr: u64, class: u64, volatile: bool) {
-        if volatile {
-            let idx = volatile_index(class).expect("volatile block with a non-volatile class");
-            self.volatile_list(idx).push(hdr);
-        } else if let Some(idx) = class_index(class) {
-            self.free_by_class[idx].push(hdr);
-        } else {
-            self.regions.insert(hdr, HEADER_BYTES + class);
-        }
-    }
-
-    fn volatile_list(&mut self, idx: usize) -> &mut Vec<u64> {
-        if idx >= self.volatile_free.len() {
-            self.volatile_free.resize_with(idx + 1, Vec::new);
-        }
-        &mut self.volatile_free[idx]
-    }
-
-    fn pop_volatile(&mut self, class: u64) -> Option<u64> {
-        self.volatile_free.get_mut(volatile_index(class)?)?.pop()
+    /// Returns a free block to the space its address lies in.
+    fn recycle(&mut self, hdr: u64, class: u64) {
+        let volatile = self.in_volatile_range(hdr);
+        self.spaces[volatile as usize].recycle(hdr, class);
     }
 
     /// Frees the block at `ptr` (payload pointer), returning its payload
@@ -651,13 +644,8 @@ impl NvHeap {
             w.forget_fresh(ptr.addr());
         }
         let class = self.block_len(ptr);
-        // A volatile node-cache block frees silently: clear its marks
-        // (the space must not inherit volatility when recycled) and skip
-        // the charge/trace a persistent free pays.
-        let volatile = self.pm.is_volatile(hdr);
-        if volatile {
-            self.pm.clear_volatile(hdr, HEADER_BYTES + class);
-        } else {
+        // A volatile-range block frees silently: no charge, no trace.
+        if !self.in_volatile_range(hdr) {
             self.pm.trace_free(hdr, HEADER_BYTES + class);
             self.pm.charge_ns(10.0);
         }
@@ -668,13 +656,12 @@ impl NvHeap {
         if let Some(sp) = &self.split {
             if let Some(home) = sp.arena_of(hdr) {
                 // Commit-side free of a block inside a checked-out
-                // worker arena: the space returns via the owner's bin
-                // (the owner re-routes it by shape when draining).
+                // worker arena: the space returns via the owner's bin.
                 sp.bins[home].lock().unwrap().push(hdr);
                 return;
             }
         }
-        self.recycle(hdr, class, volatile);
+        self.recycle(hdr, class);
     }
 
     /// Payload class size of the block at `ptr`, read from its header.
@@ -916,8 +903,8 @@ impl NvHeap {
     /// Installs the free space recovery found (the refcount table was
     /// filled in by the marker as it went).
     pub(crate) fn rebuild_free_space(&mut self, regions: BTreeMap<u64, u64>, bump: u64) {
-        self.regions = regions;
-        self.bump = bump;
+        self.spaces[0].regions = regions;
+        self.spaces[0].bump = bump;
     }
 }
 
@@ -969,18 +956,20 @@ mod tests {
     }
 
     #[test]
-    fn volatile_alloc_owns_whole_lines_and_is_uncharged() {
+    fn volatile_alloc_lands_in_the_volatile_range_uncharged() {
         let mut h = heap();
         let t0 = h.pm().clock().now_ns();
         let flushes0 = h.pm().stats().effective_flushes;
         h.begin_volatile();
         let a = h.alloc(24);
         h.end_volatile();
-        let hdr = a.addr() - HEADER_BYTES;
-        assert_eq!(hdr % 64, 0, "volatile blocks are line-aligned");
-        assert_eq!((HEADER_BYTES + h.block_len(a)) % 64, 0);
-        assert!(h.pm().is_volatile(hdr));
-        assert!(h.pm().is_volatile(a.addr()));
+        assert_eq!(
+            a.addr(),
+            h.pm().capacity() + HEADER_BYTES,
+            "first volatile block"
+        );
+        assert_eq!(h.block_len(a), 32, "the ordinary size classes");
+        assert_eq!(h.pm().stats().volatile_node_bytes, HEADER_BYTES + 32);
         assert_eq!(
             h.pm().clock().now_ns(),
             t0,
@@ -999,46 +988,142 @@ mod tests {
         assert_eq!(
             img.peek_u64(a.addr()),
             0,
-            "node cache dies with the process"
+            "the volatile range dies with the process"
         );
-    }
-
-    #[test]
-    fn volatile_free_recycles_and_clears_marks() {
-        let mut h = heap();
-        h.begin_volatile();
-        let a = h.alloc(24);
-        h.end_volatile();
-        let hdr = a.addr() - HEADER_BYTES;
         h.free(a);
-        assert!(!h.pm().is_volatile(hdr), "marks cleared on free");
-        h.begin_volatile();
-        let b = h.alloc(30); // same volatile class (48)
-        h.end_volatile();
-        assert_eq!(a, b, "volatile free list recycles the block");
-        assert!(h.pm().is_volatile(hdr), "re-marked on reuse");
-        h.free(b);
-        // And a persistent alloc of the same class may also take it.
-        let c = h.alloc(48);
-        assert_eq!(c, a);
-        assert!(!h.pm().is_volatile(hdr), "persistent reuse is not volatile");
+        assert_eq!(h.stats().live_blocks, 0);
+    }
+
+    /// Allocates `len` bytes, in the volatile range if `volatile`.
+    fn alloc_in(h: &mut NvHeap, volatile: bool, len: u64) -> PmPtr {
+        if volatile {
+            h.begin_volatile();
+        }
+        let p = h.alloc(len);
+        if volatile {
+            h.end_volatile();
+        }
+        p
+    }
+
+    /// Interleaves volatile and persistent allocations on `h` and checks
+    /// that each kind fills its own span of `arenas` (pool, volatile
+    /// range) front to back, with no gap and no region left behind; then
+    /// that a freed block is reused only by a request of its own kind.
+    fn check_separate_spaces(h: &mut NvHeap, arenas: [Range<u64>; 2]) {
+        let mut next = arenas.clone().map(|a| a.start);
+        for i in 0..300u64 {
+            let volatile = i % 3 != 0;
+            let len = 1 + (i * 37) % 300;
+            let p = alloc_in(h, volatile, len);
+            let hdr = p.addr() - HEADER_BYTES;
+            assert_eq!(
+                hdr, next[volatile as usize],
+                "block {i} bumps its own space"
+            );
+            assert!(arenas[volatile as usize].contains(&hdr), "block {i}");
+            assert_eq!(hdr >= h.pm().capacity(), volatile, "block {i}");
+            next[volatile as usize] += HEADER_BYTES + class_size(len);
+        }
+        for (space, end) in h.spaces.iter().zip(next) {
+            assert_eq!(space.bump, end, "gap-free");
+            assert!(space.regions.is_empty(), "no alignment gaps");
+        }
+        // A freed block of either kind serves only its own kind again.
+        let v = alloc_in(h, true, 100);
+        let p = alloc_in(h, false, 100);
+        h.free(v);
+        h.free(p);
+        let p2 = alloc_in(h, false, 100);
+        let v2 = alloc_in(h, true, 100);
+        assert_eq!((p2, v2), (p, v));
+        h.free(v2);
+        let p3 = alloc_in(h, false, 100);
+        assert!(p3.addr() < h.pm().capacity() && p3 != v2);
+        assert_eq!(alloc_in(h, true, 100), v2);
     }
 
     #[test]
-    fn volatile_and_persistent_blocks_never_share_a_line() {
+    fn volatile_and_persistent_blocks_live_in_separate_spaces() {
+        let mut owner = heap();
+        let cap = owner.pm().capacity();
+        let range = owner.pm().volatile_range();
+        assert_eq!(range, cap..2 * cap);
+        check_separate_spaces(&mut owner, [HEAP_BASE..cap, range.clone()]);
+        // A worker split slices both spaces; each worker's arenas hold
+        // its blocks of each kind, with the same invariants.
+        let mut workers = owner.split_workers(2);
+        for w in &mut workers {
+            let arenas = w.worker.as_ref().unwrap().arenas.clone();
+            assert!(arenas[0].end <= cap && range.start <= arenas[1].start);
+            assert!(arenas[1].end <= range.end);
+            check_separate_spaces(w, arenas);
+        }
+        // Worker volatile blocks come back to their owner's arena when the
+        // commit stage frees them, and rejoin the volatile range on absorb.
+        let w1 = &mut workers[1];
+        let v = alloc_in(w1, true, 64);
+        owner.apply_staged_effects(w1.take_staged_effects());
+        owner.free(v);
+        for w in workers {
+            owner.absorb_worker(w);
+        }
+        let idx = class_index(64).unwrap();
+        assert_eq!(
+            owner.spaces[1].free_by_class[idx].last(),
+            Some(&(v.addr() - HEADER_BYTES))
+        );
+        assert_eq!(alloc_in(&mut owner, true, 64), v);
+    }
+
+    #[test]
+    #[should_panic(expected = "volatile range [0x1000000000, 0x1000000000) exhausted")]
+    fn volatile_alloc_past_the_range_panics_naming_it() {
+        // A 64 GiB pool leaves no room for a volatile range below the
+        // 32-bit index limit. Both arenas are lazy: nothing that size is
+        // touched.
+        let pm = Pmem::new(PmemConfig {
+            capacity: MAX_POOL_BYTES,
+            ..PmemConfig::testing()
+        });
+        let mut h = NvHeap::format(pm);
+        assert!(h.pm().volatile_range().is_empty());
+        let p = h.alloc(64);
+        assert!(p.addr() < MAX_POOL_BYTES, "persistent allocation works");
+        alloc_in(&mut h, true, 16);
+    }
+
+    #[test]
+    fn bin_returned_blocks_go_back_by_address_not_shape() {
+        // Persistent class-48 blocks bumped from a 64-aligned worker arena
+        // have 64-aligned headers and 64-byte footprints — the shape
+        // line-exclusive volatile blocks once had. Freed by the commit
+        // stage into the worker's return bin, they belong on the pool's
+        // class-48 list, on both ways back: the worker's drain and the
+        // absorb.
         let mut h = heap();
-        h.begin_volatile();
-        let v = h.alloc(10);
-        h.end_volatile();
-        let p = h.alloc(16);
-        h.write_u64(p.addr(), 7);
-        h.flush_block(p);
-        h.sfence();
-        let img = h.pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced);
-        assert_eq!(img.peek_u64(p.addr()), 7, "neighbor persists normally");
-        let vh = v.addr() - HEADER_BYTES;
-        let ph = p.addr() - HEADER_BYTES;
-        assert_ne!(vh / 64, (ph + HEADER_BYTES + 15) / 64, "disjoint lines");
+        let mut w = h.split_workers(1).remove(0);
+        let idx = class_index(48).unwrap();
+        for drain in [true, false] {
+            let blocks: Vec<PmPtr> = (0..4).map(|_| w.alloc(48)).collect();
+            let headers: Vec<u64> = blocks.iter().map(|p| p.addr() - HEADER_BYTES).collect();
+            assert!(headers.iter().all(|hdr| hdr % 64 == 0));
+            h.apply_staged_effects(w.take_staged_effects());
+            for &p in &blocks {
+                h.free(p);
+            }
+            let lists = if drain {
+                w.drain_return_bin();
+                &w.spaces
+            } else {
+                h.absorb_worker(std::mem::replace(&mut w, heap()));
+                &h.spaces
+            };
+            assert!(headers
+                .iter()
+                .all(|hdr| lists[0].free_by_class[idx].contains(hdr)));
+            assert!(lists[1].free_by_class.iter().all(Vec::is_empty));
+        }
     }
 
     #[test]
@@ -1046,44 +1131,6 @@ mod tests {
     fn unbalanced_end_volatile_panics() {
         let mut h = heap();
         h.end_volatile();
-    }
-
-    #[test]
-    fn worker_volatile_blocks_round_trip_through_commit_free() {
-        let mut owner = heap();
-        let mut workers = owner.split_workers(2);
-        let mut w0 = workers.remove(0);
-        w0.begin_volatile();
-        let v = w0.alloc(24);
-        w0.end_volatile();
-        assert!(
-            owner.pm().is_volatile(v.addr()),
-            "marks shared with the pool"
-        );
-        let fx = w0.take_staged_effects();
-        owner.apply_staged_effects(fx);
-        // Commit stage frees the published-then-superseded volatile node.
-        owner.free(v);
-        assert!(!owner.pm().is_volatile(v.addr()));
-        // The space returns via the owner's bin on its next drain.
-        w0.begin_volatile();
-        let v2 = w0.alloc(24);
-        let mut found = v2 == v;
-        // The bin drain only fires on arena exhaustion; loop until the
-        // recycled block resurfaces or the arena provides fresh space.
-        for _ in 0..4096 {
-            if found {
-                break;
-            }
-            let n = w0.alloc(24);
-            found = n == v;
-        }
-        w0.end_volatile();
-        assert!(found || w0.pm().is_volatile(v2.addr()));
-        for w in workers {
-            owner.absorb_worker(w);
-        }
-        owner.absorb_worker(w0);
     }
 
     #[test]

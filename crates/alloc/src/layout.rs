@@ -3,10 +3,18 @@
 //! The pool is laid out as:
 //!
 //! ```text
-//! [0,   64)   pool header: magic, capacity
-//! [64,  576)  64 persistent root slots (8 bytes each)
-//! [1024, ..)  heap blocks: 16-byte header + payload, 16-byte aligned
+//! [0,   64)              pool header: magic, capacity
+//! [64,  576)             64 persistent root slots (8 bytes each)
+//! [1024, capacity)       heap blocks: 16-byte header + payload, 16-byte aligned
+//! [capacity, capacity+V) the volatile range: DRAM, never persisted —
+//!                        hybrid roots' index blocks, same block format
 //! ```
+//!
+//! `V = min(capacity, MAX_POOL_BYTES − capacity)`: the volatile range
+//! mirrors the pool's size while both fit below [`MAX_POOL_BYTES`], so
+//! every block, persistent or volatile, has a 32-bit index
+//! ([`pack_ptr`]); a pool above 32 GiB gets a smaller range, one of
+//! 64 GiB none.
 //!
 //! Size classes mirror nvm_malloc's segregated bins: small classes grow
 //! roughly geometrically, large requests round up to 4 KiB multiples.
@@ -32,11 +40,12 @@ pub const HEAP_BASE: u64 = 1024;
 /// Bytes of block header preceding each payload.
 pub const HEADER_BYTES: u64 = 16;
 
-/// Largest pool [`crate::NvHeap::format`] accepts: 64 GiB (2^36 bytes).
-/// Every block payload is 16-byte aligned, so a node can name any block
-/// of such a pool with a 32-bit index (`addr / 16`, see [`pack_ptr`])
+/// Largest pool [`crate::NvHeap::format`] accepts: 64 GiB (2^36 bytes,
+/// [`mod_pmem::ADDRESS_LIMIT`]). Every block payload is 16-byte aligned,
+/// so a node can name any block below it — of the pool or of its
+/// volatile range — with a 32-bit index (`addr / 16`, see [`pack_ptr`])
 /// instead of an 8-byte address.
-pub const MAX_POOL_BYTES: u64 = 1 << 36;
+pub const MAX_POOL_BYTES: u64 = mod_pmem::ADDRESS_LIMIT;
 
 /// Alignment of every block payload, and so the unit of a stored index.
 const INDEX_GRAIN: u64 = 16;
@@ -120,31 +129,6 @@ pub fn class_index(class: u64) -> Option<usize> {
     SIZE_CLASSES.iter().position(|&c| c == class)
 }
 
-/// The payload size allocated for a *volatile node-cache* request of
-/// `len` bytes: header + payload rounded up to whole 64-byte cachelines
-/// (classes 48, 112, 176, …). Heap blocks are only 16-byte aligned, so a
-/// cacheline can straddle two blocks; a volatile block must own its
-/// lines exclusively or marking them volatile would swallow a
-/// neighboring persistent block's stores.
-///
-/// # Panics
-///
-/// Panics if `len == 0`.
-pub fn volatile_class_size(len: u64) -> u64 {
-    assert!(len > 0, "zero-sized volatile allocation");
-    (HEADER_BYTES + len).div_ceil(64) * 64 - HEADER_BYTES
-}
-
-/// Whether a block at header address `hdr` with payload class `class`
-/// has the exclusive-cacheline footprint of a volatile node-cache block
-/// (see [`volatile_class_size`]). Shape is geometry, not state: freed
-/// volatile blocks keep their shape and are recycled for the next
-/// volatile allocation.
-#[inline]
-pub fn is_volatile_shape(hdr: u64, class: u64) -> bool {
-    hdr % 64 == 0 && (HEADER_BYTES + class) % 64 == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,23 +167,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn root_slot_bounds_checked() {
         root_slot_offset(N_ROOTS);
-    }
-
-    #[test]
-    fn volatile_classes_cover_whole_lines() {
-        for len in [1u64, 16, 47, 48, 49, 100, 1000, 4096] {
-            let c = volatile_class_size(len);
-            assert!(c >= len);
-            assert_eq!((HEADER_BYTES + c) % 64, 0, "len {len} -> class {c}");
-            assert!(is_volatile_shape(64, c));
-            assert!(
-                !is_volatile_shape(16, c),
-                "unaligned start is not the shape"
-            );
-        }
-        assert_eq!(volatile_class_size(1), 48);
-        assert_eq!(volatile_class_size(48), 48);
-        assert_eq!(volatile_class_size(49), 112);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!   every reachable block ([`NvHeap::mark_block`]) and
 //!   [`NvHeap::finish_recovery`] turns all unmarked space (including
 //!   mid-FASE leaks) back into free space;
+//! * a **volatile range** beside the pool — hybrid roots' index blocks,
+//!   allocated inside [`NvHeap::begin_volatile`] by the same algorithm
+//!   over a free space of their own; an address says which space a block
+//!   belongs to, so a free needs no other tag;
 //! * allocation statistics backing Table 3 of the paper.
 //!
 //! ## Example
@@ -40,8 +44,8 @@ pub mod worker;
 pub use annex::RootAnnex;
 pub use heap::{AllocStats, NvHeap};
 pub use layout::{
-    class_size, pack_ptr, pack_ptrs, unpack_ptr, unpack_ptrs, volatile_class_size, HEADER_BYTES,
-    HEAP_BASE, MAX_POOL_BYTES, N_ROOTS, POOL_MAGIC,
+    class_size, pack_ptr, pack_ptrs, unpack_ptr, unpack_ptrs, HEADER_BYTES, HEAP_BASE,
+    MAX_POOL_BYTES, N_ROOTS, POOL_MAGIC,
 };
 pub use read::HeapRead;
 pub use recovery::RecoveryReport;

@@ -1,8 +1,9 @@
 //! Worker-shard allocation state for lock-free FASE staging.
 //!
-//! [`crate::NvHeap::split_workers`] checks a slice of the pool out to
-//! each worker thread as a fully independent `NvHeap`: the worker
-//! allocates from its own arena (private bump pointer + free lists) and
+//! [`crate::NvHeap::split_workers`] checks a slice of the pool — and of
+//! its volatile range — out to each worker thread as a fully independent
+//! `NvHeap`: the worker allocates from its own arenas (private bump
+//! pointers + free lists) and
 //! writes through its own [`mod_pmem::Pmem`] shard handle, so the whole
 //! staging hot path runs with **no shared lock**. Everything that would
 //! touch shared allocator state is either
@@ -102,8 +103,9 @@ pub(crate) struct WorkerMode {
     /// This worker's shard index (its bin in [`ShardBins`]).
     pub(crate) home: usize,
     pub(crate) bins: ShardBins,
-    /// The worker's arena `[start, end)` within the pool.
-    pub(crate) arena: Range<u64>,
+    /// The worker's arenas `[start, end)`: in the pool, and in the
+    /// volatile range.
+    pub(crate) arenas: [Range<u64>; 2],
     /// Foreign-block rc increments accumulated this FASE.
     pub(crate) rc_deltas: HashMap<u64, i64>,
     /// `(payload, refcount)` of every block allocated this FASE and
@@ -122,11 +124,11 @@ pub(crate) struct WorkerMode {
 }
 
 impl WorkerMode {
-    pub(crate) fn new(home: usize, bins: ShardBins, arena: Range<u64>) -> WorkerMode {
+    pub(crate) fn new(home: usize, bins: ShardBins, arenas: [Range<u64>; 2]) -> WorkerMode {
         WorkerMode {
             home,
             bins,
-            arena,
+            arenas,
             rc_deltas: HashMap::new(),
             fresh: Vec::new(),
             fresh_slot: BlockTable::default(),
@@ -135,10 +137,10 @@ impl WorkerMode {
         }
     }
 
-    /// Whether the block whose header sits at `hdr` lies in this
-    /// worker's arena.
+    /// Whether the block whose header sits at `hdr` lies in one of this
+    /// worker's arenas.
     pub(crate) fn owns(&self, hdr: u64) -> bool {
-        self.arena.contains(&hdr)
+        self.arenas.iter().any(|arena| arena.contains(&hdr))
     }
 
     /// Records a freshly allocated block with a refcount of 1.
@@ -211,20 +213,23 @@ impl WorkerMode {
 /// out, and the bins frees to those ranges are routed through.
 #[derive(Debug)]
 pub(crate) struct SplitState {
-    /// Start of worker 0's arena; worker `i` owns
+    /// Per space (the pool, the volatile range), the start of worker 0's
+    /// arena and the bytes per arena: worker `i` owns
     /// `[base + i·per, base + (i+1)·per)`.
-    pub(crate) base: u64,
-    /// Bytes per worker arena.
-    pub(crate) per: u64,
+    pub(crate) slices: [(u64, u64); 2],
     /// Which arenas are still checked out, indexed by shard.
     pub(crate) checked_out: Vec<bool>,
     pub(crate) bins: ShardBins,
 }
 
 impl SplitState {
-    /// The worker arena containing `addr`, if still checked out.
+    /// The worker whose arena contains `addr`, if still checked out.
     pub(crate) fn arena_of(&self, addr: u64) -> Option<usize> {
-        let home = (addr.checked_sub(self.base)? / self.per) as usize;
-        self.checked_out.get(home)?.then_some(home)
+        let n = self.checked_out.len();
+        let home = self.slices.iter().find_map(|&(base, per)| {
+            let home = addr.checked_sub(base)?.checked_div(per)? as usize;
+            (home < n).then_some(home)
+        })?;
+        self.checked_out[home].then_some(home)
     }
 }

@@ -1,11 +1,15 @@
 //! The persistent spine of hybrid ("Don't Persist All") roots.
 //!
 //! A hybrid root keeps its logical structure — every CHAMP/RRB interior
-//! node — in the volatile node cache: allocated under
-//! [`NvHeap::begin_volatile`], never flushed, never journaled, never
-//! charged to the simulated timeline. What *is* persisted is a small
-//! spine: a refcount-linked chain of **records**, one per effectful
-//! operation, each carrying the operation's bytes (the value leaf). The
+//! node — in the pool's volatile range: DRAM addressed right above the
+//! pool's capacity (see `mod_pmem::Pmem::volatile_range`), where blocks
+//! allocated under [`NvHeap::begin_volatile`] take the ordinary size
+//! classes from a free space of their own. Nothing there is flushed,
+//! journaled or charged to the simulated timeline, and a crash image or
+//! a reopened pool starts with the range empty. What *is* persisted is a
+//! small spine: a refcount-linked chain of **records**, one per
+//! effectful operation, each carrying the operation's bytes (the value
+//! leaf). The
 //! root directory entry of a hybrid root points at the head record under
 //! [`crate::RootKind::Spine`], so the policy itself is durable: a pool
 //! opened by a binary that only understands full persistence refuses the
@@ -43,7 +47,7 @@ pub enum PersistPolicy {
     /// (the original MOD discipline). Bit-identical to pre-policy pools.
     #[default]
     Full,
-    /// Interior nodes live in the volatile node cache; only per-op spine
+    /// Interior nodes live in the pool's volatile range; only per-op spine
     /// records (value leaves + op tags) are flushed and journaled, and
     /// recovery rebuilds the index by replaying the spine.
     Hybrid,

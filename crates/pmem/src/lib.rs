@@ -16,6 +16,10 @@
 //! * [`trace`] — the §5.4 automated-testing trace and invariant checker;
 //! * crash simulation — [`Pmem::crash_image`] builds post-crash pools under
 //!   adversarial choices of which unfenced lines persisted;
+//! * a **volatile range** beside the pool — addresses from the capacity
+//!   up ([`Pmem::volatile_range`]) are DRAM: loads, stores and `clwb`s
+//!   there are never charged, journaled or crash-imaged, which is where
+//!   hybrid roots keep their index;
 //! * pluggable persistence backends — [`PoolBackend`] with the volatile
 //!   [`MemBackend`] and the file-backed [`FileBackend`] (home-location
 //!   image + redo journal; [`Pmem::create_file`] / [`Pmem::open_file`]
@@ -50,7 +54,6 @@ pub mod model;
 pub mod pmem;
 pub mod stats;
 pub mod trace;
-pub mod volatile;
 
 pub use arena::SharedArena;
 pub use backend::{
@@ -62,7 +65,6 @@ pub use drain::WpqDrain;
 pub use journal::{BatchKind, LineImage};
 pub use line::{line_of, lines_covering, PmPtr, CACHELINE};
 pub use model::{fit_parallel_fraction, karp_flatt_serial_fraction, LatencyModel};
-pub use pmem::{CrashPolicy, LineHandoff, Pmem, PmemConfig, ReplayStats};
+pub use pmem::{CrashPolicy, LineHandoff, Pmem, PmemConfig, ReplayStats, ADDRESS_LIMIT};
 pub use stats::{EpochHistogram, PmStats};
 pub use trace::{check_trace, TraceChecker, TraceEvent, Violation};
-pub use volatile::VolatileSet;

@@ -35,10 +35,18 @@ use crate::linetable::{LineState, LineTable};
 use crate::model::LatencyModel;
 use crate::stats::PmStats;
 use crate::trace::TraceEvent;
-use crate::volatile::VolatileSet;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
+
+/// Every address a pool hands out lies below 2^36 (64 GiB): its
+/// persistent bytes `[0, capacity)` and, right above them, its volatile
+/// range `[capacity, capacity + V)` with `V = min(capacity,
+/// ADDRESS_LIMIT − capacity)` (see [`Pmem::volatile_range`]). Nodes
+/// name blocks by 32-bit indices of 16-byte grains, which reach exactly
+/// this far.
+pub const ADDRESS_LIMIT: u64 = 1 << 36;
 
 /// Construction parameters for a simulated PM pool.
 #[derive(Clone, Debug)]
@@ -212,10 +220,11 @@ pub struct Pmem {
     /// WPQ drain calendar of the global timeline (also the authority for
     /// per-line drained-at-crash decisions).
     drain: WpqDrain,
-    /// Volatile node-cache marks ("Don't Persist All" hybrid roots):
-    /// shared by every forked handle, empty on crash images and fresh
-    /// opens — volatility is process state.
-    volatile: Arc<VolatileSet>,
+    /// The volatile range's bytes, addressed from `cfg.capacity` up
+    /// ("Don't Persist All" hybrid roots keep their index here): shared
+    /// by every forked handle, empty on crash images and fresh opens —
+    /// it is DRAM, process state.
+    volatile: SharedArena,
     trace: Vec<TraceEvent>,
 }
 
@@ -295,8 +304,8 @@ impl Pmem {
         durable: SharedArena,
         backend: Arc<dyn PoolBackend>,
         replay: Option<ReplayStats>,
-        // The pool's shared volatile-mark set; `None` starts an empty one.
-        volatile: Option<Arc<VolatileSet>>,
+        // The pool's shared volatile range; `None` starts an empty one.
+        volatile: Option<SharedArena>,
     ) -> Pmem {
         Pmem {
             data,
@@ -309,7 +318,9 @@ impl Pmem {
             clock: SimClock::new(),
             stats: PmStats::new(),
             drain: WpqDrain::new(),
-            volatile: volatile.unwrap_or_else(|| Arc::new(VolatileSet::new(cfg.capacity))),
+            volatile: volatile.unwrap_or_else(|| {
+                SharedArena::new(cfg.capacity.min(ADDRESS_LIMIT.saturating_sub(cfg.capacity)))
+            }),
             trace: Vec::new(),
             cfg,
         }
@@ -395,6 +406,16 @@ impl Pmem {
         self.clock.advance_as(self.clock.current_tag(), ns);
     }
 
+    /// The storage holding `addr` and the offset of `addr` in it: the
+    /// pool below the capacity, the volatile range from there up.
+    #[inline]
+    fn space(&self, addr: u64) -> (&SharedArena, u64) {
+        match addr.checked_sub(self.cfg.capacity) {
+            Some(offset) => (&self.volatile, offset),
+            None => (&self.data, addr),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Access paths
     // ------------------------------------------------------------------
@@ -411,10 +432,10 @@ impl Pmem {
     }
 
     /// Charges a load of `len` bytes at `addr` to the cache model.
-    /// Volatile node-cache lines bypass the model: a hybrid root's
+    /// Loads from the volatile range bypass the model: a hybrid root's
     /// interior index is DRAM state, not simulated PM traffic.
     fn charge_load(&mut self, addr: u64, len: u64) {
-        if self.volatile.contains(addr) {
+        if addr >= self.cfg.capacity {
             return;
         }
         for l in lines_covering(addr, len) {
@@ -427,16 +448,9 @@ impl Pmem {
     /// Everything a store of `len` bytes at `addr` does besides moving
     /// the bytes; must run *before* the data array changes.
     fn charge_store(&mut self, addr: u64, len: u64) {
-        if self.volatile.contains(addr) {
-            // Volatile node-cache store: never dirty, never flushed,
-            // never journaled, never charged. The line can't be in the
-            // dirty/in-flight table (volatile blocks own whole lines and
-            // are marked before their first store), so the raced-
-            // writeback pre-image logic below can't apply either.
-            debug_assert!(
-                lines_covering(addr, len).all(|l| self.volatile.contains(l)),
-                "write straddles a volatile/persistent block boundary"
-            );
+        if addr >= self.cfg.capacity {
+            // A store to the volatile range: never dirty, never flushed,
+            // never journaled, never charged.
             return;
         }
         // Every covered line becomes dirty. A store that races an
@@ -476,7 +490,8 @@ impl Pmem {
     /// Panics if the range is out of bounds.
     pub fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
         self.charge_load(addr, buf.len() as u64);
-        self.data.read(addr, buf);
+        let (space, offset) = self.space(addr);
+        space.read(offset, buf);
     }
 
     /// Reads `len` bytes at `addr` into a fresh vector.
@@ -495,7 +510,8 @@ impl Pmem {
     /// Panics if `addr` is unaligned or the range is out of bounds.
     pub fn read_words(&mut self, addr: u64, out: &mut [u64]) {
         self.charge_load(addr, out.len() as u64 * 8);
-        self.data.read_words(addr, out);
+        let (space, offset) = self.space(addr);
+        space.read_words(offset, out);
     }
 
     /// Writes `buf` at `addr` through the cache model (store, not flush).
@@ -505,7 +521,8 @@ impl Pmem {
     /// Panics if the range is out of bounds.
     pub fn write_bytes(&mut self, addr: u64, buf: &[u8]) {
         self.charge_store(addr, buf.len() as u64);
-        self.data.write(addr, buf);
+        let (space, offset) = self.space(addr);
+        space.write(offset, buf);
     }
 
     /// Writes `words` as little-endian `u64`s at the 8-byte aligned
@@ -517,19 +534,22 @@ impl Pmem {
     /// Panics if `addr` is unaligned or the range is out of bounds.
     pub fn write_words(&mut self, addr: u64, words: &[u64]) {
         self.charge_store(addr, words.len() as u64 * 8);
-        self.data.write_words(addr, words);
+        let (space, offset) = self.space(addr);
+        space.write_words(offset, words);
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&mut self, addr: u64) -> u64 {
         self.charge_load(addr, 8);
-        self.data.read_u64(addr)
+        let (space, offset) = self.space(addr);
+        space.read_u64(offset)
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
         self.charge_store(addr, 8);
-        self.data.write_u64(addr, v);
+        let (space, offset) = self.space(addr);
+        space.write_u64(offset, v);
     }
 
     /// Reads a little-endian `u32`.
@@ -547,17 +567,20 @@ impl Pmem {
     /// Debug/recovery peek that bypasses the cache model, clock and stats.
     /// Use sparingly: performance-relevant paths must use [`Pmem::read_bytes`].
     pub fn peek_bytes(&self, addr: u64, buf: &mut [u8]) {
-        self.data.read(addr, buf);
+        let (space, offset) = self.space(addr);
+        space.read(offset, buf);
     }
 
     /// Debug peek of a `u64`, bypassing the performance model.
     pub fn peek_u64(&self, addr: u64) -> u64 {
-        self.data.read_u64(addr)
+        let (space, offset) = self.space(addr);
+        space.read_u64(offset)
     }
 
     /// [`Pmem::read_words`] without the cache model, clock or stats.
     pub fn peek_words(&self, addr: u64, out: &mut [u64]) {
-        self.data.read_words(addr, out);
+        let (space, offset) = self.space(addr);
+        space.read_words(offset, out);
     }
 
     // ------------------------------------------------------------------
@@ -598,10 +621,10 @@ impl Pmem {
     pub fn clwb(&mut self, addr: u64) {
         let line = line_of(addr);
         self.stats.flushes_issued += 1;
-        if self.volatile.contains(line) {
-            // Flush of a volatile node-cache line: the whole point of
-            // the hybrid policy is that this writeback never happens.
-            // Count what full persistence would have paid.
+        if addr >= self.cfg.capacity {
+            // Flush of a volatile-range line: the whole point of the
+            // hybrid policy is that this writeback never happens. Count
+            // what full persistence would have paid.
             self.stats.flushes_avoided += 1;
             return;
         }
@@ -728,38 +751,30 @@ impl Pmem {
     }
 
     // ------------------------------------------------------------------
-    // Volatile node cache ("Don't Persist All" hybrid roots)
+    // The volatile range ("Don't Persist All" hybrid roots)
     // ------------------------------------------------------------------
 
-    /// Marks `[addr, addr + len)` as volatile node-cache lines: stores
-    /// bypass the cache/latency model, `clwb` is elided (counted in
-    /// [`PmStats::flushes_avoided`]) and the data is excluded from
-    /// journaling, checkpoints and crash images. The range must cover
-    /// whole cachelines — the allocator gives hybrid node blocks
-    /// exclusive-line footprints. Marks are shared with every handle of
-    /// the pool and die with the process (crash images start empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` or `len` is not a multiple of 64.
-    pub fn mark_volatile(&mut self, addr: u64, len: u64) {
-        self.volatile.mark(addr, len);
-        self.stats.volatile_node_bytes += len;
+    /// The volatile range `[capacity, capacity + V)`, `V = min(capacity,
+    /// ADDRESS_LIMIT − capacity)`: DRAM beside the pool. Loads and
+    /// stores there bypass the cache/latency model, a `clwb` is elided
+    /// (counted in [`PmStats::flushes_avoided`]), and nothing there is
+    /// traced, journaled, checkpointed or part of a crash image. Every
+    /// handle of the pool shares it; crash images and reopened pools
+    /// start with it empty.
+    pub fn volatile_range(&self) -> Range<u64> {
+        self.cfg.capacity..self.cfg.capacity + self.volatile.capacity()
     }
 
-    /// Clears the volatile marks of `[addr, addr + len)` (block freed:
-    /// a recycled block must not inherit volatility).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` or `len` is not a multiple of 64.
-    pub fn clear_volatile(&mut self, addr: u64, len: u64) {
-        self.volatile.clear(addr, len);
+    /// Host bytes the volatile range has materialized: 0 until a store
+    /// lands there.
+    pub fn volatile_resident_bytes(&self) -> u64 {
+        self.volatile.resident_bytes()
     }
 
-    /// Whether `addr` lies on a volatile node-cache line.
-    pub fn is_volatile(&self, addr: u64) -> bool {
-        self.volatile.contains(addr)
+    /// Counts `bytes` of volatile-range blocks allocated (allocator
+    /// hook; see [`PmStats::volatile_node_bytes`]).
+    pub fn count_volatile_alloc(&mut self, bytes: u64) {
+        self.stats.volatile_node_bytes += bytes;
     }
 
     /// Number of flushes issued but not yet ordered by a fence.
@@ -903,10 +918,10 @@ impl Pmem {
             // it, so a fence on any timeline journals through it.
             Arc::clone(&self.backend),
             None,
-            // One pool, one volatile-mark set: a worker's hybrid node
-            // blocks must look volatile to the commit stage and to
-            // every reader.
-            Some(Arc::clone(&self.volatile)),
+            // One pool, one volatile range: a worker's hybrid node
+            // blocks must be readable by the commit stage and every
+            // reader.
+            Some(self.volatile.clone()),
         );
         handle.clock = clock;
         handle
@@ -1273,12 +1288,12 @@ mod tests {
     }
 
     #[test]
-    fn volatile_lines_bypass_the_persistence_pipeline() {
+    fn volatile_range_bypasses_the_persistence_pipeline() {
         let mut pm = testing_pmem();
-        pm.mark_volatile(0x1000, 64);
+        let v = pm.volatile_range().start + 0x1000;
         let t0 = pm.clock().now_ns();
-        pm.write_u64(0x1000, 77);
-        pm.clwb(0x1000);
+        pm.write_u64(v, 77);
+        pm.clwb(v);
         assert_eq!(pm.clock().now_ns(), t0, "volatile traffic is uncharged");
         // The request is counted (accounting identity) but classified
         // avoided: no writeback work, no issue charge.
@@ -1287,60 +1302,72 @@ mod tests {
         assert_eq!(pm.stats().flushes_avoided, 1);
         assert!(pm.stats().flush_identity_holds());
         assert_eq!(pm.stats().writes, 0);
-        assert_eq!(pm.stats().volatile_node_bytes, 64);
         assert_eq!(pm.inflight_flushes(), 0, "never enters the line table");
+        assert!(pm.trace().is_empty(), "never traced");
         pm.sfence();
-        assert_eq!(pm.read_u64(0x1000), 77, "reads see the live value");
+        assert_eq!(pm.read_u64(v), 77, "reads see the live value");
+        assert_eq!(pm.peek_u64(v), 77);
+        assert_eq!(pm.stats().reads, 0, "and are uncharged");
         assert!(pm.clock().now_ns() > t0, "the fence itself charges");
+        assert_eq!(pm.peek_u64(0x1000), 0, "the pool below is untouched");
         let img = pm.crash_image(CrashPolicy::PersistAll);
+        assert_eq!(img.peek_u64(v), 0, "volatile data never survives a crash");
         assert_eq!(
-            img.peek_u64(0x1000),
+            img.volatile_resident_bytes(),
             0,
-            "volatile data never survives a crash"
+            "and costs the image nothing"
         );
     }
 
     #[test]
-    fn volatile_marks_are_shared_with_forked_handles() {
+    fn volatile_range_sits_above_the_pool_below_the_address_limit() {
+        let pm = testing_pmem();
+        let cap = pm.capacity();
+        assert_eq!(pm.volatile_range(), cap..2 * cap);
+        assert_eq!(pm.volatile_resident_bytes(), 0, "lazy until stored to");
+        // A pool above half the limit gets the rest; a pool at the limit
+        // none. Neither materializes anything.
+        let sized = |capacity| {
+            Pmem::new(PmemConfig {
+                capacity,
+                ..PmemConfig::testing()
+            })
+        };
+        assert_eq!(sized(40 << 30).volatile_range(), 40 << 30..ADDRESS_LIMIT);
+        let full = sized(ADDRESS_LIMIT);
+        assert!(full.volatile_range().is_empty());
+        assert_eq!(full.volatile_resident_bytes(), 0);
+    }
+
+    #[test]
+    fn volatile_range_is_shared_with_forked_handles() {
         let mut pm = testing_pmem();
         let mut worker = pm.fork_handle();
-        worker.mark_volatile(0x2000, 128);
-        assert!(
-            pm.is_volatile(0x2040),
-            "commit stage sees the worker's mark"
+        let v = pm.volatile_range().start + 0x2040;
+        worker.write_u64(v, 9);
+        assert_eq!(pm.read_u64(v), 9, "commit stage sees the worker's store");
+        pm.write_u64(v, 10);
+        assert_eq!(worker.peek_u64(v), 10);
+        assert_eq!(
+            pm.stats().writes + worker.stats().writes,
+            0,
+            "uncharged on both"
         );
-        pm.write_u64(0x2040, 9);
-        assert_eq!(pm.stats().writes, 0, "uncharged on the parent too");
+        worker.count_volatile_alloc(128);
         assert_eq!(worker.stats().volatile_node_bytes, 128);
         assert_eq!(
             pm.stats().volatile_node_bytes,
             0,
-            "charged to the marking handle"
+            "counted by the allocating handle"
         );
     }
 
     #[test]
-    fn cleared_volatile_line_persists_again() {
+    #[should_panic(expected = "out of bounds")]
+    fn access_past_the_volatile_range_panics() {
         let mut pm = testing_pmem();
-        pm.mark_volatile(0x3000, 64);
-        pm.clear_volatile(0x3000, 64);
-        pm.write_u64(0x3000, 5);
-        pm.clwb(0x3000);
-        pm.sfence();
-        let img = pm.crash_image(CrashPolicy::OnlyFenced);
-        assert_eq!(img.peek_u64(0x3000), 5, "unmarked line is ordinary PM");
-        assert_eq!(pm.stats().flushes_issued, 1);
-        assert_eq!(pm.stats().flushes_avoided, 0);
-    }
-
-    #[test]
-    fn crash_image_starts_with_an_empty_volatile_set() {
-        let mut pm = testing_pmem();
-        pm.mark_volatile(0x1000, 64);
-        let mut img = pm.crash_image(CrashPolicy::OnlyFenced);
-        assert!(!img.is_volatile(0x1000));
-        img.write_u64(0x1000, 3);
-        assert_eq!(img.stats().writes, 1, "post-crash pool charges normally");
+        let end = pm.volatile_range().end;
+        pm.write_u64(end, 1);
     }
 
     #[test]

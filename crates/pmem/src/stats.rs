@@ -69,7 +69,7 @@ impl EpochHistogram {
 /// `flushes_issued == effective_flushes + flushes_deduped + flushes_avoided`:
 /// every request is classified exactly once as real writeback work
 /// (effective), elided by the fence-epoch flush cache (deduped), or elided
-/// because the line is volatile node-cache state (avoided).
+/// because the address lies in the pool's volatile range (avoided).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PmStats {
     /// Flush requests: every `clwb` the commit pipeline asked for,
@@ -99,13 +99,14 @@ pub struct PmStats {
     /// flight: the part of the drain calendar still in the future when
     /// the `sfence` executed.
     pub residual_stall_ns: f64,
-    /// `clwb`s that targeted a volatile node-cache line and were elided
+    /// `clwb`s that targeted the pool's volatile range and were elided
     /// ("Don't Persist All" hybrid roots): flush traffic a full-
     /// persistence structure would have paid.
     pub flushes_avoided: u64,
-    /// Cumulative bytes of interior-node blocks marked volatile by this
-    /// handle (hybrid roots' index footprint kept out of the persistence
-    /// pipeline).
+    /// Cumulative bytes (headers included) of volatile-range blocks
+    /// allocated through this handle — hybrid roots' index footprint
+    /// kept out of the persistence pipeline. Counted by the allocator
+    /// ([`crate::Pmem::count_volatile_alloc`]).
     pub volatile_node_bytes: u64,
     /// Distribution of flushes outstanding per fence.
     pub epoch_hist: EpochHistogram,

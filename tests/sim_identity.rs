@@ -8,15 +8,17 @@
 //! buffers) may change representation freely, but must never move one of
 //! those calls. This test runs a fixed seeded script and compares a
 //! fingerprint of everything observable against recorded constants
-//! (all but `WIDE_HYBRID` last re-recorded at header generation 6, when
-//! cons cells and the vector and queue root objects began storing
-//! 32-bit block indices and an enqueue onto an empty queue began consing
-//! onto its front — other stored bytes, reads, flushes and block
-//! addresses, the same fences): an FNV hash over the `Pmem::trace()`
-//! stream, the full `PmStats`, the L1/LLC `CacheStats` and the
-//! `TimeBreakdown` f64 bit patterns. A representation change
-//! that perturbs any of them fails here, with the new fingerprint
-//! printed next to the recorded one.
+//! (the Full ones last re-recorded at header generation 6, when cons
+//! cells and the vector and queue root objects began storing 32-bit
+//! block indices and an enqueue onto an empty queue began consing onto
+//! its front — other stored bytes, reads, flushes and block addresses,
+//! the same fences; the `*_HYBRID` ones when hybrid index blocks moved to
+//! the volatile range beside the pool — other persistent placement and
+//! index block sizes, the same reads, writes and fences): an FNV hash
+//! over the `Pmem::trace()` stream, the full `PmStats`, the L1/LLC
+//! `CacheStats` and the `TimeBreakdown` f64 bit patterns. A
+//! representation change that perturbs any of them fails here, with the
+//! new fingerprint printed next to the recorded one.
 
 use mod_core::codec::KeyRepr;
 use mod_core::{
@@ -351,10 +353,10 @@ l1=155931/151505/4426 llc=4426/2443/1983\n\
 other=0x41312b9c00000000 flush=0x41411590147ae677 log=0x0000000000000000";
 const OWNER_HYBRID: &str = "\
 map_len=1056 vec_len=536 queue_len=299\n\
-trace=0x20d02cc3ebe86b15/37375\n\
-issued=31297 effective=9431 deduped=27 avoided=21839 fences=3408 reads=7216 writes=14179 bytes=262356 overlap=0x410ed4bc28f5b7b6 residual=0x4134552a8000013a volatile_bytes=1397696 hist=1x2,2x1168,3x1960,4x254,7x11,8x7,9x6\n\
-l1=23227/18199/5028 llc=5028/0/5028\n\
-other=0x4138402000000000 flush=0x4134e8868000013a log=0x0000000000000000";
+trace=0x52272d41caea0c22/38281\n\
+issued=38087 effective=10295 deduped=69 avoided=27723 fences=3408 reads=7216 writes=14179 bytes=262356 overlap=0x410f38973333248f residual=0x413516b151eb86be volatile_bytes=1336384 hist=1x2,2x506,3x2452,4x424,7x9,8x13,9x2\n\
+l1=23905/19188/4717 llc=4717/0/4717\n\
+other=0x4136d51b00000000 flush=0x4135b78d51eb86be log=0x0000000000000000";
 const TURNSTILE_FULL: &str = "\
 fases=192 batches=96 ledger_len=80\n\
 lanes: issued=5805 effective=5443 deduped=362 avoided=0 fences=304 reads=15269 writes=9580 bytes=221224 overlap=0x410a9277851eb828 residual=0x4102266d1eb85215 volatile_bytes=0 hist=1x3,2x1,3x4,4x83,5x69,6x28,7x14,8x6,25x1,28x4,29x2,30x4,31x4,32x7,33x11,34x15,35x14,36x7,37x7,38x5,39x4,40x2,41x5,42x2,53x1,68x1\n\
@@ -365,12 +367,12 @@ l1=16202/13942/2260 llc=2260/85/2175\n\
 other=0x41257d1c00000000 flush=0x41282dff47ae1486 log=0x0000000000000000";
 const TURNSTILE_HYBRID: &str = "\
 fases=192 batches=96 ledger_len=80\n\
-lanes: issued=5787 effective=1587 deduped=110 avoided=4090 fences=304 reads=2962 writes=4822 bytes=68481 overlap=0x40f2ccd33333334e residual=0x40fb4d49eb851ea6 volatile_bytes=261760 hist=1x3,2x201,4x3,5x1,11x48,13x36,14x11,15x1\n\
-wall=0x41146f527ae147a9\n\
-trace=0xce58999c7574451c/8516\n\
-issued=1614 effective=711 deduped=110 avoided=793 fences=304 reads=2962 writes=2770 bytes=27285 overlap=0x40f2ccd33333334e residual=0x40fb4d49eb851ea6 volatile_bytes=50752 hist=1x3,2x201,4x3,5x1,11x48,13x36,14x11,15x1\n\
-l1=5732/5504/228 llc=228/0/228\n\
-other=0x40f384e000000000 flush=0x410f1c34f5c28f52 log=0x0000000000000000";
+lanes: issued=7512 effective=1931 deduped=364 avoided=5217 fences=304 reads=2962 writes=4822 bytes=68481 overlap=0x40f38b71eb851ec9 residual=0x40fb4d49eb851eae volatile_bytes=246336 hist=1x3,2x201,4x2,5x2,10x1,11x35,13x37,14x10,15x12,16x1\n\
+wall=0x4113c7aa7ae147ab\n\
+trace=0xdd2c898d131eac19/9114\n\
+issued=2048 effective=713 deduped=310 avoided=1025 fences=304 reads=2962 writes=2770 bytes=27285 overlap=0x40f38b71eb851ec9 residual=0x40fb4d49eb851eae volatile_bytes=46800 hist=1x3,2x201,4x2,5x2,10x1,11x35,13x37,14x10,15x12,16x1\n\
+l1=5932/5707/225 llc=225/0/225\n\
+other=0x40f358f000000000 flush=0x410de2dcf5c28f56 log=0x0000000000000000";
 const WIDE_FULL: &str = "\
 replies=2391 names=261 tags=44 ids=27 vec=0 stack=0 plain=43\n\
 trace=0x7b0b6b68b9b9c431/96964\n\
@@ -379,10 +381,10 @@ l1=169992/168816/1176 llc=1176/517/659\n\
 other=0x41237b2e00000000 flush=0x413e0edb9eb85afa log=0x0000000000000000";
 const WIDE_HYBRID: &str = "\
 replies=2391 names=261 tags=44 ids=27 vec=0 stack=0 plain=43\n\
-trace=0x3cca49c8e1c36c34/46296\n\
-issued=31790 effective=10938 deduped=535 avoided=20317 fences=3013 reads=17350 writes=18611 bytes=419317 overlap=0x41116975c28f51d3 residual=0x41338856f0a3d999 volatile_bytes=1300288 hist=1x4,2x1584,3x583,4x192,5x240,6x141,7x70,8x16,9x15,10x14,11x30,12x24,13x21,14x12,15x31,16x16,17x10,18x5,19x3,20x1,165x1\n\
-l1=39484/31598/7886 llc=7886/3654/4232\n\
-other=0x41379d9300000000 flush=0x4134333ef0a3d999 log=0x0000000000000000";
+trace=0x5ef6e38655e7068b/47767\n\
+issued=37627 effective=11941 deduped=1003 avoided=24683 fences=3013 reads=17350 writes=18611 bytes=419317 overlap=0x4112310251eb792c residual=0x41341a2b7ae14a94 volatile_bytes=1209504 hist=1x4,2x1052,3x977,4x296,5x254,6x155,7x77,8x16,9x9,10x14,11x28,12x21,13x19,14x19,15x25,16x25,17x9,18x7,19x5,165x1\n\
+l1=40272/32117/8155 llc=8155/3953/4202\n\
+other=0x4137aaee00000000 flush=0x4134d4bf7ae14a94 log=0x0000000000000000";
 
 #[test]
 fn owner_heap_full_matches_recorded_fingerprint() {
