@@ -93,12 +93,14 @@ impl Space {
         (abase, per)
     }
 
-    /// Takes back a worker's share of this space: its free lists, and
-    /// the unbumped rest of its arena as a region.
+    /// Takes back a worker's share of this space: its free lists, its
+    /// regions (blocks above the classes it freed), and the unbumped rest
+    /// of its arena as a region.
     fn rejoin(&mut self, share: Space) {
         for (mine, theirs) in self.free_by_class.iter_mut().zip(share.free_by_class) {
             mine.extend(theirs);
         }
+        self.regions.extend(share.regions);
         if share.limit - share.bump >= MIN_BLOCK {
             self.regions.insert(share.bump, share.limit - share.bump);
         }
@@ -1124,6 +1126,32 @@ mod tests {
                 .all(|hdr| lists[0].free_by_class[idx].contains(hdr)));
             assert!(lists[1].free_by_class.iter().all(Vec::is_empty));
         }
+    }
+
+    #[test]
+    fn absorbed_worker_returns_its_freed_blocks_above_the_classes() {
+        // A block above the size classes that a worker frees in its own
+        // arena lands in the worker's regions; absorbing the worker must
+        // hand that span back to the commit side, not drop it until the
+        // next recovery.
+        let mut h = heap();
+        let mut w = h.split_workers(1).remove(0);
+        let p = w.alloc(10_000);
+        let hdr = p.addr() - HEADER_BYTES;
+        let span = HEADER_BYTES + w.block_len(p);
+        assert!(
+            class_index(span - HEADER_BYTES).is_none(),
+            "above the classes"
+        );
+        w.free(p);
+        h.absorb_worker(w);
+        let covering = h.spaces[0].regions.range(..=hdr).next_back();
+        assert!(
+            covering.is_some_and(|(&start, &len)| start + len >= hdr + span),
+            "freed span [{hdr:#x}, +{span}) is not free space after the absorb: {:?}",
+            h.spaces[0].regions
+        );
+        assert_eq!(h.stats().live_blocks, 0);
     }
 
     #[test]

@@ -3,82 +3,31 @@
 //! The paper's thesis is that *ordering*, not write volume, is the
 //! bottleneck (§8: "Rather than focusing on minimizing the amount of
 //! data written, MOD datastructures minimize the ordering points").
-//! This ablation isolates that claim on the map workload:
+//! This ablation isolates that claim on the Map micro of Table 2 (the
+//! same run as Figs 9–11, on a pool whose latency model is swapped):
 //!
 //! 1. **no-overlap hardware** — rerun both systems on a machine whose
 //!    flushes do not overlap (Amdahl f = 0): MOD's advantage should
 //!    shrink dramatically, because its one-fence design exists precisely
 //!    to exploit flush overlap;
-//! 2. **write volume** — compare flushed-lines per op (MOD writes *more*
-//!    data yet wins on normal hardware — the paper's §8 point).
+//! 2. **write volume** — compare flushed lines and stored bytes per op
+//!    (MOD's path copies store *more* bytes yet win on normal hardware —
+//!    the paper's §8 point; the flush cache elides enough of their lines
+//!    that MOD's flushed-line count is no longer above PMDK's).
 
 use mod_bench::{banner, ratio, TextTable};
-use mod_core::{DurableMap, ModHeap};
-use mod_pmem::{LatencyModel, Pmem, PmemConfig};
-use mod_stm::{StmHashMap, TxHeap, TxMode};
-use mod_workloads::micro::value32;
-use mod_workloads::{ScaleConfig, WorkloadRng};
+use mod_pmem::LatencyModel;
+use mod_workloads::{run_workload, RunReport, ScaleConfig, System, Workload};
 
-struct Outcome {
-    ns_per_op: f64,
-    flushes_per_op: f64,
-    fences_per_op: f64,
+/// The Map micro on `sys`, on the scale's pool with `latency` swapped in.
+fn run_map(scale: &ScaleConfig, latency: &LatencyModel, sys: System) -> RunReport {
+    let mut on_hw = scale.clone();
+    on_hw.pool.latency = latency.clone();
+    run_workload(Workload::Map, sys, &on_hw)
 }
 
-fn run_mod(scale: &ScaleConfig, latency: LatencyModel) -> Outcome {
-    let pm = Pmem::new(PmemConfig {
-        capacity: scale.capacity,
-        latency,
-        ..PmemConfig::benchmarking(scale.capacity)
-    });
-    let mut heap = ModHeap::create(pm);
-    let map: DurableMap<u64, [u8; 32]> = DurableMap::create(&mut heap);
-    let mut rng = WorkloadRng::new(scale.seed);
-    let key_space = scale.preload * 2;
-    for _ in 0..scale.preload {
-        let k = rng.below(key_space);
-        map.insert(&mut heap, &k, &value32(k));
-    }
-    let t0 = heap.nv().pm().clock().now_ns();
-    let f0 = heap.nv().pm().stats().effective_flushes;
-    let s0 = heap.nv().pm().stats().fences;
-    for _ in 0..scale.ops {
-        let k = rng.below(key_space);
-        map.insert(&mut heap, &k, &value32(k));
-    }
-    Outcome {
-        ns_per_op: (heap.nv().pm().clock().now_ns() - t0) / scale.ops as f64,
-        flushes_per_op: (heap.nv().pm().stats().effective_flushes - f0) as f64 / scale.ops as f64,
-        fences_per_op: (heap.nv().pm().stats().fences - s0) as f64 / scale.ops as f64,
-    }
-}
-
-fn run_pmdk(scale: &ScaleConfig, latency: LatencyModel) -> Outcome {
-    let pm = Pmem::new(PmemConfig {
-        capacity: scale.capacity,
-        latency,
-        ..PmemConfig::benchmarking(scale.capacity)
-    });
-    let mut heap = TxHeap::format(pm, TxMode::Hybrid);
-    let map = StmHashMap::create(&mut heap, scale.bucket_bits());
-    let mut rng = WorkloadRng::new(scale.seed);
-    let key_space = scale.preload * 2;
-    for _ in 0..scale.preload {
-        let k = rng.below(key_space);
-        map.insert(&mut heap, k, &value32(k));
-    }
-    let t0 = heap.nv().pm().clock().now_ns();
-    let f0 = heap.nv().pm().stats().effective_flushes;
-    let s0 = heap.nv().pm().stats().fences;
-    for _ in 0..scale.ops {
-        let k = rng.below(key_space);
-        map.insert(&mut heap, k, &value32(k));
-    }
-    Outcome {
-        ns_per_op: (heap.nv().pm().clock().now_ns() - t0) / scale.ops as f64,
-        flushes_per_op: (heap.nv().pm().stats().effective_flushes - f0) as f64 / scale.ops as f64,
-        fences_per_op: (heap.nv().pm().stats().fences - s0) as f64 / scale.ops as f64,
-    }
+fn per_op(count: u64, r: &RunReport) -> f64 {
+    count as f64 / r.ops as f64
 }
 
 fn main() {
@@ -102,36 +51,34 @@ fn main() {
         "ns/op",
         "flushes/op",
         "fences/op",
+        "bytes/op",
     ]);
     let mut speedups = Vec::new();
     for (hw_name, hw) in [
         ("optane (f=0.82)", optane),
         ("no-overlap (f=0)", no_overlap),
     ] {
-        let m = run_mod(&scale, hw.clone());
-        let p = run_pmdk(&scale, hw.clone());
-        t.row(vec![
-            hw_name.to_string(),
-            "MOD".to_string(),
-            format!("{:.0}", m.ns_per_op),
-            format!("{:.1}", m.flushes_per_op),
-            format!("{:.1}", m.fences_per_op),
-        ]);
-        t.row(vec![
-            hw_name.to_string(),
-            "PMDK-1.5".to_string(),
-            format!("{:.0}", p.ns_per_op),
-            format!("{:.1}", p.flushes_per_op),
-            format!("{:.1}", p.fences_per_op),
-        ]);
-        speedups.push((hw_name, p.ns_per_op / m.ns_per_op, m, p));
+        let m = run_map(&scale, &hw, System::Mod);
+        let p = run_map(&scale, &hw, System::Pmdk15);
+        for r in [&m, &p] {
+            t.row(vec![
+                hw_name.to_string(),
+                r.system.name().to_string(),
+                format!("{:.0}", r.ns_per_op()),
+                format!("{:.1}", per_op(r.flushes, r)),
+                format!("{:.1}", per_op(r.fences, r)),
+                format!("{:.0}", per_op(r.bytes_written, r)),
+            ]);
+        }
+        speedups.push((hw_name, p.ns_per_op() / m.ns_per_op(), m, p));
     }
     println!("{}", t.render());
     for (hw, s, m, p) in &speedups {
         println!(
-            "{hw}: MOD is {} vs PMDK, while flushing {} as many lines",
+            "{hw}: MOD is {} vs PMDK, while flushing {} as many lines and storing {} as many bytes",
             ratio(*s),
-            ratio(m.flushes_per_op / p.flushes_per_op)
+            ratio(m.flushes as f64 / p.flushes as f64),
+            ratio(m.bytes_written as f64 / p.bytes_written as f64)
         );
     }
     let (_, with_overlap, ..) = speedups[0];

@@ -17,16 +17,15 @@ fn main() {
     let mut n = 0.0;
     for w in Workload::all() {
         eprintln!("  running {w} ...");
-        let r = run_workload(w, System::Pmdk15, &scale);
-        let total = r.time.total_ns();
+        let time = run_workload(w, System::Pmdk15, &scale).time;
         t.row(vec![
             w.name().to_string(),
-            percent(r.time.other_ns / total),
-            percent(r.time.flush_ns / total),
-            percent(r.time.log_ns / total),
+            percent(time.other_ns / time.total_ns()),
+            percent(time.flush_fraction()),
+            percent(time.log_fraction()),
         ]);
-        flush_sum += r.time.flush_ns / total;
-        log_sum += r.time.log_ns / total;
+        flush_sum += time.flush_fraction();
+        log_sum += time.log_fraction();
         n += 1.0;
     }
     println!("{}", t.render());

@@ -110,12 +110,14 @@ pub fn collect() -> Metrics {
     m.insert("hybrid.sim_ns_per_op".to_string(), hyb.ns_per_op());
     hybrid_file_mix(&mut m);
 
-    // Flush-coalescing ablation: the map micro with the fence-epoch
-    // flush cache explicitly on and off. Drift in the on-run means the
-    // elision coverage itself changed; the off-run pins the cache's
-    // contribution.
-    let on = mod_workloads::run_map_coalesce(&scale, true);
-    let off = mod_workloads::run_map_coalesce(&scale, false);
+    // Flush-coalescing ablation: the map micro on a pool with the
+    // fence-epoch flush cache on (the default) and off. Drift in the
+    // on-run means the elision coverage itself changed; the off-run pins
+    // the cache's contribution.
+    let on = run_workload(Workload::Map, System::Mod, &scale);
+    let mut uncoalesced = scale.clone();
+    uncoalesced.pool.coalesce_flushes = false;
+    let off = run_workload(Workload::Map, System::Mod, &uncoalesced);
     assert_eq!(
         on.fences, off.fences,
         "flush coalescing must never change the fence schedule"

@@ -39,15 +39,9 @@ impl KeyRepr {
     }
 }
 
-/// 64-bit FNV-1a, the default hash for byte-keyed maps.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
+/// 64-bit FNV-1a, the default hash for byte-keyed maps: the one body
+/// in the workspace, shared with the journal's record checksum.
+pub use mod_pmem::journal::fnv1a64 as fnv1a_64;
 
 /// A type usable as a [`crate::DurableMap`]/[`crate::DurableSet`] key.
 pub trait PmKey {

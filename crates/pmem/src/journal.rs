@@ -135,7 +135,10 @@ pub struct BatchRecord {
     pub lines: Vec<LineImage>,
 }
 
-/// FNV-1a 64-bit checksum (dependency-free, good torn-write detector).
+/// 64-bit FNV-1a: the journal's record checksum (dependency-free, a good
+/// torn-write detector) and, re-exported as `mod_core::codec::fnv1a_64`,
+/// the bucket hash of every string or byte key. Changing it would reject
+/// existing journals and re-bucket existing pools.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -619,6 +622,13 @@ pub fn merge_shard_records(per_shard: Vec<Vec<ShardBatchRecord>>, mark: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_known_answers() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     /// Deterministic xorshift64* for fuzzed records.
     struct XorShift(u64);

@@ -8,10 +8,9 @@
 //! node); BFS behaviour depends only on push/pop volume and order, which
 //! the substitution preserves (see DESIGN.md §2).
 
-use crate::report::{OpProfile, RunReport, Snapshot};
+use crate::report::{MeasuredRun, RunReport};
 use crate::spec::{ScaleConfig, System, Workload, WorkloadRng};
 use mod_core::{DurableQueue, ModHeap};
-use mod_pmem::{Pmem, PmemConfig};
 use mod_stm::{StmQueue, TxHeap, TxMode};
 
 /// An in-memory (volatile) undirected graph in adjacency-list form.
@@ -99,21 +98,16 @@ pub fn run_bfs(sys: System, scale: &ScaleConfig) -> RunReport {
 }
 
 fn bfs_mod(g: &Graph, scale: &ScaleConfig) -> RunReport {
-    let mut heap = ModHeap::create(Pmem::new(PmemConfig::benchmarking(scale.capacity)));
+    let mut heap = ModHeap::create(scale.pmem());
     let queue: DurableQueue<u64> = DurableQueue::create(&mut heap);
-    let snap = Snapshot::take(heap.nv().pm(), heap.nv().stats().cumulative_alloc_bytes);
-    let mut profile = OpProfile {
-        op: "bfs-queue-op".into(),
-        ..OpProfile::default()
-    };
+    let mut run = MeasuredRun::start(heap.nv(), Workload::Bfs, System::Mod, &["bfs-queue-op"]);
     let mut level = vec![u32::MAX; g.nodes()];
     level[0] = 0;
-    queue.enqueue(&mut heap, &0);
-    profile.count += 1;
+    run.op(0, &mut heap, |h| queue.enqueue(h, &0));
     let mut ops = 1u64;
     while let Some(u) = {
         ops += 1;
-        queue.dequeue(&mut heap)
+        run.op(0, &mut heap, |h| queue.dequeue(h))
     } {
         let u = u as usize;
         for &v in &g.adj[u] {
@@ -121,29 +115,18 @@ fn bfs_mod(g: &Graph, scale: &ScaleConfig) -> RunReport {
             heap.nv_mut().pm_mut().charge_ns(1.0);
             if level[v as usize] == u32::MAX {
                 level[v as usize] = level[u] + 1;
-                queue.enqueue(&mut heap, &(v as u64));
+                run.op(0, &mut heap, |h| queue.enqueue(h, &(v as u64)));
                 ops += 1;
             }
         }
     }
-    profile.count = ops;
-    profile.flushes = heap.nv().pm().stats().effective_flushes;
-    profile.fences = heap.nv().pm().stats().fences;
-    snap.finish(
-        heap.nv().pm(),
-        heap.nv().stats().cumulative_alloc_bytes,
-        heap.nv().stats().live_bytes,
-        Workload::Bfs,
-        System::Mod,
-        ops,
-        vec![profile],
-    )
+    run.finish(heap.nv(), ops)
 }
 
 fn bfs_stm(g: &Graph, scale: &ScaleConfig, mode: TxMode, sys: System) -> RunReport {
-    let mut heap = TxHeap::format(Pmem::new(PmemConfig::benchmarking(scale.capacity)), mode);
+    let mut heap = TxHeap::format(scale.pmem(), mode);
     let queue = StmQueue::create(&mut heap);
-    let snap = Snapshot::take(heap.nv().pm(), heap.nv().stats().cumulative_alloc_bytes);
+    let run = MeasuredRun::start(heap.nv(), Workload::Bfs, sys, &[]);
     let mut level = vec![u32::MAX; g.nodes()];
     level[0] = 0;
     queue.enqueue(&mut heap, 0);
@@ -162,15 +145,7 @@ fn bfs_stm(g: &Graph, scale: &ScaleConfig, mode: TxMode, sys: System) -> RunRepo
             }
         }
     }
-    snap.finish(
-        heap.nv().pm(),
-        heap.nv().stats().cumulative_alloc_bytes,
-        heap.nv().stats().live_bytes,
-        Workload::Bfs,
-        sys,
-        ops,
-        Vec::new(),
-    )
+    run.finish(heap.nv(), ops)
 }
 
 #[cfg(test)]
@@ -226,6 +201,18 @@ mod tests {
             );
             assert!(r.fences > 0);
         }
+    }
+
+    #[test]
+    fn mod_bfs_profile_counts_only_the_measured_phase() {
+        // Fig 10's bfs point: every enqueue and dequeue, and nothing from
+        // before the run started (the pool's format fence, the queue's
+        // root publish).
+        let r = run_bfs(System::Mod, &ScaleConfig::testing());
+        let p = &r.profiles[0];
+        assert_eq!(p.count, r.ops);
+        assert_eq!(p.flushes, r.flushes);
+        assert_eq!(p.fences, r.fences);
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! (Figs 2, 9), flush/fence profiles per operation (Fig 10), L1D miss
 //! counters (Fig 11) and allocator statistics (Table 3).
 //!
+//! A run takes its scale and its pool from one [`ScaleConfig`]: the
+//! default pool is [`mod_pmem::PmemConfig::benchmarking`], and a run on
+//! another pool (the flush cache off, a latency model without flush
+//! overlap) is the same [`run_workload`] call on a config whose `pool`
+//! differs. Every driver, on every system, is measured by one
+//! [`MeasuredRun`]: started once preload ends, it brackets each update
+//! under its op label and finishes into the [`RunReport`].
+//!
 //! ## Example
 //!
 //! ```
@@ -31,9 +39,9 @@ pub mod spec;
 pub mod vacation;
 
 pub use concurrent::{run_pipelined, ConcurrencyConfig, ConcurrencyReport};
-pub use micro::{run_map_coalesce, run_map_hybrid};
+pub use micro::run_map_hybrid;
 pub use read_heavy::{run_sim as run_read_heavy, ReadHeavyConfig, ReadHeavyReport};
-pub use report::{OpProfile, RunReport};
+pub use report::{MeasuredRun, OpProfile, RunHeap, RunReport};
 pub use session::{open_session, run_ops, verify_session, Session, SessionRoots, SessionShape};
 pub use spec::{ScaleConfig, System, Workload, WorkloadRng};
 

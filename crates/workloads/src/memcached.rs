@@ -20,10 +20,9 @@
 //! is host-time only — it never touches the simulated Pmem, so the
 //! gated simulated metrics are bit-identical to executing directly.
 
-use crate::report::{OpCounters, OpProfile, RunReport, Snapshot};
+use crate::report::{MeasuredRun, RunReport};
 use crate::spec::{ScaleConfig, System, Workload, WorkloadRng};
 use mod_core::{DurableMap, ModHeap};
-use mod_pmem::{Pmem, PmemConfig};
 use mod_server::{Command, FrameDecoder};
 use mod_stm::{StmHashMap, TxHeap, TxMode};
 
@@ -92,7 +91,7 @@ pub fn run_memcached(sys: System, scale: &ScaleConfig) -> RunReport {
 }
 
 fn memcached_mod(scale: &ScaleConfig) -> RunReport {
-    let mut heap = ModHeap::create(Pmem::new(PmemConfig::benchmarking(scale.capacity)));
+    let mut heap = ModHeap::create(scale.pmem());
     let map: DurableMap<[u8; 16], Vec<u8>> = DurableMap::create(&mut heap);
     let mut rng = WorkloadRng::new(scale.seed);
     let key_space = scale.preload.max(16);
@@ -108,12 +107,12 @@ fn memcached_mod(scale: &ScaleConfig) -> RunReport {
         let key: [u8; 16] = key.try_into().expect("16-byte keys");
         map.insert(&mut heap, &key, &value);
     }
-    let snap = Snapshot::take(heap.nv().pm(), heap.nv().stats().cumulative_alloc_bytes);
-    let mut set = OpProfile {
-        op: "memcached-set".into(),
-        ..OpProfile::default()
-    };
-    let mut hits = 0u64;
+    let mut run = MeasuredRun::start(
+        heap.nv(),
+        Workload::Memcached,
+        System::Mod,
+        &["memcached-set"],
+    );
     for op in 0..scale.ops {
         let (key, _) = gen_key(&mut rng, key_space);
         if rng.percent(95) {
@@ -125,10 +124,7 @@ fn memcached_mod(scale: &ScaleConfig) -> RunReport {
                 unreachable!("SET round-trips as SET")
             };
             let key: [u8; 16] = key.try_into().expect("16-byte keys");
-            let before = OpCounters::read(heap.nv().pm());
-            map.insert(&mut heap, &key, &value);
-            let (f, s) = OpCounters::read(heap.nv().pm()).since(&before);
-            set.record(f, s);
+            run.op(0, &mut heap, |h| map.insert(h, &key, &value));
         } else {
             let cmd = wire_roundtrip(&Command::Get { key: key.to_vec() });
             let Command::Get { key } = cmd else {
@@ -138,27 +134,14 @@ fn memcached_mod(scale: &ScaleConfig) -> RunReport {
             // Charged read path so MOD gets pay the same simulated
             // cache/time costs the STM baselines pay (Fig 9 fidelity);
             // the codec layer already verified the framed key bytes.
-            let got = map.get(&mut heap, &key);
-            if got.is_some() {
-                hits += 1;
-            }
+            let _ = map.get(&mut heap, &key);
         }
     }
-    let mut report = snap.finish(
-        heap.nv().pm(),
-        heap.nv().stats().cumulative_alloc_bytes,
-        heap.nv().stats().live_bytes,
-        Workload::Memcached,
-        System::Mod,
-        scale.ops,
-        vec![set],
-    );
-    report.ops = scale.ops.max(hits); // hits folded in; ops dominates
-    report
+    run.finish(heap.nv(), scale.ops)
 }
 
 fn memcached_stm(scale: &ScaleConfig, mode: TxMode, sys: System) -> RunReport {
-    let mut heap = TxHeap::format(Pmem::new(PmemConfig::benchmarking(scale.capacity)), mode);
+    let mut heap = TxHeap::format(scale.pmem(), mode);
     let map = StmHashMap::create(&mut heap, scale.bucket_bits());
     let mut rng = WorkloadRng::new(scale.seed);
     let key_space = scale.preload.max(16);
@@ -166,32 +149,17 @@ fn memcached_stm(scale: &ScaleConfig, mode: TxMode, sys: System) -> RunReport {
         let (key, mk) = gen_key(&mut rng, key_space);
         map.insert(&mut heap, mk, &build_value(&key, 0));
     }
-    let snap = Snapshot::take(heap.nv().pm(), heap.nv().stats().cumulative_alloc_bytes);
-    let mut set = OpProfile {
-        op: "memcached-set".into(),
-        ..OpProfile::default()
-    };
+    let mut run = MeasuredRun::start(heap.nv(), Workload::Memcached, sys, &["memcached-set"]);
     for op in 0..scale.ops {
         let (key, mk) = gen_key(&mut rng, key_space);
         if rng.percent(95) {
-            let before = OpCounters::read(heap.nv().pm());
-            map.insert(&mut heap, mk, &build_value(&key, op));
-            let (f, s) = OpCounters::read(heap.nv().pm()).since(&before);
-            set.record(f, s);
+            run.op(0, &mut heap, |h| map.insert(h, mk, &build_value(&key, op)));
         } else {
             let got = map.get(&mut heap, mk);
             let _ = verify_get(&key, got.as_deref());
         }
     }
-    snap.finish(
-        heap.nv().pm(),
-        heap.nv().stats().cumulative_alloc_bytes,
-        heap.nv().stats().live_bytes,
-        Workload::Memcached,
-        sys,
-        scale.ops,
-        vec![set],
-    )
+    run.finish(heap.nv(), scale.ops)
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
 //! Measurement collection shared by every workload runner.
 
 use crate::spec::{System, Workload};
-use mod_pmem::{CacheStats, Pmem, TimeBreakdown};
+use mod_alloc::NvHeap;
+use mod_core::ModHeap;
+use mod_pmem::{CacheStats, PmStats, TimeBreakdown};
+use mod_stm::TxHeap;
 
 /// Per-operation-kind counters, the data behind Fig 10's scatter plot.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -106,93 +109,133 @@ impl RunReport {
     }
 }
 
-/// Counter snapshot used to bracket the measured phase.
-#[derive(Clone, Debug)]
-pub struct Snapshot {
+/// A heap a run is measured on: MOD's [`ModHeap`] or a baseline's
+/// [`TxHeap`]. Both charge the same simulated pool through an
+/// [`NvHeap`].
+pub trait RunHeap {
+    /// The allocator heap, and through it the pool, the run charges.
+    fn nv_heap(&self) -> &NvHeap;
+}
+
+impl RunHeap for ModHeap {
+    fn nv_heap(&self) -> &NvHeap {
+        self.nv()
+    }
+}
+
+impl RunHeap for TxHeap {
+    fn nv_heap(&self) -> &NvHeap {
+        self.nv()
+    }
+}
+
+/// One measured run: started on the heap once preload ends, it charges
+/// each update's flushes and fences to that update's op label and
+/// finishes into the [`RunReport`] of the span since the start.
+#[derive(Debug)]
+pub struct MeasuredRun {
+    workload: Workload,
+    system: System,
     time: TimeBreakdown,
-    flushes: u64,
-    flushes_deduped: u64,
-    fences: u64,
-    bytes_written: u64,
-    overlap_ns: f64,
-    residual_stall_ns: f64,
+    stats: PmStats,
     cache: CacheStats,
     alloc_cum: u64,
+    profiles: Vec<OpProfile>,
 }
 
-impl Snapshot {
-    /// Captures the current counters of a pool (+ allocator traffic).
-    pub fn take(pm: &Pmem, alloc_cum: u64) -> Snapshot {
-        Snapshot {
-            time: pm.clock().breakdown(),
-            flushes: pm.stats().effective_flushes,
-            flushes_deduped: pm.stats().flushes_deduped,
-            fences: pm.stats().fences,
-            bytes_written: pm.stats().bytes_written,
-            overlap_ns: pm.stats().overlap_ns,
-            residual_stall_ns: pm.stats().residual_stall_ns,
-            cache: pm.cache_stats(),
-            alloc_cum,
-        }
-    }
-
-    /// Builds a report for the span since this snapshot.
-    #[allow(clippy::too_many_arguments)]
-    pub fn finish(
-        &self,
-        pm: &Pmem,
-        alloc_cum: u64,
-        live_bytes: u64,
-        workload: Workload,
-        system: System,
-        ops: u64,
-        profiles: Vec<OpProfile>,
-    ) -> RunReport {
-        RunReport {
+impl MeasuredRun {
+    /// Starts measuring on `nv`, with one [`OpProfile`] per label in
+    /// `ops` (Fig 10's update kinds; none for a run without profiles).
+    pub fn start(nv: &NvHeap, workload: Workload, system: System, ops: &[&str]) -> MeasuredRun {
+        let pm = nv.pm();
+        MeasuredRun {
             workload,
             system,
+            time: pm.clock().breakdown(),
+            stats: pm.stats().clone(),
+            cache: pm.cache_stats(),
+            alloc_cum: nv.stats().cumulative_alloc_bytes,
+            profiles: ops
+                .iter()
+                .map(|&op| OpProfile {
+                    op: op.to_string(),
+                    ..OpProfile::default()
+                })
+                .collect(),
+        }
+    }
+
+    /// Runs one update and charges its flushes and fences to the
+    /// profile `kind` (an index into the labels given to
+    /// [`MeasuredRun::start`]).
+    pub fn op<H: RunHeap, R>(
+        &mut self,
+        kind: usize,
+        heap: &mut H,
+        update: impl FnOnce(&mut H) -> R,
+    ) -> R {
+        let before = flushes_and_fences(heap.nv_heap());
+        let out = update(heap);
+        self.charge(kind, heap.nv_heap(), before);
+        out
+    }
+
+    /// Runs one update that returns whether it counts as one: only then
+    /// are its flushes and fences charged to the profile `kind` (a MOD
+    /// set insert of a present key is a no-op FASE, not an update).
+    pub fn op_if<H: RunHeap>(
+        &mut self,
+        kind: usize,
+        heap: &mut H,
+        update: impl FnOnce(&mut H) -> bool,
+    ) -> bool {
+        let before = flushes_and_fences(heap.nv_heap());
+        let counts = update(heap);
+        if counts {
+            self.charge(kind, heap.nv_heap(), before);
+        }
+        counts
+    }
+
+    fn charge(&mut self, kind: usize, nv: &NvHeap, (flushes, fences): (u64, u64)) {
+        let now = flushes_and_fences(nv);
+        self.profiles[kind].record(now.0 - flushes, now.1 - fences);
+    }
+
+    /// The report of the span since [`MeasuredRun::start`]: `ops`
+    /// measured operations, ending on `nv`.
+    pub fn finish(self, nv: &NvHeap, ops: u64) -> RunReport {
+        let pm = nv.pm();
+        let stats = pm.stats();
+        RunReport {
+            workload: self.workload,
+            system: self.system,
             ops,
             time: pm.clock().breakdown().since(&self.time),
-            flushes: pm.stats().effective_flushes - self.flushes,
-            flushes_deduped: pm.stats().flushes_deduped - self.flushes_deduped,
-            fences: pm.stats().fences - self.fences,
-            bytes_written: pm.stats().bytes_written - self.bytes_written,
-            overlap_ns: pm.stats().overlap_ns - self.overlap_ns,
-            residual_stall_ns: pm.stats().residual_stall_ns - self.residual_stall_ns,
+            flushes: stats.effective_flushes - self.stats.effective_flushes,
+            flushes_deduped: stats.flushes_deduped - self.stats.flushes_deduped,
+            fences: stats.fences - self.stats.fences,
+            bytes_written: stats.bytes_written - self.stats.bytes_written,
+            overlap_ns: stats.overlap_ns - self.stats.overlap_ns,
+            residual_stall_ns: stats.residual_stall_ns - self.stats.residual_stall_ns,
             cache: pm.cache_stats().since(&self.cache),
-            live_bytes,
-            alloc_traffic_bytes: alloc_cum - self.alloc_cum,
-            profiles,
+            live_bytes: nv.stats().live_bytes,
+            alloc_traffic_bytes: nv.stats().cumulative_alloc_bytes - self.alloc_cum,
+            profiles: self.profiles,
         }
     }
 }
 
-/// Lightweight flush/fence counter pair for per-op profiling.
-#[derive(Copy, Clone, Debug)]
-pub struct OpCounters {
-    flushes: u64,
-    fences: u64,
-}
-
-impl OpCounters {
-    /// Reads the pool's counters.
-    pub fn read(pm: &Pmem) -> OpCounters {
-        OpCounters {
-            flushes: pm.stats().effective_flushes,
-            fences: pm.stats().fences,
-        }
-    }
-
-    /// Delta since `earlier` as `(flushes, fences)`.
-    pub fn since(&self, earlier: &OpCounters) -> (u64, u64) {
-        (self.flushes - earlier.flushes, self.fences - earlier.fences)
-    }
+fn flushes_and_fences(nv: &NvHeap) -> (u64, u64) {
+    let stats = nv.pm().stats();
+    (stats.effective_flushes, stats.fences)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mod_pmem::PmemConfig;
+    use mod_funcds::PmMap;
+    use mod_pmem::{Pmem, PmemConfig};
 
     #[test]
     fn profile_means() {
@@ -208,18 +251,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_brackets_activity() {
-        let mut pm = Pmem::new(PmemConfig::testing());
-        pm.write_u64(0x100, 1);
-        pm.clwb(0x100);
-        pm.sfence();
-        let snap = Snapshot::take(&pm, 0);
-        pm.write_u64(0x140, 2);
-        pm.clwb(0x140);
-        pm.sfence();
-        let report = snap.finish(&pm, 0, 0, Workload::Map, System::Mod, 1, Vec::new());
-        assert_eq!(report.flushes, 1);
-        assert_eq!(report.fences, 1);
+    fn measured_run_brackets_only_what_follows_its_start() {
+        let mut heap = ModHeap::create(Pmem::new(PmemConfig::testing()));
+        let m0 = PmMap::empty(heap.nv_mut());
+        let map = heap.publish(m0);
+        heap.fase(|tx| tx.update(map, |nv, m| m.insert(nv, 1, b"preload")));
+        let mut run = MeasuredRun::start(heap.nv(), Workload::Map, System::Mod, &["insert"]);
+        run.op(0, &mut heap, |h| {
+            h.fase(|tx| tx.update(map, |nv, m| m.insert(nv, 2, b"measured")))
+        });
+        // A no-op update is bracketed but charged to no profile.
+        let counted = run.op_if(0, &mut heap, |h| {
+            h.fase(|tx| tx.update_with(map, |nv, m| m.remove(nv, 3)))
+        });
+        assert!(!counted);
+        let report = run.finish(heap.nv(), 2);
+        assert_eq!(report.ops, 2);
+        assert_eq!(report.fences, 1, "the preload FASE is not measured");
+        assert!(report.flushes > 0);
+        assert_eq!(report.profiles.len(), 1);
+        assert_eq!(report.profiles[0].count, 1);
+        assert_eq!(report.profiles[0].flushes, report.flushes);
+        assert_eq!(report.profiles[0].fences, report.fences);
         assert!(report.total_ns() > 0.0);
     }
 }

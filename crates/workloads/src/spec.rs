@@ -1,5 +1,6 @@
 //! Workload identities and configurations (paper Table 2).
 
+use mod_pmem::{Pmem, PmemConfig};
 use std::fmt;
 
 /// The nine workloads of Table 2.
@@ -98,11 +99,29 @@ impl fmt::Display for System {
     }
 }
 
-/// Scale parameters. The paper runs 1 M iterations on 1 M-element
-/// structures; the default here is scaled down so the full figure suite
-/// regenerates in minutes, and `MOD_OPS`/`MOD_PRELOAD` environment
-/// variables restore paper scale (`MOD_OPS=1000000`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Scale parameters and the pool a run executes on. The paper runs 1 M
+/// iterations on 1 M-element structures; the default here is scaled
+/// down so the full figure suite regenerates in minutes, and
+/// `MOD_OPS`/`MOD_PRELOAD` environment variables restore paper scale
+/// (`MOD_OPS=1000000`).
+///
+/// Every Table 2 driver builds its pool from [`ScaleConfig::pool`], so a
+/// run on other hardware or another pool configuration is the same
+/// [`crate::run_workload`] call on a config whose `pool` differs — e.g.
+/// the flush cache off, or a [`mod_pmem::LatencyModel`] without flush
+/// overlap:
+///
+/// ```
+/// use mod_workloads::{run_workload, ScaleConfig, System, Workload};
+///
+/// let mut uncoalesced = ScaleConfig::testing();
+/// uncoalesced.pool.coalesce_flushes = false;
+/// let on = run_workload(Workload::Map, System::Mod, &ScaleConfig::testing());
+/// let off = run_workload(Workload::Map, System::Mod, &uncoalesced);
+/// assert_eq!(on.fences, off.fences); // elision never moves a fence
+/// assert!(on.flushes <= off.flushes);
+/// ```
+#[derive(Clone, Debug)]
 pub struct ScaleConfig {
     /// Measured operations per workload.
     pub ops: u64,
@@ -110,14 +129,17 @@ pub struct ScaleConfig {
     pub preload: u64,
     /// Deterministic RNG seed.
     pub seed: u64,
-    /// Pool capacity in bytes.
-    pub capacity: u64,
+    /// The pool every run builds: [`PmemConfig::benchmarking`] (no crash
+    /// image, no trace) by default.
+    pub pool: PmemConfig,
 }
 
 impl ScaleConfig {
-    /// The default scaled-down configuration (overridable by env).
+    /// The default scaled-down configuration (overridable by env): a
+    /// benchmarking pool of ~1 KiB per op and preloaded element, at
+    /// least 256 MiB, rounded up to a power of two.
     pub fn from_env() -> ScaleConfig {
-        let ops = std::env::var("MOD_OPS")
+        let ops: u64 = std::env::var("MOD_OPS")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(20_000);
@@ -125,27 +147,28 @@ impl ScaleConfig {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(ops);
+        let capacity = ((ops + preload) * 1024).max(256 << 20).next_power_of_two();
         ScaleConfig {
             ops,
             preload,
             seed: 0x5EED_CAFE,
-            capacity: ScaleConfig::capacity_for(ops, preload),
+            pool: PmemConfig::benchmarking(capacity),
         }
     }
 
-    /// A small fixed configuration for tests.
+    /// A small fixed configuration for tests (a 64 MiB benchmarking pool).
     pub fn testing() -> ScaleConfig {
         ScaleConfig {
             ops: 300,
             preload: 300,
             seed: 42,
-            capacity: 1 << 26,
+            pool: PmemConfig::benchmarking(1 << 26),
         }
     }
 
-    fn capacity_for(ops: u64, preload: u64) -> u64 {
-        // Generous: ~1 KiB per op/element, floor 256 MiB.
-        ((ops + preload) * 1024).max(256 << 20).next_power_of_two()
+    /// A fresh pool built from [`ScaleConfig::pool`].
+    pub fn pmem(&self) -> Pmem {
+        Pmem::new(self.pool.clone())
     }
 
     /// Bucket bits for baseline hashmaps: ~1 entry/bucket at preload.

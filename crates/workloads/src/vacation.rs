@@ -12,11 +12,10 @@
 //! 55 % user (reservation) transactions.
 
 use crate::micro::value32;
-use crate::report::{OpProfile, RunReport, Snapshot};
+use crate::report::{MeasuredRun, RunReport};
 use crate::spec::{ScaleConfig, System, Workload, WorkloadRng};
 use mod_core::{ModHeap, Root};
 use mod_funcds::PmMap;
-use mod_pmem::{Pmem, PmemConfig};
 use mod_stm::{StmHashMap, TxHeap, TxMode};
 
 const N_TABLES: usize = 3; // cars, flights, rooms
@@ -82,23 +81,23 @@ impl Manager {
 }
 
 fn vacation_mod(scale: &ScaleConfig) -> RunReport {
-    let mut heap = ModHeap::create(Pmem::new(PmemConfig::benchmarking(scale.capacity)));
+    let mut heap = ModHeap::create(scale.pmem());
     let relations = (scale.preload / 4).max(64);
     let mgr = Manager::create(&mut heap, relations);
     let mut rng = WorkloadRng::new(scale.seed);
-    let snap = Snapshot::take(heap.nv().pm(), heap.nv().stats().cumulative_alloc_bytes);
-    let mut profile = OpProfile {
-        op: "vacation-txn".into(),
-        ..OpProfile::default()
-    };
+    let mut run = MeasuredRun::start(
+        heap.nv(),
+        Workload::Vacation,
+        System::Mod,
+        &["vacation-txn"],
+    );
     for op in 0..scale.ops {
         let a = plan(&mut rng, relations);
-        let before = crate::report::OpCounters::read(heap.nv().pm());
-        match a.kind {
+        run.op(0, &mut heap, |h| match a.kind {
             0 => {
                 // Reservation: read the three tables, record the booking —
                 // one FASE, one ordering point.
-                heap.fase(|tx| {
+                h.fase(|tx| {
                     for &t in &mgr.tables {
                         let table = tx.current(t);
                         let _ = table.get(tx.nv_mut(), a.item);
@@ -113,7 +112,7 @@ fn vacation_mod(scale: &ScaleConfig) -> RunReport {
             }
             1 => {
                 // Capacity update on one table.
-                heap.fase(|tx| {
+                h.fase(|tx| {
                     tx.update(mgr.tables[a.table], |nv, t| {
                         t.insert(nv, a.item, &value32(op))
                     });
@@ -121,25 +120,15 @@ fn vacation_mod(scale: &ScaleConfig) -> RunReport {
             }
             _ => {
                 // Delete customer: absent keys make this a no-op FASE.
-                heap.fase(|tx| tx.update_with(mgr.customers, |nv, c| c.remove(nv, a.customer)));
+                h.fase(|tx| tx.update_with(mgr.customers, |nv, c| c.remove(nv, a.customer)));
             }
-        }
-        let (f, s) = crate::report::OpCounters::read(heap.nv().pm()).since(&before);
-        profile.record(f, s);
+        });
     }
-    snap.finish(
-        heap.nv().pm(),
-        heap.nv().stats().cumulative_alloc_bytes,
-        heap.nv().stats().live_bytes,
-        Workload::Vacation,
-        System::Mod,
-        scale.ops,
-        vec![profile],
-    )
+    run.finish(heap.nv(), scale.ops)
 }
 
 fn vacation_stm(scale: &ScaleConfig, mode: TxMode, sys: System) -> RunReport {
-    let mut heap = TxHeap::format(Pmem::new(PmemConfig::benchmarking(scale.capacity)), mode);
+    let mut heap = TxHeap::format(scale.pmem(), mode);
     let relations = (scale.preload / 4).max(64);
     let bits = scale.bucket_bits().saturating_sub(2).max(4);
     let tables: Vec<StmHashMap> = (0..N_TABLES)
@@ -153,51 +142,36 @@ fn vacation_stm(scale: &ScaleConfig, mode: TxMode, sys: System) -> RunReport {
         .collect();
     let customers = StmHashMap::create(&mut heap, bits);
     let mut rng = WorkloadRng::new(scale.seed);
-    let snap = Snapshot::take(heap.nv().pm(), heap.nv().stats().cumulative_alloc_bytes);
-    let mut profile = OpProfile {
-        op: "vacation-txn".into(),
-        ..OpProfile::default()
-    };
+    let mut run = MeasuredRun::start(heap.nv(), Workload::Vacation, sys, &["vacation-txn"]);
     for op in 0..scale.ops {
         let a = plan(&mut rng, relations);
-        let before = crate::report::OpCounters::read(heap.nv().pm());
-        match a.kind {
+        run.op(0, &mut heap, |h| match a.kind {
             0 => {
                 for t in &tables {
-                    let _ = t.get(&mut heap, a.item);
+                    let _ = t.get(h, a.item);
                 }
                 let mut record = Vec::with_capacity(32);
                 record.extend_from_slice(&a.item.to_le_bytes());
                 record.extend_from_slice(&(a.table as u64).to_le_bytes());
                 record.extend_from_slice(&op.to_le_bytes());
                 record.extend_from_slice(&[0u8; 8]);
-                customers.insert(&mut heap, a.customer, &record);
+                customers.insert(h, a.customer, &record);
             }
             1 => {
-                tables[a.table].insert(&mut heap, a.item, &value32(op));
+                tables[a.table].insert(h, a.item, &value32(op));
             }
             _ => {
-                customers.remove(&mut heap, a.customer);
+                customers.remove(h, a.customer);
             }
-        }
-        let (f, s) = crate::report::OpCounters::read(heap.nv().pm()).since(&before);
-        profile.record(f, s);
+        });
     }
-    snap.finish(
-        heap.nv().pm(),
-        heap.nv().stats().cumulative_alloc_bytes,
-        heap.nv().stats().live_bytes,
-        Workload::Vacation,
-        sys,
-        scale.ops,
-        vec![profile],
-    )
+    run.finish(heap.nv(), scale.ops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mod_pmem::CrashPolicy;
+    use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
 
     #[test]
     fn runs_all_systems() {

@@ -144,7 +144,7 @@ fn all_workloads_all_systems_smoke() {
         ops: 120,
         preload: 120,
         seed: 7,
-        capacity: 1 << 26,
+        pool: PmemConfig::benchmarking(1 << 26),
     };
     for w in Workload::all() {
         let mut fences = std::collections::HashMap::new();
@@ -177,7 +177,7 @@ fn fence_counts_match_fig10_bands() {
         ops: 200,
         preload: 200,
         seed: 11,
-        capacity: 1 << 26,
+        pool: PmemConfig::benchmarking(1 << 26),
     };
     let m = run_workload(Workload::Map, System::Mod, &scale);
     assert_eq!(m.profiles[0].fences_per_op(), 1.0);
