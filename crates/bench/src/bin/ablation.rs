@@ -15,6 +15,7 @@
 //!    the paper's §8 point; the flush cache elides enough of their lines
 //!    that MOD's flushed-line count is no longer above PMDK's).
 
+use mod_bench::claims;
 use mod_bench::{banner, ratio, TextTable};
 use mod_pmem::LatencyModel;
 use mod_workloads::{run_workload, RunReport, ScaleConfig, System, Workload};
@@ -81,7 +82,9 @@ fn main() {
             ratio(m.bytes_written as f64 / p.bytes_written as f64)
         );
     }
-    let (_, with_overlap, ..) = speedups[0];
+    let (_, with_overlap, ref m, ref p) = speedups[0];
+    let reports = vec![m.clone(), p.clone()];
+    claims::print("§8", &reports.into());
     let (_, without_overlap, ..) = speedups[1];
     println!();
     println!(

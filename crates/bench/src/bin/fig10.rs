@@ -1,6 +1,7 @@
 //! Figure 10: flush and fence frequency per update operation — the
 //! scatter of flushes/op against fences/op for MOD vs PMDK v1.5.
 
+use mod_bench::claims;
 use mod_bench::{banner, TextTable};
 use mod_workloads::{run_workload, ScaleConfig, System, Workload};
 
@@ -20,6 +21,7 @@ fn main() {
         Workload::Vector,
         Workload::VecSwap,
     ];
+    let mut reports = Vec::new();
     for sys in [System::Mod, System::Pmdk15] {
         for w in micro {
             eprintln!("  running {w} on {sys} ...");
@@ -32,9 +34,18 @@ fn main() {
                     format!("{:.1}", p.flushes_per_op()),
                 ]);
             }
+            reports.push(r);
         }
     }
     println!("{}", t.render());
-    println!("Paper: MOD always 1 fence/op; PMDK 5-11 fences/op;");
-    println!("MOD vector/vec-swap flush many more lines than PMDK's flat array.");
+    // The ledger's Fig 10 rows also read v1.4's map and MOD's apps.
+    for (w, sys) in [
+        (Workload::Map, System::Pmdk14),
+        (Workload::Vacation, System::Mod),
+        (Workload::Memcached, System::Mod),
+    ] {
+        eprintln!("  running {w} on {sys} ...");
+        reports.push(run_workload(w, sys, &scale));
+    }
+    claims::print("Fig 10", &reports.into());
 }

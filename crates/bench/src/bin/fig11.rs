@@ -1,6 +1,7 @@
 //! Figure 11: L1D cache miss ratios of the PM workloads, PMDK v1.5 vs
 //! MOD (the pointer-chasing cost of functional structures).
 
+use mod_bench::claims;
 use mod_bench::{banner, percent, TextTable};
 use mod_workloads::{run_workload, ScaleConfig, System, Workload};
 
@@ -12,6 +13,7 @@ fn main() {
         scale.ops, scale.preload
     );
     let mut t = TextTable::new(vec!["workload", "PMDK-1.5", "MOD", "MOD/PMDK"]);
+    let mut reports = Vec::new();
     for w in Workload::all() {
         eprintln!("  running {w} ...");
         let p = run_workload(w, System::Pmdk15, &scale);
@@ -24,8 +26,8 @@ fn main() {
             percent(mr),
             format!("{:.1}x", if pr > 0.0 { mr / pr } else { 0.0 }),
         ]);
+        reports.extend([p, m]);
     }
     println!("{}", t.render());
-    println!("Paper: map/set/vector show 2.8-4.6x higher misses under MOD;");
-    println!("stack/queue/bfs are comparable (pointer-based in both).");
+    claims::print("Fig 11", &reports.into());
 }

@@ -1,8 +1,10 @@
 //! Figure 9: execution time of all Table 2 workloads under PMDK v1.4,
 //! PMDK v1.5 and MOD, normalized to PMDK v1.4, with the
-//! {other, flush, log} breakdown, plus the paper's §6.3 summary numbers.
+//! {other, flush, log} breakdown, plus the ledger's Fig 9 rows (the
+//! paper's §6.3 summary numbers).
 
-use mod_bench::{banner, find, geomean, ratio, run_everything, TextTable};
+use mod_bench::claims::{self, vector_as_published, Evidence};
+use mod_bench::{banner, find, run_everything, TextTable};
 use mod_workloads::{ScaleConfig, System, Workload};
 
 fn main() {
@@ -40,57 +42,7 @@ fn main() {
     }
     println!("{}", t.render());
 
-    // §6.3 summary lines.
-    let pointer_micro = [
-        Workload::Map,
-        Workload::Set,
-        Workload::Queue,
-        Workload::Stack,
-    ];
-    let apps = [Workload::Bfs, Workload::Vacation, Workload::Memcached];
-    let all = Workload::all();
-
-    let v15_vs_v14: Vec<f64> = all
-        .iter()
-        .map(|&w| {
-            find(&reports, w, System::Pmdk15).total_ns()
-                / find(&reports, w, System::Pmdk14).total_ns()
-        })
-        .collect();
-    println!(
-        "PMDK v1.5 vs v1.4 (geomean all workloads): {:.0}% faster (paper: ~23%)",
-        (1.0 - geomean(&v15_vs_v14)) * 100.0
-    );
-
-    let mod_vs_v15_micro: Vec<f64> = pointer_micro
-        .iter()
-        .map(|&w| {
-            find(&reports, w, System::Mod).total_ns() / find(&reports, w, System::Pmdk15).total_ns()
-        })
-        .collect();
-    println!(
-        "MOD vs v1.5 on map/set/queue/stack (geomean): {:.0}% faster (paper: ~43%)",
-        (1.0 - geomean(&mod_vs_v15_micro)) * 100.0
-    );
-
-    for w in [Workload::Vector, Workload::VecSwap] {
-        let slow = find(&reports, w, System::Mod).total_ns()
-            / find(&reports, w, System::Pmdk15).total_ns();
-        println!(
-            "MOD vs v1.5 on {}: {} (paper: slower, 1.2-2.2x)",
-            w.name(),
-            ratio(slow)
-        );
-    }
-
-    let mod_vs_v15_apps: Vec<f64> = apps
-        .iter()
-        .map(|&w| {
-            find(&reports, w, System::Mod).total_ns() / find(&reports, w, System::Pmdk15).total_ns()
-        })
-        .collect();
-    println!(
-        "MOD vs v1.5 on bfs/vacation/memcached (geomean): {:.0}% faster (paper: ~36%)",
-        (1.0 - geomean(&mod_vs_v15_apps)) * 100.0
-    );
+    let mut ev = Evidence::from(reports);
+    ev.vector_as_published = Some(vector_as_published(&scale));
+    claims::print("Fig 9", &ev);
 }

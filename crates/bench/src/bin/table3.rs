@@ -9,12 +9,8 @@
 //! allocation-traffic-style measurement (every push path-copies ~depth
 //! nodes), so the traffic column is the one to compare there.
 
+use mod_bench::claims::{table3_growth, CLAIMS};
 use mod_bench::{banner, TextTable};
-use mod_core::ModHeap;
-use mod_core::{DurableMap, DurableQueue, DurableSet, DurableStack, DurableVector};
-use mod_pmem::{Pmem, PmemConfig};
-use mod_stm::{StmHashMap, StmQueue, StmStack, StmVector, TxHeap, TxMode};
-use mod_workloads::micro::value32;
 
 fn n_elems() -> u64 {
     std::env::var("MOD_TABLE3_N")
@@ -23,256 +19,26 @@ fn n_elems() -> u64 {
         .unwrap_or(100_000)
 }
 
-struct Growth {
-    footprint_ratio: f64,
-    traffic_ratio: f64,
-}
-
-fn measure<F: FnMut(u64)>(live: impl Fn() -> (u64, u64), mut grow: F, n: u64) -> Growth {
-    for i in 0..n {
-        grow(i);
-    }
-    let (l1, c1) = live();
-    for i in n..2 * n {
-        grow(i);
-    }
-    let (l2, c2_all) = live();
-    Growth {
-        footprint_ratio: l2 as f64 / l1 as f64,
-        traffic_ratio: (c2_all - c1) as f64 / l1 as f64,
-    }
-}
-
-fn pool(n: u64) -> Pmem {
-    Pmem::new(PmemConfig::benchmarking((n * 4096).max(1 << 30)))
-}
-
-fn mod_growth(ds: &str, n: u64) -> Growth {
-    let mut heap = ModHeap::create(pool(n));
-    match ds {
-        "map" => {
-            let m: DurableMap<u64, [u8; 32]> = DurableMap::create(&mut heap);
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    m.insert(&mut h, &i, &value32(i));
-                    if i % 64 == 0 {
-                        h.quiesce();
-                    }
-                },
-                n,
-            )
-        }
-        "set" => {
-            let s: DurableSet<u64> = DurableSet::create(&mut heap);
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    s.insert(&mut h, &i);
-                    if i % 64 == 0 {
-                        h.quiesce();
-                    }
-                },
-                n,
-            )
-        }
-        "stack" => {
-            let s: DurableStack<u64> = DurableStack::create(&mut heap);
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    s.push(&mut h, &i);
-                    if i % 64 == 0 {
-                        h.quiesce();
-                    }
-                },
-                n,
-            )
-        }
-        "queue" => {
-            let q: DurableQueue<u64> = DurableQueue::create(&mut heap);
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    q.enqueue(&mut h, &i);
-                    if i % 64 == 0 {
-                        h.quiesce();
-                    }
-                },
-                n,
-            )
-        }
-        "vector" => {
-            let v: DurableVector<u64> = DurableVector::create(&mut heap);
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    v.push_back(&mut h, &i);
-                    if i % 64 == 0 {
-                        h.quiesce();
-                    }
-                },
-                n,
-            )
-        }
-        _ => unreachable!(),
-    }
-}
-
-fn stm_growth(ds: &str, n: u64) -> Growth {
-    let mut heap = TxHeap::format(pool(n), TxMode::Hybrid);
-    match ds {
-        "map" | "set" => {
-            // Bucket table sized for N (as the WHISPER hashmap would be),
-            // so doubling the elements doubles chain memory only.
-            let bits = 63 - n.next_power_of_two().leading_zeros();
-            let m = StmHashMap::create(&mut heap, bits.min(20));
-            let set = ds == "set";
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    let v = if set { Vec::new() } else { value32(i).to_vec() };
-                    m.insert(&mut h, i, &v);
-                },
-                n,
-            )
-        }
-        "stack" => {
-            let s = StmStack::create(&mut heap);
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    s.push(&mut h, i);
-                },
-                n,
-            )
-        }
-        "queue" => {
-            let q = StmQueue::create(&mut heap);
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    q.enqueue(&mut h, i);
-                },
-                n,
-            )
-        }
-        "vector" => {
-            let v = StmVector::create(&mut heap, 16);
-            let heap_cell = std::cell::RefCell::new(heap);
-            measure(
-                || {
-                    let h = heap_cell.borrow();
-                    (
-                        h.nv().stats().live_bytes,
-                        h.nv().stats().cumulative_alloc_bytes,
-                    )
-                },
-                |i| {
-                    let mut h = heap_cell.borrow_mut();
-                    v.push_back_growing(&mut h, i);
-                },
-                n,
-            )
-        }
-        _ => unreachable!(),
-    }
-}
-
 fn main() {
     banner("Table 3: memory at 2N elements relative to N elements");
     let n = n_elems();
     println!("N = {n} (MOD_TABLE3_N to change; paper uses 1M)\n");
-    let paper: &[(&str, &str, &str)] = &[
-        ("map", "1.87x", "1.78x"),
-        ("set", "2.08x", "1.75x"),
-        ("stack", "2.25x", "1.50x"),
-        ("queue", "1.67x", "1.50x"),
-        ("vector", "131x", "2x"),
-    ];
     let mut t = TextTable::new(vec![
         "ds",
         "MOD footprint",
         "MOD traffic",
         "PMDK footprint",
-        "paper MOD",
-        "paper PMDK",
+        "paper MOD (PMDK)",
     ]);
-    for &(ds, paper_mod, paper_pmdk) in paper {
-        eprintln!("  growing {ds} ...");
-        let m = mod_growth(ds, n);
-        let p = stm_growth(ds, n);
+    let paper = CLAIMS.iter().filter(|c| c.figure == "Table 3");
+    for (g, claim) in table3_growth(n).iter().zip(paper) {
+        assert_eq!(claim.id, format!("table3.{}", g.ds));
         t.row(vec![
-            ds.to_string(),
-            format!("{:.2}x", m.footprint_ratio),
-            format!("{:.0}x", m.traffic_ratio),
-            format!("{:.2}x", p.footprint_ratio),
-            paper_mod.to_string(),
-            paper_pmdk.to_string(),
+            g.ds.to_string(),
+            format!("{:.2}x", g.mod_footprint),
+            format!("{:.0}x", g.mod_traffic),
+            format!("{:.2}x", g.pmdk_footprint),
+            claim.paper.to_string(),
         ]);
     }
     println!("{}", t.render());

@@ -37,6 +37,7 @@ pub type Metrics = BTreeMap<String, f64>;
 pub fn collect() -> Metrics {
     let mut m = Metrics::new();
     let scale = ScaleConfig::testing();
+    let mut map = None;
     for w in [
         Workload::Map,
         Workload::Memcached,
@@ -62,6 +63,7 @@ pub fn collect() -> Metrics {
                 "map.bytes_written_per_op".to_string(),
                 r.bytes_written as f64 / r.ops as f64,
             );
+            map = Some(r);
         }
     }
 
@@ -111,10 +113,10 @@ pub fn collect() -> Metrics {
     hybrid_file_mix(&mut m);
 
     // Flush-coalescing ablation: the map micro on a pool with the
-    // fence-epoch flush cache on (the default) and off. Drift in the
-    // on-run means the elision coverage itself changed; the off-run pins
-    // the cache's contribution.
-    let on = run_workload(Workload::Map, System::Mod, &scale);
+    // fence-epoch flush cache on (the default: the map run above) and
+    // off. Drift in the on-run means the elision coverage itself
+    // changed; the off-run pins the cache's contribution.
+    let on = map.expect("the map run");
     let mut uncoalesced = scale.clone();
     uncoalesced.pool.coalesce_flushes = false;
     let off = run_workload(Workload::Map, System::Mod, &uncoalesced);

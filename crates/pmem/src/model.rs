@@ -74,23 +74,6 @@ impl LatencyModel {
         }
     }
 
-    /// A zero-cost model: every operation is free. Useful for functional
-    /// tests where simulated time is irrelevant.
-    pub fn zero() -> LatencyModel {
-        LatencyModel {
-            l1_hit_ns: 0.0,
-            llc_hit_ns: 0.0,
-            pm_miss_ns: 0.0,
-            store_ns: 0.0,
-            clwb_issue_ns: 0.0,
-            fence_base_ns: 0.0,
-            amdahl_f: 0.82,
-            wpq_lanes: 1,
-            fence_overhead_ns: 0.0,
-            log_entry_overhead_ns: 0.0,
-        }
-    }
-
     /// The Optane model with a different Amdahl parallel fraction `f`
     /// (used by the ablation's hypothetical no-overlap device); the WPQ
     /// launch/drain split follows from it.
@@ -292,14 +275,6 @@ mod tests {
     #[should_panic(expected = "undefined for n < 2")]
     fn karp_flatt_rejects_n1() {
         karp_flatt_serial_fraction(1.0, 1);
-    }
-
-    #[test]
-    fn zero_model_is_free() {
-        let m = LatencyModel::zero();
-        assert_eq!(m.fence_stall_ns(10), 0.0);
-        assert_eq!(m.fence_stall_ns(0), 0.0);
-        assert_eq!(m.drain_path_ns(10), 0.0);
     }
 
     #[test]

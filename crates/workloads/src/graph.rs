@@ -214,17 +214,4 @@ mod tests {
         assert_eq!(p.flushes, r.flushes);
         assert_eq!(p.fences, r.fences);
     }
-
-    #[test]
-    fn mod_bfs_faster_than_pmdk() {
-        let scale = ScaleConfig::testing();
-        let m = run_bfs(System::Mod, &scale);
-        let p = run_bfs(System::Pmdk15, &scale);
-        assert!(
-            m.total_ns() < p.total_ns(),
-            "Fig 9: bfs favours MOD ({:.0} vs {:.0})",
-            m.total_ns(),
-            p.total_ns()
-        );
-    }
 }

@@ -202,28 +202,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn runs_all_systems() {
-        let scale = ScaleConfig::testing();
-        for sys in System::all() {
-            let r = run_memcached(sys, &scale);
-            assert!(r.total_ns() > 0.0, "{sys}");
-            assert!(r.profiles[0].count > 0);
-        }
-    }
-
-    #[test]
-    fn mod_memcached_faster_and_single_fence() {
-        let scale = ScaleConfig::testing();
-        let m = run_memcached(System::Mod, &scale);
-        let p = run_memcached(System::Pmdk15, &scale);
-        assert!((m.profiles[0].fences_per_op() - 1.0).abs() < 1e-9);
-        assert!(
-            m.total_ns() < p.total_ns(),
-            "Fig 9: memcached favours MOD ({:.0} vs {:.0})",
-            m.total_ns(),
-            p.total_ns()
-        );
-    }
 }

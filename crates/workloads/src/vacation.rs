@@ -174,39 +174,6 @@ mod tests {
     use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
 
     #[test]
-    fn runs_all_systems() {
-        let scale = ScaleConfig::testing();
-        for sys in System::all() {
-            let r = run_vacation(sys, &scale);
-            assert_eq!(r.ops, scale.ops);
-            assert!(r.fences > 0);
-        }
-    }
-
-    #[test]
-    fn mod_vacation_single_fence_per_committed_txn() {
-        let scale = ScaleConfig::testing();
-        let r = run_vacation(System::Mod, &scale);
-        // Delete-of-absent-customer FASEs commit nothing, so the mean is
-        // at most 1 fence/op — and well under PMDK's 5+.
-        assert!(r.profiles[0].fences_per_op() <= 1.0);
-        assert!(r.profiles[0].fences_per_op() > 0.5);
-    }
-
-    #[test]
-    fn mod_vacation_faster_than_pmdk() {
-        let scale = ScaleConfig::testing();
-        let m = run_vacation(System::Mod, &scale);
-        let p = run_vacation(System::Pmdk15, &scale);
-        assert!(
-            m.total_ns() < p.total_ns(),
-            "Fig 9: vacation favours MOD ({:.0} vs {:.0})",
-            m.total_ns(),
-            p.total_ns()
-        );
-    }
-
-    #[test]
     fn manager_recovers_with_four_roots() {
         // Crash-and-recover the MOD manager mid-run: the four maps come
         // back as typed roots with their kinds checked, no specs needed.

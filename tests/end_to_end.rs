@@ -1,12 +1,11 @@
 //! Cross-crate integration: MOD and PMDK-style implementations process
 //! identical operation streams and agree on final contents; pools survive
-//! multiple simulated process lifetimes; all Table 2 workloads run end to
-//! end on all three systems.
+//! multiple simulated process lifetimes. (Every Table 2 workload on every
+//! system runs in `tests/paper_claims.rs`.)
 
 use mod_core::{DurableMap, DurableVector, ModHeap};
 use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
 use mod_stm::{StmHashMap, StmVector, TxHeap, TxMode};
-use mod_workloads::{run_workload, ScaleConfig, System, Workload};
 
 /// The same randomized insert/remove stream applied to MOD's map and both
 /// PMDK-style maps must produce identical contents.
@@ -134,56 +133,4 @@ fn multiple_process_lifetimes() {
         heap.quiesce();
         pm = heap.into_pm().crash_image(CrashPolicy::Seeded(generation));
     }
-}
-
-/// Smoke: every workload runs on every system at a small scale, produces
-/// sensible counters, and MOD always uses fewer fences than PMDK.
-#[test]
-fn all_workloads_all_systems_smoke() {
-    let scale = ScaleConfig {
-        ops: 120,
-        preload: 120,
-        seed: 7,
-        pool: PmemConfig::benchmarking(1 << 26),
-    };
-    for w in Workload::all() {
-        let mut fences = std::collections::HashMap::new();
-        for sys in System::all() {
-            let r = run_workload(w, sys, &scale);
-            assert!(r.total_ns() > 0.0, "{w}/{sys}: no time elapsed");
-            assert!(r.fences > 0, "{w}/{sys}: no fences");
-            fences.insert(sys, r.fences);
-        }
-        assert!(
-            fences[&System::Mod] < fences[&System::Pmdk15],
-            "{w}: MOD ({}) should fence less than PMDK v1.5 ({})",
-            fences[&System::Mod],
-            fences[&System::Pmdk15]
-        );
-        assert!(
-            fences[&System::Pmdk15] <= fences[&System::Pmdk14],
-            "{w}: v1.5 ({}) should fence at most v1.4 ({})",
-            fences[&System::Pmdk15],
-            fences[&System::Pmdk14]
-        );
-    }
-}
-
-/// The headline claim end to end: a MOD Basic-interface update is exactly
-/// one epoch (one fence), and the PMDK equivalents sit in the 5–11 band.
-#[test]
-fn fence_counts_match_fig10_bands() {
-    let scale = ScaleConfig {
-        ops: 200,
-        preload: 200,
-        seed: 11,
-        pool: PmemConfig::benchmarking(1 << 26),
-    };
-    let m = run_workload(Workload::Map, System::Mod, &scale);
-    assert_eq!(m.profiles[0].fences_per_op(), 1.0);
-    let p15 = run_workload(Workload::Map, System::Pmdk15, &scale);
-    let f15 = p15.profiles[0].fences_per_op();
-    assert!((5.0..=11.0).contains(&f15), "v1.5: {f15}");
-    let p14 = run_workload(Workload::Map, System::Pmdk14, &scale);
-    assert!(p14.profiles[0].fences_per_op() > f15);
 }
