@@ -288,13 +288,23 @@ pub const CLAIMS: &[Claim] = &[
     Claim { id: "fig9.vector", figure: "Fig 9", quantity: "MOD vs v1.5 on vector", paper: "slower, 1.2-2.2x",
         measure: |ev| ev.time(Vector, Mod, Pmdk15), show: ratio,
         band: Above(1.0), better: Lower, verdict: Exceeds },
+    // Read 1.17x with full-width vector inner-node children (header
+    // generation 6); their 32-bit indices (generation 7) took it to
+    // 0.97x. The paper's losing case is kept by fig9.vec_swap, and its
+    // shape by fig9.worst_micros.
     Claim { id: "fig9.vector_as_published", figure: "Fig 9",
         quantity: "MOD without the flush cache vs the slower of v1.5 and MOD with it, on vector",
         paper: "slower than v1.5, 1.2-2.2x", measure: vector_as_published_ratio, show: ratio,
-        band: Above(1.0), better: Lower, verdict: Reproduces },
+        band: Above(1.0), better: Lower, verdict: Exceeds },
     Claim { id: "fig9.vec_swap", figure: "Fig 9", quantity: "MOD vs v1.5 on vec-swap", paper: "slower, 1.2-2.2x",
         measure: |ev| ev.time(VecSwap, Mod, Pmdk15), show: ratio,
         band: Above(1.0), better: Lower, verdict: Reproduces },
+    Claim { id: "fig9.worst_micros", figure: "Fig 9",
+        quantity: "MOD vs v1.5, better of vector/vec-swap over worst of map/set/queue/stack",
+        paper: "vector and vec-swap are MOD's two worst micros",
+        measure: |ev| ev.time(Vector, Mod, Pmdk15).min(ev.time(VecSwap, Mod, Pmdk15))
+            / MICROS.iter().map(|&w| ev.time(w, Mod, Pmdk15)).fold(0.0, f64::max),
+        show: ratio, band: Above(1.0), better: Lower, verdict: Reproduces },
     Claim { id: "fig9.apps", figure: "Fig 9", quantity: "MOD vs v1.5 on bfs/vacation/memcached (geomean)",
         paper: "~36% faster", measure: |ev| ev.faster(&APPS, Mod, Pmdk15), show: faster,
         band: UpTo(0.0, 0.36), better: Higher, verdict: Exceeds },
@@ -369,14 +379,16 @@ pub const CLAIMS: &[Claim] = &[
 /// measuring, so the flush phase is pure back-to-back `clwb`s — the
 /// saturated limit. Without it the stores interleave with the flushes
 /// and their cache-miss time hides drain work in the background, which
-/// is the overlap the model captures. Returns the average
+/// is the overlap the model captures. Every line is written a nonzero
+/// value, so none equals its never-written durable image and the flush
+/// cache elides none of the `total` flushes. Returns the average
 /// flush-timeline nanoseconds per flush.
 pub fn measured_avg_flush_ns(per_fence: usize, total: usize, prewrite: bool) -> f64 {
     let mut pm = Pmem::new(PmemConfig::benchmarking(1 << 24));
     let addr_of = |line: u64| 0x1000 + line * 64;
     if prewrite {
         for line in 0..total as u64 {
-            pm.write_u64(addr_of(line), line);
+            pm.write_u64(addr_of(line), line + 1);
         }
         pm.reset_metrics();
     }
@@ -387,7 +399,7 @@ pub fn measured_avg_flush_ns(per_fence: usize, total: usize, prewrite: bool) -> 
         let batch = per_fence.min(total - flushed);
         for _ in 0..batch {
             if !prewrite {
-                pm.write_u64(addr_of(line), line);
+                pm.write_u64(addr_of(line), line + 1);
             }
             pm.clwb(addr_of(line));
             line += 1;

@@ -6,14 +6,14 @@
 //! place), flushed with unordered `clwb`s, and never modified afterwards —
 //! the Functional Shadowing discipline of §4.1.
 //!
-//! Most blocks store their pointers as 32-bit *indices*
+//! Every node stores its pointers as 32-bit *indices*
 //! ([`mod_alloc::pack_ptr`]: `addr / 16`, 0 = null) rather than 8-byte
 //! addresses: CHAMP value and child pointers, cons-cell next pointers,
-//! and the vector and queue root objects. Left full width
-//! ([`NodeBuf::push_ptr`]): vector inner-node children (see `rrb`), the
-//! stack root `[len][head]` (16 bytes, already the smallest class), the
-//! `PmMap` root object `[count][root node][hash kind]`, and the hybrid
-//! spine record's `prev` link (`mod-core`).
+//! vector inner-node children, and the vector and queue root objects.
+//! Three root-like records keep a full 8-byte address, written as a
+//! plain word: the stack root `[len][head]` (16 bytes, already the
+//! smallest class), the `PmMap` root object `[count][root node][hash
+//! kind]`, and the hybrid spine record's `prev` link (`mod-core`).
 
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
@@ -66,11 +66,6 @@ impl NodeBuf {
         self.words[self.len] = v;
         self.len += 1;
         self
-    }
-
-    /// Appends a pointer as an 8-byte address.
-    pub fn push_ptr(&mut self, p: PmPtr) -> &mut Self {
-        self.push_u64(p.addr())
     }
 
     /// The words pushed so far.

@@ -16,11 +16,11 @@
 //! Stored blocks:
 //! - leaf: `[KIND_LEAF][count][elem × count]`;
 //! - inner: `[KIND_INNER][count][child × count]`, with `count ≤ 32` and
-//!   each child an 8-byte address. The high half of the count word is
-//!   zero; a node that sets it is not this format, and reading it panics
-//!   naming the node. Children stay full width: with 32-bit indices the
-//!   uncoalesced vector micro undercuts PMDK at CI scale, erasing the
-//!   Fig 9 losing case described below (ROADMAP item 1);
+//!   the children 32-bit block indices packed two to a word, an odd
+//!   count padding the last word with null ([`mod_alloc::pack_ptrs`]); a
+//!   full node is 144 bytes. The high half of the count word is zero; a
+//!   node that sets it is not this format, and reading it panics naming
+//!   the node;
 //! - the version's root object, 24 bytes:
 //!   `[len][root | tail << 32][shift | tail_len << 32]`, tree root and
 //!   tail leaf as 32-bit block indices ([`mod_alloc::pack_ptr`]).
@@ -31,7 +31,7 @@
 //! PMDK's flat array, and why Fig 9 shows vector as MOD's losing case.
 
 use crate::node::{store_words, NodeBuf, KIND_INNER, KIND_LEAF};
-use mod_alloc::{pack_ptr, unpack_ptr, HeapRead, NvHeap};
+use mod_alloc::{pack_ptr, pack_ptrs, unpack_ptr, unpack_ptrs, HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
 /// Branching factor.
@@ -90,10 +90,10 @@ fn read_inner<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> Vec<PmPtr> {
         "inner node at {node} has count word {count:#x}: not a radix-balanced \
          node of at most {B} children with a zero high half"
     );
-    let mut body = [0; B];
-    let body = &mut body[..count as usize];
+    let mut body = [0; B / 2];
+    let body = &mut body[..(count as usize).div_ceil(2)];
     heap.words(node.addr() + 16, body);
-    body.iter().map(|&c| PmPtr::from_addr(c)).collect()
+    unpack_ptrs(body).take(count as usize).collect()
 }
 
 fn store_leaf(heap: &mut NvHeap, img: &LeafImg) -> PmPtr {
@@ -111,8 +111,8 @@ fn store_inner(heap: &mut NvHeap, children: &[PmPtr]) -> PmPtr {
     debug_assert!((1..=B).contains(&children.len()));
     let mut b = NodeBuf::new();
     b.push_u64(KIND_INNER).push_u64(children.len() as u64);
-    for &c in children {
-        b.push_ptr(c);
+    for w in pack_ptrs(children.iter().copied()) {
+        b.push_u64(w);
     }
     let ptr = b.store(heap);
     heap.rc_inc_all(children.iter().copied());
@@ -817,8 +817,13 @@ mod tests {
             assert_eq!(r.u64(node.addr()), KIND_INNER, "inner {node}");
             assert_eq!(count >> 32, 0, "inner {node}: count word {count:#x}");
             assert!((1..=B as u64).contains(&count), "inner {node}: {count}");
-            (0..count)
-                .map(|k| PmPtr::from_addr(r.u64(node.addr() + 16 + 8 * k)))
+            let mut body = vec![0; count.div_ceil(2) as usize];
+            r.words(node.addr() + 16, &mut body);
+            if count % 2 == 1 {
+                assert_eq!(body[body.len() - 1] >> 32, 0, "inner {node}: pad");
+            }
+            unpack_ptrs(&body)
+                .take(count as usize)
                 .map(|c| walk(h, c, shift - BITS))
                 .sum()
         }

@@ -1056,26 +1056,30 @@ mod tests {
         // The checked-in generation-3 pool: typed, never a panic.
         let gen3 = include_bytes!("../../../tests/fixtures/gen3_pool.bin");
         std::fs::write(&pool.path, gen3).unwrap();
-        let (found, supported) = (3, 6);
+        let (found, supported) = (3, journal::FORMAT_GENERATION);
         assert_eq!(
             replay_error(&pool.path),
             ReplayError::UnsupportedGeneration { found, supported }
         );
-        // The checked-in generation-4 and generation-5 pools (base + one
+        // The checked-in generation-4 to generation-6 pools (base + one
         // journal each).
         let gen4 = include_bytes!("../../../tests/fixtures/gen4_pool.bin");
         let gen4_s0 = include_bytes!("../../../tests/fixtures/gen4_pool.bin.s0");
         let gen5 = include_bytes!("../../../tests/fixtures/gen5_pool.bin");
         let gen5_s0 = include_bytes!("../../../tests/fixtures/gen5_pool.bin.s0");
-        for (found, base, s0) in [(4, &gen4[..], &gen4_s0[..]), (5, gen5, gen5_s0)] {
+        let gen6 = include_bytes!("../../../tests/fixtures/gen6_pool.bin");
+        let gen6_s0 = include_bytes!("../../../tests/fixtures/gen6_pool.bin.s0");
+        let olds = [
+            (4, &gen4[..], &gen4_s0[..]),
+            (5, gen5, gen5_s0),
+            (6, gen6, gen6_s0),
+        ];
+        for (found, base, s0) in olds {
             std::fs::write(&pool.path, base).unwrap();
             std::fs::write(journal, s0).unwrap();
             assert_eq!(
                 replay_error(&pool.path),
-                ReplayError::UnsupportedGeneration {
-                    found,
-                    supported: 6
-                }
+                ReplayError::UnsupportedGeneration { found, supported }
             );
         }
         std::fs::remove_file(&pool.path).unwrap();

@@ -43,8 +43,9 @@
 //!
 //! Pools of header generation ≤ 3 (snapshot-record base files), of
 //! generation 4 (the same file layout, but full-width CHAMP node pointers
-//! in the pool image) and of generation 5 (full-width pointers in cons
-//! cells and in the vector and queue root objects) are not readable:
+//! in the pool image), of generation 5 (full-width pointers in cons
+//! cells and in the vector and queue root objects) and of generation 6
+//! (full-width children in vector inner nodes) are not readable:
 //! opening one fails with the typed
 //! [`ReplayError::UnsupportedGeneration`].
 //!
@@ -58,7 +59,7 @@ use std::collections::BTreeMap;
 /// Pool-file magic ("MODPOOLF").
 pub const FILE_MAGIC: u64 = 0x4D4F_4450_4F4F_4C46;
 /// The one on-disk header generation this build reads and writes.
-pub const FORMAT_GENERATION: u32 = 6;
+pub const FORMAT_GENERATION: u32 = 7;
 /// Bytes of the fixed file header.
 pub const HEADER_BYTES: usize = 24;
 /// `shard_index` sentinel naming the base (image) member of a set.
@@ -812,10 +813,11 @@ mod tests {
     #[test]
     fn older_and_newer_generations_fail_typed() {
         // Generations 1–3 (snapshot-record pools), 4 (full-width CHAMP
-        // pointers), 5 (full-width cons-cell and root-object pointers)
-        // and anything newer than this build: a typed error
-        // naming both sides, never a panic, never a best-effort read.
-        for found in [0u32, 1, 2, 3, 4, 5, 7, 99] {
+        // pointers), 5 (full-width cons-cell and root-object pointers),
+        // 6 (full-width vector inner-node children) and anything newer
+        // than this build: a typed error naming both sides, never a
+        // panic, never a best-effort read.
+        for found in [0u32, 1, 2, 3, 4, 5, 6, 8, 99] {
             let mut h = encode_header(1 << 20, 1, SHARD_BASE);
             h[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(
@@ -826,36 +828,27 @@ mod tests {
                 })
             );
         }
-        // The checked-in fixture: a generation-3 single-file pool exactly
-        // as the previous format laid it down (header + empty snapshot).
-        let fixture = include_bytes!("../../../tests/fixtures/gen3_pool.bin");
-        assert_eq!(
-            decode_header(fixture),
-            Err(ReplayError::UnsupportedGeneration {
-                found: 3,
-                supported: 6
-            })
-        );
-        // The checked-in generation-4 pool's base member (a 3-key map in
-        // its journal): the header check rejects it before any replay.
-        let fixture = include_bytes!("../../../tests/fixtures/gen4_pool.bin");
-        assert_eq!(
-            decode_header(fixture),
-            Err(ReplayError::UnsupportedGeneration {
-                found: 4,
-                supported: 6
-            })
-        );
-        // The checked-in generation-5 pool's base member (a vector, a
-        // queue and a map in its journal).
-        let fixture = include_bytes!("../../../tests/fixtures/gen5_pool.bin");
-        assert_eq!(
-            decode_header(fixture),
-            Err(ReplayError::UnsupportedGeneration {
-                found: 5,
-                supported: 6
-            })
-        );
+        // The checked-in fixtures' base members: a generation-3
+        // single-file pool exactly as that format laid it down (header +
+        // empty snapshot), a generation-4 pool (a 3-key map in its
+        // journal) and generation-5 and -6 pools (a vector, a queue and a
+        // map in each journal). The header check rejects each before any
+        // replay.
+        let fixtures: [(u32, &[u8]); 4] = [
+            (3, include_bytes!("../../../tests/fixtures/gen3_pool.bin")),
+            (4, include_bytes!("../../../tests/fixtures/gen4_pool.bin")),
+            (5, include_bytes!("../../../tests/fixtures/gen5_pool.bin")),
+            (6, include_bytes!("../../../tests/fixtures/gen6_pool.bin")),
+        ];
+        for (found, fixture) in fixtures {
+            assert_eq!(
+                decode_header(fixture),
+                Err(ReplayError::UnsupportedGeneration {
+                    found,
+                    supported: FORMAT_GENERATION
+                })
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! [`SessionShape`], the checkpoint batteries once per journal shape.
 
 use mod_core::{DurableMap, ModHeap};
-use mod_pmem::journal::{ReplayError, IMAGE_OFFSET, MARK_SLOT_AT, MARK_SLOT_BYTES};
+use mod_pmem::journal::{
+    ReplayError, FORMAT_GENERATION, IMAGE_OFFSET, MARK_SLOT_AT, MARK_SLOT_BYTES,
+};
 use mod_pmem::{FileBackend, Pmem, PmemConfig};
 use mod_workloads::session::{open_session, run_ops, verify_session, SessionShape, SLOTS, WINDOW};
 use std::path::{Path, PathBuf};
@@ -525,74 +527,53 @@ fn lines_only_the_replayed_journal_held_survive_the_next_checkpoint_fsync_set() 
     replayed_lines_survive_the_next_checkpoint(SessionShape::FsyncSet);
 }
 
-#[test]
-fn generation_3_pool_fails_to_open_with_a_typed_error() {
-    // The checked-in fixture is a pool exactly as the previous on-disk
-    // generation laid it down (header + empty snapshot record). Old
-    // pools fail typed — at the pmem level and through the heap — never
-    // a panic and never a best-effort read.
-    let path = temp_pool("gen3");
-    std::fs::copy("tests/fixtures/gen3_pool.bin", &path).unwrap();
-    let want = ReplayError::UnsupportedGeneration {
-        found: 3,
-        supported: 6,
-    };
-    let cfg = SessionShape::Buffered.pool_config();
-    let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert_eq!(replay_error(&err), Some(&want), "{err}");
-    let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
-    assert_eq!(replay_error(&err), Some(&want), "{err}");
-    assert!(verify_session(&path, 1).is_err());
-    remove_pool(&path);
-}
+/// The checked-in pools of every older generation: `(fixture, has a
+/// journal member, generation)`. Each was written by the last build of
+/// its generation.
+const OLD_GENERATIONS: [(&str, bool, u32); 4] = [
+    // A single-file pool: header + empty snapshot record.
+    ("gen3_pool.bin", false, 3),
+    // A 3-key `DurableMap`: today's file layout, but full-width CHAMP
+    // node pointers in the image.
+    ("gen4_pool.bin", true, 4),
+    // A `DurableVector<u64>`, a `DurableQueue<u64>` and a
+    // `DurableMap<u64, u64>` under a three-root directory, with
+    // full-width pointers in cons cells and the vector and queue root
+    // objects.
+    ("gen5_pool.bin", true, 5),
+    // The same three roots, the vector 101 elements long (an inner-node
+    // root with full-width children).
+    ("gen6_pool.bin", true, 6),
+];
 
 #[test]
-fn generation_4_pool_fails_to_open_with_a_typed_error() {
-    // A one-journal pool holding a 3-key `DurableMap`, written by the
-    // last generation-4 build: its file layout is today's, but its image
-    // stores full-width CHAMP node pointers. It fails typed — at the pmem
-    // level and through the heap — before any of its journal is replayed.
-    let path = temp_pool("gen4");
-    std::fs::copy("tests/fixtures/gen4_pool.bin", &path).unwrap();
-    let journal = FileBackend::member_paths(&path, 1).pop().unwrap();
-    std::fs::copy("tests/fixtures/gen4_pool.bin.s0", journal).unwrap();
-    let want = ReplayError::UnsupportedGeneration {
-        found: 4,
-        supported: 6,
-    };
-    let cfg = SessionShape::Buffered.pool_config();
-    let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert_eq!(replay_error(&err), Some(&want), "{err}");
-    let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
-    assert_eq!(replay_error(&err), Some(&want), "{err}");
-    remove_pool(&path);
-}
-
-#[test]
-fn generation_5_pool_fails_to_open_with_a_typed_error() {
-    // A one-journal pool holding a `DurableVector<u64>`, a
-    // `DurableQueue<u64>` and a `DurableMap<u64, u64>` — a vector, a queue
-    // and a three-root directory — written by the last generation-5
-    // build: its image stores full-width pointers in cons cells and in
-    // the vector and queue root objects. It fails typed — at the pmem level and through the heap —
-    // before any of its journal is replayed.
-    let path = temp_pool("gen5");
-    std::fs::copy("tests/fixtures/gen5_pool.bin", &path).unwrap();
-    let journal = FileBackend::member_paths(&path, 1).pop().unwrap();
-    std::fs::copy("tests/fixtures/gen5_pool.bin.s0", journal).unwrap();
-    let want = ReplayError::UnsupportedGeneration {
-        found: 5,
-        supported: 6,
-    };
-    let cfg = SessionShape::Buffered.pool_config();
-    let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert_eq!(replay_error(&err), Some(&want), "{err}");
-    let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
-    assert_eq!(replay_error(&err), Some(&want), "{err}");
-    remove_pool(&path);
+fn older_generation_pools_fail_to_open_with_a_typed_error() {
+    // Old pools fail typed — at the pmem level and through the heap —
+    // before any of their journal is replayed: never a panic and never a
+    // best-effort read. A layout change that bumps the generation must
+    // check in its predecessor's pool here.
+    let found: Vec<u32> = OLD_GENERATIONS.iter().map(|row| row.2).collect();
+    assert_eq!(found, (3..FORMAT_GENERATION).collect::<Vec<_>>());
+    for (fixture, journaled, found) in OLD_GENERATIONS {
+        let path = temp_pool(&format!("gen{found}"));
+        std::fs::copy(format!("tests/fixtures/{fixture}"), &path).unwrap();
+        if journaled {
+            let journal = FileBackend::member_paths(&path, 1).pop().unwrap();
+            std::fs::copy(format!("tests/fixtures/{fixture}.s0"), journal).unwrap();
+        }
+        let want = ReplayError::UnsupportedGeneration {
+            found,
+            supported: FORMAT_GENERATION,
+        };
+        let cfg = SessionShape::Buffered.pool_config();
+        let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{fixture}");
+        assert_eq!(replay_error(&err), Some(&want), "{fixture}: {err}");
+        let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
+        assert_eq!(replay_error(&err), Some(&want), "{fixture}: {err}");
+        assert!(verify_session(&path, 1).is_err(), "{fixture}");
+        remove_pool(&path);
+    }
 }
 
 #[test]

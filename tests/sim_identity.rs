@@ -8,15 +8,13 @@
 //! buffers) may change representation freely, but must never move one of
 //! those calls. This test runs a fixed seeded script and compares a
 //! fingerprint of everything observable against recorded constants
-//! (the Full ones last re-recorded at header generation 6, when cons
-//! cells and the vector and queue root objects began storing 32-bit
-//! block indices and an enqueue onto an empty queue began consing onto
-//! its front — other stored bytes, reads, flushes and block addresses,
-//! the same fences; the `*_HYBRID` ones when hybrid index blocks moved to
-//! the volatile range beside the pool — other persistent placement and
-//! index block sizes, the same reads, writes and fences): an FNV hash
-//! over the `Pmem::trace()` stream, the full `PmStats`, the L1/LLC
-//! `CacheStats` and the `TimeBreakdown` f64 bit patterns. A
+//! (all six last re-recorded at header generation 7, when vector inner
+//! nodes began storing 32-bit children — fewer stored bytes and flushed
+//! lines, other block placement, the same reads, writes and fences; in
+//! the `*_HYBRID` ones, whose inner nodes live in the volatile range,
+//! only the issued and avoided flushes and the volatile bytes moved):
+//! an FNV hash over the `Pmem::trace()` stream, the full `PmStats`, the
+//! L1/LLC `CacheStats` and the `TimeBreakdown` f64 bit patterns. A
 //! representation change that perturbs any of them fails here, with the
 //! new fingerprint printed next to the recorded one.
 
@@ -347,42 +345,42 @@ fn wide_script(policy: PersistPolicy) -> String {
 
 const OWNER_FULL: &str = "\
 map_len=1056 vec_len=536 queue_len=299\n\
-trace=0x0f8ac73106514980/106047\n\
-issued=31506 effective=26401 deduped=5105 avoided=0 fences=3408 reads=79579 writes=42489 bytes=1143760 overlap=0x411d7a6999997049 residual=0x4140474e147ae677 volatile_bytes=0 hist=1x2,2x136,3x413,4x376,5x200,6x169,7x273,8x330,9x450,10x416,11x323,12x193,13x90,14x10,15x2,16x1,18x5,19x7,20x4,21x1,22x2,27x3,62x1,122x1\n\
-l1=155931/151505/4426 llc=4426/2443/1983\n\
-other=0x41312b9c00000000 flush=0x41411590147ae677 log=0x0000000000000000";
+trace=0xb5f451e4ee38e8ba/105361\n\
+issued=30820 effective=25677 deduped=5143 avoided=0 fences=3408 reads=79579 writes=42489 bytes=1136688 overlap=0x411d70c3851e90a6 residual=0x41400253400004fc volatile_bytes=0 hist=1x2,2x167,3x465,4x320,5x204,6x161,7x272,8x362,9x473,10x433,11x301,12x173,13x40,14x9,16x1,17x2,18x3,19x5,20x4,21x5,22x1,26x1,27x2,61x1,121x1\n\
+l1=154588/150156/4432 llc=4432/2449/1983\n\
+other=0x4131274700000000 flush=0x4140caed400004fc log=0x0000000000000000";
 const OWNER_HYBRID: &str = "\
 map_len=1056 vec_len=536 queue_len=299\n\
 trace=0x52272d41caea0c22/38281\n\
-issued=38087 effective=10295 deduped=69 avoided=27723 fences=3408 reads=7216 writes=14179 bytes=262356 overlap=0x410f38973333248f residual=0x413516b151eb86be volatile_bytes=1336384 hist=1x2,2x506,3x2452,4x424,7x9,8x13,9x2\n\
+issued=37648 effective=10295 deduped=69 avoided=27284 fences=3408 reads=7216 writes=14179 bytes=262356 overlap=0x410f38973333248f residual=0x413516b151eb86be volatile_bytes=1328528 hist=1x2,2x506,3x2452,4x424,7x9,8x13,9x2\n\
 l1=23905/19188/4717 llc=4717/0/4717\n\
 other=0x4136d51b00000000 flush=0x4135b78d51eb86be log=0x0000000000000000";
 const TURNSTILE_FULL: &str = "\
 fases=192 batches=96 ledger_len=80\n\
-lanes: issued=5805 effective=5443 deduped=362 avoided=0 fences=304 reads=15269 writes=9580 bytes=221224 overlap=0x410a9277851eb828 residual=0x4102266d1eb85215 volatile_bytes=0 hist=1x3,2x1,3x4,4x83,5x69,6x28,7x14,8x6,25x1,28x4,29x2,30x4,31x4,32x7,33x11,34x15,35x14,36x7,37x7,38x5,39x4,40x2,41x5,42x2,53x1,68x1\n\
-wall=0x4136d58da3d70a43\n\
-trace=0x6373fa002d97412f/20970\n\
-issued=1613 effective=1305 deduped=308 avoided=0 fences=304 reads=11102 writes=3382 bytes=57552 overlap=0x410a9277851eb828 residual=0x4102266d1eb85215 volatile_bytes=0 hist=1x3,2x1,3x4,4x83,5x69,6x28,7x14,8x6,25x1,28x4,29x2,30x4,31x4,32x7,33x11,34x15,35x14,36x7,37x7,38x5,39x4,40x2,41x5,42x2,53x1,68x1\n\
-l1=16202/13942/2260 llc=2260/85/2175\n\
-other=0x41257d1c00000000 flush=0x41282dff47ae1486 log=0x0000000000000000";
+lanes: issued=5775 effective=5398 deduped=377 avoided=0 fences=304 reads=15269 writes=9580 bytes=219728 overlap=0x410a3070cccccca7 residual=0x4102138d999999c1 volatile_bytes=0 hist=1x3,2x1,3x7,4x84,5x67,6x27,7x14,8x5,25x1,28x4,29x3,30x7,31x4,32x7,33x15,34x14,35x11,36x9,37x2,38x6,39x5,40x4,42x2,53x1,69x1\n\
+wall=0x41368d5bb3333338\n\
+trace=0xbd968f332f5f7052/20940\n\
+issued=1614 effective=1296 deduped=318 avoided=0 fences=304 reads=11102 writes=3382 bytes=57520 overlap=0x410a3070cccccca7 residual=0x4102138d999999c1 volatile_bytes=0 hist=1x3,2x1,3x7,4x84,5x67,6x27,7x14,8x5,25x1,28x4,29x3,30x7,31x4,32x7,33x15,34x14,35x11,36x9,37x2,38x6,39x5,40x4,42x2,53x1,69x1\n\
+l1=16158/13937/2221 llc=2221/78/2143\n\
+other=0x41252f6200000000 flush=0x4127eb5566666670 log=0x0000000000000000";
 const TURNSTILE_HYBRID: &str = "\
 fases=192 batches=96 ledger_len=80\n\
-lanes: issued=7512 effective=1931 deduped=364 avoided=5217 fences=304 reads=2962 writes=4822 bytes=68481 overlap=0x40f38b71eb851ec9 residual=0x40fb4d49eb851eae volatile_bytes=246336 hist=1x3,2x201,4x2,5x2,10x1,11x35,13x37,14x10,15x12,16x1\n\
+lanes: issued=7490 effective=1931 deduped=364 avoided=5195 fences=304 reads=2962 writes=4822 bytes=68481 overlap=0x40f38b71eb851ec9 residual=0x40fb4d49eb851eae volatile_bytes=243376 hist=1x3,2x201,4x2,5x2,10x1,11x35,13x37,14x10,15x12,16x1\n\
 wall=0x4113c7aa7ae147ab\n\
 trace=0xdd2c898d131eac19/9114\n\
-issued=2048 effective=713 deduped=310 avoided=1025 fences=304 reads=2962 writes=2770 bytes=27285 overlap=0x40f38b71eb851ec9 residual=0x40fb4d49eb851eae volatile_bytes=46800 hist=1x3,2x201,4x2,5x2,10x1,11x35,13x37,14x10,15x12,16x1\n\
+issued=2057 effective=713 deduped=310 avoided=1034 fences=304 reads=2962 writes=2770 bytes=27285 overlap=0x40f38b71eb851ec9 residual=0x40fb4d49eb851eae volatile_bytes=46768 hist=1x3,2x201,4x2,5x2,10x1,11x35,13x37,14x10,15x12,16x1\n\
 l1=5932/5707/225 llc=225/0/225\n\
 other=0x40f358f000000000 flush=0x410de2dcf5c28f56 log=0x0000000000000000";
 const WIDE_FULL: &str = "\
 replies=2391 names=261 tags=44 ids=27 vec=0 stack=0 plain=43\n\
-trace=0x7b0b6b68b9b9c431/96964\n\
-issued=28414 effective=22618 deduped=5796 avoided=0 fences=3013 reads=94685 writes=39567 bytes=1083499 overlap=0x41197c3a8f5c04ba residual=0x413cad739eb85afa volatile_bytes=0 hist=1x142,2x428,3x337,4x191,5x191,6x253,7x290,8x180,9x213,10x204,11x144,12x113,13x59,14x29,15x22,16x17,17x29,18x10,19x9,20x10,21x11,22x7,23x15,24x11,25x13,26x8,27x12,28x5,29x7,30x7,31x9,32x6,33x8,34x2,35x6,36x3,37x5,38x3,39x1,42x2,43x1\n\
-l1=169992/168816/1176 llc=1176/517/659\n\
-other=0x41237b2e00000000 flush=0x413e0edb9eb85afa log=0x0000000000000000";
+trace=0xd320bba1f5c51e45/96846\n\
+issued=28296 effective=22572 deduped=5724 avoided=0 fences=3013 reads=94685 writes=39567 bytes=1080475 overlap=0x41197b3733330f0e residual=0x413ca445f0a3e010 volatile_bytes=0 hist=1x142,2x427,3x348,4x185,5x187,6x259,7x284,8x180,9x203,10x214,11x141,12x127,13x54,14x25,15x23,16x33,17x14,18x5,19x7,20x11,21x10,22x8,23x15,24x13,25x11,26x11,27x13,28x4,29x6,30x5,31x11,32x7,33x5,34x5,35x7,36x1,37x4,38x3,39x1,40x1,42x3\n\
+l1=169731/168531/1200 llc=1200/544/656\n\
+other=0x41237a5000000000 flush=0x413e04f5f0a3e010 log=0x0000000000000000";
 const WIDE_HYBRID: &str = "\
 replies=2391 names=261 tags=44 ids=27 vec=0 stack=0 plain=43\n\
 trace=0x5ef6e38655e7068b/47767\n\
-issued=37627 effective=11941 deduped=1003 avoided=24683 fences=3013 reads=17350 writes=18611 bytes=419317 overlap=0x4112310251eb792c residual=0x41341a2b7ae14a94 volatile_bytes=1209504 hist=1x4,2x1052,3x977,4x296,5x254,6x155,7x77,8x16,9x9,10x14,11x28,12x21,13x19,14x19,15x25,16x25,17x9,18x7,19x5,165x1\n\
+issued=37658 effective=11941 deduped=1003 avoided=24714 fences=3013 reads=17350 writes=18611 bytes=419317 overlap=0x4112310251eb792c residual=0x41341a2b7ae14a94 volatile_bytes=1206512 hist=1x4,2x1052,3x977,4x296,5x254,6x155,7x77,8x16,9x9,10x14,11x28,12x21,13x19,14x19,15x25,16x25,17x9,18x7,19x5,165x1\n\
 l1=40272/32117/8155 llc=8155/3953/4202\n\
 other=0x4137aaee00000000 flush=0x4134d4bf7ae14a94 log=0x0000000000000000";
 
