@@ -547,33 +547,59 @@ const OLD_GENERATIONS: [(&str, bool, u32); 4] = [
 ];
 
 #[test]
-fn older_generation_pools_fail_to_open_with_a_typed_error() {
-    // Old pools fail typed — at the pmem level and through the heap —
-    // before any of their journal is replayed: never a panic and never a
-    // best-effort read. A layout change that bumps the generation must
-    // check in its predecessor's pool here.
+fn older_generation_fixtures_cover_every_superseded_generation() {
+    // A layout change that bumps the generation must check in its
+    // predecessor's pool here, as a table row and a test of its own.
     let found: Vec<u32> = OLD_GENERATIONS.iter().map(|row| row.2).collect();
     assert_eq!(found, (3..FORMAT_GENERATION).collect::<Vec<_>>());
-    for (fixture, journaled, found) in OLD_GENERATIONS {
-        let path = temp_pool(&format!("gen{found}"));
-        std::fs::copy(format!("tests/fixtures/{fixture}"), &path).unwrap();
-        if journaled {
-            let journal = FileBackend::member_paths(&path, 1).pop().unwrap();
-            std::fs::copy(format!("tests/fixtures/{fixture}.s0"), journal).unwrap();
-        }
-        let want = ReplayError::UnsupportedGeneration {
-            found,
-            supported: FORMAT_GENERATION,
-        };
-        let cfg = SessionShape::Buffered.pool_config();
-        let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{fixture}");
-        assert_eq!(replay_error(&err), Some(&want), "{fixture}: {err}");
-        let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
-        assert_eq!(replay_error(&err), Some(&want), "{fixture}: {err}");
-        assert!(verify_session(&path, 1).is_err(), "{fixture}");
-        remove_pool(&path);
+}
+
+/// Old pools fail typed — at the pmem level and through the heap —
+/// before any of their journal is replayed: never a panic and never a
+/// best-effort read.
+fn old_generation_pool_fails_typed(found: u32) {
+    let (fixture, journaled, _) = *OLD_GENERATIONS
+        .iter()
+        .find(|row| row.2 == found)
+        .expect("a checked-in fixture for this generation");
+    let path = temp_pool(&format!("gen{found}"));
+    std::fs::copy(format!("tests/fixtures/{fixture}"), &path).unwrap();
+    if journaled {
+        let journal = FileBackend::member_paths(&path, 1).pop().unwrap();
+        std::fs::copy(format!("tests/fixtures/{fixture}.s0"), journal).unwrap();
     }
+    let want = ReplayError::UnsupportedGeneration {
+        found,
+        supported: FORMAT_GENERATION,
+    };
+    let cfg = SessionShape::Buffered.pool_config();
+    let err = Pmem::open_file(&path, cfg.clone()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{fixture}");
+    assert_eq!(replay_error(&err), Some(&want), "{fixture}: {err}");
+    let err = ModHeap::open_file(&path, cfg).map(drop).unwrap_err();
+    assert_eq!(replay_error(&err), Some(&want), "{fixture}: {err}");
+    assert!(verify_session(&path, 1).is_err(), "{fixture}");
+    remove_pool(&path);
+}
+
+#[test]
+fn generation_3_pool_fails_to_open_with_a_typed_error() {
+    old_generation_pool_fails_typed(3);
+}
+
+#[test]
+fn generation_4_pool_fails_to_open_with_a_typed_error() {
+    old_generation_pool_fails_typed(4);
+}
+
+#[test]
+fn generation_5_pool_fails_to_open_with_a_typed_error() {
+    old_generation_pool_fails_typed(5);
+}
+
+#[test]
+fn generation_6_pool_fails_to_open_with_a_typed_error() {
+    old_generation_pool_fails_typed(6);
 }
 
 #[test]
