@@ -6,7 +6,6 @@ use crate::layout::{
     class_index, class_size, root_slot_offset, BLOCK_MAGIC, HEADER_BYTES, HEAP_BASE,
     MAX_POOL_BYTES, MIN_BLOCK, POOL_MAGIC, SIZE_CLASSES,
 };
-use crate::recovery::MarkState;
 use crate::table::BlockTable;
 use crate::worker::{AllocDelta, SplitState, StagedAllocEffects, WorkerMode};
 use mod_pmem::{PmPtr, Pmem};
@@ -191,7 +190,10 @@ pub struct NvHeap {
     /// Volatile heads of hybrid roots, shared by every heap handle over
     /// this pool (see [`RootAnnex`]).
     annex: Arc<RootAnnex>,
-    pub(crate) mark: Option<MarkState>,
+    /// During recovery, `(header addr, header + payload class bytes)` of
+    /// each reachable block found so far (their reference counts go
+    /// straight into the refcount table).
+    pub(crate) mark: Option<Vec<(u64, u64)>>,
 }
 
 impl NvHeap {
@@ -219,7 +221,7 @@ impl NvHeap {
             split: None,
             volatile_depth: 0,
             annex: Arc::new(RootAnnex::new()),
-            mark: recovering.then(MarkState::default),
+            mark: recovering.then(Vec::new),
         }
     }
 

@@ -7,10 +7,10 @@
 //!   applications find their datastructures across process lifetimes;
 //! * **volatile reference counts** (§5.3) — never flushed, rebuilt on
 //!   recovery from reachability;
-//! * **recovery GC** — after a crash, the typed datastructure layer marks
-//!   every reachable block ([`NvHeap::mark_block`]) and
-//!   [`NvHeap::finish_recovery`] turns all unmarked space (including
-//!   mid-FASE leaks) back into free space;
+//! * **one graph walk** ([`NvHeap::walk`]) for commit-time release and
+//!   **recovery GC**: after a crash it marks every reachable block
+//!   ([`NvHeap::mark_block`]) and [`NvHeap::finish_recovery`] turns all
+//!   unmarked space (including mid-FASE leaks) back into free space;
 //! * a **volatile range** beside the pool — hybrid roots' index blocks,
 //!   allocated inside [`NvHeap::begin_volatile`] by the same algorithm
 //!   over a free space of their own; an address says which space a block
@@ -39,6 +39,7 @@ pub mod layout;
 pub mod read;
 pub mod recovery;
 mod table;
+pub mod walk;
 pub mod worker;
 
 pub use annex::RootAnnex;
@@ -49,4 +50,5 @@ pub use layout::{
 };
 pub use read::HeapRead;
 pub use recovery::RecoveryReport;
+pub use walk::{BlockKind, Visit};
 pub use worker::{AllocDelta, StagedAllocEffects};

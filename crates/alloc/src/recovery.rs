@@ -6,23 +6,15 @@
 //! datastructure from its persistent root, marking reachable blocks and
 //! counting references, and (2) treats everything unmarked as free —
 //! including leaks from FASEs interrupted mid-update, whose shadow nodes
-//! were never committed. The walk is driven by the typed datastructure
-//! layer (which knows where the child pointers are); this module provides
-//! the mark/sweep machinery.
+//! were never committed. The walk is [`NvHeap::walk`] under
+//! [`crate::Visit::Mark`], reading child pointers through each block
+//! kind's one enumerator ([`crate::BlockKind`]); this module provides the
+//! mark/sweep machinery.
 
 use crate::heap::NvHeap;
 use crate::layout::{BLOCK_MAGIC, HEADER_BYTES, HEAP_BASE, MIN_BLOCK};
 use mod_pmem::PmPtr;
 use std::collections::BTreeMap;
-
-/// Bookkeeping for an in-progress recovery: the reachable blocks seen so
-/// far. Their reference counts go straight into the heap's refcount
-/// table as the marker finds them.
-#[derive(Debug, Default)]
-pub struct MarkState {
-    /// `(header addr, header + payload class bytes)` per reachable block.
-    blocks: Vec<(u64, u64)>,
-}
 
 /// Outcome of a completed recovery.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -39,7 +31,7 @@ pub struct RecoveryReport {
 impl NvHeap {
     /// Marks the block at `ptr` as reachable, incrementing its rebuilt
     /// reference count. Returns `true` the first time the block is seen —
-    /// the caller should then recurse into its children.
+    /// [`NvHeap::walk`] then marks its children.
     ///
     /// # Panics
     ///
@@ -60,7 +52,7 @@ impl NvHeap {
         let first = self.rc.update(ptr.addr(), |refs| refs + 1) == 1;
         if first {
             let mark = self.mark.as_mut().unwrap();
-            mark.blocks.push((hdr, HEADER_BYTES + class));
+            mark.push((hdr, HEADER_BYTES + class));
         }
         first
     }
@@ -75,8 +67,7 @@ impl NvHeap {
         let mut blocks = self
             .mark
             .take()
-            .expect("finish_recovery outside recovery mode")
-            .blocks;
+            .expect("finish_recovery outside recovery mode");
         blocks.sort_unstable();
         let mut regions: BTreeMap<u64, u64> = BTreeMap::new();
         let mut cursor = HEAP_BASE;

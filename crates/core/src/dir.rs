@@ -17,11 +17,11 @@
 //! pool's root annex holds under the root's logical kind. [`resolve`]
 //! answers "which version does index `i` name" for both.
 
-use crate::erased::{ErasedDs, RootKind};
+use crate::erased::{ErasedDs, PoolKind, RootKind};
 use crate::fase::PendingUpdate;
 use crate::heap::ModHeap;
 use mod_alloc::layout::root_slot_offset;
-use mod_alloc::{HeapRead, NvHeap, N_ROOTS};
+use mod_alloc::{HeapRead, NvHeap, Visit, N_ROOTS};
 use mod_pmem::{PmPtr, SyncRound};
 
 /// The root slot that holds the root directory. Raw-slot code must not
@@ -124,35 +124,20 @@ fn store(nv: &mut NvHeap, entries: &[ErasedDs], tags: &[u64]) -> PmPtr {
     dir
 }
 
-/// Releases one reference to directory block `dir`, cascading to its
-/// entries at zero.
-pub(crate) fn release(nv: &mut NvHeap, dir: PmPtr) {
-    if nv.rc_dec(dir) > 0 {
-        return;
-    }
-    let entries = block_entries(&mut *nv, dir);
-    nv.free(dir);
-    for e in entries {
-        e.release(nv);
+/// A directory block's children: each entry's root, in index order.
+pub(crate) fn children(nv: &mut NvHeap, dir: PmPtr, push: &mut impl FnMut(PmPtr, PoolKind)) {
+    let mut read = HeapRead::from(nv);
+    for i in 0..block_len(&mut read, dir) {
+        let e = read_entry(&mut read, dir, i);
+        push(e.root, e.kind.into());
     }
 }
 
-/// Marks the published directory and, through it, every typed root
-/// during recovery GC.
+/// Marks the published directory (if any) and, through it, every typed
+/// root during recovery GC.
 pub(crate) fn mark_published(nv: &mut NvHeap) {
     let dir = published(&mut *nv).1;
-    mark(nv, dir);
-}
-
-/// Marks directory block `dir` (if any) and every entry's root during
-/// recovery GC.
-pub(crate) fn mark(nv: &mut NvHeap, dir: PmPtr) {
-    if dir.is_null() || !nv.mark_block(dir) {
-        return;
-    }
-    for e in block_entries(&mut *nv, dir) {
-        e.mark(nv);
-    }
+    nv.walk(Visit::Mark, dir, PoolKind::Directory);
 }
 
 // ---------------------------------------------------------------------
@@ -359,7 +344,7 @@ mod tests {
         // Dropping our handle's reference leaves the directory's.
         m.release(&mut nv);
         assert_eq!(nv.rc_get(m.root()), 1);
-        release(&mut nv, d);
+        nv.walk(Visit::Release, d, PoolKind::Directory);
         assert_eq!(nv.stats().live_blocks, 0);
     }
 

@@ -4,11 +4,14 @@
 //! whose concrete types differ (a FASE can update a map and a queue).
 //! [`DurableDs`] abstracts over the five MOD handle types; [`ErasedDs`]
 //! carries a handle as a `(kind, root)` pair that can be persisted (root
-//! directory entries) and dispatched at runtime.
+//! directory entries) and dispatched at runtime; `PoolKind` is its kind
+//! as [`NvHeap::walk`] sees it.
 
-use mod_alloc::NvHeap;
-use mod_funcds::{PmMap, PmQueue, PmSet, PmStack, PmVector};
+use mod_alloc::{BlockKind, NvHeap, Visit};
+use mod_funcds::{DsKind, PmMap, PmQueue, PmSet, PmStack, PmVector};
 use mod_pmem::PmPtr;
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 /// The persistent type of a root slot or root-directory entry.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
@@ -85,12 +88,6 @@ pub trait DurableDs: Copy {
     /// Rebuilds a handle from a root pointer.
     fn from_root_ptr(root: PmPtr) -> Self;
 
-    /// Releases this version's reference to its data (refcounted).
-    fn release_version(self, nv: &mut NvHeap);
-
-    /// Marks this version's blocks during recovery GC.
-    fn mark_version(&self, nv: &mut NvHeap);
-
     /// Erases the handle for heterogeneous contexts.
     fn erase(&self) -> ErasedDs {
         ErasedDs {
@@ -116,14 +113,6 @@ macro_rules! impl_durable_ds {
             fn from_root_ptr(root: PmPtr) -> Self {
                 <$ty>::from_root(root)
             }
-
-            fn release_version(self, nv: &mut NvHeap) {
-                self.release(nv)
-            }
-
-            fn mark_version(&self, nv: &mut NvHeap) {
-                self.mark(nv)
-            }
         }
     };
 }
@@ -146,28 +135,50 @@ pub struct ErasedDs {
 impl ErasedDs {
     /// Releases the version's reference to its data.
     pub fn release(self, nv: &mut NvHeap) {
-        match self.kind {
-            RootKind::Map => PmMap::from_root(self.root).release(nv),
-            RootKind::Set => PmSet::from_root(self.root).release(nv),
-            RootKind::Vector => PmVector::from_root(self.root).release(nv),
-            RootKind::Stack => PmStack::from_root(self.root).release(nv),
-            RootKind::Queue => PmQueue::from_root(self.root).release(nv),
-            RootKind::Directory => crate::dir::release(nv, self.root),
-            RootKind::Spine => crate::spine::release_record(nv, self.root),
+        nv.walk(Visit::Release, self.root, PoolKind::from(self.kind))
+    }
+}
+
+/// The kind of a block in the pool's persistent graph.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) enum PoolKind {
+    /// A block of a MOD datastructure version.
+    Ds(DsKind),
+    /// A root directory block.
+    Directory,
+    /// A hybrid root's spine record (see [`crate::spine`]).
+    Spine,
+}
+
+impl From<RootKind> for PoolKind {
+    fn from(kind: RootKind) -> PoolKind {
+        match kind {
+            RootKind::Map | RootKind::Set => PoolKind::Ds(DsKind::Map),
+            RootKind::Vector => PoolKind::Ds(DsKind::Vector),
+            RootKind::Stack => PoolKind::Ds(DsKind::Stack),
+            RootKind::Queue => PoolKind::Ds(DsKind::Queue),
+            RootKind::Directory => PoolKind::Directory,
+            RootKind::Spine => PoolKind::Spine,
+        }
+    }
+}
+
+thread_local! {
+    static STACK: Cell<Vec<(PmPtr, PoolKind)>> = const { Cell::new(Vec::new()) };
+}
+
+impl BlockKind for PoolKind {
+    fn children(self, nv: &mut NvHeap, ptr: PmPtr, push: &mut impl FnMut(PmPtr, PoolKind)) {
+        match self {
+            PoolKind::Ds(kind) => kind.children(nv, ptr, &mut |p, k| push(p, PoolKind::Ds(k))),
+            PoolKind::Directory => crate::dir::children(nv, ptr, push),
+            // Word 0 is the predecessor record; the chain is read uncharged.
+            PoolKind::Spine => push(PmPtr::from_addr(nv.peek_u64(ptr.addr())), PoolKind::Spine),
         }
     }
 
-    /// Marks the version's blocks during recovery GC.
-    pub fn mark(&self, nv: &mut NvHeap) {
-        match self.kind {
-            RootKind::Map => PmMap::from_root(self.root).mark(nv),
-            RootKind::Set => PmSet::from_root(self.root).mark(nv),
-            RootKind::Vector => PmVector::from_root(self.root).mark(nv),
-            RootKind::Stack => PmStack::from_root(self.root).mark(nv),
-            RootKind::Queue => PmQueue::from_root(self.root).mark(nv),
-            RootKind::Directory => crate::dir::mark(nv, self.root),
-            RootKind::Spine => crate::spine::mark_record(nv, self.root),
-        }
+    fn stack() -> &'static LocalKey<Cell<Vec<(PmPtr, PoolKind)>>> {
+        &STACK
     }
 }
 

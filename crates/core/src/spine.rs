@@ -422,33 +422,6 @@ pub(crate) fn peek_record_op(nv: &NvHeap, rec: PmPtr) -> Vec<u8> {
     nv.peek_vec(rec.addr() + 24, len)
 }
 
-/// Releases one reference to a record, walking the chain iteratively
-/// (chains can be thousands of records long between compactions; a
-/// recursive drop would overflow the stack).
-pub(crate) fn release_record(nv: &mut NvHeap, rec: PmPtr) {
-    let mut cur = rec;
-    while !cur.is_null() {
-        if nv.rc_dec(cur) != 0 {
-            return;
-        }
-        let prev = PmPtr::from_addr(nv.peek_u64(cur.addr()));
-        nv.free(cur);
-        cur = prev;
-    }
-}
-
-/// Marks a record chain during recovery GC (stops at the first record
-/// already marked through a sibling chain).
-pub(crate) fn mark_record(nv: &mut NvHeap, rec: PmPtr) {
-    let mut cur = rec;
-    while !cur.is_null() {
-        if !nv.mark_block(cur) {
-            return;
-        }
-        cur = PmPtr::from_addr(nv.peek_u64(cur.addr()));
-    }
-}
-
 /// Replays a spine chain into a fresh volatile version: collects the
 /// records newest-to-oldest, then applies oldest-to-newest through the
 /// same `SpineOp::apply` staging uses. Returns the rebuilt version under
@@ -490,6 +463,8 @@ pub(crate) fn replay(nv: &mut NvHeap, head: PmPtr) -> ErasedDs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erased::PoolKind;
+    use mod_alloc::Visit;
     use mod_pmem::{Pmem, PmemConfig};
 
     fn heap() -> NvHeap {
@@ -636,11 +611,11 @@ mod tests {
             let next = store_record(&mut nv, head, RootKind::Vector, i, &SpineOp::VecPush(i));
             // The superseded head's reference moves to the new record;
             // drop the "directory" reference the old head carried.
-            release_record(&mut nv, head);
+            nv.walk(Visit::Release, head, PoolKind::Spine);
             head = next;
         }
         assert_eq!(nv.stats().live_blocks, 4001);
-        release_record(&mut nv, head);
+        nv.walk(Visit::Release, head, PoolKind::Spine);
         assert_eq!(nv.stats().live_blocks, 0, "chain fully reclaimed");
     }
 }

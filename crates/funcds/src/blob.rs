@@ -40,23 +40,11 @@ pub fn blob_read<'a>(heap: impl Into<HeapRead<'a>>, ptr: PmPtr) -> Vec<u8> {
     heap.vec(ptr.addr() + BLOB_HEADER, len)
 }
 
-/// Drops a reference to a blob, freeing it at zero (no-op for null).
-pub fn blob_release(heap: &mut NvHeap, ptr: PmPtr) {
-    if !ptr.is_null() && heap.rc_dec(ptr) == 0 {
-        heap.free(ptr);
-    }
-}
-
-/// Marks a blob during recovery GC (no-op for null).
-pub fn blob_mark(heap: &mut NvHeap, ptr: PmPtr) {
-    if !ptr.is_null() {
-        heap.mark_block(ptr);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DsKind;
+    use mod_alloc::Visit;
     use mod_pmem::{Pmem, PmemConfig};
 
     fn heap() -> NvHeap {
@@ -84,17 +72,17 @@ mod tests {
         let p = blob_create(&mut h, &[9u8; 100]);
         h.rc_inc(p);
         assert_eq!(h.rc_get(p), 2);
-        blob_release(&mut h, p);
+        h.walk(Visit::Release, p, DsKind::Blob);
         assert_eq!(h.stats().frees, 0);
-        blob_release(&mut h, p);
+        h.walk(Visit::Release, p, DsKind::Blob);
         assert_eq!(h.stats().frees, 1);
     }
 
     #[test]
-    fn null_ops_are_noops() {
+    fn null_release_is_a_noop() {
         let mut h = heap();
-        blob_release(&mut h, PmPtr::NULL);
-        blob_mark(&mut h, PmPtr::NULL);
+        h.walk(Visit::Release, PmPtr::NULL, DsKind::Blob);
+        assert_eq!(h.stats().frees, 0);
     }
 
     #[test]

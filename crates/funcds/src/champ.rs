@@ -30,9 +30,10 @@
 //! `BitmapImg::store`, `CollisionImg::store` and `read_node` see the
 //! stored form.
 
-use crate::blob::{blob_create, blob_mark, blob_read, blob_release};
-use crate::node::{store_words, NodeBuf, KIND_BITMAP, KIND_COLLISION, NODE_WORDS};
-use mod_alloc::{pack_ptrs, unpack_ptrs, HeapRead, NvHeap};
+use crate::blob::{blob_create, blob_read};
+use crate::node::{drop_temp, store_words, NodeBuf, KIND_BITMAP, KIND_COLLISION, NODE_WORDS};
+use crate::DsKind;
+use mod_alloc::{pack_ptrs, unpack_ptrs, HeapRead, NvHeap, Visit};
 use mod_pmem::PmPtr;
 
 /// Hash chunking: 5 bits per level.
@@ -351,12 +352,6 @@ fn read_node<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> NodeImg {
     }
 }
 
-/// Drops one temporary ownership reference on a freshly stored node.
-fn drop_temp(heap: &mut NvHeap, ptr: PmPtr) {
-    let left = heap.rc_dec(ptr);
-    debug_assert!(left >= 1, "temp node should be co-owned");
-}
-
 enum RemoveResult {
     NotFound,
     /// New (fresh) node; null if the subtree vanished entirely.
@@ -390,7 +385,10 @@ impl PmMap {
         self.root
     }
 
-    fn read_root_obj<'a>(&self, heap: impl Into<HeapRead<'a>>) -> (u64, PmPtr, HashKind) {
+    pub(crate) fn read_root_obj<'a>(
+        &self,
+        heap: impl Into<HeapRead<'a>>,
+    ) -> (u64, PmPtr, HashKind) {
         let mut heap = heap.into();
         let a = self.root.addr();
         let count = heap.u64(a);
@@ -478,7 +476,7 @@ impl PmMap {
         let hash = hk.hash(key);
         let val = blob_create(heap, value); // temp-owned by this op
         let (new_node, added) = insert_node(heap, node, 0, hash, hk, key, val);
-        blob_release(heap, val); // node(s) now own it
+        heap.walk(Visit::Release, val, DsKind::Blob); // node(s) now own it
         let map = Self::store_root_obj(heap, count + added as u64, new_node, hk);
         drop_temp(heap, new_node);
         (map, added)
@@ -556,31 +554,10 @@ impl PmMap {
         self.to_vec(heap).into_iter().map(|(k, _)| k).collect()
     }
 
-    // ------------------------------------------------------------------
-    // Reclamation and recovery
-    // ------------------------------------------------------------------
-
     /// Releases this version's reference to its data (commit-time reclaim
     /// of superseded versions, §5.3).
     pub fn release(self, heap: &mut NvHeap) {
-        if heap.rc_dec(self.root) == 0 {
-            let (_, node, _) = self.read_root_obj(&mut *heap);
-            heap.free(self.root);
-            if !node.is_null() {
-                release_node(heap, node);
-            }
-        }
-    }
-
-    /// Marks this version's blocks during recovery GC.
-    pub fn mark(&self, heap: &mut NvHeap) {
-        if !heap.mark_block(self.root) {
-            return;
-        }
-        let node = PmPtr::from_addr(heap.pm_mut().read_u64(self.root.addr() + 8));
-        if !node.is_null() {
-            mark_node(heap, node);
-        }
+        heap.walk(Visit::Release, self.root, DsKind::Map)
     }
 }
 
@@ -738,47 +715,14 @@ fn finalize_removed(heap: &mut NvHeap, img: BitmapImg, depth: u32) -> RemoveResu
     }
 }
 
-fn release_node(heap: &mut NvHeap, node: PmPtr) {
-    if heap.rc_dec(node) > 0 {
-        return;
-    }
-    match read_node(&mut *heap, node) {
+/// A trie node's children (see [`DsKind`]).
+pub(crate) fn node_children(heap: &mut NvHeap, node: PmPtr, push: &mut impl FnMut(PmPtr, DsKind)) {
+    match read_node(heap, node) {
         NodeImg::Bitmap(img) => {
-            heap.free(node);
-            for v in img.values() {
-                blob_release(heap, v);
-            }
-            for c in img.children() {
-                release_node(heap, c);
-            }
+            img.values().for_each(|v| push(v, DsKind::Blob));
+            img.children().for_each(|c| push(c, DsKind::Champ));
         }
-        NodeImg::Collision(img) => {
-            heap.free(node);
-            for (_, v) in img.entries() {
-                blob_release(heap, v);
-            }
-        }
-    }
-}
-
-fn mark_node(heap: &mut NvHeap, node: PmPtr) {
-    if !heap.mark_block(node) {
-        return;
-    }
-    match read_node(&mut *heap, node) {
-        NodeImg::Bitmap(img) => {
-            for v in img.values() {
-                blob_mark(heap, v);
-            }
-            for c in img.children() {
-                mark_node(heap, c);
-            }
-        }
-        NodeImg::Collision(img) => {
-            for (_, v) in img.entries() {
-                blob_mark(heap, v);
-            }
-        }
+        NodeImg::Collision(img) => img.entries().for_each(|(_, v)| push(v, DsKind::Blob)),
     }
 }
 
@@ -1100,7 +1044,7 @@ mod tests {
         let img = h.pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced);
         let mut h2 = NvHeap::open(img);
         let m2 = PmMap::from_root(root);
-        m2.mark(&mut h2);
+        h2.walk(Visit::Mark, root, DsKind::Map);
         h2.finish_recovery();
         assert_eq!(m2.get(&mut h2, 11), Some(b"hello".to_vec()));
     }

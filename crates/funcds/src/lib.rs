@@ -20,7 +20,9 @@
 //! neither, so lookups and updates index by pure radix arithmetic.
 //!
 //! Reclamation uses the heap's volatile reference counts (§5.3): handles
-//! expose `release` (drop one version) and `mark` (recovery GC walk).
+//! expose `release` (drop one version). Every stored layout is a
+//! [`DsKind`] whose one child enumerator serves both that release and
+//! recovery marking, through [`mod_alloc::NvHeap::walk`].
 //!
 //! ## Example
 //!
@@ -52,6 +54,7 @@ pub mod set;
 
 pub use champ::{HashKind, PmMap};
 pub use list::PmStack;
+pub use node::DsKind;
 pub use queue::PmQueue;
 pub use rrb::PmVector;
 pub use set::PmSet;

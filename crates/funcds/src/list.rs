@@ -17,7 +17,8 @@
 //! 8-byte `head`: `[len][head]` is already 16 bytes.
 
 use crate::node::{check_kind, store_words, KIND_CONS};
-use mod_alloc::{pack_ptr, unpack_ptr, HeapRead, NvHeap};
+use crate::DsKind;
+use mod_alloc::{pack_ptr, unpack_ptr, HeapRead, NvHeap, Visit};
 use mod_pmem::PmPtr;
 
 /// Handle to one immutable version of a persistent stack.
@@ -57,29 +58,14 @@ pub(crate) fn cell_next<'a>(heap: impl Into<HeapRead<'a>>, cell: PmPtr) -> PmPtr
     unpack_ptr((check_kind(heap, cell, KIND_CONS) >> 32) as u32)
 }
 
-/// Releases one reference to a chain starting at `head`, freeing cells
-/// whose count reaches zero. Iterative: chains can be millions long.
-pub(crate) fn release_chain(heap: &mut NvHeap, head: PmPtr) {
-    let mut cur = head;
+/// The elements of the chain from `cur`, in chain order.
+pub(crate) fn chain_elems(heap: &mut HeapRead<'_>, mut cur: PmPtr) -> Vec<u64> {
+    let mut out = Vec::new();
     while !cur.is_null() {
-        if heap.rc_dec(cur) > 0 {
-            break; // rest of the chain is still shared
-        }
-        let next = cell_next(&mut *heap, cur);
-        heap.free(cur);
-        cur = next;
-    }
-}
-
-/// Marks a chain during recovery GC, stopping at already-marked cells.
-pub(crate) fn mark_chain(heap: &mut NvHeap, head: PmPtr) {
-    let mut cur = head;
-    while !cur.is_null() {
-        if !heap.mark_block(cur) {
-            break; // shared suffix already walked
-        }
+        out.push(cell_elem(&mut *heap, cur));
         cur = cell_next(&mut *heap, cur);
     }
+    out
 }
 
 impl PmStack {
@@ -117,7 +103,7 @@ impl PmStack {
         self.len(heap) == 0
     }
 
-    fn head<'a>(&self, heap: impl Into<HeapRead<'a>>) -> PmPtr {
+    pub(crate) fn head<'a>(&self, heap: impl Into<HeapRead<'a>>) -> PmPtr {
         PmPtr::from_addr(heap.into().u64(self.root.addr() + 8))
     }
 
@@ -163,36 +149,14 @@ impl PmStack {
     /// Collects the stack top-to-bottom (diagnostics and tests).
     pub fn to_vec<'a>(&self, heap: impl Into<HeapRead<'a>>) -> Vec<u64> {
         let mut heap = heap.into();
-        let mut out = Vec::new();
-        let mut cur = self.head(&mut heap);
-        while !cur.is_null() {
-            out.push(cell_elem(&mut heap, cur));
-            cur = cell_next(&mut heap, cur);
-        }
-        out
+        let head = self.head(&mut heap);
+        chain_elems(&mut heap, head)
     }
 
     /// Releases this version's reference to its data (used by commit to
     /// reclaim superseded versions).
     pub fn release(self, heap: &mut NvHeap) {
-        if heap.rc_dec(self.root) == 0 {
-            let head = self.head(&mut *heap);
-            heap.free(self.root);
-            if !head.is_null() {
-                release_chain(heap, head);
-            }
-        }
-    }
-
-    /// Marks this version's blocks during recovery GC.
-    pub fn mark(&self, heap: &mut NvHeap) {
-        if !heap.mark_block(self.root) {
-            return;
-        }
-        let head = PmPtr::from_addr(heap.pm_mut().read_u64(self.root.addr() + 8));
-        if !head.is_null() {
-            mark_chain(heap, head);
-        }
+        heap.walk(Visit::Release, self.root, DsKind::Stack)
     }
 }
 

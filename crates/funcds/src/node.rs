@@ -14,9 +14,17 @@
 //! plain word: the stack root `[len][head]` (16 bytes, already the
 //! smallest class), the `PmMap` root object `[count][root node][hash
 //! kind]`, and the hybrid spine record's `prev` link (`mod-core`).
+//!
+//! [`DsKind`] names every stored layout and says, once, where each one's
+//! children are, for [`NvHeap::walk`]'s release and recovery marking.
 
-use mod_alloc::{HeapRead, NvHeap};
+use crate::champ::{self, PmMap};
+use crate::rrb::{self, PmVector};
+use crate::{list, PmQueue, PmStack};
+use mod_alloc::{BlockKind, HeapRead, NvHeap};
 use mod_pmem::PmPtr;
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 /// Kind tag: CHAMP bitmap node.
 pub const KIND_BITMAP: u64 = 1;
@@ -32,6 +40,64 @@ pub const KIND_CONS: u64 = 5;
 /// Words in the largest fixed-fanout node image: a CHAMP bitmap node
 /// full of entries (2 header words + 32 × `(key, value)`).
 pub const NODE_WORDS: usize = 66;
+
+/// The kind of a stored datastructure block.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum DsKind {
+    /// A [`PmMap`] or [`crate::PmSet`] root object.
+    Map,
+    /// A CHAMP bitmap or collision node.
+    Champ,
+    /// A [`PmVector`] root object.
+    Vector,
+    /// A vector tree node this many bits above the elements: a leaf at
+    /// 0, an inner node above.
+    VecNode(u64),
+    /// A [`PmStack`] root object.
+    Stack,
+    /// A [`PmQueue`] root object.
+    Queue,
+    /// A cons cell of a stack or queue chain.
+    Cons,
+    /// A value blob ([`crate::blob`]).
+    Blob,
+}
+
+thread_local! {
+    static STACK: Cell<Vec<(PmPtr, DsKind)>> = const { Cell::new(Vec::new()) };
+}
+
+impl BlockKind for DsKind {
+    fn children(self, heap: &mut NvHeap, ptr: PmPtr, push: &mut impl FnMut(PmPtr, DsKind)) {
+        match self {
+            // All three words: release's charged reads are pinned.
+            DsKind::Map => push(PmMap::from_root(ptr).read_root_obj(heap).1, DsKind::Champ),
+            // Value blobs, then subtrees.
+            DsKind::Champ => champ::node_children(heap, ptr, push),
+            DsKind::Vector => {
+                let img = PmVector::from_root(ptr).read_root_obj(heap);
+                push(img.root, DsKind::VecNode(img.shift));
+                push(img.tail, DsKind::VecNode(0));
+            }
+            // A leaf is not read.
+            DsKind::VecNode(shift) if shift > 0 => rrb::read_inner(heap, ptr)
+                .into_iter()
+                .for_each(|c| push(c, DsKind::VecNode(shift - rrb::BITS))),
+            DsKind::Stack => push(PmStack::from_root(ptr).head(heap), DsKind::Cons),
+            DsKind::Queue => {
+                let img = PmQueue::from_root(ptr).read_root(heap);
+                push(img.front, DsKind::Cons);
+                push(img.rear, DsKind::Cons);
+            }
+            DsKind::Cons => push(list::cell_next(heap, ptr), DsKind::Cons),
+            DsKind::VecNode(_) | DsKind::Blob => {}
+        }
+    }
+
+    fn stack() -> &'static LocalKey<Cell<Vec<(PmPtr, DsKind)>>> {
+        &STACK
+    }
+}
 
 /// A node image assembled word by word in a fixed stack buffer, then
 /// stored with a single charged write — building, editing and storing a
@@ -107,6 +173,12 @@ pub fn store_bytes(heap: &mut NvHeap, bytes: &[u8]) -> PmPtr {
     store_block(heap, bytes.len() as u64, |heap, addr| {
         heap.write_bytes(addr, bytes)
     })
+}
+
+/// Drops one temporary ownership reference on a freshly stored node.
+pub(crate) fn drop_temp(heap: &mut NvHeap, ptr: PmPtr) {
+    let left = heap.rc_dec(ptr);
+    debug_assert!(left >= 1, "temp node should be co-owned");
 }
 
 /// Reads the first word of a node, asserts that its low half is the

@@ -24,9 +24,10 @@
 //! and the length as `front_len + rear_len`. Cells are the 16-byte cons
 //! cells of [`crate::list`].
 
-use crate::list::{cell_elem, cell_next, cons, mark_chain, release_chain};
+use crate::list::{cell_elem, cell_next, chain_elems, cons};
 use crate::node::store_words;
-use mod_alloc::{pack_ptr, unpack_ptr, HeapRead, NvHeap};
+use crate::DsKind;
+use mod_alloc::{pack_ptr, unpack_ptr, HeapRead, NvHeap, Visit};
 use mod_pmem::PmPtr;
 
 /// Handle to one immutable version of a persistent FIFO queue.
@@ -35,10 +36,10 @@ pub struct PmQueue {
     root: PmPtr,
 }
 
-struct RootImage {
-    front: PmPtr,
+pub(crate) struct RootImage {
+    pub(crate) front: PmPtr,
     front_len: u64,
-    rear: PmPtr,
+    pub(crate) rear: PmPtr,
     rear_len: u64,
 }
 
@@ -60,7 +61,7 @@ impl PmQueue {
         self.root
     }
 
-    fn read_root<'a>(&self, heap: impl Into<HeapRead<'a>>) -> RootImage {
+    pub(crate) fn read_root<'a>(&self, heap: impl Into<HeapRead<'a>>) -> RootImage {
         let mut words = [0; 3];
         heap.into().words(self.root.addr(), &mut words);
         let [front_len, rear_len, ptrs] = words;
@@ -165,20 +166,8 @@ impl PmQueue {
     pub fn to_vec<'a>(&self, heap: impl Into<HeapRead<'a>>) -> Vec<u64> {
         let mut heap = heap.into();
         let img = self.read_root(&mut heap);
-        let mut out = Vec::new();
-        let mut cur = img.front;
-        while !cur.is_null() {
-            out.push(cell_elem(&mut heap, cur));
-            cur = cell_next(&mut heap, cur);
-        }
-        let mut rear = Vec::new();
-        let mut cur = img.rear;
-        while !cur.is_null() {
-            rear.push(cell_elem(&mut heap, cur));
-            cur = cell_next(&mut heap, cur);
-        }
-        rear.reverse();
-        out.extend(rear);
+        let mut out = chain_elems(&mut heap, img.front);
+        out.extend(chain_elems(&mut heap, img.rear).into_iter().rev());
         out
     }
 
@@ -190,30 +179,7 @@ impl PmQueue {
 
     /// Releases this version's reference to its data.
     pub fn release(self, heap: &mut NvHeap) {
-        if heap.rc_dec(self.root) == 0 {
-            let img = self.read_root(&mut *heap);
-            heap.free(self.root);
-            if !img.front.is_null() {
-                release_chain(heap, img.front);
-            }
-            if !img.rear.is_null() {
-                release_chain(heap, img.rear);
-            }
-        }
-    }
-
-    /// Marks this version's blocks during recovery GC.
-    pub fn mark(&self, heap: &mut NvHeap) {
-        if !heap.mark_block(self.root) {
-            return;
-        }
-        let img = self.read_root(&mut *heap);
-        if !img.front.is_null() {
-            mark_chain(heap, img.front);
-        }
-        if !img.rear.is_null() {
-            mark_chain(heap, img.rear);
-        }
+        heap.walk(Visit::Release, self.root, DsKind::Queue)
     }
 }
 

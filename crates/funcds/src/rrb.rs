@@ -30,14 +30,15 @@
 //! paper's Fig 10 shows vector writes flushing many more cachelines than
 //! PMDK's flat array, and why Fig 9 shows vector as MOD's losing case.
 
-use crate::node::{store_words, NodeBuf, KIND_INNER, KIND_LEAF};
-use mod_alloc::{pack_ptr, pack_ptrs, unpack_ptr, unpack_ptrs, HeapRead, NvHeap};
+use crate::node::{drop_temp, store_words, NodeBuf, KIND_INNER, KIND_LEAF};
+use crate::DsKind;
+use mod_alloc::{pack_ptr, pack_ptrs, unpack_ptr, unpack_ptrs, HeapRead, NvHeap, Visit};
 use mod_pmem::PmPtr;
 
 /// Branching factor.
 const B: usize = 32;
 /// Bits consumed per level.
-const BITS: u64 = 5;
+pub(crate) const BITS: u64 = 5;
 
 /// Handle to one immutable version of a persistent vector of `u64`s.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
@@ -46,11 +47,11 @@ pub struct PmVector {
 }
 
 #[derive(Clone, Debug, PartialEq)]
-struct RootImg {
+pub(crate) struct RootImg {
     len: u64,
-    shift: u64,
-    root: PmPtr,
-    tail: PmPtr,
+    pub(crate) shift: u64,
+    pub(crate) root: PmPtr,
+    pub(crate) tail: PmPtr,
     tail_len: u64,
 }
 
@@ -80,7 +81,7 @@ fn read_leaf<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> LeafImg {
 ///
 /// Panics, naming the node, unless it is an inner node whose count word
 /// is at most 32 (and so has a zero high half).
-fn read_inner<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> Vec<PmPtr> {
+pub(crate) fn read_inner<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> Vec<PmPtr> {
     let mut heap = heap.into();
     let kind = heap.u64(node.addr());
     assert_eq!(kind, KIND_INNER, "expected inner at {node}, kind {kind}");
@@ -117,11 +118,6 @@ fn store_inner(heap: &mut NvHeap, children: &[PmPtr]) -> PmPtr {
     let ptr = b.store(heap);
     heap.rc_inc_all(children.iter().copied());
     ptr
-}
-
-fn drop_temp(heap: &mut NvHeap, ptr: PmPtr) {
-    let left = heap.rc_dec(ptr);
-    debug_assert!(left >= 1, "temp node should be co-owned");
 }
 
 /// Builds a left spine of single-child inner nodes bringing `leaf` up to
@@ -214,38 +210,11 @@ fn shrink_root(heap: &mut NvHeap, mut node: PmPtr, mut shift: u64) -> (PmPtr, u6
         }
         let child = children[0];
         heap.rc_inc(child);
-        release_vec_node(heap, node, shift); // drops our temp ownership
+        heap.walk(Visit::Release, node, DsKind::VecNode(shift)); // drops our temp ownership
         node = child;
         shift -= BITS;
     }
     (node, shift)
-}
-
-fn release_vec_node(heap: &mut NvHeap, node: PmPtr, shift: u64) {
-    if heap.rc_dec(node) > 0 {
-        return;
-    }
-    if shift == 0 {
-        heap.free(node);
-        return;
-    }
-    let children = read_inner(&mut *heap, node);
-    heap.free(node);
-    for c in children {
-        release_vec_node(heap, c, shift - BITS);
-    }
-}
-
-fn mark_vec_node(heap: &mut NvHeap, node: PmPtr, shift: u64) {
-    if !heap.mark_block(node) {
-        return;
-    }
-    if shift == 0 {
-        return;
-    }
-    for c in read_inner(&mut *heap, node) {
-        mark_vec_node(heap, c, shift - BITS);
-    }
 }
 
 impl PmVector {
@@ -332,7 +301,7 @@ impl PmVector {
         self.root
     }
 
-    fn read_root_obj<'a>(&self, heap: impl Into<HeapRead<'a>>) -> RootImg {
+    pub(crate) fn read_root_obj<'a>(&self, heap: impl Into<HeapRead<'a>>) -> RootImg {
         let mut words = [0; 3];
         heap.into().words(self.root.addr(), &mut words);
         let [len, ptrs, sizes] = words;
@@ -552,36 +521,9 @@ impl PmVector {
         out
     }
 
-    // ------------------------------------------------------------------
-    // Reclamation and recovery
-    // ------------------------------------------------------------------
-
     /// Releases this version's reference to its data.
     pub fn release(self, heap: &mut NvHeap) {
-        if heap.rc_dec(self.root) == 0 {
-            let img = self.read_root_obj(&mut *heap);
-            heap.free(self.root);
-            if !img.root.is_null() {
-                release_vec_node(heap, img.root, img.shift);
-            }
-            if !img.tail.is_null() {
-                release_vec_node(heap, img.tail, 0);
-            }
-        }
-    }
-
-    /// Marks this version's blocks during recovery GC.
-    pub fn mark(&self, heap: &mut NvHeap) {
-        if !heap.mark_block(self.root) {
-            return;
-        }
-        let img = self.read_root_obj(&mut *heap);
-        if !img.root.is_null() {
-            mark_vec_node(heap, img.root, img.shift);
-        }
-        if !img.tail.is_null() {
-            mark_vec_node(heap, img.tail, 0);
-        }
+        heap.walk(Visit::Release, self.root, DsKind::Vector)
     }
 }
 
@@ -948,7 +890,7 @@ mod tests {
 
         let img = h.pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced);
         let mut h2 = NvHeap::open(img);
-        let msg = panic_message(|| v.mark(&mut h2));
+        let msg = panic_message(|| h2.walk(Visit::Mark, v.root(), DsKind::Vector));
         assert!(msg.contains(&format!("inner node at {root}")), "{msg}");
     }
 }

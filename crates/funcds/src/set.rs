@@ -78,11 +78,6 @@ impl PmSet {
     pub fn release(self, heap: &mut NvHeap) {
         self.map.release(heap)
     }
-
-    /// Marks this version's blocks during recovery GC.
-    pub fn mark(&self, heap: &mut NvHeap) {
-        self.map.mark(heap)
-    }
 }
 
 #[cfg(test)]
