@@ -30,6 +30,12 @@
 //! Within one FASE, repeated updates to the same root chain: the second
 //! closure sees the first's shadow, and superseded intra-FASE shadows
 //! (Fig 7b's `shadow_shadow` pattern) are reclaimed right after commit.
+//! The FASE tracks only the versions its closures *return*: a closure
+//! that chains two pure updates itself
+//! (`|nv, q| q.enqueue(nv, a).enqueue(nv, b)`) builds a version the FASE
+//! never sees, which nothing frees until a crash's recovery drops it.
+//! Give each step its own `tx.update`, or release inside the closure any
+//! version it builds and drops.
 //! A FASE that stages nothing — or whose updates all return the version
 //! they were given — commits nothing and costs no ordering point.
 //!
@@ -307,12 +313,20 @@ impl Fase<'_> {
     /// Stages a pure update: `f` receives the heap and the current
     /// version and returns the new version. Returning the input version
     /// unchanged makes this a no-op (nothing staged, nothing committed).
+    ///
+    /// Only the returned version is tracked. A version `f` builds and
+    /// does not return — the middle of `q.enqueue(nv, a).enqueue(nv, b)`
+    /// — leaks until the next recovery, so give each step its own
+    /// `update` (the FASE reclaims superseded steps after commit) or
+    /// release such a version inside `f`.
     pub fn update<D: DurableDs>(&mut self, root: Root<D>, f: impl FnOnce(&mut NvHeap, D) -> D) {
         self.update_with(root, |nv, cur| (f(nv, cur), ()))
     }
 
     /// Stages a pure update that also computes a result, e.g. a dequeued
     /// element or a was-removed flag: `f` returns `(new_version, result)`.
+    /// As with [`Fase::update`], `f` releases any other version it builds
+    /// and drops.
     pub fn update_with<D: DurableDs, R>(
         &mut self,
         root: Root<D>,

@@ -5,7 +5,13 @@
 //! a durable datastructure (§4.2). Keys are `u64`; values are immutable
 //! byte blobs. The trie consumes the key hash five bits per level; each
 //! bitmap node packs data entries and sub-node pointers into one compact
-//! block; full 64-bit hash collisions overflow into collision nodes.
+//! block.
+//!
+//! There is one node kind. The hash, [`key_hash`], is a bijection on
+//! `u64` ([`key_with_hash`] inverts it), so two distinct keys differ
+//! somewhere in their 64 hash bits and part ways within the trie's 13
+//! five-bit levels (13 × 5 = 65 ≥ 64): no two keys ever share a full
+//! hash, so no collision node is needed.
 //!
 //! All updates are pure path copies: the handful of nodes on the root-to-
 //! leaf path are rewritten out of place (flushed with unordered `clwb`s)
@@ -21,65 +27,69 @@
 //! [kind][datamap | nodemap << 32][key × d][u32 × (d + n), padded to a word]
 //! ```
 //!
-//! — the `d` value indices, then the `n` child indices — and a collision
-//! node as `[kind][count][key × c][u32 × c]`, padded the same way. A full
-//! 32-child node is 144 bytes (the 192-byte size class), where 8-byte
-//! pointers would take 272 (the 384-byte class): a path copy rewrites
-//! every node on the path, so a node's line count is what an upsert pays
-//! in flushes. The volatile images keep full 8-byte pointers; only
-//! `BitmapImg::store`, `CollisionImg::store` and `read_node` see the
-//! stored form.
+//! — the `d` value indices, then the `n` child indices. A full 32-child
+//! node is 144 bytes (the 192-byte size class), where 8-byte pointers
+//! would take 272 (the 384-byte class): a path copy rewrites every node
+//! on the path, so a node's line count is what an upsert pays in
+//! flushes. The volatile image keeps full 8-byte pointers; only
+//! `BitmapImg::store` and `read_node` see the stored form.
 
 use crate::blob::{blob_create, blob_read};
-use crate::node::{drop_temp, store_words, NodeBuf, KIND_BITMAP, KIND_COLLISION, NODE_WORDS};
+use crate::node::{drop_temp, store_words, NodeBuf, KIND_BITMAP, NODE_WORDS};
 use crate::DsKind;
 use mod_alloc::{pack_ptrs, unpack_ptrs, HeapRead, NvHeap, Visit};
 use mod_pmem::PmPtr;
 
 /// Hash chunking: 5 bits per level.
 const BITS: u32 = 5;
-/// Levels before full-hash collisions overflow into collision nodes.
+/// Levels of the deepest trie: 13 × 5 bits cover the whole hash, so two
+/// distinct keys part ways by the last one.
 const MAX_DEPTH: u32 = 13;
 
-/// Key-hashing discipline of a map instance (stored persistently in the
-/// root object so recovery rebuilds identical tries).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum HashKind {
-    /// SplitMix64 mixing — the production hash.
-    #[default]
-    SplitMix,
-    /// `key & 0xF` — pathological on purpose, to exercise deep tries and
-    /// collision nodes in tests.
-    WeakLow4,
+const SEED: u64 = 0x9E3779B97F4A7C15;
+const MUL1: u64 = 0xBF58476D1CE4E5B9;
+const MUL2: u64 = 0x94D049BB133111EB;
+
+/// The trie's key hash: SplitMix64's finalizer — an add, three
+/// xor-shifts and two multiplies by odd constants. Every step is
+/// invertible, so the hash is a bijection on `u64`; [`key_with_hash`]
+/// is its inverse.
+pub fn key_hash(key: u64) -> u64 {
+    let mut z = key.wrapping_add(SEED);
+    z = (z ^ (z >> 30)).wrapping_mul(MUL1);
+    z = (z ^ (z >> 27)).wrapping_mul(MUL2);
+    z ^ (z >> 31)
 }
 
-impl HashKind {
-    fn to_u64(self) -> u64 {
-        match self {
-            HashKind::SplitMix => 0,
-            HashKind::WeakLow4 => 1,
-        }
-    }
+/// The key whose [`key_hash`] is `hash`: the finalizer's steps undone in
+/// reverse. It builds tries of a chosen shape — keys whose hashes share
+/// their low `5 × d` bits share a path `d` levels deep.
+pub fn key_with_hash(hash: u64) -> u64 {
+    let mut z = unshift(hash, 31);
+    z = unshift(z.wrapping_mul(inverse(MUL2)), 27);
+    z = unshift(z.wrapping_mul(inverse(MUL1)), 30);
+    z.wrapping_sub(SEED)
+}
 
-    fn from_u64(v: u64) -> HashKind {
-        match v {
-            0 => HashKind::SplitMix,
-            1 => HashKind::WeakLow4,
-            _ => panic!("corrupt hash kind {v}"),
-        }
+/// Solves `z ^ (z >> s) == x` for `z`: each round fixes `s` more of the
+/// high bits.
+fn unshift(x: u64, s: u32) -> u64 {
+    let mut z = x;
+    for _ in 0..64 / s {
+        z = x ^ (z >> s);
     }
+    z
+}
 
-    fn hash(self, key: u64) -> u64 {
-        match self {
-            HashKind::SplitMix => {
-                let mut z = key.wrapping_add(0x9E3779B97F4A7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                z ^ (z >> 31)
-            }
-            HashKind::WeakLow4 => key & 0xF,
-        }
+/// The inverse of an odd `m` modulo 2⁶⁴ by Newton's iteration: `m` is
+/// its own inverse mod 8, and each round doubles the correct low bits
+/// (3 → 96 in five).
+fn inverse(m: u64) -> u64 {
+    let mut inv = m;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
     }
+    inv
 }
 
 #[inline]
@@ -243,113 +253,32 @@ impl BitmapImg {
     }
 }
 
-/// A collision node decoded with full-width pointers:
-/// `[kind][count][(key, value) × count]`; [`CollisionImg::store`] writes
-/// `[kind][count][key × count][u32 × count]`. Full 64-bit hash
-/// collisions are unbounded, so this one image lives on the heap; only
-/// pathological hashes ever build one.
-#[derive(Debug, Clone)]
-struct CollisionImg {
-    words: Vec<u64>,
-}
-
-impl CollisionImg {
-    fn new(entries: &[(u64, PmPtr)]) -> CollisionImg {
-        let mut img = CollisionImg {
-            words: vec![KIND_COLLISION, 0],
-        };
-        for &(k, v) in entries {
-            img.push(k, v);
-        }
-        img
-    }
-
-    fn count(&self) -> usize {
-        self.words[1] as usize
-    }
-
-    fn entries(&self) -> impl Iterator<Item = (u64, PmPtr)> + '_ {
-        self.words[2..]
-            .chunks_exact(2)
-            .map(|e| (e[0], PmPtr::from_addr(e[1])))
-    }
-
-    fn position(&self, key: u64) -> Option<usize> {
-        self.entries().position(|(k, _)| k == key)
-    }
-
-    fn set_value(&mut self, pos: usize, val: PmPtr) {
-        self.words[3 + 2 * pos] = val.addr();
-    }
-
-    fn push(&mut self, key: u64, val: PmPtr) {
-        self.words.extend([key, val.addr()]);
-        self.words[1] += 1;
-    }
-
-    fn remove(&mut self, pos: usize) {
-        self.words.drain(2 + 2 * pos..4 + 2 * pos);
-        self.words[1] -= 1;
-    }
-
-    /// Stores the node; same ownership rule as [`BitmapImg::store`].
-    fn store(&self, heap: &mut NvHeap) -> PmPtr {
-        let mut words = self.words[..2].to_vec();
-        words.extend(self.entries().map(|(k, _)| k));
-        words.extend(pack_ptrs(self.entries().map(|(_, v)| v)));
-        let ptr = store_words(heap, &words);
-        heap.rc_inc_all(self.entries().map(|(_, v)| v));
-        ptr
-    }
-}
-
-// The large variant is the common one and the whole point: boxing it
-// would put the allocation back on every node visit.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum NodeImg {
-    Bitmap(BitmapImg),
-    Collision(CollisionImg),
-}
-
 /// Decodes a stored node into its full-width image: `d` keys followed by
 /// the half-width pointer array (see the module docs).
-fn read_node<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> NodeImg {
+fn read_node<'a>(heap: impl Into<HeapRead<'a>>, node: PmPtr) -> BitmapImg {
     let mut heap = heap.into();
     let a = node.addr();
     let kind = heap.u64(a);
-    match kind {
-        KIND_BITMAP => {
-            let mut img = BitmapImg::empty();
-            img.words[1] = heap.u64(a + 8);
-            let (d, n) = (img.n_data(), img.n_children());
-            let mut body = [0; NODE_WORDS];
-            let body = &mut body[..d + (d + n).div_ceil(2)];
-            heap.words(a + 16, body);
-            let (keys, ptrs) = body.split_at(d);
-            let mut ptrs = unpack_ptrs(ptrs);
-            for ((pos, &key), val) in keys.iter().enumerate().zip(&mut ptrs) {
-                img.words[2 + 2 * pos] = key;
-                img.words[3 + 2 * pos] = val.addr();
-            }
-            for (slot, child) in img.words[2 + 2 * d..2 + 2 * d + n].iter_mut().zip(ptrs) {
-                *slot = child.addr();
-            }
-            NodeImg::Bitmap(img)
-        }
-        KIND_COLLISION => {
-            let count = heap.u64(a + 8) as usize;
-            let mut body = vec![0; count + count.div_ceil(2)];
-            heap.words(a + 16, &mut body);
-            let (keys, ptrs) = body.split_at(count);
-            let mut words = vec![KIND_COLLISION, count as u64];
-            for (&key, val) in keys.iter().zip(unpack_ptrs(ptrs)) {
-                words.extend([key, val.addr()]);
-            }
-            NodeImg::Collision(CollisionImg { words })
-        }
-        k => panic!("corrupt CHAMP node kind {k} at {node}"),
+    assert!(
+        kind == KIND_BITMAP,
+        "corrupt CHAMP node kind {kind} at {node}"
+    );
+    let mut img = BitmapImg::empty();
+    img.words[1] = heap.u64(a + 8);
+    let (d, n) = (img.n_data(), img.n_children());
+    let mut body = [0; NODE_WORDS];
+    let body = &mut body[..d + (d + n).div_ceil(2)];
+    heap.words(a + 16, body);
+    let (keys, ptrs) = body.split_at(d);
+    let mut ptrs = unpack_ptrs(ptrs);
+    for ((pos, &key), val) in keys.iter().enumerate().zip(&mut ptrs) {
+        img.words[2 + 2 * pos] = key;
+        img.words[3 + 2 * pos] = val.addr();
     }
+    for (slot, child) in img.words[2 + 2 * d..2 + 2 * d + n].iter_mut().zip(ptrs) {
+        *slot = child.addr();
+    }
+    img
 }
 
 enum RemoveResult {
@@ -365,14 +294,9 @@ impl PmMap {
     // Construction and handle plumbing
     // ------------------------------------------------------------------
 
-    /// Creates an empty map with the production hash.
+    /// Creates an empty map.
     pub fn empty(heap: &mut NvHeap) -> PmMap {
-        PmMap::empty_with_hash(heap, HashKind::SplitMix)
-    }
-
-    /// Creates an empty map with an explicit [`HashKind`].
-    pub fn empty_with_hash(heap: &mut NvHeap, hk: HashKind) -> PmMap {
-        Self::store_root_obj(heap, 0, PmPtr::NULL, hk)
+        Self::store_root_obj(heap, 0, PmPtr::NULL)
     }
 
     /// Rebuilds a handle from a raw root pointer (root slot contents).
@@ -385,22 +309,32 @@ impl PmMap {
         self.root
     }
 
-    pub(crate) fn read_root_obj<'a>(
-        &self,
-        heap: impl Into<HeapRead<'a>>,
-    ) -> (u64, PmPtr, HashKind) {
+    /// Reads the root object's count and root node.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the root object, if its reserved third word is not
+    /// 0: the trie was built under some other hash, and no lookup in it
+    /// would find its keys.
+    pub(crate) fn read_root_obj<'a>(&self, heap: impl Into<HeapRead<'a>>) -> (u64, PmPtr) {
         let mut heap = heap.into();
         let a = self.root.addr();
         let count = heap.u64(a);
         let node = PmPtr::from_addr(heap.u64(a + 8));
-        let hk = HashKind::from_u64(heap.u64(a + 16));
-        (count, node, hk)
+        let reserved = heap.u64(a + 16);
+        assert!(
+            reserved == 0,
+            "map root object at {} holds {reserved} in its reserved word, not 0: \
+             its trie was built under another hash",
+            self.root
+        );
+        (count, node)
     }
 
-    /// Stores a root object `[count][root node][hash kind]`; it owns the
+    /// Stores a root object `[count][root node][0, reserved]`; it owns the
     /// root node.
-    fn store_root_obj(heap: &mut NvHeap, count: u64, node: PmPtr, hk: HashKind) -> PmMap {
-        let root = store_words(heap, &[count, node.addr(), hk.to_u64()]);
+    fn store_root_obj(heap: &mut NvHeap, count: u64, node: PmPtr) -> PmMap {
+        let root = store_words(heap, &[count, node.addr(), 0]);
         heap.rc_inc_all([node]);
         PmMap { root }
     }
@@ -434,28 +368,21 @@ impl PmMap {
 
     fn get_ptr<'a>(&self, heap: impl Into<HeapRead<'a>>, key: u64) -> Option<PmPtr> {
         let mut heap = heap.into();
-        let (_, mut node, hk) = self.read_root_obj(&mut heap);
-        let hash = hk.hash(key);
+        let (_, mut node) = self.read_root_obj(&mut heap);
+        let hash = key_hash(key);
         let mut depth = 0u32;
         while !node.is_null() {
-            match read_node(&mut heap, node) {
-                NodeImg::Bitmap(img) => {
-                    let bit = 1u32 << chunk(hash, depth);
-                    if img.datamap() & bit != 0 {
-                        let (k, v) = img.entry(BitmapImg::pos(img.datamap(), bit));
-                        return (k == key).then_some(v);
-                    }
-                    if img.nodemap() & bit != 0 {
-                        node = img.child(BitmapImg::pos(img.nodemap(), bit));
-                        depth += 1;
-                        continue;
-                    }
-                    return None;
-                }
-                NodeImg::Collision(img) => {
-                    return img.entries().find(|&(k, _)| k == key).map(|(_, v)| v);
-                }
+            let img = read_node(&mut heap, node);
+            let bit = 1u32 << chunk(hash, depth);
+            if img.datamap() & bit != 0 {
+                let (k, v) = img.entry(BitmapImg::pos(img.datamap(), bit));
+                return (k == key).then_some(v);
             }
+            if img.nodemap() & bit == 0 {
+                return None;
+            }
+            node = img.child(BitmapImg::pos(img.nodemap(), bit));
+            depth += 1;
         }
         None
     }
@@ -472,12 +399,12 @@ impl PmMap {
 
     /// Pure insert/update returning `(new_version, was_new_key)`.
     pub fn insert_query(&self, heap: &mut NvHeap, key: u64, value: &[u8]) -> (PmMap, bool) {
-        let (count, node, hk) = self.read_root_obj(&mut *heap);
-        let hash = hk.hash(key);
+        let (count, node) = self.read_root_obj(&mut *heap);
+        let hash = key_hash(key);
         let val = blob_create(heap, value); // temp-owned by this op
-        let (new_node, added) = insert_node(heap, node, 0, hash, hk, key, val);
+        let (new_node, added) = insert_node(heap, node, 0, hash, key, val);
         heap.walk(Visit::Release, val, DsKind::Blob); // node(s) now own it
-        let map = Self::store_root_obj(heap, count + added as u64, new_node, hk);
+        let map = Self::store_root_obj(heap, count + added as u64, new_node);
         drop_temp(heap, new_node);
         (map, added)
     }
@@ -491,15 +418,14 @@ impl PmMap {
     /// caller must not release the old version in that case (they are the
     /// same version).
     pub fn remove(&self, heap: &mut NvHeap, key: u64) -> (PmMap, bool) {
-        let (count, node, hk) = self.read_root_obj(&mut *heap);
+        let (count, node) = self.read_root_obj(&mut *heap);
         if node.is_null() {
             return (*self, false);
         }
-        let hash = hk.hash(key);
-        match remove_node(heap, node, 0, hash, key) {
+        match remove_node(heap, node, 0, key_hash(key), key) {
             RemoveResult::NotFound => (*self, false),
             RemoveResult::Removed(new_node) => {
-                let map = Self::store_root_obj(heap, count - 1, new_node, hk);
+                let map = Self::store_root_obj(heap, count - 1, new_node);
                 if !new_node.is_null() {
                     drop_temp(heap, new_node);
                 }
@@ -508,8 +434,8 @@ impl PmMap {
             RemoveResult::Inlined(k, v) => {
                 // The whole trie shrank to one entry: root becomes a
                 // single-entry bitmap node.
-                let n = BitmapImg::single(chunk(hk.hash(k), 0), k, v).store(heap);
-                let map = Self::store_root_obj(heap, count - 1, n, hk);
+                let n = BitmapImg::single(chunk(key_hash(k), 0), k, v).store(heap);
+                let map = Self::store_root_obj(heap, count - 1, n);
                 drop_temp(heap, n);
                 (map, true)
             }
@@ -524,27 +450,19 @@ impl PmMap {
     /// audits and small maps.
     pub fn to_vec<'a>(&self, heap: impl Into<HeapRead<'a>>) -> Vec<(u64, Vec<u8>)> {
         let mut heap = heap.into();
-        let (_, node, _) = self.read_root_obj(&mut heap);
+        let (_, node) = self.read_root_obj(&mut heap);
         let mut out = Vec::new();
         if node.is_null() {
             return out;
         }
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
-            match read_node(&mut heap, n) {
-                NodeImg::Bitmap(img) => {
-                    for pos in 0..img.n_data() {
-                        let (k, v) = img.entry(pos);
-                        out.push((k, blob_read(&mut heap, v)));
-                    }
-                    stack.extend(img.children());
-                }
-                NodeImg::Collision(img) => {
-                    for (k, v) in img.entries() {
-                        out.push((k, blob_read(&mut heap, v)));
-                    }
-                }
+            let img = read_node(&mut heap, n);
+            for pos in 0..img.n_data() {
+                let (k, v) = img.entry(pos);
+                out.push((k, blob_read(&mut heap, v)));
             }
+            stack.extend(img.children());
         }
         out
     }
@@ -566,7 +484,6 @@ fn insert_node(
     node: PmPtr,
     depth: u32,
     hash: u64,
-    hk: HashKind,
     key: u64,
     val: PmPtr,
 ) -> (PmPtr, bool) {
@@ -574,51 +491,40 @@ fn insert_node(
         let img = BitmapImg::single(chunk(hash, depth), key, val);
         return (img.store(heap), true);
     }
-    match read_node(&mut *heap, node) {
-        NodeImg::Bitmap(mut img) => {
-            let bit = 1u32 << chunk(hash, depth);
-            if img.datamap() & bit != 0 {
-                let pos = BitmapImg::pos(img.datamap(), bit);
-                let (ekey, eval) = img.entry(pos);
-                if ekey == key {
-                    // Replace value in place (path copy).
-                    img.set_value(pos, val);
-                    return (img.store(heap), false);
-                }
-                // Split: push both entries one level down.
-                let ehash = hk.hash(ekey);
-                let sub = make_subnode(heap, depth + 1, ehash, ekey, eval, hash, key, val);
-                img.remove_entry(bit);
-                img.insert_child(bit, sub);
-                let fresh = img.store(heap);
-                drop_temp(heap, sub);
-                (fresh, true)
-            } else if img.nodemap() & bit != 0 {
-                let pos = BitmapImg::pos(img.nodemap(), bit);
-                let child = img.child(pos);
-                let (new_child, added) = insert_node(heap, child, depth + 1, hash, hk, key, val);
-                img.set_child(pos, new_child);
-                let fresh = img.store(heap);
-                drop_temp(heap, new_child);
-                (fresh, added)
-            } else {
-                img.insert_entry(bit, key, val);
-                (img.store(heap), true)
-            }
+    let mut img = read_node(&mut *heap, node);
+    let bit = 1u32 << chunk(hash, depth);
+    if img.datamap() & bit != 0 {
+        let pos = BitmapImg::pos(img.datamap(), bit);
+        let (ekey, eval) = img.entry(pos);
+        if ekey == key {
+            // Replace value in place (path copy).
+            img.set_value(pos, val);
+            return (img.store(heap), false);
         }
-        NodeImg::Collision(mut img) => match img.position(key) {
-            Some(pos) => {
-                img.set_value(pos, val);
-                (img.store(heap), false)
-            }
-            None => {
-                img.push(key, val);
-                (img.store(heap), true)
-            }
-        },
+        // Split: push both entries one level down.
+        let ehash = key_hash(ekey);
+        let sub = make_subnode(heap, depth + 1, ehash, ekey, eval, hash, key, val);
+        img.remove_entry(bit);
+        img.insert_child(bit, sub);
+        let fresh = img.store(heap);
+        drop_temp(heap, sub);
+        (fresh, true)
+    } else if img.nodemap() & bit != 0 {
+        let pos = BitmapImg::pos(img.nodemap(), bit);
+        let child = img.child(pos);
+        let (new_child, added) = insert_node(heap, child, depth + 1, hash, key, val);
+        img.set_child(pos, new_child);
+        let fresh = img.store(heap);
+        drop_temp(heap, new_child);
+        (fresh, added)
+    } else {
+        img.insert_entry(bit, key, val);
+        (img.store(heap), true)
     }
 }
 
+/// A node holding two entries whose hashes agree below `depth`: a chain
+/// of single-child nodes down to the level where they part.
 #[allow(clippy::too_many_arguments)]
 fn make_subnode(
     heap: &mut NvHeap,
@@ -630,9 +536,7 @@ fn make_subnode(
     k2: u64,
     v2: PmPtr,
 ) -> PmPtr {
-    if depth >= MAX_DEPTH {
-        return CollisionImg::new(&[(k1, v1), (k2, v2)]).store(heap);
-    }
+    debug_assert!(depth < MAX_DEPTH, "keys {k1} and {k2} share a full hash");
     let c1 = chunk(h1, depth);
     let c2 = chunk(h2, depth);
     if c1 != c2 {
@@ -650,55 +554,38 @@ fn make_subnode(
 }
 
 fn remove_node(heap: &mut NvHeap, node: PmPtr, depth: u32, hash: u64, key: u64) -> RemoveResult {
-    match read_node(&mut *heap, node) {
-        NodeImg::Bitmap(mut img) => {
-            let bit = 1u32 << chunk(hash, depth);
-            if img.datamap() & bit != 0 {
-                if img.entry(BitmapImg::pos(img.datamap(), bit)).0 != key {
-                    return RemoveResult::NotFound;
+    let mut img = read_node(&mut *heap, node);
+    let bit = 1u32 << chunk(hash, depth);
+    if img.datamap() & bit != 0 {
+        if img.entry(BitmapImg::pos(img.datamap(), bit)).0 != key {
+            return RemoveResult::NotFound;
+        }
+        img.remove_entry(bit);
+        finalize_removed(heap, img, depth)
+    } else if img.nodemap() & bit != 0 {
+        let pos = BitmapImg::pos(img.nodemap(), bit);
+        match remove_node(heap, img.child(pos), depth + 1, hash, key) {
+            RemoveResult::NotFound => RemoveResult::NotFound,
+            RemoveResult::Removed(new_child) => {
+                if new_child.is_null() {
+                    img.remove_child(bit);
+                    finalize_removed(heap, img, depth)
+                } else {
+                    img.set_child(pos, new_child);
+                    let fresh = img.store(heap);
+                    drop_temp(heap, new_child);
+                    RemoveResult::Removed(fresh)
                 }
-                img.remove_entry(bit);
+            }
+            RemoveResult::Inlined(k, v) => {
+                // Pull the surviving entry up into this node.
+                img.remove_child(bit);
+                img.insert_entry(bit, k, v);
                 finalize_removed(heap, img, depth)
-            } else if img.nodemap() & bit != 0 {
-                let pos = BitmapImg::pos(img.nodemap(), bit);
-                match remove_node(heap, img.child(pos), depth + 1, hash, key) {
-                    RemoveResult::NotFound => RemoveResult::NotFound,
-                    RemoveResult::Removed(new_child) => {
-                        if new_child.is_null() {
-                            img.remove_child(bit);
-                            finalize_removed(heap, img, depth)
-                        } else {
-                            img.set_child(pos, new_child);
-                            let fresh = img.store(heap);
-                            drop_temp(heap, new_child);
-                            RemoveResult::Removed(fresh)
-                        }
-                    }
-                    RemoveResult::Inlined(k, v) => {
-                        // Pull the surviving entry up into this node.
-                        img.remove_child(bit);
-                        img.insert_entry(bit, k, v);
-                        finalize_removed(heap, img, depth)
-                    }
-                }
-            } else {
-                RemoveResult::NotFound
             }
         }
-        NodeImg::Collision(mut img) => {
-            let Some(pos) = img.position(key) else {
-                return RemoveResult::NotFound;
-            };
-            img.remove(pos);
-            match img.count() {
-                0 => RemoveResult::Removed(PmPtr::NULL),
-                1 => {
-                    let (k, v) = img.entries().next().unwrap();
-                    RemoveResult::Inlined(k, v)
-                }
-                _ => RemoveResult::Removed(img.store(heap)),
-            }
-        }
+    } else {
+        RemoveResult::NotFound
     }
 }
 
@@ -715,15 +602,11 @@ fn finalize_removed(heap: &mut NvHeap, img: BitmapImg, depth: u32) -> RemoveResu
     }
 }
 
-/// A trie node's children (see [`DsKind`]).
+/// A trie node's children (see [`DsKind`]): value blobs, then subtrees.
 pub(crate) fn node_children(heap: &mut NvHeap, node: PmPtr, push: &mut impl FnMut(PmPtr, DsKind)) {
-    match read_node(heap, node) {
-        NodeImg::Bitmap(img) => {
-            img.values().for_each(|v| push(v, DsKind::Blob));
-            img.children().for_each(|c| push(c, DsKind::Champ));
-        }
-        NodeImg::Collision(img) => img.entries().for_each(|(_, v)| push(v, DsKind::Blob)),
-    }
+    let img = read_node(heap, node);
+    img.values().for_each(|v| push(v, DsKind::Blob));
+    img.children().for_each(|c| push(c, DsKind::Champ));
 }
 
 #[cfg(test)]
@@ -845,33 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn weak_hash_exercises_collision_nodes() {
-        let mut h = heap();
-        let mut m = PmMap::empty_with_hash(&mut h, HashKind::WeakLow4);
-        // Keys 0x10, 0x20, ... all hash to 0 → full-hash collisions.
-        let keys: Vec<u64> = (1..=20u64).map(|i| i << 4).collect();
-        for &k in &keys {
-            m = step_insert(&mut h, m, k, &k.to_le_bytes());
-        }
-        assert_eq!(m.len(&mut h), 20);
-        for &k in &keys {
-            assert_eq!(m.get(&mut h, k), Some(k.to_le_bytes().to_vec()));
-        }
-        // Update inside a collision node.
-        m = step_insert(&mut h, m, keys[3], b"updated");
-        assert_eq!(m.get(&mut h, keys[3]), Some(b"updated".to_vec()));
-        assert_eq!(m.len(&mut h), 20);
-        // Remove down to one entry (exercises collision→inline).
-        for &k in &keys[..19] {
-            let (next, removed) = step_remove(&mut h, m, k);
-            assert!(removed, "key {k:#x}");
-            m = next;
-        }
-        assert_eq!(m.len(&mut h), 1);
-        assert!(m.contains_key(&mut h, keys[19]));
-    }
-
-    #[test]
     fn no_leaks_when_releasing_all_versions() {
         let mut h = heap();
         let mut m = PmMap::empty(&mut h);
@@ -921,31 +777,89 @@ mod tests {
     }
 
     #[test]
-    fn deep_split_chain() {
-        // SplitMix keys whose hashes share leading chunks force multi-level
-        // make_subnode chains; verify a bunch of random keys anyway.
-        let mut h = heap();
-        let mut m = PmMap::empty(&mut h);
-        let mut model = HashMap::new();
-        let mut x = 0x12345678u64;
-        for _ in 0..500 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            m = step_insert(&mut h, m, x, &x.to_le_bytes());
-            model.insert(x, x.to_le_bytes().to_vec());
+    fn key_with_hash_inverts_key_hash() {
+        for m in [MUL1, MUL2] {
+            assert_eq!(m.wrapping_mul(inverse(m)), 1);
         }
-        for (&k, v) in &model {
-            assert_eq!(m.get(&mut h, k).as_ref(), Some(v));
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for v in [0, 1, u64::MAX, 1 << 63]
+            .into_iter()
+            .chain((0..1000).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            }))
+        {
+            assert_eq!(key_hash(key_with_hash(v)), v, "hash {v:#x}");
+            assert_eq!(key_with_hash(key_hash(v)), v, "key {v:#x}");
         }
     }
 
-    /// A decoded node's full-width words.
-    fn image_words(img: NodeImg) -> Vec<u64> {
-        match img {
-            NodeImg::Bitmap(b) => b.words[..b.len()].to_vec(),
-            NodeImg::Collision(c) => c.words,
+    /// The level at which `key`'s entry sits in `m`.
+    fn depth_of(h: &NvHeap, m: PmMap, key: u64) -> u32 {
+        let (_, mut node) = m.read_root_obj(h);
+        let hash = key_hash(key);
+        let mut depth = 0;
+        loop {
+            let img = read_node(h, node);
+            let bit = 1 << chunk(hash, depth);
+            if img.datamap() & bit != 0 {
+                return depth;
+            }
+            node = img.child(BitmapImg::pos(img.nodemap(), bit));
+            depth += 1;
         }
+    }
+
+    #[test]
+    fn deep_split_chain() {
+        // `base` and twelve keys whose hashes agree with its hash below
+        // chunk `j` and differ in it, plus one differing in chunk 0. The
+        // first split pushes `base` and the chunk-12 key down a chain of
+        // twelve single-child nodes; each later key hangs beside it.
+        let mut h = heap();
+        let hash = 0x0123_4567_89AB_CDEFu64;
+        let base = key_with_hash(hash);
+        let keys: Vec<u64> = (0..=12)
+            .map(|j| key_with_hash(hash ^ 1 << (BITS * j)))
+            .collect();
+        let mut m = PmMap::empty(&mut h);
+        m = step_insert(&mut h, m, base, b"base");
+        m = step_insert(&mut h, m, keys[12], &keys[12].to_le_bytes());
+        assert_eq!(depth_of(&h, m, base), 12);
+        for &k in keys[..12].iter().rev() {
+            m = step_insert(&mut h, m, k, &k.to_le_bytes());
+        }
+        assert_eq!(m.len(&mut h), 14);
+        assert_eq!(depth_of(&h, m, base), 12);
+        for &k in &keys {
+            assert_eq!(m.get(&mut h, k), Some(k.to_le_bytes().to_vec()));
+        }
+        // Update at the bottom of the chain.
+        m = step_insert(&mut h, m, base, b"updated");
+        assert_eq!(m.get(&mut h, base), Some(b"updated".to_vec()));
+        assert_eq!((m.len(&mut h), depth_of(&h, m, base)), (14, 12));
+        // Each remove empties the node below `base`'s, which inlines
+        // `base` one level up.
+        for j in (1..=12).rev() {
+            let (next, removed) = step_remove(&mut h, m, keys[j as usize]);
+            assert!(removed, "key {j}");
+            m = next;
+            assert_eq!(depth_of(&h, m, base), j - 1, "after removing key {j}");
+        }
+        let (next, removed) = step_remove(&mut h, m, keys[0]);
+        assert!(removed);
+        m = next;
+        assert_eq!((m.len(&mut h), depth_of(&h, m, base)), (1, 0));
+        assert_eq!(m.get(&mut h, base), Some(b"updated".to_vec()));
+        m.release(&mut h);
+        assert_eq!(h.stats().live_blocks, 0);
+    }
+
+    /// A decoded node's full-width words.
+    fn image_words(img: BitmapImg) -> Vec<u64> {
+        img.words[..img.len()].to_vec()
     }
 
     #[test]
@@ -962,16 +876,14 @@ mod tests {
         h.sfence();
         assert_eq!(h.pm().dirty_lines(), 0);
         let crashed = NvHeap::open(h.pm().crash_image(mod_pmem::CrashPolicy::OnlyFenced));
-        let NodeImg::Bitmap(back) = read_node(&crashed, p) else {
-            panic!("not a bitmap node");
-        };
+        let back = read_node(&crashed, p);
         assert_eq!(back.children().collect::<Vec<_>>(), children);
     }
 
     #[test]
     fn stored_images_read_back_equal_charged_and_peek() {
         let mut h = heap();
-        let blobs: Vec<PmPtr> = (0..4u64)
+        let blobs: Vec<PmPtr> = (0..2u64)
             .map(|i| blob_create(&mut h, &i.to_le_bytes()))
             .collect();
         let child = h.alloc(16);
@@ -981,57 +893,49 @@ mod tests {
         mixed.insert_entry(1 << 3, 30, blobs[1]);
         mixed.insert_child(1 << 5, child);
         mixed.insert_entry(1 << 9, 90, PmPtr::NULL); // a set member
-        let collision =
-            CollisionImg::new(&[(0x10, blobs[2]), (0x20, PmPtr::NULL), (0x30, blobs[3])]);
-        let (m, c) = (mixed.store(&mut h), collision.store(&mut h));
+        let m = mixed.store(&mut h);
         // 16 + 3 keys × 8 + 5 indices × 4 (padded to 24) = 64 bytes.
         assert_eq!(h.block_len(m), 64);
-        let want_m = mixed.words[..mixed.len()].to_vec();
-        let want_c = collision.words.clone();
-        for (node, want) in [(m, want_m), (c, want_c)] {
-            assert_eq!(image_words(read_node(&mut h, node)), want);
-            assert_eq!(image_words(read_node(&h, node)), want);
-        }
+        let want = image_words(mixed);
+        assert_eq!(image_words(read_node(&mut h, m)), want);
+        assert_eq!(image_words(read_node(&h, m)), want);
     }
 
     #[test]
-    fn weak_hash_trie_decodes_identically_on_both_paths() {
-        // Keys 0x10/0x20/0x30 collide on the whole hash; 0x01 and 0x02
-        // sit beside the collision chain in the root, which therefore
-        // holds data entries and a child.
+    fn chosen_hash_trie_decodes_identically_on_both_paths() {
+        // `deep` shares its hash's low 60 bits with `shallow`'s: the two
+        // sit twelve single-child levels down. `left` and `right` differ
+        // from both in chunk 0 and sit beside the chain in the root,
+        // which therefore holds data entries and a child.
         let mut h = heap();
-        let mut m = PmMap::empty_with_hash(&mut h, HashKind::WeakLow4);
-        for k in [0x10u64, 0x01, 0x20, 0x02, 0x30] {
-            let v = if k == 0x20 {
+        let hash = 0xFEDC_BA98_7654_3210u64;
+        let [shallow, deep, left, right] =
+            [hash, hash ^ 1 << 60, hash ^ 1, hash ^ 2].map(key_with_hash);
+        let mut m = PmMap::empty(&mut h);
+        for k in [shallow, left, deep, right] {
+            let v = if k == deep {
                 Vec::new()
             } else {
                 k.to_le_bytes().to_vec()
             };
             m = step_insert(&mut h, m, k, &v);
         }
-        let (_, root, _) = m.read_root_obj(&h);
-        let (mut mixed, mut collisions) = (0, 0);
+        let (_, root) = m.read_root_obj(&h);
+        let (mut mixed, mut nodes) = (0, 0);
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
             let charged = read_node(&mut h, n);
-            match &charged {
-                NodeImg::Bitmap(b) => {
-                    mixed += (b.n_data() > 0 && b.n_children() > 0) as usize;
-                    stack.extend(b.children());
-                }
-                NodeImg::Collision(c) => {
-                    assert_eq!(c.count(), 3);
-                    collisions += 1;
-                }
-            }
+            mixed += (charged.n_data() > 0 && charged.n_children() > 0) as usize;
+            nodes += 1;
+            stack.extend(charged.children());
             assert_eq!(image_words(charged), image_words(read_node(&h, n)));
         }
-        assert_eq!((mixed, collisions), (1, 1));
-        for k in [0x10u64, 0x01, 0x30, 0x02] {
+        assert_eq!((mixed, nodes), (1, 13));
+        for k in [shallow, left, right] {
             assert_eq!(m.get(&h, k), Some(k.to_le_bytes().to_vec()));
             assert_eq!(m.get(&mut h, k), Some(k.to_le_bytes().to_vec()));
         }
-        assert_eq!(m.get(&h, 0x20), Some(Vec::new()));
+        assert_eq!(m.get(&h, deep), Some(Vec::new()));
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! which only concatenation and slicing create and this vector offers
 //! neither, so lookups and updates index by pure radix arithmetic.
 //!
+//! The CHAMP trie needs no collision nodes: its key hash
+//! ([`champ::key_hash`]) is a bijection on `u64`, so distinct keys part
+//! ways within its 13 five-bit levels.
+//!
 //! Reclamation uses the heap's volatile reference counts (§5.3): handles
 //! expose `release` (drop one version). Every stored layout is a
 //! [`DsKind`] whose one child enumerator serves both that release and
@@ -52,7 +56,7 @@ pub mod queue;
 pub mod rrb;
 pub mod set;
 
-pub use champ::{HashKind, PmMap};
+pub use champ::PmMap;
 pub use list::PmStack;
 pub use node::DsKind;
 pub use queue::PmQueue;
@@ -72,5 +76,4 @@ const _: () = {
     assert_send_sync::<PmVector>();
     assert_send_sync::<PmStack>();
     assert_send_sync::<PmQueue>();
-    assert_send_sync::<HashKind>();
 };

@@ -12,8 +12,13 @@
 //! vector inner-node children, and the vector and queue root objects.
 //! Three root-like records keep a full 8-byte address, written as a
 //! plain word: the stack root `[len][head]` (16 bytes, already the
-//! smallest class), the `PmMap` root object `[count][root node][hash
-//! kind]`, and the hybrid spine record's `prev` link (`mod-core`).
+//! smallest class), the `PmMap` root object `[count][root node][0,
+//! reserved]`, and the hybrid spine record's `prev` link (`mod-core`).
+//!
+//! The CHAMP trie has one node kind, the bitmap node: its key hash
+//! ([`crate::champ::key_hash`]) is a bijection on `u64`, so no two keys
+//! share a full hash and none needs a collision node. Tag 2, which such
+//! a node once used, stays unassigned.
 //!
 //! [`DsKind`] names every stored layout and says, once, where each one's
 //! children are, for [`NvHeap::walk`]'s release and recovery marking.
@@ -28,8 +33,6 @@ use std::thread::LocalKey;
 
 /// Kind tag: CHAMP bitmap node.
 pub const KIND_BITMAP: u64 = 1;
-/// Kind tag: CHAMP hash-collision node.
-pub const KIND_COLLISION: u64 = 2;
 /// Kind tag: vector leaf node.
 pub const KIND_LEAF: u64 = 3;
 /// Kind tag: vector internal node.
@@ -46,7 +49,7 @@ pub const NODE_WORDS: usize = 66;
 pub enum DsKind {
     /// A [`PmMap`] or [`crate::PmSet`] root object.
     Map,
-    /// A CHAMP bitmap or collision node.
+    /// A CHAMP bitmap node.
     Champ,
     /// A [`PmVector`] root object.
     Vector,

@@ -1,6 +1,6 @@
 //! Persistent set — a thin wrapper over the CHAMP map with empty values.
 
-use crate::champ::{HashKind, PmMap};
+use crate::champ::PmMap;
 use mod_alloc::{HeapRead, NvHeap};
 use mod_pmem::PmPtr;
 
@@ -18,13 +18,6 @@ impl PmSet {
     pub fn empty(heap: &mut NvHeap) -> PmSet {
         PmSet {
             map: PmMap::empty(heap),
-        }
-    }
-
-    /// Creates an empty set with an explicit hash discipline (testing).
-    pub fn empty_with_hash(heap: &mut NvHeap, hk: HashKind) -> PmSet {
-        PmSet {
-            map: PmMap::empty_with_hash(heap, hk),
         }
     }
 

@@ -9,7 +9,8 @@
 //! exactly.
 
 use mod_alloc::{HeapRead, NvHeap};
-use mod_funcds::{HashKind, PmMap, PmQueue, PmSet, PmStack, PmVector};
+use mod_funcds::champ::{key_hash, key_with_hash};
+use mod_funcds::{PmMap, PmQueue, PmSet, PmStack, PmVector};
 use mod_pmem::{Pmem, PmemConfig};
 use mod_workloads::WorkloadRng;
 use std::collections::HashMap;
@@ -57,42 +58,50 @@ fn ops_stream(rng: &mut WorkloadRng) -> Vec<Op> {
         .collect()
 }
 
-/// The CHAMP map and the set built on it, driven by one op stream.
+/// A key whose trie hash shares its low 56 bits with every other such
+/// key's and holds `k` above them, so any two of them part ways eleven or
+/// more levels down, below a chain of single-child nodes.
+fn deep_key(k: u8) -> u64 {
+    let hash = 0x00C4_A4C4_A4C4_A4C4 | (k as u64) << 56;
+    let key = key_with_hash(hash);
+    assert_eq!(key_hash(key), hash);
+    key
+}
+
+/// The CHAMP map and the set built on it, driven by one op stream; even
+/// cases key the stream through [`deep_key`].
 #[test]
 fn champ_matches_hashmap() {
     for case in 0..48u64 {
         let mut rng = WorkloadRng::new(0xC4A4 + case);
         let ops = ops_stream(&mut rng);
-        let weak = case % 2 == 0;
+        let key = |k: u8| if case % 2 == 0 { deep_key(k) } else { k as u64 };
         let mut h = heap();
-        let hk = if weak {
-            HashKind::WeakLow4
-        } else {
-            HashKind::SplitMix
-        };
-        let mut m = PmMap::empty_with_hash(&mut h, hk);
-        let mut s = PmSet::empty_with_hash(&mut h, hk);
+        let mut m = PmMap::empty(&mut h);
+        let mut s = PmSet::empty(&mut h);
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         for op in &ops {
             match *op {
                 Op::Insert(k, v) => {
-                    let next = m.insert(&mut h, k as u64, &[v; 4]);
+                    let k = key(k);
+                    let next = m.insert(&mut h, k, &[v; 4]);
                     m.release(&mut h);
                     m = next;
-                    let (next, added) = s.insert(&mut h, k as u64);
+                    let (next, added) = s.insert(&mut h, k);
                     s.release(&mut h);
                     s = next;
-                    let was = model.insert(k as u64, vec![v; 4]);
+                    let was = model.insert(k, vec![v; 4]);
                     assert_eq!(added, was.is_none(), "case {case}");
                 }
                 Op::Remove(k) => {
-                    let (next, removed) = m.remove(&mut h, k as u64);
-                    assert_eq!(removed, model.remove(&(k as u64)).is_some(), "case {case}");
+                    let k = key(k);
+                    let (next, removed) = m.remove(&mut h, k);
+                    assert_eq!(removed, model.remove(&k).is_some(), "case {case}");
                     if removed {
                         m.release(&mut h);
                         m = next;
                     }
-                    let (next, removed_s) = s.remove(&mut h, k as u64);
+                    let (next, removed_s) = s.remove(&mut h, k);
                     assert_eq!(removed_s, removed, "case {case}");
                     if removed_s {
                         s.release(&mut h);
@@ -107,8 +116,8 @@ fn champ_matches_hashmap() {
             let got = read_both(&mut h, &format!("case {case}"), |r| m.get(r, k));
             assert_eq!(got.as_ref(), Some(v), "case {case}");
         }
-        for k in 0..=255u64 {
-            let what = format!("case {case} key {k}");
+        for k in (0..=255).map(key) {
+            let what = format!("case {case} key {k:#x}");
             let got = read_both(&mut h, &what, |r| s.contains(r, k));
             assert_eq!(got, model.contains_key(&k), "{what}");
         }

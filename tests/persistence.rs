@@ -9,10 +9,11 @@
 //! [`SessionShape`], the checkpoint batteries once per journal shape.
 
 use mod_core::{DurableMap, ModHeap};
+use mod_funcds::PmMap;
 use mod_pmem::journal::{
     ReplayError, FORMAT_GENERATION, IMAGE_OFFSET, MARK_SLOT_AT, MARK_SLOT_BYTES,
 };
-use mod_pmem::{FileBackend, Pmem, PmemConfig};
+use mod_pmem::{CrashPolicy, FileBackend, Pmem, PmemConfig};
 use mod_workloads::session::{open_session, run_ops, verify_session, SessionShape, SLOTS, WINDOW};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -600,6 +601,34 @@ fn generation_5_pool_fails_to_open_with_a_typed_error() {
 #[test]
 fn generation_6_pool_fails_to_open_with_a_typed_error() {
     old_generation_pool_fails_typed(6);
+}
+
+/// A map root object's third word is reserved and 0. Earlier generation-7
+/// builds wrote 1 there for a map keyed by a test-only hash, a trie whose
+/// keys today's lookups miss: reopening such a pool refuses it, naming
+/// the block.
+#[test]
+fn map_root_object_with_a_nonzero_reserved_word_fails_at_reopen() {
+    let mut heap = ModHeap::create(Pmem::new(PmemConfig::testing()));
+    let map = PmMap::empty(heap.nv_mut());
+    let map = heap.publish(map);
+    heap.fase(|tx| {
+        tx.update(map, |nv, m| m.insert(nv, 7, b"seven"));
+    });
+    let root = heap.current(map).root();
+    let nv = heap.nv_mut();
+    nv.write_u64(root.addr() + 16, 1);
+    nv.flush_range(root.addr() + 16, 8);
+    nv.sfence();
+    let image = heap.nv().pm().crash_image(CrashPolicy::OnlyFenced);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ModHeap::open(image)))
+        .map(drop)
+        .unwrap_err();
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    let want = format!("map root object at {root} holds 1 in its reserved word");
+    assert!(msg.contains(&want), "{msg}");
 }
 
 #[test]

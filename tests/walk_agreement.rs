@@ -8,16 +8,21 @@
 
 use mod_alloc::class_size;
 use mod_core::{DurableStack, ModHeap, PersistPolicy};
-use mod_funcds::{HashKind, PmMap, PmQueue, PmSet, PmStack, PmVector};
+use mod_funcds::champ::key_with_hash;
+use mod_funcds::{PmMap, PmQueue, PmSet, PmStack, PmVector};
 use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
+
+/// A map key whose trie hash shares its low 56 bits with every other
+/// one's, so any two of them part ways eleven or more levels down.
+fn deep(i: u64) -> u64 {
+    key_with_hash(0x00AB_CDEF_0123_4567 | i << 56)
+}
 
 #[test]
 fn mark_after_a_crash_finds_exactly_the_blocks_release_left_live() {
     let mut heap = ModHeap::create(Pmem::new(PmemConfig::testing()));
     let nv = heap.nv_mut();
-    // `WeakLow4` hashes every key to its low four bits: 16 full-hash
-    // collision classes, each a collision node below 13 bitmap levels.
-    let map = PmMap::empty_with_hash(nv, HashKind::WeakLow4);
+    let map = PmMap::empty(nv);
     let set = PmSet::empty(nv);
     let vector = PmVector::from_slice(nv, &(0..1000).collect::<Vec<_>>());
     let stack = PmStack::empty(nv);
@@ -36,8 +41,8 @@ fn mark_after_a_crash_finds_exactly_the_blocks_release_left_live() {
     // map update in a FASE releases an intra-FASE intermediate.
     for i in 0..100u64 {
         heap.fase(|tx| {
-            tx.update(map, |nv, m| m.insert(nv, i, &[i as u8; 24]));
-            tx.update(map, |nv, m| m.insert(nv, i / 2, &[i as u8; 40]));
+            tx.update(map, |nv, m| m.insert(nv, deep(i), &[i as u8; 24]));
+            tx.update(map, |nv, m| m.insert(nv, deep(i / 2), &[i as u8; 40]));
             tx.update(set, |nv, s| s.insert(nv, i * 7).0);
             tx.update(vector, |nv, v| v.push_back(nv, i));
             tx.update(stack, |nv, s| s.push(nv, i));
@@ -45,7 +50,7 @@ fn mark_after_a_crash_finds_exactly_the_blocks_release_left_live() {
         });
         if i % 3 == 0 {
             heap.fase(|tx| {
-                tx.update(map, |nv, m| m.remove(nv, i / 3).0);
+                tx.update(map, |nv, m| m.remove(nv, deep(i / 3)).0);
                 tx.update(set, |nv, s| s.remove(nv, i * 7 / 3).0);
                 tx.update(vector, |nv, v| v.update(nv, i * 10, i));
                 tx.update(stack, |nv, s| s.pop(nv).map_or(s, |(s, _)| s));
@@ -74,7 +79,6 @@ fn mark_after_a_crash_finds_exactly_the_blocks_release_left_live() {
 
     let vec_len = heap.current(vector).len(heap.nv());
     assert!(vec_len > 32 * 32 + 32, "two inner levels and a tail");
-    assert!(heap.current(map).len(heap.nv()) > 16 * 2, "collision nodes");
     let queue_now = heap.current(queue).to_vec(heap.nv());
 
     // The hybrid stack's index — a 16-byte root object and one 16-byte
