@@ -18,8 +18,8 @@
 //!   publishes through single aligned 8-byte stores.
 //!
 //! Segments are allocated lazily (zero-filled) so a large pool costs
-//! memory only where it is touched — important because crash-simulation
-//! mode keeps a second arena holding the durable image.
+//! memory only where it is touched — important because a crash-simulating
+//! pool keeps a second arena holding the durable image.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -150,31 +150,21 @@ impl SharedArena {
         )
     }
 
-    /// Whether `[addr, addr + len)` holds the same bytes in `self` and
-    /// `other`. Word-aligned ranges within one segment (every cacheline)
-    /// compare in place, word by word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds either arena's capacity.
-    pub fn range_eq(&self, other: &SharedArena, addr: u64, len: u64) -> bool {
-        let load = |w: &AtomicU64| w.load(Ordering::Relaxed);
-        match (
-            self.aligned_words(addr, len),
-            other.aligned_words(addr, len),
-        ) {
-            (Some(Some(a)), Some(Some(b))) => a.iter().map(load).eq(b.iter().map(load)),
-            (Some(Some(a)), Some(None)) | (Some(None), Some(Some(a))) => {
-                a.iter().all(|w| load(w) == 0)
-            }
-            (Some(None), Some(None)) => true,
-            _ => {
-                let (mut a, mut b) = (vec![0u8; len as usize], vec![0u8; len as usize]);
-                self.read(addr, &mut a);
-                other.read(addr, &mut b);
-                a == b
+    /// The 64 bytes of the line at the 64-byte aligned `line` as words,
+    /// zero past the arena's end.
+    pub(crate) fn line_words(&self, line: u64) -> [u64; 8] {
+        let mut words = [0u64; 8];
+        let len = (self.inner.capacity - line).min(64);
+        if len == 64 {
+            self.read_words(line, &mut words);
+        } else {
+            let mut bytes = [0u8; 64];
+            self.read(line, &mut bytes[..len as usize]);
+            for (w, b) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+                *w = u64::from_le_bytes(b.try_into().unwrap());
             }
         }
+        words
     }
 
     /// Copies `len` bytes at `addr` from `src` into `self` (used to build
@@ -416,24 +406,17 @@ mod tests {
     }
 
     #[test]
-    fn range_eq_compares_lines_in_place_and_odd_ranges_by_bytes() {
-        let a = SharedArena::new(2 * SEGMENT_BYTES);
-        let b = SharedArena::new(2 * SEGMENT_BYTES);
-        assert!(a.range_eq(&b, 128, 64), "both untouched");
-        a.write_u64(128, 0);
-        assert!(a.range_eq(&b, 128, 64), "explicit zeros equal absent");
-        assert!(b.range_eq(&a, 128, 64));
-        a.write_u64(160, 9);
-        assert!(!a.range_eq(&b, 128, 64));
-        assert!(!b.range_eq(&a, 128, 64));
-        b.write_u64(160, 9);
-        assert!(a.range_eq(&b, 128, 64));
-        // Unaligned and segment-straddling ranges take the byte path.
-        a.write(SEGMENT_BYTES - 3, b"abcdef");
-        assert!(!a.range_eq(&b, SEGMENT_BYTES - 3, 6));
-        b.write(SEGMENT_BYTES - 3, b"abcdef");
-        assert!(a.range_eq(&b, SEGMENT_BYTES - 3, 6));
-        assert!(a.range_eq(&b, SEGMENT_BYTES - 32, 64));
+    fn line_words_read_whole_lines_and_zero_past_the_end() {
+        let a = SharedArena::new(SEGMENT_BYTES + 100);
+        assert_eq!(a.line_words(128), [0; 8], "never materialized");
+        a.write_u64(136, 9);
+        assert_eq!(a.line_words(128), [0, 9, 0, 0, 0, 0, 0, 0]);
+        // The last line holds 36 bytes: four whole words and half a word.
+        a.write(SEGMENT_BYTES + 64, &[0xAB; 36]);
+        let tail = a.line_words(SEGMENT_BYTES + 64);
+        assert_eq!(tail[..4], [u64::from_le_bytes([0xAB; 8]); 4]);
+        assert_eq!(tail[4], 0xABAB_ABAB);
+        assert_eq!(tail[5..], [0; 3]);
     }
 
     #[test]

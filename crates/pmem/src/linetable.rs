@@ -13,6 +13,11 @@
 //! Lines turned in flight are additionally logged in **issue order**, so
 //! a fence walks exactly the lines it retires instead of scanning and
 //! filtering the whole table.
+//!
+//! Each slot also keeps its line's **pre-image**: the bytes the line held
+//! just before it last turned dirty. Until the line is fenced those are
+//! its durable bytes, so the flush cache compares against them instead of
+//! a second copy of the pool.
 
 /// Persistence state of a written cacheline.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -35,6 +40,9 @@ const TAG_DIRTY: u64 = 1;
 const TAG_INFLIGHT: u64 = 2;
 const TAG_MASK: u64 = 3;
 
+/// A cacheline's bytes as eight little-endian words.
+pub(crate) type LineWords = [u64; 8];
+
 /// Slots allocated by the first insert; doubles at 3/4 load.
 const INITIAL_SLOTS: usize = 64;
 
@@ -45,6 +53,8 @@ pub(crate) struct LineTable {
     keys: Vec<u64>,
     /// `done_ns` of the in-flight line in the same slot.
     done: Vec<f64>,
+    /// Pre-image of the line in the same slot.
+    pre: Vec<LineWords>,
     len: usize,
     inflight: usize,
     /// Every line turned in flight since the last [`LineTable::fence`],
@@ -99,10 +109,12 @@ impl LineTable {
         let slots = (self.keys.len() * 2).max(INITIAL_SLOTS);
         let keys = std::mem::replace(&mut self.keys, vec![0; slots]);
         let done = std::mem::replace(&mut self.done, vec![0.0; slots]);
-        for (k, d) in keys.into_iter().zip(done).filter(|&(k, _)| k != 0) {
-            let (i, _) = self.probe(k & !TAG_MASK);
-            self.keys[i] = k;
-            self.done[i] = d;
+        let pre = std::mem::replace(&mut self.pre, vec![[0; 8]; slots]);
+        for (i, &k) in keys.iter().enumerate().filter(|&(_, &k)| k != 0) {
+            let (j, _) = self.probe(k & !TAG_MASK);
+            self.keys[j] = k;
+            self.done[j] = done[i];
+            self.pre[j] = pre[i];
         }
     }
 
@@ -115,9 +127,26 @@ impl LineTable {
         found.then(|| self.state_at(i))
     }
 
+    /// The pre-image of `line` if it is dirty.
+    pub(crate) fn dirty_pre_image(&self, line: u64) -> Option<&LineWords> {
+        if self.len == 0 {
+            return None;
+        }
+        let (i, found) = self.probe(line);
+        (found && self.keys[i] & TAG_MASK == TAG_DIRTY).then(|| &self.pre[i])
+    }
+
     /// Sets `line` to `state`, returning its previous state. A line set
-    /// in flight joins the issue-order log.
-    pub(crate) fn set(&mut self, line: u64, state: LineState) -> Option<LineState> {
+    /// in flight joins the issue-order log. A line turning dirty from
+    /// clean or from in flight records `pre()`, its bytes before the store
+    /// that dirties it, as its pre-image; `pre` runs for nothing else, and
+    /// a line already dirty keeps the pre-image it has.
+    pub(crate) fn set(
+        &mut self,
+        line: u64,
+        state: LineState,
+        pre: impl FnOnce() -> LineWords,
+    ) -> Option<LineState> {
         debug_assert_eq!(line & 63, 0, "line addresses are 64-byte aligned");
         if (self.len + 1) * 4 > self.keys.len() * 3 {
             self.grow();
@@ -131,7 +160,12 @@ impl LineTable {
             self.len += 1;
         }
         match state {
-            LineState::Dirty => self.keys[i] = line | TAG_DIRTY,
+            LineState::Dirty => {
+                if prev != Some(LineState::Dirty) {
+                    self.pre[i] = pre();
+                }
+                self.keys[i] = line | TAG_DIRTY;
+            }
             LineState::Inflight { done_ns } => {
                 self.keys[i] = line | TAG_INFLIGHT;
                 self.done[i] = done_ns;
@@ -181,6 +215,7 @@ impl LineTable {
             }
             self.keys[hole] = self.keys[j];
             self.done[hole] = self.done[j];
+            self.pre[hole] = self.pre[j];
             hole = j;
         }
     }
@@ -209,9 +244,13 @@ impl LineTable {
             .map(|i| (self.keys[i] & !TAG_MASK, self.state_at(i)))
     }
 
-    /// Empties the table, returning what it tracked.
-    pub(crate) fn take(&mut self) -> Vec<(u64, LineState)> {
-        let all = self.iter().collect();
+    /// Empties the table, returning every tracked line with its state
+    /// and pre-image (meaningful for dirty lines only).
+    pub(crate) fn take(&mut self) -> Vec<(u64, LineState, LineWords)> {
+        let all = (0..self.keys.len())
+            .filter(|&i| self.keys[i] != 0)
+            .map(|i| (self.keys[i] & !TAG_MASK, self.state_at(i), self.pre[i]))
+            .collect();
         *self = LineTable::default();
         all
     }
@@ -228,24 +267,36 @@ mod tests {
     use super::*;
     use LineState::{Dirty, Inflight};
 
+    /// Sets `line` to `state`, a dirty line's pre-image naming the line.
+    fn set(t: &mut LineTable, line: u64, state: LineState) -> Option<LineState> {
+        t.set(line, state, || [line; 8])
+    }
+
+    fn set_inflight(t: &mut LineTable, line: u64, done_ns: f64) {
+        t.set(line, Inflight { done_ns }, || unreachable!());
+    }
+
     #[test]
     fn empty_table_allocates_nothing() {
         let mut t = LineTable::default();
         assert_eq!(t.get(0), None);
         t.remove(64);
         assert!(t.fence().is_empty());
-        assert_eq!(t.keys.capacity() + t.issued.capacity(), 0);
+        assert_eq!(
+            t.keys.capacity() + t.pre.capacity() + t.issued.capacity(),
+            0
+        );
     }
 
     #[test]
     fn set_get_remove_roundtrip_including_line_zero() {
         let mut t = LineTable::default();
-        assert_eq!(t.set(0, Dirty), None);
-        assert_eq!(t.set(64, Inflight { done_ns: 5.0 }), None);
+        assert_eq!(set(&mut t, 0, Dirty), None);
+        assert_eq!(set(&mut t, 64, Inflight { done_ns: 5.0 }), None);
         assert_eq!(t.get(0), Some(Dirty));
         assert_eq!(t.get(64), Some(Inflight { done_ns: 5.0 }));
         assert_eq!((t.len(), t.inflight()), (2, 1));
-        assert_eq!(t.set(64, Dirty), Some(Inflight { done_ns: 5.0 }));
+        assert_eq!(set(&mut t, 64, Dirty), Some(Inflight { done_ns: 5.0 }));
         assert_eq!((t.len(), t.inflight()), (2, 0));
         t.remove(0);
         assert_eq!(t.get(0), None);
@@ -274,9 +325,9 @@ mod tests {
                     let s = Inflight {
                         done_ns: round as f64,
                     };
-                    assert_eq!(t.set(line, s), model.insert(line, s));
+                    assert_eq!(set(&mut t, line, s), model.insert(line, s));
                 }
-                _ => assert_eq!(t.set(line, Dirty), model.insert(line, Dirty)),
+                _ => assert_eq!(set(&mut t, line, Dirty), model.insert(line, Dirty)),
             }
             if round % 64 == 0 {
                 assert_eq!(t.len(), model.len());
@@ -290,7 +341,7 @@ mod tests {
                 assert_eq!(t.inflight(), n);
             }
         }
-        let mut all = t.take();
+        let mut all: Vec<_> = t.take().into_iter().map(|(l, s, _)| (l, s)).collect();
         all.sort_by_key(|&(l, _)| l);
         assert_eq!(all, model.into_iter().collect::<Vec<_>>());
         assert_eq!(t.len(), 0);
@@ -300,13 +351,13 @@ mod tests {
     fn fence_retires_inflight_lines_in_issue_order() {
         let mut t = LineTable::default();
         for line in [640, 128, 0, 4096] {
-            t.set(line, Dirty);
-            t.set(line, Inflight { done_ns: 1.0 });
+            set(&mut t, line, Dirty);
+            set(&mut t, line, Inflight { done_ns: 1.0 });
         }
-        t.set(8192, Dirty); // never flushed
-        t.set(128, Dirty); // re-dirtied: its log entry is stale
-        t.set(0, Dirty); // re-dirtied, then flushed again: logged twice
-        t.set(0, Inflight { done_ns: 2.0 });
+        set(&mut t, 8192, Dirty); // never flushed
+        set(&mut t, 128, Dirty); // re-dirtied: its log entry is stale
+        set(&mut t, 0, Dirty); // re-dirtied, then flushed again: logged twice
+        set(&mut t, 0, Inflight { done_ns: 2.0 });
         assert_eq!(t.fence(), [640, 0, 4096]);
         assert_eq!((t.len(), t.inflight()), (2, 0));
         assert_eq!(t.get(128), Some(Dirty));
@@ -317,8 +368,69 @@ mod tests {
     #[test]
     fn rebase_zeroes_drain_times() {
         let mut t = LineTable::default();
-        t.set(64, Inflight { done_ns: 9.0 });
+        set(&mut t, 64, Inflight { done_ns: 9.0 });
         t.rebase_inflight();
         assert_eq!(t.get(64), Some(Inflight { done_ns: 0.0 }));
+    }
+
+    #[test]
+    fn pre_image_is_recorded_on_clean_and_inflight_to_dirty() {
+        let mut t = LineTable::default();
+        assert_eq!(t.set(64, Dirty, || [1; 8]), None);
+        assert_eq!(t.dirty_pre_image(64), Some(&[1; 8]));
+        set_inflight(&mut t, 64, 3.0);
+        assert_eq!(t.dirty_pre_image(64), None, "only dirty lines have one");
+        assert_eq!(t.set(64, Dirty, || [2; 8]), Some(Inflight { done_ns: 3.0 }));
+        assert_eq!(t.dirty_pre_image(64), Some(&[2; 8]));
+        assert_eq!(t.dirty_pre_image(128), None);
+    }
+
+    #[test]
+    fn pre_image_is_kept_on_dirty_to_dirty() {
+        let mut t = LineTable::default();
+        t.set(64, Dirty, || [1; 8]);
+        let again = t.set(64, Dirty, || {
+            unreachable!("an already dirty line reads nothing")
+        });
+        assert_eq!(again, Some(Dirty));
+        assert_eq!(t.dirty_pre_image(64), Some(&[1; 8]));
+    }
+
+    #[test]
+    fn pre_images_survive_growth_and_backward_shift_removal() {
+        // Enough lines to grow the table several times; removing every
+        // third one backward-shifts the probe runs behind it.
+        let mut t = LineTable::default();
+        let lines = (0..600u64).map(|i| i * 64 * 7);
+        for l in lines.clone() {
+            set(&mut t, l, Dirty);
+        }
+        assert!(t.keys.len() > INITIAL_SLOTS * 8);
+        for l in lines.clone().step_by(3) {
+            t.remove(l);
+        }
+        for (i, l) in lines.enumerate() {
+            let want = (i % 3 != 0).then_some([l; 8]);
+            assert_eq!(t.dirty_pre_image(l).copied(), want, "line {l:#x}");
+        }
+    }
+
+    #[test]
+    fn pre_images_round_trip_through_take_and_set() {
+        let mut worker = LineTable::default();
+        worker.set(0, Dirty, || [5; 8]);
+        worker.set(64, Dirty, || [6; 8]);
+        set_inflight(&mut worker, 64, 1.0);
+        let mut commit = LineTable::default();
+        for (line, state, pre) in worker.take() {
+            assert_eq!(commit.set(line, state, || pre), None);
+        }
+        assert_eq!(worker.len(), 0);
+        assert_eq!(commit.dirty_pre_image(0), Some(&[5; 8]));
+        assert_eq!(commit.get(64), Some(Inflight { done_ns: 1.0 }));
+        let mut back = commit.take();
+        back.sort_by_key(|&(l, _, _)| l);
+        assert_eq!(back[0], (0, Dirty, [5; 8]));
+        assert_eq!(back[1].1, Inflight { done_ns: 1.0 });
     }
 }

@@ -31,7 +31,7 @@ use crate::clock::{SimClock, TimeCategory};
 use crate::drain::WpqDrain;
 use crate::journal::{BatchKind, LineImage};
 use crate::line::{line_of, lines_covering, CACHELINE};
-use crate::linetable::{LineState, LineTable};
+use crate::linetable::{LineState, LineTable, LineWords};
 use crate::model::LatencyModel;
 use crate::stats::PmStats;
 use crate::trace::TraceEvent;
@@ -53,9 +53,10 @@ pub const ADDRESS_LIMIT: u64 = 1 << 36;
 pub struct PmemConfig {
     /// Pool capacity in bytes.
     pub capacity: u64,
-    /// Allow [`Pmem::crash_image`] on a memory-backed pool (a file-backed
-    /// pool always allows it). Costs nothing: every pool keeps its
-    /// durable image anyway, because the flush cache reads it.
+    /// Allow [`Pmem::crash_image`]. The pool then keeps a durable image,
+    /// a second arena that every fence copies its lines into, sized like
+    /// the touched part of the pool; without `crash_sim` it keeps none,
+    /// whether memory- or file-backed.
     pub crash_sim: bool,
     /// Record a [`TraceEvent`] stream (for the §5.4 checker).
     pub trace: bool,
@@ -79,7 +80,7 @@ pub struct PmemConfig {
     /// Enable the fence-epoch flush cache: a `clwb` whose writeback could
     /// not change what persists — the line is already in flight and not
     /// re-dirtied since the last `sfence`, is clean, or its content is
-    /// bit-identical to its last-fenced image — is elided: no issue
+    /// bit-identical to its last-fenced bytes — is elided: no issue
     /// charge, no WPQ slot, counted in [`PmStats::flushes_deduped`].
     /// Off restores the issue-everything pipeline (requests that schedule
     /// nothing still pay the issue charge); classification counters are
@@ -157,11 +158,14 @@ impl CrashPolicy {
 }
 
 /// Volatile line states in transit from a worker's shard handle to the
-/// commit-stage pool (see [`Pmem::take_lines`] / [`Pmem::absorb_lines`]).
-/// Opaque: the line-state machine stays private to this module.
+/// commit-stage pool (see [`Pmem::take_lines`] / [`Pmem::absorb_lines`]),
+/// each line with its pre-image. A dirty line's pre-image is its durable
+/// bytes unless the worker re-dirtied a line it had already handed off
+/// (see [`Pmem::take_lines`]). Opaque: the line-state machine stays
+/// private to this module.
 #[derive(Debug)]
 pub struct LineHandoff {
-    lines: Vec<(u64, LineState)>,
+    lines: Vec<(u64, LineState, LineWords)>,
     /// In-flight count among `lines` (sanity checking).
     inflight: usize,
     /// WPQ calendar watermark: completion time of the latest drain the
@@ -206,7 +210,12 @@ pub struct ReplayStats {
 pub struct Pmem {
     cfg: PmemConfig,
     data: SharedArena,
-    durable: SharedArena,
+    /// What a crash keeps whatever the policy: every line as last fenced
+    /// or drained. Kept iff `cfg.crash_sim`, for [`Pmem::crash_image`].
+    durable: Option<SharedArena>,
+    /// Set by [`Pmem::take_lines`]: this handle's pre-images may since
+    /// hold a handed-off FASE's unfenced bytes (see there).
+    handed_off: bool,
     /// Where durable bytes live ([`MemBackend`] or [`FileBackend`]);
     /// shared with every forked shard handle.
     backend: Arc<dyn PoolBackend>,
@@ -248,12 +257,7 @@ impl Pmem {
     /// A zero-filled pool writing through `backend`.
     fn fresh_on(cfg: PmemConfig, backend: Arc<dyn PoolBackend>) -> Pmem {
         let data = SharedArena::new(cfg.capacity);
-        // The durable image is maintained unconditionally: besides crash
-        // simulation it is the fence-epoch flush cache's authority for
-        // "bytes already persistent" (see `clwb`). Segments materialize
-        // lazily, so the cost tracks the touched working set, not
-        // capacity.
-        let durable = SharedArena::new(cfg.capacity);
+        let durable = cfg.crash_sim.then(|| SharedArena::new(cfg.capacity));
         Pmem::from_parts(cfg, data, durable, backend, None, None)
     }
 
@@ -280,7 +284,7 @@ impl Pmem {
                 lines += 1;
             }
         }
-        let durable = data.snapshot();
+        let durable = cfg.crash_sim.then(|| data.snapshot());
         let stats = ReplayStats {
             batches: replay.batches.len() as u64,
             lines,
@@ -301,7 +305,7 @@ impl Pmem {
     fn from_parts(
         cfg: PmemConfig,
         data: SharedArena,
-        durable: SharedArena,
+        durable: Option<SharedArena>,
         backend: Arc<dyn PoolBackend>,
         replay: Option<ReplayStats>,
         // The pool's shared volatile range; `None` starts an empty one.
@@ -310,6 +314,7 @@ impl Pmem {
         Pmem {
             data,
             durable,
+            handed_off: false,
             backend,
             replay,
             lines: LineTable::default(),
@@ -349,6 +354,15 @@ impl Pmem {
         self.backend.durable_file_bytes()
     }
 
+    /// Copies `lines` into the durable image, if the pool keeps one.
+    fn persist(&self, lines: &[u64]) {
+        if let Some(durable) = &self.durable {
+            for &l in lines {
+                durable.copy_from(&self.data, l, CACHELINE);
+            }
+        }
+    }
+
     /// Reads the 64 content bytes of each line in `addrs` (peek path: no
     /// cache/time charges — journal appends are not simulated work).
     fn line_images(&self, addrs: &[u64]) -> Vec<LineImage> {
@@ -382,9 +396,7 @@ impl Pmem {
             .collect();
         drained.sort_unstable();
         if !drained.is_empty() {
-            for &l in &drained {
-                self.durable.copy_from(&self.data, l, CACHELINE);
-            }
+            self.persist(&drained);
             let images = self.line_images(&drained);
             self.backend.append_batch(BatchKind::Drained, &images, now);
         }
@@ -453,7 +465,8 @@ impl Pmem {
             // never journaled, never charged.
             return;
         }
-        // Every covered line becomes dirty. A store that races an
+        // Every covered line becomes dirty; one turning dirty records its
+        // pre-store bytes as its pre-image. A store that races an
         // in-flight writeback is modelled as the writeback completing
         // with the pre-store content (a legal outcome — and the one
         // `sfence` would have guaranteed): persist that content while
@@ -461,11 +474,12 @@ impl Pmem {
         // drained batch. The new store leaves the line dirty again.
         let mut raced: Vec<u64> = Vec::new();
         for l in lines_covering(addr, len) {
-            if let Some(LineState::Inflight { .. }) = self.lines.set(l, LineState::Dirty) {
-                self.durable.copy_from(&self.data, l, CACHELINE);
+            let pre = || self.data.line_words(l);
+            if let Some(LineState::Inflight { .. }) = self.lines.set(l, LineState::Dirty, pre) {
                 raced.push(l);
             }
         }
+        self.persist(&raced);
         if !raced.is_empty() && self.backend.wants_batches() {
             let images = self.line_images(&raced);
             self.backend
@@ -587,16 +601,6 @@ impl Pmem {
     // Persistence operations
     // ------------------------------------------------------------------
 
-    /// Whether `line`'s cached content is bit-identical to its
-    /// last-fenced (durable) image: flushing such a line cannot change
-    /// what persists, under any crash policy, at any point in time.
-    /// Bypasses the cache/latency model — this is the software flush
-    /// cache's bookkeeping, not a simulated memory access.
-    fn line_matches_fenced_image(&self, line: u64) -> bool {
-        let len = CACHELINE.min(self.cfg.capacity - line);
-        self.data.range_eq(&self.durable, line, len)
-    }
-
     /// Issues a `clwb` for the line containing `addr`: a weakly-ordered
     /// writeback that overlaps with other flushes. The line may stay in
     /// the cache (clwb does not evict). The writeback launches as the
@@ -614,10 +618,15 @@ impl Pmem {
     /// * the line is already in flight and has not been re-dirtied since
     ///   (the writeback is already scheduled);
     /// * the line is clean (there is nothing to write back);
-    /// * the line is dirty but bit-identical to its last-fenced image
-    ///   (the steady-state shadow-update case: a recycled block is
+    /// * the line is dirty but bit-identical to its pre-image, the bytes
+    ///   it held when it last turned dirty, which are its last-fenced
+    ///   bytes (the steady-state shadow-update case: a recycled block is
     ///   rewritten with mostly-unchanged content, so most of its lines
     ///   carry bytes the medium already holds).
+    ///
+    /// The comparison reads the line and its pre-image, bypassing the
+    /// cache/latency model: it is the flush cache's bookkeeping, not a
+    /// simulated memory access.
     pub fn clwb(&mut self, addr: u64) {
         let line = line_of(addr);
         self.stats.flushes_issued += 1;
@@ -629,8 +638,16 @@ impl Pmem {
             return;
         }
         let coalesce = self.cfg.coalesce_flushes;
-        let mut effective = matches!(self.lines.get(line), Some(LineState::Dirty));
-        if effective && coalesce && self.line_matches_fenced_image(line) {
+        let pre = self.lines.dirty_pre_image(line).copied();
+        debug_assert!(
+            self.handed_off
+                || pre
+                    .zip(self.durable.as_ref())
+                    .is_none_or(|(pre, durable)| durable.line_words(line) == pre),
+            "dirty line {line:#x}: its pre-image is not its durable image"
+        );
+        let mut effective = pre.is_some();
+        if coalesce && pre.is_some_and(|pre| self.data.line_words(line) == pre) {
             // The dirty bytes are the bytes the medium already holds
             // (typical of shadow updates into recycled blocks): drop the
             // dirty mark instead of scheduling a no-op writeback. Every
@@ -648,7 +665,9 @@ impl Pmem {
                 m.wpq_drain_ns(),
                 m.wpq_lanes,
             );
-            self.lines.set(line, LineState::Inflight { done_ns });
+            let state = LineState::Inflight { done_ns };
+            self.lines
+                .set(line, state, || unreachable!("not turning dirty"));
             self.stats.effective_flushes += 1;
         } else {
             self.stats.flushes_deduped += 1;
@@ -712,9 +731,7 @@ impl Pmem {
         self.stats.epoch_hist.record(n as u32);
         let mut flushed = self.lines.fence();
         if !flushed.is_empty() {
-            for &l in &flushed {
-                self.durable.copy_from(&self.data, l, CACHELINE);
-            }
+            self.persist(&flushed);
             // The backend hook: exactly this fence's lines, as one
             // checksummed batch record — one journal append per ordering
             // point, however many FASEs the batch carried. Sorted, so the
@@ -895,12 +912,12 @@ impl Pmem {
     // ------------------------------------------------------------------
 
     /// Forks a *shard handle*: a new `Pmem` sharing this pool's storage
-    /// (data and durable image) but carrying its own private volatile
-    /// simulation state — clock, caches, line table, WPQ calendar, stats
-    /// and trace buffer. A worker thread owning a handle can read, write
-    /// and `clwb` with **no synchronization against other handles**, as
-    /// long as concurrently written ranges stay word-disjoint (each
-    /// worker writes only blocks inside its own allocation arena).
+    /// (data and, under `crash_sim`, durable image) but carrying its own
+    /// private volatile simulation state — clock, caches, line table, WPQ
+    /// calendar, stats and trace buffer. A worker thread owning a handle
+    /// can read, write and `clwb` with **no synchronization against other
+    /// handles**, as long as concurrently written ranges stay word-disjoint
+    /// (each worker writes only blocks inside its own allocation arena).
     ///
     /// The handle's clock starts at this pool's current time, so times
     /// recorded by the handle are comparable with the parent timeline.
@@ -945,11 +962,21 @@ impl Pmem {
     /// a worker when its staged FASE is pushed to the commit stage: the
     /// FASE's blocks — and responsibility for fencing them — travel with
     /// it.
+    ///
+    /// After a handoff, a line's pre-image here need not be its durable
+    /// bytes. Two FASEs' blocks can share a 64-byte line at the 16-byte
+    /// grain, so the worker can re-dirty a line it handed off before the
+    /// commit stage fences it; the line turns dirty from clean here, and
+    /// its pre-image is the earlier FASE's unfenced bytes. An elision
+    /// against that pre-image is still safe: it means this FASE's stores
+    /// left the line's bytes unchanged, and the earlier FASE's fence
+    /// persists them no later than this FASE's fence.
     pub fn take_lines(&mut self) -> LineHandoff {
         let inflight = self.lines.inflight();
         let lines = self.lines.take();
         let drain_last_done = self.drain.last_done();
         self.drain.reset();
+        self.handed_off = true;
         LineHandoff {
             lines,
             inflight,
@@ -958,11 +985,11 @@ impl Pmem {
     }
 
     /// Merges a worker handle's [`LineHandoff`] into this pool: the lines
-    /// become this timeline's dirty/in-flight lines (the next
-    /// [`Pmem::sfence`] drains and persists them), and the handed-off
-    /// drain watermark joins the WPQ calendar. Shard arenas are 64-byte
-    /// aligned so two handles never hand off the same line; if they ever
-    /// do, the later state wins.
+    /// become this timeline's dirty/in-flight lines, pre-images included
+    /// (the next [`Pmem::sfence`] drains and persists them), and the
+    /// handed-off drain watermark joins the WPQ calendar. Shard arenas
+    /// are 64-byte aligned so two handles never hand off the same line;
+    /// if they ever do, the later state wins.
     ///
     /// Because the line table is keyed by line address, merging the flush
     /// sets of every FASE in a batch leaves **one entry per unique dirty
@@ -973,8 +1000,8 @@ impl Pmem {
     /// eliminated).
     pub fn absorb_lines(&mut self, handoff: LineHandoff) -> usize {
         let mut combined = 0;
-        for (line, state) in handoff.lines {
-            if self.lines.set(line, state).is_some() {
+        for (line, state, pre) in handoff.lines {
+            if self.lines.set(line, state, || pre).is_some() {
                 combined += 1;
             }
         }
@@ -1003,13 +1030,14 @@ impl Pmem {
     ///
     /// # Panics
     ///
-    /// Panics on a memory-backed pool created without `crash_sim: true`.
+    /// Panics on a pool created or opened without `crash_sim: true`,
+    /// memory- or file-backed: only such a pool keeps a durable image.
     pub fn crash_image(&self, policy: CrashPolicy) -> Pmem {
-        assert!(
-            self.cfg.crash_sim || self.backend.wants_batches(),
-            "crash_image requires PmemConfig::crash_sim = true"
-        );
-        let image = self.durable.snapshot();
+        let image = self
+            .durable
+            .as_ref()
+            .expect("crash_image requires PmemConfig::crash_sim = true")
+            .snapshot();
         let now = self.clock.now_ns();
         for (line, state) in self.lines.iter() {
             let drained = matches!(state, LineState::Inflight { done_ns } if done_ns <= now);
@@ -1025,7 +1053,7 @@ impl Pmem {
         Pmem::from_parts(
             self.cfg.clone(),
             image,
-            durable_copy,
+            Some(durable_copy),
             Arc::new(MemBackend),
             None,
             None,
@@ -1540,12 +1568,14 @@ mod tests {
 
     /// Whether a reopened pool's bytes equal `live`'s durable image.
     fn matches_durable_image(reopened: &Pmem, live: &Pmem) -> bool {
-        (0..live.capacity())
-            .step_by(crate::arena::SEGMENT_BYTES as usize)
-            .all(|a| {
-                live.durable
-                    .range_eq(&reopened.data, a, crate::arena::SEGMENT_BYTES)
-            })
+        let durable = live.durable.as_ref().expect("a crash_sim pool");
+        let words = crate::arena::SEGMENT_BYTES as usize / 8;
+        let (mut a, mut b) = (vec![0u64; words], vec![0u64; words]);
+        (0..live.capacity()).step_by(words * 8).all(|at| {
+            durable.read_words(at, &mut a);
+            reopened.data.read_words(at, &mut b);
+            a == b
+        })
     }
 
     #[test]
@@ -2034,5 +2064,87 @@ mod tests {
         assert_eq!(img.backend_kind(), crate::backend::BackendKind::Mem);
         assert_eq!(img.peek_u64(0x100), 3);
         remove_pool(&path, 1);
+    }
+
+    /// One script over every path that writes the durable image or reads
+    /// a pre-image: identical and reverted rewrites (elided), a store
+    /// racing an in-flight writeback, a drained line at a checkpoint, and
+    /// a worker's lines handed off and fenced by the parent. Returns both
+    /// timelines' counters and the parent clock's bit patterns.
+    fn durable_image_script(pm: &mut Pmem) -> (PmStats, PmStats, [u64; 4]) {
+        for i in 0..32u64 {
+            pm.write_u64(0x1000 + i * 64, i + 1);
+            pm.clwb(0x1000 + i * 64);
+        }
+        pm.sfence();
+        for i in 0..32u64 {
+            // Even lines are rewritten with their fenced bytes.
+            pm.write_u64(0x1000 + i * 64, i + 1 + (i & 1));
+            pm.clwb(0x1000 + i * 64);
+        }
+        pm.write_u64(0x2000, 7);
+        pm.write_u64(0x2000, 0); // reverted before its flush
+        pm.clwb(0x2000);
+        pm.write_u64(0x2040, 1);
+        pm.clwb(0x2040);
+        pm.write_u64(0x2040, 2); // races the in-flight writeback
+        pm.clwb(0x2040);
+        pm.charge_ns(1_000.0);
+        pm.checkpoint().unwrap();
+        pm.sfence();
+        let mut worker = pm.fork_handle();
+        for i in 0..8u64 {
+            worker.write_u64(0x8000 + i * 64, i);
+            worker.clwb(0x8000 + i * 64);
+        }
+        let handoff = worker.take_lines();
+        pm.sync_clock_to(worker.clock().now_ns());
+        pm.absorb_lines(handoff);
+        pm.sfence();
+        let b = pm.clock().breakdown();
+        let clock = [pm.clock().now_ns(), b.other_ns, b.flush_ns, b.log_ns].map(f64::to_bits);
+        (pm.stats().clone(), worker.stats().clone(), clock)
+    }
+
+    #[test]
+    fn crash_sim_off_simulates_identically_and_keeps_no_durable_image() {
+        let durable_bytes = |pm: &Pmem| pm.durable.as_ref().map(SharedArena::resident_bytes);
+        let off = PmemConfig {
+            crash_sim: false,
+            ..PmemConfig::testing()
+        };
+        let mut on = testing_pmem();
+        let want = durable_image_script(&mut on);
+        assert!(durable_bytes(&on) > Some(0));
+        assert_eq!(want.0.flushes_deduped, 17, "16 identical lines, 1 reverted");
+        assert_eq!(want.1.flushes_deduped, 1, "the worker's all-zero line");
+        assert!(want.0.flush_identity_holds());
+        let path = pool_path("crash_sim_off");
+        let file = Pmem::create_file(&path, off.clone()).unwrap();
+        for mut pm in [Pmem::new(off.clone()), file] {
+            assert!(
+                durable_image_script(&mut pm) == want,
+                "{:?}",
+                pm.backend_kind()
+            );
+            assert_eq!(durable_bytes(&pm), None);
+        }
+        let reopened = Pmem::open_file(&path, off).unwrap();
+        assert_eq!(durable_bytes(&reopened), None);
+        assert_eq!(reopened.peek_u64(0x2040), 2);
+        remove_pool(&path, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "crash_sim")]
+    fn crash_image_of_a_file_pool_requires_crash_sim() {
+        let path = pool_path("crash_img_off");
+        let cfg = PmemConfig {
+            crash_sim: false,
+            ..PmemConfig::testing()
+        };
+        let pm = Pmem::create_file(&path, cfg).unwrap();
+        remove_pool(&path, 1); // the open pool reads no member from here on
+        let _ = pm.crash_image(CrashPolicy::OnlyFenced);
     }
 }
